@@ -84,6 +84,10 @@ class SweepSpec:
                              f"pick from {', '.join(SWEEP_PARAMS)}")
         if not self.values:
             raise ValueError("sweep needs a nonempty value list")
+        if self.param == "M":
+            for v in self.values:
+                if not float(v).is_integer():
+                    raise ValueError(f"M values must be whole relay counts, got {v!r}")
         if not self.schemes:
             raise ValueError("sweep needs at least one scheme")
         for s in self.schemes:

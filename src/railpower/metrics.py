@@ -30,8 +30,13 @@ class AllocationMatrix:
     def __post_init__(self):
         if self.p.shape != self.mask.shape:
             raise ValueError("power and mask shapes differ")
-        self.p.setflags(write=False)
-        self.mask.setflags(write=False)
+        # hold read-only arrays; a writable input is copied, never frozen in place
+        for name in ("p", "mask"):
+            arr = getattr(self, name)
+            if arr.flags.writeable:
+                arr = arr.copy()
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
     @classmethod
     def from_dense(cls, p: np.ndarray, cfg: ScenarioConfig) -> "AllocationMatrix":

@@ -1,6 +1,6 @@
 import numpy as np
 
-from railpower.cli import main
+from railpower.cli import EXIT_CONFIG, main
 from railpower.harness import read_csv_rows
 
 REF_CONFIG = """
@@ -76,3 +76,21 @@ def test_mc_velocity_command(tmp_path, capsys):
     kinds = {r["kind"] for r in rows}
     assert kinds == {"trial", "mean"}
     assert len([r for r in rows if r["kind"] == "trial"]) == 2 * 2 * 2
+
+
+def test_sweep_rejects_fractional_relay_count(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    code = main(["--outdir", str(tmp_path), "sweep", cfg, "--param", "M", "--values", "2.5"])
+    assert code == EXIT_CONFIG
+    assert "2.5" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_M.csv").exists()
+
+
+def test_sweep_accepts_integral_relay_grid(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, REF_CONFIG + "schemes = constant\n")
+    code = main(["--outdir", str(tmp_path), "sweep", cfg, "--param", "M", "--values", "2.0,3.0"])
+    assert code == 0
+    rows = [r for r in read_csv_rows(capsys.readouterr().out.strip()) if r["kind"] != "mean"]
+    assert [float(r["value"]) for r in rows] == [2.0, 3.0]
+    # the relay count took effect: a third relay changes the delivered data
+    assert float(rows[0]["data_bits"]) != float(rows[1]["data_bits"])

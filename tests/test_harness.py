@@ -91,6 +91,9 @@ def test_sweep_spec_validation():
         SweepSpec(param="bogus", values=(1,))
     with pytest.raises(ValueError):
         SweepSpec(param="d_l", values=(200,), trials=0)
+    with pytest.raises(ValueError, match="2.5"):
+        SweepSpec(param="M", values=(2.0, 2.5))
+    assert SweepSpec(param="M", values=(2.0, 3)).values == (2.0, 3)
 
 
 def test_sweep_records_failed_points(options):

@@ -227,3 +227,15 @@ def test_allocation_matrix_guards(ref_cfg):
     dense = np.ones_like(mask, dtype=float)
     alloc = AllocationMatrix.from_dense(dense, ref_cfg)
     assert np.all(alloc.p[~mask] == 0.0)
+
+
+def test_allocation_matrix_leaves_caller_arrays_writable(ref_cfg, ref_sched, ref_table):
+    p = np.where(ref_table.mask, 1.0, 0.0)
+    alloc = AllocationMatrix(p=p, mask=ref_table.mask)
+    assert p.flags.writeable and ref_table.mask.flags.writeable
+    assert not alloc.p.flags.writeable and not alloc.mask.flags.writeable
+    p[ref_table.mask] = 2.0
+    assert np.all(alloc.p[ref_table.mask] == 1.0)
+    # arrays that are already read-only are held as they are
+    again = AllocationMatrix(p=alloc.p, mask=alloc.mask)
+    assert again.p is alloc.p and again.mask is alloc.mask

@@ -1,7 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from railpower import optimizer
+from railpower.optimizer import InnerInfo
 from railpower import (AllocationMatrix, InfeasibleDataFloor, MultiplierState, Problem,
                        activity_mask, augmented_lagrangian, average_alloc,
                        build_gain_table, constraint_residuals, data_floor,
@@ -536,3 +542,134 @@ def test_kkt_residual_grows_under_perturbation(ref_cfg, ref_sched, ref_table,
         probe = AllocationMatrix(p=p, mask=alloc.mask)
         assert kkt_residual(probe, res.lam_hat, ref_cfg, ref_sched, d_min,
                             ref_table) > base
+
+
+# ------------------------------------------------- backtracking screen
+
+def plain_inner_descent(problem, p0, lam, sigma, state):
+    """Reference oracle: halve from alpha = 1 and evaluate every candidate."""
+    x = np.maximum(problem.to_scaled(p0.p), 0.0)
+    phi = problem.phi(x, lam, sigma)
+    phi_start, monotone, steps = phi, True, 0
+    converged, reason, gnorm = False, "cap", math.inf
+    while steps < state.inner_cap:
+        d = -problem.grad_phi(x, lam, sigma)
+        d[(x <= 0.0) & (d < 0.0)] = 0.0
+        gnorm = float(np.linalg.norm(d))
+        if gnorm <= state.eps:
+            converged, reason = True, "gradient"
+            break
+        if state.alpha_step is not None:
+            x_new = np.maximum(x + state.alpha_step * d, 0.0)
+            phi_new = problem.phi(x_new, lam, sigma)
+            monotone = monotone and not phi_new > phi
+        else:
+            alpha, phi_new, x_new = 1.0, None, None
+            for _ in range(60):
+                x_try = np.maximum(x + alpha * d, 0.0)
+                phi_try = problem.phi(x_try, lam, sigma)
+                if phi_try < phi:
+                    x_new, phi_new = x_try, phi_try
+                    break
+                alpha *= 0.5
+            if x_new is None:
+                converged, reason = True, "stall"
+                break
+        x, phi = x_new, phi_new
+        steps += 1
+    return problem.to_physical(x), InnerInfo(
+        steps=steps, converged=converged, reason=reason, phi_start=phi_start,
+        phi_end=phi, monotone=monotone, grad_norm=gnorm)
+
+
+def _solve_both(monkeypatch, cfg, **kw):
+    """Solve with the screened and with the plain line search; count merit
+    evaluations and screened-out candidates of the screened solve."""
+    sched = segment_boundaries(cfg)
+    counts = {"phi": 0, "screened": 0}
+    phi, screen = Problem.phi, Problem.screen_steps
+
+    def counted_phi(self, *args):
+        counts["phi"] += 1
+        return phi(self, *args)
+
+    def counted_screen(self, *args):
+        y, rejected = screen(self, *args)
+        counts["screened"] += int(rejected.sum())
+        return y, rejected
+
+    with monkeypatch.context() as m:
+        m.setattr(Problem, "phi", counted_phi)
+        m.setattr(Problem, "screen_steps", counted_screen)
+        fast = solve(cfg, sched, **kw)
+    with monkeypatch.context() as m:
+        m.setattr(optimizer, "inner_descent", plain_inner_descent)
+        plain = solve(cfg, sched, **kw)
+    return fast, plain, counts
+
+
+def _assert_same_solve(fast, plain):
+    (alloc_f, res_f), (alloc_p, res_p) = fast, plain
+    np.testing.assert_array_equal(alloc_f.p, alloc_p.p)
+    np.testing.assert_array_equal(res_f.lam_hat, res_p.lam_hat)
+    np.testing.assert_array_equal(res_f.lam, res_p.lam)
+    assert res_f.history == res_p.history
+    assert (res_f.h_inf, res_f.energy_j, res_f.data_bits, res_f.converged) == \
+        (res_p.h_inf, res_p.energy_j, res_p.data_bits, res_p.converged)
+
+
+@pytest.mark.parametrize("rho, m", [(0.8, 2), (0.8, 4), (0.8, 6), (0.97, 4)])
+def test_screened_solve_matches_plain_backtracking(monkeypatch, rho, m):
+    fast, plain, counts = _solve_both(monkeypatch, reference_config(num_relays=m, rho=rho))
+    _assert_same_solve(fast, plain)
+    if rho > 0.9:
+        # where caps bind nearly every rejected candidate is screened out
+        steps = sum(c.inner_steps for c in fast[1].history)
+        assert counts["screened"] > 0 and counts["phi"] < 1.5 * steps
+
+
+def test_screened_solve_matches_plain_in_equality_mode(monkeypatch, tiny):
+    cfg, sched, table = tiny
+    fast, plain, counts = _solve_both(monkeypatch, cfg, budget_mode="equality")
+    _assert_same_solve(fast, plain)
+    assert counts["screened"] > 0
+
+
+@pytest.fixture(scope="module")
+def screen_problems(tiny):
+    cfg, sched, table = tiny
+    d_min = data_floor(cfg, sched, table)
+    return {mode: Problem(cfg, sched, d_min, table, budget_mode=mode)
+            for mode in ("cap", "equality")}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), log_sigma=st.floats(-1.0, 6.0),
+       mode=st.sampled_from(["cap", "equality"]), ulps=st.integers(-4, 4),
+       use_gradient=st.booleans())
+def test_screen_never_rejects_a_decrease(screen_problems, seed, log_sigma, mode, ulps,
+                                         use_gradient):
+    problem = screen_problems[mode]
+    rng = np.random.default_rng(seed)
+    shape = problem.mask.shape
+    x = np.where(problem.mask & (rng.random(shape) < 0.85),
+                 rng.uniform(0.0, 1.2, shape), 0.0)
+    sigma = 10.0 ** log_sigma
+    lam = rng.normal(size=shape[1] + 1) * 10.0 ** rng.uniform(-2.0, 2.0)
+    h, dd = problem.residuals_scaled(x), problem.grad_data_scaled(x)
+    if use_gradient:
+        d = -problem.grad_phi(x, lam, sigma, h, dd)
+        d[(x <= 0.0) & (d < 0.0)] = 0.0
+    else:
+        d = np.where(problem.mask, rng.normal(size=shape), 0.0) * 10.0 ** rng.uniform(-4, 1)
+    y = np.stack([np.maximum(x + 0.5 ** k * d, 0.0) for k in range(60)])
+    exact = np.array([problem.phi(yk, lam, sigma) for yk in y])
+
+    for k in range(60):
+        # a threshold a few ulps away from candidate k's exact merit: a near tie
+        threshold = exact[k]
+        for _ in range(abs(ulps)):
+            threshold = np.nextafter(threshold, np.inf if ulps > 0 else -np.inf)
+        tries, rejected = problem.screen_steps(x, d, h, dd, lam, sigma, float(threshold))
+        assert not np.any(rejected & (exact < threshold)), k
+    np.testing.assert_array_equal(tries, y)
