@@ -17,15 +17,12 @@ from .radio import (AntennaPattern, FadingModel, LinkConstants, antenna_gain,
                     sample_fading_db, sample_rician_envelope, sidelobe_gain,
                     snr_db, snr_linear_per_watt)
 from .metrics import (AllocationMatrix, GainTable, MetricsRecord, build_gain_table,
-                      compute_metrics, energy_efficiency, grad_total_data,
-                      sample_fading_trace, segment_data, spectral_efficiency,
-                      total_data, total_energy)
+                      compute_metrics, energy_efficiency, sample_fading_trace,
+                      segment_data, spectral_efficiency, total_energy)
 from .allocators import (ChannelSnapshot, average_alloc, constant_alloc, csi_alloc,
                          random_alloc, validate_alloc)
-from .optimizer import (ConstraintResiduals, InfeasibleDataFloor, MultiplierState,
-                        Problem, SolveResult, augmented_lagrangian,
-                        constraint_residuals, data_floor,
-                        grad_augmented_lagrangian, inner_descent, kkt_residual,
+from .optimizer import (InfeasibleDataFloor, MultiplierState, Problem, SolveResult,
+                        SolverOptions, data_floor, inner_descent, kkt_residual,
                         solve, update_state)
 from .doppler import (DopplerTable, RsrpWindow, build_table, estimate_doppler,
                       max_doppler, rsrp_at, true_doppler)

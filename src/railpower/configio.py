@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from .optimizer import SolverOptions
 from .scenario import KMH_TO_MPS, ScenarioConfig, dbm_to_watts
 
 SCHEMES = ("constant", "random", "average", "csi", "optimized")
@@ -30,6 +31,13 @@ _BOOL_KEYS = {"bandwidth_factor", "fading"}
 _LIST_KEYS = {"schemes"}
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _LIST_KEYS
 
+# config key -> SolverOptions field
+_SOLVER_KEYS = {
+    "solver_sigma0": "sigma0", "solver_growth": "growth", "solver_eps": "eps",
+    "solver_alpha": "alpha_step", "solver_n_max": "n_max",
+    "solver_inner_cap": "inner_cap",
+}
+
 
 class ConfigError(ValueError):
     """Malformed or inconsistent scenario configuration."""
@@ -46,12 +54,7 @@ class HarnessOptions:
     """Harness-level knobs parsed alongside the physical scenario."""
 
     schemes: tuple[str, ...] = SCHEMES
-    solver_sigma0: float = 1.0
-    solver_growth: float = 4.0
-    solver_eps: float = 1e-4
-    solver_alpha: float | None = None
-    solver_n_max: int = 100
-    solver_inner_cap: int = 5000
+    solver: SolverOptions = SolverOptions()
 
 
 def parse_config_text(text: str, path: str = "<config>") -> tuple[ScenarioConfig, HarnessOptions]:
@@ -124,11 +127,12 @@ def parse_config_text(text: str, path: str = "<config>") -> tuple[ScenarioConfig
     except ValueError as exc:
         raise ConfigError(str(exc), path) from exc
 
-    opt_kwargs = {}
-    for key in ("solver_sigma0", "solver_growth", "solver_eps", "solver_alpha",
-                "solver_n_max", "solver_inner_cap"):
-        if key in values:
-            opt_kwargs[key] = values[key]
+    try:
+        solver = SolverOptions(**{name: values[key] for key, name in _SOLVER_KEYS.items()
+                                  if key in values})
+    except ValueError as exc:
+        raise ConfigError(str(exc), path) from exc
+    opt_kwargs = {"solver": solver}
     if "schemes" in values:
         schemes = values["schemes"]
         if not schemes or schemes == ("",):

@@ -11,8 +11,15 @@ on every emitted row.  Wall time is measured but kept out of the CSV.
 The velocity-error study corrupts only the planner: the schedule and the
 optimised allocation are computed under the estimated speed v + |e|,
 e ~ N(0, sigma_v^2), while all reported metrics use the true kinematics.
-The data floor is frozen from the true-speed scenario so that trials at
-different estimates chase the same service target.
+
+Data floor rule: :func:`run_point` takes the floor from the evaluation
+scenario's deterministic gain table, so trials planned at different
+speed estimates chase the same service target.  Planning always sees
+the deterministic channel, and that same table serves it whenever the
+planning scenario equals the evaluation one by value; a point builds
+one table, plus one for a fading trace and one for a differing plan.
+Solver settings reach :func:`optimizer.solve` as the one
+:class:`optimizer.SolverOptions` held by :class:`HarnessOptions`.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import csv
 import io
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +45,17 @@ CSV_COLUMNS = (
 )
 
 SWEEP_PARAMS = ("M", "d_l", "v", "P_T", "sigma_v")
+
+# swept parameter -> (ScenarioConfig field, conversion from its user-facing unit);
+# sigma_v is handled by the velocity-error pathway
+_SWEEP_FIELDS = {
+    "M": ("num_relays", int),
+    "d_l": ("d_l", float),
+    "v": ("v", lambda kmh: float(kmh) * KMH_TO_MPS),
+    "P_T": ("p_t", lambda dbm: dbm_to_watts(float(dbm))),
+}
+
+NAN = float("nan")
 
 
 @dataclass(frozen=True)
@@ -86,8 +104,8 @@ class SweepSpec:
             raise ValueError("sweep needs a nonempty value list")
         if self.param == "M":
             for v in self.values:
-                if not float(v).is_integer():
-                    raise ValueError(f"M values must be whole relay counts, got {v!r}")
+                if not float(v).is_integer() or v < 1:
+                    raise ValueError(f"M values must be whole relay counts >= 1, got {v!r}")
         if not self.schemes:
             raise ValueError("sweep needs at least one scheme")
         for s in self.schemes:
@@ -99,57 +117,80 @@ class SweepSpec:
 
 def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
     """Return cfg with the swept parameter replaced (user-facing units)."""
-    if param == "M":
-        return cfg.with_(num_relays=int(value))
-    if param == "d_l":
-        return cfg.with_(d_l=float(value))
-    if param == "v":
-        return cfg.with_(v=float(value) * KMH_TO_MPS)   # km/h
-    if param == "P_T":
-        return cfg.with_(p_t=dbm_to_watts(float(value)))  # dBm
     if param == "sigma_v":
-        return cfg   # handled by the velocity-error pathway
-    raise ValueError(f"unknown sweep parameter {param!r}")
+        return cfg
+    if param not in _SWEEP_FIELDS:
+        raise ValueError(f"unknown sweep parameter {param!r}")
+    name, convert = _SWEEP_FIELDS[param]
+    return cfg.with_(**{name: convert(value)})
 
 
-def _solver_state(cfg: ScenarioConfig, options: HarnessOptions) -> optimizer.MultiplierState:
-    return optimizer.MultiplierState.initial(
-        cfg, sigma=options.solver_sigma0, gamma_growth=options.solver_growth,
-        eps=options.solver_eps, alpha_step=options.solver_alpha,
-        n_max=options.solver_n_max, inner_cap=options.solver_inner_cap,
-    )
+def _scenario_columns(cfg: ScenarioConfig, param: str = "", value: float = NAN) -> dict:
+    """The m, n, d_l, v_mps, pt_w columns of cfg; a swept ``value`` of
+    ``param`` replaces its field, converted as :func:`apply_sweep_value` does."""
+    fields = vars(cfg)
+    if param in _SWEEP_FIELDS:
+        name, convert = _SWEEP_FIELDS[param]
+        fields = {**fields, name: convert(value)}
+    return dict(m=fields["num_relays"], n=fields["num_bins"], d_l=fields["d_l"],
+                v_mps=fields["v"], pt_w=fields["p_t"])
+
+
+# columns shared by every scheme's row at one point
+_POINT_COLUMNS = ("kind", "param", "value", "trial", "scenario",
+                  "m", "n", "d_l", "v_mps", "pt_w", "d_min_bits")
+
+
+def _record(point: dict, scheme: str, energy_j: float = NAN, data_bits: float = NAN,
+            se: float = NAN, meets_floor: bool = False, converged: bool = False,
+            cycles: int | None = None, h_inf: float | None = None, error: str = "",
+            wall_time_s: float = 0.0) -> RunRecord:
+    """Build one row: ``point`` maps the :data:`_POINT_COLUMNS`, and the
+    defaults describe a failed scheme.  EE is data over energy wherever the
+    energy is positive, so EE = D/E holds on every row."""
+    return RunRecord(**point, scheme=scheme, energy_j=energy_j, data_bits=data_bits,
+                     ee_bits_per_j=data_bits / energy_j if energy_j > 0 else NAN,
+                     se_bits_per_s_per_hz=se, meets_floor=meets_floor,
+                     converged=converged, cycles=cycles, h_inf=h_inf, error=error,
+                     wall_time_s=wall_time_s)
 
 
 def run_point(plan_cfg: ScenarioConfig, options: HarnessOptions,
               seed_seq: np.random.SeedSequence,
               eval_cfg: ScenarioConfig | None = None,
-              d_min_bits: float | None = None,
-              kind: str = "run", param: str = "", value: float = float("nan"),
+              kind: str = "run", param: str = "", value: float = NAN,
               trial: int = -1) -> list[RunRecord]:
-    """Run the requested schemes once; plan and evaluation may differ in speed."""
+    """Run the requested schemes once; plan and evaluation may differ in speed.
+
+    The data floor comes from the evaluation scenario's deterministic
+    table (see the module docstring), which also serves planning when
+    ``plan_cfg == eval_cfg``.
+    """
     eval_cfg = plan_cfg if eval_cfg is None else eval_cfg
-    plan_sched = segment_boundaries(plan_cfg)
     eval_sched = segment_boundaries(eval_cfg)
 
     rng_fading, rng_random, rng_csi = [np.random.default_rng(s)
                                        for s in seed_seq.spawn(3)]
-    fading_trace = None
+    det_table = eval_table = metrics.build_gain_table(eval_cfg, eval_sched)
     if eval_cfg.fading:
         fading_trace = metrics.sample_fading_trace(eval_cfg, eval_sched, rng_fading)
-    eval_table = metrics.build_gain_table(eval_cfg, eval_sched, fading_db=fading_trace)
+        eval_table = metrics.build_gain_table(eval_cfg, eval_sched, fading_db=fading_trace)
     # planning always sees the deterministic channel
-    plan_table = (eval_table if eval_cfg is plan_cfg and fading_trace is None
-                  else metrics.build_gain_table(plan_cfg, plan_sched))
+    if plan_cfg == eval_cfg:
+        plan_sched, plan_table = eval_sched, det_table
+    else:
+        plan_sched = segment_boundaries(plan_cfg)
+        plan_table = metrics.build_gain_table(plan_cfg, plan_sched)
 
-    if d_min_bits is None:
-        d_min_bits = optimizer.data_floor(plan_cfg, plan_sched, plan_table)
-    tag = scenario_hash(eval_cfg)
+    d_min_bits = optimizer.data_floor(eval_cfg, eval_sched, det_table)
+    point = dict(kind=kind, param=param, value=value, trial=trial,
+                 scenario=scenario_hash(eval_cfg), d_min_bits=d_min_bits,
+                 **_scenario_columns(eval_cfg))
 
     records = []
     for scheme in options.schemes:
         start = time.perf_counter()
-        cycles, h_inf, converged, error = None, None, True, ""
-        alloc = None
+        cycles, h_inf, converged = None, None, True
         try:
             if scheme == "constant":
                 alloc = allocators.constant_alloc(plan_cfg, plan_sched)
@@ -162,40 +203,22 @@ def run_point(plan_cfg: ScenarioConfig, options: HarnessOptions,
                     plan_cfg, plan_sched, rng_csi if plan_cfg.fading else None)
                 alloc = allocators.csi_alloc(plan_cfg, plan_sched, snap)
             elif scheme == "optimized":
-                alloc, diag = optimizer.solve(
-                    plan_cfg, plan_sched, d_min=d_min_bits,
-                    state=_solver_state(plan_cfg, options), table=plan_table)
+                alloc, diag = optimizer.solve(plan_cfg, plan_sched, d_min=d_min_bits,
+                                              options=options.solver, table=plan_table)
                 cycles, h_inf, converged = diag.cycles, diag.h_inf, diag.converged
             else:
                 raise ValueError(f"unknown scheme {scheme!r}")
         except (optimizer.InfeasibleDataFloor, ValueError) as exc:
-            error, converged = str(exc), False
-
-        if alloc is None:
-            rec = RunRecord(
-                kind=kind, param=param, value=value, trial=trial, scheme=scheme,
-                scenario=tag, m=eval_cfg.num_relays, n=eval_cfg.num_bins,
-                d_l=eval_cfg.d_l, v_mps=eval_cfg.v, pt_w=eval_cfg.p_t,
-                d_min_bits=d_min_bits, energy_j=float("nan"), data_bits=float("nan"),
-                ee_bits_per_j=float("nan"), se_bits_per_s_per_hz=float("nan"),
-                meets_floor=False, converged=False, cycles=cycles, h_inf=h_inf,
-                error=error, wall_time_s=time.perf_counter() - start,
-            )
-        else:
-            rec_metrics = metrics.compute_metrics(alloc, eval_cfg, eval_sched, eval_table)
-            rec = RunRecord(
-                kind=kind, param=param, value=value, trial=trial, scheme=scheme,
-                scenario=tag, m=eval_cfg.num_relays, n=eval_cfg.num_bins,
-                d_l=eval_cfg.d_l, v_mps=eval_cfg.v, pt_w=eval_cfg.p_t,
-                d_min_bits=d_min_bits,
-                energy_j=rec_metrics.energy_j, data_bits=rec_metrics.data_bits,
-                ee_bits_per_j=rec_metrics.ee_bits_per_j,
-                se_bits_per_s_per_hz=rec_metrics.se_bits_per_s_per_hz,
-                meets_floor=bool(rec_metrics.data_bits >= d_min_bits * (1.0 - 1e-3)),
-                converged=converged, cycles=cycles, h_inf=h_inf, error=error,
-                wall_time_s=time.perf_counter() - start,
-            )
-        records.append(rec)
+            records.append(_record(point, scheme, error=str(exc),
+                                   wall_time_s=time.perf_counter() - start))
+            continue
+        rec = metrics.compute_metrics(alloc, eval_cfg, eval_sched, eval_table)
+        records.append(_record(
+            point, scheme, energy_j=rec.energy_j, data_bits=rec.data_bits,
+            se=rec.se_bits_per_s_per_hz,
+            meets_floor=bool(rec.data_bits >= d_min_bits * (1.0 - 1e-3)),
+            converged=converged, cycles=cycles, h_inf=h_inf,
+            wall_time_s=time.perf_counter() - start))
     return records
 
 
@@ -212,29 +235,25 @@ def _mean_records(rows: list[RunRecord]) -> list[RunRecord]:
     for r in rows:
         groups.setdefault((r.param, r.value, r.scheme), []).append(r)
     out = []
-    for (param, value, scheme), rs in groups.items():
-        ok = [r for r in rs if not r.error and np.isfinite(r.energy_j)]
+    for scheme_rows in groups.values():
+        ok = [r for r in scheme_rows if not r.error and np.isfinite(r.energy_j)]
+        proto = ok[0] if ok else scheme_rows[0]
+        point = {**{c: getattr(proto, c) for c in _POINT_COLUMNS}, "kind": "mean", "trial": -1}
         if not ok:
-            proto = rs[0]
-            out.append(RunRecord(**{**vars(proto), "kind": "mean", "trial": -1}))
+            # every trial failed, and a failed row carries only its error
+            out.append(_record(point, proto.scheme, error=proto.error))
             continue
         e = float(np.mean([r.energy_j for r in ok]))
         d = float(np.mean([r.data_bits for r in ok]))
-        proto = ok[0]
         # bandwidth * traversal time, recovered from any finite trial row
         bt = (proto.data_bits / proto.se_bits_per_s_per_hz
-              if proto.se_bits_per_s_per_hz > 0 else float("nan"))
-        out.append(RunRecord(
-            kind="mean", param=param, value=value, trial=-1, scheme=scheme,
-            scenario=proto.scenario, m=proto.m, n=proto.n, d_l=proto.d_l,
-            v_mps=proto.v_mps, pt_w=proto.pt_w, d_min_bits=proto.d_min_bits,
-            energy_j=e, data_bits=d, ee_bits_per_j=d / e,
-            se_bits_per_s_per_hz=d / bt,
+              if proto.se_bits_per_s_per_hz > 0 else NAN)
+        failed = len(scheme_rows) - len(ok)
+        out.append(_record(
+            point, proto.scheme, energy_j=e, data_bits=d, se=d / bt,
             meets_floor=all(r.meets_floor for r in ok),
             converged=all(r.converged for r in ok),
-            cycles=None, h_inf=None,
-            error="" if len(ok) == len(rs) else f"{len(rs) - len(ok)} failed trials",
-        ))
+            error=f"{failed} failed trials" if failed else ""))
     return out
 
 
@@ -242,7 +261,7 @@ def _sweep_point(args):
     cfg, options, spec, idx, value, trial = args
     seed = cfg.seed if spec.seed is None else spec.seed
     seed_seq = np.random.SeedSequence((seed, idx, trial))
-    point_options = HarnessOptions(**{**vars(options), "schemes": spec.schemes})
+    point_options = replace(options, schemes=spec.schemes)
     if spec.param == "sigma_v":
         return _velocity_error_point(cfg, point_options, float(value), trial, seed_seq)
     try:
@@ -250,14 +269,11 @@ def _sweep_point(args):
         return run_point(point_cfg, point_options, seed_seq, kind="trial",
                          param=spec.param, value=float(value), trial=trial)
     except ValueError as exc:
-        return [RunRecord(
-            kind="trial", param=spec.param, value=float(value), trial=trial,
-            scheme=s, scenario="", m=cfg.num_relays, n=cfg.num_bins, d_l=cfg.d_l,
-            v_mps=cfg.v, pt_w=cfg.p_t, d_min_bits=float("nan"),
-            energy_j=float("nan"), data_bits=float("nan"),
-            ee_bits_per_j=float("nan"), se_bits_per_s_per_hz=float("nan"),
-            meets_floor=False, converged=False, cycles=None, h_inf=None,
-            error=str(exc)) for s in spec.schemes]
+        # the failed point's rows show the swept value it failed on
+        point = dict(kind="trial", param=spec.param, value=float(value), trial=trial,
+                     scenario="", d_min_bits=NAN,
+                     **_scenario_columns(cfg, spec.param, value))
+        return [_record(point, s, error=str(exc)) for s in spec.schemes]
 
 
 def sweep(cfg: ScenarioConfig, options: HarnessOptions, spec: SweepSpec,
@@ -293,10 +309,7 @@ def _velocity_error_point(cfg: ScenarioConfig, options: HarnessOptions,
         v_err = draw_speed_error(rng_v, sigma_v)
     else:
         v_err = 0.0
-    sched = segment_boundaries(cfg)
-    d_min = optimizer.data_floor(cfg, sched)   # frozen at the true speed
-    plan_cfg = cfg.with_(v=cfg.v + v_err)
-    return run_point(plan_cfg, options, seed_seq, eval_cfg=cfg, d_min_bits=d_min,
+    return run_point(cfg.with_(v=cfg.v + v_err), options, seed_seq, eval_cfg=cfg,
                      kind="trial", param="sigma_v", value=sigma_v, trial=trial)
 
 

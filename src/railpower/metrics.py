@@ -20,6 +20,17 @@ from .scenario import ScenarioConfig, SegmentSchedule, activity_mask, mr_rrh_dis
 LN2 = np.log(2.0)
 
 
+def _hold_read_only(obj, names) -> None:
+    """Make a frozen dataclass hold read-only arrays: a writable input is
+    copied, never frozen in place, and a read-only one is kept as is."""
+    for name in names:
+        arr = getattr(obj, name)
+        if arr.flags.writeable:
+            arr = arr.copy()
+            arr.setflags(write=False)
+            object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class AllocationMatrix:
     """Transmit powers P (M x 2M+N-2, watts) plus the activity mask."""
@@ -30,13 +41,7 @@ class AllocationMatrix:
     def __post_init__(self):
         if self.p.shape != self.mask.shape:
             raise ValueError("power and mask shapes differ")
-        # hold read-only arrays; a writable input is copied, never frozen in place
-        for name in ("p", "mask"):
-            arr = getattr(self, name)
-            if arr.flags.writeable:
-                arr = arr.copy()
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+        _hold_read_only(self, ("p", "mask"))
 
     @classmethod
     def from_dense(cls, p: np.ndarray, cfg: ScenarioConfig) -> "AllocationMatrix":
@@ -78,8 +83,7 @@ class GainTable:
     use_bandwidth: bool
 
     def __post_init__(self):
-        self.gains.setflags(write=False)
-        self.weights.setflags(write=False)
+        _hold_read_only(self, ("gains", "weights", "mask"))
 
     @property
     def rate_scale(self) -> float:
@@ -179,22 +183,6 @@ def segment_data(p_ij: float, i: int, j: int, cfg: ScenarioConfig,
     w = _simpson_weights(n) * (t1 - t0) / n
     scale = cfg.bandwidth if cfg.bandwidth_factor else 1.0
     return float(scale / LN2 * np.dot(w, np.log1p(p_ij * gain)))
-
-
-def total_data(alloc: AllocationMatrix, cfg: ScenarioConfig, sched: SegmentSchedule,
-               table: GainTable | None = None) -> float:
-    """Total delivered data [bits] over all relays and their active segments."""
-    if table is None:
-        table = build_gain_table(cfg, sched)
-    return table.total_data(alloc.p)
-
-
-def grad_total_data(alloc: AllocationMatrix, cfg: ScenarioConfig, sched: SegmentSchedule,
-                    table: GainTable | None = None) -> np.ndarray:
-    """Entrywise derivative of total data wrt P [bits/W]; zero off-mask."""
-    if table is None:
-        table = build_gain_table(cfg, sched)
-    return table.grad_total_data(alloc.p)
 
 
 def energy_efficiency(data_bits: float, energy_j: float) -> float:

@@ -19,7 +19,12 @@ according to how fast the residual norm shrinks:
 
 Inside the solver, powers are scaled by P_T and data by D_min so the
 residual components are comparable under the max norm; results are
-reported in physical units.
+reported in physical units.  :class:`Problem` over a :class:`GainTable`
+is the one representation of the merit function, its gradient and the
+residuals.  The six solver settings (initial penalty, growth factor,
+tolerance, fixed stepsize, cycle and step caps) live in one frozen
+:class:`SolverOptions`, which owns their defaults and validation;
+:class:`MultiplierState` holds only the iterate.
 
 Budget handling: the literal formulation states the per-segment budget
 as an equality, but enforcing it would pin the energy at P_T times the
@@ -107,42 +112,34 @@ def _linf(v) -> float:
 
 
 @dataclass(frozen=True)
-class MultiplierState:
-    """Multiplier vector, penalty factor, and solver hyperparameters."""
+class SolverOptions:
+    """Solver settings: the one place their defaults are written."""
 
-    lam: np.ndarray          # (2M+N-1,): data row first, then budget rows
-    sigma: float = 1.0       # penalty factor, > 0
-    gamma_growth: float = 4.0
-    alpha_step: float | None = None   # None: backtracking halving from 1
+    sigma0: float = 1.0      # initial penalty factor, > 0
+    growth: float = 4.0      # penalty growth factor, > 1
     eps: float = 1e-4        # tolerance on the scaled residual max norm
+    alpha_step: float | None = None   # None: backtracking halving from 1
     n_max: int = 100         # outer cycle cap
     inner_cap: int = 5000    # inner gradient steps per cycle
-    sigma_grew: bool = False # bookkeeping for case (b); first cycle counts as flat
-    converged: bool = False
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.gamma_growth <= 1 or self.eps <= 0:
-            raise ValueError("require sigma > 0, gamma_growth > 1, eps > 0")
-
-    @classmethod
-    def initial(cls, cfg: ScenarioConfig, **overrides) -> "MultiplierState":
-        lam = np.zeros(2 * cfg.num_relays + cfg.num_bins - 1)
-        return cls(lam=lam, **overrides)
+        if self.sigma0 <= 0 or self.growth <= 1 or self.eps <= 0:
+            raise ValueError("require sigma0 > 0, growth > 1, eps > 0")
 
 
 @dataclass(frozen=True)
-class ConstraintResiduals:
-    """Signed residuals in physical units: data row then budget rows."""
+class MultiplierState:
+    """The outer iterate: multipliers, penalty factor, and flags."""
 
-    h: np.ndarray   # h[0] = D - D_min [bits]; h[j] = colsum_j - P_T [W]
+    lam: np.ndarray          # (2M+N-1,): data row first, then budget rows
+    sigma: float             # penalty factor
+    sigma_grew: bool = False # bookkeeping for case (b); first cycle counts as flat
+    converged: bool = False
 
-    @property
-    def data_residual(self) -> float:
-        return float(self.h[0])
-
-    @property
-    def budget_residuals(self) -> np.ndarray:
-        return self.h[1:]
+    @classmethod
+    def initial(cls, cfg: ScenarioConfig, options: SolverOptions) -> "MultiplierState":
+        lam = np.zeros(2 * cfg.num_relays + cfg.num_bins - 1)
+        return cls(lam=lam, sigma=options.sigma0)
 
 
 def data_floor(cfg: ScenarioConfig, sched: SegmentSchedule,
@@ -155,39 +152,6 @@ def data_floor(cfg: ScenarioConfig, sched: SegmentSchedule,
     return cfg.rho * table.total_data(average_alloc(cfg, sched).p)
 
 
-def constraint_residuals(alloc: AllocationMatrix, cfg: ScenarioConfig,
-                         sched: SegmentSchedule, d_min: float,
-                         table: GainTable | None = None) -> ConstraintResiduals:
-    if table is None:
-        table = build_gain_table(cfg, sched)
-    h = np.empty(cfg.num_segments + 1)
-    h[0] = table.total_data(alloc.p) - d_min
-    h[1:] = alloc.column_sums() - cfg.p_t
-    return ConstraintResiduals(h=h)
-
-
-def augmented_lagrangian(alloc: AllocationMatrix, lam: np.ndarray, sigma: float,
-                         cfg: ScenarioConfig, sched: SegmentSchedule, d_min: float,
-                         table: GainTable | None = None) -> float:
-    """Merit function E - lam.h + sigma*h.h with signed residuals (physical units)."""
-    h = constraint_residuals(alloc, cfg, sched, d_min, table).h
-    return total_energy(alloc, sched) - float(lam @ h) + sigma * float(h @ h)
-
-
-def grad_augmented_lagrangian(alloc: AllocationMatrix, lam: np.ndarray, sigma: float,
-                              cfg: ScenarioConfig, sched: SegmentSchedule, d_min: float,
-                              table: GainTable | None = None) -> np.ndarray:
-    """Entrywise gradient of the merit function; zero on inactive entries."""
-    if table is None:
-        table = build_gain_table(cfg, sched)
-    h = constraint_residuals(alloc, cfg, sched, d_min, table).h
-    dd = table.grad_total_data(alloc.p)                  # bits/W
-    g = sched.durations[None, :] \
-        + (-lam[0] + 2.0 * sigma * h[0]) * dd \
-        + (-lam[1:] + 2.0 * sigma * h[1:])[None, :]
-    return np.where(alloc.mask, g, 0.0)
-
-
 class Problem:
     """Scaled view of one scenario's optimisation problem.
 
@@ -198,7 +162,7 @@ class Problem:
     """
 
     def __init__(self, cfg: ScenarioConfig, sched: SegmentSchedule, d_min: float,
-                 table: GainTable | None = None, budget_mode: str = "cap"):
+                 table: GainTable, budget_mode: str = "cap"):
         if budget_mode not in ("cap", "equality"):
             raise ValueError("budget_mode must be 'cap' or 'equality'")
         if d_min <= 0.0:
@@ -206,7 +170,7 @@ class Problem:
         self.cfg = cfg
         self.sched = sched
         self.d_min = d_min
-        self.table = build_gain_table(cfg, sched) if table is None else table
+        self.table = table
         self.budget_mode = budget_mode
         self.mask = self.table.mask
         self.t_norm = sched.durations / sched.total_time
@@ -231,8 +195,11 @@ class Problem:
         h[1:] = budget if self.budget_mode == "equality" else np.maximum(budget, 0.0)
         return h
 
-    def phi(self, x: np.ndarray, lam: np.ndarray, sigma: float) -> float:
-        h = self.residuals_scaled(x)
+    def phi(self, x: np.ndarray, lam: np.ndarray, sigma: float,
+            h: np.ndarray | None = None) -> float:
+        """Merit value; ``h`` passes in the residuals at x."""
+        if h is None:
+            h = self.residuals_scaled(x)
         return self.energy_scaled(x) - float(lam @ h) + sigma * float(h @ h)
 
     def grad_data_scaled(self, x: np.ndarray) -> np.ndarray:
@@ -320,40 +287,43 @@ class InnerInfo:
 
 
 def inner_descent(problem: Problem, p0: AllocationMatrix, lam: np.ndarray,
-                  sigma: float, state: MultiplierState) -> tuple[AllocationMatrix, InnerInfo]:
+                  sigma: float, options: SolverOptions) -> tuple[AllocationMatrix, InnerInfo]:
     """Minimise phi(., lam, sigma) by projected gradient descent from p0.
 
     Steps along d = -grad(phi); after every step, negative entries on the
     active mask are clipped to zero.  The stepsize either backtracks by
     halving from 1 until phi decreases (default) or stays fixed at
-    ``state.alpha_step``.  Once the last two accepted steps each needed
+    ``options.alpha_step``.  Once the last two accepted steps each needed
     three or more halvings, candidates that :meth:`Problem.screen_steps`
     proves to be rejected are skipped unevaluated; the accepted step is
-    the same.  Stops once the projected gradient norm falls below
-    ``state.eps``, on a backtracking stall, or at the step cap; the last
-    two flag the result rather than raising.
+    the same.  The residuals of each evaluated point are kept, so the
+    accepted iterate's data pass is not repeated.  Stops once the
+    projected gradient norm falls below ``options.eps``, on a backtracking
+    stall, or at the step cap; the last two flag the result rather than
+    raising.
     """
     x = np.maximum(problem.to_scaled(p0.p), 0.0)
-    phi = problem.phi(x, lam, sigma)
+    h = problem.residuals_scaled(x)
+    phi = problem.phi(x, lam, sigma, h)
     phi_start = phi
     monotone = True
     steps = 0
     k_last = k_before = 0      # exponents of the last two accepted steps
     converged, reason, gnorm = False, "cap", math.inf
 
-    while steps < state.inner_cap:
-        h = problem.residuals_scaled(x)
+    while steps < options.inner_cap:
         dd = problem.grad_data_scaled(x)
         g = problem.grad_phi(x, lam, sigma, h, dd)
         d = -g
         d[(x <= 0.0) & (d < 0.0)] = 0.0       # projected direction at the bound
         gnorm = float(np.linalg.norm(d))
-        if gnorm <= state.eps:
+        if gnorm <= options.eps:
             converged, reason = True, "gradient"
             break
-        if state.alpha_step is not None:
-            x_new = np.maximum(x + state.alpha_step * d, 0.0)
-            phi_new = problem.phi(x_new, lam, sigma)
+        if options.alpha_step is not None:
+            x_new = np.maximum(x + options.alpha_step * d, 0.0)
+            h_new = problem.residuals_scaled(x_new)
+            phi_new = problem.phi(x_new, lam, sigma, h_new)
             if phi_new > phi:
                 monotone = False
         else:
@@ -364,14 +334,16 @@ def inner_descent(problem: Problem, p0: AllocationMatrix, lam: np.ndarray,
                 ks = np.flatnonzero(~rejected).tolist()
             for k in ks:
                 x_try = np.maximum(x + _ALPHA_LIST[k] * d, 0.0) if tries is None else tries[k]
-                phi_try = problem.phi(x_try, lam, sigma)
+                h_try = problem.residuals_scaled(x_try)
+                phi_try = problem.phi(x_try, lam, sigma, h_try)
                 if phi_try < phi:
-                    x_new, phi_new, k_before, k_last = x_try, phi_try, k_last, k
+                    x_new, h_new, phi_new = x_try, h_try, phi_try
+                    k_before, k_last = k_last, k
                     break
             if x_new is None:                  # cannot decrease: numerically stationary
                 converged, reason = True, "stall"
                 break
-        x, phi = x_new, phi_new
+        x, h, phi = x_new, h_new, phi_new
         steps += 1
 
     return problem.to_physical(x), InnerInfo(
@@ -380,8 +352,8 @@ def inner_descent(problem: Problem, p0: AllocationMatrix, lam: np.ndarray,
     )
 
 
-def update_state(state: MultiplierState, h_now: np.ndarray,
-                 h_prev: np.ndarray | None) -> MultiplierState:
+def update_state(state: MultiplierState, h_now: np.ndarray, h_prev: np.ndarray | None,
+                 options: SolverOptions) -> MultiplierState:
     """Apply the between-cycle penalty/multiplier correction rules.
 
     ``h_prev`` is None on the first cycle, which then counts as a
@@ -389,15 +361,15 @@ def update_state(state: MultiplierState, h_now: np.ndarray,
     it and any finite residual beats an undefined predecessor).
     """
     hinf = _linf(h_now)
-    if hinf <= state.eps:
+    if hinf <= options.eps:
         return replace(state, converged=True)
     prev_inf = _linf(h_prev) if h_prev is not None else math.inf
     if hinf >= prev_inf:                                        # (a)
-        return replace(state, sigma=state.gamma_growth * state.sigma, sigma_grew=True)
+        return replace(state, sigma=options.growth * state.sigma, sigma_grew=True)
     if state.sigma_grew or hinf <= 0.25 * prev_inf:             # (b)
         return replace(state, lam=state.lam - 2.0 * state.sigma * h_now,
                        sigma_grew=False)
-    return replace(state, sigma=state.gamma_growth * state.sigma, sigma_grew=True)  # (c)
+    return replace(state, sigma=options.growth * state.sigma, sigma_grew=True)  # (c)
 
 
 @dataclass(frozen=True)
@@ -430,7 +402,7 @@ class SolveResult:
 
 def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
           init: AllocationMatrix | None = None, d_min: float | None = None,
-          state: MultiplierState | None = None, table: GainTable | None = None,
+          options: SolverOptions | None = None, table: GainTable | None = None,
           budget_mode: str = "cap") -> tuple[AllocationMatrix, SolveResult]:
     """Run the full multiplier-penalty loop and return the best allocation.
 
@@ -444,8 +416,9 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
         table = build_gain_table(cfg, sched)
     if d_min is None:
         d_min = data_floor(cfg, sched, table)
-    if state is None:
-        state = MultiplierState.initial(cfg)
+    if options is None:
+        options = SolverOptions()
+    state = MultiplierState.initial(cfg, options)
 
     if d_min <= 0.0:
         # nothing to deliver: the zero matrix is exactly optimal
@@ -474,8 +447,8 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     monotone = True
 
     cycles = 0
-    while cycles <= state.n_max:
-        current, info = inner_descent(problem, current, state.lam, state.sigma, state)
+    while cycles <= options.n_max:
+        current, info = inner_descent(problem, current, state.lam, state.sigma, options)
         monotone = monotone and info.monotone
         x = problem.to_scaled(current.p)
         h_now = problem.residuals_scaled(x)
@@ -488,10 +461,10 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
         ))
         lam_hat = state.lam - 2.0 * state.sigma * h_now
         # feasible-enough iterates compete on energy, infeasible ones on residual
-        key = (0.0 if hinf <= state.eps else hinf, energy)
+        key = (0.0 if hinf <= options.eps else hinf, energy)
         if best is None or key < (best[0], best[1]):
             best = (*key, hinf, current, lam_hat, state.sigma)
-        state = update_state(state, h_now, h_prev)
+        state = update_state(state, h_now, h_prev, options)
         if state.converged:
             break
         h_prev = h_now
@@ -508,7 +481,7 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
 
     result = SolveResult(
         alloc=alloc,
-        converged=bool(hinf <= state.eps),
+        converged=bool(hinf <= options.eps),
         cycles=len(history),
         d_min=d_min,
         energy_j=total_energy(alloc, sched),

@@ -21,13 +21,12 @@ from scipy import stats
 
 from railpower import (FadingModel, Problem, activity_mask, build_gain_table,
                        build_table, constant_alloc, data_floor, estimate_doppler,
-                       grad_total_data, kkt_residual, max_doppler, reference_config,
-                       sample_rician_envelope, segment_boundaries, solve, total_data,
+                       kkt_residual, max_doppler, reference_config,
+                       sample_rician_envelope, segment_boundaries, solve,
                        total_energy, true_doppler)
 from railpower.configio import SCHEMES, HarnessOptions
 from railpower.harness import (SweepSpec, monte_carlo_velocity_error, records_to_csv,
                                run_point, sweep)
-from railpower.metrics import AllocationMatrix
 
 EPS = 1e-4   # solver tolerance on scaled residuals
 
@@ -175,16 +174,13 @@ def test_criterion_5_solver_correctness(cfg, rng):
     worst_grad = 0.0
     for trial in range(20):
         p = np.where(mask, rng.uniform(0.1 * per_relay, per_relay, mask.shape), 0.0)
-        alloc = AllocationMatrix(p=p, mask=mask)
-        g = grad_total_data(alloc, cfg, sched, table)
+        g = table.grad_total_data(p)
         i, j = entries[trial % len(entries)]
         step = 1e-4 * cfg.p_t
         plus, minus = p.copy(), p.copy()
         plus[i, j] += step
         minus[i, j] -= step
-        fd = (total_data(AllocationMatrix(p=plus, mask=mask), cfg, sched, table)
-              - total_data(AllocationMatrix(p=minus, mask=mask), cfg, sched, table)) \
-            / (2 * step)
+        fd = (table.total_data(plus) - table.total_data(minus)) / (2 * step)
         worst_grad = max(worst_grad, abs(fd - g[i, j]) / abs(fd))
 
         x = p / cfg.p_t

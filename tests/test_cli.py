@@ -94,3 +94,11 @@ def test_sweep_accepts_integral_relay_grid(tmp_path, capsys):
     assert [float(r["value"]) for r in rows] == [2.0, 3.0]
     # the relay count took effect: a third relay changes the delivered data
     assert float(rows[0]["data_bits"]) != float(rows[1]["data_bits"])
+
+
+def test_sweep_rejects_relay_counts_below_one(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    code = main(["--outdir", str(tmp_path), "sweep", cfg, "--param", "M", "--values", "0,-1"])
+    assert code == EXIT_CONFIG
+    assert ">= 1" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_M.csv").exists()

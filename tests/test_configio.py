@@ -1,6 +1,7 @@
 import pytest
 from numpy.testing import assert_allclose
 
+from railpower import SolverOptions
 from railpower.configio import (ConfigError, load_config, parse_config_text,
                                 scenario_hash)
 
@@ -84,11 +85,15 @@ def test_solver_keys():
     cfg, options = parse_config_text(
         MINIMAL + "solver_eps = 1e-5\nsolver_n_max = 50\nsolver_sigma0 = 2\n"
                   "solver_alpha = 0.05\n")
-    assert options.solver_eps == 1e-5
-    assert options.solver_n_max == 50
-    assert options.solver_sigma0 == 2.0
-    assert options.solver_alpha == 0.05   # fixed inner stepsize option
-    assert parse_config_text(MINIMAL)[1].solver_alpha is None
+    # every solver_* key lands on its SolverOptions field, the rest keep defaults
+    assert options.solver == SolverOptions(eps=1e-5, n_max=50, sigma0=2.0,
+                                           alpha_step=0.05)   # fixed inner stepsize
+    _, options = parse_config_text(MINIMAL + "solver_growth = 3\nsolver_inner_cap = 700\n")
+    assert (options.solver.growth, options.solver.inner_cap) == (3.0, 700)
+    assert parse_config_text(MINIMAL)[1].solver == SolverOptions()
+    # SolverOptions validates, and a bad setting is a config error
+    with pytest.raises(ConfigError, match="growth"):
+        parse_config_text(MINIMAL + "solver_growth = 1\n")
 
 
 def test_load_config_missing_file(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from railpower import reference_config
+from railpower import KMH_TO_MPS, harness, metrics, reference_config
 from railpower.configio import SCHEMES, HarnessOptions
 from railpower.harness import (RunRecord, SweepSpec, draw_speed_error, emit_plot_data,
                                monte_carlo_velocity_error, read_csv_rows,
@@ -93,6 +93,9 @@ def test_sweep_spec_validation():
         SweepSpec(param="d_l", values=(200,), trials=0)
     with pytest.raises(ValueError, match="2.5"):
         SweepSpec(param="M", values=(2.0, 2.5))
+    for count in (0, -1):
+        with pytest.raises(ValueError, match=">= 1"):
+            SweepSpec(param="M", values=(2, count))
     assert SweepSpec(param="M", values=(2.0, 3)).values == (2.0, 3)
 
 
@@ -107,6 +110,49 @@ def test_sweep_records_failed_points(options):
     assert all(not r.error for r in good)
     assert all(r.error for r in bad)
     assert len(bad) == 2
+    assert {r.m for r in bad} == {7}
+
+
+@pytest.mark.parametrize("param, value, column, expected", [
+    ("d_l", 10.0, "d_l", 10.0),                 # below (M - 1) * d_mr = 75 m
+    ("v", -5.0, "v_mps", -5.0 * KMH_TO_MPS),    # km/h in, m/s out
+])
+def test_failed_sweep_rows_show_the_swept_value(ref_cfg, options, param, value, column,
+                                                expected):
+    spec = SweepSpec(param=param, values=(value,), schemes=("constant", "optimized"))
+    rows = sweep(ref_cfg, options, spec)
+    assert len(rows) == 4 and all(r.error for r in rows)
+    assert {r.kind for r in rows} == {"trial", "mean"}
+    assert all(getattr(r, column) == expected for r in rows)
+    assert all(r.m == ref_cfg.num_relays for r in rows)
+
+
+def test_gain_table_builds_per_run_point(monkeypatch, ref_cfg, options):
+    builds = []
+    build = metrics.build_gain_table
+
+    def counted(*args, **kwargs):
+        builds.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "build_gain_table", counted)
+
+    def count(fn, *args):
+        builds.clear()
+        rows = fn(*args)
+        return len(builds), rows
+
+    seq = np.random.SeedSequence(5)
+    n_plain, plain = count(run_point, ref_cfg, options, seq)
+    n_zero, zero = count(harness._velocity_error_point, ref_cfg, options, 0.0, 0, seq)
+    n_err, err = count(harness._velocity_error_point, ref_cfg, options, 2.0, 0, seq)
+    # one deterministic table serves the floor, the plan and the evaluation;
+    # a planning speed that differs from the true one needs its own
+    assert (n_plain, n_zero, n_err) == (1, 1, 2)
+    # and the floor is the true-speed one at every sigma
+    assert len({r.d_min_bits for r in plain + zero + err}) == 1
+    # a fading trace adds the faded evaluation table
+    assert count(run_point, ref_cfg.with_(fading=True), options, seq)[0] == 2
 
 
 def test_run_point_surfaces_infeasible_floor(options):

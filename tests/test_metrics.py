@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from railpower import (AllocationMatrix, activity_mask, average_alloc, build_gain_table,
+from railpower import (AllocationMatrix, GainTable, activity_mask, average_alloc, build_gain_table,
                        compute_metrics, constant_alloc, energy_efficiency,
-                       grad_total_data, mr_rrh_distance, sample_fading_trace,
-                       segment_data, snr_linear_per_watt, spectral_efficiency,
-                       total_data, total_energy)
+                       mr_rrh_distance, sample_fading_trace, segment_data,
+                       snr_linear_per_watt, spectral_efficiency, total_energy)
 from railpower.scenario import segment_boundaries
 
 
@@ -67,7 +66,7 @@ def test_segment_data_basics(ref_cfg, ref_sched):
 
 def test_total_data_is_sum_of_segments(ref_cfg, ref_sched, ref_table):
     alloc = constant_alloc(ref_cfg, ref_sched)
-    total = total_data(alloc, ref_cfg, ref_sched, ref_table)
+    total = ref_table.total_data(alloc.p)
     per = sum(
         segment_data(alloc.p[i - 1, j - 1], i, j, ref_cfg, ref_sched)
         for i in range(1, ref_cfg.num_relays + 1)
@@ -79,11 +78,10 @@ def test_total_data_is_sum_of_segments(ref_cfg, ref_sched, ref_table):
 
 def test_total_data_trivial_cases(ref_cfg, ref_sched, ref_table):
     zero = AllocationMatrix.zeros(ref_cfg)
-    assert total_data(zero, ref_cfg, ref_sched, ref_table) == 0.0
+    assert ref_table.total_data(zero.p) == 0.0
     single = np.zeros_like(zero.p)
     single[0, 3] = 1.25
-    alloc = AllocationMatrix(p=single, mask=zero.mask)
-    assert_allclose(total_data(alloc, ref_cfg, ref_sched, ref_table),
+    assert_allclose(ref_table.total_data(single),
                     segment_data(1.25, 1, 4, ref_cfg, ref_sched), rtol=1e-12)
 
 
@@ -93,21 +91,19 @@ def test_total_data_mirror_symmetry(ref_cfg, ref_sched, ref_table, rng):
         p = np.where(mask, rng.uniform(0.0, 2.5, mask.shape), 0.0)
         alloc = AllocationMatrix(p=p, mask=mask)
         mirrored = AllocationMatrix(p=p[::-1, ::-1].copy(), mask=mask)
-        d1 = total_data(alloc, ref_cfg, ref_sched, ref_table)
-        d2 = total_data(mirrored, ref_cfg, ref_sched, ref_table)
+        d1 = ref_table.total_data(alloc.p)
+        d2 = ref_table.total_data(mirrored.p)
         assert abs(d1 - d2) <= 1e-9 * d1
 
 
 def test_total_data_entrywise_monotone(ref_cfg, ref_sched, ref_table, rng):
     mask = activity_mask(ref_cfg)
     p = np.where(mask, rng.uniform(0.1, 2.0, mask.shape), 0.0)
-    base = total_data(AllocationMatrix(p=p, mask=mask), ref_cfg, ref_sched, ref_table)
+    base = ref_table.total_data(p)
     for i, j in [(0, 0), (1, 4), (3, 11)]:
         bumped = p.copy()
         bumped[i, j] += 0.3
-        d = total_data(AllocationMatrix(p=bumped, mask=mask), ref_cfg, ref_sched,
-                       ref_table)
-        assert d > base
+        assert ref_table.total_data(bumped) > base
 
 
 def test_evaluation_is_bitwise_repeatable(ref_cfg, ref_sched, rng):
@@ -115,21 +111,16 @@ def test_evaluation_is_bitwise_repeatable(ref_cfg, ref_sched, rng):
     # fresh-table evaluation agree to the last bit
     mask = activity_mask(ref_cfg)
     p = np.where(mask, rng.uniform(0.0, 2.5, mask.shape), 0.0)
-    alloc = AllocationMatrix(p=p, mask=mask)
-    d1 = total_data(alloc, ref_cfg, ref_sched)
-    d2 = total_data(alloc, ref_cfg, ref_sched)
-    assert d1 == d2
-    g1 = grad_total_data(alloc, ref_cfg, ref_sched)
-    g2 = grad_total_data(alloc, ref_cfg, ref_sched)
-    assert np.array_equal(g1, g2)
+    t1 = build_gain_table(ref_cfg, ref_sched)
+    t2 = build_gain_table(ref_cfg, ref_sched)
+    assert t1.total_data(p) == t1.total_data(p) == t2.total_data(p)
+    assert np.array_equal(t1.grad_total_data(p), t2.grad_total_data(p))
 
 
 def test_quadrature_convergence(ref_cfg, ref_sched):
     alloc = average_alloc(ref_cfg, ref_sched)
-    d32 = total_data(alloc, ref_cfg, ref_sched,
-                     build_gain_table(ref_cfg, ref_sched, quad_n=32))
-    d64 = total_data(alloc, ref_cfg, ref_sched,
-                     build_gain_table(ref_cfg, ref_sched, quad_n=64))
+    d32 = build_gain_table(ref_cfg, ref_sched, quad_n=32).total_data(alloc.p)
+    d64 = build_gain_table(ref_cfg, ref_sched, quad_n=64).total_data(alloc.p)
     assert abs(d64 - d32) <= 1e-7 * d32
 
 
@@ -146,7 +137,7 @@ def test_spectral_efficiency(ref_cfg, ref_sched, ref_table):
     bt = ref_cfg.bandwidth * ref_sched.total_time
     assert_allclose(spectral_efficiency(bt, ref_cfg, ref_sched), 1.0, rtol=1e-12)
     alloc = constant_alloc(ref_cfg, ref_sched)
-    d = total_data(alloc, ref_cfg, ref_sched, ref_table)
+    d = ref_table.total_data(alloc.p)
     assert_allclose(spectral_efficiency(d, ref_cfg, ref_sched),
                     d / (2.16e9 * 3.3), rtol=1e-9)
 
@@ -160,17 +151,14 @@ def test_grad_total_data_finite_differences(ref_cfg, ref_sched, ref_table, rng):
     entries = list(zip(*np.nonzero(mask)))
     for trial in range(20):
         p = np.where(mask, rng.uniform(0.1 * per_relay, per_relay, mask.shape), 0.0)
-        alloc = AllocationMatrix(p=p, mask=mask)
-        g = grad_total_data(alloc, ref_cfg, ref_sched, ref_table)
+        g = ref_table.grad_total_data(p)
         assert np.all(g[mask] > 0)
         assert np.all(g[~mask] == 0.0)
         i, j = entries[trial % len(entries)]
         plus, minus = p.copy(), p.copy()
         plus[i, j] += step
         minus[i, j] -= step
-        fd = (total_data(AllocationMatrix(p=plus, mask=mask), ref_cfg, ref_sched, ref_table)
-              - total_data(AllocationMatrix(p=minus, mask=mask), ref_cfg, ref_sched, ref_table)) \
-            / (2 * step)
+        fd = (ref_table.total_data(plus) - ref_table.total_data(minus)) / (2 * step)
         assert abs(fd - g[i, j]) <= 1e-4 * abs(fd)
 
 
@@ -180,7 +168,7 @@ def test_grad_larger_near_rrh(ref_cfg, ref_sched, ref_table):
     # longer edge segment would win on duration alone)
     mask = activity_mask(ref_cfg)
     p = np.where(mask, 0.01, 0.0)
-    g = grad_total_data(AllocationMatrix(p=p, mask=mask), ref_cfg, ref_sched, ref_table)
+    g = ref_table.grad_total_data(p)
     # relay 1 passes abeam (x=100 m) during segment 5; its cell-edge segment is 1
     assert g[0, 4] > g[0, 0]
     # per unit time the abeam segment wins at any power level
@@ -191,8 +179,8 @@ def test_grad_larger_near_rrh(ref_cfg, ref_sched, ref_table):
 def test_bandwidth_factor_switch(ref_cfg, ref_sched):
     alloc = constant_alloc(ref_cfg, ref_sched)
     plain_cfg = ref_cfg.with_(bandwidth_factor=False)
-    d_on = total_data(alloc, ref_cfg, ref_sched)
-    d_off = total_data(alloc, plain_cfg, segment_boundaries(plain_cfg))
+    d_on = build_gain_table(ref_cfg, ref_sched).total_data(alloc.p)
+    d_off = build_gain_table(plain_cfg, segment_boundaries(plain_cfg)).total_data(alloc.p)
     assert_allclose(d_on, d_off * ref_cfg.bandwidth, rtol=1e-12)
 
 
@@ -202,18 +190,18 @@ def test_fading_trace_changes_data_deterministically(ref_cfg, ref_sched):
     trace2 = sample_fading_trace(ref_cfg, ref_sched, np.random.default_rng(3))
     assert np.array_equal(trace1, trace2)
     table = build_gain_table(ref_cfg, ref_sched, fading_db=trace1)
-    d_fade = total_data(alloc, ref_cfg, ref_sched, table)
-    d_det = total_data(alloc, ref_cfg, ref_sched)
+    d_fade = table.total_data(alloc.p)
+    d_det = build_gain_table(ref_cfg, ref_sched).total_data(alloc.p)
     assert d_fade != d_det
     zero_table = build_gain_table(ref_cfg, ref_sched, fading_db=np.zeros_like(trace1))
-    assert_allclose(total_data(alloc, ref_cfg, ref_sched, zero_table), d_det, rtol=1e-12)
+    assert_allclose(zero_table.total_data(alloc.p), d_det, rtol=1e-12)
 
 
 def test_compute_metrics_consistency(ref_cfg, ref_sched, ref_table):
     alloc = average_alloc(ref_cfg, ref_sched)
     rec = compute_metrics(alloc, ref_cfg, ref_sched, ref_table)
     assert_allclose(rec.energy_j, total_energy(alloc, ref_sched), rtol=1e-12)
-    assert_allclose(rec.data_bits, total_data(alloc, ref_cfg, ref_sched, ref_table),
+    assert_allclose(rec.data_bits, ref_table.total_data(alloc.p),
                     rtol=1e-12)
     assert_allclose(rec.ee_bits_per_j, rec.data_bits / rec.energy_j, rtol=1e-12)
     assert_allclose(rec.segment_energy_j.sum(), rec.energy_j, rtol=1e-12)
@@ -229,13 +217,29 @@ def test_allocation_matrix_guards(ref_cfg):
     assert np.all(alloc.p[~mask] == 0.0)
 
 
-def test_allocation_matrix_leaves_caller_arrays_writable(ref_cfg, ref_sched, ref_table):
-    p = np.where(ref_table.mask, 1.0, 0.0)
-    alloc = AllocationMatrix(p=p, mask=ref_table.mask)
-    assert p.flags.writeable and ref_table.mask.flags.writeable
+def test_allocation_matrix_leaves_caller_arrays_writable(ref_cfg):
+    mask = activity_mask(ref_cfg)
+    p = np.where(mask, 1.0, 0.0)
+    alloc = AllocationMatrix(p=p, mask=mask)
+    assert p.flags.writeable and mask.flags.writeable
     assert not alloc.p.flags.writeable and not alloc.mask.flags.writeable
-    p[ref_table.mask] = 2.0
-    assert np.all(alloc.p[ref_table.mask] == 1.0)
+    p[mask] = 2.0
+    assert np.all(alloc.p[mask] == 1.0)
     # arrays that are already read-only are held as they are
     again = AllocationMatrix(p=alloc.p, mask=alloc.mask)
     assert again.p is alloc.p and again.mask is alloc.mask
+
+
+def test_gain_table_leaves_caller_arrays_writable(ref_cfg, ref_sched, ref_table):
+    arrays = {name: getattr(ref_table, name).copy() for name in ("gains", "weights", "mask")}
+    table = GainTable(**arrays, bandwidth=ref_table.bandwidth,
+                      use_bandwidth=ref_table.use_bandwidth)
+    for name, arr in arrays.items():
+        assert arr.flags.writeable, name
+        held = getattr(table, name)
+        assert not held.flags.writeable and held is not arr, name
+    arrays["gains"][:] = 0.0
+    assert table.total_data(np.where(table.mask, 1.0, 0.0)) > 0.0
+    # a built table's mask is read-only, so allocations on it share it
+    alloc = AllocationMatrix(p=np.zeros(ref_table.mask.shape), mask=ref_table.mask)
+    assert alloc.mask is ref_table.mask

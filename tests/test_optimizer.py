@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from railpower import optimizer
+from railpower.metrics import GainTable
 from railpower.optimizer import InnerInfo
 from railpower import (AllocationMatrix, InfeasibleDataFloor, MultiplierState, Problem,
-                       activity_mask, augmented_lagrangian, average_alloc,
-                       build_gain_table, constraint_residuals, data_floor,
-                       grad_augmented_lagrangian, inner_descent, kkt_residual,
-                       reference_config, segment_boundaries, solve, total_data,
-                       total_energy, update_state, validate_alloc)
+                       SolverOptions, activity_mask, average_alloc, build_gain_table,
+                       data_floor, inner_descent, kkt_residual, reference_config,
+                       segment_boundaries, solve, total_energy, update_state,
+                       validate_alloc)
 
 LN2 = np.log(2.0)
 
@@ -36,7 +36,7 @@ def ref_solution(ref_cfg, ref_sched, ref_table):
 # ---------------------------------------------------------------- data floor
 
 def test_data_floor_policy(ref_cfg, ref_sched, ref_table):
-    d_avg = total_data(average_alloc(ref_cfg, ref_sched), ref_cfg, ref_sched, ref_table)
+    d_avg = ref_table.total_data(average_alloc(ref_cfg, ref_sched).p)
     assert_allclose(data_floor(ref_cfg.with_(rho=1.0), ref_sched, ref_table),
                     d_avg, rtol=1e-12)
     assert_allclose(data_floor(ref_cfg, ref_sched, ref_table), 0.8 * d_avg, rtol=1e-12)
@@ -45,18 +45,25 @@ def test_data_floor_policy(ref_cfg, ref_sched, ref_table):
 
 # ------------------------------------------------------------------ residuals
 
+BUDGET_MODES = ("cap", "equality")
+
+
 def test_constraint_residuals(ref_cfg, ref_sched, ref_table):
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     avg = average_alloc(ref_cfg, ref_sched)
-    h = constraint_residuals(avg, ref_cfg, ref_sched, d_min, ref_table)
-    assert_allclose(h.budget_residuals, 0.0, atol=1e-12 * ref_cfg.p_t)
-    assert h.data_residual > 0   # the average scheme overshoots an 80% floor
-
     zero = AllocationMatrix.zeros(ref_cfg)
-    h0 = constraint_residuals(zero, ref_cfg, ref_sched, d_min, ref_table)
-    assert h0.data_residual == -d_min
-    assert_allclose(h0.budget_residuals, -ref_cfg.p_t, rtol=1e-12)
-    assert len(h0.h) == 2 * ref_cfg.num_relays + ref_cfg.num_bins - 1
+    for mode in BUDGET_MODES:
+        problem = Problem(ref_cfg, ref_sched, d_min, ref_table, budget_mode=mode)
+        h = problem.residuals_scaled(problem.to_scaled(avg.p))
+        assert len(h) == 2 * ref_cfg.num_relays + ref_cfg.num_bins - 1
+        assert_allclose(h[1:], 0.0, atol=1e-12)   # the average scheme spends the budget
+        assert h[0] > 0                            # and overshoots an 80% floor
+
+        # the zero allocation misses the floor by all of it; its budget rows
+        # are signed in the literal equality form and clipped at the cap
+        h0 = problem.residuals_scaled(problem.to_scaled(zero.p))
+        assert h0[0] == -1.0
+        assert np.all(h0[1:] == (-1.0 if mode == "equality" else 0.0)), mode
 
 
 def test_converged_run_meets_scaled_tolerance(ref_solution):
@@ -68,68 +75,50 @@ def test_converged_run_meets_scaled_tolerance(ref_solution):
 # ------------------------------------------------------- merit function + grad
 
 def test_augmented_lagrangian_reductions(ref_cfg, ref_sched, ref_table):
+    # Problem.phi is the augmented Lagrangian in scaled units
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
+    d_avg = ref_table.total_data(average_alloc(ref_cfg, ref_sched).p)
     avg = average_alloc(ref_cfg, ref_sched)
     zeros = np.zeros(ref_cfg.num_segments + 1)
-    assert_allclose(augmented_lagrangian(avg, zeros, 0.0, ref_cfg, ref_sched, d_min,
-                                         ref_table),
-                    total_energy(avg, ref_sched), rtol=1e-12)
-
-    # a feasible point keeps phi equal to the energy for any multipliers
-    d_avg = total_data(avg, ref_cfg, ref_sched, ref_table)
     lam = np.linspace(-2.0, 2.0, len(zeros))
-    assert_allclose(augmented_lagrangian(avg, lam, 3.0, ref_cfg, ref_sched, d_avg,
-                                         ref_table),
-                    total_energy(avg, ref_sched), rtol=1e-9)
+    energy = total_energy(avg, ref_sched) / (ref_sched.total_time * ref_cfg.p_t)
+    for mode in BUDGET_MODES:
+        problem = Problem(ref_cfg, ref_sched, d_min, ref_table, budget_mode=mode)
+        x = problem.to_scaled(avg.p)
+        assert_allclose(problem.phi(x, zeros, 0.0), energy, rtol=1e-12)
 
-    # growing the penalty at a fixed infeasible point raises phi
-    half = AllocationMatrix(p=0.5 * avg.p, mask=avg.mask)
-    p1 = augmented_lagrangian(half, zeros, 1e-19, ref_cfg, ref_sched, d_min, ref_table)
-    p2 = augmented_lagrangian(half, zeros, 2e-19, ref_cfg, ref_sched, d_min, ref_table)
-    assert p2 > p1
+        # a feasible point keeps phi equal to the energy for any multipliers
+        at_avg = Problem(ref_cfg, ref_sched, d_avg, ref_table, budget_mode=mode)
+        assert_allclose(at_avg.phi(x, lam, 3.0), energy, rtol=1e-9)
+
+        # growing the penalty at a fixed infeasible point raises phi
+        half = 0.5 * x
+        assert problem.phi(half, zeros, 2.0) > problem.phi(half, zeros, 1.0)
+
+        # passed-in residuals give the same value, bit for bit
+        h = problem.residuals_scaled(half)
+        assert problem.phi(half, lam, 3.0, h) == problem.phi(half, lam, 3.0)
 
 
 def test_grad_augmented_lagrangian_structure(ref_cfg, ref_sched, ref_table):
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     avg = average_alloc(ref_cfg, ref_sched)
-    zeros = np.zeros(ref_cfg.num_segments + 1)
-    g = grad_augmented_lagrangian(avg, zeros, 0.0, ref_cfg, ref_sched, d_min, ref_table)
-    # with no multipliers and no penalty only the energy term remains
-    expected = np.where(avg.mask, ref_sched.durations[None, :], 0.0)
-    assert_allclose(g, expected, rtol=1e-12)
-    assert np.all(g[~avg.mask] == 0.0)
+    for mode in BUDGET_MODES:
+        problem = Problem(ref_cfg, ref_sched, d_min, ref_table, budget_mode=mode)
+        g = problem.grad_phi(problem.to_scaled(avg.p), np.zeros(ref_cfg.num_segments + 1),
+                             0.0)
+        # with no multipliers and no penalty only the energy term remains
+        expected = np.where(problem.mask, problem.t_norm[None, :], 0.0)
+        assert_allclose(g, expected, rtol=1e-12)
+        assert np.all(g[~problem.mask] == 0.0)
 
 
-def test_grad_augmented_lagrangian_finite_differences(ref_cfg, ref_sched, ref_table,
-                                                      rng):
-    d_min = data_floor(ref_cfg, ref_sched, ref_table)
-    mask = activity_mask(ref_cfg)
-    per_relay = ref_cfg.p_t / ref_cfg.num_relays
-    step = 1e-4 * ref_cfg.p_t
-    entries = list(zip(*np.nonzero(mask)))
-    for trial in range(20):
-        p = np.where(mask, rng.uniform(0.1 * per_relay, per_relay, mask.shape), 0.0)
-        lam = np.concatenate([rng.uniform(-2e-9, 2e-9, 1),
-                              rng.uniform(-0.5, 0.5, ref_cfg.num_segments)])
-        sigma = 10.0 ** rng.uniform(-20.0, -18.0)
-        alloc = AllocationMatrix(p=p, mask=mask)
-        g = grad_augmented_lagrangian(alloc, lam, sigma, ref_cfg, ref_sched, d_min,
-                                      ref_table)
-        i, j = entries[trial % len(entries)]
-        plus, minus = p.copy(), p.copy()
-        plus[i, j] += step
-        minus[i, j] -= step
-        fd = (augmented_lagrangian(AllocationMatrix(p=plus, mask=mask), lam, sigma,
-                                   ref_cfg, ref_sched, d_min, ref_table)
-              - augmented_lagrangian(AllocationMatrix(p=minus, mask=mask), lam, sigma,
-                                     ref_cfg, ref_sched, d_min, ref_table)) / (2 * step)
-        assert abs(fd - g[i, j]) <= 1e-4 * max(abs(fd), 1e-6)
-
-
-def test_scaled_problem_gradient_finite_differences(ref_cfg, ref_sched, ref_table, rng):
+@pytest.mark.parametrize("mode", BUDGET_MODES)
+def test_scaled_problem_gradient_finite_differences(ref_cfg, ref_sched, ref_table, rng,
+                                                    mode):
     # the solver's scaled merit function must match its analytic gradient too
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
-    problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
+    problem = Problem(ref_cfg, ref_sched, d_min, ref_table, budget_mode=mode)
     mask = activity_mask(ref_cfg)
     step = 1e-6
     for trial in range(20):
@@ -151,10 +140,9 @@ def test_inner_descent_stationary_start(ref_cfg, ref_sched, ref_table):
     # at lam = 0, sigma = 0 the projected gradient vanishes at the origin
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
-    state = MultiplierState.initial(ref_cfg)
     zero = AllocationMatrix.zeros(ref_cfg)
     out, info = inner_descent(problem, zero, np.zeros(ref_cfg.num_segments + 1), 0.0,
-                              state)
+                              SolverOptions())
     assert info.steps == 0 and info.converged
     assert np.all(out.p == 0.0)
 
@@ -162,9 +150,10 @@ def test_inner_descent_stationary_start(ref_cfg, ref_sched, ref_table):
 def test_inner_descent_monotone(ref_cfg, ref_sched, ref_table):
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
-    state = MultiplierState.initial(ref_cfg)
+    options = SolverOptions()
+    state = MultiplierState.initial(ref_cfg, options)
     avg = average_alloc(ref_cfg, ref_sched)
-    out, info = inner_descent(problem, avg, state.lam, state.sigma, state)
+    out, info = inner_descent(problem, avg, state.lam, state.sigma, options)
     assert info.monotone
     assert info.phi_end <= info.phi_start
 
@@ -172,18 +161,20 @@ def test_inner_descent_monotone(ref_cfg, ref_sched, ref_table):
 def test_inner_descent_fixed_stepsize_option(ref_cfg, ref_sched, ref_table):
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
-    state = MultiplierState.initial(ref_cfg, alpha_step=0.05, inner_cap=200)
+    options = SolverOptions(alpha_step=0.05, inner_cap=200)
+    state = MultiplierState.initial(ref_cfg, options)
     avg = average_alloc(ref_cfg, ref_sched)
-    out, info = inner_descent(problem, avg, state.lam, state.sigma, state)
+    out, info = inner_descent(problem, avg, state.lam, state.sigma, options)
     assert info.phi_end < info.phi_start
 
 
 def test_inner_descent_cap_flags_not_raises(ref_cfg, ref_sched, ref_table):
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
-    state = MultiplierState.initial(ref_cfg, inner_cap=3)
+    options = SolverOptions(inner_cap=3)
+    state = MultiplierState.initial(ref_cfg, options)
     avg = average_alloc(ref_cfg, ref_sched)
-    _, info = inner_descent(problem, avg, state.lam, state.sigma, state)
+    _, info = inner_descent(problem, avg, state.lam, state.sigma, options)
     assert not info.converged and info.reason == "cap" and info.steps == 3
 
 
@@ -241,9 +232,9 @@ def test_inner_descent_matches_grid_search(tiny):
     cfg, sched, table = tiny
     d_min = data_floor(cfg, sched, table)
     problem = Problem(cfg, sched, d_min, table)
-    state = MultiplierState.initial(cfg)
-    lam = state.lam
-    out, info = inner_descent(problem, average_alloc(cfg, sched), lam, 1.0, state)
+    options = SolverOptions()
+    lam = MultiplierState.initial(cfg, options).lam
+    out, info = inner_descent(problem, average_alloc(cfg, sched), lam, 1.0, options)
     phi_inner = problem.phi(problem.to_scaled(out.p), lam, 1.0)
     phi_grid = grid_min_phi(problem, cfg, sched, lam0=0.0, sigma=1.0)
     assert phi_inner <= phi_grid + 0.02 * abs(phi_grid)
@@ -251,16 +242,27 @@ def test_inner_descent_matches_grid_search(tiny):
 
 # ------------------------------------------------------------- state updates
 
+OPTIONS = SolverOptions(growth=4.0, eps=1e-4)
+
+
 def _state(**kw):
-    base = dict(lam=np.array([1.0, -0.5, 0.25]), sigma=2.0, gamma_growth=4.0,
-                eps=1e-4)
+    base = dict(lam=np.array([1.0, -0.5, 0.25]), sigma=2.0)
     base.update(kw)
     return MultiplierState(**base)
 
 
+def test_solver_options_validation():
+    assert SolverOptions() == SolverOptions(sigma0=1.0, growth=4.0, eps=1e-4,
+                                            alpha_step=None, n_max=100, inner_cap=5000)
+    for bad in ({"sigma0": 0.0}, {"growth": 1.0}, {"eps": 0.0}):
+        with pytest.raises(ValueError):
+            SolverOptions(**bad)
+    assert MultiplierState.initial(reference_config(), SolverOptions(sigma0=3.0)).sigma == 3.0
+
+
 def test_update_state_terminates_on_feasibility():
     st = _state()
-    out = update_state(st, np.zeros(3), np.full(3, 0.5))
+    out = update_state(st, np.zeros(3), np.full(3, 0.5), OPTIONS)
     assert out.converged
     assert out.sigma == st.sigma and np.array_equal(out.lam, st.lam)
 
@@ -268,8 +270,8 @@ def test_update_state_terminates_on_feasibility():
 def test_update_state_case_a_grows_sigma_on_equal_norms():
     st = _state()
     h = np.array([0.5, 0.0, 0.0])
-    out = update_state(st, h, np.array([0.0, -0.5, 0.0]))
-    assert out.sigma == st.sigma * st.gamma_growth
+    out = update_state(st, h, np.array([0.0, -0.5, 0.0]), OPTIONS)
+    assert out.sigma == st.sigma * OPTIONS.growth
     assert np.array_equal(out.lam, st.lam)
     assert out.sigma_grew
 
@@ -278,7 +280,7 @@ def test_update_state_case_b_on_quarter_drop():
     st = _state()
     h_prev = np.array([1.0, 0.0, 0.0])
     h_now = 0.1 * h_prev
-    out = update_state(st, h_now, h_prev)
+    out = update_state(st, h_now, h_prev, OPTIONS)
     assert out.sigma == st.sigma
     assert_allclose(out.lam, st.lam - 2.0 * st.sigma * h_now, rtol=1e-15)
     assert not out.sigma_grew
@@ -288,7 +290,7 @@ def test_update_state_case_b_after_sigma_growth():
     st = _state(sigma_grew=True)
     h_prev = np.array([1.0, 0.0, 0.0])
     h_now = 0.5 * h_prev      # moderate progress, but sigma grew last cycle
-    out = update_state(st, h_now, h_prev)
+    out = update_state(st, h_now, h_prev, OPTIONS)
     assert out.sigma == st.sigma
     assert_allclose(out.lam, st.lam - 2.0 * st.sigma * h_now, rtol=1e-15)
 
@@ -296,15 +298,15 @@ def test_update_state_case_b_after_sigma_growth():
 def test_update_state_case_c_grows_sigma_on_slow_progress():
     st = _state()
     h_prev = np.array([1.0, 0.0, 0.0])
-    out = update_state(st, 0.5 * h_prev, h_prev)
-    assert out.sigma == st.sigma * st.gamma_growth
+    out = update_state(st, 0.5 * h_prev, h_prev, OPTIONS)
+    assert out.sigma == st.sigma * OPTIONS.growth
     assert np.array_equal(out.lam, st.lam)
 
 
 def test_update_state_first_cycle_corrects_multipliers():
     st = _state()
     h_now = np.array([0.3, 0.1, 0.0])
-    out = update_state(st, h_now, None)
+    out = update_state(st, h_now, None, OPTIONS)
     assert out.sigma == st.sigma
     assert_allclose(out.lam, st.lam - 2.0 * st.sigma * h_now, rtol=1e-15)
 
@@ -367,7 +369,7 @@ def test_solve_zero_floor_returns_zero_matrix(ref_cfg, ref_sched, ref_table):
 
 
 def test_solve_rejects_unreachable_floor(ref_cfg, ref_sched, ref_table):
-    d_avg = total_data(average_alloc(ref_cfg, ref_sched), ref_cfg, ref_sched, ref_table)
+    d_avg = ref_table.total_data(average_alloc(ref_cfg, ref_sched).p)
     with pytest.raises(InfeasibleDataFloor):
         solve(ref_cfg, ref_sched, d_min=2.0 * d_avg, table=ref_table)
 
@@ -546,21 +548,21 @@ def test_kkt_residual_grows_under_perturbation(ref_cfg, ref_sched, ref_table,
 
 # ------------------------------------------------- backtracking screen
 
-def plain_inner_descent(problem, p0, lam, sigma, state):
+def plain_inner_descent(problem, p0, lam, sigma, options):
     """Reference oracle: halve from alpha = 1 and evaluate every candidate."""
     x = np.maximum(problem.to_scaled(p0.p), 0.0)
     phi = problem.phi(x, lam, sigma)
     phi_start, monotone, steps = phi, True, 0
     converged, reason, gnorm = False, "cap", math.inf
-    while steps < state.inner_cap:
+    while steps < options.inner_cap:
         d = -problem.grad_phi(x, lam, sigma)
         d[(x <= 0.0) & (d < 0.0)] = 0.0
         gnorm = float(np.linalg.norm(d))
-        if gnorm <= state.eps:
+        if gnorm <= options.eps:
             converged, reason = True, "gradient"
             break
-        if state.alpha_step is not None:
-            x_new = np.maximum(x + state.alpha_step * d, 0.0)
+        if options.alpha_step is not None:
+            x_new = np.maximum(x + options.alpha_step * d, 0.0)
             phi_new = problem.phi(x_new, lam, sigma)
             monotone = monotone and not phi_new > phi
         else:
@@ -580,6 +582,35 @@ def plain_inner_descent(problem, p0, lam, sigma, state):
     return problem.to_physical(x), InnerInfo(
         steps=steps, converged=converged, reason=reason, phi_start=phi_start,
         phi_end=phi, monotone=monotone, grad_norm=gnorm)
+
+
+def test_inner_descent_one_data_pass_per_merit_evaluation(monkeypatch):
+    # the accepted candidate's residuals are kept, so every data pass in an
+    # inner loop belongs to one merit evaluation, the start point included
+    counts = {"data": 0, "phi": 0, "screens": 0}
+    per_call = []
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    def counted_inner(*args):
+        before = dict(counts)
+        out = inner_descent(*args)
+        per_call.append({**{k: counts[k] - before[k] for k in counts},
+                         "steps": out[1].steps})
+        return out
+
+    monkeypatch.setattr(GainTable, "total_data", counted("data", GainTable.total_data))
+    monkeypatch.setattr(Problem, "phi", counted("phi", Problem.phi))
+    monkeypatch.setattr(Problem, "screen_steps", counted("screens", Problem.screen_steps))
+    monkeypatch.setattr(optimizer, "inner_descent", counted_inner)
+    solve(reference_config(rho=0.97), options=SolverOptions(inner_cap=400))
+    assert len(per_call) > 1 and sum(c["screens"] for c in per_call) > 0
+    for c in per_call:
+        assert c["data"] == c["phi"] >= c["steps"] + 1, c
 
 
 def _solve_both(monkeypatch, cfg, **kw):
