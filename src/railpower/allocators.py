@@ -16,7 +16,7 @@ import numpy as np
 
 from . import radio
 from .metrics import AllocationMatrix
-from .scenario import ScenarioConfig, SegmentSchedule, activity_mask, mr_rrh_distance, mrs_in_cell
+from .scenario import ScenarioConfig, SegmentSchedule, activity_mask, mr_rrh_distance
 
 
 def constant_alloc(cfg: ScenarioConfig, sched: SegmentSchedule) -> AllocationMatrix:
@@ -29,7 +29,7 @@ def constant_alloc(cfg: ScenarioConfig, sched: SegmentSchedule) -> AllocationMat
 def average_alloc(cfg: ScenarioConfig, sched: SegmentSchedule) -> AllocationMatrix:
     """P_T split equally among the relays covered in each segment."""
     mask = activity_mask(cfg)
-    counts = np.array([mrs_in_cell(cfg, j) for j in range(1, cfg.num_segments + 1)])
+    counts = mask.sum(axis=0)
     p = np.where(mask, cfg.p_t / counts[None, :], 0.0)
     return AllocationMatrix(p=p, mask=mask)
 

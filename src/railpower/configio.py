@@ -23,8 +23,7 @@ _FLOAT_KEYS = {
     "d0", "d_l", "d_mr", "v_kmh", "v_mps", "pt_dbm", "pt_w",
     "bandwidth_hz", "noise_figure_db", "pathloss_exp", "wavelength_m",
     "shadowing_db", "theta_3db_deg", "rician_k_db", "rho", "d_min_bits",
-    "csi_alpha", "solver_sigma0", "solver_growth", "solver_eps",
-    "solver_alpha", "sigma_v",
+    "csi_alpha", "solver_sigma0", "solver_growth", "solver_eps", "sigma_v",
 }
 _INT_KEYS = {"m", "n", "seed", "quad_n", "solver_n_max", "solver_inner_cap", "trials"}
 _BOOL_KEYS = {"bandwidth_factor", "fading"}
@@ -34,8 +33,7 @@ _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _LIST_KEYS
 # config key -> SolverOptions field
 _SOLVER_KEYS = {
     "solver_sigma0": "sigma0", "solver_growth": "growth", "solver_eps": "eps",
-    "solver_alpha": "alpha_step", "solver_n_max": "n_max",
-    "solver_inner_cap": "inner_cap",
+    "solver_n_max": "n_max", "solver_inner_cap": "inner_cap",
 }
 
 

@@ -106,6 +106,8 @@ class SweepSpec:
             for v in self.values:
                 if not float(v).is_integer() or v < 1:
                     raise ValueError(f"M values must be whole relay counts >= 1, got {v!r}")
+        if self.param == "sigma_v" and min(self.values) < 0:
+            raise ValueError(f"sigma_v values must be >= 0, got {min(self.values)!r}")
         if not self.schemes:
             raise ValueError("sweep needs at least one scheme")
         for s in self.schemes:

@@ -106,16 +106,14 @@ class GainTable:
 
 
 def build_gain_table(cfg: ScenarioConfig, sched: SegmentSchedule,
-                     quad_n: int | None = None,
                      fading_db: np.ndarray | None = None) -> GainTable:
     """Precompute quadrature nodes, weights, and channel factors.
 
+    The quadrature uses ``cfg.quad_n`` Simpson subintervals per segment.
     ``fading_db``, when given, is a (M, S, Q+1) array of dB attenuations
     applied on top of the deterministic channel at each node.
     """
-    n = cfg.quad_n if quad_n is None else quad_n
-    if n < 2 or n % 2:
-        raise ValueError("quadrature subinterval count must be a positive even integer")
+    n = cfg.quad_n
     m, s = cfg.num_relays, cfg.num_segments
     if sched.num_segments != s:
         raise ValueError("schedule does not match the configuration")
@@ -143,13 +141,11 @@ def build_gain_table(cfg: ScenarioConfig, sched: SegmentSchedule,
 
 
 def sample_fading_trace(cfg: ScenarioConfig, sched: SegmentSchedule,
-                        rng: np.random.Generator,
-                        quad_n: int | None = None) -> np.ndarray:
+                        rng: np.random.Generator) -> np.ndarray:
     """Independent Rician dB attenuations at every quadrature node."""
-    n = cfg.quad_n if quad_n is None else quad_n
     model = radio.FadingModel.from_k_db(cfg.rician_k)
-    return radio.sample_fading_db(model, rng,
-                                  size=(cfg.num_relays, cfg.num_segments, n + 1))
+    size = (cfg.num_relays, cfg.num_segments, cfg.quad_n + 1)
+    return radio.sample_fading_db(model, rng, size=size)
 
 
 def total_energy(alloc: AllocationMatrix, sched: SegmentSchedule) -> float:

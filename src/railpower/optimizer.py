@@ -21,18 +21,15 @@ Inside the solver, powers are scaled by P_T and data by D_min so the
 residual components are comparable under the max norm; results are
 reported in physical units.  :class:`Problem` over a :class:`GainTable`
 is the one representation of the merit function, its gradient and the
-residuals.  The six solver settings (initial penalty, growth factor,
-tolerance, fixed stepsize, cycle and step caps) live in one frozen
+residuals.  The five solver settings (initial penalty, growth factor,
+tolerance, cycle and step caps) live in one frozen
 :class:`SolverOptions`, which owns their defaults and validation;
 :class:`MultiplierState` holds only the iterate.
 
-Budget handling: the literal formulation states the per-segment budget
-as an equality, but enforcing it would pin the energy at P_T times the
-traversal time and erase the optimisation gain, so by default the solver
-treats budget rows as one-sided caps (residual clipped at zero below the
-budget).  ``budget_mode="equality"`` restores the literal behaviour for
-study.  The reported KKT residual always refers to the inequality-form
-optimality system.
+Budget handling: budget rows are one-sided caps, their residual clipped
+at zero below the budget.  The literal equality form would pin the
+energy at P_T times the traversal time and erase the optimisation gain.
+The KKT residual refers to the same inequality-form optimality system.
 
 Backtracking screen: each inner step tries alpha = 2**-k, k = 0..59, and
 accepts the first candidate y_k = max(x + alpha d, 0) with phi(y_k) <
@@ -118,13 +115,14 @@ class SolverOptions:
     sigma0: float = 1.0      # initial penalty factor, > 0
     growth: float = 4.0      # penalty growth factor, > 1
     eps: float = 1e-4        # tolerance on the scaled residual max norm
-    alpha_step: float | None = None   # None: backtracking halving from 1
-    n_max: int = 100         # outer cycle cap
-    inner_cap: int = 5000    # inner gradient steps per cycle
+    n_max: int = 100         # outer cycle cap, >= 0
+    inner_cap: int = 5000    # inner gradient steps per cycle, >= 1
 
     def __post_init__(self):
         if self.sigma0 <= 0 or self.growth <= 1 or self.eps <= 0:
             raise ValueError("require sigma0 > 0, growth > 1, eps > 0")
+        if self.n_max < 0 or self.inner_cap < 1:
+            raise ValueError("require n_max >= 0, inner_cap >= 1")
 
 
 @dataclass(frozen=True)
@@ -162,16 +160,13 @@ class Problem:
     """
 
     def __init__(self, cfg: ScenarioConfig, sched: SegmentSchedule, d_min: float,
-                 table: GainTable, budget_mode: str = "cap"):
-        if budget_mode not in ("cap", "equality"):
-            raise ValueError("budget_mode must be 'cap' or 'equality'")
+                 table: GainTable):
         if d_min <= 0.0:
             raise ValueError("the data floor must be positive")
         self.cfg = cfg
         self.sched = sched
         self.d_min = d_min
         self.table = table
-        self.budget_mode = budget_mode
         self.mask = self.table.mask
         self.t_norm = sched.durations / sched.total_time
         self.p_t = cfg.p_t
@@ -191,8 +186,7 @@ class Problem:
     def residuals_scaled(self, x: np.ndarray) -> np.ndarray:
         h = np.empty(x.shape[1] + 1)
         h[0] = self.table.total_data(x * self.p_t) / self.d_min - 1.0
-        budget = x.sum(axis=0) - 1.0
-        h[1:] = budget if self.budget_mode == "equality" else np.maximum(budget, 0.0)
+        h[1:] = np.maximum(x.sum(axis=0) - 1.0, 0.0)
         return h
 
     def phi(self, x: np.ndarray, lam: np.ndarray, sigma: float,
@@ -213,10 +207,8 @@ class Problem:
             h = self.residuals_scaled(x)
         if dd is None:
             dd = self.grad_data_scaled(x)
-        coef = -lam[1:] + 2.0 * sigma * h[1:]
-        if self.budget_mode == "cap":
-            # below the cap the clipped budget rows contribute nothing
-            coef = np.where(h[1:] > 0.0, coef, 0.0)
+        # below the cap the clipped budget rows contribute nothing
+        coef = np.where(h[1:] > 0.0, -lam[1:] + 2.0 * sigma * h[1:], 0.0)
         g = self.t_norm[None, :] + (-lam[0] + 2.0 * sigma * h[0]) * dd + coef[None, :]
         return np.where(self.mask, g, 0.0)
 
@@ -262,9 +254,7 @@ class Problem:
         # energy and budget rows
         cols_energy = y @ basis
         energy = cols_energy[:, -1]
-        b = cols_energy[:, :-1] - 1.0
-        if self.budget_mode == "cap":
-            b = np.maximum(b, 0.0)
+        b = np.maximum(cols_energy[:, :-1] - 1.0, 0.0)
         b_abs = np.abs(b)
         gap = 2.0 * eps * (1.0 + b_abs)
         bound = energy + np.einsum("ks,ks->k", b, sigma * b - lam[1:]) \
@@ -282,7 +272,6 @@ class InnerInfo:
     reason: str            # "gradient" | "stall" | "cap"
     phi_start: float
     phi_end: float
-    monotone: bool
     grad_norm: float
 
 
@@ -291,9 +280,8 @@ def inner_descent(problem: Problem, p0: AllocationMatrix, lam: np.ndarray,
     """Minimise phi(., lam, sigma) by projected gradient descent from p0.
 
     Steps along d = -grad(phi); after every step, negative entries on the
-    active mask are clipped to zero.  The stepsize either backtracks by
-    halving from 1 until phi decreases (default) or stays fixed at
-    ``options.alpha_step``.  Once the last two accepted steps each needed
+    active mask are clipped to zero.  The stepsize backtracks by halving
+    from 1 until phi decreases.  Once the last two accepted steps each needed
     three or more halvings, candidates that :meth:`Problem.screen_steps`
     proves to be rejected are skipped unevaluated; the accepted step is
     the same.  The residuals of each evaluated point are kept, so the
@@ -306,7 +294,6 @@ def inner_descent(problem: Problem, p0: AllocationMatrix, lam: np.ndarray,
     h = problem.residuals_scaled(x)
     phi = problem.phi(x, lam, sigma, h)
     phi_start = phi
-    monotone = True
     steps = 0
     k_last = k_before = 0      # exponents of the last two accepted steps
     converged, reason, gnorm = False, "cap", math.inf
@@ -320,35 +307,28 @@ def inner_descent(problem: Problem, p0: AllocationMatrix, lam: np.ndarray,
         if gnorm <= options.eps:
             converged, reason = True, "gradient"
             break
-        if options.alpha_step is not None:
-            x_new = np.maximum(x + options.alpha_step * d, 0.0)
-            h_new = problem.residuals_scaled(x_new)
-            phi_new = problem.phi(x_new, lam, sigma, h_new)
-            if phi_new > phi:
-                monotone = False
-        else:
-            x_new, phi_new, tries = None, None, None
-            ks = range(len(_ALPHA_LIST))
-            if min(k_last, k_before) >= 3:
-                tries, rejected = problem.screen_steps(x, d, h, dd, lam, sigma, phi)
-                ks = np.flatnonzero(~rejected).tolist()
-            for k in ks:
-                x_try = np.maximum(x + _ALPHA_LIST[k] * d, 0.0) if tries is None else tries[k]
-                h_try = problem.residuals_scaled(x_try)
-                phi_try = problem.phi(x_try, lam, sigma, h_try)
-                if phi_try < phi:
-                    x_new, h_new, phi_new = x_try, h_try, phi_try
-                    k_before, k_last = k_last, k
-                    break
-            if x_new is None:                  # cannot decrease: numerically stationary
-                converged, reason = True, "stall"
+        x_new, phi_new, tries = None, None, None
+        ks = range(len(_ALPHA_LIST))
+        if min(k_last, k_before) >= 3:
+            tries, rejected = problem.screen_steps(x, d, h, dd, lam, sigma, phi)
+            ks = np.flatnonzero(~rejected).tolist()
+        for k in ks:
+            x_try = np.maximum(x + _ALPHA_LIST[k] * d, 0.0) if tries is None else tries[k]
+            h_try = problem.residuals_scaled(x_try)
+            phi_try = problem.phi(x_try, lam, sigma, h_try)
+            if phi_try < phi:
+                x_new, h_new, phi_new = x_try, h_try, phi_try
+                k_before, k_last = k_last, k
                 break
+        if x_new is None:                  # cannot decrease: numerically stationary
+            converged, reason = True, "stall"
+            break
         x, h, phi = x_new, h_new, phi_new
         steps += 1
 
     return problem.to_physical(x), InnerInfo(
         steps=steps, converged=converged, reason=reason,
-        phi_start=phi_start, phi_end=phi, monotone=monotone, grad_norm=gnorm,
+        phi_start=phi_start, phi_end=phi, grad_norm=gnorm,
     )
 
 
@@ -381,7 +361,6 @@ class CycleRecord:
     energy_j: float
     inner_steps: int
     inner_reason: str
-    monotone: bool
 
 
 @dataclass(frozen=True)
@@ -397,13 +376,12 @@ class SolveResult:
     lam_hat: np.ndarray            # first-order multiplier estimate lam - 2*sigma*h
     sigma: float
     history: tuple[CycleRecord, ...] = field(repr=False, default=())
-    monotone: bool = True
 
 
 def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
           init: AllocationMatrix | None = None, d_min: float | None = None,
-          options: SolverOptions | None = None, table: GainTable | None = None,
-          budget_mode: str = "cap") -> tuple[AllocationMatrix, SolveResult]:
+          options: SolverOptions | None = None,
+          table: GainTable | None = None) -> tuple[AllocationMatrix, SolveResult]:
     """Run the full multiplier-penalty loop and return the best allocation.
 
     Raises :class:`InfeasibleDataFloor` when the floor exceeds the data the
@@ -439,17 +417,15 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
             "at the full per-segment budget"
         )
 
-    problem = Problem(cfg, sched, d_min, table, budget_mode=budget_mode)
+    problem = Problem(cfg, sched, d_min, table)
     current = avg if init is None else init
     history: list[CycleRecord] = []
     h_prev = None
     best = None   # (hinf, energy, alloc, lam_hat, sigma)
-    monotone = True
 
     cycles = 0
     while cycles <= options.n_max:
         current, info = inner_descent(problem, current, state.lam, state.sigma, options)
-        monotone = monotone and info.monotone
         x = problem.to_scaled(current.p)
         h_now = problem.residuals_scaled(x)
         hinf = _linf(h_now)
@@ -457,7 +433,6 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
         history.append(CycleRecord(
             cycle=cycles, h_inf=hinf, sigma=state.sigma, phi=info.phi_end,
             energy_j=energy, inner_steps=info.steps, inner_reason=info.reason,
-            monotone=info.monotone,
         ))
         lam_hat = state.lam - 2.0 * state.sigma * h_now
         # feasible-enough iterates compete on energy, infeasible ones on residual
@@ -491,7 +466,6 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
         lam_hat=lam_hat,
         sigma=sigma,
         history=tuple(history),
-        monotone=monotone,
     )
     return alloc, result
 

@@ -30,10 +30,15 @@ def test_run_command(tmp_path, capsys):
 
 
 def test_config_error_exit_code(tmp_path, capsys):
-    bad = write_cfg(tmp_path, "m = 4\nv_kmh = 300\npt_dbm = 40\n")   # missing d_l
-    code = main(["--outdir", str(tmp_path), "run", bad])
-    assert code == 2
-    assert "d_l" in capsys.readouterr().err
+    # a missing key, a negative cycle cap, an empty inner loop
+    for text, needle in (("m = 4\nv_kmh = 300\npt_dbm = 40\n", "d_l"),
+                         (REF_CONFIG + "solver_n_max = -1\n", "n_max >= 0"),
+                         (REF_CONFIG + "solver_inner_cap = 0\n", "inner_cap >= 1")):
+        bad = write_cfg(tmp_path, text)
+        code = main(["--outdir", str(tmp_path), "run", bad])
+        assert code == 2, text
+        assert needle in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
 
 
 def test_missing_file_exit_code(tmp_path, capsys):
@@ -76,6 +81,15 @@ def test_mc_velocity_command(tmp_path, capsys):
     kinds = {r["kind"] for r in rows}
     assert kinds == {"trial", "mean"}
     assert len([r for r in rows if r["kind"] == "trial"]) == 2 * 2 * 2
+
+
+def test_mc_velocity_rejects_negative_sigma(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    code = main(["--outdir", str(tmp_path), "mc-velocity", cfg,
+                 "--sigmas", "0,-2", "--trials", "1"])
+    assert code == EXIT_CONFIG
+    assert "-2" in capsys.readouterr().err
+    assert not (tmp_path / "mc_velocity.csv").exists()
 
 
 def test_sweep_rejects_fractional_relay_count(tmp_path, capsys):

@@ -47,9 +47,12 @@ def test_missing_required_key_is_named():
 
 
 def test_unknown_key_reports_line_number():
-    text = "m=4\nd_l=200\nv_kmh=300\npt_dbm=40\nbogus_key=1\n"
-    with pytest.raises(ConfigError, match=r":5: unknown key 'bogus_key'"):
-        parse_config_text(text, path="scenario.cfg")
+    # solver_alpha included: the inner loop always backtracks, so a fixed
+    # stepsize is not a setting
+    for key in ("bogus_key", "solver_alpha"):
+        text = f"m=4\nd_l=200\nv_kmh=300\npt_dbm=40\n{key}=0.05\n"
+        with pytest.raises(ConfigError, match=rf":5: unknown key '{key}'"):
+            parse_config_text(text, path="scenario.cfg")
 
 
 def test_bad_value_reports_line_number():
@@ -83,17 +86,18 @@ def test_invalid_geometry_surfaces_as_config_error():
 
 def test_solver_keys():
     cfg, options = parse_config_text(
-        MINIMAL + "solver_eps = 1e-5\nsolver_n_max = 50\nsolver_sigma0 = 2\n"
-                  "solver_alpha = 0.05\n")
+        MINIMAL + "solver_eps = 1e-5\nsolver_n_max = 50\nsolver_sigma0 = 2\n")
     # every solver_* key lands on its SolverOptions field, the rest keep defaults
-    assert options.solver == SolverOptions(eps=1e-5, n_max=50, sigma0=2.0,
-                                           alpha_step=0.05)   # fixed inner stepsize
+    assert options.solver == SolverOptions(eps=1e-5, n_max=50, sigma0=2.0)
     _, options = parse_config_text(MINIMAL + "solver_growth = 3\nsolver_inner_cap = 700\n")
     assert (options.solver.growth, options.solver.inner_cap) == (3.0, 700)
     assert parse_config_text(MINIMAL)[1].solver == SolverOptions()
     # SolverOptions validates, and a bad setting is a config error
     with pytest.raises(ConfigError, match="growth"):
         parse_config_text(MINIMAL + "solver_growth = 1\n")
+    for bad in ("solver_n_max = -1", "solver_inner_cap = 0", "solver_inner_cap = -5"):
+        with pytest.raises(ConfigError, match="n_max >= 0, inner_cap >= 1"):
+            parse_config_text(MINIMAL + bad + "\n")
 
 
 def test_load_config_missing_file(tmp_path):

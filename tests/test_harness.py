@@ -97,6 +97,8 @@ def test_sweep_spec_validation():
         with pytest.raises(ValueError, match=">= 1"):
             SweepSpec(param="M", values=(2, count))
     assert SweepSpec(param="M", values=(2.0, 3)).values == (2.0, 3)
+    with pytest.raises(ValueError, match="sigma_v values must be >= 0, got -2.0"):
+        SweepSpec(param="sigma_v", values=(0.0, -2.0))
 
 
 def test_sweep_records_failed_points(options):

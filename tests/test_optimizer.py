@@ -45,25 +45,21 @@ def test_data_floor_policy(ref_cfg, ref_sched, ref_table):
 
 # ------------------------------------------------------------------ residuals
 
-BUDGET_MODES = ("cap", "equality")
-
-
 def test_constraint_residuals(ref_cfg, ref_sched, ref_table):
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     avg = average_alloc(ref_cfg, ref_sched)
     zero = AllocationMatrix.zeros(ref_cfg)
-    for mode in BUDGET_MODES:
-        problem = Problem(ref_cfg, ref_sched, d_min, ref_table, budget_mode=mode)
-        h = problem.residuals_scaled(problem.to_scaled(avg.p))
-        assert len(h) == 2 * ref_cfg.num_relays + ref_cfg.num_bins - 1
-        assert_allclose(h[1:], 0.0, atol=1e-12)   # the average scheme spends the budget
-        assert h[0] > 0                            # and overshoots an 80% floor
+    problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
+    h = problem.residuals_scaled(problem.to_scaled(avg.p))
+    assert len(h) == 2 * ref_cfg.num_relays + ref_cfg.num_bins - 1
+    assert_allclose(h[1:], 0.0, atol=1e-12)   # the average scheme spends the budget
+    assert h[0] > 0                            # and overshoots an 80% floor
 
-        # the zero allocation misses the floor by all of it; its budget rows
-        # are signed in the literal equality form and clipped at the cap
-        h0 = problem.residuals_scaled(problem.to_scaled(zero.p))
-        assert h0[0] == -1.0
-        assert np.all(h0[1:] == (-1.0 if mode == "equality" else 0.0)), mode
+    # the zero allocation misses the floor by all of it; its budget rows
+    # are clipped at the cap
+    h0 = problem.residuals_scaled(problem.to_scaled(zero.p))
+    assert h0[0] == -1.0
+    assert np.all(h0[1:] == 0.0)
 
 
 def test_converged_run_meets_scaled_tolerance(ref_solution):
@@ -82,43 +78,38 @@ def test_augmented_lagrangian_reductions(ref_cfg, ref_sched, ref_table):
     zeros = np.zeros(ref_cfg.num_segments + 1)
     lam = np.linspace(-2.0, 2.0, len(zeros))
     energy = total_energy(avg, ref_sched) / (ref_sched.total_time * ref_cfg.p_t)
-    for mode in BUDGET_MODES:
-        problem = Problem(ref_cfg, ref_sched, d_min, ref_table, budget_mode=mode)
-        x = problem.to_scaled(avg.p)
-        assert_allclose(problem.phi(x, zeros, 0.0), energy, rtol=1e-12)
+    problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
+    x = problem.to_scaled(avg.p)
+    assert_allclose(problem.phi(x, zeros, 0.0), energy, rtol=1e-12)
 
-        # a feasible point keeps phi equal to the energy for any multipliers
-        at_avg = Problem(ref_cfg, ref_sched, d_avg, ref_table, budget_mode=mode)
-        assert_allclose(at_avg.phi(x, lam, 3.0), energy, rtol=1e-9)
+    # a feasible point keeps phi equal to the energy for any multipliers
+    at_avg = Problem(ref_cfg, ref_sched, d_avg, ref_table)
+    assert_allclose(at_avg.phi(x, lam, 3.0), energy, rtol=1e-9)
 
-        # growing the penalty at a fixed infeasible point raises phi
-        half = 0.5 * x
-        assert problem.phi(half, zeros, 2.0) > problem.phi(half, zeros, 1.0)
+    # growing the penalty at a fixed infeasible point raises phi
+    half = 0.5 * x
+    assert problem.phi(half, zeros, 2.0) > problem.phi(half, zeros, 1.0)
 
-        # passed-in residuals give the same value, bit for bit
-        h = problem.residuals_scaled(half)
-        assert problem.phi(half, lam, 3.0, h) == problem.phi(half, lam, 3.0)
+    # passed-in residuals give the same value, bit for bit
+    h = problem.residuals_scaled(half)
+    assert problem.phi(half, lam, 3.0, h) == problem.phi(half, lam, 3.0)
 
 
 def test_grad_augmented_lagrangian_structure(ref_cfg, ref_sched, ref_table):
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     avg = average_alloc(ref_cfg, ref_sched)
-    for mode in BUDGET_MODES:
-        problem = Problem(ref_cfg, ref_sched, d_min, ref_table, budget_mode=mode)
-        g = problem.grad_phi(problem.to_scaled(avg.p), np.zeros(ref_cfg.num_segments + 1),
-                             0.0)
-        # with no multipliers and no penalty only the energy term remains
-        expected = np.where(problem.mask, problem.t_norm[None, :], 0.0)
-        assert_allclose(g, expected, rtol=1e-12)
-        assert np.all(g[~problem.mask] == 0.0)
+    problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
+    g = problem.grad_phi(problem.to_scaled(avg.p), np.zeros(ref_cfg.num_segments + 1), 0.0)
+    # with no multipliers and no penalty only the energy term remains
+    expected = np.where(problem.mask, problem.t_norm[None, :], 0.0)
+    assert_allclose(g, expected, rtol=1e-12)
+    assert np.all(g[~problem.mask] == 0.0)
 
 
-@pytest.mark.parametrize("mode", BUDGET_MODES)
-def test_scaled_problem_gradient_finite_differences(ref_cfg, ref_sched, ref_table, rng,
-                                                    mode):
+def test_scaled_problem_gradient_finite_differences(ref_cfg, ref_sched, ref_table, rng):
     # the solver's scaled merit function must match its analytic gradient too
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
-    problem = Problem(ref_cfg, ref_sched, d_min, ref_table, budget_mode=mode)
+    problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
     mask = activity_mask(ref_cfg)
     step = 1e-6
     for trial in range(20):
@@ -154,18 +145,7 @@ def test_inner_descent_monotone(ref_cfg, ref_sched, ref_table):
     state = MultiplierState.initial(ref_cfg, options)
     avg = average_alloc(ref_cfg, ref_sched)
     out, info = inner_descent(problem, avg, state.lam, state.sigma, options)
-    assert info.monotone
     assert info.phi_end <= info.phi_start
-
-
-def test_inner_descent_fixed_stepsize_option(ref_cfg, ref_sched, ref_table):
-    d_min = data_floor(ref_cfg, ref_sched, ref_table)
-    problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
-    options = SolverOptions(alpha_step=0.05, inner_cap=200)
-    state = MultiplierState.initial(ref_cfg, options)
-    avg = average_alloc(ref_cfg, ref_sched)
-    out, info = inner_descent(problem, avg, state.lam, state.sigma, options)
-    assert info.phi_end < info.phi_start
 
 
 def test_inner_descent_cap_flags_not_raises(ref_cfg, ref_sched, ref_table):
@@ -253,8 +233,9 @@ def _state(**kw):
 
 def test_solver_options_validation():
     assert SolverOptions() == SolverOptions(sigma0=1.0, growth=4.0, eps=1e-4,
-                                            alpha_step=None, n_max=100, inner_cap=5000)
-    for bad in ({"sigma0": 0.0}, {"growth": 1.0}, {"eps": 0.0}):
+                                            n_max=100, inner_cap=5000)
+    for bad in ({"sigma0": 0.0}, {"growth": 1.0}, {"eps": 0.0}, {"n_max": -1},
+                {"inner_cap": 0}, {"inner_cap": -5}):
         with pytest.raises(ValueError):
             SolverOptions(**bad)
     assert MultiplierState.initial(reference_config(), SolverOptions(sigma0=3.0)).sigma == 3.0
@@ -319,7 +300,6 @@ def test_solve_reference_contract(ref_cfg, ref_sched, ref_table, ref_solution):
     assert abs(res.data_bits - d_min) <= 1e-3 * d_min
     assert np.all(alloc.column_sums() <= ref_cfg.p_t * (1 + 1e-6))
     assert validate_alloc(alloc, ref_cfg, ref_sched, tol=1e-6 * ref_cfg.p_t) == []
-    assert res.monotone
     sigmas = [rec.sigma for rec in res.history]
     assert np.all(np.diff(sigmas) >= 0)
 
@@ -425,15 +405,6 @@ def test_solve_tiny_instance_not_worse_than_grid(tiny):
                 best = min(best, e)
 
     assert res.energy_j <= best * 1.02
-
-
-def test_solve_equality_mode_pins_budget(tiny):
-    # the literal equality formulation forces every column to the budget
-    cfg, sched, table = tiny
-    d_min = data_floor(cfg, sched, table)
-    alloc, res = solve(cfg, sched, d_min=d_min, table=table, budget_mode="equality")
-    assert_allclose(alloc.column_sums(), cfg.p_t, rtol=2e-3)
-    assert_allclose(res.energy_j, cfg.p_t * sched.total_time, rtol=2e-3)
 
 
 def test_scaled_problem_gradient_with_active_caps(ref_cfg, ref_sched, ref_table, rng):
@@ -552,7 +523,7 @@ def plain_inner_descent(problem, p0, lam, sigma, options):
     """Reference oracle: halve from alpha = 1 and evaluate every candidate."""
     x = np.maximum(problem.to_scaled(p0.p), 0.0)
     phi = problem.phi(x, lam, sigma)
-    phi_start, monotone, steps = phi, True, 0
+    phi_start, steps = phi, 0
     converged, reason, gnorm = False, "cap", math.inf
     while steps < options.inner_cap:
         d = -problem.grad_phi(x, lam, sigma)
@@ -561,27 +532,22 @@ def plain_inner_descent(problem, p0, lam, sigma, options):
         if gnorm <= options.eps:
             converged, reason = True, "gradient"
             break
-        if options.alpha_step is not None:
-            x_new = np.maximum(x + options.alpha_step * d, 0.0)
-            phi_new = problem.phi(x_new, lam, sigma)
-            monotone = monotone and not phi_new > phi
-        else:
-            alpha, phi_new, x_new = 1.0, None, None
-            for _ in range(60):
-                x_try = np.maximum(x + alpha * d, 0.0)
-                phi_try = problem.phi(x_try, lam, sigma)
-                if phi_try < phi:
-                    x_new, phi_new = x_try, phi_try
-                    break
-                alpha *= 0.5
-            if x_new is None:
-                converged, reason = True, "stall"
+        alpha, phi_new, x_new = 1.0, None, None
+        for _ in range(60):
+            x_try = np.maximum(x + alpha * d, 0.0)
+            phi_try = problem.phi(x_try, lam, sigma)
+            if phi_try < phi:
+                x_new, phi_new = x_try, phi_try
                 break
+            alpha *= 0.5
+        if x_new is None:
+            converged, reason = True, "stall"
+            break
         x, phi = x_new, phi_new
         steps += 1
     return problem.to_physical(x), InnerInfo(
         steps=steps, converged=converged, reason=reason, phi_start=phi_start,
-        phi_end=phi, monotone=monotone, grad_norm=gnorm)
+        phi_end=phi, grad_norm=gnorm)
 
 
 def test_inner_descent_one_data_pass_per_merit_evaluation(monkeypatch):
@@ -613,7 +579,7 @@ def test_inner_descent_one_data_pass_per_merit_evaluation(monkeypatch):
         assert c["data"] == c["phi"] >= c["steps"] + 1, c
 
 
-def _solve_both(monkeypatch, cfg, **kw):
+def _solve_both(monkeypatch, cfg):
     """Solve with the screened and with the plain line search; count merit
     evaluations and screened-out candidates of the screened solve."""
     sched = segment_boundaries(cfg)
@@ -632,10 +598,10 @@ def _solve_both(monkeypatch, cfg, **kw):
     with monkeypatch.context() as m:
         m.setattr(Problem, "phi", counted_phi)
         m.setattr(Problem, "screen_steps", counted_screen)
-        fast = solve(cfg, sched, **kw)
+        fast = solve(cfg, sched)
     with monkeypatch.context() as m:
         m.setattr(optimizer, "inner_descent", plain_inner_descent)
-        plain = solve(cfg, sched, **kw)
+        plain = solve(cfg, sched)
     return fast, plain, counts
 
 
@@ -659,28 +625,18 @@ def test_screened_solve_matches_plain_backtracking(monkeypatch, rho, m):
         assert counts["screened"] > 0 and counts["phi"] < 1.5 * steps
 
 
-def test_screened_solve_matches_plain_in_equality_mode(monkeypatch, tiny):
-    cfg, sched, table = tiny
-    fast, plain, counts = _solve_both(monkeypatch, cfg, budget_mode="equality")
-    _assert_same_solve(fast, plain)
-    assert counts["screened"] > 0
-
-
 @pytest.fixture(scope="module")
-def screen_problems(tiny):
+def screen_problem(tiny):
     cfg, sched, table = tiny
-    d_min = data_floor(cfg, sched, table)
-    return {mode: Problem(cfg, sched, d_min, table, budget_mode=mode)
-            for mode in ("cap", "equality")}
+    return Problem(cfg, sched, data_floor(cfg, sched, table), table)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), log_sigma=st.floats(-1.0, 6.0),
-       mode=st.sampled_from(["cap", "equality"]), ulps=st.integers(-4, 4),
-       use_gradient=st.booleans())
-def test_screen_never_rejects_a_decrease(screen_problems, seed, log_sigma, mode, ulps,
+       ulps=st.integers(-4, 4), use_gradient=st.booleans())
+def test_screen_never_rejects_a_decrease(screen_problem, seed, log_sigma, ulps,
                                          use_gradient):
-    problem = screen_problems[mode]
+    problem = screen_problem
     rng = np.random.default_rng(seed)
     shape = problem.mask.shape
     x = np.where(problem.mask & (rng.random(shape) < 0.85),
