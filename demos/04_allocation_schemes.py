@@ -9,12 +9,13 @@ farthest from the radio head gets the most power.
 
 import numpy as np
 
-from railpower import (ChannelSnapshot, average_alloc, compute_metrics, constant_alloc,
-                       csi_alloc, random_alloc, reference_config, segment_boundaries,
-                       validate_alloc)
+from railpower import (ChannelSnapshot, average_alloc, build_gain_table, compute_metrics,
+                       constant_alloc, csi_alloc, random_alloc, reference_config,
+                       segment_boundaries, validate_alloc)
 
 cfg = reference_config()
 sched = segment_boundaries(cfg)
+table = build_gain_table(cfg, sched)
 rng = np.random.default_rng(cfg.seed)
 
 snap = ChannelSnapshot.from_scenario(cfg, sched)
@@ -37,7 +38,7 @@ for name, alloc in schemes.items():
 print("\nheadline metrics:")
 print(f"{'scheme':<10}{'E [J]':>8}{'D [Gbit]':>10}{'EE [Gbit/J]':>13}{'SE':>7}")
 for name, alloc in schemes.items():
-    m = compute_metrics(alloc, cfg, sched)
+    m = compute_metrics(alloc, cfg, sched, table)
     print(f"{name:<10}{m.energy_j:8.2f}{m.data_bits / 1e9:10.1f}"
           f"{m.ee_bits_per_j / 1e9:13.2f}{m.se_bits_per_s_per_hz:7.2f}")
 

@@ -11,14 +11,16 @@ two thirds against the constant scheme.
 
 import numpy as np
 
-from railpower import (average_alloc, constant_alloc, data_floor, kkt_residual,
-                       reference_config, segment_boundaries, solve, total_energy)
+from railpower import (average_alloc, build_gain_table, constant_alloc, data_floor,
+                       kkt_residual, reference_config, segment_boundaries, solve,
+                       total_energy)
 
 cfg = reference_config()
 sched = segment_boundaries(cfg)
-d_min = data_floor(cfg, sched)
+table = build_gain_table(cfg, sched)
+d_min = data_floor(cfg, sched, table)
 
-alloc, res = solve(cfg, sched)
+alloc, res = solve(cfg, sched, table=table)
 print(f"data floor            : {d_min / 1e9:.1f} Gbit "
       f"(80% of the average scheme's delivery)")
 print(f"converged             : {res.converged} in {res.cycles} cycles")
@@ -27,7 +29,7 @@ print(f"delivered data        : {res.data_bits / 1e9:.1f} Gbit "
       f"(floor error {abs(res.data_bits - d_min) / d_min:.2e})")
 print(f"scaled residual norm  : {res.h_inf:.2e}")
 print(f"KKT residual          : "
-      f"{kkt_residual(alloc, res.lam_hat, cfg, sched, d_min):.2e}")
+      f"{kkt_residual(alloc, res.lam_hat, cfg, sched, d_min, table):.2e}")
 
 print("\nconvergence history:")
 print("cycle   ||h||_inf      sigma   energy [J]  inner steps")

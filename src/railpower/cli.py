@@ -14,7 +14,7 @@ import sys
 
 from .configio import ConfigError, load_config
 from .harness import (SWEEP_PARAMS, SweepSpec, emit_plot_data,
-                      monte_carlo_velocity_error, run_point, sweep, write_csv)
+                      monte_carlo_velocity_error, run_scenario, sweep, write_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -28,8 +28,12 @@ def _parse_values(text: str) -> tuple[float, ...]:
         raise ConfigError(f"cannot parse value list {text!r}")
 
 
+def _out_dir(args) -> str:
+    return args.outdir or os.environ.get("RAILPOWER_OUTDIR", ".")
+
+
 def _out_path(args, name: str) -> str:
-    out_dir = args.outdir or os.environ.get("RAILPOWER_OUTDIR", ".")
+    out_dir = _out_dir(args)
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, name)
 
@@ -87,15 +91,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            import numpy as np
-
-            cfg, options = load_config(args.config)
-            records = run_point(cfg, options, np.random.SeedSequence((cfg.seed, 0, 0)))
-            return _finish(records, args, "run.csv")
+            return _finish(run_scenario(args.config), args, "run.csv")
         if args.command == "sweep":
             cfg, options = load_config(args.config)
             spec = SweepSpec(param=args.param, values=_parse_values(args.values),
-                             schemes=options.schemes, trials=args.trials)
+                             trials=args.trials)
             records = sweep(cfg, options, spec, workers=args.workers)
             return _finish(records, args, f"sweep_{args.param}.csv")
         if args.command == "mc-velocity":
@@ -105,8 +105,7 @@ def main(argv=None) -> int:
                 workers=args.workers)
             return _finish(records, args, "mc_velocity.csv")
         if args.command == "plot-data":
-            out_dir = args.outdir or os.environ.get("RAILPOWER_OUTDIR", ".")
-            for path in emit_plot_data(args.csv, args.figure, out_dir):
+            for path in emit_plot_data(args.csv, args.figure, _out_dir(args)):
                 print(path)
             return EXIT_OK
     except (ConfigError, ValueError, OSError) as exc:

@@ -3,8 +3,9 @@
 One `key = value` pair per line, `#` starts a comment, blank lines are
 ignored.  Keys mirror the usual symbol names; speed is given as exactly
 one of v_kmh / v_mps and the budget as exactly one of pt_dbm / pt_w, with
-conversion to SI units happening here, once.  Unknown keys are rejected
-so typos fail loudly, and every error names the offending line.
+conversion to SI units happening here, once: :data:`KEYS` declares every
+key with the parser from its unit and the field it sets.  Unknown keys are
+rejected so typos fail loudly, and every error names the offending line.
 """
 
 from __future__ import annotations
@@ -19,21 +20,52 @@ SCHEMES = ("constant", "random", "average", "csi", "optimized")
 
 REQUIRED = ("m", "d_l")
 
-_FLOAT_KEYS = {
-    "d0", "d_l", "d_mr", "v_kmh", "v_mps", "pt_dbm", "pt_w",
-    "bandwidth_hz", "noise_figure_db", "pathloss_exp", "wavelength_m",
-    "shadowing_db", "theta_3db_deg", "rician_k_db", "rho", "d_min_bits",
-    "csi_alpha", "solver_sigma0", "solver_growth", "solver_eps", "sigma_v",
-}
-_INT_KEYS = {"m", "n", "seed", "quad_n", "solver_n_max", "solver_inner_cap", "trials"}
-_BOOL_KEYS = {"bandwidth_factor", "fading"}
-_LIST_KEYS = {"schemes"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _LIST_KEYS
+# Where a key's parsed value goes: a ScenarioConfig field, a SolverOptions
+# field, or a HarnessOptions field (the scheme list).
+SCENARIO, SOLVER, HARNESS = "scenario", "solver", "harness"
 
-# config key -> SolverOptions field
-_SOLVER_KEYS = {
-    "solver_sigma0": "sigma0", "solver_growth": "growth", "solver_eps": "eps",
-    "solver_n_max": "n_max", "solver_inner_cap": "inner_cap",
+
+def _bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"not a boolean: {text!r}")
+    return text.lower() == "true"
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(","))
+
+
+# config key -> (parser from the key's user-facing unit, (target kind, field name))
+KEYS = {
+    "m": (int, (SCENARIO, "num_relays")),
+    "n": (int, (SCENARIO, "num_bins")),
+    "d0": (float, (SCENARIO, "d0")),
+    "d_l": (float, (SCENARIO, "d_l")),
+    "d_mr": (float, (SCENARIO, "d_mr")),
+    "v_kmh": (lambda kmh: float(kmh) * KMH_TO_MPS, (SCENARIO, "v")),
+    "v_mps": (float, (SCENARIO, "v")),
+    "pt_dbm": (lambda dbm: dbm_to_watts(float(dbm)), (SCENARIO, "p_t")),
+    "pt_w": (float, (SCENARIO, "p_t")),
+    "bandwidth_hz": (float, (SCENARIO, "bandwidth")),
+    "noise_figure_db": (float, (SCENARIO, "noise_figure")),
+    "pathloss_exp": (float, (SCENARIO, "pathloss_exp")),
+    "wavelength_m": (float, (SCENARIO, "wavelength")),
+    "shadowing_db": (float, (SCENARIO, "shadowing")),
+    "theta_3db_deg": (float, (SCENARIO, "theta_3db")),
+    "rician_k_db": (float, (SCENARIO, "rician_k")),
+    "rho": (float, (SCENARIO, "rho")),
+    "d_min_bits": (float, (SCENARIO, "d_min_bits")),
+    "seed": (int, (SCENARIO, "seed")),
+    "quad_n": (int, (SCENARIO, "quad_n")),
+    "bandwidth_factor": (_bool, (SCENARIO, "bandwidth_factor")),
+    "csi_alpha": (float, (SCENARIO, "csi_alpha")),
+    "fading": (_bool, (SCENARIO, "fading")),
+    "solver_sigma0": (float, (SOLVER, "sigma0")),
+    "solver_growth": (float, (SOLVER, "growth")),
+    "solver_eps": (float, (SOLVER, "eps")),
+    "solver_n_max": (int, (SOLVER, "n_max")),
+    "solver_inner_cap": (int, (SOLVER, "inner_cap")),
+    "schemes": (_names, (HARNESS, "schemes")),
 }
 
 
@@ -54,6 +86,13 @@ class HarnessOptions:
     schemes: tuple[str, ...] = SCHEMES
     solver: SolverOptions = SolverOptions()
 
+    def __post_init__(self):
+        if not self.schemes:
+            raise ValueError("scheme list must not be empty")
+        for s in self.schemes:
+            if s not in SCHEMES:
+                raise ValueError(f"unknown scheme {s!r}; pick from {', '.join(SCHEMES)}")
+
 
 def parse_config_text(text: str, path: str = "<config>") -> tuple[ScenarioConfig, HarnessOptions]:
     raw: dict[str, str] = {}
@@ -66,7 +105,7 @@ def parse_config_text(text: str, path: str = "<config>") -> tuple[ScenarioConfig
             raise ConfigError(f"expected 'key = value', got {stripped!r}", path, lineno)
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"unknown key {key!r}", path, lineno)
         if key in raw:
             raise ConfigError(f"duplicate key {key!r}", path, lineno)
@@ -75,71 +114,33 @@ def parse_config_text(text: str, path: str = "<config>") -> tuple[ScenarioConfig
         raw[key] = value
         lines[key] = lineno
 
-    def fail(key, msg):
-        raise ConfigError(msg, path, lines.get(key))
-
-    values: dict[str, object] = {}
+    kwargs: dict[str, dict] = {SCENARIO: {}, SOLVER: {}, HARNESS: {}}
     for key, value in raw.items():
+        parse, (kind, name) = KEYS[key]
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _BOOL_KEYS:
-                if value.lower() not in ("true", "false"):
-                    raise ValueError
-                values[key] = value.lower() == "true"
-            else:
-                values[key] = tuple(s.strip() for s in value.split(","))
-        except ValueError:
-            fail(key, f"cannot parse value {value!r} for key {key!r}")
+            kwargs[kind][name] = parse(value)
+        except (ValueError, OverflowError):
+            raise ConfigError(f"cannot parse value {value!r} for key {key!r}",
+                              path, lines[key]) from None
 
     for key in REQUIRED:
-        if key not in values:
+        if key not in raw:
             raise ConfigError(f"missing required key {key!r}", path)
-    if ("v_kmh" in values) == ("v_mps" in values):
-        raise ConfigError("give the speed as exactly one of v_kmh or v_mps", path)
-    if ("pt_dbm" in values) == ("pt_w" in values):
-        raise ConfigError("give the budget as exactly one of pt_dbm or pt_w", path)
-    if "rho" in values and "d_min_bits" in values:
+    for what, keys in (("speed", ("v_kmh", "v_mps")), ("budget", ("pt_dbm", "pt_w"))):
+        if sum(k in raw for k in keys) != 1:
+            raise ConfigError(f"give the {what} as exactly one of {' or '.join(keys)}", path)
+    if "rho" in raw and "d_min_bits" in raw:
         raise ConfigError("rho and d_min_bits are mutually exclusive", path)
 
-    v = values["v_kmh"] * KMH_TO_MPS if "v_kmh" in values else values["v_mps"]
-    p_t = dbm_to_watts(values["pt_dbm"]) if "pt_dbm" in values else values["pt_w"]
-
-    cfg_kwargs = dict(v=v, p_t=p_t, num_relays=values["m"], d_l=values["d_l"])
-    optional = {
-        "d0": "d0", "d_mr": "d_mr", "n": "num_bins",
-        "bandwidth_hz": "bandwidth", "noise_figure_db": "noise_figure",
-        "pathloss_exp": "pathloss_exp", "wavelength_m": "wavelength",
-        "shadowing_db": "shadowing", "theta_3db_deg": "theta_3db",
-        "rician_k_db": "rician_k", "rho": "rho", "d_min_bits": "d_min_bits",
-        "seed": "seed", "quad_n": "quad_n", "bandwidth_factor": "bandwidth_factor",
-        "csi_alpha": "csi_alpha", "fading": "fading",
-    }
-    for key, field_name in optional.items():
-        if key in values:
-            cfg_kwargs[field_name] = values[key]
     try:
-        cfg = ScenarioConfig(**cfg_kwargs)
+        cfg = ScenarioConfig(**kwargs[SCENARIO])
+        solver = SolverOptions(**kwargs[SOLVER])
     except ValueError as exc:
         raise ConfigError(str(exc), path) from exc
-
     try:
-        solver = SolverOptions(**{name: values[key] for key, name in _SOLVER_KEYS.items()
-                                  if key in values})
+        options = HarnessOptions(solver=solver, **kwargs[HARNESS])
     except ValueError as exc:
-        raise ConfigError(str(exc), path) from exc
-    opt_kwargs = {"solver": solver}
-    if "schemes" in values:
-        schemes = values["schemes"]
-        if not schemes or schemes == ("",):
-            raise ConfigError("scheme list must not be empty", path, lines["schemes"])
-        for s in schemes:
-            if s not in SCHEMES:
-                fail("schemes", f"unknown scheme {s!r}; pick from {', '.join(SCHEMES)}")
-        opt_kwargs["schemes"] = schemes
-    options = HarnessOptions(**opt_kwargs)
+        raise ConfigError(str(exc), path, lines["schemes"]) from exc
     return cfg, options
 
 

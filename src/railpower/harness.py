@@ -26,15 +26,16 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import allocators, metrics, optimizer
-from .configio import SCHEMES, HarnessOptions, load_config, scenario_hash
-from .scenario import KMH_TO_MPS, ScenarioConfig, dbm_to_watts, segment_boundaries
+from .configio import KEYS, SCHEMES, HarnessOptions, load_config, scenario_hash
+from .scenario import ScenarioConfig, segment_boundaries
 
 CSV_VERSION = "railpower csv v1"
 CSV_COLUMNS = (
@@ -46,14 +47,9 @@ CSV_COLUMNS = (
 
 SWEEP_PARAMS = ("M", "d_l", "v", "P_T", "sigma_v")
 
-# swept parameter -> (ScenarioConfig field, conversion from its user-facing unit);
-# sigma_v is handled by the velocity-error pathway
-_SWEEP_FIELDS = {
-    "M": ("num_relays", int),
-    "d_l": ("d_l", float),
-    "v": ("v", lambda kmh: float(kmh) * KMH_TO_MPS),
-    "P_T": ("p_t", lambda dbm: dbm_to_watts(float(dbm))),
-}
+# swept parameter -> the config key whose parser converts a value from the
+# parameter's user-facing unit; sigma_v is handled by the velocity-error pathway
+_SWEEP_FIELDS = {"M": "m", "d_l": "d_l", "v": "v_kmh", "P_T": "pt_dbm"}
 
 NAN = float("nan")
 
@@ -92,9 +88,7 @@ class SweepSpec:
 
     param: str
     values: tuple[float, ...]
-    schemes: tuple[str, ...] = SCHEMES
     trials: int = 1
-    seed: int | None = None    # defaults to the scenario seed
 
     def __post_init__(self):
         if self.param not in SWEEP_PARAMS:
@@ -102,29 +96,28 @@ class SweepSpec:
                              f"pick from {', '.join(SWEEP_PARAMS)}")
         if not self.values:
             raise ValueError("sweep needs a nonempty value list")
-        if self.param == "M":
-            for v in self.values:
-                if not float(v).is_integer() or v < 1:
-                    raise ValueError(f"M values must be whole relay counts >= 1, got {v!r}")
+        for v in self.values:
+            if not math.isfinite(v):
+                raise ValueError(f"{self.param} values must be finite, got {v!r}")
+            if self.param == "M" and (not float(v).is_integer() or v < 1):
+                raise ValueError(f"M values must be whole relay counts >= 1, got {v!r}")
         if self.param == "sigma_v" and min(self.values) < 0:
             raise ValueError(f"sigma_v values must be >= 0, got {min(self.values)!r}")
-        if not self.schemes:
-            raise ValueError("sweep needs at least one scheme")
-        for s in self.schemes:
-            if s not in SCHEMES:
-                raise ValueError(f"unknown scheme {s!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
 
+def _swept_field(param: str, value: float) -> dict:
+    """``{ScenarioConfig field: value}`` for a swept value in user-facing units."""
+    if param not in _SWEEP_FIELDS:
+        raise ValueError(f"sweep parameter {param!r} sets no scenario field")
+    parse, (_, name) = KEYS[_SWEEP_FIELDS[param]]
+    return {name: parse(value)}
+
+
 def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
     """Return cfg with the swept parameter replaced (user-facing units)."""
-    if param == "sigma_v":
-        return cfg
-    if param not in _SWEEP_FIELDS:
-        raise ValueError(f"unknown sweep parameter {param!r}")
-    name, convert = _SWEEP_FIELDS[param]
-    return cfg.with_(**{name: convert(value)})
+    return cfg.with_(**_swept_field(param, value))
 
 
 def _scenario_columns(cfg: ScenarioConfig, param: str = "", value: float = NAN) -> dict:
@@ -132,8 +125,7 @@ def _scenario_columns(cfg: ScenarioConfig, param: str = "", value: float = NAN) 
     ``param`` replaces its field, converted as :func:`apply_sweep_value` does."""
     fields = vars(cfg)
     if param in _SWEEP_FIELDS:
-        name, convert = _SWEEP_FIELDS[param]
-        fields = {**fields, name: convert(value)}
+        fields = {**fields, **_swept_field(param, value)}
     return dict(m=fields["num_relays"], n=fields["num_bins"], d_l=fields["d_l"],
                 v_mps=fields["v"], pt_w=fields["p_t"])
 
@@ -204,12 +196,10 @@ def run_point(plan_cfg: ScenarioConfig, options: HarnessOptions,
                 snap = allocators.ChannelSnapshot.from_scenario(
                     plan_cfg, plan_sched, rng_csi if plan_cfg.fading else None)
                 alloc = allocators.csi_alloc(plan_cfg, plan_sched, snap)
-            elif scheme == "optimized":
+            else:   # "optimized": HarnessOptions admits no other name
                 alloc, diag = optimizer.solve(plan_cfg, plan_sched, d_min=d_min_bits,
                                               options=options.solver, table=plan_table)
                 cycles, h_inf, converged = diag.cycles, diag.h_inf, diag.converged
-            else:
-                raise ValueError(f"unknown scheme {scheme!r}")
         except (optimizer.InfeasibleDataFloor, ValueError) as exc:
             records.append(_record(point, scheme, error=str(exc),
                                    wall_time_s=time.perf_counter() - start))
@@ -218,7 +208,7 @@ def run_point(plan_cfg: ScenarioConfig, options: HarnessOptions,
         records.append(_record(
             point, scheme, energy_j=rec.energy_j, data_bits=rec.data_bits,
             se=rec.se_bits_per_s_per_hz,
-            meets_floor=bool(rec.data_bits >= d_min_bits * (1.0 - 1e-3)),
+            meets_floor=bool(rec.data_bits >= d_min_bits * (1.0 - options.solver.eps)),
             converged=converged, cycles=cycles, h_inf=h_inf,
             wall_time_s=time.perf_counter() - start))
     return records
@@ -261,21 +251,19 @@ def _mean_records(rows: list[RunRecord]) -> list[RunRecord]:
 
 def _sweep_point(args):
     cfg, options, spec, idx, value, trial = args
-    seed = cfg.seed if spec.seed is None else spec.seed
-    seed_seq = np.random.SeedSequence((seed, idx, trial))
-    point_options = replace(options, schemes=spec.schemes)
+    seed_seq = np.random.SeedSequence((cfg.seed, idx, trial))
     if spec.param == "sigma_v":
-        return _velocity_error_point(cfg, point_options, float(value), trial, seed_seq)
+        return _velocity_error_point(cfg, options, float(value), trial, seed_seq)
     try:
         point_cfg = apply_sweep_value(cfg, spec.param, value)
-        return run_point(point_cfg, point_options, seed_seq, kind="trial",
+        return run_point(point_cfg, options, seed_seq, kind="trial",
                          param=spec.param, value=float(value), trial=trial)
     except ValueError as exc:
         # the failed point's rows show the swept value it failed on
         point = dict(kind="trial", param=spec.param, value=float(value), trial=trial,
                      scenario="", d_min_bits=NAN,
                      **_scenario_columns(cfg, spec.param, value))
-        return [_record(point, s, error=str(exc)) for s in spec.schemes]
+        return [_record(point, s, error=str(exc)) for s in options.schemes]
 
 
 def sweep(cfg: ScenarioConfig, options: HarnessOptions, spec: SweepSpec,
@@ -319,7 +307,7 @@ def monte_carlo_velocity_error(cfg: ScenarioConfig, options: HarnessOptions,
                                sigmas, trials: int, workers: int = 1) -> list[RunRecord]:
     """Velocity-error study: plan under v + |N(0, sigma^2)|, evaluate under v."""
     spec = SweepSpec(param="sigma_v", values=tuple(float(s) for s in sigmas),
-                     schemes=options.schemes, trials=trials)
+                     trials=trials)
     return sweep(cfg, options, spec, workers=workers)
 
 

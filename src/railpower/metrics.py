@@ -206,10 +206,7 @@ class MetricsRecord:
 
 
 def compute_metrics(alloc: AllocationMatrix, cfg: ScenarioConfig,
-                    sched: SegmentSchedule,
-                    table: GainTable | None = None) -> MetricsRecord:
-    if table is None:
-        table = build_gain_table(cfg, sched)
+                    sched: SegmentSchedule, table: GainTable) -> MetricsRecord:
     seg_e = sched.durations * alloc.column_sums()
     seg_d = table.segment_data_matrix(alloc.p).sum(axis=0)
     e = float(seg_e.sum())

@@ -140,13 +140,10 @@ class MultiplierState:
         return cls(lam=lam, sigma=options.sigma0)
 
 
-def data_floor(cfg: ScenarioConfig, sched: SegmentSchedule,
-               table: GainTable | None = None) -> float:
+def data_floor(cfg: ScenarioConfig, sched: SegmentSchedule, table: GainTable) -> float:
     """Data floor [bits]: explicit override, else rho times the average scheme's data."""
     if cfg.d_min_bits is not None:
         return float(cfg.d_min_bits)
-    if table is None:
-        table = build_gain_table(cfg, sched)
     return cfg.rho * table.total_data(average_alloc(cfg, sched).p)
 
 
@@ -435,17 +432,17 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
             energy_j=energy, inner_steps=info.steps, inner_reason=info.reason,
         ))
         lam_hat = state.lam - 2.0 * state.sigma * h_now
-        # feasible-enough iterates compete on energy, infeasible ones on residual
-        key = (0.0 if hinf <= options.eps else hinf, energy)
-        if best is None or key < (best[0], best[1]):
-            best = (*key, hinf, current, lam_hat, state.sigma)
+        # the first iterate within eps ends the loop (update_state tests the
+        # same value), so the lowest residual wins, energy breaking ties
+        if best is None or (hinf, energy) < best[:2]:
+            best = (hinf, energy, current, lam_hat, state.sigma)
         state = update_state(state, h_now, h_prev, options)
         if state.converged:
             break
         h_prev = h_now
         cycles += 1
 
-    _, _, hinf, alloc, lam_hat, sigma = best
+    hinf, _, alloc, lam_hat, sigma = best
     # guard against marginal overspend: scale any column above the budget back
     sums = alloc.column_sums()
     over = sums > cfg.p_t
@@ -471,8 +468,7 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
 
 
 def kkt_residual(alloc: AllocationMatrix, lam: np.ndarray, cfg: ScenarioConfig,
-                 sched: SegmentSchedule, d_min: float,
-                 table: GainTable | None = None) -> float:
+                 sched: SegmentSchedule, d_min: float, table: GainTable) -> float:
     """Inequality-form first-order optimality residual, in scaled units.
 
     ``lam`` follows the solver convention (data multiplier first, budget
@@ -481,8 +477,6 @@ def kkt_residual(alloc: AllocationMatrix, lam: np.ndarray, cfg: ScenarioConfig,
     violations (data floor, budget caps, nonnegativity), and any
     wrong-signed multiplier excess.
     """
-    if table is None:
-        table = build_gain_table(cfg, sched)
     problem = Problem(cfg, sched, d_min, table)
     x = problem.to_scaled(alloc.p)
     h0 = table.total_data(alloc.p) / d_min - 1.0

@@ -16,6 +16,7 @@ offset ``d0``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,6 +65,9 @@ class ScenarioConfig:
     fading: bool = False        # sample fading in evaluation/CSI snapshots
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.num_relays < 1 or self.num_bins < 1:
             raise ValueError("num_relays and num_bins must be >= 1")
         for name in ("d0", "d_l", "d_mr", "v", "p_t", "bandwidth", "wavelength"):

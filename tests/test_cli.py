@@ -30,10 +30,11 @@ def test_run_command(tmp_path, capsys):
 
 
 def test_config_error_exit_code(tmp_path, capsys):
-    # a missing key, a negative cycle cap, an empty inner loop
+    # a missing key, a negative cycle cap, an empty inner loop, a NaN cell
     for text, needle in (("m = 4\nv_kmh = 300\npt_dbm = 40\n", "d_l"),
                          (REF_CONFIG + "solver_n_max = -1\n", "n_max >= 0"),
-                         (REF_CONFIG + "solver_inner_cap = 0\n", "inner_cap >= 1")):
+                         (REF_CONFIG + "solver_inner_cap = 0\n", "inner_cap >= 1"),
+                         (REF_CONFIG.replace("d_l = 200", "d_l = nan"), "d_l must be finite")):
         bad = write_cfg(tmp_path, text)
         code = main(["--outdir", str(tmp_path), "run", bad])
         assert code == 2, text
@@ -116,3 +117,12 @@ def test_sweep_rejects_relay_counts_below_one(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert ">= 1" in capsys.readouterr().err
     assert not (tmp_path / "sweep_M.csv").exists()
+
+
+def test_sweep_rejects_non_finite_values(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    code = main(["--outdir", str(tmp_path), "sweep", cfg, "--param", "d_l",
+                 "--values", "200,nan"])
+    assert code == EXIT_CONFIG
+    assert "d_l values must be finite, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_d_l.csv").exists()

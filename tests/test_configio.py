@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import pytest
 from numpy.testing import assert_allclose
 
 from railpower import SolverOptions
-from railpower.configio import (ConfigError, load_config, parse_config_text,
+from railpower.configio import (SCHEMES, ConfigError, load_config, parse_config_text,
                                 scenario_hash)
 
 MINIMAL = """
@@ -48,8 +50,9 @@ def test_missing_required_key_is_named():
 
 def test_unknown_key_reports_line_number():
     # solver_alpha included: the inner loop always backtracks, so a fixed
-    # stepsize is not a setting
-    for key in ("bogus_key", "solver_alpha"):
+    # stepsize is not a setting; trials and sigma_v are study settings given
+    # on the command line, not scenario keys
+    for key in ("bogus_key", "solver_alpha", "trials", "sigma_v"):
         text = f"m=4\nd_l=200\nv_kmh=300\npt_dbm=40\n{key}=0.05\n"
         with pytest.raises(ConfigError, match=rf":5: unknown key '{key}'"):
             parse_config_text(text, path="scenario.cfg")
@@ -75,8 +78,9 @@ def test_floor_policy_keys_are_exclusive():
 def test_scheme_list_validation():
     cfg, options = parse_config_text(MINIMAL + "schemes = constant, optimized\n")
     assert options.schemes == ("constant", "optimized")
-    with pytest.raises(ConfigError, match="unknown scheme"):
-        parse_config_text(MINIMAL + "schemes = constant, waterfill\n")
+    # HarnessOptions rejects the name; the error still points at the line
+    with pytest.raises(ConfigError, match=r"x.cfg:7: unknown scheme 'waterfill'"):
+        parse_config_text(MINIMAL + "schemes = constant, waterfill\n", path="x.cfg")
 
 
 def test_invalid_geometry_surfaces_as_config_error():
@@ -118,3 +122,17 @@ def test_scenario_hash_stability():
     assert scenario_hash(cfg1) == scenario_hash(cfg2)
     cfg3, _ = parse_config_text(MINIMAL.replace("200", "220"))
     assert scenario_hash(cfg3) != scenario_hash(cfg1)
+
+
+def test_benchmark_scenarios_load():
+    # the benchmark's scenario files are inputs too: each must load, with the
+    # scheme list its workload expects
+    scenarios = Path(__file__).resolve().parents[1] / "bench" / "scenarios"
+    expected = {
+        "reference.cfg": SCHEMES,
+        "fading.cfg": ("constant", "random", "average", "csi"),
+        "doppler.cfg": SCHEMES,
+    }
+    assert sorted(p.name for p in scenarios.glob("*.cfg")) == sorted(expected)
+    for name, schemes in expected.items():
+        assert load_config(scenarios / name)[1].schemes == schemes, name

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from railpower import KMH_TO_MPS, harness, metrics, reference_config
+from railpower import (KMH_TO_MPS, allocators, harness, metrics, reference_config,
+                       segment_boundaries)
 from railpower.configio import SCHEMES, HarnessOptions
 from railpower.harness import (RunRecord, SweepSpec, draw_speed_error, emit_plot_data,
                                monte_carlo_velocity_error, read_csv_rows,
@@ -85,8 +88,10 @@ def test_sweep_row_counts(ref_cfg, options):
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(param="d_l", values=())
-    with pytest.raises(ValueError):
-        SweepSpec(param="d_l", values=(200,), schemes=())
+    with pytest.raises(ValueError, match="must not be empty"):
+        HarnessOptions(schemes=())      # the scheme list lives on the options
+    with pytest.raises(ValueError, match="unknown scheme 'waterfill'"):
+        HarnessOptions(schemes=("constant", "waterfill"))
     with pytest.raises(ValueError):
         SweepSpec(param="bogus", values=(1,))
     with pytest.raises(ValueError):
@@ -105,8 +110,8 @@ def test_sweep_records_failed_points(options):
     cfg = reference_config(d_l=130.0)
     # M = 6 needs 125 m of spacing, so planning succeeds, while M = 7 is
     # geometrically impossible and must surface as error rows
-    spec = SweepSpec(param="M", values=(4, 7), schemes=("constant", "optimized"))
-    rows = sweep(cfg, options, spec)
+    spec = SweepSpec(param="M", values=(4, 7))
+    rows = sweep(cfg, replace(options, schemes=("constant", "optimized")), spec)
     good = [r for r in rows if r.kind == "trial" and r.value == 4]
     bad = [r for r in rows if r.kind == "trial" and r.value == 7]
     assert all(not r.error for r in good)
@@ -121,8 +126,8 @@ def test_sweep_records_failed_points(options):
 ])
 def test_failed_sweep_rows_show_the_swept_value(ref_cfg, options, param, value, column,
                                                 expected):
-    spec = SweepSpec(param=param, values=(value,), schemes=("constant", "optimized"))
-    rows = sweep(ref_cfg, options, spec)
+    spec = SweepSpec(param=param, values=(value,))
+    rows = sweep(ref_cfg, replace(options, schemes=("constant", "optimized")), spec)
     assert len(rows) == 4 and all(r.error for r in rows)
     assert {r.kind for r in rows} == {"trial", "mean"}
     assert all(getattr(r, column) == expected for r in rows)
@@ -157,6 +162,18 @@ def test_gain_table_builds_per_run_point(monkeypatch, ref_cfg, options):
     assert count(run_point, ref_cfg.with_(fading=True), options, seq)[0] == 2
 
 
+def test_meets_floor_uses_the_solver_tolerance(ref_cfg, ref_table, options):
+    # a floor 5e-4 above what the average scheme delivers is missed by more
+    # than the solver's eps (1e-4), so the row must not claim the floor
+    d_avg = ref_table.total_data(allocators.average_alloc(
+        ref_cfg, segment_boundaries(ref_cfg)).p)
+    cfg = ref_cfg.with_(d_min_bits=d_avg * (1.0 + 5e-4))
+    recs = run_point(cfg, replace(options, schemes=("average",)), np.random.SeedSequence(0))
+    assert [r.scheme for r in recs] == ["average"]
+    assert_allclose(recs[0].data_bits, d_avg, rtol=1e-12)
+    assert not recs[0].meets_floor
+
+
 def test_run_point_surfaces_infeasible_floor(options):
     # an unreachable absolute floor fails only the solver row; the
     # baselines still run and are flagged as missing the floor
@@ -171,8 +188,8 @@ def test_run_point_surfaces_infeasible_floor(options):
 
 
 def test_sweep_trials_aggregate(ref_cfg, options):
-    spec = SweepSpec(param="d_l", values=(200.0,), schemes=("random",), trials=4)
-    rows = sweep(ref_cfg, options, spec)
+    spec = SweepSpec(param="d_l", values=(200.0,), trials=4)
+    rows = sweep(ref_cfg, replace(options, schemes=("random",)), spec)
     trials = [r for r in rows if r.kind == "trial"]
     means = [r for r in rows if r.kind == "mean"]
     assert len(trials) == 4 and len(means) == 1
@@ -183,7 +200,8 @@ def test_sweep_trials_aggregate(ref_cfg, options):
 
 
 def test_sweep_worker_pool_matches_serial(ref_cfg, options):
-    spec = SweepSpec(param="v", values=(280.0, 300.0), schemes=("constant", "average"))
+    spec = SweepSpec(param="v", values=(280.0, 300.0))
+    options = replace(options, schemes=("constant", "average"))
     serial = records_to_csv(sweep(ref_cfg, options, spec, workers=1))
     pooled = records_to_csv(sweep(ref_cfg, options, spec, workers=2))
     assert serial == pooled

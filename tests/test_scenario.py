@@ -147,3 +147,15 @@ def test_config_validation():
         ScenarioConfig(rho=1.5)
     with pytest.raises(ValueError):
         ScenarioConfig(quad_n=7)
+
+
+@pytest.mark.parametrize("field", ["d0", "d_l", "d_mr", "v", "p_t", "bandwidth",
+                                   "noise_figure", "pathloss_exp", "wavelength",
+                                   "shadowing", "theta_3db", "rician_k", "rho",
+                                   "d_min_bits", "csi_alpha"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_floats(field, value):
+    # a NaN slips past every ordering check, and an infinite cell or budget
+    # would only surface as all-NaN rows after a full solve
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ScenarioConfig(**{field: value})
