@@ -1,8 +1,10 @@
 """Plan with a noisy speed estimate, evaluate with the true one.
 
 The planner only ever sees v + |e| with e ~ N(0, sigma^2) (onboard speed
-estimates err high here), so its schedule is tighter than reality and
-the optimised allocation overspends slightly to be safe.  The data floor
+estimates err high here).  Delivered data and energy both scale as 1/v
+and the gain table depends only on geometry, so planning at v + |e| is
+the true-speed problem with the data floor raised by (v + |e|)/v: the
+optimised allocation overspends slightly to be safe.  The floor itself
 stays pinned to the true-speed scenario, which is what makes the trials
 comparable.  The reference allocators ignore the speed estimate, so only
 the optimised scheme feels the error.

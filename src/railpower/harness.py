@@ -8,16 +8,18 @@ shared by all schemes at a point, and aggregate rows recompute the
 efficiency ratios from mean energy and mean data so that EE = D/E holds
 on every emitted row.  Wall time is measured but kept out of the CSV.
 
-The velocity-error study corrupts only the planner: the schedule and the
-optimised allocation are computed under the estimated speed v + |e|,
-e ~ N(0, sigma_v^2), while all reported metrics use the true kinematics.
+The velocity-error study plans under the estimated speed v + e,
+e = |N(0, sigma_v^2)|, and evaluates under the true one.  Delivered data
+and energy both scale as 1/v and the gain table depends only on
+geometry, so planning at v + e is the true-speed problem with the floor
+raised by (v + e)/v.  Only the optimised row sees the error: the four
+baselines ignore speed.  A trial whose raised floor exceeds what the
+full budget delivers (rho*(v + e)/v > 1) is an ``optimized`` error row
+naming the floor, while the baselines still run.
 
-Data floor rule: :func:`run_point` takes the floor from the evaluation
-scenario's deterministic gain table, so trials planned at different
-speed estimates chase the same service target.  Planning always sees
-the deterministic channel, and that same table serves it whenever the
-planning scenario equals the evaluation one by value; a point builds
-one table, plus one for a fading trace and one for a differing plan.
+Data floor rule: :func:`run_point` takes the floor from the scenario's
+deterministic gain table, which also serves planning; a point builds
+one table, plus one for a fading trace.
 Solver settings reach :func:`optimizer.solve` as the one
 :class:`optimizer.SolverOptions` held by :class:`HarnessOptions`.
 """
@@ -101,6 +103,11 @@ class SweepSpec:
                 raise ValueError(f"{self.param} values must be finite, got {v!r}")
             if self.param == "M" and (not float(v).is_integer() or v < 1):
                 raise ValueError(f"M values must be whole relay counts >= 1, got {v!r}")
+            if self.param in _SWEEP_FIELDS:
+                try:
+                    _swept_field(self.param, v)
+                except OverflowError:
+                    raise ValueError(f"{self.param} value {v!r} is out of range") from None
         if self.param == "sigma_v" and min(self.values) < 0:
             raise ValueError(f"sigma_v values must be >= 0, got {min(self.values)!r}")
         if self.trials < 1:
@@ -149,37 +156,30 @@ def _record(point: dict, scheme: str, energy_j: float = NAN, data_bits: float = 
                      wall_time_s=wall_time_s)
 
 
-def run_point(plan_cfg: ScenarioConfig, options: HarnessOptions,
+def run_point(cfg: ScenarioConfig, options: HarnessOptions,
               seed_seq: np.random.SeedSequence,
-              eval_cfg: ScenarioConfig | None = None,
               kind: str = "run", param: str = "", value: float = NAN,
-              trial: int = -1) -> list[RunRecord]:
-    """Run the requested schemes once; plan and evaluation may differ in speed.
+              trial: int = -1, speed_error: float = 0.0) -> list[RunRecord]:
+    """Run the requested schemes once on cfg; every row is evaluated there.
 
-    The data floor comes from the evaluation scenario's deterministic
-    table (see the module docstring), which also serves planning when
-    ``plan_cfg == eval_cfg``.
+    ``speed_error`` [m/s] is the planner's error: the optimised scheme
+    plans for the speed ``cfg.v + speed_error`` by chasing the floor scaled
+    by that speed over ``cfg.v`` on the true-speed table (see the module
+    docstring).
     """
-    eval_cfg = plan_cfg if eval_cfg is None else eval_cfg
-    eval_sched = segment_boundaries(eval_cfg)
-
+    sched = segment_boundaries(cfg)
     rng_fading, rng_random, rng_csi = [np.random.default_rng(s)
                                        for s in seed_seq.spawn(3)]
-    det_table = eval_table = metrics.build_gain_table(eval_cfg, eval_sched)
-    if eval_cfg.fading:
-        fading_trace = metrics.sample_fading_trace(eval_cfg, eval_sched, rng_fading)
-        eval_table = metrics.build_gain_table(eval_cfg, eval_sched, fading_db=fading_trace)
     # planning always sees the deterministic channel
-    if plan_cfg == eval_cfg:
-        plan_sched, plan_table = eval_sched, det_table
-    else:
-        plan_sched = segment_boundaries(plan_cfg)
-        plan_table = metrics.build_gain_table(plan_cfg, plan_sched)
+    det_table = eval_table = metrics.build_gain_table(cfg, sched)
+    if cfg.fading:
+        fading_trace = metrics.sample_fading_trace(cfg, sched, rng_fading)
+        eval_table = metrics.build_gain_table(cfg, sched, fading_db=fading_trace)
 
-    d_min_bits = optimizer.data_floor(eval_cfg, eval_sched, det_table)
+    d_min_bits = optimizer.data_floor(cfg, sched, det_table)
     point = dict(kind=kind, param=param, value=value, trial=trial,
-                 scenario=scenario_hash(eval_cfg), d_min_bits=d_min_bits,
-                 **_scenario_columns(eval_cfg))
+                 scenario=scenario_hash(cfg), d_min_bits=d_min_bits,
+                 **_scenario_columns(cfg))
 
     records = []
     for scheme in options.schemes:
@@ -187,24 +187,25 @@ def run_point(plan_cfg: ScenarioConfig, options: HarnessOptions,
         cycles, h_inf, converged = None, None, True
         try:
             if scheme == "constant":
-                alloc = allocators.constant_alloc(plan_cfg, plan_sched)
+                alloc = allocators.constant_alloc(cfg, sched)
             elif scheme == "average":
-                alloc = allocators.average_alloc(plan_cfg, plan_sched)
+                alloc = allocators.average_alloc(cfg, sched)
             elif scheme == "random":
-                alloc = allocators.random_alloc(plan_cfg, plan_sched, rng_random)
+                alloc = allocators.random_alloc(cfg, sched, rng_random)
             elif scheme == "csi":
                 snap = allocators.ChannelSnapshot.from_scenario(
-                    plan_cfg, plan_sched, rng_csi if plan_cfg.fading else None)
-                alloc = allocators.csi_alloc(plan_cfg, plan_sched, snap)
+                    cfg, sched, rng_csi if cfg.fading else None)
+                alloc = allocators.csi_alloc(cfg, sched, snap)
             else:   # "optimized": HarnessOptions admits no other name
-                alloc, diag = optimizer.solve(plan_cfg, plan_sched, d_min=d_min_bits,
-                                              options=options.solver, table=plan_table)
+                alloc, diag = optimizer.solve(
+                    cfg, sched, d_min=d_min_bits * ((cfg.v + speed_error) / cfg.v),
+                    options=options.solver, table=det_table)
                 cycles, h_inf, converged = diag.cycles, diag.h_inf, diag.converged
         except (optimizer.InfeasibleDataFloor, ValueError) as exc:
             records.append(_record(point, scheme, error=str(exc),
                                    wall_time_s=time.perf_counter() - start))
             continue
-        rec = metrics.compute_metrics(alloc, eval_cfg, eval_sched, eval_table)
+        rec = metrics.compute_metrics(alloc, cfg, sched, eval_table)
         records.append(_record(
             point, scheme, energy_j=rec.energy_j, data_bits=rec.data_bits,
             se=rec.se_bits_per_s_per_hz,
@@ -253,7 +254,12 @@ def _sweep_point(args):
     cfg, options, spec, idx, value, trial = args
     seed_seq = np.random.SeedSequence((cfg.seed, idx, trial))
     if spec.param == "sigma_v":
-        return _velocity_error_point(cfg, options, float(value), trial, seed_seq)
+        speed_error = 0.0
+        if value > 0:   # no draw at sigma 0 keeps the streams of a plain run
+            speed_error = draw_speed_error(np.random.default_rng(seed_seq.spawn(1)[0]),
+                                           value)
+        return run_point(cfg, options, seed_seq, kind="trial", param="sigma_v",
+                         value=float(value), trial=trial, speed_error=speed_error)
     try:
         point_cfg = apply_sweep_value(cfg, spec.param, value)
         return run_point(point_cfg, options, seed_seq, kind="trial",
@@ -290,22 +296,9 @@ def draw_speed_error(rng: np.random.Generator, sigma_v: float) -> float:
     return abs(rng.normal(0.0, sigma_v)) if sigma_v > 0 else 0.0
 
 
-def _velocity_error_point(cfg: ScenarioConfig, options: HarnessOptions,
-                          sigma_v: float, trial: int,
-                          seed_seq: np.random.SeedSequence) -> list[RunRecord]:
-    if sigma_v > 0:
-        # no draw at sigma 0 keeps the stream identical to a plain run
-        rng_v = np.random.default_rng(seed_seq.spawn(1)[0])
-        v_err = draw_speed_error(rng_v, sigma_v)
-    else:
-        v_err = 0.0
-    return run_point(cfg.with_(v=cfg.v + v_err), options, seed_seq, eval_cfg=cfg,
-                     kind="trial", param="sigma_v", value=sigma_v, trial=trial)
-
-
 def monte_carlo_velocity_error(cfg: ScenarioConfig, options: HarnessOptions,
                                sigmas, trials: int, workers: int = 1) -> list[RunRecord]:
-    """Velocity-error study: plan under v + |N(0, sigma^2)|, evaluate under v."""
+    """Velocity-error study: plan for v + |N(0, sigma^2)|, evaluate under v."""
     spec = SweepSpec(param="sigma_v", values=tuple(float(s) for s in sigmas),
                      trials=trials)
     return sweep(cfg, options, spec, workers=workers)

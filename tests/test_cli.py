@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from railpower.cli import EXIT_CONFIG, main
 from railpower.harness import read_csv_rows
@@ -126,3 +127,14 @@ def test_sweep_rejects_non_finite_values(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "d_l values must be finite, got nan" in capsys.readouterr().err
     assert not (tmp_path / "sweep_d_l.csv").exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_rejects_overflowing_power(tmp_path, capsys, workers):
+    # 4000 dBm is 10**397 W: not a float, so a usage error naming the value
+    cfg = write_cfg(tmp_path)
+    code = main(["--outdir", str(tmp_path), "sweep", cfg, "--param", "P_T",
+                 "--values", "40,4000", "--workers", workers])
+    assert code == EXIT_CONFIG
+    assert "P_T value 4000" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_P_T.csv").exists()

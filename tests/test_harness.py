@@ -1,10 +1,12 @@
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from railpower import (KMH_TO_MPS, allocators, harness, metrics, reference_config,
+from railpower import (KMH_TO_MPS, allocators, metrics, optimizer, reference_config,
                        segment_boundaries)
 from railpower.configio import SCHEMES, HarnessOptions
 from railpower.harness import (RunRecord, SweepSpec, draw_speed_error, emit_plot_data,
@@ -104,6 +106,10 @@ def test_sweep_spec_validation():
     assert SweepSpec(param="M", values=(2.0, 3)).values == (2.0, 3)
     with pytest.raises(ValueError, match="sigma_v values must be >= 0, got -2.0"):
         SweepSpec(param="sigma_v", values=(0.0, -2.0))
+    # a dBm value whose conversion to watts overflows is named, not a traceback
+    with pytest.raises(ValueError, match="P_T value 4000"):
+        SweepSpec(param="P_T", values=(40.0, 4000.0))
+    assert SweepSpec(param="P_T", values=(30.0, 45.0)).values == (30.0, 45.0)
 
 
 def test_sweep_records_failed_points(options):
@@ -151,11 +157,11 @@ def test_gain_table_builds_per_run_point(monkeypatch, ref_cfg, options):
 
     seq = np.random.SeedSequence(5)
     n_plain, plain = count(run_point, ref_cfg, options, seq)
-    n_zero, zero = count(harness._velocity_error_point, ref_cfg, options, 0.0, 0, seq)
-    n_err, err = count(harness._velocity_error_point, ref_cfg, options, 2.0, 0, seq)
-    # one deterministic table serves the floor, the plan and the evaluation;
-    # a planning speed that differs from the true one needs its own
-    assert (n_plain, n_zero, n_err) == (1, 1, 2)
+    n_zero, zero = count(partial(run_point, speed_error=0.0), ref_cfg, options, seq)
+    n_err, err = count(partial(run_point, speed_error=2.0), ref_cfg, options, seq)
+    # one deterministic table serves the floor, the plan and the evaluation,
+    # whatever the planner's speed error
+    assert (n_plain, n_zero, n_err) == (1, 1, 1)
     # and the floor is the true-speed one at every sigma
     assert len({r.d_min_bits for r in plain + zero + err}) == 1
     # a fading trace adds the faded evaluation table
@@ -222,6 +228,39 @@ def test_fading_run_is_deterministic(options):
     assert det_avg.energy_j == fad_avg.energy_j   # energy ignores the channel
 
 
+@pytest.mark.parametrize("speed_error", [0.5, 3.0, 8.0])
+def test_speed_error_is_a_floor_shift(ref_cfg, ref_sched, ref_table, speed_error):
+    # reference: plan on the estimated speed's own schedule and table,
+    # chasing the true-speed floor
+    d_min = optimizer.data_floor(ref_cfg, ref_sched, ref_table)
+    plan_cfg = ref_cfg.with_(v=ref_cfg.v + speed_error)
+    plan_sched = segment_boundaries(plan_cfg)
+    ref_alloc, ref_diag = optimizer.solve(plan_cfg, plan_sched, d_min=d_min,
+                                          table=metrics.build_gain_table(plan_cfg, plan_sched))
+    alloc, diag = optimizer.solve(ref_cfg, ref_sched,
+                                  d_min=d_min * ((ref_cfg.v + speed_error) / ref_cfg.v),
+                                  table=ref_table)
+    assert_allclose(alloc.p, ref_alloc.p, rtol=0, atol=1e-12 * ref_cfg.p_t)
+    assert diag.cycles == ref_diag.cycles
+    assert ([c.inner_steps for c in diag.history]
+            == [c.inner_steps for c in ref_diag.history])
+
+
+def test_unreachable_shifted_floor_fails_only_the_optimized_row(options):
+    # rho * (v + e) / v = 0.95 * 1.1 > 1: no allocation within the budget
+    # reaches the raised floor, and the baselines do not see the error
+    cfg = reference_config(rho=0.95)
+    recs = run_point(cfg, options, np.random.SeedSequence(0), speed_error=0.1 * cfg.v)
+    by_scheme = {r.scheme: r for r in recs}
+    opt = by_scheme.pop("optimized")
+    assert "data floor" in opt.error and not opt.converged
+    assert not np.isfinite(opt.energy_j)
+    assert sorted(by_scheme) == sorted(s for s in SCHEMES if s != "optimized")
+    for r in by_scheme.values():
+        assert not r.error
+        assert np.isfinite(r.energy_j) and np.isfinite(r.data_bits)
+
+
 def test_speed_error_draws_are_nonnegative():
     rng = np.random.default_rng(3)
     draws = [draw_speed_error(rng, 5.0) for _ in range(1000)]
@@ -239,11 +278,11 @@ def test_mc_velocity_zero_sigma_equals_plain_run(ref_cfg, options, ref_records):
 
 
 def test_mc_velocity_plans_conservatively(ref_cfg, options):
-    # overestimated speed means a tighter plan, so the optimised scheme
-    # spends at least as much energy as with perfect knowledge
+    # an overestimated speed raises the planned floor, so the optimised
+    # scheme spends at least as much energy as with perfect knowledge
     rows = monte_carlo_velocity_error(ref_cfg, options, sigmas=[0.0, 4.0], trials=3)
     means = {(r.value, r.scheme): r for r in rows if r.kind == "mean"}
-    assert means[(4.0, "optimized")].energy_j >= means[(0.0, "optimized")].energy_j
+    assert means[(4.0, "optimized")].energy_j > means[(0.0, "optimized")].energy_j
     # baselines do not depend on the speed estimate
     assert_allclose(means[(4.0, "average")].energy_j,
                     means[(0.0, "average")].energy_j, rtol=1e-12)
@@ -255,10 +294,10 @@ def test_emit_plot_data(tmp_path, ref_cfg, options):
     csv_path = tmp_path / "sweep.csv"
     write_csv(rows, csv_path)
     dat, manifest = emit_plot_data(csv_path, "E-vs-dl", tmp_path / "plots")
-    lines = [ln for ln in open(dat).read().splitlines() if not ln.startswith("#")]
+    lines = [ln for ln in Path(dat).read_text().splitlines() if not ln.startswith("#")]
     assert len(lines) == 3
     assert all(len(ln.split()) == 1 + 5 for ln in lines)
-    man = open(manifest).read()
+    man = Path(manifest).read_text()
     assert "bits/J" in man and "J" in man and "bits/s/Hz" in man
     with pytest.raises(ValueError):
         emit_plot_data(csv_path, "no-such-figure", tmp_path / "plots")
