@@ -2,7 +2,7 @@
 
 The floor defaults to 80% of what the equal-split scheme delivers at the
 full budget.  The solver minimises the augmented (multiplier plus
-quadratic penalty) merit function by projected gradient descent, then
+quadratic penalty) merit function by projected Newton descent, then
 corrects the multipliers or grows the penalty between cycles based on
 how fast the residual norm falls.  On the reference scenario it lands
 around a third of the budget per segment and cuts energy by roughly

@@ -104,6 +104,18 @@ class GainTable:
         denom = 1.0 + p[:, :, None] * self.gains
         return self.rate_scale / LN2 * np.sum(self.weights * self.gains / denom, axis=2)
 
+    def data_derivatives(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """dD_ij/dP_ij [bits/W] and d2D_ij/dP_ij2 [bits/W^2] in one pass.
+
+        Each D_ij depends on P_ij alone, so its second derivative is the
+        whole Hessian of the total data (a diagonal, negative: D is
+        concave).  Both sums share the ratio g / (1 + P g).
+        """
+        r = self.gains / (1.0 + p[:, :, None] * self.gains)
+        wr = self.weights * r
+        scale = self.rate_scale / LN2
+        return scale * np.sum(wr, axis=2), -scale * np.sum(wr * r, axis=2)
+
 
 def build_gain_table(cfg: ScenarioConfig, sched: SegmentSchedule,
                      fading_db: np.ndarray | None = None) -> GainTable:

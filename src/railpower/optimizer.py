@@ -8,7 +8,7 @@ function is the augmented Lagrangian
 
     phi(P, lam, sigma) = E(P) - lam . h(P) + sigma * h(P) . h(P)
 
-minimised by projected gradient descent in an inner loop, with the
+minimised by projected Newton descent in an inner loop, with the
 multipliers corrected and the penalty factor grown between cycles
 according to how fast the residual norm shrinks:
 
@@ -31,62 +31,35 @@ at zero below the budget.  The literal equality form would pin the
 energy at P_T times the traversal time and erase the optimisation gain.
 The KKT residual refers to the same inequality-form optimality system.
 
-Backtracking screen: each inner step tries alpha = 2**-k, k = 0..59, and
-accepts the first candidate y_k = max(x + alpha d, 0) with phi(y_k) <
-phi(x) (Nocedal & Wright, Numerical Optimization, 2006, sec. 3.1).
-Where the budget caps bind the accepted exponent sits near 8-10, so most
-merit evaluations go to rejected candidates.  Only the data residual h0
-of phi needs the log1p quadrature pass; the energy and the budget rows
-are column sums.  The scaled data is a positive-weighted sum of concave,
-nondecreasing functions f_ij of each x_ij, so with F = h0 (Boyd &
-Vandenberghe, Convex Optimization, 2004, sec. 3.1.3)
+Inner step: projected Newton on the merit Hessian (Bertsekas, "Projected
+Newton methods for optimization problems with simple constraints", SIAM
+J. Control Optim. 20(2), 1982; for the bound-constrained augmented
+Lagrangian, Nocedal & Wright, Numerical Optimization, 2006, sec. 17.4).
+Each D_ij depends on P_ij alone, so with c = lam_0 - 2 sigma h0 the
+Hessian of phi is
 
-    F(y) <= F(x) + grad F(x) . (y - x)                      (tangent)
-    F(y) >= F(x) + sum over y_ij < x_ij of f'_ij(0) (y_ij - x_ij)
+    H = c |diag(h0'')| + 2 sigma grad h0 grad h0^T
+        + 2 sigma * sum over capped columns j of 1_j 1_j^T,
 
-and phi is the cheap part plus q(h0) = sigma h0^2 - lam_0 h0, a convex
-quadratic whose minimum over that interval bounds phi(y_k) from below.
-:meth:`Problem.screen_steps` computes the bound for all 60 candidates in
-one vectorised pass from F(x) and grad F(x), which the gradient pass has
-already computed, and rejects a candidate only when the bound minus a
-rounding margin is at least phi(x).  The margin rests on one relative
-error bound, eps = (n_q + 64) u, with u = 2**-53 the unit roundoff and
-n_q = M * S * (Q + 1) the number of quadrature terms: every sum formed
-here or in :meth:`Problem.phi` has at most n_q terms, each computed with
-a few roundings (log1p within a few ulp), and a sum of n terms in any
-order is within (n - 1) u of the sum of its magnitudes (Higham, Accuracy
-and Stability of Numerical Algorithms, 2002, sec. 4.2).  Hence
-
-  * computed h0 at x or at y is within eps (2 + |h0|) of F, since the
-    data D / D_min = 1 + F is a sum of nonnegative terms;
-  * the computed gradient and slopes are within eps relative per entry,
-    so the linear terms are off by at most 2 eps sum f'(0) |y - x|;
-  * computed column sums minus one, in the screen and in phi, are within
-    2 eps (1 + |b|) of each other, which moves a budget term
-    -lam_j b + sigma b^2 by at most that times (|lam_j| + 2 sigma |b|);
-  * the energy and the final assembly of phi and of the bound are within
-    2 eps of the sum of the magnitudes of their terms.
-
-The interval for h0 is widened by the first two items and the bound is
-lowered by the last two, with room to spare.  The remaining candidates
-are evaluated exactly, in order, so the accepted step, the iterate, phi,
-the step count and the stop reason are those of the plain loop, bit for
-bit.  The screen costs about three merit evaluations, and plain
-backtracking pays k + 1 for a step accepted at k, so the screen runs
-only while the last two accepted exponents are both at least 3.  Near
-the reference scenario steps accept at k <= 2 (about 1.4 rejected
-candidates per step) and an exponent of 3 or more is an isolated event:
-over the reference-study benchmark workload (seed 301) the rule fires
-on 17 of 26,532 steps, where a rule on the last exponent alone would
-fire on 679 and save nothing.  Where the caps bind the exponent stays
-near 8-10 and the rule fires on 98% of steps.
+a positive diagonal (for c > 0) plus one rank-one term per capped column
+and one for the data row.  Entries with x <= delta and a positive merit
+slope, delta = min(1e-3, ||x - max(x - g, 0)||), form the epsilon-active
+set and take the diagonally scaled step -g_i / H_ii toward the bound.
+The free entries solve H_FF d = -g_F: Sherman-Morrison inverts each
+capped column's block (diagonal plus 2 sigma 1 1^T), and one Woodbury
+rank-one update adds the data term, all in O(M * S) with no dense solve.
+When c <= 0 the data curvature is not positive (at rho = 1 the first
+cycle starts at lam = 0 on the floor, h0 = 0) and the step falls back to
+the projected gradient.  The stepsize halves from 1 until phi decreases
+(Nocedal & Wright, sec. 3.1), and the loop stops on the projected
+gradient norm.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -99,9 +72,7 @@ class InfeasibleDataFloor(ValueError):
     """The requested data floor exceeds what the full budget can deliver."""
 
 
-# backtracking candidates alpha = 2**-k, k < 60; a list for the plain loop
-_ALPHAS = np.ldexp(1.0, -np.arange(60))
-_ALPHA_LIST = _ALPHAS.tolist()
+_log = logging.getLogger(__name__)
 
 
 def _linf(v) -> float:
@@ -116,7 +87,7 @@ class SolverOptions:
     growth: float = 4.0      # penalty growth factor, > 1
     eps: float = 1e-4        # tolerance on the scaled residual max norm
     n_max: int = 100         # outer cycle cap, >= 0
-    inner_cap: int = 5000    # inner gradient steps per cycle, >= 1
+    inner_cap: int = 5000    # inner descent steps per cycle, >= 1
 
     def __post_init__(self):
         if self.sigma0 <= 0 or self.growth <= 1 or self.eps <= 0:
@@ -193,9 +164,10 @@ class Problem:
             h = self.residuals_scaled(x)
         return self.energy_scaled(x) - float(lam @ h) + sigma * float(h @ h)
 
-    def grad_data_scaled(self, x: np.ndarray) -> np.ndarray:
-        """d(D / D_min)/dx on every entry."""
-        return self.table.grad_total_data(x * self.p_t) * self._dscale
+    def data_derivatives_scaled(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First and second derivatives of D / D_min in each entry of x."""
+        dd, dd2 = self.table.data_derivatives(x * self.p_t)
+        return dd * self._dscale, dd2 * (self._dscale * self.p_t)
 
     def grad_phi(self, x: np.ndarray, lam: np.ndarray, sigma: float,
                  h: np.ndarray | None = None, dd: np.ndarray | None = None) -> np.ndarray:
@@ -203,63 +175,42 @@ class Problem:
         if h is None:
             h = self.residuals_scaled(x)
         if dd is None:
-            dd = self.grad_data_scaled(x)
+            dd = self.data_derivatives_scaled(x)[0]
         # below the cap the clipped budget rows contribute nothing
         coef = np.where(h[1:] > 0.0, -lam[1:] + 2.0 * sigma * h[1:], 0.0)
         g = self.t_norm[None, :] + (-lam[0] + 2.0 * sigma * h[0]) * dd + coef[None, :]
         return np.where(self.mask, g, 0.0)
 
-    @cached_property
-    def _screen_consts(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """Slope of the scaled data at zero power, the (M*S, S+1) map from a
-        flattened x to its column sums and energy, and the relative error
-        bound eps of the module docstring."""
-        m, s = self.mask.shape
-        basis = np.zeros((m, s, s + 1))
-        basis[:, np.arange(s), np.arange(s)] = 1.0
-        basis[:, :, s] = self.t_norm
-        eps = (self.table.gains.size + 64) * 2.0 ** -53
-        return (self.grad_data_scaled(np.zeros((m, s))).ravel(),
-                basis.reshape(m * s, s + 1), eps)
+    def newton_direction(self, x: np.ndarray, g: np.ndarray, h: np.ndarray,
+                         dd: np.ndarray, dd2: np.ndarray, lam: np.ndarray,
+                         sigma: float) -> np.ndarray:
+        """Projected-Newton direction for the merit gradient ``g`` at x.
 
-    def screen_steps(self, x: np.ndarray, d: np.ndarray, h: np.ndarray, dd: np.ndarray,
-                     lam: np.ndarray, sigma: float,
-                     phi: float) -> tuple[np.ndarray, np.ndarray]:
-        """Backtracking candidates and the ones certified not to decrease phi.
-
-        Returns ``(y, rejected)``: ``y[k]`` is the candidate
-        max(x + 2**-k d, 0) exactly as the plain loop builds it, and
-        ``rejected[k]`` is True only where ``self.phi(y[k], lam, sigma) >=
-        phi`` is proven; ``h`` and ``dd`` are the residuals and the scaled
-        data gradient at x.  The certificate is set out in the module
-        docstring.
+        ``h``, ``dd`` and ``dd2`` are the residuals and the scaled data
+        derivatives at x.  The Hessian structure, the epsilon-active set
+        and the fallback are set out in the module docstring.
         """
-        slope0, basis, eps = self._screen_consts
-        xf = x.ravel()
-        y = np.maximum(xf + _ALPHAS[:, None] * d.ravel(), 0.0)      # (K, M*S)
-        step = y - xf
-        # data residual: tangent bound above, slope-at-zero bound below
-        lin = step @ np.column_stack((dd.ravel(), slope0))
-        neg = np.minimum(step, 0.0) @ slope0
-        up, down = h[0] + lin[:, 0], h[0] + neg
-        moved = lin[:, 1] - 2.0 * neg                    # sum f'(0) |y - x|
-        slack = eps * (4.0 + abs(h[0]) + 2.0 * np.maximum(up, -down) + 4.0 * moved)
-        lo, hi = down - slack, up + slack
-        # q(t) = sigma t^2 - lam_0 t is smallest on [lo, hi] at t
-        t = np.minimum(np.maximum(lam[0] / (2.0 * sigma), lo), hi)
-        t_abs = np.maximum(hi, -lo)
-        # energy and budget rows
-        cols_energy = y @ basis
-        energy = cols_energy[:, -1]
-        b = np.maximum(cols_energy[:, :-1] - 1.0, 0.0)
-        b_abs = np.abs(b)
-        gap = 2.0 * eps * (1.0 + b_abs)
-        bound = energy + np.einsum("ks,ks->k", b, sigma * b - lam[1:]) \
-            + t * (sigma * t - lam[0])
-        margin = 2.0 * eps * (energy + t_abs * (abs(lam[0]) + sigma * t_abs)) \
-            + np.einsum("ks,ks->k", gap, 3.0 * np.abs(lam[1:]) + 4.0 * sigma * (b_abs + gap))
-        rejected = bound - margin >= phi
-        return y.reshape(len(_ALPHAS), *x.shape), rejected
+        c = lam[0] - 2.0 * sigma * h[0]
+        if c <= 0.0:
+            return np.where((x <= 0.0) & (g > 0.0), 0.0, -g)
+        # x - max(x - g, 0) = min(x, g); g is zero off the mask
+        delta = min(1e-3, float(np.linalg.norm(np.minimum(x, g))))
+        active = (x <= delta) & (g > 0.0)
+        free = self.mask & ~active
+        two_s = 2.0 * sigma
+        capped = h[1:] > 0.0
+        curv = -c * dd2
+        inv_a = np.divide(1.0, curv, out=np.zeros_like(x), where=free)
+        # Sherman-Morrison per capped column on g and on the data gradient
+        w = inv_a * np.stack((g, dd))
+        col = np.where(capped, two_s / (1.0 + two_s * inv_a.sum(axis=0)), 0.0)
+        w -= inv_a * (w.sum(axis=1) * col)[:, None, :]
+        bg, bu = w
+        # Woodbury rank-one update for 2 sigma dd dd^T; bg, bu are zero off the free set
+        d_free = bg - two_s * np.vdot(dd, bg) / (1.0 + two_s * np.vdot(dd, bu)) * bu
+        diag = curv + two_s * (dd * dd + capped)
+        d_active = np.divide(g, diag, out=np.zeros_like(x), where=active)
+        return -(d_free + d_active)       # each is zero off its own set
 
 
 @dataclass(frozen=True)
@@ -270,53 +221,47 @@ class InnerInfo:
     phi_start: float
     phi_end: float
     grad_norm: float
+    merit_evals: int       # Problem.phi evaluations, the start point included
 
 
 def inner_descent(problem: Problem, p0: AllocationMatrix, lam: np.ndarray,
                   sigma: float, options: SolverOptions) -> tuple[AllocationMatrix, InnerInfo]:
-    """Minimise phi(., lam, sigma) by projected gradient descent from p0.
+    """Minimise phi(., lam, sigma) by projected Newton descent from p0.
 
-    Steps along d = -grad(phi); after every step, negative entries on the
-    active mask are clipped to zero.  The stepsize backtracks by halving
-    from 1 until phi decreases.  Once the last two accepted steps each needed
-    three or more halvings, candidates that :meth:`Problem.screen_steps`
-    proves to be rejected are skipped unevaluated; the accepted step is
-    the same.  The residuals of each evaluated point are kept, so the
-    accepted iterate's data pass is not repeated.  Stops once the
-    projected gradient norm falls below ``options.eps``, on a backtracking
-    stall, or at the step cap; the last two flag the result rather than
-    raising.
+    Steps along :meth:`Problem.newton_direction`; after every step,
+    negative entries on the active mask are clipped to zero.  The stepsize
+    backtracks by halving from 1 until phi decreases.  The residuals of
+    each evaluated point are kept, so the accepted iterate's data pass is
+    not repeated.  Stops once the projected gradient norm falls below
+    ``options.eps``, on a backtracking stall, or at the step cap; the last
+    two flag the result rather than raising.
     """
     x = np.maximum(problem.to_scaled(p0.p), 0.0)
     h = problem.residuals_scaled(x)
     phi = problem.phi(x, lam, sigma, h)
-    phi_start = phi
+    phi_start, evals = phi, 1
     steps = 0
-    k_last = k_before = 0      # exponents of the last two accepted steps
     converged, reason, gnorm = False, "cap", math.inf
 
     while steps < options.inner_cap:
-        dd = problem.grad_data_scaled(x)
+        dd, dd2 = problem.data_derivatives_scaled(x)
         g = problem.grad_phi(x, lam, sigma, h, dd)
-        d = -g
-        d[(x <= 0.0) & (d < 0.0)] = 0.0       # projected direction at the bound
-        gnorm = float(np.linalg.norm(d))
+        # projected gradient: no descent below zero at the bound
+        gnorm = float(np.linalg.norm(np.where((x <= 0.0) & (g > 0.0), 0.0, g)))
         if gnorm <= options.eps:
             converged, reason = True, "gradient"
             break
-        x_new, phi_new, tries = None, None, None
-        ks = range(len(_ALPHA_LIST))
-        if min(k_last, k_before) >= 3:
-            tries, rejected = problem.screen_steps(x, d, h, dd, lam, sigma, phi)
-            ks = np.flatnonzero(~rejected).tolist()
-        for k in ks:
-            x_try = np.maximum(x + _ALPHA_LIST[k] * d, 0.0) if tries is None else tries[k]
+        d = problem.newton_direction(x, g, h, dd, dd2, lam, sigma)
+        x_new, alpha = None, 1.0
+        for _ in range(60):
+            x_try = np.maximum(x + alpha * d, 0.0)
             h_try = problem.residuals_scaled(x_try)
             phi_try = problem.phi(x_try, lam, sigma, h_try)
+            evals += 1
             if phi_try < phi:
                 x_new, h_new, phi_new = x_try, h_try, phi_try
-                k_before, k_last = k_last, k
                 break
+            alpha *= 0.5
         if x_new is None:                  # cannot decrease: numerically stationary
             converged, reason = True, "stall"
             break
@@ -325,7 +270,7 @@ def inner_descent(problem: Problem, p0: AllocationMatrix, lam: np.ndarray,
 
     return problem.to_physical(x), InnerInfo(
         steps=steps, converged=converged, reason=reason,
-        phi_start=phi_start, phi_end=phi, grad_norm=gnorm,
+        phi_start=phi_start, phi_end=phi, grad_norm=gnorm, merit_evals=evals,
     )
 
 
@@ -358,6 +303,7 @@ class CycleRecord:
     energy_j: float
     inner_steps: int
     inner_reason: str
+    merit_evals: int
 
 
 @dataclass(frozen=True)
@@ -384,6 +330,9 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     Raises :class:`InfeasibleDataFloor` when the floor exceeds the data the
     full-budget average allocation can deliver.  A run that exhausts the
     outer cycle budget returns its best iterate flagged as non-converged.
+    When the inner loop that produced the returned iterate stopped on
+    ``cap`` or ``stall``, a warning goes to the ``railpower.optimizer``
+    logger.
     """
     if sched is None:
         sched = segment_boundaries(cfg)
@@ -418,7 +367,7 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     current = avg if init is None else init
     history: list[CycleRecord] = []
     h_prev = None
-    best = None   # (hinf, energy, alloc, lam_hat, sigma)
+    best = None   # (hinf, energy, alloc, lam_hat, sigma, cycle record)
 
     cycles = 0
     while cycles <= options.n_max:
@@ -430,19 +379,23 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
         history.append(CycleRecord(
             cycle=cycles, h_inf=hinf, sigma=state.sigma, phi=info.phi_end,
             energy_j=energy, inner_steps=info.steps, inner_reason=info.reason,
+            merit_evals=info.merit_evals,
         ))
         lam_hat = state.lam - 2.0 * state.sigma * h_now
         # the first iterate within eps ends the loop (update_state tests the
         # same value), so the lowest residual wins, energy breaking ties
         if best is None or (hinf, energy) < best[:2]:
-            best = (hinf, energy, current, lam_hat, state.sigma)
+            best = (hinf, energy, current, lam_hat, state.sigma, history[-1])
         state = update_state(state, h_now, h_prev, options)
         if state.converged:
             break
         h_prev = h_now
         cycles += 1
 
-    hinf, _, alloc, lam_hat, sigma = best
+    hinf, _, alloc, lam_hat, sigma, rec = best
+    if rec.inner_reason != "gradient":
+        _log.warning("returned iterate's inner loop stopped on %s (cycle %d, %d steps, "
+                     "h_inf %.3g)", rec.inner_reason, rec.cycle, rec.inner_steps, rec.h_inf)
     # guard against marginal overspend: scale any column above the budget back
     sums = alloc.column_sums()
     over = sums > cfg.p_t

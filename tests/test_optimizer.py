@@ -451,7 +451,11 @@ def test_solve_without_bandwidth_factor(ref_cfg):
 
 def test_solve_contracts_on_random_scenarios():
     # geometry, speed, budget, and floor fraction drawn at random: every
-    # instance must converge and satisfy the full solution contract
+    # instance must converge and satisfy the full solution contract.  The
+    # floor fraction reaches 0.99, where the budget caps bind; at exactly
+    # rho = 1 the KKT residual is held up by complementary slackness
+    # (h0 of about -1e-4 times lam_0 of about 20), which waits for a final
+    # projection onto the floor, so rho = 1 is left out here
     rng = np.random.default_rng(8)
     from railpower import ScenarioConfig
 
@@ -463,7 +467,7 @@ def test_solve_contracts_on_random_scenarios():
         cfg = ScenarioConfig(num_relays=m, num_bins=n, d_mr=d_mr, d_l=d_l,
                              v=float(rng.uniform(40, 110)),
                              p_t=float(rng.uniform(0.5, 12.0)),
-                             rho=float(rng.uniform(0.5, 0.95)))
+                             rho=float(rng.uniform(0.5, 0.99)))
         sched = segment_boundaries(cfg)
         table = build_gain_table(cfg, sched)
         d_min = data_floor(cfg, sched, table)
@@ -517,13 +521,13 @@ def test_kkt_residual_grows_under_perturbation(ref_cfg, ref_sched, ref_table,
                             ref_table) > base
 
 
-# ------------------------------------------------- backtracking screen
+# ------------------------------------------------- projected-Newton step
 
 def plain_inner_descent(problem, p0, lam, sigma, options):
-    """Reference oracle: halve from alpha = 1 and evaluate every candidate."""
+    """Tolerance oracle: projected gradient, halving from alpha = 1."""
     x = np.maximum(problem.to_scaled(p0.p), 0.0)
     phi = problem.phi(x, lam, sigma)
-    phi_start, steps = phi, 0
+    phi_start, steps, evals = phi, 0, 1
     converged, reason, gnorm = False, "cap", math.inf
     while steps < options.inner_cap:
         d = -problem.grad_phi(x, lam, sigma)
@@ -536,6 +540,7 @@ def plain_inner_descent(problem, p0, lam, sigma, options):
         for _ in range(60):
             x_try = np.maximum(x + alpha * d, 0.0)
             phi_try = problem.phi(x_try, lam, sigma)
+            evals += 1
             if phi_try < phi:
                 x_new, phi_new = x_try, phi_try
                 break
@@ -547,13 +552,13 @@ def plain_inner_descent(problem, p0, lam, sigma, options):
         steps += 1
     return problem.to_physical(x), InnerInfo(
         steps=steps, converged=converged, reason=reason, phi_start=phi_start,
-        phi_end=phi, grad_norm=gnorm)
+        phi_end=phi, grad_norm=gnorm, merit_evals=evals)
 
 
 def test_inner_descent_one_data_pass_per_merit_evaluation(monkeypatch):
     # the accepted candidate's residuals are kept, so every data pass in an
     # inner loop belongs to one merit evaluation, the start point included
-    counts = {"data": 0, "phi": 0, "screens": 0}
+    counts = {"data": 0, "phi": 0}
     per_call = []
 
     def counted(key, fn):
@@ -566,97 +571,113 @@ def test_inner_descent_one_data_pass_per_merit_evaluation(monkeypatch):
         before = dict(counts)
         out = inner_descent(*args)
         per_call.append({**{k: counts[k] - before[k] for k in counts},
-                         "steps": out[1].steps})
+                         "steps": out[1].steps, "merit_evals": out[1].merit_evals})
         return out
 
     monkeypatch.setattr(GainTable, "total_data", counted("data", GainTable.total_data))
     monkeypatch.setattr(Problem, "phi", counted("phi", Problem.phi))
-    monkeypatch.setattr(Problem, "screen_steps", counted("screens", Problem.screen_steps))
     monkeypatch.setattr(optimizer, "inner_descent", counted_inner)
-    solve(reference_config(rho=0.97), options=SolverOptions(inner_cap=400))
-    assert len(per_call) > 1 and sum(c["screens"] for c in per_call) > 0
+    _, res = solve(reference_config(rho=0.97), options=SolverOptions(inner_cap=400))
+    assert len(per_call) > 1
     for c in per_call:
-        assert c["data"] == c["phi"] >= c["steps"] + 1, c
+        assert c["data"] == c["phi"] == c["merit_evals"] >= c["steps"] + 1, c
+    assert [c.merit_evals for c in res.history] == [c["merit_evals"] for c in per_call]
 
 
-def _solve_both(monkeypatch, cfg):
-    """Solve with the screened and with the plain line search; count merit
-    evaluations and screened-out candidates of the screened solve."""
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_newton_solve_matches_gradient_solve(monkeypatch, m):
+    cfg = reference_config(num_relays=m, rho=0.8)
     sched = segment_boundaries(cfg)
-    counts = {"phi": 0, "screened": 0}
-    phi, screen = Problem.phi, Problem.screen_steps
-
-    def counted_phi(self, *args):
-        counts["phi"] += 1
-        return phi(self, *args)
-
-    def counted_screen(self, *args):
-        y, rejected = screen(self, *args)
-        counts["screened"] += int(rejected.sum())
-        return y, rejected
-
-    with monkeypatch.context() as m:
-        m.setattr(Problem, "phi", counted_phi)
-        m.setattr(Problem, "screen_steps", counted_screen)
-        fast = solve(cfg, sched)
-    with monkeypatch.context() as m:
-        m.setattr(optimizer, "inner_descent", plain_inner_descent)
-        plain = solve(cfg, sched)
-    return fast, plain, counts
+    _, newton = solve(cfg, sched)
+    with monkeypatch.context() as patched:
+        patched.setattr(optimizer, "inner_descent", plain_inner_descent)
+        _, plain = solve(cfg, sched)
+    assert newton.converged and plain.converged
+    assert_allclose(newton.energy_j, plain.energy_j, rtol=1e-4)
 
 
-def _assert_same_solve(fast, plain):
-    (alloc_f, res_f), (alloc_p, res_p) = fast, plain
-    np.testing.assert_array_equal(alloc_f.p, alloc_p.p)
-    np.testing.assert_array_equal(res_f.lam_hat, res_p.lam_hat)
-    np.testing.assert_array_equal(res_f.lam, res_p.lam)
-    assert res_f.history == res_p.history
-    assert (res_f.h_inf, res_f.energy_j, res_f.data_bits, res_f.converged) == \
-        (res_p.h_inf, res_p.energy_j, res_p.data_bits, res_p.converged)
+@pytest.mark.parametrize("rho, m", [(0.97, 4), (0.99, 4), (1.0, 2)])
+def test_caps_binding_solve_is_kkt_stationary_in_few_steps(rho, m):
+    cfg = reference_config(num_relays=m, rho=rho)
+    sched = segment_boundaries(cfg)
+    table = build_gain_table(cfg, sched)
+    d_min = data_floor(cfg, sched, table)
+    alloc, res = solve(cfg, sched, d_min=d_min, table=table)
+    assert res.converged
+    assert kkt_residual(alloc, res.lam_hat, cfg, sched, d_min, table) <= 1e-3
+    # a deterministic count, not a timing: projected gradient took thousands
+    assert sum(c.inner_steps for c in res.history) <= 200
 
 
-@pytest.mark.parametrize("rho, m", [(0.8, 2), (0.8, 4), (0.8, 6), (0.97, 4)])
-def test_screened_solve_matches_plain_backtracking(monkeypatch, rho, m):
-    fast, plain, counts = _solve_both(monkeypatch, reference_config(num_relays=m, rho=rho))
-    _assert_same_solve(fast, plain)
-    if rho > 0.9:
-        # where caps bind nearly every rejected candidate is screened out
-        steps = sum(c.inner_steps for c in fast[1].history)
-        assert counts["screened"] > 0 and counts["phi"] < 1.5 * steps
+def test_inner_loop_stop_on_cap_is_logged(caplog):
+    cfg = reference_config()
+    with caplog.at_level("WARNING", logger="railpower.optimizer"):
+        _, res = solve(cfg, options=SolverOptions(inner_cap=1))
+    assert any(c.inner_reason == "cap" for c in res.history)
+    assert [r.name for r in caplog.records] == ["railpower.optimizer"]
+    assert "stopped on cap" in caplog.records[0].getMessage()
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="railpower.optimizer"):
+        solve(cfg)
+    assert caplog.records == []
 
 
 @pytest.fixture(scope="module")
-def screen_problem(tiny):
+def tiny_problem(tiny):
     cfg, sched, table = tiny
     return Problem(cfg, sched, data_floor(cfg, sched, table), table)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+def dense_newton_direction(problem, x, g, h, dd, dd2, lam, sigma):
+    """The projected-Newton direction from the explicitly assembled Hessian."""
+    c = lam[0] - 2.0 * sigma * h[0]
+    idx = np.flatnonzero(problem.mask)
+    cols = np.nonzero(problem.mask)[1]
+    u = dd.ravel()[idx]
+    capped = (h[1:] > 0.0)[cols]
+    hess = (np.diag(-c * dd2.ravel()[idx]) + 2.0 * sigma * np.outer(u, u)
+            + 2.0 * sigma * (capped[:, None] & (cols[:, None] == cols[None, :])))
+    delta = min(1e-3, float(np.linalg.norm(x - np.maximum(x - g, 0.0))))
+    gm, xm = g.ravel()[idx], x.ravel()[idx]
+    active = (xm <= delta) & (gm > 0.0)
+    d = np.zeros(x.size)
+    d[idx[active]] = -gm[active] / np.diag(hess)[active]
+    d[idx[~active]] = np.linalg.solve(hess[np.ix_(~active, ~active)], -gm[~active])
+    return d.reshape(x.shape)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), log_sigma=st.floats(-1.0, 6.0),
-       ulps=st.integers(-4, 4), use_gradient=st.booleans())
-def test_screen_never_rejects_a_decrease(screen_problem, seed, log_sigma, ulps,
-                                         use_gradient):
-    problem = screen_problem
+       set_curvature=st.booleans(), log_c=st.floats(-3.0, 2.0))
+def test_newton_direction_matches_dense_solve(tiny_problem, seed, log_sigma,
+                                              set_curvature, log_c):
+    problem = tiny_problem
     rng = np.random.default_rng(seed)
     shape = problem.mask.shape
-    x = np.where(problem.mask & (rng.random(shape) < 0.85),
-                 rng.uniform(0.0, 1.2, shape), 0.0)
+    # some entries at or within 1e-3 of zero, some columns over the cap
+    x = np.where(problem.mask, rng.uniform(0.0, 1.2, shape), 0.0)
+    x *= rng.choice([0.0, 1e-3, 1.0], size=shape, p=[0.15, 0.15, 0.7])
+    h = problem.residuals_scaled(x)
     sigma = 10.0 ** log_sigma
     lam = rng.normal(size=shape[1] + 1) * 10.0 ** rng.uniform(-2.0, 2.0)
-    h, dd = problem.residuals_scaled(x), problem.grad_data_scaled(x)
-    if use_gradient:
-        d = -problem.grad_phi(x, lam, sigma, h, dd)
-        d[(x <= 0.0) & (d < 0.0)] = 0.0
-    else:
-        d = np.where(problem.mask, rng.normal(size=shape), 0.0) * 10.0 ** rng.uniform(-4, 1)
-    y = np.stack([np.maximum(x + 0.5 ** k * d, 0.0) for k in range(60)])
-    exact = np.array([problem.phi(yk, lam, sigma) for yk in y])
-
-    for k in range(60):
-        # a threshold a few ulps away from candidate k's exact merit: a near tie
-        threshold = exact[k]
-        for _ in range(abs(ulps)):
-            threshold = np.nextafter(threshold, np.inf if ulps > 0 else -np.inf)
-        tries, rejected = problem.screen_steps(x, d, h, dd, lam, sigma, float(threshold))
-        assert not np.any(rejected & (exact < threshold)), k
-    np.testing.assert_array_equal(tries, y)
+    if set_curvature:
+        # a small curvature factor c = lam_0 - 2 sigma h0 leaves zero entries
+        # with a positive slope: the epsilon-active set.  With c near 1e-3
+        # and sigma near 1e6 the assembled Hessian's condition number passes
+        # 1e10 and np.linalg.solve itself is off by more than 1e-8 (against
+        # a 40-digit solve), so these draws keep sigma <= 1e2
+        sigma = min(sigma, 1e2)
+        lam[0] = 2.0 * sigma * h[0] + 10.0 ** log_c
+    dd, dd2 = problem.data_derivatives_scaled(x)
+    g = problem.grad_phi(x, lam, sigma, h, dd)
+    d = problem.newton_direction(x, g, h, dd, dd2, lam, sigma)
+    projected = np.where((x <= 0.0) & (g > 0.0), 0.0, g)
+    if np.any(projected != 0.0):
+        assert float(g.ravel() @ d.ravel()) < 0.0
+    if lam[0] - 2.0 * sigma * h[0] <= 0.0:
+        # no positive data curvature: the projected gradient step
+        np.testing.assert_array_equal(d, -projected)
+        return
+    expected = dense_newton_direction(problem, x, g, h, dd, dd2, lam, sigma)
+    assert np.linalg.norm(d - expected) <= 1e-8 * np.linalg.norm(expected)
+    assert np.all(d[~problem.mask] == 0.0)
