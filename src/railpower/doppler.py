@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .radio import LinkConstants, path_loss
-from .scenario import ScenarioConfig, position_rrh_distance, watts_to_dbm
+from .scenario import ScenarioConfig, _hold_read_only, position_rrh_distance, watts_to_dbm
 
 
 def rsrp_at(cfg: ScenarioConfig, x, gamma_db=0.0):
@@ -59,7 +59,7 @@ class RsrpWindow:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values.setflags(write=False)
+        _hold_read_only(self, ("values",))
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,7 @@ class DopplerTable:
     half_width: int         # L
 
     def __post_init__(self):
-        for arr in (self.positions, self.windows, self.f_rel):
-            arr.setflags(write=False)
+        _hold_read_only(self, ("positions", "windows", "f_rel"))
 
     def __len__(self):
         return len(self.positions)

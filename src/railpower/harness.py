@@ -279,6 +279,8 @@ def sweep(cfg: ScenarioConfig, options: HarnessOptions, spec: SweepSpec,
     Points are independent (own RNG streams), so they may run in a
     process pool; rows come back in deterministic order either way.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = [(cfg, options, spec, idx, value, trial)
              for idx, value in enumerate(spec.values)
              for trial in range(spec.trials)]

@@ -1,4 +1,4 @@
-"""Delivered data, energy, efficiency metrics, and the data gradient.
+"""Delivered data, energy, efficiency metrics, and the data derivatives.
 
 Energy is exact (durations dotted with column sums).  Data is the Shannon
 rate integrated over each segment with composite Simpson quadrature; the
@@ -15,20 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import radio
-from .scenario import ScenarioConfig, SegmentSchedule, activity_mask, mr_rrh_distance
+from .scenario import (ScenarioConfig, SegmentSchedule, _hold_read_only, activity_mask,
+                       mr_rrh_distance)
 
 LN2 = np.log(2.0)
-
-
-def _hold_read_only(obj, names) -> None:
-    """Make a frozen dataclass hold read-only arrays: a writable input is
-    copied, never frozen in place, and a read-only one is kept as is."""
-    for name in names:
-        arr = getattr(obj, name)
-        if arr.flags.writeable:
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(obj, name, arr)
 
 
 @dataclass(frozen=True)
@@ -98,11 +88,6 @@ class GainTable:
         """Per-entry data D_ij [bits], zero on inactive entries."""
         snr = p[:, :, None] * self.gains
         return self.rate_scale / LN2 * np.sum(self.weights * np.log1p(snr), axis=2)
-
-    def grad_total_data(self, p: np.ndarray) -> np.ndarray:
-        """d(total data)/dP_ij [bits/W] on the same quadrature nodes."""
-        denom = 1.0 + p[:, :, None] * self.gains
-        return self.rate_scale / LN2 * np.sum(self.weights * self.gains / denom, axis=2)
 
     def data_derivatives(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """dD_ij/dP_ij [bits/W] and d2D_ij/dP_ij2 [bits/W^2] in one pass.

@@ -18,11 +18,12 @@ according to how fast the residual norm shrinks:
   (c) otherwise                              -> grow sigma, keep lam
 
 Inside the solver, powers are scaled by P_T and data by D_min so the
-residual components are comparable under the max norm; results are
-reported in physical units.  :class:`Problem` over a :class:`GainTable`
-is the one representation of the merit function, its gradient and the
-residuals.  The five solver settings (initial penalty, growth factor,
-tolerance, cycle and step caps) live in one frozen
+residual components are comparable under the max norm; :func:`solve`
+converts once at entry and once at return, and the cycles hand on the
+scaled iterate with its residuals.  :class:`Problem` over a
+:class:`GainTable` is the one representation of the merit function, its
+derivatives and the residuals.  The five solver settings (initial
+penalty, growth factor, tolerance, cycle and step caps) live in one frozen
 :class:`SolverOptions`, which owns their defaults and validation;
 :class:`MultiplierState` holds only the iterate.
 
@@ -224,20 +225,18 @@ class InnerInfo:
     merit_evals: int       # Problem.phi evaluations, the start point included
 
 
-def inner_descent(problem: Problem, p0: AllocationMatrix, lam: np.ndarray,
-                  sigma: float, options: SolverOptions) -> tuple[AllocationMatrix, InnerInfo]:
-    """Minimise phi(., lam, sigma) by projected Newton descent from p0.
+def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarray, sigma: float,
+                  options: SolverOptions) -> tuple[np.ndarray, np.ndarray, InnerInfo]:
+    """Minimise phi(., lam, sigma) by projected Newton descent from x.
 
-    Steps along :meth:`Problem.newton_direction`; after every step,
-    negative entries on the active mask are clipped to zero.  The stepsize
-    backtracks by halving from 1 until phi decreases.  The residuals of
-    each evaluated point are kept, so the accepted iterate's data pass is
-    not repeated.  Stops once the projected gradient norm falls below
-    ``options.eps``, on a backtracking stall, or at the step cap; the last
-    two flag the result rather than raising.
+    Takes a scaled iterate x >= 0 with its residuals h and returns the
+    final pair.  Steps along :meth:`Problem.newton_direction`, clipping
+    negative entries to zero; the stepsize halves from 1 until phi
+    decreases, and the accepted candidate's residuals are kept, so each
+    merit evaluation is one data pass.  Stops once the projected gradient
+    norm falls below ``options.eps``, on a backtracking stall, or at the
+    step cap; the last two flag the result rather than raising.
     """
-    x = np.maximum(problem.to_scaled(p0.p), 0.0)
-    h = problem.residuals_scaled(x)
     phi = problem.phi(x, lam, sigma, h)
     phi_start, evals = phi, 1
     steps = 0
@@ -268,7 +267,7 @@ def inner_descent(problem: Problem, p0: AllocationMatrix, lam: np.ndarray,
         x, h, phi = x_new, h_new, phi_new
         steps += 1
 
-    return problem.to_physical(x), InnerInfo(
+    return x, h, InnerInfo(
         steps=steps, converged=converged, reason=reason,
         phi_start=phi_start, phi_end=phi, grad_norm=gnorm, merit_evals=evals,
     )
@@ -308,7 +307,6 @@ class CycleRecord:
 
 @dataclass(frozen=True)
 class SolveResult:
-    alloc: AllocationMatrix
     converged: bool
     cycles: int
     d_min: float
@@ -327,12 +325,15 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
           table: GainTable | None = None) -> tuple[AllocationMatrix, SolveResult]:
     """Run the full multiplier-penalty loop and return the best allocation.
 
-    Raises :class:`InfeasibleDataFloor` when the floor exceeds the data the
-    full-budget average allocation can deliver.  A run that exhausts the
-    outer cycle budget returns its best iterate flagged as non-converged.
-    When the inner loop that produced the returned iterate stopped on
-    ``cap`` or ``stall``, a warning goes to the ``railpower.optimizer``
-    logger.
+    The start point (``init``, else the average allocation, whose data
+    pass is also the feasibility test's) is scaled and clipped to x >= 0
+    once; the cycles carry x and its residuals, and the best x is
+    converted to watts at return.  Raises :class:`InfeasibleDataFloor`
+    when the floor exceeds the data the full-budget average allocation can
+    deliver.  A run that exhausts the outer cycle budget returns its best
+    iterate flagged as non-converged.  When the inner loop that produced
+    the returned iterate stopped on ``cap`` or ``stall``, a warning goes
+    to the ``railpower.optimizer`` logger.
     """
     if sched is None:
         sched = segment_boundaries(cfg)
@@ -349,63 +350,62 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
         zero = AllocationMatrix.zeros(cfg)
         lam = np.zeros(cfg.num_segments + 1)
         result = SolveResult(
-            alloc=zero, converged=True, cycles=0, d_min=d_min,
+            converged=True, cycles=0, d_min=d_min,
             energy_j=0.0, data_bits=0.0, h_inf=0.0,
             lam=lam, lam_hat=lam, sigma=state.sigma,
         )
         return zero, result
 
-    avg = average_alloc(cfg, sched)
-    d_cap = table.total_data(avg.p)
-    if d_min > d_cap * (1.0 + 1e-12):
-        raise InfeasibleDataFloor(
-            f"data floor {d_min:.6g} bits exceeds the {d_cap:.6g} bits deliverable "
-            "at the full per-segment budget"
-        )
-
     problem = Problem(cfg, sched, d_min, table)
-    current = avg if init is None else init
+    x = np.maximum(problem.to_scaled(average_alloc(cfg, sched).p), 0.0)
+    h = problem.residuals_scaled(x)
+    if h[0] < -1e-12:
+        raise InfeasibleDataFloor(
+            f"data floor {d_min:.6g} bits exceeds the {(h[0] + 1.0) * d_min:.6g} bits "
+            "deliverable at the full per-segment budget"
+        )
+    if init is not None:
+        x = np.maximum(problem.to_scaled(init.p), 0.0)
+        h = problem.residuals_scaled(x)
+
     history: list[CycleRecord] = []
     h_prev = None
-    best = None   # (hinf, energy, alloc, lam_hat, sigma, cycle record)
+    best = None   # (hinf, energy, x, lam_hat, sigma, cycle record)
 
     cycles = 0
     while cycles <= options.n_max:
-        current, info = inner_descent(problem, current, state.lam, state.sigma, options)
-        x = problem.to_scaled(current.p)
-        h_now = problem.residuals_scaled(x)
-        hinf = _linf(h_now)
-        energy = total_energy(current, sched)
+        x, h, info = inner_descent(problem, x, h, state.lam, state.sigma, options)
+        hinf = _linf(h)
+        energy = cfg.p_t * float(sched.durations @ x.sum(axis=0))
         history.append(CycleRecord(
             cycle=cycles, h_inf=hinf, sigma=state.sigma, phi=info.phi_end,
             energy_j=energy, inner_steps=info.steps, inner_reason=info.reason,
             merit_evals=info.merit_evals,
         ))
-        lam_hat = state.lam - 2.0 * state.sigma * h_now
+        lam_hat = state.lam - 2.0 * state.sigma * h
         # the first iterate within eps ends the loop (update_state tests the
         # same value), so the lowest residual wins, energy breaking ties
         if best is None or (hinf, energy) < best[:2]:
-            best = (hinf, energy, current, lam_hat, state.sigma, history[-1])
-        state = update_state(state, h_now, h_prev, options)
+            best = (hinf, energy, x, lam_hat, state.sigma, history[-1])
+        state = update_state(state, h, h_prev, options)
         if state.converged:
             break
-        h_prev = h_now
+        h_prev = h
         cycles += 1
 
-    hinf, _, alloc, lam_hat, sigma, rec = best
+    hinf, _, x, lam_hat, sigma, rec = best
     if rec.inner_reason != "gradient":
         _log.warning("returned iterate's inner loop stopped on %s (cycle %d, %d steps, "
                      "h_inf %.3g)", rec.inner_reason, rec.cycle, rec.inner_steps, rec.h_inf)
     # guard against marginal overspend: scale any column above the budget back
-    sums = alloc.column_sums()
-    over = sums > cfg.p_t
+    sums = x.sum(axis=0)
+    over = sums > 1.0
     if np.any(over):
-        scale = np.where(over, cfg.p_t / np.where(over, sums, 1.0), 1.0)
-        alloc = AllocationMatrix(p=alloc.p * scale[None, :], mask=alloc.mask)
-        hinf = _linf(problem.residuals_scaled(problem.to_scaled(alloc.p)))
+        x = x / np.where(over, sums, 1.0)[None, :]
+        hinf = _linf(problem.residuals_scaled(x))
+    alloc = problem.to_physical(x)
 
     result = SolveResult(
-        alloc=alloc,
         converged=bool(hinf <= options.eps),
         cycles=len(history),
         d_min=d_min,
@@ -432,10 +432,10 @@ def kkt_residual(alloc: AllocationMatrix, lam: np.ndarray, cfg: ScenarioConfig,
     """
     problem = Problem(cfg, sched, d_min, table)
     x = problem.to_scaled(alloc.p)
-    h0 = table.total_data(alloc.p) / d_min - 1.0
+    h0 = problem.residuals_scaled(x)[0]
     budget = x.sum(axis=0) - 1.0
 
-    dd = table.grad_total_data(alloc.p) * problem._dscale
+    dd = problem.data_derivatives_scaled(x)[0]
     stat = problem.t_norm[None, :] - lam[0] * dd - lam[1:][None, :]
     interior = alloc.mask & (x > 0.0)
     at_bound = alloc.mask & (x <= 0.0)

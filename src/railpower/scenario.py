@@ -32,6 +32,17 @@ def watts_to_dbm(p_w):
     return 10.0 * np.log10(np.asarray(p_w) * 1000.0)
 
 
+def _hold_read_only(obj, names) -> None:
+    """Make a frozen dataclass hold read-only arrays: a writable input is
+    copied, never frozen in place, and a read-only one is kept as is."""
+    for name in names:
+        arr = getattr(obj, name)
+        if arr.flags.writeable:
+            arr = arr.copy()
+            arr.setflags(write=False)
+            object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full physical and policy parameter set for one traversal.
@@ -80,6 +91,8 @@ class ScenarioConfig:
             )
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must lie in (0, 1]")
+        if self.d_min_bits is not None and self.d_min_bits <= 0:
+            raise ValueError(f"d_min_bits must be positive, got {self.d_min_bits!r}")
         if self.quad_n < 2 or self.quad_n % 2:
             raise ValueError("quad_n must be a positive even integer")
 
@@ -114,8 +127,7 @@ class SegmentSchedule:
     durations: np.ndarray    # (2M+N-2,) [s]
 
     def __post_init__(self):
-        self.boundaries.setflags(write=False)
-        self.durations.setflags(write=False)
+        _hold_read_only(self, ("boundaries", "durations"))
 
     @property
     def num_segments(self) -> int:

@@ -174,7 +174,7 @@ def test_criterion_5_solver_correctness(cfg, rng):
     worst_grad = 0.0
     for trial in range(20):
         p = np.where(mask, rng.uniform(0.1 * per_relay, per_relay, mask.shape), 0.0)
-        g = table.grad_total_data(p)
+        g = table.data_derivatives(p)[0]
         i, j = entries[trial % len(entries)]
         step = 1e-4 * cfg.p_t
         plus, minus = p.copy(), p.copy()

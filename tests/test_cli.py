@@ -31,11 +31,14 @@ def test_run_command(tmp_path, capsys):
 
 
 def test_config_error_exit_code(tmp_path, capsys):
-    # a missing key, a negative cycle cap, an empty inner loop, a NaN cell
+    # a missing key, a negative cycle cap, an empty inner loop, a NaN cell,
+    # a negative or zero data floor
     for text, needle in (("m = 4\nv_kmh = 300\npt_dbm = 40\n", "d_l"),
                          (REF_CONFIG + "solver_n_max = -1\n", "n_max >= 0"),
                          (REF_CONFIG + "solver_inner_cap = 0\n", "inner_cap >= 1"),
-                         (REF_CONFIG.replace("d_l = 200", "d_l = nan"), "d_l must be finite")):
+                         (REF_CONFIG.replace("d_l = 200", "d_l = nan"), "d_l must be finite"),
+                         (REF_CONFIG + "d_min_bits = -5\n", "d_min_bits must be positive"),
+                         (REF_CONFIG + "d_min_bits = 0\n", "d_min_bits must be positive")):
         bad = write_cfg(tmp_path, text)
         code = main(["--outdir", str(tmp_path), "run", bad])
         assert code == 2, text
@@ -127,6 +130,19 @@ def test_sweep_rejects_non_finite_values(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "d_l values must be finite, got nan" in capsys.readouterr().err
     assert not (tmp_path / "sweep_d_l.csv").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_rejects_worker_counts_below_one(tmp_path, capsys, workers):
+    # no silent serial fallback: a worker count below one is a usage error
+    cfg = write_cfg(tmp_path)
+    for command, out in ((["sweep", cfg, "--param", "d_l", "--values", "200"], "sweep_d_l.csv"),
+                         (["mc-velocity", cfg, "--sigmas", "0", "--trials", "1"],
+                          "mc_velocity.csv")):
+        code = main(["--outdir", str(tmp_path), *command, "--workers", workers])
+        assert code == EXIT_CONFIG
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not (tmp_path / out).exists()
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

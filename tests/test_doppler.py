@@ -123,6 +123,24 @@ def test_estimate_rejects_bad_input(ref_cfg, table):
         estimate_doppler(table, RsrpWindow(center=0.0, values=np.zeros(5)), ref_cfg)
 
 
+def test_doppler_records_leave_caller_arrays_writable(ref_cfg, table):
+    values = table.windows[3].copy()
+    window = RsrpWindow(center=0.0, values=values)
+    assert values.flags.writeable
+    assert not window.values.flags.writeable and window.values is not values
+    arrays = {name: getattr(table, name).copy() for name in ("positions", "windows", "f_rel")}
+    held = DopplerTable(**arrays, x_s=table.x_s, half_width=table.half_width)
+    for name, arr in arrays.items():
+        assert arr.flags.writeable, name
+        kept = getattr(held, name)
+        assert not kept.flags.writeable and kept is not arr, name
+    arrays["f_rel"][:] = 0.0
+    probe = table.window_at(3)
+    assert estimate_doppler(held, probe, ref_cfg) == estimate_doppler(table, probe, ref_cfg) != 0
+    # a stored window is a read-only row of the table, held without a copy
+    assert np.shares_memory(probe.values, table.windows)
+
+
 def test_table_save_load_round_trip(ref_cfg, table, tmp_path):
     path = tmp_path / "doppler_table.txt"
     table.save(path)

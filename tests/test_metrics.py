@@ -114,7 +114,8 @@ def test_evaluation_is_bitwise_repeatable(ref_cfg, ref_sched, rng):
     t1 = build_gain_table(ref_cfg, ref_sched)
     t2 = build_gain_table(ref_cfg, ref_sched)
     assert t1.total_data(p) == t1.total_data(p) == t2.total_data(p)
-    assert np.array_equal(t1.grad_total_data(p), t2.grad_total_data(p))
+    for a, b in zip(t1.data_derivatives(p), t2.data_derivatives(p)):
+        assert np.array_equal(a, b)
 
 
 def test_quadrature_convergence(ref_cfg, ref_sched):
@@ -151,7 +152,7 @@ def test_grad_total_data_finite_differences(ref_cfg, ref_sched, ref_table, rng):
     entries = list(zip(*np.nonzero(mask)))
     for trial in range(20):
         p = np.where(mask, rng.uniform(0.1 * per_relay, per_relay, mask.shape), 0.0)
-        g = ref_table.grad_total_data(p)
+        g = ref_table.data_derivatives(p)[0]
         assert np.all(g[mask] > 0)
         assert np.all(g[~mask] == 0.0)
         i, j = entries[trial % len(entries)]
@@ -162,13 +163,40 @@ def test_grad_total_data_finite_differences(ref_cfg, ref_sched, ref_table, rng):
         assert abs(fd - g[i, j]) <= 1e-4 * abs(fd)
 
 
+def test_data_curvature_finite_differences(ref_cfg, ref_table, rng):
+    # the curvature is the derivative of the gradient, entry by entry, and
+    # moving one entry leaves every other entry's gradient unchanged (each
+    # D_ij depends on P_ij alone, so the Hessian of the data is diagonal)
+    mask = activity_mask(ref_cfg)
+    step = 1e-4 * ref_cfg.p_t
+    per_relay = ref_cfg.p_t / ref_cfg.num_relays
+    entries = list(zip(*np.nonzero(mask)))
+    for trial in range(20):
+        p = np.where(mask, rng.uniform(0.1 * per_relay, per_relay, mask.shape), 0.0)
+        dd, dd2 = ref_table.data_derivatives(p)
+        assert np.all(dd2[mask] < 0)
+        assert np.all(dd2[~mask] == 0.0)
+        i, j = entries[trial % len(entries)]
+        plus, minus = p.copy(), p.copy()
+        plus[i, j] += step
+        minus[i, j] -= step
+        g_plus = ref_table.data_derivatives(plus)[0]
+        g_minus = ref_table.data_derivatives(minus)[0]
+        fd = (g_plus[i, j] - g_minus[i, j]) / (2 * step)
+        assert abs(fd - dd2[i, j]) <= 1e-4 * abs(fd)
+        others = np.ones_like(mask)
+        others[i, j] = False
+        assert np.array_equal(g_plus[others], dd[others])
+        assert np.array_equal(g_minus[others], dd[others])
+
+
 def test_grad_larger_near_rrh(ref_cfg, ref_sched, ref_table):
     # equal power in the gain-sensitive regime: the abeam segment outpulls
     # the cell-edge segment (at tens of dB of SNR the log saturates and the
     # longer edge segment would win on duration alone)
     mask = activity_mask(ref_cfg)
     p = np.where(mask, 0.01, 0.0)
-    g = ref_table.grad_total_data(p)
+    g = ref_table.data_derivatives(p)[0]
     # relay 1 passes abeam (x=100 m) during segment 5; its cell-edge segment is 1
     assert g[0, 4] > g[0, 0]
     # per unit time the abeam segment wins at any power level

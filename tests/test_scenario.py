@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from railpower import (ScenarioConfig, active_segments, activity_mask, head_position,
-                       mr_position, mr_rrh_distance, mrs_in_cell, reference_config,
-                       segment_boundaries)
+from railpower import (ScenarioConfig, SegmentSchedule, active_segments, activity_mask,
+                       head_position, mr_position, mr_rrh_distance, mrs_in_cell,
+                       reference_config, segment_boundaries)
 
 
 def kinematic_boundaries(cfg):
@@ -147,6 +147,26 @@ def test_config_validation():
         ScenarioConfig(rho=1.5)
     with pytest.raises(ValueError):
         ScenarioConfig(quad_n=7)
+    # an explicit floor must be positive, as rho is: a floor <= 0 asks for nothing
+    for bad in (-5.0, 0.0):
+        with pytest.raises(ValueError, match="d_min_bits must be positive"):
+            ScenarioConfig(d_min_bits=bad)
+    assert ScenarioConfig(d_min_bits=1.0).d_min_bits == 1.0
+
+
+def test_segment_schedule_leaves_caller_arrays_writable(ref_sched):
+    arrays = {"boundaries": ref_sched.boundaries.copy(),
+              "durations": ref_sched.durations.copy()}
+    sched = SegmentSchedule(**arrays)
+    for name, arr in arrays.items():
+        assert arr.flags.writeable, name
+        held = getattr(sched, name)
+        assert not held.flags.writeable and held is not arr, name
+    arrays["boundaries"][:] = 0.0
+    assert sched.total_time == ref_sched.total_time
+    # arrays that are already read-only are held as they are
+    again = SegmentSchedule(boundaries=sched.boundaries, durations=sched.durations)
+    assert again.boundaries is sched.boundaries and again.durations is sched.durations
 
 
 @pytest.mark.parametrize("field", ["d0", "d_l", "d_mr", "v", "p_t", "bandwidth",
