@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import radio
-from .metrics import AllocationMatrix
+from .metrics import AllocationMatrix, active_entries
 from .scenario import ScenarioConfig, SegmentSchedule, activity_mask, mr_rrh_distance
 
 
@@ -34,6 +34,14 @@ def average_alloc(cfg: ScenarioConfig, sched: SegmentSchedule) -> AllocationMatr
     return AllocationMatrix(p=p, mask=mask)
 
 
+def _split_budget(cfg: ScenarioConfig, mask: np.ndarray, seg: np.ndarray,
+                  w: np.ndarray) -> AllocationMatrix:
+    """P_T split over each segment's active entries in proportion to the
+    compact weights w."""
+    sums = np.bincount(seg, weights=w, minlength=cfg.num_segments)
+    return AllocationMatrix.from_entries(cfg.p_t * w / sums[seg], mask)
+
+
 def random_alloc(cfg: ScenarioConfig, sched: SegmentSchedule,
                  rng: np.random.Generator) -> AllocationMatrix:
     """Uniformly random split of P_T among the covered relays of each segment.
@@ -42,12 +50,11 @@ def random_alloc(cfg: ScenarioConfig, sched: SegmentSchedule,
     a uniform point on the simplex, scaled so every column sums to P_T.
     """
     mask = activity_mask(cfg)
-    p = np.zeros(mask.shape)
-    for j in range(cfg.num_segments):
-        idx = np.flatnonzero(mask[:, j])
-        w = rng.exponential(1.0, size=idx.size)
-        p[idx, j] = cfg.p_t * w / w.sum()
-    return AllocationMatrix(p=p, mask=mask)
+    seg = active_entries(mask)[1]
+    # one draw per entry in the compact order: column by column, as a
+    # per-column loop would draw them
+    w = rng.exponential(1.0, size=seg.size)
+    return _split_budget(cfg, mask, seg, w)
 
 
 @dataclass(frozen=True)
@@ -89,12 +96,8 @@ def csi_alloc(cfg: ScenarioConfig, sched: SegmentSchedule,
         raise ValueError("snapshot shape does not match the scenario")
     if np.any((snap.h2 <= 0.0) & mask):
         raise ValueError("zero channel gain on an active entry")
-    p = np.zeros(mask.shape)
-    for j in range(cfg.num_segments):
-        idx = np.flatnonzero(mask[:, j])
-        w = snap.h2[idx, j] ** (-alpha)
-        p[idx, j] = cfg.p_t * w / w.sum()
-    return AllocationMatrix(p=p, mask=mask)
+    relay, seg = active_entries(mask)
+    return _split_budget(cfg, mask, seg, snap.h2[relay, seg] ** (-alpha))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ naming the floor, while the baselines still run.
 
 Data floor rule: :func:`run_point` takes the floor from the scenario's
 deterministic gain table, which also serves planning; a point builds
-one table, plus one for a fading trace.
+one table, and a fading trace scales that table's factors into the
+evaluation table without recomputing the geometry.
 Solver settings reach :func:`optimizer.solve` as the one
 :class:`optimizer.SolverOptions` held by :class:`HarnessOptions`.
 """
@@ -173,8 +174,7 @@ def run_point(cfg: ScenarioConfig, options: HarnessOptions,
     # planning always sees the deterministic channel
     det_table = eval_table = metrics.build_gain_table(cfg, sched)
     if cfg.fading:
-        fading_trace = metrics.sample_fading_trace(cfg, sched, rng_fading)
-        eval_table = metrics.build_gain_table(cfg, sched, fading_db=fading_trace)
+        eval_table = det_table.faded(metrics.sample_fading_trace(cfg, sched, rng_fading))
 
     d_min_bits = optimizer.data_floor(cfg, sched, det_table)
     point = dict(kind=kind, param=param, value=value, trial=trial,

@@ -6,11 +6,22 @@ linear channel factor at every quadrature node depends only on geometry,
 so it is precomputed once per scenario into a :class:`GainTable` and all
 power-dependent evaluations (data, gradient) become cheap vectorised
 passes over that table.  This is what makes the solver's inner loop fast.
+
+Compact layout: a relay transmits only while it is in the cell, so of the
+M x (2M+N-2) (relay, segment) pairs only the K = M(M+N-1) active entries
+carry power.  The table, the data passes and the solver hold those K
+entries as one vector in column-major order (see :func:`active_entries`),
+each segment's relays next to each other; per-segment sums are one
+``bincount`` over the entry-to-segment index, which adds a column's
+entries in relay order exactly as a row-by-row sum of the dense matrix
+does.  Dense (M, S) matrices exist only in :class:`AllocationMatrix`,
+gathered by :meth:`AllocationMatrix.entries` and scattered by
+:meth:`AllocationMatrix.from_entries`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,6 +30,13 @@ from .scenario import (ScenarioConfig, SegmentSchedule, _hold_read_only, activit
                        mr_rrh_distance)
 
 LN2 = np.log(2.0)
+
+
+def active_entries(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(relay, segment) indices (0-based) of the active entries of an
+    activity mask, in the compact column-major order."""
+    seg, relay = np.nonzero(mask.T)
+    return relay, seg
 
 
 @dataclass(frozen=True)
@@ -44,6 +62,17 @@ class AllocationMatrix:
         mask = activity_mask(cfg)
         return cls(p=np.zeros(mask.shape), mask=mask)
 
+    @classmethod
+    def from_entries(cls, values: np.ndarray, mask: np.ndarray) -> "AllocationMatrix":
+        """Scatter compact entry powers (K,) into the dense matrix."""
+        p = np.zeros(mask.T.shape)
+        p[mask.T] = values
+        return cls(p=p.T, mask=mask)
+
+    def entries(self) -> np.ndarray:
+        """Powers of the active entries (K,), in the compact order."""
+        return self.p.T[self.mask.T]
+
     def column_sums(self) -> np.ndarray:
         return self.p.sum(axis=0)
 
@@ -58,61 +87,86 @@ def _simpson_weights(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GainTable:
-    """Per-node linear channel factors for every (relay, segment) pair.
+    """Per-node linear channel factors for the K active entries.
 
-    ``gains[i, j, q]`` is the linear SNR produced by one transmit watt for
-    relay i at quadrature node q of segment j (zero where the relay is out
-    of the cell).  ``weights[j, q]`` are Simpson weights scaled by the node
-    spacing, so a plain weighted sum is the time integral.
+    ``gains[k, q]`` is the linear SNR produced by one transmit watt for
+    entry k (a relay in a segment where it is in the cell) at quadrature
+    node q of that segment.  ``weights[k, q]`` are the segment's Simpson
+    weights scaled by the node spacing, so a plain weighted sum is the
+    time integral.  Entries run in the compact column-major order of
+    :func:`active_entries` over ``mask``; ``segment[k]`` is entry k's
+    segment, derived from the mask.  Every power argument is a compact
+    vector p (K,) in watts.
     """
 
-    gains: np.ndarray      # (M, S, Q+1) [1/W]
-    weights: np.ndarray    # (S, Q+1) [s]
+    gains: np.ndarray      # (K, Q+1) [1/W]
+    weights: np.ndarray    # (K, Q+1) [s]
     mask: np.ndarray       # (M, S)
     bandwidth: float
     use_bandwidth: bool
+    segment: np.ndarray = field(init=False, repr=False)   # (K,) entry -> segment
 
     def __post_init__(self):
         _hold_read_only(self, ("gains", "weights", "mask"))
+        segment = active_entries(self.mask)[1]
+        if self.gains.shape[0] != segment.size or self.weights.shape != self.gains.shape:
+            raise ValueError("gains and weights must be (K, Q+1) over the active entries")
+        segment.setflags(write=False)
+        object.__setattr__(self, "segment", segment)
 
     @property
     def rate_scale(self) -> float:
         return self.bandwidth if self.use_bandwidth else 1.0
 
+    def column_sums(self, v: np.ndarray) -> np.ndarray:
+        """Per-segment sums (S,) of compact entry values (K,)."""
+        return np.bincount(self.segment, weights=v, minlength=self.mask.shape[1])
+
+    def _log_rate(self, p: np.ndarray) -> np.ndarray:
+        # ln(1 + SNR) at every node of every entry: the one data kernel
+        return np.log1p(p[:, None] * self.gains)
+
     def total_data(self, p: np.ndarray) -> float:
-        """Delivered data [bits] for a dense power matrix (W)."""
-        snr = p[:, :, None] * self.gains
-        return float(self.rate_scale / LN2 * np.sum(self.weights * np.log1p(snr)))
+        """Delivered data [bits] for compact entry powers p (W)."""
+        return float(self.rate_scale / LN2 * np.vdot(self.weights, self._log_rate(p)))
 
     def segment_data_matrix(self, p: np.ndarray) -> np.ndarray:
-        """Per-entry data D_ij [bits], zero on inactive entries."""
-        snr = p[:, :, None] * self.gains
-        return self.rate_scale / LN2 * np.sum(self.weights * np.log1p(snr), axis=2)
+        """Per-entry data D_k [bits] (K,) for compact entry powers p (W)."""
+        return self.rate_scale / LN2 * np.add.reduce(self.weights * self._log_rate(p), axis=1)
 
     def data_derivatives(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """dD_ij/dP_ij [bits/W] and d2D_ij/dP_ij2 [bits/W^2] in one pass.
+        """dD_k/dP_k [bits/W] and d2D_k/dP_k2 [bits/W^2] in one pass.
 
-        Each D_ij depends on P_ij alone, so its second derivative is the
+        Each D_k depends on P_k alone, so its second derivative is the
         whole Hessian of the total data (a diagonal, negative: D is
         concave).  Both sums share the ratio g / (1 + P g).
         """
-        r = self.gains / (1.0 + p[:, :, None] * self.gains)
+        r = self.gains / (1.0 + p[:, None] * self.gains)
         wr = self.weights * r
         scale = self.rate_scale / LN2
-        return scale * np.sum(wr, axis=2), -scale * np.sum(wr * r, axis=2)
+        return scale * np.add.reduce(wr, axis=1), -scale * np.add.reduce(wr * r, axis=1)
+
+    def faded(self, fading_db: np.ndarray) -> "GainTable":
+        """This table under a (M, S, Q+1) trace of dB attenuations.
+
+        Only the active entries' factors are scaled; the geometry is not
+        recomputed.
+        """
+        if fading_db.shape != self.mask.shape + self.gains.shape[1:]:
+            raise ValueError("fading trace shape must be (M, S, Q+1)")
+        attenuation = 10.0 ** (-fading_db.swapaxes(0, 1)[self.mask.T] / 10.0)
+        return replace(self, gains=self.gains * attenuation)
 
 
-def build_gain_table(cfg: ScenarioConfig, sched: SegmentSchedule,
-                     fading_db: np.ndarray | None = None) -> GainTable:
-    """Precompute quadrature nodes, weights, and channel factors.
+def build_gain_table(cfg: ScenarioConfig, sched: SegmentSchedule) -> GainTable:
+    """Precompute quadrature weights and channel factors at the active entries.
 
-    The quadrature uses ``cfg.quad_n`` Simpson subintervals per segment.
-    ``fading_db``, when given, is a (M, S, Q+1) array of dB attenuations
-    applied on top of the deterministic channel at each node.
+    The quadrature uses ``cfg.quad_n`` Simpson subintervals per segment;
+    the link is evaluated only at the nodes of segments where the relay
+    is in the cell.
     """
     n = cfg.quad_n
-    m, s = cfg.num_relays, cfg.num_segments
-    if sched.num_segments != s:
+    if sched.num_segments != cfg.num_segments:
         raise ValueError("schedule does not match the configuration")
 
     base_w = _simpson_weights(n)                      # (Q+1,)
@@ -120,19 +174,15 @@ def build_gain_table(cfg: ScenarioConfig, sched: SegmentSchedule,
     t0 = sched.boundaries[:-1]
     h = sched.durations / n
     nodes = t0[:, None] + frac[None, :] * sched.durations[:, None]   # (S, Q+1)
-    weights = h[:, None] * base_w[None, :]
 
     mask = activity_mask(cfg)
-    gains = np.zeros((m, s, n + 1))
-    for i in range(1, m + 1):
-        d = mr_rrh_distance(cfg, i, nodes)            # (S, Q+1)
-        g = radio.snr_linear_per_watt(cfg, d)
-        gains[i - 1] = np.where(mask[i - 1][:, None], g, 0.0)
-    if fading_db is not None:
-        if fading_db.shape != gains.shape:
-            raise ValueError("fading trace shape must be (M, S, Q+1)")
-        gains = gains * 10.0 ** (-fading_db / 10.0)
-        gains = np.where(mask[:, :, None], gains, 0.0)
+    relay, seg = active_entries(mask)
+    gains = np.empty((seg.size, n + 1))
+    for i in range(cfg.num_relays):
+        rows = relay == i
+        d = mr_rrh_distance(cfg, i + 1, nodes[seg[rows]])
+        gains[rows] = radio.snr_linear_per_watt(cfg, d)
+    weights = h[seg, None] * base_w[None, :]
     return GainTable(gains=gains, weights=weights, mask=mask,
                      bandwidth=cfg.bandwidth, use_bandwidth=cfg.bandwidth_factor)
 
@@ -210,7 +260,7 @@ class MetricsRecord:
 def compute_metrics(alloc: AllocationMatrix, cfg: ScenarioConfig,
                     sched: SegmentSchedule, table: GainTable) -> MetricsRecord:
     seg_e = sched.durations * alloc.column_sums()
-    seg_d = table.segment_data_matrix(alloc.p).sum(axis=0)
+    seg_d = table.column_sums(table.segment_data_matrix(alloc.entries()))
     e = float(seg_e.sum())
     d = float(seg_d.sum())
     return MetricsRecord(

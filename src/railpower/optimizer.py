@@ -20,12 +20,16 @@ according to how fast the residual norm shrinks:
 Inside the solver, powers are scaled by P_T and data by D_min so the
 residual components are comparable under the max norm; :func:`solve`
 converts once at entry and once at return, and the cycles hand on the
-scaled iterate with its residuals.  :class:`Problem` over a
-:class:`GainTable` is the one representation of the merit function, its
-derivatives and the residuals.  The five solver settings (initial
-penalty, growth factor, tolerance, cycle and step caps) live in one frozen
-:class:`SolverOptions`, which owns their defaults and validation;
-:class:`MultiplierState` holds only the iterate.
+scaled iterate with its residuals.  The iterate is the compact vector x
+(K,) of the K = M(M+N-1) entries where a relay is in the cell, in the
+column-major order of :mod:`metrics` (each segment's relays next to each
+other); column sums are one ``bincount`` over the entry-to-segment index,
+and no inactive entry is stored, computed or masked out.
+:class:`Problem` over a :class:`GainTable` is the one representation of
+the merit function, its derivatives and the residuals.  The five solver
+settings (initial penalty, growth factor, tolerance, cycle and step caps)
+live in one frozen :class:`SolverOptions`, which owns their defaults and
+validation; :class:`MultiplierState` holds only the iterate.
 
 Budget handling: budget rows are one-sided caps, their residual clipped
 at zero below the budget.  The literal equality form would pin the
@@ -48,7 +52,7 @@ slope, delta = min(1e-3, ||x - max(x - g, 0)||), form the epsilon-active
 set and take the diagonally scaled step -g_i / H_ii toward the bound.
 The free entries solve H_FF d = -g_F: Sherman-Morrison inverts each
 capped column's block (diagonal plus 2 sigma 1 1^T), and one Woodbury
-rank-one update adds the data term, all in O(M * S) with no dense solve.
+rank-one update adds the data term, all in O(K) with no dense solve.
 When c <= 0 the data curvature is not positive (at rho = 1 the first
 cycle starts at lam = 0 on the floor, h0 = 0) and the step falls back to
 the projected gradient.  The stepsize halves from 1 until phi decreases
@@ -116,16 +120,17 @@ def data_floor(cfg: ScenarioConfig, sched: SegmentSchedule, table: GainTable) ->
     """Data floor [bits]: explicit override, else rho times the average scheme's data."""
     if cfg.d_min_bits is not None:
         return float(cfg.d_min_bits)
-    return cfg.rho * table.total_data(average_alloc(cfg, sched).p)
+    return cfg.rho * table.total_data(average_alloc(cfg, sched).entries())
 
 
 class Problem:
     """Scaled view of one scenario's optimisation problem.
 
     Holds the precomputed gain table and the normalisation constants;
-    powers are handled as x = P / P_T and data as D / D_min.  The merit
-    function value, gradient, and residuals are all expressed in these
-    scaled units so a single tolerance applies across constraint rows.
+    powers are handled as x = P / P_T over the compact entries (K,) and
+    data as D / D_min.  The merit function value, gradient, and residuals
+    are all expressed in these scaled units so a single tolerance applies
+    across constraint rows.
     """
 
     def __init__(self, cfg: ScenarioConfig, sched: SegmentSchedule, d_min: float,
@@ -136,26 +141,26 @@ class Problem:
         self.sched = sched
         self.d_min = d_min
         self.table = table
-        self.mask = self.table.mask
+        self.segment = table.segment
         self.t_norm = sched.durations / sched.total_time
+        self._t_entry = self.t_norm[self.segment]
         self.p_t = cfg.p_t
         # dD_scaled/dx = (P_T / D_min) * dD/dP
         self._dscale = self.p_t / d_min
 
-    def to_scaled(self, p: np.ndarray) -> np.ndarray:
-        return np.where(self.mask, p / self.p_t, 0.0)
+    def to_scaled(self, alloc: AllocationMatrix) -> np.ndarray:
+        return alloc.entries() / self.p_t
 
     def to_physical(self, x: np.ndarray) -> AllocationMatrix:
-        return AllocationMatrix(p=np.where(self.mask, x * self.p_t, 0.0),
-                                mask=self.mask)
+        return AllocationMatrix.from_entries(x * self.p_t, self.table.mask)
 
     def energy_scaled(self, x: np.ndarray) -> float:
-        return float(self.t_norm @ x.sum(axis=0))
+        return float(self.t_norm @ self.table.column_sums(x))
 
     def residuals_scaled(self, x: np.ndarray) -> np.ndarray:
-        h = np.empty(x.shape[1] + 1)
+        h = np.empty(self.t_norm.size + 1)
         h[0] = self.table.total_data(x * self.p_t) / self.d_min - 1.0
-        h[1:] = np.maximum(x.sum(axis=0) - 1.0, 0.0)
+        h[1:] = np.maximum(self.table.column_sums(x) - 1.0, 0.0)
         return h
 
     def phi(self, x: np.ndarray, lam: np.ndarray, sigma: float,
@@ -177,10 +182,11 @@ class Problem:
             h = self.residuals_scaled(x)
         if dd is None:
             dd = self.data_derivatives_scaled(x)[0]
-        # below the cap the clipped budget rows contribute nothing
-        coef = np.where(h[1:] > 0.0, -lam[1:] + 2.0 * sigma * h[1:], 0.0)
-        g = self.t_norm[None, :] + (-lam[0] + 2.0 * sigma * h[0]) * dd + coef[None, :]
-        return np.where(self.mask, g, 0.0)
+        g = self._t_entry + (-lam[0] + 2.0 * sigma * h[0]) * dd
+        capped = h[1:] > 0.0
+        if capped.any():   # below the cap the clipped budget rows contribute nothing
+            g += np.where(capped, -lam[1:] + 2.0 * sigma * h[1:], 0.0)[self.segment]
+        return g
 
     def newton_direction(self, x: np.ndarray, g: np.ndarray, h: np.ndarray,
                          dd: np.ndarray, dd2: np.ndarray, lam: np.ndarray,
@@ -194,24 +200,28 @@ class Problem:
         c = lam[0] - 2.0 * sigma * h[0]
         if c <= 0.0:
             return np.where((x <= 0.0) & (g > 0.0), 0.0, -g)
-        # x - max(x - g, 0) = min(x, g); g is zero off the mask
-        delta = min(1e-3, float(np.linalg.norm(np.minimum(x, g))))
+        # x - max(x - g, 0) = min(x, g)
+        step = np.minimum(x, g)
+        delta = min(1e-3, math.sqrt(float(step @ step)))
         active = (x <= delta) & (g > 0.0)
-        free = self.mask & ~active
         two_s = 2.0 * sigma
-        capped = h[1:] > 0.0
         curv = -c * dd2
-        inv_a = np.divide(1.0, curv, out=np.zeros_like(x), where=free)
-        # Sherman-Morrison per capped column on g and on the data gradient
-        w = inv_a * np.stack((g, dd))
-        col = np.where(capped, two_s / (1.0 + two_s * inv_a.sum(axis=0)), 0.0)
-        w -= inv_a * (w.sum(axis=1) * col)[:, None, :]
-        bg, bu = w
-        # Woodbury rank-one update for 2 sigma dd dd^T; bg, bu are zero off the free set
-        d_free = bg - two_s * np.vdot(dd, bg) / (1.0 + two_s * np.vdot(dd, bu)) * bu
-        diag = curv + two_s * (dd * dd + capped)
-        d_active = np.divide(g, diag, out=np.zeros_like(x), where=active)
-        return -(d_free + d_active)       # each is zero off its own set
+        inv_a = np.where(active, 0.0, 1.0 / curv)
+        bg, bu = inv_a * g, inv_a * dd
+        capped = h[1:] > 0.0
+        seg = self.segment
+        if capped.any():
+            # Sherman-Morrison per capped column on g and on the data gradient
+            colsum = self.table.column_sums
+            col = np.where(capped, two_s / (1.0 + two_s * colsum(inv_a)), 0.0)
+            bg -= inv_a * (colsum(bg) * col)[seg]
+            bu -= inv_a * (colsum(bu) * col)[seg]
+        # Woodbury rank-one update for 2 sigma dd dd^T; bg, bu are zero on the active set
+        d_free = bg - two_s * float(dd @ bg) / (1.0 + two_s * float(dd @ bu)) * bu
+        if not active.any():
+            return -d_free
+        diag = curv + two_s * (dd * dd + capped[seg])
+        return -np.where(active, g / diag, d_free)
 
 
 @dataclass(frozen=True)
@@ -246,7 +256,8 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
         dd, dd2 = problem.data_derivatives_scaled(x)
         g = problem.grad_phi(x, lam, sigma, h, dd)
         # projected gradient: no descent below zero at the bound
-        gnorm = float(np.linalg.norm(np.where((x <= 0.0) & (g > 0.0), 0.0, g)))
+        pg = np.where((x <= 0.0) & (g > 0.0), 0.0, g)
+        gnorm = math.sqrt(float(pg @ pg))
         if gnorm <= options.eps:
             converged, reason = True, "gradient"
             break
@@ -357,7 +368,7 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
         return zero, result
 
     problem = Problem(cfg, sched, d_min, table)
-    x = np.maximum(problem.to_scaled(average_alloc(cfg, sched).p), 0.0)
+    x = np.maximum(problem.to_scaled(average_alloc(cfg, sched)), 0.0)
     h = problem.residuals_scaled(x)
     if h[0] < -1e-12:
         raise InfeasibleDataFloor(
@@ -365,7 +376,7 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
             "deliverable at the full per-segment budget"
         )
     if init is not None:
-        x = np.maximum(problem.to_scaled(init.p), 0.0)
+        x = np.maximum(problem.to_scaled(init), 0.0)
         h = problem.residuals_scaled(x)
 
     history: list[CycleRecord] = []
@@ -376,7 +387,7 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     while cycles <= options.n_max:
         x, h, info = inner_descent(problem, x, h, state.lam, state.sigma, options)
         hinf = _linf(h)
-        energy = cfg.p_t * float(sched.durations @ x.sum(axis=0))
+        energy = cfg.p_t * float(sched.durations @ table.column_sums(x))
         history.append(CycleRecord(
             cycle=cycles, h_inf=hinf, sigma=state.sigma, phi=info.phi_end,
             energy_j=energy, inner_steps=info.steps, inner_reason=info.reason,
@@ -397,11 +408,15 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     if rec.inner_reason != "gradient":
         _log.warning("returned iterate's inner loop stopped on %s (cycle %d, %d steps, "
                      "h_inf %.3g)", rec.inner_reason, rec.cycle, rec.inner_steps, rec.h_inf)
-    # guard against marginal overspend: scale any column above the budget back
-    sums = x.sum(axis=0)
-    over = sums > 1.0
-    if np.any(over):
-        x = x / np.where(over, sums, 1.0)[None, :]
+    # guard against overspend: scale every column whose sum in watts is above
+    # the budget back until none is; a factor of at most 1 - 2**-52 lowers
+    # each entry by at least one ulp, so the loop ends with the sums exact
+    sums = table.column_sums(x * cfg.p_t)
+    if np.any(sums > cfg.p_t):
+        while np.any(sums > cfg.p_t):
+            shrink = np.minimum(cfg.p_t / sums, 1.0 - 2.0 ** -52)
+            x = x * np.where(sums > cfg.p_t, shrink, 1.0)[table.segment]
+            sums = table.column_sums(x * cfg.p_t)
         hinf = _linf(problem.residuals_scaled(x))
     alloc = problem.to_physical(x)
 
@@ -410,7 +425,7 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
         cycles=len(history),
         d_min=d_min,
         energy_j=total_energy(alloc, sched),
-        data_bits=table.total_data(alloc.p),
+        data_bits=table.total_data(alloc.entries()),
         h_inf=hinf,
         lam=state.lam,
         lam_hat=lam_hat,
@@ -431,14 +446,14 @@ def kkt_residual(alloc: AllocationMatrix, lam: np.ndarray, cfg: ScenarioConfig,
     wrong-signed multiplier excess.
     """
     problem = Problem(cfg, sched, d_min, table)
-    x = problem.to_scaled(alloc.p)
+    x = problem.to_scaled(alloc)
     h0 = problem.residuals_scaled(x)[0]
-    budget = x.sum(axis=0) - 1.0
+    budget = table.column_sums(x) - 1.0
 
     dd = problem.data_derivatives_scaled(x)[0]
-    stat = problem.t_norm[None, :] - lam[0] * dd - lam[1:][None, :]
-    interior = alloc.mask & (x > 0.0)
-    at_bound = alloc.mask & (x <= 0.0)
+    stat = problem.t_norm[table.segment] - lam[0] * dd - lam[1:][table.segment]
+    interior = x > 0.0
+    at_bound = ~interior
     stat_res = 0.0
     if np.any(interior):
         stat_res = float(np.max(np.abs(stat[interior])))

@@ -27,6 +27,7 @@ from railpower import (FadingModel, Problem, activity_mask, build_gain_table,
 from railpower.configio import SCHEMES, HarnessOptions
 from railpower.harness import (SweepSpec, monte_carlo_velocity_error, records_to_csv,
                                run_point, sweep)
+from railpower.metrics import active_entries
 
 EPS = 1e-4   # solver tolerance on scaled residuals
 
@@ -168,20 +169,19 @@ def test_criterion_5_solver_correctness(cfg, rng):
     table = build_gain_table(cfg, sched)
     d_min = data_floor(cfg, sched, table)
     problem = Problem(cfg, sched, d_min, table)
-    mask = activity_mask(cfg)
+    k_all = activity_mask(cfg).sum()
     per_relay = cfg.p_t / cfg.num_relays
-    entries = list(zip(*np.nonzero(mask)))
     worst_grad = 0.0
     for trial in range(20):
-        p = np.where(mask, rng.uniform(0.1 * per_relay, per_relay, mask.shape), 0.0)
+        p = rng.uniform(0.1 * per_relay, per_relay, k_all)
         g = table.data_derivatives(p)[0]
-        i, j = entries[trial % len(entries)]
+        k = trial % k_all
         step = 1e-4 * cfg.p_t
         plus, minus = p.copy(), p.copy()
-        plus[i, j] += step
-        minus[i, j] -= step
+        plus[k] += step
+        minus[k] -= step
         fd = (table.total_data(plus) - table.total_data(minus)) / (2 * step)
-        worst_grad = max(worst_grad, abs(fd - g[i, j]) / abs(fd))
+        worst_grad = max(worst_grad, abs(fd - g[k]) / abs(fd))
 
         x = p / cfg.p_t
         lam = rng.uniform(-1.0, 1.0, cfg.num_segments + 1)
@@ -189,10 +189,10 @@ def test_criterion_5_solver_correctness(cfg, rng):
         gp = problem.grad_phi(x, lam, sigma)
         h = 1e-6
         xp, xm = x.copy(), x.copy()
-        xp[i, j] += h
-        xm[i, j] -= h
+        xp[k] += h
+        xm[k] -= h
         fd_phi = (problem.phi(xp, lam, sigma) - problem.phi(xm, lam, sigma)) / (2 * h)
-        worst_grad = max(worst_grad, abs(fd_phi - gp[i, j]) / max(abs(fd_phi), 1e-8))
+        worst_grad = max(worst_grad, abs(fd_phi - gp[k]) / max(abs(fd_phi), 1e-8))
 
     ok = worst_data <= 1e-3 and worst_over <= 1e-3 and worst_kkt <= 10 * EPS \
         and worst_grad <= 1e-4
@@ -214,8 +214,11 @@ def test_criterion_6_brute_force_oracle():
     t = sched.durations
     ln2 = np.log(2.0)
 
+    relay, seg = active_entries(table.mask)
+
     def entry_data(i, j, powers):
-        g, w = table.gains[i, j], table.weights[j]
+        k = np.flatnonzero((relay == i) & (seg == j))[0]
+        g, w = table.gains[k], table.weights[k]
         return table.rate_scale / ln2 * (w * np.log1p(powers[:, None] * g)).sum(axis=1)
 
     d1 = entry_data(0, 0, grid)

@@ -165,3 +165,47 @@ def test_validate_alloc_reports_violations(ref_cfg, ref_sched):
     kinds = {v.kind for v in report}
     assert "mask" in kinds
     assert any(v.i == 4 and v.j == 1 for v in report)
+
+
+def column_loop_random(cfg, rng):
+    """Reference: one exponential draw per covered relay, column by column."""
+    mask = activity_mask(cfg)
+    p = np.zeros(mask.shape)
+    for j in range(cfg.num_segments):
+        idx = np.flatnonzero(mask[:, j])
+        w = rng.exponential(1.0, size=idx.size)
+        p[idx, j] = cfg.p_t * w / w.sum()
+    return p
+
+
+def column_loop_csi(cfg, snap):
+    """Reference: inverse-gain weights normalised column by column."""
+    mask = activity_mask(cfg)
+    p = np.zeros(mask.shape)
+    for j in range(cfg.num_segments):
+        idx = np.flatnonzero(mask[:, j])
+        w = snap.h2[idx, j] ** (-cfg.csi_alpha)
+        p[idx, j] = cfg.p_t * w / w.sum()
+    return p
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 7, 8, 11])
+def test_vectorised_allocators_match_column_loops(m):
+    # the compact split adds each column's weights in relay order; a
+    # column's own sum does the same below eight terms and regroups them
+    # from eight on, so the two agree bit for bit up to M = 7 and to
+    # rounding above
+    cfg = reference_config(num_relays=m, num_bins=3, d_mr=10.0)
+    sched = segment_boundaries(cfg)
+    for seed in range(5):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        pairs = [(random_alloc(cfg, sched, rng_a).p, column_loop_random(cfg, rng_b))]
+        # the draws come in the same order and leave the stream in the same place
+        assert rng_a.random() == rng_b.random()
+        snap = ChannelSnapshot.from_scenario(cfg, sched, np.random.default_rng(seed))
+        pairs.append((csi_alloc(cfg, sched, snap).p, column_loop_csi(cfg, snap)))
+        for got, expected in pairs:
+            if m <= 7:
+                assert np.array_equal(got, expected)
+            else:
+                assert_allclose(got, expected, rtol=1e-15, atol=0.0)

@@ -164,15 +164,16 @@ def test_gain_table_builds_per_run_point(monkeypatch, ref_cfg, options):
     assert (n_plain, n_zero, n_err) == (1, 1, 1)
     # and the floor is the true-speed one at every sigma
     assert len({r.d_min_bits for r in plain + zero + err}) == 1
-    # a fading trace adds the faded evaluation table
-    assert count(run_point, ref_cfg.with_(fading=True), options, seq)[0] == 2
+    # a fading trace scales the deterministic table's factors: still one
+    # geometry build per point
+    assert count(run_point, ref_cfg.with_(fading=True), options, seq)[0] == 1
 
 
 def test_meets_floor_uses_the_solver_tolerance(ref_cfg, ref_table, options):
     # a floor 5e-4 above what the average scheme delivers is missed by more
     # than the solver's eps (1e-4), so the row must not claim the floor
     d_avg = ref_table.total_data(allocators.average_alloc(
-        ref_cfg, segment_boundaries(ref_cfg)).p)
+        ref_cfg, segment_boundaries(ref_cfg)).entries())
     cfg = ref_cfg.with_(d_min_bits=d_avg * (1.0 + 5e-4))
     recs = run_point(cfg, replace(options, schemes=("average",)), np.random.SeedSequence(0))
     assert [r.scheme for r in recs] == ["average"]

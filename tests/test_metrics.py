@@ -6,7 +6,14 @@ from railpower import (AllocationMatrix, GainTable, activity_mask, average_alloc
                        compute_metrics, constant_alloc, energy_efficiency,
                        mr_rrh_distance, sample_fading_trace, segment_data,
                        snr_linear_per_watt, spectral_efficiency, total_energy)
+from railpower.metrics import active_entries
 from railpower.scenario import segment_boundaries
+
+
+def entry(mask, i, j):
+    """Compact index of the 0-based (relay, segment) entry (i, j)."""
+    relay, seg = active_entries(mask)
+    return int(np.flatnonzero((relay == i) & (seg == j))[0])
 
 
 def test_constant_scheme_energy_hand_sum(ref_cfg, ref_sched):
@@ -66,7 +73,7 @@ def test_segment_data_basics(ref_cfg, ref_sched):
 
 def test_total_data_is_sum_of_segments(ref_cfg, ref_sched, ref_table):
     alloc = constant_alloc(ref_cfg, ref_sched)
-    total = ref_table.total_data(alloc.p)
+    total = ref_table.total_data(alloc.entries())
     per = sum(
         segment_data(alloc.p[i - 1, j - 1], i, j, ref_cfg, ref_sched)
         for i in range(1, ref_cfg.num_relays + 1)
@@ -78,9 +85,9 @@ def test_total_data_is_sum_of_segments(ref_cfg, ref_sched, ref_table):
 
 def test_total_data_trivial_cases(ref_cfg, ref_sched, ref_table):
     zero = AllocationMatrix.zeros(ref_cfg)
-    assert ref_table.total_data(zero.p) == 0.0
-    single = np.zeros_like(zero.p)
-    single[0, 3] = 1.25
+    assert ref_table.total_data(zero.entries()) == 0.0
+    single = np.zeros_like(zero.entries())
+    single[entry(zero.mask, 0, 3)] = 1.25
     assert_allclose(ref_table.total_data(single),
                     segment_data(1.25, 1, 4, ref_cfg, ref_sched), rtol=1e-12)
 
@@ -91,26 +98,25 @@ def test_total_data_mirror_symmetry(ref_cfg, ref_sched, ref_table, rng):
         p = np.where(mask, rng.uniform(0.0, 2.5, mask.shape), 0.0)
         alloc = AllocationMatrix(p=p, mask=mask)
         mirrored = AllocationMatrix(p=p[::-1, ::-1].copy(), mask=mask)
-        d1 = ref_table.total_data(alloc.p)
-        d2 = ref_table.total_data(mirrored.p)
+        d1 = ref_table.total_data(alloc.entries())
+        d2 = ref_table.total_data(mirrored.entries())
         assert abs(d1 - d2) <= 1e-9 * d1
 
 
 def test_total_data_entrywise_monotone(ref_cfg, ref_sched, ref_table, rng):
     mask = activity_mask(ref_cfg)
-    p = np.where(mask, rng.uniform(0.1, 2.0, mask.shape), 0.0)
+    p = rng.uniform(0.1, 2.0, mask.sum())
     base = ref_table.total_data(p)
     for i, j in [(0, 0), (1, 4), (3, 11)]:
         bumped = p.copy()
-        bumped[i, j] += 0.3
+        bumped[entry(mask, i, j)] += 0.3
         assert ref_table.total_data(bumped) > base
 
 
 def test_evaluation_is_bitwise_repeatable(ref_cfg, ref_sched, rng):
     # fixed quadrature and fixed reduction order: re-evaluation and
     # fresh-table evaluation agree to the last bit
-    mask = activity_mask(ref_cfg)
-    p = np.where(mask, rng.uniform(0.0, 2.5, mask.shape), 0.0)
+    p = rng.uniform(0.0, 2.5, activity_mask(ref_cfg).sum())
     t1 = build_gain_table(ref_cfg, ref_sched)
     t2 = build_gain_table(ref_cfg, ref_sched)
     assert t1.total_data(p) == t1.total_data(p) == t2.total_data(p)
@@ -119,9 +125,9 @@ def test_evaluation_is_bitwise_repeatable(ref_cfg, ref_sched, rng):
 
 
 def test_quadrature_convergence(ref_cfg, ref_sched):
-    alloc = average_alloc(ref_cfg, ref_sched)
-    d32 = build_gain_table(ref_cfg, ref_sched).total_data(alloc.p)
-    d64 = build_gain_table(ref_cfg.with_(quad_n=64), ref_sched).total_data(alloc.p)
+    p = average_alloc(ref_cfg, ref_sched).entries()
+    d32 = build_gain_table(ref_cfg, ref_sched).total_data(p)
+    d64 = build_gain_table(ref_cfg.with_(quad_n=64), ref_sched).total_data(p)
     assert abs(d64 - d32) <= 1e-7 * d32
 
 
@@ -138,7 +144,7 @@ def test_spectral_efficiency(ref_cfg, ref_sched, ref_table):
     bt = ref_cfg.bandwidth * ref_sched.total_time
     assert_allclose(spectral_efficiency(bt, ref_cfg, ref_sched), 1.0, rtol=1e-12)
     alloc = constant_alloc(ref_cfg, ref_sched)
-    d = ref_table.total_data(alloc.p)
+    d = ref_table.total_data(alloc.entries())
     assert_allclose(spectral_efficiency(d, ref_cfg, ref_sched),
                     d / (2.16e9 * 3.3), rtol=1e-9)
 
@@ -146,46 +152,42 @@ def test_spectral_efficiency(ref_cfg, ref_sched, ref_table):
 def test_grad_total_data_finite_differences(ref_cfg, ref_sched, ref_table, rng):
     # powers kept away from zero so the central-difference oracle itself
     # is accurate at the prescribed step
-    mask = activity_mask(ref_cfg)
+    k_all = activity_mask(ref_cfg).sum()
     step = 1e-4 * ref_cfg.p_t
     per_relay = ref_cfg.p_t / ref_cfg.num_relays
-    entries = list(zip(*np.nonzero(mask)))
     for trial in range(20):
-        p = np.where(mask, rng.uniform(0.1 * per_relay, per_relay, mask.shape), 0.0)
+        p = rng.uniform(0.1 * per_relay, per_relay, k_all)
         g = ref_table.data_derivatives(p)[0]
-        assert np.all(g[mask] > 0)
-        assert np.all(g[~mask] == 0.0)
-        i, j = entries[trial % len(entries)]
+        assert g.shape == (k_all,) and np.all(g > 0)
+        k = trial % k_all
         plus, minus = p.copy(), p.copy()
-        plus[i, j] += step
-        minus[i, j] -= step
+        plus[k] += step
+        minus[k] -= step
         fd = (ref_table.total_data(plus) - ref_table.total_data(minus)) / (2 * step)
-        assert abs(fd - g[i, j]) <= 1e-4 * abs(fd)
+        assert abs(fd - g[k]) <= 1e-4 * abs(fd)
 
 
 def test_data_curvature_finite_differences(ref_cfg, ref_table, rng):
     # the curvature is the derivative of the gradient, entry by entry, and
     # moving one entry leaves every other entry's gradient unchanged (each
     # D_ij depends on P_ij alone, so the Hessian of the data is diagonal)
-    mask = activity_mask(ref_cfg)
+    k_all = activity_mask(ref_cfg).sum()
     step = 1e-4 * ref_cfg.p_t
     per_relay = ref_cfg.p_t / ref_cfg.num_relays
-    entries = list(zip(*np.nonzero(mask)))
     for trial in range(20):
-        p = np.where(mask, rng.uniform(0.1 * per_relay, per_relay, mask.shape), 0.0)
+        p = rng.uniform(0.1 * per_relay, per_relay, k_all)
         dd, dd2 = ref_table.data_derivatives(p)
-        assert np.all(dd2[mask] < 0)
-        assert np.all(dd2[~mask] == 0.0)
-        i, j = entries[trial % len(entries)]
+        assert np.all(dd2 < 0)
+        k = trial % k_all
         plus, minus = p.copy(), p.copy()
-        plus[i, j] += step
-        minus[i, j] -= step
+        plus[k] += step
+        minus[k] -= step
         g_plus = ref_table.data_derivatives(plus)[0]
         g_minus = ref_table.data_derivatives(minus)[0]
-        fd = (g_plus[i, j] - g_minus[i, j]) / (2 * step)
-        assert abs(fd - dd2[i, j]) <= 1e-4 * abs(fd)
-        others = np.ones_like(mask)
-        others[i, j] = False
+        fd = (g_plus[k] - g_minus[k]) / (2 * step)
+        assert abs(fd - dd2[k]) <= 1e-4 * abs(fd)
+        others = np.ones(k_all, dtype=bool)
+        others[k] = False
         assert np.array_equal(g_plus[others], dd[others])
         assert np.array_equal(g_minus[others], dd[others])
 
@@ -195,41 +197,55 @@ def test_grad_larger_near_rrh(ref_cfg, ref_sched, ref_table):
     # the cell-edge segment (at tens of dB of SNR the log saturates and the
     # longer edge segment would win on duration alone)
     mask = activity_mask(ref_cfg)
-    p = np.where(mask, 0.01, 0.0)
-    g = ref_table.data_derivatives(p)[0]
+    g = ref_table.data_derivatives(np.full(mask.sum(), 0.01))[0]
+    abeam, edge = entry(mask, 0, 4), entry(mask, 0, 0)
     # relay 1 passes abeam (x=100 m) during segment 5; its cell-edge segment is 1
-    assert g[0, 4] > g[0, 0]
+    assert g[abeam] > g[edge]
     # per unit time the abeam segment wins at any power level
-    per_time = g / ref_sched.durations[None, :]
-    assert per_time[0, 4] > per_time[0, 0]
+    per_time = g / ref_sched.durations[ref_table.segment]
+    assert per_time[abeam] > per_time[edge]
 
 
 def test_bandwidth_factor_switch(ref_cfg, ref_sched):
-    alloc = constant_alloc(ref_cfg, ref_sched)
+    p = constant_alloc(ref_cfg, ref_sched).entries()
     plain_cfg = ref_cfg.with_(bandwidth_factor=False)
-    d_on = build_gain_table(ref_cfg, ref_sched).total_data(alloc.p)
-    d_off = build_gain_table(plain_cfg, segment_boundaries(plain_cfg)).total_data(alloc.p)
+    d_on = build_gain_table(ref_cfg, ref_sched).total_data(p)
+    d_off = build_gain_table(plain_cfg, segment_boundaries(plain_cfg)).total_data(p)
     assert_allclose(d_on, d_off * ref_cfg.bandwidth, rtol=1e-12)
 
 
-def test_fading_trace_changes_data_deterministically(ref_cfg, ref_sched):
-    alloc = average_alloc(ref_cfg, ref_sched)
+def test_fading_trace_changes_data_deterministically(ref_cfg, ref_sched, ref_table):
+    p = average_alloc(ref_cfg, ref_sched).entries()
     trace1 = sample_fading_trace(ref_cfg, ref_sched, np.random.default_rng(3))
     trace2 = sample_fading_trace(ref_cfg, ref_sched, np.random.default_rng(3))
     assert np.array_equal(trace1, trace2)
-    table = build_gain_table(ref_cfg, ref_sched, fading_db=trace1)
-    d_fade = table.total_data(alloc.p)
-    d_det = build_gain_table(ref_cfg, ref_sched).total_data(alloc.p)
+    table = ref_table.faded(trace1)
+    d_fade = table.total_data(p)
+    d_det = ref_table.total_data(p)
     assert d_fade != d_det
-    zero_table = build_gain_table(ref_cfg, ref_sched, fading_db=np.zeros_like(trace1))
-    assert_allclose(zero_table.total_data(alloc.p), d_det, rtol=1e-12)
+    assert ref_table.faded(np.zeros_like(trace1)).total_data(p) == d_det
+    with pytest.raises(ValueError):
+        ref_table.faded(trace1[:, :-1])
+
+
+def test_faded_table_scales_the_active_node_factors(ref_cfg, ref_sched, ref_table):
+    # the faded table is the deterministic one times 10^(-gamma/10) at each
+    # active entry's nodes, read from the (M, S, Q+1) trace
+    trace = sample_fading_trace(ref_cfg, ref_sched, np.random.default_rng(4))
+    faded = ref_table.faded(trace)
+    assert np.array_equal(faded.weights, ref_table.weights)
+    assert faded.mask is ref_table.mask
+    relay, seg = active_entries(ref_table.mask)
+    for k in (0, 7, relay.size - 1):
+        expected = ref_table.gains[k] * 10.0 ** (-trace[relay[k], seg[k]] / 10.0)
+        assert np.array_equal(faded.gains[k], expected)
 
 
 def test_compute_metrics_consistency(ref_cfg, ref_sched, ref_table):
     alloc = average_alloc(ref_cfg, ref_sched)
     rec = compute_metrics(alloc, ref_cfg, ref_sched, ref_table)
     assert_allclose(rec.energy_j, total_energy(alloc, ref_sched), rtol=1e-12)
-    assert_allclose(rec.data_bits, ref_table.total_data(alloc.p),
+    assert_allclose(rec.data_bits, ref_table.total_data(alloc.entries()),
                     rtol=1e-12)
     assert_allclose(rec.ee_bits_per_j, rec.data_bits / rec.energy_j, rtol=1e-12)
     assert_allclose(rec.segment_energy_j.sum(), rec.energy_j, rtol=1e-12)
@@ -266,8 +282,9 @@ def test_gain_table_leaves_caller_arrays_writable(ref_cfg, ref_sched, ref_table)
         assert arr.flags.writeable, name
         held = getattr(table, name)
         assert not held.flags.writeable and held is not arr, name
+    assert not table.segment.flags.writeable
     arrays["gains"][:] = 0.0
-    assert table.total_data(np.where(table.mask, 1.0, 0.0)) > 0.0
+    assert table.total_data(np.ones(table.segment.size)) > 0.0
     # a built table's mask is read-only, so allocations on it share it
     alloc = AllocationMatrix(p=np.zeros(ref_table.mask.shape), mask=ref_table.mask)
     assert alloc.mask is ref_table.mask

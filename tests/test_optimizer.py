@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from railpower import optimizer
-from railpower.metrics import GainTable
+from railpower.metrics import GainTable, active_entries
 from railpower.optimizer import InnerInfo
 from railpower import (AllocationMatrix, InfeasibleDataFloor, MultiplierState, Problem,
                        SolverOptions, activity_mask, average_alloc, build_gain_table,
@@ -16,6 +16,12 @@ from railpower import (AllocationMatrix, InfeasibleDataFloor, MultiplierState, P
                        validate_alloc)
 
 LN2 = np.log(2.0)
+
+
+def entry(mask, i, j):
+    """Compact index of the 0-based (relay, segment) entry (i, j)."""
+    relay, seg = active_entries(mask)
+    return int(np.flatnonzero((relay == i) & (seg == j))[0])
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +42,7 @@ def ref_solution(ref_cfg, ref_sched, ref_table):
 # ---------------------------------------------------------------- data floor
 
 def test_data_floor_policy(ref_cfg, ref_sched, ref_table):
-    d_avg = ref_table.total_data(average_alloc(ref_cfg, ref_sched).p)
+    d_avg = ref_table.total_data(average_alloc(ref_cfg, ref_sched).entries())
     assert_allclose(data_floor(ref_cfg.with_(rho=1.0), ref_sched, ref_table),
                     d_avg, rtol=1e-12)
     assert_allclose(data_floor(ref_cfg, ref_sched, ref_table), 0.8 * d_avg, rtol=1e-12)
@@ -50,14 +56,14 @@ def test_constraint_residuals(ref_cfg, ref_sched, ref_table):
     avg = average_alloc(ref_cfg, ref_sched)
     zero = AllocationMatrix.zeros(ref_cfg)
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
-    h = problem.residuals_scaled(problem.to_scaled(avg.p))
+    h = problem.residuals_scaled(problem.to_scaled(avg))
     assert len(h) == 2 * ref_cfg.num_relays + ref_cfg.num_bins - 1
     assert_allclose(h[1:], 0.0, atol=1e-12)   # the average scheme spends the budget
     assert h[0] > 0                            # and overshoots an 80% floor
 
     # the zero allocation misses the floor by all of it; its budget rows
     # are clipped at the cap
-    h0 = problem.residuals_scaled(problem.to_scaled(zero.p))
+    h0 = problem.residuals_scaled(problem.to_scaled(zero))
     assert h0[0] == -1.0
     assert np.all(h0[1:] == 0.0)
 
@@ -73,13 +79,13 @@ def test_converged_run_meets_scaled_tolerance(ref_solution):
 def test_augmented_lagrangian_reductions(ref_cfg, ref_sched, ref_table):
     # Problem.phi is the augmented Lagrangian in scaled units
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
-    d_avg = ref_table.total_data(average_alloc(ref_cfg, ref_sched).p)
+    d_avg = ref_table.total_data(average_alloc(ref_cfg, ref_sched).entries())
     avg = average_alloc(ref_cfg, ref_sched)
     zeros = np.zeros(ref_cfg.num_segments + 1)
     lam = np.linspace(-2.0, 2.0, len(zeros))
     energy = total_energy(avg, ref_sched) / (ref_sched.total_time * ref_cfg.p_t)
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
-    x = problem.to_scaled(avg.p)
+    x = problem.to_scaled(avg)
     assert_allclose(problem.phi(x, zeros, 0.0), energy, rtol=1e-12)
 
     # a feasible point keeps phi equal to the energy for any multipliers
@@ -99,25 +105,24 @@ def test_grad_augmented_lagrangian_structure(ref_cfg, ref_sched, ref_table):
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     avg = average_alloc(ref_cfg, ref_sched)
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
-    g = problem.grad_phi(problem.to_scaled(avg.p), np.zeros(ref_cfg.num_segments + 1), 0.0)
-    # with no multipliers and no penalty only the energy term remains
-    expected = np.where(problem.mask, problem.t_norm[None, :], 0.0)
-    assert_allclose(g, expected, rtol=1e-12)
-    assert np.all(g[~problem.mask] == 0.0)
+    g = problem.grad_phi(problem.to_scaled(avg), np.zeros(ref_cfg.num_segments + 1), 0.0)
+    # with no multipliers and no penalty only the energy term remains: each
+    # entry's segment duration over the traversal time
+    assert_allclose(g, problem.t_norm[ref_table.segment], rtol=1e-12)
 
 
 def test_scaled_problem_gradient_finite_differences(ref_cfg, ref_sched, ref_table, rng):
     # the solver's scaled merit function must match its analytic gradient too
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
-    mask = activity_mask(ref_cfg)
+    k_all = activity_mask(ref_cfg).sum()
     step = 1e-6
     for trial in range(20):
-        x = np.where(mask, rng.uniform(0.02, 0.25, mask.shape), 0.0)
+        x = rng.uniform(0.02, 0.25, k_all)
         lam = rng.uniform(-1.0, 1.0, ref_cfg.num_segments + 1)
         sigma = 10.0 ** rng.uniform(-1.0, 1.5)
         g = problem.grad_phi(x, lam, sigma)
-        idx = list(zip(*np.nonzero(mask)))[trial % mask.sum()]
+        idx = trial % k_all
         plus, minus = x.copy(), x.copy()
         plus[idx] += step
         minus[idx] -= step
@@ -131,7 +136,7 @@ def test_inner_descent_stationary_start(ref_cfg, ref_sched, ref_table):
     # at lam = 0, sigma = 0 the projected gradient vanishes at the origin
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
-    zero = np.zeros(problem.mask.shape)
+    zero = np.zeros(ref_table.segment.size)
     h = problem.residuals_scaled(zero)
     out, h_out, info = inner_descent(problem, zero, h, np.zeros(ref_cfg.num_segments + 1),
                                      0.0, SolverOptions())
@@ -144,7 +149,7 @@ def test_inner_descent_monotone(ref_cfg, ref_sched, ref_table):
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
     options = SolverOptions()
     state = MultiplierState.initial(ref_cfg, options)
-    x = problem.to_scaled(average_alloc(ref_cfg, ref_sched).p)
+    x = problem.to_scaled(average_alloc(ref_cfg, ref_sched))
     out, h, info = inner_descent(problem, x, problem.residuals_scaled(x), state.lam,
                                  state.sigma, options)
     assert info.phi_end <= info.phi_start
@@ -158,7 +163,7 @@ def test_inner_descent_cap_flags_not_raises(ref_cfg, ref_sched, ref_table):
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
     options = SolverOptions(inner_cap=3)
     state = MultiplierState.initial(ref_cfg, options)
-    x = problem.to_scaled(average_alloc(ref_cfg, ref_sched).p)
+    x = problem.to_scaled(average_alloc(ref_cfg, ref_sched))
     _, _, info = inner_descent(problem, x, problem.residuals_scaled(x), state.lam,
                                state.sigma, options)
     assert not info.converged and info.reason == "cap" and info.steps == 3
@@ -174,8 +179,8 @@ def grid_min_phi(problem, cfg, sched, lam0, sigma, levels=50, bins=8000):
     grid = np.linspace(0.0, cfg.p_t, levels)
 
     def entry_data(i, j, powers):
-        g = table.gains[i, j]
-        w = table.weights[j]
+        k = entry(table.mask, i, j)
+        g, w = table.gains[k], table.weights[k]
         return table.rate_scale / LN2 * (w * np.log1p(powers[:, None] * g)).sum(axis=1)
 
     # columns 0 and 3 hold one variable, columns 1 and 2 hold two
@@ -220,7 +225,7 @@ def test_inner_descent_matches_grid_search(tiny):
     problem = Problem(cfg, sched, d_min, table)
     options = SolverOptions()
     lam = MultiplierState.initial(cfg, options).lam
-    x = problem.to_scaled(average_alloc(cfg, sched).p)
+    x = problem.to_scaled(average_alloc(cfg, sched))
     out, _, info = inner_descent(problem, x, problem.residuals_scaled(x), lam, 1.0, options)
     phi_inner = problem.phi(out, lam, 1.0)
     phi_grid = grid_min_phi(problem, cfg, sched, lam0=0.0, sigma=1.0)
@@ -318,7 +323,7 @@ def scaled_average_energy(cfg, sched, table, d_min):
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if table.total_data(mid * avg.p) >= d_min:
+        if table.total_data(mid * avg.entries()) >= d_min:
             hi = mid
         else:
             lo = mid
@@ -356,7 +361,7 @@ def test_solve_zero_floor_returns_zero_matrix(ref_cfg, ref_sched, ref_table):
 
 
 def test_solve_rejects_unreachable_floor(ref_cfg, ref_sched, ref_table):
-    d_avg = ref_table.total_data(average_alloc(ref_cfg, ref_sched).p)
+    d_avg = ref_table.total_data(average_alloc(ref_cfg, ref_sched).entries())
     with pytest.raises(InfeasibleDataFloor):
         solve(ref_cfg, ref_sched, d_min=2.0 * d_avg, table=ref_table)
 
@@ -374,8 +379,8 @@ def test_solve_tiny_instance_not_worse_than_grid(tiny):
     t = sched.durations
 
     def entry_data(i, j, powers):
-        g = table.gains[i, j]
-        w = table.weights[j]
+        k = entry(table.mask, i, j)
+        g, w = table.gains[k], table.weights[k]
         return table.rate_scale / LN2 * (w * np.log1p(powers[:, None] * g)).sum(axis=1)
 
     d1 = entry_data(0, 0, grid)
@@ -419,20 +424,20 @@ def test_scaled_problem_gradient_with_active_caps(ref_cfg, ref_sched, ref_table,
     # rows now contribute, and the analytic gradient must still match
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
-    mask = activity_mask(ref_cfg)
+    k_all = activity_mask(ref_cfg).sum()
     for trial in range(20):
-        x = np.where(mask, rng.uniform(0.2, 0.45, mask.shape), 0.0)
-        assert np.any(x.sum(axis=0) > 1.0)
+        x = rng.uniform(0.2, 0.45, k_all)
+        assert np.any(ref_table.column_sums(x) > 1.0)
         lam = rng.uniform(-1.0, 1.0, ref_cfg.num_segments + 1)
         sigma = 10.0 ** rng.uniform(-1.0, 1.0)
         g = problem.grad_phi(x, lam, sigma)
-        i, j = list(zip(*np.nonzero(mask)))[trial % mask.sum()]
+        k = trial % k_all
         h = 1e-6
         xp, xm = x.copy(), x.copy()
-        xp[i, j] += h
-        xm[i, j] -= h
+        xp[k] += h
+        xm[k] -= h
         fd = (problem.phi(xp, lam, sigma) - problem.phi(xm, lam, sigma)) / (2 * h)
-        assert abs(fd - g[i, j]) <= 1e-4 * max(abs(fd), 1e-8)
+        assert abs(fd - g[k]) <= 1e-4 * max(abs(fd), 1e-8)
 
 
 def test_solve_recovers_from_over_budget_init(ref_cfg, ref_sched, ref_table,
@@ -498,14 +503,13 @@ def test_kkt_residual_zero_at_constructed_optimum():
     lo, hi = 0.0, cfg.p_t
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        p = np.array([[mid]])
-        if table.total_data(p) >= d_min:
+        if table.total_data(np.array([mid])) >= d_min:
             hi = mid
         else:
             lo = mid
     p_star = AllocationMatrix(p=np.array([[hi]]), mask=activity_mask(cfg))
     problem = Problem(cfg, sched, d_min, table)
-    dd = table.data_derivatives(p_star.p)[0][0, 0] * cfg.p_t / d_min
+    dd = table.data_derivatives(p_star.entries())[0][0] * cfg.p_t / d_min
     lam = np.array([problem.t_norm[0] / dd, 0.0])
     assert kkt_residual(p_star, lam, cfg, sched, d_min, table) <= 1e-10
 
@@ -629,6 +633,18 @@ def test_caps_binding_solve_is_kkt_stationary_in_few_steps(rho, m):
     assert sum(c.inner_steps for c in res.history) <= 200
 
 
+@pytest.mark.parametrize("rho, m", [(0.97, 4), (0.99, 4), (1.0, 2), (1.0, 4)])
+def test_solve_spends_at_most_the_budget_exactly(rho, m):
+    # where the caps bind the best iterate sits a hair over them; the
+    # returned column sums in watts may not pass the budget by even an ulp
+    cfg = reference_config(num_relays=m, rho=rho)
+    sched = segment_boundaries(cfg)
+    alloc, res = solve(cfg, sched)
+    assert validate_alloc(alloc, cfg, sched, tol=0.0) == []
+    assert np.all(alloc.column_sums() <= cfg.p_t)
+    assert res.energy_j == total_energy(alloc, sched)
+
+
 def test_inner_loop_stop_on_cap_is_logged(caplog):
     cfg = reference_config()
     with caplog.at_level("WARNING", logger="railpower.optimizer"):
@@ -642,44 +658,50 @@ def test_inner_loop_stop_on_cap_is_logged(caplog):
     assert caplog.records == []
 
 
+NEWTON_CASES = {"M=2, N=2": (2, 2), "M=1, N=1": (1, 1), "M=4, N=6": (4, 6)}
+
+
 @pytest.fixture(scope="module")
-def tiny_problem(tiny):
-    cfg, sched, table = tiny
-    return Problem(cfg, sched, data_floor(cfg, sched, table), table)
+def newton_problems():
+    problems = {}
+    for name, (m, n) in NEWTON_CASES.items():
+        cfg = reference_config(num_relays=m, num_bins=n)
+        sched = segment_boundaries(cfg)
+        table = build_gain_table(cfg, sched)
+        problems[name] = Problem(cfg, sched, data_floor(cfg, sched, table), table)
+    return problems
 
 
 def dense_newton_direction(problem, x, g, h, dd, dd2, lam, sigma):
-    """The projected-Newton direction from the explicitly assembled Hessian."""
+    """The projected-Newton direction from the explicitly assembled Hessian,
+    solved by LU on its free block."""
     c = lam[0] - 2.0 * sigma * h[0]
-    idx = np.flatnonzero(problem.mask)
-    cols = np.nonzero(problem.mask)[1]
-    u = dd.ravel()[idx]
+    cols = problem.segment
     capped = (h[1:] > 0.0)[cols]
-    hess = (np.diag(-c * dd2.ravel()[idx]) + 2.0 * sigma * np.outer(u, u)
+    hess = (np.diag(-c * dd2) + 2.0 * sigma * np.outer(dd, dd)
             + 2.0 * sigma * (capped[:, None] & (cols[:, None] == cols[None, :])))
     delta = min(1e-3, float(np.linalg.norm(x - np.maximum(x - g, 0.0))))
-    gm, xm = g.ravel()[idx], x.ravel()[idx]
-    active = (xm <= delta) & (gm > 0.0)
+    active = (x <= delta) & (g > 0.0)
     d = np.zeros(x.size)
-    d[idx[active]] = -gm[active] / np.diag(hess)[active]
-    d[idx[~active]] = np.linalg.solve(hess[np.ix_(~active, ~active)], -gm[~active])
-    return d.reshape(x.shape)
+    d[active] = -g[active] / np.diag(hess)[active]
+    d[~active] = np.linalg.solve(hess[np.ix_(~active, ~active)], -g[~active])
+    return d
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2 ** 32 - 1), log_sigma=st.floats(-1.0, 6.0),
-       set_curvature=st.booleans(), log_c=st.floats(-3.0, 2.0))
-def test_newton_direction_matches_dense_solve(tiny_problem, seed, log_sigma,
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=st.sampled_from(list(NEWTON_CASES)), seed=st.integers(0, 2 ** 32 - 1),
+       log_sigma=st.floats(-1.0, 6.0), set_curvature=st.booleans(), log_c=st.floats(-3.0, 2.0))
+def test_newton_direction_matches_dense_solve(newton_problems, case, seed, log_sigma,
                                               set_curvature, log_c):
-    problem = tiny_problem
+    problem = newton_problems[case]
     rng = np.random.default_rng(seed)
-    shape = problem.mask.shape
+    k_all = problem.segment.size
     # some entries at or within 1e-3 of zero, some columns over the cap
-    x = np.where(problem.mask, rng.uniform(0.0, 1.2, shape), 0.0)
-    x *= rng.choice([0.0, 1e-3, 1.0], size=shape, p=[0.15, 0.15, 0.7])
+    x = rng.uniform(0.0, 1.2, k_all)
+    x *= rng.choice([0.0, 1e-3, 1.0], size=k_all, p=[0.15, 0.15, 0.7])
     h = problem.residuals_scaled(x)
     sigma = 10.0 ** log_sigma
-    lam = rng.normal(size=shape[1] + 1) * 10.0 ** rng.uniform(-2.0, 2.0)
+    lam = rng.normal(size=problem.t_norm.size + 1) * 10.0 ** rng.uniform(-2.0, 2.0)
     if set_curvature:
         # a small curvature factor c = lam_0 - 2 sigma h0 leaves zero entries
         # with a positive slope: the epsilon-active set.  With c near 1e-3
@@ -693,11 +715,10 @@ def test_newton_direction_matches_dense_solve(tiny_problem, seed, log_sigma,
     d = problem.newton_direction(x, g, h, dd, dd2, lam, sigma)
     projected = np.where((x <= 0.0) & (g > 0.0), 0.0, g)
     if np.any(projected != 0.0):
-        assert float(g.ravel() @ d.ravel()) < 0.0
+        assert float(g @ d) < 0.0
     if lam[0] - 2.0 * sigma * h[0] <= 0.0:
         # no positive data curvature: the projected gradient step
         np.testing.assert_array_equal(d, -projected)
         return
     expected = dense_newton_direction(problem, x, g, h, dd, dd2, lam, sigma)
     assert np.linalg.norm(d - expected) <= 1e-8 * np.linalg.norm(expected)
-    assert np.all(d[~problem.mask] == 0.0)
