@@ -3,27 +3,27 @@
 Constant hands every covered relay P_T/M and leaves budget on the table
 while the train enters or leaves; average, random, and CSI-based all
 spend the full budget in every segment and differ only in how they split
-it.  The CSI-based rule weights inversely by channel gain, so the relay
-farthest from the radio head gets the most power.
+it.  The CSI-based rule weights inversely by channel gain, read from the
+gain table at each segment's midpoint node, so the relay farthest from
+the radio head gets the most power.
 """
 
 import numpy as np
 
-from railpower import (ChannelSnapshot, average_alloc, build_gain_table, compute_metrics,
-                       constant_alloc, csi_alloc, random_alloc, reference_config,
-                       segment_boundaries, validate_alloc)
+from railpower import (average_alloc, build_gain_table, compute_metrics, constant_alloc,
+                       csi_alloc, random_alloc, reference_config, segment_boundaries,
+                       validate_alloc)
 
 cfg = reference_config()
 sched = segment_boundaries(cfg)
 table = build_gain_table(cfg, sched)
 rng = np.random.default_rng(cfg.seed)
 
-snap = ChannelSnapshot.from_scenario(cfg, sched)
 schemes = {
     "constant": constant_alloc(cfg, sched),
     "average": average_alloc(cfg, sched),
     "random": random_alloc(cfg, sched, rng),
-    "csi": csi_alloc(cfg, sched, snap),
+    "csi": csi_alloc(cfg, sched, table),
 }
 
 print("power matrices [W] (rows: relays, columns: segments)")
@@ -45,7 +45,9 @@ for name, alloc in schemes.items():
 print("\nnote how the CSI split orders power against channel gain in a"
       " stage-two segment:")
 j = cfg.num_relays          # first stage-two segment (1-based)
-gains = snap.h2[:, j - 1]
+# the segment's entries run in relay order; node quad_n/2 is its midpoint
+gains = table.gains[table.segment == j - 1, cfg.quad_n // 2]
 powers = schemes["csi"].p[:, j - 1]
 for i in range(cfg.num_relays):
-    print(f"  relay {i + 1}: |h|^2 = {gains[i]:.3e}  ->  P = {powers[i]:.3f} W")
+    print(f"  relay {i + 1}: SNR per watt at mid-segment = {gains[i]:.3e} /W"
+          f"  ->  P = {powers[i]:.3f} W")

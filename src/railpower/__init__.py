@@ -19,8 +19,8 @@ from .radio import (AntennaPattern, FadingModel, LinkConstants, antenna_gain,
 from .metrics import (AllocationMatrix, GainTable, MetricsRecord, build_gain_table,
                       compute_metrics, energy_efficiency, sample_fading_trace,
                       segment_data, spectral_efficiency, total_energy)
-from .allocators import (ChannelSnapshot, average_alloc, constant_alloc, csi_alloc,
-                         random_alloc, validate_alloc)
+from .allocators import (average_alloc, constant_alloc, csi_alloc, random_alloc,
+                         validate_alloc)
 from .optimizer import (InfeasibleDataFloor, MultiplierState, Problem, SolveResult,
                         SolverOptions, data_floor, inner_descent, kkt_residual,
                         solve, update_state)

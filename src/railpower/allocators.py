@@ -3,9 +3,10 @@
 Four reference allocators: constant (P_T/M per covered relay), average
 (P_T split equally among covered relays), random (uniform point on the
 per-segment simplex summing to P_T), and CSI-based (inverse channel-gain
-weighting).  All produce mask-valid nonnegative matrices whose column
-sums never exceed the budget; `validate_alloc` checks exactly that and
-returns violations as data rather than raising.
+weighting, with each entry's channel read from the scenario's gain table
+at its segment's midpoint node).  All produce mask-valid nonnegative
+matrices whose column sums never exceed the budget; `validate_alloc`
+checks exactly that and returns violations as data rather than raising.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import radio
-from .metrics import AllocationMatrix, active_entries
-from .scenario import ScenarioConfig, SegmentSchedule, activity_mask, mr_rrh_distance
+from .metrics import AllocationMatrix, GainTable, active_entries
+from .scenario import ScenarioConfig, SegmentSchedule, activity_mask
 
 
 def constant_alloc(cfg: ScenarioConfig, sched: SegmentSchedule) -> AllocationMatrix:
@@ -57,47 +58,23 @@ def random_alloc(cfg: ScenarioConfig, sched: SegmentSchedule,
     return _split_budget(cfg, mask, seg, w)
 
 
-@dataclass(frozen=True)
-class ChannelSnapshot:
-    """Linear channel power gains |h_ij|^2 at each segment's temporal midpoint."""
-
-    h2: np.ndarray   # (M, S), zero on inactive entries
-
-    @classmethod
-    def from_scenario(cls, cfg: ScenarioConfig, sched: SegmentSchedule,
-                      rng: np.random.Generator | None = None) -> "ChannelSnapshot":
-        """Deterministic midpoint gains; pass an rng to overlay Rician fading."""
-        mask = activity_mask(cfg)
-        mid = 0.5 * (sched.boundaries[:-1] + sched.boundaries[1:])
-        h2 = np.zeros(mask.shape)
-        for i in range(1, cfg.num_relays + 1):
-            d = mr_rrh_distance(cfg, i, mid)
-            h_db = -radio.path_loss(d, cfg.wavelength, cfg.pathloss_exp) - cfg.shadowing
-            h2[i - 1] = 10.0 ** (h_db / 10.0)
-        if rng is not None:
-            model = radio.FadingModel.from_k_db(cfg.rician_k)
-            gamma = radio.sample_fading_db(model, rng, size=h2.shape)
-            h2 = h2 * 10.0 ** (-gamma / 10.0)
-        return cls(h2=np.where(mask, h2, 0.0))
-
-
-def csi_alloc(cfg: ScenarioConfig, sched: SegmentSchedule,
-              snap: ChannelSnapshot, alpha: float | None = None) -> AllocationMatrix:
+def csi_alloc(cfg: ScenarioConfig, sched: SegmentSchedule, table: GainTable,
+              rng: np.random.Generator | None = None) -> AllocationMatrix:
     """Inverse-gain weighting: worse channels get more power.
 
-    P_ij = (h2_ij)^(-alpha) / sum_i' (h2_i'j)^(-alpha) * P_T over the
-    relays covered in segment j.
+    Entry k's channel h_k is its factor in the deterministic gain ``table``
+    at its segment's midpoint node Q/2 (``quad_n`` is even); pass an rng to
+    scale it by one Rician dB draw per (relay, segment).  Then
+    P_k = h_k^(-alpha) / sum over segment j's entries of h^(-alpha) * P_T,
+    with alpha = ``cfg.csi_alpha``; the link constant in every factor
+    cancels in that ratio.
     """
-    alpha = cfg.csi_alpha if alpha is None else alpha
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    mask = activity_mask(cfg)
-    if snap.h2.shape != mask.shape:
-        raise ValueError("snapshot shape does not match the scenario")
-    if np.any((snap.h2 <= 0.0) & mask):
-        raise ValueError("zero channel gain on an active entry")
-    relay, seg = active_entries(mask)
-    return _split_budget(cfg, mask, seg, snap.h2[relay, seg] ** (-alpha))
+    h = table.gains[:, table.gains.shape[1] // 2]
+    if rng is not None:
+        model = radio.FadingModel.from_k_db(cfg.rician_k)
+        gamma = radio.sample_fading_db(model, rng, size=table.mask.shape)
+        h = h * 10.0 ** (-gamma.T[table.mask.T] / 10.0)
+    return _split_budget(cfg, table.mask, table.segment, h ** (-cfg.csi_alpha))
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,6 @@ KEYS = {
     "d_min_bits": (float, (SCENARIO, "d_min_bits")),
     "seed": (int, (SCENARIO, "seed")),
     "quad_n": (int, (SCENARIO, "quad_n")),
-    "bandwidth_factor": (_bool, (SCENARIO, "bandwidth_factor")),
     "csi_alpha": (float, (SCENARIO, "csi_alpha")),
     "fading": (_bool, (SCENARIO, "fading")),
     "solver_sigma0": (float, (SOLVER, "sigma0")),

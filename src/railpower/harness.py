@@ -171,7 +171,7 @@ def run_point(cfg: ScenarioConfig, options: HarnessOptions,
     sched = segment_boundaries(cfg)
     rng_fading, rng_random, rng_csi = [np.random.default_rng(s)
                                        for s in seed_seq.spawn(3)]
-    # planning always sees the deterministic channel
+    # planning and the CSI weights read the deterministic table
     det_table = eval_table = metrics.build_gain_table(cfg, sched)
     if cfg.fading:
         eval_table = det_table.faded(metrics.sample_fading_trace(cfg, sched, rng_fading))
@@ -193,9 +193,8 @@ def run_point(cfg: ScenarioConfig, options: HarnessOptions,
             elif scheme == "random":
                 alloc = allocators.random_alloc(cfg, sched, rng_random)
             elif scheme == "csi":
-                snap = allocators.ChannelSnapshot.from_scenario(
-                    cfg, sched, rng_csi if cfg.fading else None)
-                alloc = allocators.csi_alloc(cfg, sched, snap)
+                alloc = allocators.csi_alloc(cfg, sched, det_table,
+                                             rng_csi if cfg.fading else None)
             else:   # "optimized": HarnessOptions admits no other name
                 alloc, diag = optimizer.solve(
                     cfg, sched, d_min=d_min_bits * ((cfg.v + speed_error) / cfg.v),

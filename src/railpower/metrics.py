@@ -96,14 +96,15 @@ class GainTable:
     time integral.  Entries run in the compact column-major order of
     :func:`active_entries` over ``mask``; ``segment[k]`` is entry k's
     segment, derived from the mask.  Every power argument is a compact
-    vector p (K,) in watts.
+    vector p (K,) in watts; :class:`optimizer.Problem` holds a copy with
+    gains times P_T and weights over D_min, which takes p / P_T and returns
+    data over D_min.
     """
 
     gains: np.ndarray      # (K, Q+1) [1/W]
     weights: np.ndarray    # (K, Q+1) [s]
     mask: np.ndarray       # (M, S)
     bandwidth: float
-    use_bandwidth: bool
     segment: np.ndarray = field(init=False, repr=False)   # (K,) entry -> segment
 
     def __post_init__(self):
@@ -113,10 +114,6 @@ class GainTable:
             raise ValueError("gains and weights must be (K, Q+1) over the active entries")
         segment.setflags(write=False)
         object.__setattr__(self, "segment", segment)
-
-    @property
-    def rate_scale(self) -> float:
-        return self.bandwidth if self.use_bandwidth else 1.0
 
     def column_sums(self, v: np.ndarray) -> np.ndarray:
         """Per-segment sums (S,) of compact entry values (K,)."""
@@ -128,11 +125,11 @@ class GainTable:
 
     def total_data(self, p: np.ndarray) -> float:
         """Delivered data [bits] for compact entry powers p (W)."""
-        return float(self.rate_scale / LN2 * np.vdot(self.weights, self._log_rate(p)))
+        return float(self.bandwidth / LN2 * np.vdot(self.weights, self._log_rate(p)))
 
     def segment_data_matrix(self, p: np.ndarray) -> np.ndarray:
         """Per-entry data D_k [bits] (K,) for compact entry powers p (W)."""
-        return self.rate_scale / LN2 * np.add.reduce(self.weights * self._log_rate(p), axis=1)
+        return self.bandwidth / LN2 * np.add.reduce(self.weights * self._log_rate(p), axis=1)
 
     def data_derivatives(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """dD_k/dP_k [bits/W] and d2D_k/dP_k2 [bits/W^2] in one pass.
@@ -143,7 +140,7 @@ class GainTable:
         """
         r = self.gains / (1.0 + p[:, None] * self.gains)
         wr = self.weights * r
-        scale = self.rate_scale / LN2
+        scale = self.bandwidth / LN2
         return scale * np.add.reduce(wr, axis=1), -scale * np.add.reduce(wr * r, axis=1)
 
     def faded(self, fading_db: np.ndarray) -> "GainTable":
@@ -183,8 +180,7 @@ def build_gain_table(cfg: ScenarioConfig, sched: SegmentSchedule) -> GainTable:
         d = mr_rrh_distance(cfg, i + 1, nodes[seg[rows]])
         gains[rows] = radio.snr_linear_per_watt(cfg, d)
     weights = h[seg, None] * base_w[None, :]
-    return GainTable(gains=gains, weights=weights, mask=mask,
-                     bandwidth=cfg.bandwidth, use_bandwidth=cfg.bandwidth_factor)
+    return GainTable(gains=gains, weights=weights, mask=mask, bandwidth=cfg.bandwidth)
 
 
 def sample_fading_trace(cfg: ScenarioConfig, sched: SegmentSchedule,
@@ -229,8 +225,7 @@ def segment_data(p_ij: float, i: int, j: int, cfg: ScenarioConfig,
     g = 0.0 if gamma_db is None else np.asarray(gamma_db, dtype=float)
     gain = radio.snr_linear_per_watt(cfg, mr_rrh_distance(cfg, i, nodes), g)
     w = _simpson_weights(n) * (t1 - t0) / n
-    scale = cfg.bandwidth if cfg.bandwidth_factor else 1.0
-    return float(scale / LN2 * np.dot(w, np.log1p(p_ij * gain)))
+    return float(cfg.bandwidth / LN2 * np.dot(w, np.log1p(p_ij * gain)))
 
 
 def energy_efficiency(data_bits: float, energy_j: float) -> float:

@@ -19,12 +19,15 @@ according to how fast the residual norm shrinks:
 
 Inside the solver, powers are scaled by P_T and data by D_min so the
 residual components are comparable under the max norm; :func:`solve`
-converts once at entry and once at return, and the cycles hand on the
-scaled iterate with its residuals.  The iterate is the compact vector x
-(K,) of the K = M(M+N-1) entries where a relay is in the cell, in the
-column-major order of :mod:`metrics` (each segment's relays next to each
-other); column sums are one ``bincount`` over the entry-to-segment index,
-and no inactive entry is stored, computed or masked out.
+converts the iterate once at entry and once at return, and the cycles
+hand on the scaled iterate with its residuals.  :class:`Problem` holds
+the gain table in the same units (gains times P_T, weights over D_min),
+built once, so no data or derivative pass converts units.  The iterate
+is the compact vector x (K,) of the K = M(M+N-1) entries where a relay is
+in the cell, in the column-major order of :mod:`metrics` (each segment's
+relays next to each other); column sums are one ``bincount`` over the
+entry-to-segment index, and no inactive entry is stored, computed or
+masked out.
 :class:`Problem` over a :class:`GainTable` is the one representation of
 the merit function, its derivatives and the residuals.  The five solver
 settings (initial penalty, growth factor, tolerance, cycle and step caps)
@@ -126,27 +129,25 @@ def data_floor(cfg: ScenarioConfig, sched: SegmentSchedule, table: GainTable) ->
 class Problem:
     """Scaled view of one scenario's optimisation problem.
 
-    Holds the precomputed gain table and the normalisation constants;
-    powers are handled as x = P / P_T over the compact entries (K,) and
-    data as D / D_min.  The merit function value, gradient, and residuals
-    are all expressed in these scaled units so a single tolerance applies
-    across constraint rows.
+    Powers are handled as x = P / P_T over the compact entries (K,) and
+    data as D / D_min.  ``table`` is the gain table in those units (gains
+    times P_T, weights over D_min), built once, so its data and derivative
+    passes take x and return D / D_min and its derivatives in x.  The merit
+    function value, gradient, and residuals are all expressed in these
+    scaled units so a single tolerance applies across constraint rows.
     """
 
     def __init__(self, cfg: ScenarioConfig, sched: SegmentSchedule, d_min: float,
                  table: GainTable):
         if d_min <= 0.0:
             raise ValueError("the data floor must be positive")
-        self.cfg = cfg
-        self.sched = sched
         self.d_min = d_min
-        self.table = table
+        self.p_t = cfg.p_t
+        self.table = replace(table, gains=table.gains * cfg.p_t,
+                             weights=table.weights / d_min)
         self.segment = table.segment
         self.t_norm = sched.durations / sched.total_time
         self._t_entry = self.t_norm[self.segment]
-        self.p_t = cfg.p_t
-        # dD_scaled/dx = (P_T / D_min) * dD/dP
-        self._dscale = self.p_t / d_min
 
     def to_scaled(self, alloc: AllocationMatrix) -> np.ndarray:
         return alloc.entries() / self.p_t
@@ -159,7 +160,7 @@ class Problem:
 
     def residuals_scaled(self, x: np.ndarray) -> np.ndarray:
         h = np.empty(self.t_norm.size + 1)
-        h[0] = self.table.total_data(x * self.p_t) / self.d_min - 1.0
+        h[0] = self.table.total_data(x) - 1.0
         h[1:] = np.maximum(self.table.column_sums(x) - 1.0, 0.0)
         return h
 
@@ -170,18 +171,13 @@ class Problem:
             h = self.residuals_scaled(x)
         return self.energy_scaled(x) - float(lam @ h) + sigma * float(h @ h)
 
-    def data_derivatives_scaled(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """First and second derivatives of D / D_min in each entry of x."""
-        dd, dd2 = self.table.data_derivatives(x * self.p_t)
-        return dd * self._dscale, dd2 * (self._dscale * self.p_t)
-
     def grad_phi(self, x: np.ndarray, lam: np.ndarray, sigma: float,
                  h: np.ndarray | None = None, dd: np.ndarray | None = None) -> np.ndarray:
         """Merit gradient; ``h`` and ``dd`` pass in residuals and data gradient at x."""
         if h is None:
             h = self.residuals_scaled(x)
         if dd is None:
-            dd = self.data_derivatives_scaled(x)[0]
+            dd = self.table.data_derivatives(x)[0]
         g = self._t_entry + (-lam[0] + 2.0 * sigma * h[0]) * dd
         capped = h[1:] > 0.0
         if capped.any():   # below the cap the clipped budget rows contribute nothing
@@ -253,7 +249,7 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
     converged, reason, gnorm = False, "cap", math.inf
 
     while steps < options.inner_cap:
-        dd, dd2 = problem.data_derivatives_scaled(x)
+        dd, dd2 = problem.table.data_derivatives(x)
         g = problem.grad_phi(x, lam, sigma, h, dd)
         # projected gradient: no descent below zero at the bound
         pg = np.where((x <= 0.0) & (g > 0.0), 0.0, g)
@@ -450,7 +446,7 @@ def kkt_residual(alloc: AllocationMatrix, lam: np.ndarray, cfg: ScenarioConfig,
     h0 = problem.residuals_scaled(x)[0]
     budget = table.column_sums(x) - 1.0
 
-    dd = problem.data_derivatives_scaled(x)[0]
+    dd = problem.table.data_derivatives(x)[0]
     stat = problem.t_norm[table.segment] - lam[0] * dd - lam[1:][table.segment]
     interior = x > 0.0
     at_bound = ~interior

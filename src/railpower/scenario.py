@@ -71,9 +71,8 @@ class ScenarioConfig:
     d_min_bits: float | None = None  # explicit data floor override [bits]
     seed: int = 0
     quad_n: int = 32            # Simpson subintervals per segment (even)
-    bandwidth_factor: bool = True    # multiply the rate integrand by B
     csi_alpha: float = 0.2      # CSI-based allocator exponent
-    fading: bool = False        # sample fading in evaluation/CSI snapshots
+    fading: bool = False        # sample fading at evaluation and in the CSI weights
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -81,7 +80,8 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.num_relays < 1 or self.num_bins < 1:
             raise ValueError("num_relays and num_bins must be >= 1")
-        for name in ("d0", "d_l", "d_mr", "v", "p_t", "bandwidth", "wavelength"):
+        for name in ("d0", "d_l", "d_mr", "v", "p_t", "bandwidth", "wavelength",
+                     "csi_alpha"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.d_l <= (self.num_relays - 1) * self.d_mr:

@@ -219,7 +219,7 @@ def test_criterion_6_brute_force_oracle():
     def entry_data(i, j, powers):
         k = np.flatnonzero((relay == i) & (seg == j))[0]
         g, w = table.gains[k], table.weights[k]
-        return table.rate_scale / ln2 * (w * np.log1p(powers[:, None] * g)).sum(axis=1)
+        return table.bandwidth / ln2 * (w * np.log1p(powers[:, None] * g)).sum(axis=1)
 
     d1 = entry_data(0, 0, grid)
     d4 = entry_data(1, 3, grid)
@@ -248,9 +248,12 @@ def test_criterion_6_brute_force_oracle():
                     continue
                 best = min(best, t[0] * a1 + t[1] * a2 + t[2] * s3[k] + t[3] * a4)
     elapsed = time.perf_counter() - start
-    ok = res.converged and res.energy_j <= best * 1.02 and elapsed < 60.0
+    # two-sided, so an oracle that overstates the grid optimum fails too
+    ok = (res.converged and res.energy_j <= best * 1.02 and best <= res.energy_j * 1.02
+          and elapsed < 60.0)
     report(6, ok, f"solver {res.energy_j:.4f} J vs 50-level grid {best:.4f} J "
-                  f"(margin {100 * (res.energy_j / best - 1):+.2f}%, limit +2%), "
+                  f"(margin {100 * (res.energy_j / best - 1):+.2f}%, limit +2%; "
+                  f"grid over solver {100 * (best / res.energy_j - 1):+.2f}%, limit +2%), "
                   f"{elapsed:.1f} s")
 
 

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from railpower import (ChannelSnapshot, activity_mask, average_alloc, constant_alloc,
-                       csi_alloc, mrs_in_cell, random_alloc, reference_config,
+from railpower import (FadingModel, activity_mask, average_alloc, build_gain_table,
+                       constant_alloc, csi_alloc, mr_rrh_distance, mrs_in_cell, path_loss,
+                       random_alloc, reference_config, sample_fading_db,
                        segment_boundaries, validate_alloc)
-from railpower.metrics import AllocationMatrix
+from railpower.metrics import AllocationMatrix, active_entries
 
 
 def test_constant_alloc(ref_cfg, ref_sched):
@@ -58,85 +61,76 @@ def test_random_alloc_uniform_mean(ref_cfg, ref_sched):
     assert_allclose(acc / n, ref_cfg.p_t / ref_cfg.num_relays, rtol=0.02)
 
 
-def test_csi_alloc_equal_gains_split_equally(ref_cfg, ref_sched):
-    mask = activity_mask(ref_cfg)
-    snap = ChannelSnapshot(h2=np.where(mask, 1e-9, 0.0))
-    alloc = csi_alloc(ref_cfg, ref_sched, snap)
+def midpoint_factors(table):
+    """Each covered entry's gain-table factor at its segment's midpoint node."""
+    return table.gains[:, table.gains.shape[1] // 2]
+
+
+def test_csi_alloc_equal_gains_split_equally(ref_cfg, ref_sched, ref_table):
+    table = replace(ref_table, gains=np.full_like(ref_table.gains, 1e-9))
+    alloc = csi_alloc(ref_cfg, ref_sched, table)
+    mask = table.mask
     for j in range(ref_cfg.num_segments):
         active = mask[:, j]
         assert_allclose(alloc.p[active, j], ref_cfg.p_t / active.sum(), rtol=1e-12)
 
 
 def test_csi_alloc_inverse_weighting():
-    cfg = reference_config(num_relays=2, num_bins=2)
+    cfg = reference_config(num_relays=2, num_bins=2, csi_alpha=0.5)
     sched = segment_boundaries(cfg)
-    mask = activity_mask(cfg)
-    h2 = np.where(mask, 1.0e-9, 0.0)
-    h2[0, 1] = 4.0e-9    # relay 1 four times stronger in column 2
-    h2[1, 1] = 1.0e-9
-    alloc = csi_alloc(cfg, sched, ChannelSnapshot(h2=h2), alpha=0.5)
+    table = build_gain_table(cfg, sched)
+    relay, seg = active_entries(table.mask)
+    gains = np.full_like(table.gains, 1.0e-9)
+    gains[(relay == 0) & (seg == 1)] = 4.0e-9   # relay 1 four times stronger in column 2
+    alloc = csi_alloc(cfg, sched, replace(table, gains=gains))
     # (h^2)^(-0.5) weights: gains 4:1 give powers 1:2
     assert_allclose(alloc.p[1, 1] / alloc.p[0, 1], 2.0, rtol=1e-12)
     assert_allclose(alloc.column_sums(), cfg.p_t, rtol=1e-12)
 
 
-def test_csi_alloc_matches_average_for_tiny_alpha(ref_cfg, ref_sched):
-    snap = ChannelSnapshot.from_scenario(ref_cfg, ref_sched)
-    alloc = csi_alloc(ref_cfg, ref_sched, snap, alpha=1e-6)
+def test_csi_alloc_matches_average_for_tiny_alpha(ref_cfg, ref_sched, ref_table):
+    alloc = csi_alloc(ref_cfg.with_(csi_alpha=1e-6), ref_sched, ref_table)
     avg = average_alloc(ref_cfg, ref_sched)
     assert np.max(np.abs(alloc.p - avg.p)) <= 1e-4 * ref_cfg.p_t
 
 
-def test_csi_alloc_gives_weak_channels_more_power(ref_cfg, ref_sched):
-    snap = ChannelSnapshot.from_scenario(ref_cfg, ref_sched)
-    alloc = csi_alloc(ref_cfg, ref_sched, snap)
+def test_csi_alloc_gives_weak_channels_more_power(ref_cfg, ref_sched, ref_table):
+    alloc = csi_alloc(ref_cfg, ref_sched, ref_table)
     j = ref_cfg.num_relays          # first stage-two column, all relays covered
-    gains = snap.h2[:, j - 1]
+    gains = midpoint_factors(ref_table)[ref_table.segment == j - 1]   # in relay order
     powers = alloc.p[:, j - 1]
     order_g = np.argsort(gains)
     assert np.all(np.diff(powers[order_g]) <= 1e-15)   # weakest gain, largest power
 
 
-def test_csi_alloc_rejects_zero_gain(ref_cfg, ref_sched):
-    mask = activity_mask(ref_cfg)
-    h2 = np.where(mask, 1e-9, 0.0)
-    h2[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        csi_alloc(ref_cfg, ref_sched, ChannelSnapshot(h2=h2))
-    with pytest.raises(ValueError):
-        csi_alloc(ref_cfg, ref_sched, ChannelSnapshot.from_scenario(ref_cfg, ref_sched),
-                  alpha=0.0)
+def test_csi_alloc_reads_positive_factors_and_fading(ref_cfg, ref_sched, ref_table):
+    assert np.all(midpoint_factors(ref_table) > 0.0)
+    det = csi_alloc(ref_cfg, ref_sched, ref_table)
+    faded1 = csi_alloc(ref_cfg, ref_sched, ref_table, np.random.default_rng(5))
+    faded2 = csi_alloc(ref_cfg, ref_sched, ref_table, np.random.default_rng(5))
+    assert np.array_equal(faded1.p, faded2.p)
+    assert not np.array_equal(faded1.p, det.p)
+    for alloc in (det, faded1):
+        assert np.all(alloc.p[alloc.mask] > 0.0)
+        assert np.all(alloc.p[~alloc.mask] == 0.0)
 
 
-def test_channel_snapshot(ref_cfg, ref_sched):
-    mask = activity_mask(ref_cfg)
-    snap = ChannelSnapshot.from_scenario(ref_cfg, ref_sched)
-    assert np.all(snap.h2[mask] > 0)
-    assert np.all(snap.h2[~mask] == 0.0)
-    faded1 = ChannelSnapshot.from_scenario(ref_cfg, ref_sched, np.random.default_rng(5))
-    faded2 = ChannelSnapshot.from_scenario(ref_cfg, ref_sched, np.random.default_rng(5))
-    assert np.array_equal(faded1.h2, faded2.h2)
-    assert not np.array_equal(faded1.h2, snap.h2)
-
-
-def test_all_allocators_validate(ref_cfg, ref_sched):
+def test_all_allocators_validate(ref_cfg, ref_sched, ref_table):
     rng = np.random.default_rng(2)
-    snap = ChannelSnapshot.from_scenario(ref_cfg, ref_sched)
     for alloc in (constant_alloc(ref_cfg, ref_sched),
                   average_alloc(ref_cfg, ref_sched),
                   random_alloc(ref_cfg, ref_sched, rng),
-                  csi_alloc(ref_cfg, ref_sched, snap)):
+                  csi_alloc(ref_cfg, ref_sched, ref_table)):
         assert validate_alloc(alloc, ref_cfg, ref_sched, tol=1e-9 * ref_cfg.p_t) == []
 
 
-def test_budget_equality_by_construction(ref_cfg, ref_sched):
+def test_budget_equality_by_construction(ref_cfg, ref_sched, ref_table):
     # average, random, and CSI hit the budget exactly in every column;
     # constant only in stage-two columns
     rng = np.random.default_rng(3)
-    snap = ChannelSnapshot.from_scenario(ref_cfg, ref_sched)
     for alloc in (average_alloc(ref_cfg, ref_sched),
                   random_alloc(ref_cfg, ref_sched, rng),
-                  csi_alloc(ref_cfg, ref_sched, snap)):
+                  csi_alloc(ref_cfg, ref_sched, ref_table)):
         assert_allclose(alloc.column_sums(), ref_cfg.p_t, rtol=1e-12)
     const = constant_alloc(ref_cfg, ref_sched)
     sums = const.column_sums()
@@ -178,15 +172,39 @@ def column_loop_random(cfg, rng):
     return p
 
 
-def column_loop_csi(cfg, snap):
-    """Reference: inverse-gain weights normalised column by column."""
+def column_loop_csi(cfg, h2):
+    """Reference: inverse-gain weights of a dense (M, S) channel, normalised
+    column by column."""
     mask = activity_mask(cfg)
     p = np.zeros(mask.shape)
     for j in range(cfg.num_segments):
         idx = np.flatnonzero(mask[:, j])
-        w = snap.h2[idx, j] ** (-cfg.csi_alpha)
+        w = h2[idx, j] ** (-cfg.csi_alpha)
         p[idx, j] = cfg.p_t * w / w.sum()
     return p
+
+
+def fading_attenuation(cfg, rng):
+    """One Rician dB draw per (relay, segment), as a linear factor."""
+    model = FadingModel.from_k_db(cfg.rician_k)
+    size = (cfg.num_relays, cfg.num_segments)
+    return 10.0 ** (-sample_fading_db(model, rng, size=size) / 10.0)
+
+
+def midpoint_snapshot(cfg, sched, rng=None):
+    """Reference channel (M, S): path loss and shadowing evaluated at each
+    segment's temporal midpoint, times one fading draw per entry when an
+    rng is given; zero off the mask."""
+    mask = activity_mask(cfg)
+    mid = 0.5 * (sched.boundaries[:-1] + sched.boundaries[1:])
+    h2 = np.zeros(mask.shape)
+    for i in range(1, cfg.num_relays + 1):
+        h_db = (-path_loss(mr_rrh_distance(cfg, i, mid), cfg.wavelength, cfg.pathloss_exp)
+                - cfg.shadowing)
+        h2[i - 1] = 10.0 ** (h_db / 10.0)
+    if rng is not None:
+        h2 = h2 * fading_attenuation(cfg, rng)
+    return np.where(mask, h2, 0.0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 7, 8, 11])
@@ -197,15 +215,38 @@ def test_vectorised_allocators_match_column_loops(m):
     # rounding above
     cfg = reference_config(num_relays=m, num_bins=3, d_mr=10.0)
     sched = segment_boundaries(cfg)
+    table = build_gain_table(cfg, sched)
+    mid = AllocationMatrix.from_entries(midpoint_factors(table), table.mask).p
     for seed in range(5):
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         pairs = [(random_alloc(cfg, sched, rng_a).p, column_loop_random(cfg, rng_b))]
         # the draws come in the same order and leave the stream in the same place
         assert rng_a.random() == rng_b.random()
-        snap = ChannelSnapshot.from_scenario(cfg, sched, np.random.default_rng(seed))
-        pairs.append((csi_alloc(cfg, sched, snap).p, column_loop_csi(cfg, snap)))
+        h2 = mid * fading_attenuation(cfg, np.random.default_rng(seed))
+        pairs.append((csi_alloc(cfg, sched, table, np.random.default_rng(seed)).p,
+                      column_loop_csi(cfg, h2)))
         for got, expected in pairs:
             if m <= 7:
                 assert np.array_equal(got, expected)
             else:
                 assert_allclose(got, expected, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("fading", [False, True])
+@pytest.mark.parametrize("quad_n", [2, 32, 256])
+@pytest.mark.parametrize("m", [1, 2, 4, 7, 8, 11])
+def test_csi_alloc_matches_midpoint_snapshot(m, quad_n, fading):
+    # node quad_n/2 of the gain table is the segment's midpoint, and the
+    # link constant between the table's factor and the bare path loss
+    # cancels in the per-segment split; with fading both draw the same
+    # (M, S) trace from the same stream
+    cfg = reference_config(num_relays=m, num_bins=3, d_mr=10.0, quad_n=quad_n)
+    sched = segment_boundaries(cfg)
+    table = build_gain_table(cfg, sched)
+    for seed in range(3):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = csi_alloc(cfg, sched, table, rng_a if fading else None).p
+        expected = column_loop_csi(cfg, midpoint_snapshot(cfg, sched,
+                                                          rng_b if fading else None))
+        assert_allclose(got, expected, rtol=0.0, atol=1e-15 * cfg.p_t)
+        assert rng_a.random() == rng_b.random()

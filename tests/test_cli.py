@@ -32,13 +32,14 @@ def test_run_command(tmp_path, capsys):
 
 def test_config_error_exit_code(tmp_path, capsys):
     # a missing key, a negative cycle cap, an empty inner loop, a NaN cell,
-    # a negative or zero data floor
+    # a negative or zero data floor, a zero CSI exponent
     for text, needle in (("m = 4\nv_kmh = 300\npt_dbm = 40\n", "d_l"),
                          (REF_CONFIG + "solver_n_max = -1\n", "n_max >= 0"),
                          (REF_CONFIG + "solver_inner_cap = 0\n", "inner_cap >= 1"),
                          (REF_CONFIG.replace("d_l = 200", "d_l = nan"), "d_l must be finite"),
                          (REF_CONFIG + "d_min_bits = -5\n", "d_min_bits must be positive"),
-                         (REF_CONFIG + "d_min_bits = 0\n", "d_min_bits must be positive")):
+                         (REF_CONFIG + "d_min_bits = 0\n", "d_min_bits must be positive"),
+                         (REF_CONFIG + "csi_alpha = 0\n", "csi_alpha must be strictly positive")):
         bad = write_cfg(tmp_path, text)
         code = main(["--outdir", str(tmp_path), "run", bad])
         assert code == 2, text

@@ -51,8 +51,9 @@ def test_missing_required_key_is_named():
 def test_unknown_key_reports_line_number():
     # solver_alpha included: the inner loop always backtracks, so a fixed
     # stepsize is not a setting; trials and sigma_v are study settings given
-    # on the command line, not scenario keys
-    for key in ("bogus_key", "solver_alpha", "trials", "sigma_v"):
+    # on the command line, not scenario keys; the rate integrand always
+    # carries the bandwidth, so bandwidth_factor is not a setting either
+    for key in ("bogus_key", "solver_alpha", "trials", "sigma_v", "bandwidth_factor"):
         text = f"m=4\nd_l=200\nv_kmh=300\npt_dbm=40\n{key}=0.05\n"
         with pytest.raises(ConfigError, match=rf":5: unknown key '{key}'"):
             parse_config_text(text, path="scenario.cfg")

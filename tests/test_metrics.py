@@ -48,8 +48,7 @@ def riemann_segment_data(cfg, sched, i, j, p_ij, n=100_000):
     t0, t1 = sched.boundaries[j - 1], sched.boundaries[j]
     ts = t0 + (np.arange(n) + 0.5) * (t1 - t0) / n
     gain = snr_linear_per_watt(cfg, mr_rrh_distance(cfg, i, ts))
-    scale = cfg.bandwidth if cfg.bandwidth_factor else 1.0
-    return scale * np.mean(np.log2(1.0 + p_ij * gain)) * (t1 - t0)
+    return cfg.bandwidth * np.mean(np.log2(1.0 + p_ij * gain)) * (t1 - t0)
 
 
 def test_segment_data_against_riemann_oracle(ref_cfg, ref_sched):
@@ -206,14 +205,6 @@ def test_grad_larger_near_rrh(ref_cfg, ref_sched, ref_table):
     assert per_time[abeam] > per_time[edge]
 
 
-def test_bandwidth_factor_switch(ref_cfg, ref_sched):
-    p = constant_alloc(ref_cfg, ref_sched).entries()
-    plain_cfg = ref_cfg.with_(bandwidth_factor=False)
-    d_on = build_gain_table(ref_cfg, ref_sched).total_data(p)
-    d_off = build_gain_table(plain_cfg, segment_boundaries(plain_cfg)).total_data(p)
-    assert_allclose(d_on, d_off * ref_cfg.bandwidth, rtol=1e-12)
-
-
 def test_fading_trace_changes_data_deterministically(ref_cfg, ref_sched, ref_table):
     p = average_alloc(ref_cfg, ref_sched).entries()
     trace1 = sample_fading_trace(ref_cfg, ref_sched, np.random.default_rng(3))
@@ -276,8 +267,7 @@ def test_allocation_matrix_leaves_caller_arrays_writable(ref_cfg):
 
 def test_gain_table_leaves_caller_arrays_writable(ref_cfg, ref_sched, ref_table):
     arrays = {name: getattr(ref_table, name).copy() for name in ("gains", "weights", "mask")}
-    table = GainTable(**arrays, bandwidth=ref_table.bandwidth,
-                      use_bandwidth=ref_table.use_bandwidth)
+    table = GainTable(**arrays, bandwidth=ref_table.bandwidth)
     for name, arr in arrays.items():
         assert arr.flags.writeable, name
         held = getattr(table, name)

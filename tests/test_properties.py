@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from railpower import (AllocationMatrix, ChannelSnapshot, ScenarioConfig, activity_mask,
-                       average_alloc, build_gain_table, compute_metrics, constant_alloc,
-                       csi_alloc, mr_rrh_distance, random_alloc, sample_fading_trace,
+from railpower import (AllocationMatrix, ScenarioConfig, activity_mask, average_alloc,
+                       build_gain_table, compute_metrics, constant_alloc, csi_alloc,
+                       mr_rrh_distance, random_alloc, sample_fading_trace,
                        segment_boundaries, snr_linear_per_watt, validate_alloc)
 
 LN2 = np.log(2.0)
@@ -39,7 +39,7 @@ def dense_reference(cfg, sched, p, fading_db):
     n = cfg.quad_n
     simpson = np.ones(n + 1)
     simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
-    scale = (cfg.bandwidth if cfg.bandwidth_factor else 1.0) / LN2
+    scale = cfg.bandwidth / LN2
     mask = activity_mask(cfg)
     total, dd, dd2 = 0.0, np.zeros(mask.shape), np.zeros(mask.shape)
     for i, j in zip(*np.nonzero(mask)):
@@ -89,8 +89,8 @@ def test_compact_data_passes_match_dense_reference(cfg, power_seed):
 def test_allocators_are_valid(cfg):
     sched = segment_boundaries(cfg)
     rng = np.random.default_rng(cfg.seed)
-    snap = ChannelSnapshot.from_scenario(cfg, sched, rng if cfg.fading else None)
+    csi = csi_alloc(cfg, sched, build_gain_table(cfg, sched), rng if cfg.fading else None)
     for alloc in (constant_alloc(cfg, sched), average_alloc(cfg, sched),
-                  random_alloc(cfg, sched, rng), csi_alloc(cfg, sched, snap)):
+                  random_alloc(cfg, sched, rng), csi):
         assert alloc.p.shape == (cfg.num_relays, cfg.num_segments)
         assert validate_alloc(alloc, cfg, sched) == []

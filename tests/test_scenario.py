@@ -152,6 +152,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="d_min_bits must be positive"):
             ScenarioConfig(d_min_bits=bad)
     assert ScenarioConfig(d_min_bits=1.0).d_min_bits == 1.0
+    # the CSI exponent is checked once, here, not per allocator call
+    for bad in (-0.2, 0.0):
+        with pytest.raises(ValueError, match="csi_alpha must be strictly positive"):
+            ScenarioConfig(csi_alpha=bad)
 
 
 def test_segment_schedule_leaves_caller_arrays_writable(ref_sched):
