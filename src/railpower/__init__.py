@@ -18,7 +18,7 @@ from .radio import (AntennaPattern, FadingModel, LinkConstants, antenna_gain,
                     snr_db, snr_linear_per_watt)
 from .metrics import (AllocationMatrix, GainTable, MetricsRecord, build_gain_table,
                       compute_metrics, energy_efficiency, sample_fading_trace,
-                      segment_data, spectral_efficiency, total_energy)
+                      spectral_efficiency, total_energy)
 from .allocators import (average_alloc, constant_alloc, csi_alloc, random_alloc,
                          validate_alloc)
 from .optimizer import (InfeasibleDataFloor, MultiplierState, Problem, SolveResult,

@@ -148,10 +148,10 @@ def _record(point: dict, scheme: str, energy_j: float = NAN, data_bits: float = 
             cycles: int | None = None, h_inf: float | None = None, error: str = "",
             wall_time_s: float = 0.0) -> RunRecord:
     """Build one row: ``point`` maps the :data:`_POINT_COLUMNS`, and the
-    defaults describe a failed scheme.  EE is data over energy wherever the
-    energy is positive, so EE = D/E holds on every row."""
+    defaults describe a failed scheme.  EE is :func:`metrics.energy_efficiency`
+    of the row's data and energy, so EE = D/E holds on every row."""
     return RunRecord(**point, scheme=scheme, energy_j=energy_j, data_bits=data_bits,
-                     ee_bits_per_j=data_bits / energy_j if energy_j > 0 else NAN,
+                     ee_bits_per_j=metrics.energy_efficiency(data_bits, energy_j),
                      se_bits_per_s_per_hz=se, meets_floor=meets_floor,
                      converged=converged, cycles=cycles, h_inf=h_inf, error=error,
                      wall_time_s=wall_time_s)
@@ -294,7 +294,7 @@ def sweep(cfg: ScenarioConfig, options: HarnessOptions, spec: SweepSpec,
 
 def draw_speed_error(rng: np.random.Generator, sigma_v: float) -> float:
     """One nonnegative speed estimation error: |N(0, sigma_v^2)| [m/s]."""
-    return abs(rng.normal(0.0, sigma_v)) if sigma_v > 0 else 0.0
+    return abs(rng.normal(0.0, sigma_v))
 
 
 def monte_carlo_velocity_error(cfg: ScenarioConfig, options: HarnessOptions,

@@ -1,11 +1,18 @@
 """Delivered data, energy, efficiency metrics, and the data derivatives.
 
-Energy is exact (durations dotted with column sums).  Data is the Shannon
-rate integrated over each segment with composite Simpson quadrature; the
-linear channel factor at every quadrature node depends only on geometry,
-so it is precomputed once per scenario into a :class:`GainTable` and all
-power-dependent evaluations (data, gradient) become cheap vectorised
-passes over that table.  This is what makes the solver's inner loop fast.
+Energy is exact: :func:`total_energy` sums each segment's duration times
+its power column sum.  Data is the Shannon rate integrated over each
+segment with composite Simpson quadrature; the linear channel factor at
+every quadrature node depends only on geometry, so it is precomputed once
+per scenario into a :class:`GainTable` and all power-dependent
+evaluations (data, gradient) become cheap vectorised passes over that
+table.  This is what makes the solver's inner loop fast.
+
+Each reported figure has one formula: :func:`total_energy` for energy,
+:meth:`GainTable.segment_data_matrix` summed per segment and then over
+segments for data, and :func:`energy_efficiency` for EE.
+:func:`compute_metrics` combines them; the harness rows and the solver's
+returned figures read them from there.
 
 Compact layout: a relay transmits only while it is in the cell, so of the
 M x (2M+N-2) (relay, segment) pairs only the K = M(M+N-1) active entries
@@ -50,17 +57,6 @@ class AllocationMatrix:
         if self.p.shape != self.mask.shape:
             raise ValueError("power and mask shapes differ")
         _hold_read_only(self, ("p", "mask"))
-
-    @classmethod
-    def from_dense(cls, p: np.ndarray, cfg: ScenarioConfig) -> "AllocationMatrix":
-        mask = activity_mask(cfg)
-        p = np.where(mask, p, 0.0)
-        return cls(p=p, mask=mask)
-
-    @classmethod
-    def zeros(cls, cfg: ScenarioConfig) -> "AllocationMatrix":
-        mask = activity_mask(cfg)
-        return cls(p=np.zeros(mask.shape), mask=mask)
 
     @classmethod
     def from_entries(cls, values: np.ndarray, mask: np.ndarray) -> "AllocationMatrix":
@@ -197,41 +193,16 @@ def sample_fading_trace(cfg: ScenarioConfig, sched: SegmentSchedule,
 
 
 def total_energy(alloc: AllocationMatrix, sched: SegmentSchedule) -> float:
-    """Traversal energy [J]: durations dotted with per-segment power sums."""
+    """Traversal energy [J]: the sum over segments of duration times the
+    segment's power column sum."""
     if alloc.p.shape[1] != sched.num_segments:
         raise ValueError("allocation width does not match the schedule")
-    return float(np.dot(sched.durations, alloc.column_sums()))
-
-
-def segment_data(p_ij: float, i: int, j: int, cfg: ScenarioConfig,
-                 sched: SegmentSchedule, quad_n: int | None = None,
-                 gamma_db: np.ndarray | None = None) -> float:
-    """Data [bits] relay i delivers in segment j at constant power p_ij [W].
-
-    Integrates B*log2(1 + SNR(t)) over the segment with composite Simpson
-    quadrature; ``gamma_db`` optionally supplies a fading attenuation per
-    quadrature node (deterministic channel otherwise).
-    """
-    from .scenario import active_segments
-
-    lo, hi = active_segments(cfg, i)
-    if not lo <= j <= hi:
-        raise ValueError(f"relay {i} is not in the cell during segment {j}")
-    if p_ij < 0.0:
-        raise ValueError("transmit power must be nonnegative")
-    n = cfg.quad_n if quad_n is None else quad_n
-    t0, t1 = sched.boundaries[j - 1], sched.boundaries[j]
-    nodes = t0 + (t1 - t0) * np.arange(n + 1) / n
-    g = 0.0 if gamma_db is None else np.asarray(gamma_db, dtype=float)
-    gain = radio.snr_linear_per_watt(cfg, mr_rrh_distance(cfg, i, nodes), g)
-    w = _simpson_weights(n) * (t1 - t0) / n
-    return float(cfg.bandwidth / LN2 * np.dot(w, np.log1p(p_ij * gain)))
+    return float((sched.durations * alloc.column_sums()).sum())
 
 
 def energy_efficiency(data_bits: float, energy_j: float) -> float:
-    if energy_j <= 0.0:
-        raise ValueError("energy efficiency undefined for nonpositive energy")
-    return data_bits / energy_j
+    """Data over energy [bits/J] where the energy is positive, else NaN."""
+    return data_bits / energy_j if energy_j > 0 else float("nan")
 
 
 def spectral_efficiency(data_bits: float, cfg: ScenarioConfig,
@@ -248,21 +219,20 @@ class MetricsRecord:
     data_bits: float
     ee_bits_per_j: float
     se_bits_per_s_per_hz: float
-    segment_energy_j: np.ndarray   # (S,)
-    segment_data_bits: np.ndarray  # (S,)
 
 
 def compute_metrics(alloc: AllocationMatrix, cfg: ScenarioConfig,
                     sched: SegmentSchedule, table: GainTable) -> MetricsRecord:
-    seg_e = sched.durations * alloc.column_sums()
-    seg_d = table.column_sums(table.segment_data_matrix(alloc.entries()))
-    e = float(seg_e.sum())
-    d = float(seg_d.sum())
+    """Energy, data, EE and SE of ``alloc`` on ``table``.
+
+    Data is summed per entry, then per segment, then over segments, so it
+    is bit-identical wherever it is reported.
+    """
+    e = total_energy(alloc, sched)
+    d = float(table.column_sums(table.segment_data_matrix(alloc.entries())).sum())
     return MetricsRecord(
         energy_j=e,
         data_bits=d,
-        ee_bits_per_j=energy_efficiency(d, e) if e > 0 else float("nan"),
+        ee_bits_per_j=energy_efficiency(d, e),
         se_bits_per_s_per_hz=spectral_efficiency(d, cfg, sched),
-        segment_energy_j=seg_e,
-        segment_data_bits=seg_d,
     )

@@ -20,7 +20,9 @@ according to how fast the residual norm shrinks:
 Inside the solver, powers are scaled by P_T and data by D_min so the
 residual components are comparable under the max norm; :func:`solve`
 converts the iterate once at entry and once at return, and the cycles
-hand on the scaled iterate with its residuals.  :class:`Problem` holds
+hand on the scaled iterate with its residuals.  The energy and data it
+returns are :func:`metrics.compute_metrics` of the returned allocation,
+the same figures a harness row writes for it.  :class:`Problem` holds
 the gain table in the same units (gains times P_T, weights over D_min),
 built once, so no data or derivative pass converts units.  The iterate
 is the compact vector x (K,) of the K = M(M+N-1) entries where a relay is
@@ -72,7 +74,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .allocators import average_alloc
-from .metrics import AllocationMatrix, GainTable, build_gain_table, total_energy
+from .metrics import AllocationMatrix, GainTable, build_gain_table, compute_metrics
 from .scenario import ScenarioConfig, SegmentSchedule, segment_boundaries
 
 
@@ -320,7 +322,6 @@ class SolveResult:
     energy_j: float
     data_bits: float
     h_inf: float                   # scaled residual max norm at the solution
-    lam: np.ndarray                # multiplier iterate (scaled units)
     lam_hat: np.ndarray            # first-order multiplier estimate lam - 2*sigma*h
     sigma: float
     history: tuple[CycleRecord, ...] = field(repr=False, default=())
@@ -335,10 +336,13 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     The start point (``init``, else the average allocation, whose data
     pass is also the feasibility test's) is scaled and clipped to x >= 0
     once; the cycles carry x and its residuals, and the best x is
-    converted to watts at return.  Raises :class:`InfeasibleDataFloor`
-    when the floor exceeds the data the full-budget average allocation can
-    deliver.  A run that exhausts the outer cycle budget returns its best
-    iterate flagged as non-converged.  When the inner loop that produced
+    converted to watts at return.  The result's ``energy_j`` and
+    ``data_bits`` are :func:`metrics.compute_metrics` of the returned
+    allocation on ``table``, the figures a harness row reports for it.
+    Raises ``ValueError`` for a floor that is not positive and
+    :class:`InfeasibleDataFloor` when the floor exceeds the data the
+    full-budget average allocation can deliver.  A run that exhausts the
+    outer cycle budget returns its best iterate flagged as non-converged.  When the inner loop that produced
     the returned iterate stopped on ``cap`` or ``stall``, a warning goes
     to the ``railpower.optimizer`` logger.
     """
@@ -351,17 +355,6 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     if options is None:
         options = SolverOptions()
     state = MultiplierState.initial(cfg, options)
-
-    if d_min <= 0.0:
-        # nothing to deliver: the zero matrix is exactly optimal
-        zero = AllocationMatrix.zeros(cfg)
-        lam = np.zeros(cfg.num_segments + 1)
-        result = SolveResult(
-            converged=True, cycles=0, d_min=d_min,
-            energy_j=0.0, data_bits=0.0, h_inf=0.0,
-            lam=lam, lam_hat=lam, sigma=state.sigma,
-        )
-        return zero, result
 
     problem = Problem(cfg, sched, d_min, table)
     x = np.maximum(problem.to_scaled(average_alloc(cfg, sched)), 0.0)
@@ -415,15 +408,15 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
             sums = table.column_sums(x * cfg.p_t)
         hinf = _linf(problem.residuals_scaled(x))
     alloc = problem.to_physical(x)
+    rec = compute_metrics(alloc, cfg, sched, table)
 
     result = SolveResult(
         converged=bool(hinf <= options.eps),
         cycles=len(history),
         d_min=d_min,
-        energy_j=total_energy(alloc, sched),
-        data_bits=table.total_data(alloc.entries()),
+        energy_j=rec.energy_j,
+        data_bits=rec.data_bits,
         h_inf=hinf,
-        lam=state.lam,
         lam_hat=lam_hat,
         sigma=sigma,
         history=tuple(history),

@@ -176,8 +176,7 @@ def mr_position(cfg: ScenarioConfig, i: int, t):
 
 def mr_rrh_distance(cfg: ScenarioConfig, i: int, t):
     """Line-of-sight distance from relay i to the radio head [m]."""
-    x = mr_position(cfg, i, t)
-    return np.sqrt(cfg.d0 ** 2 + (x - cfg.d_l / 2.0) ** 2)
+    return position_rrh_distance(cfg, mr_position(cfg, i, t))
 
 
 def position_rrh_distance(cfg: ScenarioConfig, x):

@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 from railpower import (KMH_TO_MPS, allocators, metrics, optimizer, reference_config,
                        segment_boundaries)
 from railpower.configio import SCHEMES, HarnessOptions
-from railpower.harness import (RunRecord, SweepSpec, draw_speed_error, emit_plot_data,
-                               monte_carlo_velocity_error, read_csv_rows,
+from railpower.harness import (RunRecord, SweepSpec, apply_sweep_value, draw_speed_error,
+                               emit_plot_data, monte_carlo_velocity_error, read_csv_rows,
                                records_to_csv, run_point, run_scenario, sweep,
                                write_csv)
 
@@ -179,6 +179,26 @@ def test_meets_floor_uses_the_solver_tolerance(ref_cfg, ref_table, options):
     assert [r.scheme for r in recs] == ["average"]
     assert_allclose(recs[0].data_bits, d_avg, rtol=1e-12)
     assert not recs[0].meets_floor
+
+
+@pytest.mark.parametrize("param, values", [
+    ("d_l", (140.0, 160.0, 180.0, 200.0, 220.0, 240.0)),
+    ("M", (2.0, 3.0, 4.0, 5.0, 6.0)),
+])
+def test_optimized_rows_report_the_solve_result(ref_cfg, param, values):
+    # a deterministic optimized row writes the solver's own energy and data,
+    # bit for bit: both come from compute_metrics on the point's table
+    spec = SweepSpec(param=param, values=values)
+    rows = [r for r in sweep(ref_cfg, HarnessOptions(schemes=("optimized",)), spec)
+            if r.kind == "trial"]
+    assert len(rows) == len(values)
+    for r in rows:
+        cfg = apply_sweep_value(ref_cfg, param, r.value)
+        sched = segment_boundaries(cfg)
+        table = metrics.build_gain_table(cfg, sched)
+        _, res = optimizer.solve(cfg, sched, d_min=optimizer.data_floor(cfg, sched, table),
+                                 table=table)
+        assert (res.energy_j, res.data_bits) == (r.energy_j, r.data_bits), r.value
 
 
 def test_run_point_surfaces_infeasible_floor(options):

@@ -3,9 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from railpower import (AllocationMatrix, GainTable, activity_mask, average_alloc, build_gain_table,
-                       compute_metrics, constant_alloc, energy_efficiency,
-                       mr_rrh_distance, sample_fading_trace, segment_data,
-                       snr_linear_per_watt, spectral_efficiency, total_energy)
+                       compute_metrics, constant_alloc, csi_alloc, energy_efficiency,
+                       mr_rrh_distance, random_alloc, sample_fading_trace, snr_linear_per_watt,
+                       solve, spectral_efficiency, total_energy)
 from railpower.metrics import active_entries
 from railpower.scenario import segment_boundaries
 
@@ -26,9 +26,9 @@ def test_constant_scheme_energy_hand_sum(ref_cfg, ref_sched):
 
 
 def test_energy_zero_and_linearity(ref_cfg, ref_sched, rng):
-    zero = AllocationMatrix.zeros(ref_cfg)
-    assert total_energy(zero, ref_sched) == 0.0
     mask = activity_mask(ref_cfg)
+    zero = AllocationMatrix(p=np.zeros(mask.shape), mask=mask)
+    assert total_energy(zero, ref_sched) == 0.0
     p = np.where(mask, rng.uniform(0.0, 2.0, mask.shape), 0.0)
     alloc = AllocationMatrix(p=p, mask=mask)
     scaled = AllocationMatrix(p=3.0 * p, mask=mask)
@@ -44,51 +44,49 @@ def test_energy_shape_mismatch(ref_cfg, ref_sched):
 
 
 def riemann_segment_data(cfg, sched, i, j, p_ij, n=100_000):
-    """Brute-force midpoint Riemann sum of the rate integral."""
+    """Brute-force midpoint Riemann sum of the rate integral of relay i
+    (1-based) in segment j (1-based) at constant power p_ij."""
     t0, t1 = sched.boundaries[j - 1], sched.boundaries[j]
     ts = t0 + (np.arange(n) + 0.5) * (t1 - t0) / n
     gain = snr_linear_per_watt(cfg, mr_rrh_distance(cfg, i, ts))
     return cfg.bandwidth * np.mean(np.log2(1.0 + p_ij * gain)) * (t1 - t0)
 
 
-def test_segment_data_against_riemann_oracle(ref_cfg, ref_sched):
-    val = segment_data(2.5, 1, 4, ref_cfg, ref_sched)
-    oracle = riemann_segment_data(ref_cfg, ref_sched, 1, 4, 2.5)
-    assert abs(val - oracle) <= 1e-6 * oracle
+def test_segment_data_against_riemann_oracle(ref_cfg, ref_sched, ref_table):
+    # every entry of the reference table, at 2.5 W
+    p = np.full(ref_table.segment.size, 2.5)
+    val = ref_table.segment_data_matrix(p)
+    relay, seg = active_entries(ref_table.mask)
+    for k in range(p.size):
+        oracle = riemann_segment_data(ref_cfg, ref_sched, relay[k] + 1, seg[k] + 1, 2.5)
+        assert abs(val[k] - oracle) <= 1e-6 * oracle, k
 
 
-def test_segment_data_basics(ref_cfg, ref_sched):
-    assert segment_data(0.0, 1, 4, ref_cfg, ref_sched) == 0.0
-    d1 = segment_data(0.5, 1, 4, ref_cfg, ref_sched)
-    d2 = segment_data(1.5, 1, 4, ref_cfg, ref_sched)
-    d3 = segment_data(2.5, 1, 4, ref_cfg, ref_sched)
-    assert 0 < d1 < d2 < d3                      # increasing
-    assert d2 - d1 > d3 - d2                     # concave
-    with pytest.raises(ValueError):
-        segment_data(1.0, 1, 10, ref_cfg, ref_sched)   # relay 1 inactive by then
-    with pytest.raises(ValueError):
-        segment_data(-0.5, 1, 4, ref_cfg, ref_sched)
+def test_segment_data_basics(ref_table):
+    k_all = ref_table.segment.size
+    assert np.all(ref_table.segment_data_matrix(np.zeros(k_all)) == 0.0)
+    d1, d2, d3 = (ref_table.segment_data_matrix(np.full(k_all, p)) for p in (0.5, 1.5, 2.5))
+    assert np.all((0 < d1) & (d1 < d2) & (d2 < d3))   # increasing
+    assert np.all(d2 - d1 > d3 - d2)                  # concave
 
 
 def test_total_data_is_sum_of_segments(ref_cfg, ref_sched, ref_table):
     alloc = constant_alloc(ref_cfg, ref_sched)
     total = ref_table.total_data(alloc.entries())
-    per = sum(
-        segment_data(alloc.p[i - 1, j - 1], i, j, ref_cfg, ref_sched)
-        for i in range(1, ref_cfg.num_relays + 1)
-        for j in range(1, ref_cfg.num_segments + 1)
-        if alloc.mask[i - 1, j - 1]
-    )
-    assert_allclose(total, per, rtol=1e-12)
+    per = ref_table.segment_data_matrix(alloc.entries())
+    assert_allclose(total, per.sum(), rtol=1e-12)
+    assert_allclose(ref_table.column_sums(per).sum(), total, rtol=1e-12)
 
 
 def test_total_data_trivial_cases(ref_cfg, ref_sched, ref_table):
-    zero = AllocationMatrix.zeros(ref_cfg)
-    assert ref_table.total_data(zero.entries()) == 0.0
-    single = np.zeros_like(zero.entries())
-    single[entry(zero.mask, 0, 3)] = 1.25
-    assert_allclose(ref_table.total_data(single),
-                    segment_data(1.25, 1, 4, ref_cfg, ref_sched), rtol=1e-12)
+    zero = np.zeros(ref_table.segment.size)
+    assert ref_table.total_data(zero) == 0.0
+    single = zero.copy()
+    k = entry(ref_table.mask, 0, 3)
+    single[k] = 1.25
+    per = ref_table.segment_data_matrix(single)
+    assert np.flatnonzero(per).tolist() == [k]
+    assert_allclose(ref_table.total_data(single), per.sum(), rtol=1e-12)
 
 
 def test_total_data_mirror_symmetry(ref_cfg, ref_sched, ref_table, rng):
@@ -134,8 +132,9 @@ def test_energy_efficiency():
     assert energy_efficiency(24e9, 24.0) == 1e9
     assert energy_efficiency(48e9, 24.0) == 2 * energy_efficiency(24e9, 24.0)
     assert energy_efficiency(5e9, 5.0) == energy_efficiency(10e9, 10.0)
-    with pytest.raises(ValueError):
-        energy_efficiency(1.0, 0.0)
+    # undefined without positive energy: NaN, as on a failed row
+    for energy in (0.0, -1.0, float("nan")):
+        assert np.isnan(energy_efficiency(1.0, energy))
 
 
 def test_spectral_efficiency(ref_cfg, ref_sched, ref_table):
@@ -233,23 +232,29 @@ def test_faded_table_scales_the_active_node_factors(ref_cfg, ref_sched, ref_tabl
 
 
 def test_compute_metrics_consistency(ref_cfg, ref_sched, ref_table):
-    alloc = average_alloc(ref_cfg, ref_sched)
-    rec = compute_metrics(alloc, ref_cfg, ref_sched, ref_table)
-    assert_allclose(rec.energy_j, total_energy(alloc, ref_sched), rtol=1e-12)
-    assert_allclose(rec.data_bits, ref_table.total_data(alloc.entries()),
-                    rtol=1e-12)
-    assert_allclose(rec.ee_bits_per_j, rec.data_bits / rec.energy_j, rtol=1e-12)
-    assert_allclose(rec.segment_energy_j.sum(), rec.energy_j, rtol=1e-12)
-    assert_allclose(rec.segment_data_bits.sum(), rec.data_bits, rtol=1e-12)
+    # one energy formula and one EE formula for every scheme's allocation
+    allocs = {
+        "constant": constant_alloc(ref_cfg, ref_sched),
+        "average": average_alloc(ref_cfg, ref_sched),
+        "random": random_alloc(ref_cfg, ref_sched, np.random.default_rng(5)),
+        "csi": csi_alloc(ref_cfg, ref_sched, ref_table),
+        "optimized": solve(ref_cfg, ref_sched, table=ref_table)[0],
+    }
+    for scheme, alloc in allocs.items():
+        rec = compute_metrics(alloc, ref_cfg, ref_sched, ref_table)
+        assert rec.energy_j == total_energy(alloc, ref_sched), scheme
+        assert_allclose(rec.data_bits, ref_table.total_data(alloc.entries()),
+                        rtol=1e-12, err_msg=scheme)
+        assert rec.ee_bits_per_j == energy_efficiency(rec.data_bits, rec.energy_j), scheme
+        assert_allclose(rec.ee_bits_per_j, rec.data_bits / rec.energy_j, rtol=1e-12)
 
 
 def test_allocation_matrix_guards(ref_cfg):
     mask = activity_mask(ref_cfg)
     with pytest.raises(ValueError):
         AllocationMatrix(p=np.zeros((2, 2)), mask=mask)
-    dense = np.ones_like(mask, dtype=float)
-    alloc = AllocationMatrix.from_dense(dense, ref_cfg)
-    assert np.all(alloc.p[~mask] == 0.0)
+    alloc = AllocationMatrix.from_entries(np.ones(mask.sum()), mask)
+    assert np.all(alloc.p[~mask] == 0.0) and np.all(alloc.p[mask] == 1.0)
 
 
 def test_allocation_matrix_leaves_caller_arrays_writable(ref_cfg):

@@ -11,7 +11,7 @@ from railpower.metrics import GainTable, active_entries
 from railpower.optimizer import InnerInfo
 from railpower import (AllocationMatrix, InfeasibleDataFloor, MultiplierState, Problem,
                        SolverOptions, activity_mask, average_alloc, build_gain_table,
-                       data_floor, inner_descent, kkt_residual, reference_config,
+                       compute_metrics, data_floor, inner_descent, kkt_residual, reference_config,
                        segment_boundaries, solve, total_energy, update_state,
                        validate_alloc)
 
@@ -54,7 +54,6 @@ def test_data_floor_policy(ref_cfg, ref_sched, ref_table):
 def test_constraint_residuals(ref_cfg, ref_sched, ref_table):
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     avg = average_alloc(ref_cfg, ref_sched)
-    zero = AllocationMatrix.zeros(ref_cfg)
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
     h = problem.residuals_scaled(problem.to_scaled(avg))
     assert len(h) == 2 * ref_cfg.num_relays + ref_cfg.num_bins - 1
@@ -63,7 +62,7 @@ def test_constraint_residuals(ref_cfg, ref_sched, ref_table):
 
     # the zero allocation misses the floor by all of it; its budget rows
     # are clipped at the cap
-    h0 = problem.residuals_scaled(problem.to_scaled(zero))
+    h0 = problem.residuals_scaled(np.zeros(ref_table.segment.size))
     assert h0[0] == -1.0
     assert np.all(h0[1:] == 0.0)
 
@@ -356,11 +355,12 @@ def test_solve_accepts_custom_init(ref_cfg, ref_sched, ref_table, ref_solution):
     assert abs(res.energy_j - res_avg.energy_j) <= 0.02 * res_avg.energy_j
 
 
-def test_solve_zero_floor_returns_zero_matrix(ref_cfg, ref_sched, ref_table):
-    alloc, res = solve(ref_cfg, ref_sched, d_min=0.0, table=ref_table)
-    assert res.converged
-    assert np.all(alloc.p == 0.0)
-    assert res.energy_j == 0.0
+def test_solve_rejects_nonpositive_floor(ref_cfg, ref_sched, ref_table):
+    # a scenario's floor is always positive; a direct call with none to
+    # deliver is an error, as it is for Problem
+    for d_min in (0.0, -1.0):
+        with pytest.raises(ValueError, match="must be positive"):
+            solve(ref_cfg, ref_sched, d_min=d_min, table=ref_table)
 
 
 def test_solve_rejects_unreachable_floor(ref_cfg, ref_sched, ref_table):
@@ -484,6 +484,8 @@ def test_solve_contracts_on_random_scenarios():
         assert abs(res.data_bits - d_min) <= 1e-3 * d_min
         assert validate_alloc(alloc, cfg, sched, tol=1e-6 * cfg.p_t) == []
         assert kkt_residual(alloc, res.lam_hat, cfg, sched, d_min, table) <= 1e-3
+        rec = compute_metrics(alloc, cfg, sched, table)
+        assert (res.energy_j, res.data_bits) == (rec.energy_j, rec.data_bits)
 
 
 # ---------------------------------------------------------------- kkt residual
@@ -567,8 +569,8 @@ def test_inner_descent_one_data_pass_per_merit_evaluation(monkeypatch):
     # its iterate's residuals on to the next cycle, so a solve runs one data
     # pass per merit evaluation after each cycle's first, plus a fixed count:
     # the start point (also the infeasibility test's pass) and the returned
-    # allocation's data, and at rho = 0.97 the overspend guard's residual
-    # (the best iterate sits a hair over its caps)
+    # allocation's per-entry data (its metrics), and at rho = 0.97 the
+    # overspend guard's residual (the best iterate sits a hair over its caps)
     counts = {"data": 0, "phi": 0}
     per_call = []
 
@@ -586,6 +588,8 @@ def test_inner_descent_one_data_pass_per_merit_evaluation(monkeypatch):
         return out
 
     monkeypatch.setattr(GainTable, "total_data", counted("data", GainTable.total_data))
+    monkeypatch.setattr(GainTable, "segment_data_matrix",
+                        counted("data", GainTable.segment_data_matrix))
     monkeypatch.setattr(Problem, "phi", counted("phi", Problem.phi))
     monkeypatch.setattr(optimizer, "inner_descent", counted_inner)
     for rho, fixed in ((0.8, 2), (0.97, 3)):
