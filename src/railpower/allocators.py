@@ -4,9 +4,9 @@ Four reference allocators: constant (P_T/M per covered relay), average
 (P_T split equally among covered relays), random (uniform point on the
 per-segment simplex summing to P_T), and CSI-based (inverse channel-gain
 weighting, with each entry's channel read from the scenario's gain table
-at its segment's midpoint node).  All produce mask-valid nonnegative
-matrices whose column sums never exceed the budget; `validate_alloc`
-checks exactly that and returns violations as data rather than raising.
+at its segment's midpoint node).  All build nonnegative compact powers on
+the activity mask, column sums within the budget; `validate_alloc` checks
+exactly that and returns violations as data rather than raising.
 """
 
 from __future__ import annotations
@@ -23,24 +23,20 @@ from .scenario import ScenarioConfig, SegmentSchedule, activity_mask
 def constant_alloc(cfg: ScenarioConfig, sched: SegmentSchedule) -> AllocationMatrix:
     """P_T/M to every covered relay; column sums below P_T while entering/leaving."""
     mask = activity_mask(cfg)
-    p = np.where(mask, cfg.p_t / cfg.num_relays, 0.0)
-    return AllocationMatrix(p=p, mask=mask)
+    return AllocationMatrix(np.full(np.count_nonzero(mask), cfg.p_t / cfg.num_relays), mask)
 
 
 def average_alloc(cfg: ScenarioConfig, sched: SegmentSchedule) -> AllocationMatrix:
     """P_T split equally among the relays covered in each segment."""
     mask = activity_mask(cfg)
-    counts = mask.sum(axis=0)
-    p = np.where(mask, cfg.p_t / counts[None, :], 0.0)
-    return AllocationMatrix(p=p, mask=mask)
+    return _split_budget(cfg, mask, np.ones(np.count_nonzero(mask)))
 
 
-def _split_budget(cfg: ScenarioConfig, mask: np.ndarray, seg: np.ndarray,
-                  w: np.ndarray) -> AllocationMatrix:
+def _split_budget(cfg: ScenarioConfig, mask: np.ndarray, w: np.ndarray) -> AllocationMatrix:
     """P_T split over each segment's active entries in proportion to the
     compact weights w."""
-    sums = np.bincount(seg, weights=w, minlength=cfg.num_segments)
-    return AllocationMatrix.from_entries(cfg.p_t * w / sums[seg], mask)
+    share = AllocationMatrix(w, mask)
+    return AllocationMatrix(cfg.p_t * w / share.column_sums()[share.segment], mask)
 
 
 def random_alloc(cfg: ScenarioConfig, sched: SegmentSchedule,
@@ -51,11 +47,9 @@ def random_alloc(cfg: ScenarioConfig, sched: SegmentSchedule,
     a uniform point on the simplex, scaled so every column sums to P_T.
     """
     mask = activity_mask(cfg)
-    seg = active_entries(mask)[1]
     # one draw per entry in the compact order: column by column, as a
     # per-column loop would draw them
-    w = rng.exponential(1.0, size=seg.size)
-    return _split_budget(cfg, mask, seg, w)
+    return _split_budget(cfg, mask, rng.exponential(1.0, size=np.count_nonzero(mask)))
 
 
 def csi_alloc(cfg: ScenarioConfig, sched: SegmentSchedule, table: GainTable,
@@ -74,7 +68,7 @@ def csi_alloc(cfg: ScenarioConfig, sched: SegmentSchedule, table: GainTable,
         model = radio.FadingModel.from_k_db(cfg.rician_k)
         gamma = radio.sample_fading_db(model, rng, size=table.mask.shape)
         h = h * 10.0 ** (-gamma.T[table.mask.T] / 10.0)
-    return _split_budget(cfg, table.mask, table.segment, h ** (-cfg.csi_alpha))
+    return _split_budget(cfg, table.mask, h ** (-cfg.csi_alpha))
 
 
 @dataclass(frozen=True)
@@ -95,13 +89,15 @@ def validate_alloc(alloc: AllocationMatrix, cfg: ScenarioConfig,
     """Check mask, nonnegativity, and per-segment budget; return violations."""
     tol = 1e-9 * cfg.p_t if tol is None else tol
     expected_mask = activity_mask(cfg)
+    if alloc.mask.shape != expected_mask.shape:
+        raise ValueError("allocation shape does not match the scenario")
+    relay, seg = active_entries(alloc.mask)
+    p = alloc.values
     out = []
-    off_mask = (np.abs(alloc.p) > 0.0) & ~expected_mask
-    for i, j in zip(*np.nonzero(off_mask)):
-        out.append(AllocationViolation("mask", i + 1, j + 1, float(alloc.p[i, j])))
-    negative = alloc.p < 0.0
-    for i, j in zip(*np.nonzero(negative)):
-        out.append(AllocationViolation("negative", i + 1, j + 1, float(alloc.p[i, j])))
+    for kind, bad in (("mask", (np.abs(p) > 0.0) & ~expected_mask[relay, seg]),
+                      ("negative", p < 0.0)):
+        for k in np.flatnonzero(bad):
+            out.append(AllocationViolation(kind, relay[k] + 1, seg[k] + 1, float(p[k])))
     sums = alloc.column_sums()
     for j in np.flatnonzero(sums > cfg.p_t + tol):
         out.append(AllocationViolation("budget", None, int(j) + 1, float(sums[j])))

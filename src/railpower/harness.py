@@ -200,7 +200,7 @@ def run_point(cfg: ScenarioConfig, options: HarnessOptions,
                     cfg, sched, d_min=d_min_bits * ((cfg.v + speed_error) / cfg.v),
                     options=options.solver, table=det_table)
                 cycles, h_inf, converged = diag.cycles, diag.h_inf, diag.converged
-        except (optimizer.InfeasibleDataFloor, ValueError) as exc:
+        except ValueError as exc:   # InfeasibleDataFloor included
             records.append(_record(point, scheme, error=str(exc),
                                    wall_time_s=time.perf_counter() - start))
             continue
@@ -261,14 +261,14 @@ def _sweep_point(args):
                          value=float(value), trial=trial, speed_error=speed_error)
     try:
         point_cfg = apply_sweep_value(cfg, spec.param, value)
-        return run_point(point_cfg, options, seed_seq, kind="trial",
-                         param=spec.param, value=float(value), trial=trial)
     except ValueError as exc:
         # the failed point's rows show the swept value it failed on
         point = dict(kind="trial", param=spec.param, value=float(value), trial=trial,
                      scenario="", d_min_bits=NAN,
                      **_scenario_columns(cfg, spec.param, value))
         return [_record(point, s, error=str(exc)) for s in options.schemes]
+    return run_point(point_cfg, options, seed_seq, kind="trial",
+                     param=spec.param, value=float(value), trial=trial)
 
 
 def sweep(cfg: ScenarioConfig, options: HarnessOptions, spec: SweepSpec,

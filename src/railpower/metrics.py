@@ -21,9 +21,8 @@ entries as one vector in column-major order (see :func:`active_entries`),
 each segment's relays next to each other; per-segment sums are one
 ``bincount`` over the entry-to-segment index, which adds a column's
 entries in relay order exactly as a row-by-row sum of the dense matrix
-does.  Dense (M, S) matrices exist only in :class:`AllocationMatrix`,
-gathered by :meth:`AllocationMatrix.entries` and scattered by
-:meth:`AllocationMatrix.from_entries`.
+does.  :class:`AllocationMatrix` holds its powers in this layout too; its
+dense (M, S) matrix is a read-only view, built on demand.
 """
 
 from __future__ import annotations
@@ -48,29 +47,31 @@ def active_entries(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class AllocationMatrix:
-    """Transmit powers P (M x 2M+N-2, watts) plus the activity mask."""
+    """Transmit powers [W] of the active entries of ``mask``, in the order of
+    :func:`active_entries`; :attr:`p` is the dense (M, S) matrix P."""
 
-    p: np.ndarray
-    mask: np.ndarray
+    values: np.ndarray     # (K,) [W]
+    mask: np.ndarray       # (M, S)
+    segment: np.ndarray = field(init=False, repr=False)   # (K,) entry -> segment
 
     def __post_init__(self):
-        if self.p.shape != self.mask.shape:
-            raise ValueError("power and mask shapes differ")
-        _hold_read_only(self, ("p", "mask"))
+        _hold_read_only(self, ("values", "mask"))
+        segment = active_entries(self.mask)[1]
+        if self.values.shape != segment.shape:
+            raise ValueError("values must hold one power per active entry of the mask")
+        segment.setflags(write=False)
+        object.__setattr__(self, "segment", segment)
 
-    @classmethod
-    def from_entries(cls, values: np.ndarray, mask: np.ndarray) -> "AllocationMatrix":
-        """Scatter compact entry powers (K,) into the dense matrix."""
-        p = np.zeros(mask.T.shape)
-        p[mask.T] = values
-        return cls(p=p.T, mask=mask)
-
-    def entries(self) -> np.ndarray:
-        """Powers of the active entries (K,), in the compact order."""
-        return self.p.T[self.mask.T]
+    @property
+    def p(self) -> np.ndarray:
+        """Dense powers (M, S) [W], zero outside the mask; read-only."""
+        p = np.zeros(self.mask.shape)
+        p.T[self.mask.T] = self.values
+        p.setflags(write=False)
+        return p
 
     def column_sums(self) -> np.ndarray:
-        return self.p.sum(axis=0)
+        return np.bincount(self.segment, weights=self.values, minlength=self.mask.shape[1])
 
 
 def _simpson_weights(n: int) -> np.ndarray:
@@ -195,7 +196,7 @@ def sample_fading_trace(cfg: ScenarioConfig, sched: SegmentSchedule,
 def total_energy(alloc: AllocationMatrix, sched: SegmentSchedule) -> float:
     """Traversal energy [J]: the sum over segments of duration times the
     segment's power column sum."""
-    if alloc.p.shape[1] != sched.num_segments:
+    if alloc.mask.shape[1] != sched.num_segments:
         raise ValueError("allocation width does not match the schedule")
     return float((sched.durations * alloc.column_sums()).sum())
 
@@ -229,7 +230,7 @@ def compute_metrics(alloc: AllocationMatrix, cfg: ScenarioConfig,
     is bit-identical wherever it is reported.
     """
     e = total_energy(alloc, sched)
-    d = float(table.column_sums(table.segment_data_matrix(alloc.entries())).sum())
+    d = float(table.column_sums(table.segment_data_matrix(alloc.values)).sum())
     return MetricsRecord(
         energy_j=e,
         data_bits=d,

@@ -22,7 +22,8 @@ residual components are comparable under the max norm; :func:`solve`
 converts the iterate once at entry and once at return, and the cycles
 hand on the scaled iterate with its residuals.  The energy and data it
 returns are :func:`metrics.compute_metrics` of the returned allocation,
-the same figures a harness row writes for it.  :class:`Problem` holds
+the same figures a harness row writes for it, and a cycle's recorded
+energy is :func:`metrics.total_energy` of its allocation.  :class:`Problem` holds
 the gain table in the same units (gains times P_T, weights over D_min),
 built once, so no data or derivative pass converts units.  The iterate
 is the compact vector x (K,) of the K = M(M+N-1) entries where a relay is
@@ -74,7 +75,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .allocators import average_alloc
-from .metrics import AllocationMatrix, GainTable, build_gain_table, compute_metrics
+from .metrics import AllocationMatrix, GainTable, build_gain_table, compute_metrics, total_energy
 from .scenario import ScenarioConfig, SegmentSchedule, segment_boundaries
 
 
@@ -125,7 +126,7 @@ def data_floor(cfg: ScenarioConfig, sched: SegmentSchedule, table: GainTable) ->
     """Data floor [bits]: explicit override, else rho times the average scheme's data."""
     if cfg.d_min_bits is not None:
         return float(cfg.d_min_bits)
-    return cfg.rho * table.total_data(average_alloc(cfg, sched).entries())
+    return cfg.rho * table.total_data(average_alloc(cfg, sched).values)
 
 
 class Problem:
@@ -152,10 +153,10 @@ class Problem:
         self._t_entry = self.t_norm[self.segment]
 
     def to_scaled(self, alloc: AllocationMatrix) -> np.ndarray:
-        return alloc.entries() / self.p_t
+        return alloc.values / self.p_t
 
     def to_physical(self, x: np.ndarray) -> AllocationMatrix:
-        return AllocationMatrix.from_entries(x * self.p_t, self.table.mask)
+        return AllocationMatrix(x * self.p_t, self.table.mask)
 
     def energy_scaled(self, x: np.ndarray) -> float:
         return float(self.t_norm @ self.table.column_sums(x))
@@ -225,7 +226,6 @@ class Problem:
 @dataclass(frozen=True)
 class InnerInfo:
     steps: int
-    converged: bool
     reason: str            # "gradient" | "stall" | "cap"
     phi_start: float
     phi_end: float
@@ -248,7 +248,7 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
     phi = problem.phi(x, lam, sigma, h)
     phi_start, evals = phi, 1
     steps = 0
-    converged, reason, gnorm = False, "cap", math.inf
+    reason, gnorm = "cap", math.inf
 
     while steps < options.inner_cap:
         dd, dd2 = problem.table.data_derivatives(x)
@@ -257,7 +257,7 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
         pg = np.where((x <= 0.0) & (g > 0.0), 0.0, g)
         gnorm = math.sqrt(float(pg @ pg))
         if gnorm <= options.eps:
-            converged, reason = True, "gradient"
+            reason = "gradient"
             break
         d = problem.newton_direction(x, g, h, dd, dd2, lam, sigma)
         x_new, alpha = None, 1.0
@@ -271,13 +271,13 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
                 break
             alpha *= 0.5
         if x_new is None:                  # cannot decrease: numerically stationary
-            converged, reason = True, "stall"
+            reason = "stall"
             break
         x, h, phi = x_new, h_new, phi_new
         steps += 1
 
     return x, h, InnerInfo(
-        steps=steps, converged=converged, reason=reason,
+        steps=steps, reason=reason,
         phi_start=phi_start, phi_end=phi, grad_norm=gnorm, merit_evals=evals,
     )
 
@@ -342,9 +342,9 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     Raises ``ValueError`` for a floor that is not positive and
     :class:`InfeasibleDataFloor` when the floor exceeds the data the
     full-budget average allocation can deliver.  A run that exhausts the
-    outer cycle budget returns its best iterate flagged as non-converged.  When the inner loop that produced
-    the returned iterate stopped on ``cap`` or ``stall``, a warning goes
-    to the ``railpower.optimizer`` logger.
+    outer cycle budget returns its best iterate flagged as non-converged.
+    When the inner loop that produced the returned iterate stopped on
+    ``cap`` or ``stall``, a warning goes to the ``railpower.optimizer`` logger.
     """
     if sched is None:
         sched = segment_boundaries(cfg)
@@ -370,55 +370,53 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
 
     history: list[CycleRecord] = []
     h_prev = None
-    best = None   # (hinf, energy, x, lam_hat, sigma, cycle record)
+    best = None   # (cycle record, x, its allocation, lam_hat)
 
     cycles = 0
     while cycles <= options.n_max:
         x, h, info = inner_descent(problem, x, h, state.lam, state.sigma, options)
-        hinf = _linf(h)
-        energy = cfg.p_t * float(sched.durations @ table.column_sums(x))
-        history.append(CycleRecord(
-            cycle=cycles, h_inf=hinf, sigma=state.sigma, phi=info.phi_end,
-            energy_j=energy, inner_steps=info.steps, inner_reason=info.reason,
-            merit_evals=info.merit_evals,
-        ))
-        lam_hat = state.lam - 2.0 * state.sigma * h
+        alloc = problem.to_physical(x)
+        rec = CycleRecord(cycle=cycles, h_inf=_linf(h), sigma=state.sigma, phi=info.phi_end,
+                          energy_j=total_energy(alloc, sched), inner_steps=info.steps,
+                          inner_reason=info.reason, merit_evals=info.merit_evals)
+        history.append(rec)
         # the first iterate within eps ends the loop (update_state tests the
         # same value), so the lowest residual wins, energy breaking ties
-        if best is None or (hinf, energy) < best[:2]:
-            best = (hinf, energy, x, lam_hat, state.sigma, history[-1])
+        if best is None or (rec.h_inf, rec.energy_j) < (best[0].h_inf, best[0].energy_j):
+            best = (rec, x, alloc, state.lam - 2.0 * state.sigma * h)
         state = update_state(state, h, h_prev, options)
         if state.converged:
             break
         h_prev = h
         cycles += 1
 
-    hinf, _, x, lam_hat, sigma, rec = best
+    rec, x, alloc, lam_hat = best
+    hinf = rec.h_inf
     if rec.inner_reason != "gradient":
         _log.warning("returned iterate's inner loop stopped on %s (cycle %d, %d steps, "
                      "h_inf %.3g)", rec.inner_reason, rec.cycle, rec.inner_steps, rec.h_inf)
-    # guard against overspend: scale every column whose sum in watts is above
-    # the budget back until none is; a factor of at most 1 - 2**-52 lowers
-    # each entry by at least one ulp, so the loop ends with the sums exact
-    sums = table.column_sums(x * cfg.p_t)
+    # guard against overspend: scale every column of the allocation whose sum
+    # is above the budget back until none is; a factor of at most 1 - 2**-52
+    # lowers each entry by at least one ulp, so the loop ends with the sums exact
+    sums = alloc.column_sums()
     if np.any(sums > cfg.p_t):
         while np.any(sums > cfg.p_t):
             shrink = np.minimum(cfg.p_t / sums, 1.0 - 2.0 ** -52)
             x = x * np.where(sums > cfg.p_t, shrink, 1.0)[table.segment]
-            sums = table.column_sums(x * cfg.p_t)
+            alloc = problem.to_physical(x)
+            sums = alloc.column_sums()
         hinf = _linf(problem.residuals_scaled(x))
-    alloc = problem.to_physical(x)
-    rec = compute_metrics(alloc, cfg, sched, table)
+    figures = compute_metrics(alloc, cfg, sched, table)
 
     result = SolveResult(
         converged=bool(hinf <= options.eps),
         cycles=len(history),
         d_min=d_min,
-        energy_j=rec.energy_j,
-        data_bits=rec.data_bits,
+        energy_j=figures.energy_j,
+        data_bits=figures.data_bits,
         h_inf=hinf,
         lam_hat=lam_hat,
-        sigma=sigma,
+        sigma=rec.sigma,
         history=tuple(history),
     )
     return alloc, result

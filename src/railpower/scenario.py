@@ -91,6 +91,10 @@ class ScenarioConfig:
             )
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must lie in (0, 1]")
+        if not 0.0 < self.theta_3db < 180.0:
+            raise ValueError(f"theta_3db must lie in (0, 180) degrees, got {self.theta_3db!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.d_min_bits is not None and self.d_min_bits <= 0:
             raise ValueError(f"d_min_bits must be positive, got {self.d_min_bits!r}")
         if self.quad_n < 2 or self.quad_n % 2:

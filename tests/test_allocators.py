@@ -141,24 +141,42 @@ def test_budget_equality_by_construction(ref_cfg, ref_sched, ref_table):
     assert np.all(sums[outside] < ref_cfg.p_t)
 
 
+def compact(p, mask):
+    """The allocation holding the entries of the dense powers p (M, S) on mask."""
+    return AllocationMatrix(p.T[mask.T], mask)
+
+
 def test_validate_alloc_reports_violations(ref_cfg, ref_sched):
     avg = average_alloc(ref_cfg, ref_sched)
     assert validate_alloc(avg, ref_cfg, ref_sched) == []
 
     over = avg.p.copy()
     over[:, 5] *= 1.1
-    report = validate_alloc(AllocationMatrix(p=over, mask=avg.mask),
-                            ref_cfg, ref_sched)
+    report = validate_alloc(compact(over, avg.mask), ref_cfg, ref_sched)
     assert len(report) == 1
     assert report[0].kind == "budget" and report[0].j == 6
 
+    # relay 4 is not yet in the cell during segment 1: an allocation whose
+    # mask covers that entry and powers it breaks the scenario's mask
     off = avg.p.copy()
-    off[3, 0] = 1.0       # relay 4 not yet in the cell during segment 1
-    report = validate_alloc(AllocationMatrix(p=off, mask=avg.mask),
-                            ref_cfg, ref_sched)
-    kinds = {v.kind for v in report}
-    assert "mask" in kinds
-    assert any(v.i == 4 and v.j == 1 for v in report)
+    off[3, 0] = 1.0
+    mask = avg.mask.copy()
+    mask[3, 0] = True
+    report = validate_alloc(compact(off, mask), ref_cfg, ref_sched)
+    assert [(v.kind, v.i, v.j, v.value) for v in report] == [("mask", 4, 1, 1.0),
+                                                             ("budget", None, 1, 11.0)]
+    # covering it at zero power is no violation
+    off[3, 0] = 0.0
+    assert validate_alloc(compact(off, mask), ref_cfg, ref_sched) == []
+
+    neg = avg.p.copy()
+    neg[1, 4] = -0.5
+    report = validate_alloc(compact(neg, avg.mask), ref_cfg, ref_sched)
+    assert [(v.kind, v.i, v.j, v.value) for v in report] == [("negative", 2, 5, -0.5)]
+
+    other = ref_cfg.with_(num_bins=4)
+    with pytest.raises(ValueError, match="shape"):
+        validate_alloc(avg, other, segment_boundaries(other))
 
 
 def column_loop_random(cfg, rng):
@@ -216,7 +234,7 @@ def test_vectorised_allocators_match_column_loops(m):
     cfg = reference_config(num_relays=m, num_bins=3, d_mr=10.0)
     sched = segment_boundaries(cfg)
     table = build_gain_table(cfg, sched)
-    mid = AllocationMatrix.from_entries(midpoint_factors(table), table.mask).p
+    mid = AllocationMatrix(midpoint_factors(table), table.mask).p
     for seed in range(5):
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         pairs = [(random_alloc(cfg, sched, rng_a).p, column_loop_random(cfg, rng_b))]

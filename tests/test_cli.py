@@ -32,19 +32,28 @@ def test_run_command(tmp_path, capsys):
 
 def test_config_error_exit_code(tmp_path, capsys):
     # a missing key, a negative cycle cap, an empty inner loop, a NaN cell,
-    # a negative or zero data floor, a zero CSI exponent
+    # a negative or zero data floor, a zero CSI exponent, a beamwidth
+    # outside (0, 180) degrees, a negative seed: each fails as the file
+    # loads, naming it, so no study runs a point and no CSV is written
     for text, needle in (("m = 4\nv_kmh = 300\npt_dbm = 40\n", "d_l"),
                          (REF_CONFIG + "solver_n_max = -1\n", "n_max >= 0"),
                          (REF_CONFIG + "solver_inner_cap = 0\n", "inner_cap >= 1"),
                          (REF_CONFIG.replace("d_l = 200", "d_l = nan"), "d_l must be finite"),
                          (REF_CONFIG + "d_min_bits = -5\n", "d_min_bits must be positive"),
                          (REF_CONFIG + "d_min_bits = 0\n", "d_min_bits must be positive"),
-                         (REF_CONFIG + "csi_alpha = 0\n", "csi_alpha must be strictly positive")):
+                         (REF_CONFIG + "csi_alpha = 0\n", "csi_alpha must be strictly positive"),
+                         (REF_CONFIG + "theta_3db_deg = 200\n", "theta_3db must lie in (0, 180)"),
+                         (REF_CONFIG + "theta_3db_deg = 0\n", "theta_3db must lie in (0, 180)"),
+                         (REF_CONFIG.replace("seed = 3", "seed = -3"), "seed must be >= 0")):
         bad = write_cfg(tmp_path, text)
-        code = main(["--outdir", str(tmp_path), "run", bad])
-        assert code == 2, text
-        assert needle in capsys.readouterr().err
-    assert not (tmp_path / "run.csv").exists()
+        for argv in (["run", bad],
+                     ["sweep", bad, "--param", "d_l", "--values", "180,200"],
+                     ["mc-velocity", bad, "--sigmas", "0,1", "--trials", "1"]):
+            code = main(["--outdir", str(tmp_path)] + argv)
+            assert code == 2, (text, argv)
+            err = capsys.readouterr().err
+            assert needle in err and bad in err, err
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

@@ -126,6 +126,17 @@ def test_sweep_records_failed_points(options):
     assert {r.m for r in bad} == {7}
 
 
+def test_sweep_raises_a_failure_the_swept_value_did_not_cause(ref_cfg, options, monkeypatch):
+    # only a value that apply_sweep_value rejects becomes error rows; a
+    # fault of the point's run is not blamed on the value
+    def broken(cfg, sched):
+        raise ValueError("broken table")
+
+    monkeypatch.setattr(metrics, "build_gain_table", broken)
+    with pytest.raises(ValueError, match="broken table"):
+        sweep(ref_cfg, options, SweepSpec(param="d_l", values=(200.0,)))
+
+
 @pytest.mark.parametrize("param, value, column, expected", [
     ("d_l", 10.0, "d_l", 10.0),                 # below (M - 1) * d_mr = 75 m
     ("v", -5.0, "v_mps", -5.0 * KMH_TO_MPS),    # km/h in, m/s out
@@ -173,7 +184,7 @@ def test_meets_floor_uses_the_solver_tolerance(ref_cfg, ref_table, options):
     # a floor 5e-4 above what the average scheme delivers is missed by more
     # than the solver's eps (1e-4), so the row must not claim the floor
     d_avg = ref_table.total_data(allocators.average_alloc(
-        ref_cfg, segment_boundaries(ref_cfg)).entries())
+        ref_cfg, segment_boundaries(ref_cfg)).values)
     cfg = ref_cfg.with_(d_min_bits=d_avg * (1.0 + 5e-4))
     recs = run_point(cfg, replace(options, schemes=("average",)), np.random.SeedSequence(0))
     assert [r.scheme for r in recs] == ["average"]
@@ -184,10 +195,12 @@ def test_meets_floor_uses_the_solver_tolerance(ref_cfg, ref_table, options):
 @pytest.mark.parametrize("param, values", [
     ("d_l", (140.0, 160.0, 180.0, 200.0, 220.0, 240.0)),
     ("M", (2.0, 3.0, 4.0, 5.0, 6.0)),
+    ("v", (250.0, 270.0, 290.0, 310.0, 330.0, 350.0)),
 ])
 def test_optimized_rows_report_the_solve_result(ref_cfg, param, values):
     # a deterministic optimized row writes the solver's own energy and data,
-    # bit for bit: both come from compute_metrics on the point's table
+    # bit for bit: both come from compute_metrics on the point's table; the
+    # returned cycle's history entry reports that same energy
     spec = SweepSpec(param=param, values=values)
     rows = [r for r in sweep(ref_cfg, HarnessOptions(schemes=("optimized",)), spec)
             if r.kind == "trial"]
@@ -199,6 +212,9 @@ def test_optimized_rows_report_the_solve_result(ref_cfg, param, values):
         _, res = optimizer.solve(cfg, sched, d_min=optimizer.data_floor(cfg, sched, table),
                                  table=table)
         assert (res.energy_j, res.data_bits) == (r.energy_j, r.data_bits), r.value
+        # the solver returns the cycle with the lowest residual, energy breaking ties
+        returned = min(res.history, key=lambda c: (c.h_inf, c.energy_j))
+        assert returned.energy_j == res.energy_j, r.value
 
 
 def test_run_point_surfaces_infeasible_floor(options):

@@ -27,11 +27,11 @@ def test_constant_scheme_energy_hand_sum(ref_cfg, ref_sched):
 
 def test_energy_zero_and_linearity(ref_cfg, ref_sched, rng):
     mask = activity_mask(ref_cfg)
-    zero = AllocationMatrix(p=np.zeros(mask.shape), mask=mask)
+    zero = AllocationMatrix(np.zeros(mask.sum()), mask)
     assert total_energy(zero, ref_sched) == 0.0
-    p = np.where(mask, rng.uniform(0.0, 2.0, mask.shape), 0.0)
-    alloc = AllocationMatrix(p=p, mask=mask)
-    scaled = AllocationMatrix(p=3.0 * p, mask=mask)
+    p = rng.uniform(0.0, 2.0, mask.sum())
+    alloc = AllocationMatrix(p, mask)
+    scaled = AllocationMatrix(3.0 * p, mask)
     assert_allclose(total_energy(scaled, ref_sched),
                     3.0 * total_energy(alloc, ref_sched), rtol=1e-12)
 
@@ -72,8 +72,8 @@ def test_segment_data_basics(ref_table):
 
 def test_total_data_is_sum_of_segments(ref_cfg, ref_sched, ref_table):
     alloc = constant_alloc(ref_cfg, ref_sched)
-    total = ref_table.total_data(alloc.entries())
-    per = ref_table.segment_data_matrix(alloc.entries())
+    total = ref_table.total_data(alloc.values)
+    per = ref_table.segment_data_matrix(alloc.values)
     assert_allclose(total, per.sum(), rtol=1e-12)
     assert_allclose(ref_table.column_sums(per).sum(), total, rtol=1e-12)
 
@@ -92,11 +92,14 @@ def test_total_data_trivial_cases(ref_cfg, ref_sched, ref_table):
 def test_total_data_mirror_symmetry(ref_cfg, ref_sched, ref_table, rng):
     mask = activity_mask(ref_cfg)
     for _ in range(5):
-        p = np.where(mask, rng.uniform(0.0, 2.5, mask.shape), 0.0)
-        alloc = AllocationMatrix(p=p, mask=mask)
-        mirrored = AllocationMatrix(p=p[::-1, ::-1].copy(), mask=mask)
-        d1 = ref_table.total_data(alloc.entries())
-        d2 = ref_table.total_data(mirrored.entries())
+        p = rng.uniform(0.0, 2.5, mask.sum())
+        alloc = AllocationMatrix(p, mask)
+        # the mask is symmetric under the mirror, which reverses the
+        # column-major entry order
+        mirrored = AllocationMatrix(p[::-1].copy(), mask)
+        assert np.array_equal(mirrored.p, alloc.p[::-1, ::-1])
+        d1 = ref_table.total_data(alloc.values)
+        d2 = ref_table.total_data(mirrored.values)
         assert abs(d1 - d2) <= 1e-9 * d1
 
 
@@ -122,7 +125,7 @@ def test_evaluation_is_bitwise_repeatable(ref_cfg, ref_sched, rng):
 
 
 def test_quadrature_convergence(ref_cfg, ref_sched):
-    p = average_alloc(ref_cfg, ref_sched).entries()
+    p = average_alloc(ref_cfg, ref_sched).values
     d32 = build_gain_table(ref_cfg, ref_sched).total_data(p)
     d64 = build_gain_table(ref_cfg.with_(quad_n=64), ref_sched).total_data(p)
     assert abs(d64 - d32) <= 1e-7 * d32
@@ -142,7 +145,7 @@ def test_spectral_efficiency(ref_cfg, ref_sched, ref_table):
     bt = ref_cfg.bandwidth * ref_sched.total_time
     assert_allclose(spectral_efficiency(bt, ref_cfg, ref_sched), 1.0, rtol=1e-12)
     alloc = constant_alloc(ref_cfg, ref_sched)
-    d = ref_table.total_data(alloc.entries())
+    d = ref_table.total_data(alloc.values)
     assert_allclose(spectral_efficiency(d, ref_cfg, ref_sched),
                     d / (2.16e9 * 3.3), rtol=1e-9)
 
@@ -205,7 +208,7 @@ def test_grad_larger_near_rrh(ref_cfg, ref_sched, ref_table):
 
 
 def test_fading_trace_changes_data_deterministically(ref_cfg, ref_sched, ref_table):
-    p = average_alloc(ref_cfg, ref_sched).entries()
+    p = average_alloc(ref_cfg, ref_sched).values
     trace1 = sample_fading_trace(ref_cfg, ref_sched, np.random.default_rng(3))
     trace2 = sample_fading_trace(ref_cfg, ref_sched, np.random.default_rng(3))
     assert np.array_equal(trace1, trace2)
@@ -243,7 +246,7 @@ def test_compute_metrics_consistency(ref_cfg, ref_sched, ref_table):
     for scheme, alloc in allocs.items():
         rec = compute_metrics(alloc, ref_cfg, ref_sched, ref_table)
         assert rec.energy_j == total_energy(alloc, ref_sched), scheme
-        assert_allclose(rec.data_bits, ref_table.total_data(alloc.entries()),
+        assert_allclose(rec.data_bits, ref_table.total_data(alloc.values),
                         rtol=1e-12, err_msg=scheme)
         assert rec.ee_bits_per_j == energy_efficiency(rec.data_bits, rec.energy_j), scheme
         assert_allclose(rec.ee_bits_per_j, rec.data_bits / rec.energy_j, rtol=1e-12)
@@ -251,23 +254,28 @@ def test_compute_metrics_consistency(ref_cfg, ref_sched, ref_table):
 
 def test_allocation_matrix_guards(ref_cfg):
     mask = activity_mask(ref_cfg)
-    with pytest.raises(ValueError):
-        AllocationMatrix(p=np.zeros((2, 2)), mask=mask)
-    alloc = AllocationMatrix.from_entries(np.ones(mask.sum()), mask)
-    assert np.all(alloc.p[~mask] == 0.0) and np.all(alloc.p[mask] == 1.0)
+    for bad in (np.zeros(mask.shape), np.zeros(mask.sum() - 1)):
+        with pytest.raises(ValueError, match="one power per active entry"):
+            AllocationMatrix(bad, mask)
+    alloc = AllocationMatrix(np.arange(1.0, mask.sum() + 1.0), mask)
+    assert np.all(alloc.p[~mask] == 0.0)
+    # the dense view places the entries column by column
+    assert np.array_equal(alloc.p.T[mask.T], alloc.values)
+    assert np.array_equal(alloc.segment, active_entries(mask)[1])
 
 
 def test_allocation_matrix_leaves_caller_arrays_writable(ref_cfg):
     mask = activity_mask(ref_cfg)
-    p = np.where(mask, 1.0, 0.0)
-    alloc = AllocationMatrix(p=p, mask=mask)
-    assert p.flags.writeable and mask.flags.writeable
-    assert not alloc.p.flags.writeable and not alloc.mask.flags.writeable
-    p[mask] = 2.0
-    assert np.all(alloc.p[mask] == 1.0)
+    values = np.ones(mask.sum())
+    alloc = AllocationMatrix(values, mask)
+    assert values.flags.writeable and mask.flags.writeable
+    assert not alloc.values.flags.writeable and not alloc.mask.flags.writeable
+    assert not alloc.segment.flags.writeable and not alloc.p.flags.writeable
+    values[:] = 2.0
+    assert np.all(alloc.values == 1.0) and np.all(alloc.p[mask] == 1.0)
     # arrays that are already read-only are held as they are
-    again = AllocationMatrix(p=alloc.p, mask=alloc.mask)
-    assert again.p is alloc.p and again.mask is alloc.mask
+    again = AllocationMatrix(alloc.values, alloc.mask)
+    assert again.values is alloc.values and again.mask is alloc.mask
 
 
 def test_gain_table_leaves_caller_arrays_writable(ref_cfg, ref_sched, ref_table):
@@ -281,5 +289,5 @@ def test_gain_table_leaves_caller_arrays_writable(ref_cfg, ref_sched, ref_table)
     arrays["gains"][:] = 0.0
     assert table.total_data(np.ones(table.segment.size)) > 0.0
     # a built table's mask is read-only, so allocations on it share it
-    alloc = AllocationMatrix(p=np.zeros(ref_table.mask.shape), mask=ref_table.mask)
+    alloc = AllocationMatrix(np.zeros(ref_table.segment.size), ref_table.mask)
     assert alloc.mask is ref_table.mask

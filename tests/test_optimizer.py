@@ -42,7 +42,7 @@ def ref_solution(ref_cfg, ref_sched, ref_table):
 # ---------------------------------------------------------------- data floor
 
 def test_data_floor_policy(ref_cfg, ref_sched, ref_table):
-    d_avg = ref_table.total_data(average_alloc(ref_cfg, ref_sched).entries())
+    d_avg = ref_table.total_data(average_alloc(ref_cfg, ref_sched).values)
     assert_allclose(data_floor(ref_cfg.with_(rho=1.0), ref_sched, ref_table),
                     d_avg, rtol=1e-12)
     assert_allclose(data_floor(ref_cfg, ref_sched, ref_table), 0.8 * d_avg, rtol=1e-12)
@@ -78,7 +78,7 @@ def test_converged_run_meets_scaled_tolerance(ref_solution):
 def test_augmented_lagrangian_reductions(ref_cfg, ref_sched, ref_table):
     # Problem.phi is the augmented Lagrangian in scaled units
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
-    d_avg = ref_table.total_data(average_alloc(ref_cfg, ref_sched).entries())
+    d_avg = ref_table.total_data(average_alloc(ref_cfg, ref_sched).values)
     avg = average_alloc(ref_cfg, ref_sched)
     zeros = np.zeros(ref_cfg.num_segments + 1)
     lam = np.linspace(-2.0, 2.0, len(zeros))
@@ -139,7 +139,7 @@ def test_inner_descent_stationary_start(ref_cfg, ref_sched, ref_table):
     h = problem.residuals_scaled(zero)
     out, h_out, info = inner_descent(problem, zero, h, np.zeros(ref_cfg.num_segments + 1),
                                      0.0, SolverOptions())
-    assert info.steps == 0 and info.converged
+    assert info.steps == 0 and info.reason == "gradient"
     assert np.all(out == 0.0) and np.array_equal(h_out, h)
 
 
@@ -165,7 +165,7 @@ def test_inner_descent_cap_flags_not_raises(ref_cfg, ref_sched, ref_table):
     x = problem.to_scaled(average_alloc(ref_cfg, ref_sched))
     _, _, info = inner_descent(problem, x, problem.residuals_scaled(x), state.lam,
                                state.sigma, options)
-    assert not info.converged and info.reason == "cap" and info.steps == 3
+    assert info.reason == "cap" and info.steps == 3
 
 
 def grid_min_phi(problem, table, cfg, lam0, sigma, levels=50, bins=8000):
@@ -325,7 +325,7 @@ def scaled_average_energy(cfg, sched, table, d_min):
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if table.total_data(mid * avg.entries()) >= d_min:
+        if table.total_data(mid * avg.values) >= d_min:
             hi = mid
         else:
             lo = mid
@@ -364,7 +364,7 @@ def test_solve_rejects_nonpositive_floor(ref_cfg, ref_sched, ref_table):
 
 
 def test_solve_rejects_unreachable_floor(ref_cfg, ref_sched, ref_table):
-    d_avg = ref_table.total_data(average_alloc(ref_cfg, ref_sched).entries())
+    d_avg = ref_table.total_data(average_alloc(ref_cfg, ref_sched).values)
     with pytest.raises(InfeasibleDataFloor):
         solve(ref_cfg, ref_sched, d_min=2.0 * d_avg, table=ref_table)
 
@@ -449,8 +449,8 @@ def test_scaled_problem_gradient_with_active_caps(ref_cfg, ref_sched, ref_table,
 def test_solve_recovers_from_over_budget_init(ref_cfg, ref_sched, ref_table,
                                               ref_solution):
     d_min, _, res_ref = ref_solution
-    hot = AllocationMatrix(p=1.5 * average_alloc(ref_cfg, ref_sched).p,
-                           mask=activity_mask(ref_cfg))
+    hot = AllocationMatrix(1.5 * average_alloc(ref_cfg, ref_sched).values,
+                           activity_mask(ref_cfg))
     alloc, res = solve(ref_cfg, ref_sched, init=hot, d_min=d_min, table=ref_table)
     assert res.converged
     assert validate_alloc(alloc, ref_cfg, ref_sched, tol=1e-6 * ref_cfg.p_t) == []
@@ -505,9 +505,9 @@ def test_kkt_residual_zero_at_constructed_optimum():
             hi = mid
         else:
             lo = mid
-    p_star = AllocationMatrix(p=np.array([[hi]]), mask=activity_mask(cfg))
+    p_star = AllocationMatrix(np.array([hi]), activity_mask(cfg))
     problem = Problem(cfg, sched, d_min, table)
-    dd = table.data_derivatives(p_star.entries())[0][0] * cfg.p_t / d_min
+    dd = table.data_derivatives(p_star.values)[0][0] * cfg.p_t / d_min
     lam = np.array([problem.t_norm[0] / dd, 0.0])
     assert kkt_residual(p_star, lam, cfg, sched, d_min, table) <= 1e-10
 
@@ -523,9 +523,8 @@ def test_kkt_residual_grows_under_perturbation(ref_cfg, ref_sched, ref_table,
     d_min, alloc, res = ref_solution
     base = kkt_residual(alloc, res.lam_hat, ref_cfg, ref_sched, d_min, ref_table)
     for _ in range(3):
-        noise = rng.uniform(-1.0, 1.0, alloc.p.shape) * 0.01 * ref_cfg.p_t
-        p = np.where(alloc.mask, np.maximum(alloc.p + noise, 0.0), 0.0)
-        probe = AllocationMatrix(p=p, mask=alloc.mask)
+        noise = rng.uniform(-1.0, 1.0, alloc.values.shape) * 0.01 * ref_cfg.p_t
+        probe = AllocationMatrix(np.maximum(alloc.values + noise, 0.0), alloc.mask)
         assert kkt_residual(probe, res.lam_hat, ref_cfg, ref_sched, d_min,
                             ref_table) > base
 
@@ -536,13 +535,13 @@ def plain_inner_descent(problem, x, h, lam, sigma, options):
     """Tolerance oracle: projected gradient, halving from alpha = 1."""
     phi = problem.phi(x, lam, sigma, h)
     phi_start, steps, evals = phi, 0, 1
-    converged, reason, gnorm = False, "cap", math.inf
+    reason, gnorm = "cap", math.inf
     while steps < options.inner_cap:
         d = -problem.grad_phi(x, lam, sigma)
         d[(x <= 0.0) & (d < 0.0)] = 0.0
         gnorm = float(np.linalg.norm(d))
         if gnorm <= options.eps:
-            converged, reason = True, "gradient"
+            reason = "gradient"
             break
         alpha, phi_new, x_new = 1.0, None, None
         for _ in range(60):
@@ -555,12 +554,12 @@ def plain_inner_descent(problem, x, h, lam, sigma, options):
                 break
             alpha *= 0.5
         if x_new is None:
-            converged, reason = True, "stall"
+            reason = "stall"
             break
         x, h, phi = x_new, h_new, phi_new
         steps += 1
     return x, h, InnerInfo(
-        steps=steps, converged=converged, reason=reason, phi_start=phi_start,
+        steps=steps, reason=reason, phi_start=phi_start,
         phi_end=phi, grad_norm=gnorm, merit_evals=evals)
 
 

@@ -69,19 +69,21 @@ def test_compact_data_passes_match_dense_reference(cfg, power_seed):
     prng = np.random.default_rng(power_seed)
     p = np.where(mask, prng.uniform(0.0, cfg.p_t, mask.shape), 0.0)
     p[prng.random(mask.shape) < 0.2] = 0.0
-    alloc = AllocationMatrix(p=p, mask=mask)
+    # the compact order is column-major: transpose before masking
+    alloc = AllocationMatrix(p.T[mask.T], mask)
     total, dd, dd2 = dense_reference(cfg, sched, p, fading_db)
 
-    entries = alloc.entries()
-    assert_allclose(table.total_data(entries), total, rtol=1e-12)
-    got_dd, got_dd2 = table.data_derivatives(entries)
-    # the compact order is column-major: transpose before masking
+    assert_allclose(table.total_data(alloc.values), total, rtol=1e-12)
+    got_dd, got_dd2 = table.data_derivatives(alloc.values)
     assert_allclose(got_dd, dd.T[mask.T], rtol=1e-12)
     assert_allclose(got_dd2, dd2.T[mask.T], rtol=1e-12)
     rec = compute_metrics(alloc, cfg, sched, table)
     assert_allclose(rec.data_bits, total, rtol=1e-12)
-    # the scatter inverts the gather
-    assert np.array_equal(AllocationMatrix.from_entries(entries, mask).p, p)
+    # the dense view gives back the dense powers, and the compact column
+    # sums add each column in relay order as the dense row-by-row sum does
+    assert np.array_equal(alloc.p, p)
+    assert np.array_equal(alloc.column_sums(), p.sum(axis=0))
+    assert rec.energy_j == float((sched.durations * p.sum(axis=0)).sum())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

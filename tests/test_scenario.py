@@ -156,6 +156,14 @@ def test_config_validation():
     for bad in (-0.2, 0.0):
         with pytest.raises(ValueError, match="csi_alpha must be strictly positive"):
             ScenarioConfig(csi_alpha=bad)
+    # the antenna gain formula needs a beamwidth in (0, 180) degrees, and
+    # numpy's generators take no negative seed
+    for bad in (-30.0, 0.0, 180.0, 200.0):
+        with pytest.raises(ValueError, match=r"theta_3db must lie in \(0, 180\)"):
+            ScenarioConfig(theta_3db=bad)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        ScenarioConfig(seed=-3)
+    assert ScenarioConfig(theta_3db=179.0, seed=0).theta_3db == 179.0
 
 
 def test_segment_schedule_leaves_caller_arrays_writable(ref_sched):
