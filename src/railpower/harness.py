@@ -18,9 +18,17 @@ full budget delivers (rho*(v + e)/v > 1) is an ``optimized`` error row
 naming the floor, while the baselines still run.
 
 Data floor rule: :func:`run_point` takes the floor from the scenario's
-deterministic gain table, which also serves planning; a point builds
-one table, and a fading trace scales that table's factors into the
-evaluation table without recomputing the geometry.
+deterministic gain table, which also serves planning, and a fading
+trace scales that table's factors into the evaluation table without
+recomputing the geometry.  What the trials at one scenario share (the
+schedule, that table, the floor and the scenario digest) is a
+:class:`PreparedPoint`, built once per sweep task: a task runs a
+contiguous run of one swept value's trials, one task per value at
+``workers=1`` and up to ``workers`` per value in the process pool.  The
+point remembers its last ``optimized`` solve by planned floor, so the
+trials at sigma_v = 0, whose planned floor is the true one, solve once
+per task.  Each trial still draws from its own seed sequence, so the
+CSV does not depend on ``workers``.
 Solver settings reach :func:`optimizer.solve` as the one
 :class:`optimizer.SolverOptions` held by :class:`HarnessOptions`.
 """
@@ -32,13 +40,13 @@ import io
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import allocators, metrics, optimizer
 from .configio import KEYS, SCHEMES, HarnessOptions, load_config, scenario_hash
-from .scenario import ScenarioConfig, segment_boundaries
+from .scenario import ScenarioConfig, SegmentSchedule, segment_boundaries
 
 CSV_VERSION = "railpower csv v1"
 CSV_COLUMNS = (
@@ -157,29 +165,70 @@ def _record(point: dict, scheme: str, energy_j: float = NAN, data_bits: float = 
                      wall_time_s=wall_time_s)
 
 
-def run_point(cfg: ScenarioConfig, options: HarnessOptions,
+@dataclass(frozen=True)
+class PreparedPoint:
+    """What every trial at one scenario shares, built once by
+    :func:`prepare_point`: the schedule, the deterministic gain table (the
+    floor, the plan and the CSI weights read it), the data floor and the
+    scenario digest.  The point also remembers its last ``optimized``
+    solve by planned floor and solver settings, so consecutive trials that
+    plan the same floor (every trial at sigma_v = 0) solve once."""
+
+    cfg: ScenarioConfig
+    sched: SegmentSchedule
+    table: metrics.GainTable
+    d_min_bits: float
+    scenario: str
+    _solved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def prepare_point(cfg: ScenarioConfig) -> PreparedPoint:
+    """Build the schedule, deterministic table and data floor of cfg once."""
+    sched = segment_boundaries(cfg)
+    table = metrics.build_gain_table(cfg, sched)
+    return PreparedPoint(cfg=cfg, sched=sched, table=table,
+                         d_min_bits=optimizer.data_floor(cfg, sched, table),
+                         scenario=scenario_hash(cfg))
+
+
+def _solve_at(point: PreparedPoint, d_min: float,
+              solver: optimizer.SolverOptions) -> tuple[metrics.AllocationMatrix,
+                                                        optimizer.SolveResult]:
+    """:func:`optimizer.solve` on the point's table at the planned floor
+    ``d_min``, reusing the point's last solve when it planned the same one."""
+    key = (d_min, solver)
+    if key not in point._solved:
+        point._solved.clear()
+        point._solved[key] = optimizer.solve(point.cfg, point.sched, d_min=d_min,
+                                             options=solver, table=point.table)
+    return point._solved[key]
+
+
+def run_point(point: ScenarioConfig | PreparedPoint, options: HarnessOptions,
               seed_seq: np.random.SeedSequence,
               kind: str = "run", param: str = "", value: float = NAN,
               trial: int = -1, speed_error: float = 0.0) -> list[RunRecord]:
-    """Run the requested schemes once on cfg; every row is evaluated there.
+    """Run the requested schemes once on a point; every row is evaluated there.
 
-    ``speed_error`` [m/s] is the planner's error: the optimised scheme
-    plans for the speed ``cfg.v + speed_error`` by chasing the floor scaled
-    by that speed over ``cfg.v`` on the true-speed table (see the module
-    docstring).
+    ``point`` is a :class:`PreparedPoint`, or a config that is prepared on
+    entry.  ``speed_error`` [m/s] is the planner's error: the optimised
+    scheme plans for the speed ``cfg.v + speed_error`` by chasing the floor
+    scaled by that speed over ``cfg.v`` on the true-speed table (see the
+    module docstring).
     """
-    sched = segment_boundaries(cfg)
+    if isinstance(point, ScenarioConfig):
+        point = prepare_point(point)
+    cfg, sched, det_table = point.cfg, point.sched, point.table
     rng_fading, rng_random, rng_csi = [np.random.default_rng(s)
                                        for s in seed_seq.spawn(3)]
-    # planning and the CSI weights read the deterministic table
-    det_table = eval_table = metrics.build_gain_table(cfg, sched)
+    eval_table = det_table
     if cfg.fading:
         eval_table = det_table.faded(metrics.sample_fading_trace(cfg, sched, rng_fading))
 
-    d_min_bits = optimizer.data_floor(cfg, sched, det_table)
-    point = dict(kind=kind, param=param, value=value, trial=trial,
-                 scenario=scenario_hash(cfg), d_min_bits=d_min_bits,
-                 **_scenario_columns(cfg))
+    d_min_bits = point.d_min_bits
+    columns = dict(kind=kind, param=param, value=value, trial=trial,
+                   scenario=point.scenario, d_min_bits=d_min_bits,
+                   **_scenario_columns(cfg))
 
     records = []
     for scheme in options.schemes:
@@ -196,17 +245,16 @@ def run_point(cfg: ScenarioConfig, options: HarnessOptions,
                 alloc = allocators.csi_alloc(cfg, sched, det_table,
                                              rng_csi if cfg.fading else None)
             else:   # "optimized": HarnessOptions admits no other name
-                alloc, diag = optimizer.solve(
-                    cfg, sched, d_min=d_min_bits * ((cfg.v + speed_error) / cfg.v),
-                    options=options.solver, table=det_table)
+                alloc, diag = _solve_at(point, d_min_bits * ((cfg.v + speed_error) / cfg.v),
+                                        options.solver)
                 cycles, h_inf, converged = diag.cycles, diag.h_inf, diag.converged
         except ValueError as exc:   # InfeasibleDataFloor included
-            records.append(_record(point, scheme, error=str(exc),
+            records.append(_record(columns, scheme, error=str(exc),
                                    wall_time_s=time.perf_counter() - start))
             continue
         rec = metrics.compute_metrics(alloc, cfg, sched, eval_table)
         records.append(_record(
-            point, scheme, energy_j=rec.energy_j, data_bits=rec.data_bits,
+            columns, scheme, energy_j=rec.energy_j, data_bits=rec.data_bits,
             se=rec.se_bits_per_s_per_hz,
             meets_floor=bool(rec.data_bits >= d_min_bits * (1.0 - options.solver.eps)),
             converged=converged, cycles=cycles, h_inf=h_inf,
@@ -249,46 +297,59 @@ def _mean_records(rows: list[RunRecord]) -> list[RunRecord]:
     return out
 
 
-def _sweep_point(args):
-    cfg, options, spec, idx, value, trial = args
-    seed_seq = np.random.SeedSequence((cfg.seed, idx, trial))
-    if spec.param == "sigma_v":
+def _sweep_task(args) -> list[RunRecord]:
+    """The trial rows of one swept value's contiguous run of trials, all
+    run on one :class:`PreparedPoint`."""
+    cfg, options, spec, idx, value, trials = args
+    point_cfg = cfg   # sigma_v is the planner's error, not a scenario field
+    if spec.param != "sigma_v":
+        try:
+            point_cfg = apply_sweep_value(cfg, spec.param, value)
+        except ValueError as exc:
+            # the failed point's rows show the swept value it failed on
+            columns = dict(kind="trial", param=spec.param, value=float(value),
+                           scenario="", d_min_bits=NAN,
+                           **_scenario_columns(cfg, spec.param, value))
+            return [_record({**columns, "trial": trial}, s, error=str(exc))
+                    for trial in trials for s in options.schemes]
+    point = prepare_point(point_cfg)
+    rows = []
+    for trial in trials:
+        seed_seq = np.random.SeedSequence((cfg.seed, idx, trial))
         speed_error = 0.0
-        if value > 0:   # no draw at sigma 0 keeps the streams of a plain run
+        if spec.param == "sigma_v" and value > 0:
+            # drawn first; no draw at sigma 0 keeps the streams of a plain run
             speed_error = draw_speed_error(np.random.default_rng(seed_seq.spawn(1)[0]),
                                            value)
-        return run_point(cfg, options, seed_seq, kind="trial", param="sigma_v",
-                         value=float(value), trial=trial, speed_error=speed_error)
-    try:
-        point_cfg = apply_sweep_value(cfg, spec.param, value)
-    except ValueError as exc:
-        # the failed point's rows show the swept value it failed on
-        point = dict(kind="trial", param=spec.param, value=float(value), trial=trial,
-                     scenario="", d_min_bits=NAN,
-                     **_scenario_columns(cfg, spec.param, value))
-        return [_record(point, s, error=str(exc)) for s in options.schemes]
-    return run_point(point_cfg, options, seed_seq, kind="trial",
-                     param=spec.param, value=float(value), trial=trial)
+        rows += run_point(point, options, seed_seq, kind="trial", param=spec.param,
+                          value=float(value), trial=trial, speed_error=speed_error)
+    return rows
 
 
 def sweep(cfg: ScenarioConfig, options: HarnessOptions, spec: SweepSpec,
           workers: int = 1) -> list[RunRecord]:
     """One-parameter sweep; failing points become error rows, not crashes.
 
-    Points are independent (own RNG streams), so they may run in a
-    process pool; rows come back in deterministic order either way.
+    Each task runs a contiguous run of one value's trials on one
+    :class:`PreparedPoint`, so the trials share its schedule, gain table,
+    floor and (at an unchanged planned floor) its ``optimized`` solve.  A
+    value's trials form one task at ``workers=1`` and up to ``workers``
+    tasks in the process pool.  Every trial keeps its own RNG streams, so
+    the rows, which come back in value-then-trial order, do not depend on
+    ``workers``.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    tasks = [(cfg, options, spec, idx, value, trial)
+    chunk = -(-spec.trials // workers)   # ceil: at most `workers` chunks per value
+    tasks = [(cfg, options, spec, idx, value, range(first, min(first + chunk, spec.trials)))
              for idx, value in enumerate(spec.values)
-             for trial in range(spec.trials)]
+             for first in range(0, spec.trials, chunk)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_point = list(pool.map(_sweep_point, tasks))
+            per_task = list(pool.map(_sweep_task, tasks))
     else:
-        per_point = [_sweep_point(t) for t in tasks]
-    rows = [r for point_rows in per_point for r in point_rows]
+        per_task = [_sweep_task(t) for t in tasks]
+    rows = [r for task_rows in per_task for r in task_rows]
     return rows + _mean_records(rows)
 
 

@@ -198,7 +198,12 @@ def total_energy(alloc: AllocationMatrix, sched: SegmentSchedule) -> float:
     segment's power column sum."""
     if alloc.mask.shape[1] != sched.num_segments:
         raise ValueError("allocation width does not match the schedule")
-    return float((sched.durations * alloc.column_sums()).sum())
+    return _energy(sched, alloc.column_sums())
+
+
+def _energy(sched: SegmentSchedule, column_sums: np.ndarray) -> float:
+    # the one energy reduction, shared with the solver's per-cycle record
+    return float((sched.durations * column_sums).sum())
 
 
 def energy_efficiency(data_bits: float, energy_j: float) -> float:

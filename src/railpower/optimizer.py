@@ -22,8 +22,10 @@ residual components are comparable under the max norm; :func:`solve`
 converts the iterate once at entry and once at return, and the cycles
 hand on the scaled iterate with its residuals.  The energy and data it
 returns are :func:`metrics.compute_metrics` of the returned allocation,
-the same figures a harness row writes for it, and a cycle's recorded
-energy is :func:`metrics.total_energy` of its allocation.  :class:`Problem` holds
+the same figures a harness row writes for it.  A cycle's recorded energy
+is :meth:`Problem.energy_j`, the reduction of :func:`metrics.total_energy`
+applied to the cycle's powers, so only the returned iterate is built into
+an :class:`AllocationMatrix`.  :class:`Problem` holds
 the gain table in the same units (gains times P_T, weights over D_min),
 built once, so no data or derivative pass converts units.  The iterate
 is the compact vector x (K,) of the K = M(M+N-1) entries where a relay is
@@ -75,7 +77,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .allocators import average_alloc
-from .metrics import AllocationMatrix, GainTable, build_gain_table, compute_metrics, total_energy
+from .metrics import AllocationMatrix, GainTable, _energy, build_gain_table, compute_metrics
 from .scenario import ScenarioConfig, SegmentSchedule, segment_boundaries
 
 
@@ -146,6 +148,7 @@ class Problem:
             raise ValueError("the data floor must be positive")
         self.d_min = d_min
         self.p_t = cfg.p_t
+        self.sched = sched
         self.table = replace(table, gains=table.gains * cfg.p_t,
                              weights=table.weights / d_min)
         self.segment = table.segment
@@ -157,6 +160,11 @@ class Problem:
 
     def to_physical(self, x: np.ndarray) -> AllocationMatrix:
         return AllocationMatrix(x * self.p_t, self.table.mask)
+
+    def energy_j(self, x: np.ndarray) -> float:
+        """Energy [J] of x: :func:`metrics.total_energy` of ``to_physical(x)``,
+        bit for bit, without building the allocation."""
+        return _energy(self.sched, self.table.column_sums(x * self.p_t))
 
     def energy_scaled(self, x: np.ndarray) -> float:
         return float(self.t_norm @ self.table.column_sums(x))
@@ -370,27 +378,26 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
 
     history: list[CycleRecord] = []
     h_prev = None
-    best = None   # (cycle record, x, its allocation, lam_hat)
+    best = None   # (cycle record, x, lam_hat)
 
     cycles = 0
     while cycles <= options.n_max:
         x, h, info = inner_descent(problem, x, h, state.lam, state.sigma, options)
-        alloc = problem.to_physical(x)
         rec = CycleRecord(cycle=cycles, h_inf=_linf(h), sigma=state.sigma, phi=info.phi_end,
-                          energy_j=total_energy(alloc, sched), inner_steps=info.steps,
+                          energy_j=problem.energy_j(x), inner_steps=info.steps,
                           inner_reason=info.reason, merit_evals=info.merit_evals)
         history.append(rec)
         # the first iterate within eps ends the loop (update_state tests the
         # same value), so the lowest residual wins, energy breaking ties
         if best is None or (rec.h_inf, rec.energy_j) < (best[0].h_inf, best[0].energy_j):
-            best = (rec, x, alloc, state.lam - 2.0 * state.sigma * h)
+            best = (rec, x, state.lam - 2.0 * state.sigma * h)
         state = update_state(state, h, h_prev, options)
         if state.converged:
             break
         h_prev = h
         cycles += 1
 
-    rec, x, alloc, lam_hat = best
+    rec, x, lam_hat = best
     hinf = rec.h_inf
     if rec.inner_reason != "gradient":
         _log.warning("returned iterate's inner loop stopped on %s (cycle %d, %d steps, "
@@ -398,6 +405,7 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     # guard against overspend: scale every column of the allocation whose sum
     # is above the budget back until none is; a factor of at most 1 - 2**-52
     # lowers each entry by at least one ulp, so the loop ends with the sums exact
+    alloc = problem.to_physical(x)
     sums = alloc.column_sums()
     if np.any(sums > cfg.p_t):
         while np.any(sums > cfg.p_t):

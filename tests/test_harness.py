@@ -9,10 +9,10 @@ from numpy.testing import assert_allclose
 from railpower import (KMH_TO_MPS, allocators, metrics, optimizer, reference_config,
                        segment_boundaries)
 from railpower.configio import SCHEMES, HarnessOptions
-from railpower.harness import (RunRecord, SweepSpec, apply_sweep_value, draw_speed_error,
-                               emit_plot_data, monte_carlo_velocity_error, read_csv_rows,
-                               records_to_csv, run_point, run_scenario, sweep,
-                               write_csv)
+from railpower.harness import (RunRecord, SweepSpec, _mean_records, apply_sweep_value,
+                               draw_speed_error, emit_plot_data, monte_carlo_velocity_error,
+                               read_csv_rows, records_to_csv, run_point, run_scenario,
+                               sweep, write_csv)
 
 REF_CONFIG = """
 m = 4
@@ -244,10 +244,53 @@ def test_sweep_trials_aggregate(ref_cfg, options):
 
 def test_sweep_worker_pool_matches_serial(ref_cfg, options):
     spec = SweepSpec(param="v", values=(280.0, 300.0))
-    options = replace(options, schemes=("constant", "average"))
-    serial = records_to_csv(sweep(ref_cfg, options, spec, workers=1))
-    pooled = records_to_csv(sweep(ref_cfg, options, spec, workers=2))
+    baselines = replace(options, schemes=("constant", "average"))
+    serial = records_to_csv(sweep(ref_cfg, baselines, spec, workers=1))
+    pooled = records_to_csv(sweep(ref_cfg, baselines, spec, workers=2))
     assert serial == pooled
+    # a value's 5 trials run as one task at workers=1, as 3 + 2 at
+    # workers=2 and as 2 + 2 + 1 at workers=3
+    fading = ref_cfg.with_(fading=True)
+    mc = [records_to_csv(monte_carlo_velocity_error(fading, options, sigmas=[0.0, 2.0],
+                                                    trials=5, workers=w))
+          for w in (1, 2, 3)]
+    spec = SweepSpec(param="d_l", values=(180.0, 220.0), trials=5)
+    swept = [records_to_csv(sweep(fading, options, spec, workers=w)) for w in (1, 2, 3)]
+    assert mc[0] == mc[1] == mc[2]
+    assert swept[0] == swept[1] == swept[2]
+
+
+def _per_trial_study(cfg, options, sigmas, trials):
+    """The velocity-error study as one plain run_point(cfg, ...) per trial."""
+    rows = []
+    for idx, sigma in enumerate(sigmas):
+        for trial in range(trials):
+            seq = np.random.SeedSequence((cfg.seed, idx, trial))
+            error = (draw_speed_error(np.random.default_rng(seq.spawn(1)[0]), sigma)
+                     if sigma > 0 else 0.0)
+            rows += run_point(cfg, options, seq, kind="trial", param="sigma_v",
+                              value=sigma, trial=trial, speed_error=error)
+    return rows + _mean_records(rows)
+
+
+@pytest.mark.parametrize("fading", [False, True])
+def test_study_shares_one_point_per_task(monkeypatch, ref_cfg, options, fading):
+    cfg, sigmas, trials = ref_cfg.with_(fading=fading), (0.0, 3.0), 4
+    expected = records_to_csv(_per_trial_study(cfg, options, sigmas, trials))
+
+    calls = {"build_gain_table": 0, "data_floor": 0, "solve": 0}
+    for module, name in ((metrics, "build_gain_table"), (optimizer, "data_floor"),
+                         (optimizer, "solve")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    rows = monte_carlo_velocity_error(cfg, options, sigmas, trials=trials)
+    assert records_to_csv(rows) == expected
+    # one table and floor per task (one task per sigma at workers=1); the
+    # sigma = 0 trials plan one floor and solve it once
+    assert calls == {"build_gain_table": 2, "data_floor": 2, "solve": 1 + trials}
 
 
 def test_fading_run_is_deterministic(options):
@@ -351,8 +394,6 @@ def test_mean_rows_recompute_ratios_from_means():
                   cycles=None, h_inf=None)
         for t, (e, d) in enumerate([(2.0, 10.0), (4.0, 30.0)])
     ]
-    from railpower.harness import _mean_records
-
     mean = _mean_records(rows)[0]
     assert mean.energy_j == 3.0 and mean.data_bits == 20.0
     assert_allclose(mean.ee_bits_per_j, 20.0 / 3.0, rtol=1e-12)
