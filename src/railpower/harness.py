@@ -24,11 +24,9 @@ recomputing the geometry.  What the trials at one scenario share (the
 schedule, that table, the floor and the scenario digest) is a
 :class:`PreparedPoint`, built once per sweep task: a task runs a
 contiguous run of one swept value's trials, one task per value at
-``workers=1`` and up to ``workers`` per value in the process pool.  The
-point remembers its last ``optimized`` solve by planned floor, so the
-trials at sigma_v = 0, whose planned floor is the true one, solve once
-per task.  Each trial still draws from its own seed sequence, so the
-CSV does not depend on ``workers``.
+``workers=1`` and up to ``workers`` per value in the process pool.
+Every trial still solves its own ``optimized`` row and draws from its
+own seed sequence, so the CSV does not depend on ``workers``.
 Solver settings reach :func:`optimizer.solve` as the one
 :class:`optimizer.SolverOptions` held by :class:`HarnessOptions`.
 """
@@ -40,7 +38,7 @@ import io
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,16 +168,13 @@ class PreparedPoint:
     """What every trial at one scenario shares, built once by
     :func:`prepare_point`: the schedule, the deterministic gain table (the
     floor, the plan and the CSI weights read it), the data floor and the
-    scenario digest.  The point also remembers its last ``optimized``
-    solve by planned floor and solver settings, so consecutive trials that
-    plan the same floor (every trial at sigma_v = 0) solve once."""
+    scenario digest."""
 
     cfg: ScenarioConfig
     sched: SegmentSchedule
     table: metrics.GainTable
     d_min_bits: float
     scenario: str
-    _solved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def prepare_point(cfg: ScenarioConfig) -> PreparedPoint:
@@ -189,19 +184,6 @@ def prepare_point(cfg: ScenarioConfig) -> PreparedPoint:
     return PreparedPoint(cfg=cfg, sched=sched, table=table,
                          d_min_bits=optimizer.data_floor(cfg, sched, table),
                          scenario=scenario_hash(cfg))
-
-
-def _solve_at(point: PreparedPoint, d_min: float,
-              solver: optimizer.SolverOptions) -> tuple[metrics.AllocationMatrix,
-                                                        optimizer.SolveResult]:
-    """:func:`optimizer.solve` on the point's table at the planned floor
-    ``d_min``, reusing the point's last solve when it planned the same one."""
-    key = (d_min, solver)
-    if key not in point._solved:
-        point._solved.clear()
-        point._solved[key] = optimizer.solve(point.cfg, point.sched, d_min=d_min,
-                                             options=solver, table=point.table)
-    return point._solved[key]
 
 
 def run_point(point: ScenarioConfig | PreparedPoint, options: HarnessOptions,
@@ -245,8 +227,9 @@ def run_point(point: ScenarioConfig | PreparedPoint, options: HarnessOptions,
                 alloc = allocators.csi_alloc(cfg, sched, det_table,
                                              rng_csi if cfg.fading else None)
             else:   # "optimized": HarnessOptions admits no other name
-                alloc, diag = _solve_at(point, d_min_bits * ((cfg.v + speed_error) / cfg.v),
-                                        options.solver)
+                alloc, diag = optimizer.solve(
+                    cfg, sched, d_min=d_min_bits * ((cfg.v + speed_error) / cfg.v),
+                    options=options.solver, table=det_table)
                 cycles, h_inf, converged = diag.cycles, diag.h_inf, diag.converged
         except ValueError as exc:   # InfeasibleDataFloor included
             records.append(_record(columns, scheme, error=str(exc),
@@ -331,8 +314,8 @@ def sweep(cfg: ScenarioConfig, options: HarnessOptions, spec: SweepSpec,
     """One-parameter sweep; failing points become error rows, not crashes.
 
     Each task runs a contiguous run of one value's trials on one
-    :class:`PreparedPoint`, so the trials share its schedule, gain table,
-    floor and (at an unchanged planned floor) its ``optimized`` solve.  A
+    :class:`PreparedPoint`, so the trials share its schedule, gain table
+    and floor; each trial still solves its own ``optimized`` row.  A
     value's trials form one task at ``workers=1`` and up to ``workers``
     tasks in the process pool.  Every trial keeps its own RNG streams, so
     the rows, which come back in value-then-trial order, do not depend on

@@ -288,9 +288,9 @@ def test_study_shares_one_point_per_task(monkeypatch, ref_cfg, options, fading):
 
     rows = monte_carlo_velocity_error(cfg, options, sigmas, trials=trials)
     assert records_to_csv(rows) == expected
-    # one table and floor per task (one task per sigma at workers=1); the
-    # sigma = 0 trials plan one floor and solve it once
-    assert calls == {"build_gain_table": 2, "data_floor": 2, "solve": 1 + trials}
+    # one table and floor per task (one task per sigma at workers=1), and
+    # one solve per trial
+    assert calls == {"build_gain_table": 2, "data_floor": 2, "solve": 2 * trials}
 
 
 def test_fading_run_is_deterministic(options):
