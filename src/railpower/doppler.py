@@ -8,16 +8,52 @@ together with the relative Doppler shift there; estimation finds the
 nearest stored window in Euclidean distance and rescales its relative
 shift by f_max = v / wavelength.  Relative shifts make the table valid
 at any speed, including an externally estimated one.
+
+The nearest window to a query q is the first index of least computed
+distance ``np.linalg.norm(windows - q, axis=1)``, and a lookup returns
+exactly that index without computing every distance.  It screens the K
+rows with one matrix-vector product: the score a_k = s_k - 2 w_k.q,
+with s_k = |w_k|^2 stored in the table, equals |w_k - q|^2 - |q|^2, so
+it orders the rows as the distance does.  It keeps the rows whose
+computed score is within
+
+    tau = 8 n eps (R^2 + tiny),   R = max_k |w_k| + |q|,
+
+of the least one (n = 2L+1, eps the machine epsilon, tiny the smallest
+normal number) and takes the exact distances of those rows only, with
+the same expression, which rounds each row's distance alike in a subset
+and in the whole table.  The kept rows come in increasing index order,
+so the first-index tie rule holds.
+
+The screen never drops the winner.  With u = eps/2, a computed score is
+within about (n+1) u (R^2 + tiny) of the exact one: s_k and w_k.q are
+sums of n products, one subtraction follows, and below the normal range
+each rounding errs by at most u tiny.  The winner won on computed
+distances, so its exact squared distance exceeds the least one by at
+most about 2(n+5) u (R^2 + tiny).  Its score is therefore within
+(2n+6) eps (R^2 + tiny) of the least score, and tau is at least twice
+that for n >= 3.  Overflow anywhere in the screen makes tau infinite or
+the least score NaN, and then every row is kept.
+
+Cost: a lookup is one gemv over the (K, n) table plus the exact
+distances of the candidates, usually one.  The worst case is a table
+whose rows share a common offset far above their spread, so that
+eps R^2 reaches the gaps between squared distances: many rows pass the
+screen, and the lookup costs up to one more full distance pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .radio import LinkConstants, path_loss
 from .scenario import ScenarioConfig, _hold_read_only, position_rrh_distance, watts_to_dbm
+
+EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)
 
 
 def rsrp_at(cfg: ScenarioConfig, x, gamma_db=0.0):
@@ -60,20 +96,41 @@ class RsrpWindow:
 
     def __post_init__(self):
         _hold_read_only(self, ("values",))
+        if self.values.ndim != 1 or not np.all(np.isfinite(self.values)):
+            raise ValueError("RSRP window values must be one finite 1-D vector")
 
 
 @dataclass(frozen=True)
 class DopplerTable:
-    """Sampled positions with their noiseless windows and relative shifts."""
+    """Sampled positions with their noiseless windows and relative shifts.
+
+    ``sq_norms`` (s_k = |w_k|^2) and ``max_norm`` (max_k |w_k|) are derived
+    from the windows for the lookup's screen (see the module docstring).
+    """
 
     positions: np.ndarray   # (K,) window centres [m]
     windows: np.ndarray     # (K, 2L+1) RSRP [dBm]
     f_rel: np.ndarray       # (K,) relative Doppler in [-1, 1]
     x_s: float              # sample spacing [m]
     half_width: int         # L
+    sq_norms: np.ndarray = field(init=False, repr=False)   # (K,) |w_k|^2
+    max_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         _hold_read_only(self, ("positions", "windows", "f_rel"))
+        windows = self.windows
+        if self.half_width < 1 or windows.ndim != 2 or windows.shape[1] != 2 * self.half_width + 1:
+            raise ValueError("windows must be (K, 2L+1) with L >= 1")
+        if windows.shape[0] == 0:
+            raise ValueError("empty lookup table")
+        if self.positions.shape != (len(windows),) or self.f_rel.shape != (len(windows),):
+            raise ValueError("positions and f_rel must hold one value per window")
+        if not np.all(np.isfinite(windows)):
+            raise ValueError("windows must be finite")
+        sq_norms = np.einsum("ij,ij->i", windows, windows)
+        sq_norms.setflags(write=False)
+        object.__setattr__(self, "sq_norms", sq_norms)
+        object.__setattr__(self, "max_norm", float(np.sqrt(sq_norms.max())))
 
     def __len__(self):
         return len(self.positions)
@@ -126,14 +183,24 @@ def estimate_doppler(table: DopplerTable, window: RsrpWindow, cfg: ScenarioConfi
                      v: float | None = None) -> float:
     """Nearest-window Doppler estimate [Hz].
 
-    Finds the table entry minimising the Euclidean distance between RSRP
-    vectors and rescales its relative shift by v / wavelength; ``v``
-    defaults to the configured speed but may be an external estimate.
+    Finds the first table entry of least Euclidean distance between RSRP
+    vectors, screened by one matrix-vector product and re-checked exactly
+    (see the module docstring), and rescales its relative shift by
+    v / wavelength; ``v`` defaults to the configured speed but may be an
+    external estimate, finite and positive.
     """
-    if len(table) == 0:
-        raise ValueError("empty lookup table")
-    if window.values.shape[-1] != table.windows.shape[1]:
+    n = table.windows.shape[1]
+    if window.values.size != n:
         raise ValueError("window length does not match the table")
     v = cfg.v if v is None else v
-    k = int(np.argmin(np.linalg.norm(table.windows - window.values, axis=1)))
+    if not (math.isfinite(v) and v > 0.0):
+        raise ValueError("speed v must be finite and positive")
+    q = window.values
+    score = table.windows @ (-2.0 * q)     # a_k = s_k - 2 w_k.q
+    score += table.sq_norms
+    r = table.max_norm + math.sqrt(q @ q)
+    tau = 8.0 * n * EPS * (r * r + TINY)
+    # negated test: a NaN least score (overflow) keeps every row
+    near = np.flatnonzero(~(score > score.min() + tau))
+    k = int(near[np.argmin(np.linalg.norm(table.windows[near] - q, axis=1))])
     return float(table.f_rel[k]) * v / cfg.wavelength

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from railpower import (RsrpWindow, build_table, dbm_to_watts, estimate_doppler,
@@ -121,6 +123,110 @@ def test_estimate_with_external_speed(ref_cfg, table):
 def test_estimate_rejects_bad_input(ref_cfg, table):
     with pytest.raises(ValueError):
         estimate_doppler(table, RsrpWindow(center=0.0, values=np.zeros(5)), ref_cfg)
+    window = table.window_at(1)
+    for v in (-5.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="speed"):
+            estimate_doppler(table, window, ref_cfg, v=v)
+
+
+def test_doppler_records_reject_malformed_input(table, tmp_path):
+    row = table.windows[1].copy()
+    for values in (np.where(np.arange(11) == 3, np.nan, row),
+                   np.where(np.arange(11) == 3, np.inf, row),
+                   row[None, :], np.float64(row[0])):
+        with pytest.raises(ValueError, match="window"):
+            RsrpWindow(center=1.0, values=np.asarray(values))
+    parts = {name: getattr(table, name).copy() for name in ("positions", "windows", "f_rel")}
+    nan_windows = parts["windows"].copy()
+    nan_windows[4, 2] = np.nan
+    for change in ({"windows": nan_windows},
+                   {"windows": parts["windows"][0]},
+                   {"windows": parts["windows"][:, :9]},
+                   {"positions": parts["positions"][:-1]},
+                   {"f_rel": parts["f_rel"][:, None]},
+                   {name: arr[:0] for name, arr in parts.items()}):
+        with pytest.raises(ValueError):
+            DopplerTable(**{**parts, **change}, x_s=table.x_s, half_width=table.half_width)
+    # a hand-edited table file fails when it is loaded, not when it is used
+    path = tmp_path / "edited.txt"
+    table.save(path)
+    lines = path.read_text().splitlines()
+    fields = lines[5].split()
+    fields[4] = "nan"
+    lines[5] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="finite"):
+        DopplerTable.load(path)
+
+
+def _nearest_index(table, values):
+    """Brute-force oracle: the first index of least distance over every row."""
+    return int(np.argmin(np.linalg.norm(table.windows - values, axis=1)))
+
+
+def _lookup_matches_oracle(table, values, cfg):
+    # the tables built here hold distinct f_rel, so equal estimates mean
+    # equal indices
+    est = estimate_doppler(table, RsrpWindow(center=0.0, values=values), cfg)
+    return est == float(table.f_rel[_nearest_index(table, values)]) * cfg.v / cfg.wavelength
+
+
+@st.composite
+def lookup_cases(draw):
+    """A random table (rows sharing a common offset, some duplicated) and
+    queries: exact rows, rows plus tiny noise, midpoints of two rows."""
+    k = draw(st.integers(1, 500))
+    n = 2 * draw(st.integers(1, 8)) + 1
+    offset = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.0, 1e6))
+    spread = 10.0 ** draw(st.floats(-9.0, 0.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    windows = offset + spread * rng.standard_normal((k, n))
+    dup = rng.integers(0, k, size=(draw(st.integers(0, min(k, 20))), 2))
+    windows[dup[:, 1]] = windows[dup[:, 0]]
+    i, j = rng.integers(0, k, size=(2, 8))
+    noise = spread * 10.0 ** rng.uniform(-12.0, -1.0, size=(8, 1)) * rng.standard_normal((8, n))
+    queries = np.concatenate([windows[i], windows[i] + noise, 0.5 * (windows[i] + windows[j])])
+    table = DopplerTable(positions=np.arange(k, dtype=float), windows=windows,
+                         f_rel=np.linspace(-1.0, 1.0, k), x_s=1.0, half_width=n // 2)
+    return table, queries
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=lookup_cases())
+def test_lookup_matches_brute_force_index(case):
+    table, queries = case
+    cfg = reference_config()
+    for values in queries:
+        assert _lookup_matches_oracle(table, values, cfg)
+
+
+@pytest.mark.parametrize("offset, spread", [(1e160, 1e150), (-1e155, 1e140),
+                                            (1e-160, 1e-163), (1e-162, 1e-163)])
+def test_lookup_exact_at_overflow_and_underflow(offset, spread):
+    # squares beyond the float range make the screen keep every row; below
+    # the normal range the bound's tiny term covers gradual underflow
+    rng = np.random.default_rng(17)
+    cfg = reference_config()
+    windows = offset + spread * rng.standard_normal((40, 11))
+    table = DopplerTable(positions=np.arange(40.0), windows=windows,
+                         f_rel=np.linspace(-1.0, 1.0, 40), x_s=1.0, half_width=5)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for k in range(0, 40, 3):
+            values = windows[k] + 0.1 * spread * rng.standard_normal(11)
+            assert _lookup_matches_oracle(table, values, cfg)
+
+
+def test_noisy_lookups_match_brute_force_bit_for_bit(ref_cfg):
+    # the benchmark's shape: x_s = 0.1 m, 2 dB noise, 2,000 windows
+    fine = build_table(ref_cfg, x_s=0.1, L=5)
+    rng = np.random.default_rng(1)
+    ks = rng.integers(0, len(fine), size=2000)
+    noisy = fine.windows[ks] + rng.normal(0.0, 2.0, size=(2000, 11))
+    est = np.array([estimate_doppler(fine, RsrpWindow(center=0.0, values=w), ref_cfg)
+                    for w in noisy])
+    brute = np.array([fine.f_rel[_nearest_index(fine, w)] * ref_cfg.v / ref_cfg.wavelength
+                      for w in noisy])
+    assert est.tobytes() == brute.tobytes()
 
 
 def test_doppler_records_leave_caller_arrays_writable(ref_cfg, table):
@@ -149,3 +255,10 @@ def test_table_save_load_round_trip(ref_cfg, table, tmp_path):
     assert_allclose(loaded.positions, table.positions, rtol=0)
     assert_allclose(loaded.f_rel, table.f_rel, rtol=0)
     assert_allclose(loaded.windows, table.windows, rtol=0)
+    assert loaded.sq_norms.tobytes() == table.sq_norms.tobytes()
+    assert loaded.max_norm == table.max_norm
+    rng = np.random.default_rng(8)
+    queries = np.concatenate([table.windows, table.windows + rng.normal(0.0, 2.0, table.windows.shape)])
+    for values in queries:
+        window = RsrpWindow(center=0.0, values=values)
+        assert estimate_doppler(loaded, window, ref_cfg) == estimate_doppler(table, window, ref_cfg)
