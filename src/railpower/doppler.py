@@ -56,17 +56,16 @@ EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
 
 
-def rsrp_at(cfg: ScenarioConfig, x, gamma_db=0.0):
+def rsrp_at(cfg: ScenarioConfig, x):
     """Reference-signal received power [dBm] with the head relay at x [m].
 
-    P_T + Gtx + Grx - xi + 10*n*log10(lambda/(4*pi*d(x))) - gamma, with
-    both ends at boresight gain.
+    P_T + Gtx + Grx - xi + 10*n*log10(lambda/(4*pi*d(x))), with both ends
+    at boresight gain, on the deterministic channel.
     """
     consts = LinkConstants.from_config(cfg)
     d = position_rrh_distance(cfg, x)
     pl = path_loss(d, cfg.wavelength, cfg.pathloss_exp)
-    out = (watts_to_dbm(cfg.p_t) + consts.c_db + consts.p_noise_dbm
-           - pl - np.asarray(gamma_db, dtype=float))
+    out = watts_to_dbm(cfg.p_t) + consts.c_db + consts.p_noise_dbm - pl
     return out if np.ndim(out) else float(out)
 
 
@@ -87,7 +86,7 @@ def true_doppler(cfg: ScenarioConfig, x):
     return out if np.ndim(out) else float(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RsrpWindow:
     """2L+1 RSRP samples [dBm] centred on track position ``center``."""
 
@@ -100,7 +99,7 @@ class RsrpWindow:
             raise ValueError("RSRP window values must be one finite 1-D vector")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DopplerTable:
     """Sampled positions with their noiseless windows and relative shifts.
 

@@ -163,7 +163,7 @@ def _record(point: dict, scheme: str, energy_j: float = NAN, data_bits: float = 
                      wall_time_s=wall_time_s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreparedPoint:
     """What every trial at one scenario shares, built once by
     :func:`prepare_point`: the schedule, the deterministic gain table (the

@@ -45,7 +45,7 @@ def active_entries(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return relay, seg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AllocationMatrix:
     """Transmit powers [W] of the active entries of ``mask``, in the order of
     :func:`active_entries`; :attr:`p` is the dense (M, S) matrix P."""
@@ -82,7 +82,7 @@ def _simpson_weights(n: int) -> np.ndarray:
     return w / 3.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GainTable:
     """Per-node linear channel factors for the K active entries.
 
@@ -156,8 +156,8 @@ def build_gain_table(cfg: ScenarioConfig, sched: SegmentSchedule) -> GainTable:
     """Precompute quadrature weights and channel factors at the active entries.
 
     The quadrature uses ``cfg.quad_n`` Simpson subintervals per segment;
-    the link is evaluated only at the nodes of segments where the relay
-    is in the cell.
+    the link is evaluated once, over the nodes of every active entry
+    (segments where the relay is in the cell).
     """
     n = cfg.quad_n
     if sched.num_segments != cfg.num_segments:
@@ -171,11 +171,7 @@ def build_gain_table(cfg: ScenarioConfig, sched: SegmentSchedule) -> GainTable:
 
     mask = activity_mask(cfg)
     relay, seg = active_entries(mask)
-    gains = np.empty((seg.size, n + 1))
-    for i in range(cfg.num_relays):
-        rows = relay == i
-        d = mr_rrh_distance(cfg, i + 1, nodes[seg[rows]])
-        gains[rows] = radio.snr_linear_per_watt(cfg, d)
+    gains = radio.snr_linear_per_watt(cfg, mr_rrh_distance(cfg, relay[:, None] + 1, nodes[seg]))
     weights = h[seg, None] * base_w[None, :]
     return GainTable(gains=gains, weights=weights, mask=mask, bandwidth=cfg.bandwidth)
 

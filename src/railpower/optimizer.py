@@ -8,9 +8,10 @@ function is the augmented Lagrangian
 
     phi(P, lam, sigma) = E(P) - lam . h(P) + sigma * h(P) . h(P)
 
-minimised by projected Newton descent in an inner loop, with the
-multipliers corrected and the penalty factor grown between cycles
-according to how fast the residual norm shrinks:
+minimised by projected Newton descent in an inner loop.  Each cycle of
+:func:`solve` runs the inner descent, records the cycle, and stops once
+||h_now||_inf <= eps; otherwise the multipliers are corrected or the
+penalty factor grown according to how fast the residual norm shrinks:
 
   (a) ||h_now||_inf >= ||h_prev||_inf        -> grow sigma, keep lam
   (b) sigma grew last cycle, or the norm fell
@@ -37,7 +38,7 @@ masked out.
 the merit function, its derivatives and the residuals.  The five solver
 settings (initial penalty, growth factor, tolerance, cycle and step caps)
 live in one frozen :class:`SolverOptions`, which owns their defaults and
-validation; :class:`MultiplierState` holds only the iterate.
+validation; :class:`MultiplierState` holds only the multiplier iterate.
 
 Budget handling: budget rows are one-sided caps, their residual clipped
 at zero below the budget.  The literal equality form would pin the
@@ -89,7 +90,7 @@ _log = logging.getLogger(__name__)
 
 
 def _linf(v) -> float:
-    return float(np.max(np.abs(v))) if np.size(v) else 0.0
+    return float(np.max(np.abs(v)))
 
 
 @dataclass(frozen=True)
@@ -109,14 +110,13 @@ class SolverOptions:
             raise ValueError("require n_max >= 0, inner_cap >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiplierState:
-    """The outer iterate: multipliers, penalty factor, and flags."""
+    """The outer iterate: multipliers, penalty factor, and the case (b) flag."""
 
     lam: np.ndarray          # (2M+N-1,): data row first, then budget rows
     sigma: float             # penalty factor
     sigma_grew: bool = False # bookkeeping for case (b); first cycle counts as flat
-    converged: bool = False
 
     @classmethod
     def initial(cls, cfg: ScenarioConfig, options: SolverOptions) -> "MultiplierState":
@@ -290,18 +290,17 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
     )
 
 
-def update_state(state: MultiplierState, h_now: np.ndarray, h_prev: np.ndarray | None,
+def update_state(state: MultiplierState, h_now: np.ndarray, prev_inf: float,
                  options: SolverOptions) -> MultiplierState:
-    """Apply the between-cycle penalty/multiplier correction rules.
+    """Apply the between-cycle penalty/multiplier correction rules (a)-(c).
 
-    ``h_prev`` is None on the first cycle, which then counts as a
-    multiplier-correction cycle (the penalty factor did not grow before
-    it and any finite residual beats an undefined predecessor).
+    ``prev_inf`` is the previous cycle's residual max norm, ``math.inf``
+    on the first cycle, which then counts as a multiplier-correction
+    cycle (the penalty factor did not grow before it and any finite
+    residual beats an undefined predecessor).  The stop test is
+    :func:`solve`'s, so ``h_now`` is never within tolerance here.
     """
     hinf = _linf(h_now)
-    if hinf <= options.eps:
-        return replace(state, converged=True)
-    prev_inf = _linf(h_prev) if h_prev is not None else math.inf
     if hinf >= prev_inf:                                        # (a)
         return replace(state, sigma=options.growth * state.sigma, sigma_grew=True)
     if state.sigma_grew or hinf <= 0.25 * prev_inf:             # (b)
@@ -322,7 +321,7 @@ class CycleRecord:
     merit_evals: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     converged: bool
     cycles: int
@@ -337,7 +336,7 @@ class SolveResult:
 
 def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
           init: AllocationMatrix | None = None, d_min: float | None = None,
-          options: SolverOptions | None = None,
+          options: SolverOptions = SolverOptions(),
           table: GainTable | None = None) -> tuple[AllocationMatrix, SolveResult]:
     """Run the full multiplier-penalty loop and return the best allocation.
 
@@ -360,12 +359,10 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
         table = build_gain_table(cfg, sched)
     if d_min is None:
         d_min = data_floor(cfg, sched, table)
-    if options is None:
-        options = SolverOptions()
     state = MultiplierState.initial(cfg, options)
 
     problem = Problem(cfg, sched, d_min, table)
-    x = np.maximum(problem.to_scaled(average_alloc(cfg, sched)), 0.0)
+    x = problem.to_scaled(average_alloc(cfg, sched))
     h = problem.residuals_scaled(x)
     if h[0] < -1e-12:
         raise InfeasibleDataFloor(
@@ -377,25 +374,22 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
         h = problem.residuals_scaled(x)
 
     history: list[CycleRecord] = []
-    h_prev = None
     best = None   # (cycle record, x, lam_hat)
-
-    cycles = 0
-    while cycles <= options.n_max:
+    prev_inf = math.inf
+    for cycle in range(options.n_max + 1):
         x, h, info = inner_descent(problem, x, h, state.lam, state.sigma, options)
-        rec = CycleRecord(cycle=cycles, h_inf=_linf(h), sigma=state.sigma, phi=info.phi_end,
+        rec = CycleRecord(cycle=cycle, h_inf=_linf(h), sigma=state.sigma, phi=info.phi_end,
                           energy_j=problem.energy_j(x), inner_steps=info.steps,
                           inner_reason=info.reason, merit_evals=info.merit_evals)
         history.append(rec)
-        # the first iterate within eps ends the loop (update_state tests the
-        # same value), so the lowest residual wins, energy breaking ties
+        # the first iterate within eps ends the loop, so the lowest
+        # residual wins, energy breaking ties
         if best is None or (rec.h_inf, rec.energy_j) < (best[0].h_inf, best[0].energy_j):
             best = (rec, x, state.lam - 2.0 * state.sigma * h)
-        state = update_state(state, h, h_prev, options)
-        if state.converged:
+        if rec.h_inf <= options.eps:
             break
-        h_prev = h
-        cycles += 1
+        state = update_state(state, h, prev_inf, options)
+        prev_inf = rec.h_inf
 
     rec, x, lam_hat = best
     hinf = rec.h_inf

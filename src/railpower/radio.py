@@ -151,10 +151,10 @@ class FadingModel:
         return math.sqrt(self.a ** 2 + 2.0 * self.sigma ** 2)
 
     @classmethod
-    def from_k_db(cls, k_db: float, rms: float = 1.0) -> "FadingModel":
-        """Build from a K-factor in dB at a prescribed RMS envelope."""
+    def from_k_db(cls, k_db: float) -> "FadingModel":
+        """Build from a K-factor in dB at unit RMS envelope (E[r^2] = 1)."""
         k = 10.0 ** (k_db / 10.0)
-        sigma2 = rms ** 2 / (2.0 * (k + 1.0))
+        sigma2 = 1.0 / (2.0 * (k + 1.0))
         return cls(a=math.sqrt(2.0 * k * sigma2), sigma=math.sqrt(sigma2))
 
 

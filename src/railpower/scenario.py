@@ -123,7 +123,7 @@ def reference_config(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**overrides)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SegmentSchedule:
     """Segment boundaries t_0..t_{2M+N-2} and the duration vector T."""
 
@@ -171,15 +171,16 @@ def head_position(cfg: ScenarioConfig, t):
     return cfg.v * np.asarray(t, dtype=float)
 
 
-def mr_position(cfg: ScenarioConfig, i: int, t):
-    """Track coordinate of relay i (1..M); negative before cell entry."""
-    if not 1 <= i <= cfg.num_relays:
+def mr_position(cfg: ScenarioConfig, i: int | np.ndarray, t):
+    """Track coordinate of relay i (1..M, or an index array broadcast against
+    t); negative before cell entry."""
+    if not 1 <= np.min(i) <= np.max(i) <= cfg.num_relays:
         raise IndexError(f"relay index {i} outside 1..{cfg.num_relays}")
     return head_position(cfg, t) - (i - 1) * cfg.d_mr
 
 
-def mr_rrh_distance(cfg: ScenarioConfig, i: int, t):
-    """Line-of-sight distance from relay i to the radio head [m]."""
+def mr_rrh_distance(cfg: ScenarioConfig, i: int | np.ndarray, t):
+    """Line-of-sight distance from relay i (or an index array) to the radio head [m]."""
     return position_rrh_distance(cfg, mr_position(cfg, i, t))
 
 

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from railpower import (KMH_TO_MPS, allocators, metrics, optimizer, reference_config,
-                       segment_boundaries)
+from railpower import (KMH_TO_MPS, MultiplierState, SolverOptions, allocators, build_table,
+                       metrics, optimizer, reference_config, segment_boundaries, solve)
 from railpower.configio import SCHEMES, HarnessOptions
 from railpower.harness import (RunRecord, SweepSpec, _mean_records, apply_sweep_value,
                                draw_speed_error, emit_plot_data, monte_carlo_velocity_error,
-                               read_csv_rows, records_to_csv, run_point, run_scenario,
-                               sweep, write_csv)
+                               prepare_point, read_csv_rows, records_to_csv, run_point,
+                               run_scenario, sweep, write_csv)
 
 REF_CONFIG = """
 m = 4
@@ -397,3 +397,25 @@ def test_mean_rows_recompute_ratios_from_means():
     mean = _mean_records(rows)[0]
     assert mean.energy_j == 3.0 and mean.data_bits == 20.0
     assert_allclose(mean.ee_bits_per_j, 20.0 / 3.0, rtol=1e-12)
+
+
+def test_array_records_compare_by_identity():
+    # records that hold arrays compare by identity: two equal-content
+    # builds are different objects, and comparing them answers, not raises
+    cfg = reference_config()
+    sched = segment_boundaries(cfg)
+    builders = {
+        "SegmentSchedule": lambda: segment_boundaries(cfg),
+        "GainTable": lambda: metrics.build_gain_table(cfg, sched),
+        "AllocationMatrix": lambda: allocators.average_alloc(cfg, sched),
+        "RsrpWindow": lambda: build_table(cfg, x_s=10.0).window_at(3),
+        "DopplerTable": lambda: build_table(cfg, x_s=10.0),
+        "PreparedPoint": lambda: prepare_point(cfg),
+        "SolveResult": lambda: solve(cfg, sched)[1],
+        "MultiplierState": lambda: MultiplierState.initial(cfg, SolverOptions()),
+    }
+    for name, build in builders.items():
+        a, b = build(), build()
+        assert type(a).__name__ == name
+        assert (a == b) is False and (a != b) is True, name
+        assert a == a, name

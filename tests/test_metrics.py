@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from railpower import (AllocationMatrix, GainTable, activity_mask, average_alloc, build_gain_table,
                        compute_metrics, constant_alloc, csi_alloc, energy_efficiency,
                        mr_rrh_distance, random_alloc, sample_fading_trace, snr_linear_per_watt,
-                       solve, spectral_efficiency, total_energy)
+                       reference_config, solve, spectral_efficiency, total_energy)
 from railpower.metrics import active_entries
 from railpower.scenario import segment_boundaries
 
@@ -122,6 +122,19 @@ def test_evaluation_is_bitwise_repeatable(ref_cfg, ref_sched, rng):
     assert t1.total_data(p) == t1.total_data(p) == t2.total_data(p)
     for a, b in zip(t1.data_derivatives(p), t2.data_derivatives(p)):
         assert np.array_equal(a, b)
+    # the table evaluates the link once over every active entry's nodes;
+    # each relay's rows equal the link evaluated for that relay alone
+    for m, n, quad_n in [(1, 1, 2), (2, 3, 32), (4, 6, 32), (6, 6, 256), (8, 8, 64)]:
+        cfg = reference_config(num_relays=m, num_bins=n, quad_n=quad_n, d_l=400.0)
+        sched = segment_boundaries(cfg)
+        table = build_gain_table(cfg, sched)
+        relay, seg = active_entries(table.mask)
+        frac = np.arange(quad_n + 1) / quad_n
+        nodes = sched.boundaries[:-1, None] + frac * sched.durations[:, None]
+        for i in range(m):
+            rows = relay == i
+            gains = snr_linear_per_watt(cfg, mr_rrh_distance(cfg, i + 1, nodes[seg[rows]]))
+            assert np.array_equal(table.gains[rows], gains), (m, n, quad_n, i)
 
 
 def test_quadrature_convergence(ref_cfg, ref_sched):

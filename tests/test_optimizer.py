@@ -255,17 +255,29 @@ def test_solver_options_validation():
     assert MultiplierState.initial(reference_config(), SolverOptions(sigma0=3.0)).sigma == 3.0
 
 
-def test_update_state_terminates_on_feasibility():
-    st = _state()
-    out = update_state(st, np.zeros(3), np.full(3, 0.5), OPTIONS)
-    assert out.converged
-    assert out.sigma == st.sigma and np.array_equal(out.lam, st.lam)
+@pytest.mark.parametrize("rho, m", [(0.8, 4), (0.97, 4), (0.99, 4), (1.0, 2)])
+def test_solve_stops_on_the_first_cycle_within_tolerance(monkeypatch, rho, m):
+    # the stop test is the loop's: every cycle before the last is outside
+    # eps and corrects the state, and the last one, within eps, does not
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return update_state(*args)
+
+    monkeypatch.setattr(optimizer, "update_state", counted)
+    _, res = solve(reference_config(num_relays=m, rho=rho))
+    eps = SolverOptions().eps
+    assert res.converged
+    assert all(rec.h_inf > eps for rec in res.history[:-1])
+    assert res.history[-1].h_inf <= eps
+    assert len(calls) == res.cycles - 1
 
 
 def test_update_state_case_a_grows_sigma_on_equal_norms():
     st = _state()
     h = np.array([0.5, 0.0, 0.0])
-    out = update_state(st, h, np.array([0.0, -0.5, 0.0]), OPTIONS)
+    out = update_state(st, h, 0.5, OPTIONS)
     assert out.sigma == st.sigma * OPTIONS.growth
     assert np.array_equal(out.lam, st.lam)
     assert out.sigma_grew
@@ -273,9 +285,8 @@ def test_update_state_case_a_grows_sigma_on_equal_norms():
 
 def test_update_state_case_b_on_quarter_drop():
     st = _state()
-    h_prev = np.array([1.0, 0.0, 0.0])
-    h_now = 0.1 * h_prev
-    out = update_state(st, h_now, h_prev, OPTIONS)
+    h_now = np.array([0.1, 0.0, 0.0])
+    out = update_state(st, h_now, 1.0, OPTIONS)
     assert out.sigma == st.sigma
     assert_allclose(out.lam, st.lam - 2.0 * st.sigma * h_now, rtol=1e-15)
     assert not out.sigma_grew
@@ -283,17 +294,15 @@ def test_update_state_case_b_on_quarter_drop():
 
 def test_update_state_case_b_after_sigma_growth():
     st = _state(sigma_grew=True)
-    h_prev = np.array([1.0, 0.0, 0.0])
-    h_now = 0.5 * h_prev      # moderate progress, but sigma grew last cycle
-    out = update_state(st, h_now, h_prev, OPTIONS)
+    h_now = np.array([0.5, 0.0, 0.0])   # moderate progress, but sigma grew last cycle
+    out = update_state(st, h_now, 1.0, OPTIONS)
     assert out.sigma == st.sigma
     assert_allclose(out.lam, st.lam - 2.0 * st.sigma * h_now, rtol=1e-15)
 
 
 def test_update_state_case_c_grows_sigma_on_slow_progress():
     st = _state()
-    h_prev = np.array([1.0, 0.0, 0.0])
-    out = update_state(st, 0.5 * h_prev, h_prev, OPTIONS)
+    out = update_state(st, np.array([0.5, 0.0, 0.0]), 1.0, OPTIONS)
     assert out.sigma == st.sigma * OPTIONS.growth
     assert np.array_equal(out.lam, st.lam)
 
@@ -301,7 +310,7 @@ def test_update_state_case_c_grows_sigma_on_slow_progress():
 def test_update_state_first_cycle_corrects_multipliers():
     st = _state()
     h_now = np.array([0.3, 0.1, 0.0])
-    out = update_state(st, h_now, None, OPTIONS)
+    out = update_state(st, h_now, math.inf, OPTIONS)
     assert out.sigma == st.sigma
     assert_allclose(out.lam, st.lam - 2.0 * st.sigma * h_now, rtol=1e-15)
 

@@ -72,6 +72,15 @@ def test_mr_position(ref_cfg):
     assert_allclose(mr_position(ref_cfg, 2, 0.0), -25.0, rtol=1e-12)
     with pytest.raises(IndexError):
         mr_position(ref_cfg, 5, 0.0)
+    # an index array broadcasts against t, relay by relay
+    idx = np.arange(1, ref_cfg.num_relays + 1)[:, None]
+    assert np.array_equal(mr_position(ref_cfg, idx, ts),
+                          [mr_position(ref_cfg, i, ts) for i in range(1, 5)])
+    for bad in ([1, 0, 2], [1, ref_cfg.num_relays + 1]):
+        with pytest.raises(IndexError):
+            mr_position(ref_cfg, np.array(bad), 0.0)
+        with pytest.raises(IndexError):
+            mr_rrh_distance(ref_cfg, np.array(bad), 0.0)
 
 
 def test_mr_rrh_distance(ref_cfg):
