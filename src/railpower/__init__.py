@@ -1,8 +1,8 @@
 """Energy-aware transmit power allocation for train-roof mobile relays.
 
 A desk-scale simulator for a train crossing a trackside mmWave cell with
-several roof relays: traversal geometry and timing, the directional
-antenna / path-loss / Rician link model, delivered-data and energy
+several roof relays: traversal geometry and timing, the beam-aligned
+boresight-gain / path-loss / Rician link model, delivered-data and energy
 metrics, four reference power allocators plus a multiplier-penalty
 energy minimiser, an RSRP-window Doppler estimator, and a reproducible
 experiment harness with a small CLI.
@@ -12,18 +12,16 @@ from .scenario import (KMH_TO_MPS, ScenarioConfig, SegmentSchedule, active_segme
                        activity_mask, dbm_to_watts, head_position, mr_position,
                        mr_rrh_distance, mrs_in_cell, reference_config,
                        segment_boundaries, watts_to_dbm)
-from .radio import (AntennaPattern, FadingModel, LinkConstants, antenna_gain,
-                    max_antenna_gain, noise_power_dbm, path_loss,
-                    sample_fading_db, sample_rician_envelope, sidelobe_gain,
-                    snr_db, snr_linear_per_watt)
+from .radio import (FadingModel, LinkConstants, max_antenna_gain, noise_power_dbm,
+                    path_loss, sample_fading_db, sample_rician_envelope, snr_db,
+                    snr_linear_per_watt)
 from .metrics import (AllocationMatrix, GainTable, MetricsRecord, build_gain_table,
                       compute_metrics, energy_efficiency, sample_fading_trace,
                       spectral_efficiency, total_energy)
 from .allocators import (average_alloc, constant_alloc, csi_alloc, random_alloc,
                          validate_alloc)
-from .optimizer import (InfeasibleDataFloor, MultiplierState, Problem, SolveResult,
-                        SolverOptions, data_floor, inner_descent, kkt_residual,
-                        solve, update_state)
+from .optimizer import (InfeasibleDataFloor, SolveResult, SolverOptions, data_floor,
+                        kkt_residual, solve)
 from .doppler import (DopplerTable, RsrpWindow, build_table, estimate_doppler,
                       max_doppler, rsrp_at, true_doppler)
 from .configio import ConfigError, HarnessOptions, SCHEMES, load_config, scenario_hash

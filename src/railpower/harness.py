@@ -134,12 +134,8 @@ def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> Scenario
     return cfg.with_(**_swept_field(param, value))
 
 
-def _scenario_columns(cfg: ScenarioConfig, param: str = "", value: float = NAN) -> dict:
-    """The m, n, d_l, v_mps, pt_w columns of cfg; a swept ``value`` of
-    ``param`` replaces its field, converted as :func:`apply_sweep_value` does."""
-    fields = vars(cfg)
-    if param in _SWEEP_FIELDS:
-        fields = {**fields, **_swept_field(param, value)}
+def _scenario_columns(fields: dict) -> dict:
+    """The m, n, d_l, v_mps, pt_w columns of a map of ScenarioConfig fields."""
     return dict(m=fields["num_relays"], n=fields["num_bins"], d_l=fields["d_l"],
                 v_mps=fields["v"], pt_w=fields["p_t"])
 
@@ -210,7 +206,7 @@ def run_point(point: ScenarioConfig | PreparedPoint, options: HarnessOptions,
     d_min_bits = point.d_min_bits
     columns = dict(kind=kind, param=param, value=value, trial=trial,
                    scenario=point.scenario, d_min_bits=d_min_bits,
-                   **_scenario_columns(cfg))
+                   **_scenario_columns(vars(cfg)))
 
     records = []
     for scheme in options.schemes:
@@ -292,7 +288,8 @@ def _sweep_task(args) -> list[RunRecord]:
             # the failed point's rows show the swept value it failed on
             columns = dict(kind="trial", param=spec.param, value=float(value),
                            scenario="", d_min_bits=NAN,
-                           **_scenario_columns(cfg, spec.param, value))
+                           **_scenario_columns({**vars(cfg),
+                                                **_swept_field(spec.param, value)}))
             return [_record({**columns, "trial": trial}, s, error=str(exc))
                     for trial in trials for s in options.schemes]
     point = prepare_point(point_cfg)
@@ -328,7 +325,8 @@ def sweep(cfg: ScenarioConfig, options: HarnessOptions, spec: SweepSpec,
              for idx, value in enumerate(spec.values)
              for first in range(0, spec.trials, chunk)]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the fork start method launches every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             per_task = list(pool.map(_sweep_task, tasks))
     else:
         per_task = [_sweep_task(t) for t in tasks]

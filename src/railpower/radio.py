@@ -1,8 +1,7 @@
-"""Physical-layer core: antenna pattern, path loss, noise, SNR, Rician fading.
+"""Physical-layer core: antenna gain, path loss, noise, SNR, Rician fading.
 
-The link budget works in dB/dBm end to end.  Both ends are assumed beam
-aligned, so the default pipeline uses the boresight gain on each side;
-the off-boresight pattern is still exposed for sensitivity studies.
+The link budget works in dB/dBm end to end.  Both ends are beam aligned,
+so the link uses the boresight gain G0 at each end.
 
 Fading is expressed as a dB attenuation ``gamma_db`` normalised so that
 the deterministic channel (gamma_db = 0) coincides with the RMS-envelope
@@ -29,45 +28,6 @@ def max_antenna_gain(theta_3db: float) -> float:
     if not 0.0 < theta_3db < 180.0:
         raise ValueError("theta_3db must lie in (0, 180) degrees")
     return 10.0 * math.log10((1.6162 / math.sin(math.radians(theta_3db) / 2.0)) ** 2)
-
-
-def sidelobe_gain(theta_3db: float) -> float:
-    """Sidelobe gain Gsl [dB]; theta_3db enters the log in degrees."""
-    if theta_3db <= 0.0:
-        raise ValueError("theta_3db must be positive")
-    return -0.4111 * math.log(theta_3db) - 10.579
-
-
-@dataclass(frozen=True)
-class AntennaPattern:
-    """Main-lobe/sidelobe gain pattern with Gaussian main lobe (dB scale)."""
-
-    theta_3db: float   # half-power beamwidth [deg]
-    theta_ml: float    # main-lobe width = 2.6 * theta_3db [deg]
-    g0: float          # boresight gain [dB]
-    gsl: float         # sidelobe gain [dB]
-
-    @classmethod
-    def from_beamwidth(cls, theta_3db: float) -> "AntennaPattern":
-        return cls(
-            theta_3db=theta_3db,
-            theta_ml=2.6 * theta_3db,
-            g0=max_antenna_gain(theta_3db),
-            gsl=sidelobe_gain(theta_3db),
-        )
-
-
-def antenna_gain(pattern: AntennaPattern, theta):
-    """Directional gain [dB] at off-boresight angle theta [deg], 0..180.
-
-    G0 - 3.01*(2*theta/theta_3db)^2 inside the main lobe, Gsl outside.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta < 0.0) or np.any(theta > 180.0):
-        raise ValueError("theta must lie in [0, 180] degrees")
-    main = pattern.g0 - 3.01 * (2.0 * theta / pattern.theta_3db) ** 2
-    out = np.where(theta <= pattern.theta_ml / 2.0, main, pattern.gsl)
-    return out if out.ndim else float(out)
 
 
 def path_loss(d, wavelength: float, n_pl: float):
@@ -102,16 +62,17 @@ class LinkConstants:
         return cls(c_db=2.0 * g0 - cfg.shadowing - p_noise, p_noise_dbm=p_noise)
 
 
-def snr_db(p_tx_dbm, d, gamma_db, consts: LinkConstants, cfg: ScenarioConfig):
+def snr_db(p_tx_dbm, d, gamma_db, cfg: ScenarioConfig):
     """Received SNR [dB] at transmit power p_tx_dbm over distance d [m].
 
     SNR = P_tx + 10*n*log10(lambda/(4*pi*d)) - gamma + C, with C the
-    aggregated antenna/shadowing/noise constant.  ``gamma_db`` is the
-    fading attenuation in dB; positive values degrade the link, and 0
+    aggregated antenna/shadowing/noise constant of cfg.  ``gamma_db`` is
+    the fading attenuation in dB; positive values degrade the link, and 0
     reproduces the deterministic channel.
     """
     pl = path_loss(d, cfg.wavelength, cfg.pathloss_exp)
-    out = np.asarray(p_tx_dbm, dtype=float) - pl - np.asarray(gamma_db, dtype=float) + consts.c_db
+    c_db = LinkConstants.from_config(cfg).c_db
+    out = np.asarray(p_tx_dbm, dtype=float) - pl - np.asarray(gamma_db, dtype=float) + c_db
     return out if out.ndim else float(out)
 
 
@@ -122,8 +83,7 @@ def snr_linear_per_watt(cfg: ScenarioConfig, d, gamma_db=0.0):
     with P expressed in dBm.  This is the quantity the rate integrals and
     their gradients are built from.
     """
-    consts = LinkConstants.from_config(cfg)
-    per_mw = snr_db(0.0, d, gamma_db, consts, cfg)   # SNR in dB for 1 mW
+    per_mw = snr_db(0.0, d, gamma_db, cfg)   # SNR in dB for 1 mW
     return 1000.0 * 10.0 ** (np.asarray(per_mw, dtype=float) / 10.0)
 
 

@@ -19,15 +19,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from railpower import (FadingModel, Problem, activity_mask, build_gain_table,
-                       build_table, constant_alloc, data_floor, estimate_doppler,
-                       kkt_residual, max_doppler, reference_config,
-                       sample_rician_envelope, segment_boundaries, solve,
-                       total_energy, true_doppler)
+from railpower import (FadingModel, activity_mask, build_gain_table, build_table,
+                       constant_alloc, data_floor, estimate_doppler, kkt_residual,
+                       max_doppler, reference_config, sample_rician_envelope,
+                       segment_boundaries, solve, total_energy, true_doppler)
 from railpower.configio import SCHEMES, HarnessOptions
 from railpower.harness import (SweepSpec, monte_carlo_velocity_error, records_to_csv,
                                run_point, sweep)
 from railpower.metrics import active_entries
+from railpower.optimizer import Problem
 
 EPS = 1e-4   # solver tolerance on scaled residuals
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from railpower import (KMH_TO_MPS, MultiplierState, SolverOptions, allocators, build_table,
+from railpower import (KMH_TO_MPS, SolverOptions, allocators, build_table, harness,
                        metrics, optimizer, reference_config, segment_boundaries, solve)
 from railpower.configio import SCHEMES, HarnessOptions
 from railpower.harness import (RunRecord, SweepSpec, _mean_records, apply_sweep_value,
@@ -260,6 +260,32 @@ def test_sweep_worker_pool_matches_serial(ref_cfg, options):
     assert swept[0] == swept[1] == swept[2]
 
 
+def test_sweep_pool_no_larger_than_its_tasks(monkeypatch, ref_cfg, options):
+    # the fork start method launches every worker at the first submit, so
+    # the pool asks for no more workers than there are tasks
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    spec = SweepSpec(param="d_l", values=(200.0,), trials=1)
+    baselines = replace(options, schemes=("constant", "average"))
+    pooled = records_to_csv(sweep(ref_cfg, baselines, spec, workers=64))
+    assert requested == [1]
+    assert pooled == records_to_csv(sweep(ref_cfg, baselines, spec, workers=1))
+
+
 def _per_trial_study(cfg, options, sigmas, trials):
     """The velocity-error study as one plain run_point(cfg, ...) per trial."""
     rows = []
@@ -412,7 +438,7 @@ def test_array_records_compare_by_identity():
         "DopplerTable": lambda: build_table(cfg, x_s=10.0),
         "PreparedPoint": lambda: prepare_point(cfg),
         "SolveResult": lambda: solve(cfg, sched)[1],
-        "MultiplierState": lambda: MultiplierState.initial(cfg, SolverOptions()),
+        "MultiplierState": lambda: optimizer.MultiplierState.initial(cfg, SolverOptions()),
     }
     for name, build in builders.items():
         a, b = build(), build()

@@ -8,12 +8,12 @@ from numpy.testing import assert_allclose
 
 from railpower import optimizer
 from railpower.metrics import GainTable, active_entries
-from railpower.optimizer import InnerInfo
-from railpower import (AllocationMatrix, InfeasibleDataFloor, MultiplierState, Problem,
-                       SolverOptions, activity_mask, average_alloc, build_gain_table,
-                       compute_metrics, data_floor, inner_descent, kkt_residual, reference_config,
-                       segment_boundaries, solve, total_energy, update_state,
-                       validate_alloc)
+from railpower.optimizer import (InnerInfo, MultiplierState, Problem, inner_descent,
+                                update_state)
+from railpower import (AllocationMatrix, InfeasibleDataFloor, SolverOptions, activity_mask,
+                       average_alloc, build_gain_table, compute_metrics, data_floor,
+                       kkt_residual, reference_config, segment_boundaries, solve,
+                       total_energy, validate_alloc)
 
 LN2 = np.log(2.0)
 

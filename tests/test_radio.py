@@ -5,10 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from railpower import (AntennaPattern, FadingModel, LinkConstants, antenna_gain,
-                       dbm_to_watts, max_antenna_gain, noise_power_dbm, path_loss,
-                       sample_fading_db, sample_rician_envelope, sidelobe_gain,
-                       snr_db, snr_linear_per_watt)
+from railpower import (FadingModel, LinkConstants, dbm_to_watts, max_antenna_gain,
+                       noise_power_dbm, path_loss, sample_fading_db,
+                       sample_rician_envelope, snr_db, snr_linear_per_watt)
 
 
 def g0_oracle(theta_3db):
@@ -30,30 +29,6 @@ def test_max_antenna_gain_monotone_and_domain():
     for bad in (0.0, -3.0, 180.0):
         with pytest.raises(ValueError):
             max_antenna_gain(bad)
-
-
-def test_sidelobe_gain_values():
-    assert_allclose(sidelobe_gain(30.0), -0.4111 * math.log(30.0) - 10.579, rtol=1e-15)
-    assert_allclose(sidelobe_gain(30.0), -11.98, atol=5e-3)
-    assert_allclose(sidelobe_gain(1.0), -10.579, rtol=1e-12)
-    assert_allclose(sidelobe_gain(60.0), -12.26, atol=5e-3)
-    with pytest.raises(ValueError):
-        sidelobe_gain(0.0)
-
-
-def test_antenna_gain_pattern():
-    pat = AntennaPattern.from_beamwidth(30.0)
-    assert pat.theta_ml == pytest.approx(78.0)
-    assert_allclose(antenna_gain(pat, 0.0), pat.g0, rtol=0)
-    # half-power point sits 3.01 dB below boresight by construction
-    assert_allclose(antenna_gain(pat, 15.0), pat.g0 - 3.01, rtol=1e-12)
-    assert_allclose(antenna_gain(pat, 90.0), pat.gsl, rtol=0)
-    thetas = np.linspace(0.0, 180.0, 721)
-    g = antenna_gain(pat, thetas)
-    assert np.all(g <= pat.g0 + 1e-12)
-    assert np.all(g[thetas > pat.theta_ml / 2] == pat.gsl)
-    with pytest.raises(ValueError):
-        antenna_gain(pat, 181.0)
 
 
 def test_path_loss_values():
@@ -96,42 +71,39 @@ def test_link_constants_recomputable(ref_cfg):
 
 def test_snr_link_budget_decomposition(ref_cfg):
     # the aggregate SNR must equal the sum of its link-budget parts
-    consts = LinkConstants.from_config(ref_cfg)
     g0 = max_antenna_gain(ref_cfg.theta_3db)
+    p_noise = noise_power_dbm(ref_cfg.bandwidth, ref_cfg.noise_figure)
     for p_dbm, d in [(30.0, 20.0), (40.0, 101.98), (17.5, 55.0)]:
         parts = (p_dbm - path_loss(d, ref_cfg.wavelength, ref_cfg.pathloss_exp)
-                 + g0 + g0 - ref_cfg.shadowing - consts.p_noise_dbm)
-        assert abs(snr_db(p_dbm, d, 0.0, consts, ref_cfg) - parts) <= 1e-9
+                 + g0 + g0 - ref_cfg.shadowing - p_noise)
+        assert abs(snr_db(p_dbm, d, 0.0, ref_cfg) - parts) <= 1e-9
 
 
 def test_snr_reference_value(ref_cfg):
-    consts = LinkConstants.from_config(ref_cfg)
-    assert_allclose(snr_db(30.0, 20.0, 0.0, consts, ref_cfg), 32.44, atol=0.02)
+    assert_allclose(snr_db(30.0, 20.0, 0.0, ref_cfg), 32.44, atol=0.02)
     # dB additivity in transmit power
-    assert_allclose(snr_db(40.0, 20.0, 0.0, consts, ref_cfg)
-                    - snr_db(30.0, 20.0, 0.0, consts, ref_cfg), 10.0, rtol=1e-12)
+    assert_allclose(snr_db(40.0, 20.0, 0.0, ref_cfg)
+                    - snr_db(30.0, 20.0, 0.0, ref_cfg), 10.0, rtol=1e-12)
     # distance penalty is pure path loss
-    drop = snr_db(30.0, 20.0, 0.0, consts, ref_cfg) \
-        - snr_db(30.0, 101.98, 0.0, consts, ref_cfg)
+    drop = snr_db(30.0, 20.0, 0.0, ref_cfg) \
+        - snr_db(30.0, 101.98, 0.0, ref_cfg)
     assert_allclose(drop, 20.0 * math.log10(101.98 / 20.0), rtol=1e-12)
     assert_allclose(drop, 14.15, atol=5e-3)
 
 
 def test_snr_decreasing_and_fading_sign(ref_cfg):
-    consts = LinkConstants.from_config(ref_cfg)
     ds = np.linspace(20.0, 150.0, 40)
-    s = snr_db(30.0, ds, 0.0, consts, ref_cfg)
+    s = snr_db(30.0, ds, 0.0, ref_cfg)
     assert np.all(np.diff(s) < 0)
     # positive gamma (an attenuation) degrades the SNR
-    assert snr_db(30.0, 50.0, 3.0, consts, ref_cfg) \
-        == pytest.approx(snr_db(30.0, 50.0, 0.0, consts, ref_cfg) - 3.0)
+    assert snr_db(30.0, 50.0, 3.0, ref_cfg) \
+        == pytest.approx(snr_db(30.0, 50.0, 0.0, ref_cfg) - 3.0)
 
 
 def test_snr_linear_per_watt_consistency(ref_cfg):
-    consts = LinkConstants.from_config(ref_cfg)
     d = 37.0
     p_w = 1.7
-    expected = 10.0 ** (snr_db(10 * math.log10(p_w * 1000), d, 0.0, consts, ref_cfg) / 10)
+    expected = 10.0 ** (snr_db(10 * math.log10(p_w * 1000), d, 0.0, ref_cfg) / 10)
     assert_allclose(p_w * snr_linear_per_watt(ref_cfg, d), expected, rtol=1e-12)
 
 
