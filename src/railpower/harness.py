@@ -22,11 +22,20 @@ deterministic gain table, which also serves planning, and a fading
 trace scales that table's factors into the evaluation table without
 recomputing the geometry.  What the trials at one scenario share (the
 schedule, that table, the floor and the scenario digest) is a
-:class:`PreparedPoint`, built once per sweep task: a task runs a
-contiguous run of one swept value's trials, one task per value at
-``workers=1`` and up to ``workers`` per value in the process pool.
-Every trial still solves its own ``optimized`` row and draws from its
-own seed sequence, so the CSV does not depend on ``workers``.
+:class:`PreparedPoint`, built once per sweep task, and a task is one
+swept value with all of its trials.
+
+Chain rule: a task draws every trial's speed error first, then runs the
+trials in ascending (speed error, trial) order, so the planned floor
+never falls along the chain.  The first
+``optimized`` solve is cold; each later one warm-starts from the last
+converged solve of the task (its allocation, ``lam_hat`` and ``sigma``).
+Every trial still makes its own solve and draws from its own seed
+sequence, and a chain never crosses tasks, so the CSV does not depend on
+``workers``.  Trials at an equal floor (every trial at sigma_v = 0, or
+the trials of a fading sweep value) are therefore no longer bit-identical
+to each other: each is a converged solve within the solver tolerance of
+the floor.  A value with one trial solves cold, as a plain run does.
 Solver settings reach :func:`optimizer.solve` as the one
 :class:`optimizer.SolverOptions` held by :class:`HarnessOptions`.
 """
@@ -38,7 +47,7 @@ import io
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,6 +98,8 @@ class RunRecord:
     h_inf: float | None     # solver rows only
     error: str = ""
     wall_time_s: float = 0.0   # measured, intentionally not serialised
+    # an ``optimized`` row's (allocation, SolveResult), not serialised
+    solution: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -148,7 +159,7 @@ _POINT_COLUMNS = ("kind", "param", "value", "trial", "scenario",
 def _record(point: dict, scheme: str, energy_j: float = NAN, data_bits: float = NAN,
             se: float = NAN, meets_floor: bool = False, converged: bool = False,
             cycles: int | None = None, h_inf: float | None = None, error: str = "",
-            wall_time_s: float = 0.0) -> RunRecord:
+            wall_time_s: float = 0.0, solution: tuple | None = None) -> RunRecord:
     """Build one row: ``point`` maps the :data:`_POINT_COLUMNS`, and the
     defaults describe a failed scheme.  EE is :func:`metrics.energy_efficiency`
     of the row's data and energy, so EE = D/E holds on every row."""
@@ -156,7 +167,7 @@ def _record(point: dict, scheme: str, energy_j: float = NAN, data_bits: float = 
                      ee_bits_per_j=metrics.energy_efficiency(data_bits, energy_j),
                      se_bits_per_s_per_hz=se, meets_floor=meets_floor,
                      converged=converged, cycles=cycles, h_inf=h_inf, error=error,
-                     wall_time_s=wall_time_s)
+                     wall_time_s=wall_time_s, solution=solution)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,14 +196,17 @@ def prepare_point(cfg: ScenarioConfig) -> PreparedPoint:
 def run_point(point: ScenarioConfig | PreparedPoint, options: HarnessOptions,
               seed_seq: np.random.SeedSequence,
               kind: str = "run", param: str = "", value: float = NAN,
-              trial: int = -1, speed_error: float = 0.0) -> list[RunRecord]:
+              trial: int = -1, speed_error: float = 0.0,
+              warm: tuple | None = None) -> list[RunRecord]:
     """Run the requested schemes once on a point; every row is evaluated there.
 
     ``point`` is a :class:`PreparedPoint`, or a config that is prepared on
     entry.  ``speed_error`` [m/s] is the planner's error: the optimised
     scheme plans for the speed ``cfg.v + speed_error`` by chasing the floor
     scaled by that speed over ``cfg.v`` on the true-speed table (see the
-    module docstring).
+    module docstring).  ``warm`` is passed to :func:`optimizer.solve`, and
+    the ``optimized`` row carries its solve's (allocation, result) pair as
+    ``solution``.
     """
     if isinstance(point, ScenarioConfig):
         point = prepare_point(point)
@@ -211,7 +225,7 @@ def run_point(point: ScenarioConfig | PreparedPoint, options: HarnessOptions,
     records = []
     for scheme in options.schemes:
         start = time.perf_counter()
-        cycles, h_inf, converged = None, None, True
+        cycles, h_inf, converged, solution = None, None, True, None
         try:
             if scheme == "constant":
                 alloc = allocators.constant_alloc(cfg, sched)
@@ -223,8 +237,8 @@ def run_point(point: ScenarioConfig | PreparedPoint, options: HarnessOptions,
                 alloc = allocators.csi_alloc(cfg, sched, det_table,
                                              rng_csi if cfg.fading else None)
             else:   # "optimized": HarnessOptions admits no other name
-                alloc, diag = optimizer.solve(
-                    cfg, sched, d_min=d_min_bits * ((cfg.v + speed_error) / cfg.v),
+                solution = alloc, diag = optimizer.solve(
+                    cfg, sched, warm, d_min=d_min_bits * ((cfg.v + speed_error) / cfg.v),
                     options=options.solver, table=det_table)
                 cycles, h_inf, converged = diag.cycles, diag.h_inf, diag.converged
         except ValueError as exc:   # InfeasibleDataFloor included
@@ -237,7 +251,7 @@ def run_point(point: ScenarioConfig | PreparedPoint, options: HarnessOptions,
             se=rec.se_bits_per_s_per_hz,
             meets_floor=bool(rec.data_bits >= d_min_bits * (1.0 - options.solver.eps)),
             converged=converged, cycles=cycles, h_inf=h_inf,
-            wall_time_s=time.perf_counter() - start))
+            wall_time_s=time.perf_counter() - start, solution=solution))
     return records
 
 
@@ -277,9 +291,13 @@ def _mean_records(rows: list[RunRecord]) -> list[RunRecord]:
 
 
 def _sweep_task(args) -> list[RunRecord]:
-    """The trial rows of one swept value's contiguous run of trials, all
-    run on one :class:`PreparedPoint`."""
-    cfg, options, spec, idx, value, trials = args
+    """The trial rows of one swept value, all run on one :class:`PreparedPoint`.
+
+    Every trial's speed error is drawn first; the trials then run in
+    ascending (speed error, trial) order, each ``optimized`` solve
+    warm-started from the last converged one, and come back in trial order.
+    """
+    cfg, options, spec, idx, value = args
     point_cfg = cfg   # sigma_v is the planner's error, not a scenario field
     if spec.param != "sigma_v":
         try:
@@ -291,42 +309,45 @@ def _sweep_task(args) -> list[RunRecord]:
                            **_scenario_columns({**vars(cfg),
                                                 **_swept_field(spec.param, value)}))
             return [_record({**columns, "trial": trial}, s, error=str(exc))
-                    for trial in trials for s in options.schemes]
+                    for trial in range(spec.trials) for s in options.schemes]
     point = prepare_point(point_cfg)
-    rows = []
-    for trial in trials:
-        seed_seq = np.random.SeedSequence((cfg.seed, idx, trial))
-        speed_error = 0.0
-        if spec.param == "sigma_v" and value > 0:
-            # drawn first; no draw at sigma 0 keeps the streams of a plain run
-            speed_error = draw_speed_error(np.random.default_rng(seed_seq.spawn(1)[0]),
-                                           value)
-        rows += run_point(point, options, seed_seq, kind="trial", param=spec.param,
-                          value=float(value), trial=trial, speed_error=speed_error)
-    return rows
+    seed_seqs = [np.random.SeedSequence((cfg.seed, idx, trial))
+                 for trial in range(spec.trials)]
+    # drawn first; no draw at sigma 0 keeps the streams of a plain run
+    errors = [draw_speed_error(np.random.default_rng(seq.spawn(1)[0]), value)
+              if spec.param == "sigma_v" and value > 0 else 0.0 for seq in seed_seqs]
+    order = sorted(range(spec.trials), key=lambda trial: (errors[trial], trial))
+    per_trial, warm = {}, None
+    for trial in order:
+        rows = per_trial[trial] = run_point(
+            point, options, seed_seqs[trial], kind="trial", param=spec.param,
+            value=float(value), trial=trial, speed_error=errors[trial], warm=warm)
+        warm = next((r.solution for r in rows
+                     if r.solution is not None and r.converged), warm)
+    return [r for trial in range(spec.trials) for r in per_trial[trial]]
 
 
 def sweep(cfg: ScenarioConfig, options: HarnessOptions, spec: SweepSpec,
           workers: int = 1) -> list[RunRecord]:
     """One-parameter sweep; failing points become error rows, not crashes.
 
-    Each task runs a contiguous run of one value's trials on one
-    :class:`PreparedPoint`, so the trials share its schedule, gain table
-    and floor; each trial still solves its own ``optimized`` row.  A
-    value's trials form one task at ``workers=1`` and up to ``workers``
-    tasks in the process pool.  Every trial keeps its own RNG streams, so
-    the rows, which come back in value-then-trial order, do not depend on
-    ``workers``.
+    Each swept value is one task: its trials share one
+    :class:`PreparedPoint` (schedule, gain table and floor), and their
+    ``optimized`` solves form one chain in ascending planned floor, each
+    warm-started from the last converged solve (see :func:`_sweep_task`).
+    Tasks run in a process pool of at most ``workers`` processes when
+    there is more than one task and ``workers > 1``, else in this process.
+    Every trial keeps its own RNG streams and a chain never crosses tasks,
+    so the rows, which come back in value-then-trial order, do not depend
+    on ``workers``.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    chunk = -(-spec.trials // workers)   # ceil: at most `workers` chunks per value
-    tasks = [(cfg, options, spec, idx, value, range(first, min(first + chunk, spec.trials)))
-             for idx, value in enumerate(spec.values)
-             for first in range(0, spec.trials, chunk)]
+    tasks = [(cfg, options, spec, idx, value) for idx, value in enumerate(spec.values)]
+    workers = min(workers, len(tasks))
     if workers > 1:
         # the fork start method launches every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_task = list(pool.map(_sweep_task, tasks))
     else:
         per_task = [_sweep_task(t) for t in tasks]

@@ -248,8 +248,8 @@ def test_sweep_worker_pool_matches_serial(ref_cfg, options):
     serial = records_to_csv(sweep(ref_cfg, baselines, spec, workers=1))
     pooled = records_to_csv(sweep(ref_cfg, baselines, spec, workers=2))
     assert serial == pooled
-    # a value's 5 trials run as one task at workers=1, as 3 + 2 at
-    # workers=2 and as 2 + 2 + 1 at workers=3
+    # each value's 5 trials form one chained task, run in this process at
+    # workers=1 and in a two-process pool at workers=2 and 3
     fading = ref_cfg.with_(fading=True)
     mc = [records_to_csv(monte_carlo_velocity_error(fading, options, sigmas=[0.0, 2.0],
                                                     trials=5, workers=w))
@@ -262,7 +262,8 @@ def test_sweep_worker_pool_matches_serial(ref_cfg, options):
 
 def test_sweep_pool_no_larger_than_its_tasks(monkeypatch, ref_cfg, options):
     # the fork start method launches every worker at the first submit, so
-    # the pool asks for no more workers than there are tasks
+    # the pool asks for no more workers than there are tasks, and a single
+    # task runs in this process without a pool
     requested = []
 
     class SerialPool:
@@ -279,23 +280,39 @@ def test_sweep_pool_no_larger_than_its_tasks(monkeypatch, ref_cfg, options):
             return map(fn, tasks)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
-    spec = SweepSpec(param="d_l", values=(200.0,), trials=1)
     baselines = replace(options, schemes=("constant", "average"))
-    pooled = records_to_csv(sweep(ref_cfg, baselines, spec, workers=64))
-    assert requested == [1]
-    assert pooled == records_to_csv(sweep(ref_cfg, baselines, spec, workers=1))
+    one = SweepSpec(param="d_l", values=(200.0,), trials=3)
+    serial = records_to_csv(sweep(ref_cfg, baselines, one, workers=64))
+    assert requested == []
+    assert serial == records_to_csv(sweep(ref_cfg, baselines, one, workers=1))
+    two = SweepSpec(param="d_l", values=(180.0, 200.0), trials=3)
+    pooled = records_to_csv(sweep(ref_cfg, baselines, two, workers=64))
+    assert requested == [2]
+    assert pooled == records_to_csv(sweep(ref_cfg, baselines, two, workers=1))
 
 
 def _per_trial_study(cfg, options, sigmas, trials):
-    """The velocity-error study as one plain run_point(cfg, ...) per trial."""
+    """The velocity-error study as one plain run_point(cfg, ...) per trial,
+    chained by hand: in (floor, trial) order, each warm-started from the
+    last converged solve at the same sigma."""
     rows = []
     for idx, sigma in enumerate(sigmas):
-        for trial in range(trials):
-            seq = np.random.SeedSequence((cfg.seed, idx, trial))
-            error = (draw_speed_error(np.random.default_rng(seq.spawn(1)[0]), sigma)
-                     if sigma > 0 else 0.0)
-            rows += run_point(cfg, options, seq, kind="trial", param="sigma_v",
-                              value=sigma, trial=trial, speed_error=error)
+        seqs = [np.random.SeedSequence((cfg.seed, idx, trial)) for trial in range(trials)]
+        errors = [draw_speed_error(np.random.default_rng(seq.spawn(1)[0]), sigma)
+                  if sigma > 0 else 0.0 for seq in seqs]
+        sched = segment_boundaries(cfg)
+        floor = optimizer.data_floor(cfg, sched, metrics.build_gain_table(cfg, sched))
+        order = sorted(range(trials),
+                       key=lambda t: (floor * ((cfg.v + errors[t]) / cfg.v), t))
+        by_trial, warm = {}, None
+        for trial in order:
+            by_trial[trial] = run_point(cfg, options, seqs[trial], kind="trial",
+                                        param="sigma_v", value=sigma, trial=trial,
+                                        speed_error=errors[trial], warm=warm)
+            opt = next(r for r in by_trial[trial] if r.scheme == "optimized")
+            if opt.converged:
+                warm = opt.solution
+        rows += [r for trial in range(trials) for r in by_trial[trial]]
     return rows + _mean_records(rows)
 
 
@@ -314,9 +331,26 @@ def test_study_shares_one_point_per_task(monkeypatch, ref_cfg, options, fading):
 
     rows = monte_carlo_velocity_error(cfg, options, sigmas, trials=trials)
     assert records_to_csv(rows) == expected
-    # one table and floor per task (one task per sigma at workers=1), and
-    # one solve per trial
+    # one table and floor per task (one task per sigma), and one solve per
+    # trial
     assert calls == {"build_gain_table": 2, "data_floor": 2, "solve": 2 * trials}
+
+
+def test_chained_trials_stay_within_the_floor_tolerance_of_cold_solves(ref_cfg, ref_sched,
+                                                                         ref_table, options):
+    # a chained solve and a cold one at the same floor both end within eps
+    # of it, so their energies differ by the floor tolerance: 4.7e-4
+    # relative at most on this grid (4.9e-4 at 100 trials), bounded by 5 eps
+    rows = monte_carlo_velocity_error(ref_cfg, replace(options, schemes=("optimized",)),
+                                      sigmas=[0.0, 1.0, 2.0, 3.0, 4.0, 5.0], trials=25)
+    chained = [r for r in rows if r.kind == "trial"]
+    assert len(chained) == 150
+    for r in chained:
+        assert r.converged
+        _, warm = r.solution
+        _, cold = solve(ref_cfg, ref_sched, d_min=warm.d_min, options=options.solver,
+                        table=ref_table)
+        assert abs(r.energy_j - cold.energy_j) <= 5 * options.solver.eps * cold.energy_j
 
 
 def test_fading_run_is_deterministic(options):

@@ -358,10 +358,29 @@ def test_solve_accepts_custom_init(ref_cfg, ref_sched, ref_table, ref_solution):
     from railpower import constant_alloc
 
     d_min, _, res_avg = ref_solution
-    _, res = solve(ref_cfg, ref_sched, init=constant_alloc(ref_cfg, ref_sched),
+    _, res = solve(ref_cfg, ref_sched, warm=(constant_alloc(ref_cfg, ref_sched), res_avg),
                    d_min=d_min, table=ref_table)
     assert res.converged
     assert abs(res.energy_j - res_avg.energy_j) <= 0.02 * res_avg.energy_j
+
+
+def test_solve_warm_started_from_its_own_result(ref_cfg, ref_sched, ref_table, ref_solution):
+    # the returned allocation with its lam_hat and sigma is already within
+    # eps of the floor, so the first cycle ends the loop
+    d_min, alloc, res = ref_solution
+    _, warm = solve(ref_cfg, ref_sched, warm=(alloc, res), d_min=d_min, table=ref_table)
+    assert warm.cycles == 1
+    assert warm.converged and warm.h_inf <= SolverOptions().eps
+
+
+def test_solve_rejects_a_mismatched_warm_start(ref_cfg, ref_sched, ref_table, ref_solution):
+    d_min, alloc, res = ref_solution
+    small = ref_cfg.with_(num_relays=2)
+    small_alloc, small_res = solve(small, segment_boundaries(small))
+    with pytest.raises(ValueError, match="mask"):
+        solve(ref_cfg, ref_sched, warm=(small_alloc, res), d_min=d_min, table=ref_table)
+    with pytest.raises(ValueError, match="2M\\+N-1"):
+        solve(ref_cfg, ref_sched, warm=(alloc, small_res), d_min=d_min, table=ref_table)
 
 
 def test_solve_rejects_nonpositive_floor(ref_cfg, ref_sched, ref_table):
@@ -460,7 +479,7 @@ def test_solve_recovers_from_over_budget_init(ref_cfg, ref_sched, ref_table,
     d_min, _, res_ref = ref_solution
     hot = AllocationMatrix(1.5 * average_alloc(ref_cfg, ref_sched).values,
                            activity_mask(ref_cfg))
-    alloc, res = solve(ref_cfg, ref_sched, init=hot, d_min=d_min, table=ref_table)
+    alloc, res = solve(ref_cfg, ref_sched, warm=(hot, res_ref), d_min=d_min, table=ref_table)
     assert res.converged
     assert validate_alloc(alloc, ref_cfg, ref_sched, tol=1e-6 * ref_cfg.p_t) == []
     assert abs(res.energy_j - res_ref.energy_j) <= 0.02 * res_ref.energy_j
