@@ -343,16 +343,16 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     A cold solve starts from the average allocation with lam = 0 and
     sigma = ``options.sigma0``.  ``warm`` is a previous solve's
     ``(allocation, result)`` on the same relay layout, typically at a
-    nearby floor: the loop then starts from that allocation, its
+    nearby floor; the loop then starts from that allocation, its
     ``lam_hat`` and its ``sigma``, with the case (b) flag cleared (the
     method-of-multipliers continuation; Bertsekas, Constrained
-    Optimization and Lagrange Multiplier Methods, 1982, sec. 2.2).  A
-    warm allocation whose mask differs from the table's, or a ``lam_hat``
-    without 2M+N-1 entries, raises ``ValueError``.  The average
-    allocation's data pass is the feasibility test either way.  The start
-    point is scaled and clipped to x >= 0 once; the cycles carry x and
-    its residuals, and the best x is converted to watts at return.  The
-    result's ``energy_j`` and
+    Optimization and Lagrange Multiplier Methods, 1982, sec. 2.2).  The
+    average allocation's data pass is the feasibility test either way,
+    and it runs first.  A warm allocation whose mask differs from the
+    table's, or a ``lam_hat`` without 2M+N-1 entries, raises
+    ``ValueError``.  The start point is scaled and clipped to x >= 0
+    once; the cycles carry x and its residuals, and the best x is
+    converted to watts at return.  The result's ``energy_j`` and
     ``data_bits`` are :func:`metrics.compute_metrics` of the returned
     allocation on ``table``, the figures a harness row reports for it.
     Raises ``ValueError`` for a floor that is not positive and
@@ -369,14 +369,6 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     if d_min is None:
         d_min = data_floor(cfg, sched, table)
     state = MultiplierState.initial(cfg, options)
-    if warm is not None:
-        warm_alloc, warm_result = warm
-        if not np.array_equal(warm_alloc.mask, table.mask):
-            raise ValueError("the warm allocation's relay mask differs from the table's")
-        if warm_result.lam_hat.shape != state.lam.shape:
-            raise ValueError(f"the warm multipliers hold {warm_result.lam_hat.size} entries, "
-                             f"not 2M+N-1 = {state.lam.size}")
-        state = MultiplierState(lam=warm_result.lam_hat, sigma=warm_result.sigma)
 
     problem = Problem(cfg, sched, d_min, table)
     x = problem.to_scaled(average_alloc(cfg, sched))
@@ -387,6 +379,13 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
             "deliverable at the full per-segment budget"
         )
     if warm is not None:
+        warm_alloc, warm_result = warm
+        if not np.array_equal(warm_alloc.mask, table.mask):
+            raise ValueError("the warm allocation's relay mask differs from the table's")
+        if warm_result.lam_hat.shape != state.lam.shape:
+            raise ValueError(f"the warm multipliers hold {warm_result.lam_hat.size} entries, "
+                             f"not 2M+N-1 = {state.lam.size}")
+        state = MultiplierState(lam=warm_result.lam_hat, sigma=warm_result.sigma)
         x = np.maximum(problem.to_scaled(warm_alloc), 0.0)
         h = problem.residuals_scaled(x)
 
