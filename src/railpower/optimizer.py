@@ -45,28 +45,36 @@ at zero below the budget.  The literal equality form would pin the
 energy at P_T times the traversal time and erase the optimisation gain.
 The KKT residual refers to the same inequality-form optimality system.
 
-Inner step: projected Newton on the merit Hessian (Bertsekas, "Projected
-Newton methods for optimization problems with simple constraints", SIAM
-J. Control Optim. 20(2), 1982; for the bound-constrained augmented
-Lagrangian, Nocedal & Wright, Numerical Optimization, 2006, sec. 17.4).
-Each D_ij depends on P_ij alone, so with c = lam_0 - 2 sigma h0 the
-Hessian of phi is
+Inner step: projected Newton on a model of the merit Hessian (Bertsekas,
+"Projected Newton methods for optimization problems with simple
+constraints", SIAM J. Control Optim. 20(2), 1982; for the
+bound-constrained augmented Lagrangian, Nocedal & Wright, Numerical
+Optimization, 2006, sec. 17.4).  Each D_k depends on x_k alone, so with
+c = lam_0 - 2 sigma h0 the merit gradient is g_k = t_k - c D'_k, where
+t_k is entry k's normalised segment time plus, when its column j is
+capped, 2 sigma h_j - lam_j.  The model Hessian is
 
-    H = c |diag(h0'')| + 2 sigma grad h0 grad h0^T
+    H = diag(a) + 2 sigma grad h0 grad h0^T
         + 2 sigma * sum over capped columns j of 1_j 1_j^T,
+    a_k = |D''_k| t_k / D'_k,
 
-a positive diagonal (for c > 0) plus one rank-one term per capped column
-and one for the data row.  Entries with x <= delta and a positive merit
-slope, delta = min(1e-3, ||x - max(x - g, 0)||), form the epsilon-active
-set and take the diagonally scaled step -g_i / H_ii toward the bound.
-The free entries solve H_FF d = -g_F: Sherman-Morrison inverts each
-capped column's block (diagonal plus 2 sigma 1 1^T), and one Woodbury
-rank-one update adds the data term, all in O(K) with no dense solve.
-When c <= 0 the data curvature is not positive (at rho = 1 the first
-cycle starts at lam = 0 on the floor, h0 = 0) and the step falls back to
-the projected gradient.  The stepsize halves from 1 until phi decreases
-(Nocedal & Wright, sec. 3.1), and the loop stops on the projected
-gradient norm.
+with the cap term in t_k clamped at zero, so a > 0 for every c.  a_k is
+the Newton diagonal of entry k's stationarity equation written as
+1/D'_k(x) = c / t_k: it equals the merit Hessian's c |D''_k| wherever
+t_k = c D'_k, so near a solution the step is Newton's and keeps its
+quadratic rate, and it is exact in one step for an entry with a single
+quadrature node.  Newton on D'_k itself creeps where a step has clipped
+entries to zero: the log-rate curvature there lets each later step only
+about double them, and at c <= 0 (at rho = 1 the first cycle starts at
+lam = 0 on the floor, h0 = 0) it has no positive curvature at all.
+Entries with x <= delta and a positive merit slope,
+delta = min(1e-3, ||x - max(x - g, 0)||), form the epsilon-active set
+and take the diagonally scaled step -g_i / H_ii toward the bound.  The
+free entries solve H_FF d = -g_F: Sherman-Morrison inverts each capped
+column's block (diagonal plus 2 sigma 1 1^T), and one Woodbury rank-one
+update adds the data term, all in O(K) with no dense solve.  The
+stepsize halves from 1 until phi decreases (Nocedal & Wright, sec. 3.1),
+and the loop stops on the projected gradient norm.
 """
 
 from __future__ import annotations
@@ -201,23 +209,25 @@ class Problem:
         """Projected-Newton direction for the merit gradient ``g`` at x.
 
         ``h``, ``dd`` and ``dd2`` are the residuals and the scaled data
-        derivatives at x.  The Hessian structure, the epsilon-active set
-        and the fallback are set out in the module docstring.
+        derivatives at x.  The model Hessian, its diagonal and the
+        epsilon-active set are set out in the module docstring.
         """
-        c = lam[0] - 2.0 * sigma * h[0]
-        if c <= 0.0:
-            return np.where((x <= 0.0) & (g > 0.0), 0.0, -g)
         # x - max(x - g, 0) = min(x, g)
         step = np.minimum(x, g)
         delta = min(1e-3, math.sqrt(float(step @ step)))
         active = (x <= delta) & (g > 0.0)
         two_s = 2.0 * sigma
-        curv = -c * dd2
-        inv_a = np.where(active, 0.0, 1.0 / curv)
-        bg, bu = inv_a * g, inv_a * dd
         capped = h[1:] > 0.0
         seg = self.segment
-        if capped.any():
+        any_capped = capped.any()
+        t = self._t_entry
+        if any_capped:
+            # a capped column's multiplier term, clamped so t stays positive
+            t = t + np.where(capped, np.maximum(two_s * h[1:] - lam[1:], 0.0), 0.0)[seg]
+        a = -dd2 * t / dd
+        inv_a = np.where(active, 0.0, 1.0 / a)
+        bg, bu = inv_a * g, inv_a * dd
+        if any_capped:
             # Sherman-Morrison per capped column on g and on the data gradient
             colsum = self.table.column_sums
             col = np.where(capped, two_s / (1.0 + two_s * colsum(inv_a)), 0.0)
@@ -227,7 +237,7 @@ class Problem:
         d_free = bg - two_s * float(dd @ bg) / (1.0 + two_s * float(dd @ bu)) * bu
         if not active.any():
             return -d_free
-        diag = curv + two_s * (dd * dd + capped[seg])
+        diag = a + two_s * (dd * dd + capped[seg])
         return -np.where(active, g / diag, d_free)
 
 

@@ -699,16 +699,29 @@ def newton_problems():
     return problems
 
 
-def dense_newton_direction(problem, x, g, h, dd, dd2, lam, sigma):
-    """The projected-Newton direction from the explicitly assembled Hessian,
-    solved by LU on its free block."""
-    c = lam[0] - 2.0 * sigma * h[0]
+def model_hessian(problem, h, dd, dd2, lam, sigma):
+    """The merit Hessian model, assembled: diag(|D''| t / D') plus the data
+    row's and the capped columns' rank-one terms, where t is the time weight
+    plus a capped column's multiplier term, clamped at zero."""
     cols = problem.segment
-    capped = (h[1:] > 0.0)[cols]
-    hess = (np.diag(-c * dd2) + 2.0 * sigma * np.outer(dd, dd)
+    capped = h[1:] > 0.0
+    t = problem.t_norm[cols] + np.where(
+        capped, np.maximum(2.0 * sigma * h[1:] - lam[1:], 0.0), 0.0)[cols]
+    capped = capped[cols]
+    return (np.diag(-dd2 * t / dd) + 2.0 * sigma * np.outer(dd, dd)
             + 2.0 * sigma * (capped[:, None] & (cols[:, None] == cols[None, :])))
+
+
+def epsilon_active(x, g):
     delta = min(1e-3, float(np.linalg.norm(x - np.maximum(x - g, 0.0))))
-    active = (x <= delta) & (g > 0.0)
+    return (x <= delta) & (g > 0.0)
+
+
+def dense_newton_direction(problem, x, g, h, dd, dd2, lam, sigma):
+    """The projected-Newton direction from the explicitly assembled model
+    Hessian, solved by LU on its free block."""
+    hess = model_hessian(problem, h, dd, dd2, lam, sigma)
+    active = epsilon_active(x, g)
     d = np.zeros(x.size)
     d[active] = -g[active] / np.diag(hess)[active]
     d[~active] = np.linalg.solve(hess[np.ix_(~active, ~active)], -g[~active])
@@ -731,10 +744,10 @@ def test_newton_direction_matches_dense_solve(newton_problems, case, seed, log_s
     lam = rng.normal(size=problem.t_norm.size + 1) * 10.0 ** rng.uniform(-2.0, 2.0)
     if set_curvature:
         # a small curvature factor c = lam_0 - 2 sigma h0 leaves zero entries
-        # with a positive slope: the epsilon-active set.  With c near 1e-3
-        # and sigma near 1e6 the assembled Hessian's condition number passes
-        # 1e10 and np.linalg.solve itself is off by more than 1e-8 (against
-        # a 40-digit solve), so these draws keep sigma <= 1e2
+        # with a positive slope: the epsilon-active set.  These draws keep
+        # sigma <= 1e2: at sigma = 1e6 with M = N = 1 and x at zero the data
+        # row's rank-one term outweighs the diagonal 1e8-fold, and the
+        # Woodbury update's cancellation leaves a relative error of 1.6e-8
         sigma = min(sigma, 1e2)
         lam[0] = 2.0 * sigma * h[0] + 10.0 ** log_c
     dd, dd2 = problem.table.data_derivatives(x)
@@ -743,9 +756,77 @@ def test_newton_direction_matches_dense_solve(newton_problems, case, seed, log_s
     projected = np.where((x <= 0.0) & (g > 0.0), 0.0, g)
     if np.any(projected != 0.0):
         assert float(g @ d) < 0.0
-    if lam[0] - 2.0 * sigma * h[0] <= 0.0:
-        # no positive data curvature: the projected gradient step
-        np.testing.assert_array_equal(d, -projected)
-        return
+    # every draw, c <= 0 and wrong-signed budget multipliers included: the
+    # model diagonal stays positive for them
     expected = dense_newton_direction(problem, x, g, h, dd, dd2, lam, sigma)
     assert np.linalg.norm(d - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
+def test_newton_direction_backward_stable_under_a_dominant_penalty(newton_problems):
+    # the regime where the penalty dwarfs the data curvature: sigma 1e5-1e6,
+    # c = lam_0 - 2 sigma h0 in 1e-3-1e-2, budget multipliers <= 0.  The
+    # step solves H d = -g with H the model Hessian reduced to its diagonal
+    # on the epsilon-active rows and columns
+    problem = newton_problems["M=2, N=2"]
+    rng = np.random.default_rng(0)
+    k_all, n_cols = problem.segment.size, problem.t_norm.size
+    worst = 0.0
+    for _ in range(3000):
+        x = rng.uniform(0.0, 1.2, k_all)
+        x *= rng.choice([0.0, 1e-3, 1.0], size=k_all, p=[0.15, 0.15, 0.7])
+        h = problem.residuals_scaled(x)
+        sigma = 10.0 ** rng.uniform(5.0, 6.0)
+        lam = np.empty(n_cols + 1)
+        lam[1:] = -np.abs(rng.normal(size=n_cols)) * 10.0 ** rng.uniform(-2.0, 2.0)
+        lam[0] = 2.0 * sigma * h[0] + 10.0 ** rng.uniform(-3.0, -2.0)
+        dd, dd2 = problem.table.data_derivatives(x)
+        g = problem.grad_phi(x, lam, sigma, h, dd)
+        d = problem.newton_direction(x, g, h, dd, dd2, lam, sigma)
+        hess = model_hessian(problem, h, dd, dd2, lam, sigma)
+        active = epsilon_active(x, g)
+        reduced = np.where(active[:, None] | active[None, :], 0.0, hess)
+        reduced[active, active] = np.diag(hess)[active]
+        err = np.linalg.norm(reduced @ d + g) / (
+            np.linalg.norm(reduced, 2) * np.linalg.norm(d) + np.linalg.norm(g))
+        worst = max(worst, err)
+    assert worst <= 1e-12
+
+
+def test_newton_direction_is_exact_for_a_one_node_entry():
+    # with one quadrature node 1/D'(x) is linear in x, so one Newton step on
+    # 1/D' = c / t lands on the root of c D'(x) = t
+    cfg = reference_config(num_relays=1, num_bins=1)
+    sched = segment_boundaries(cfg)
+    simpson = build_gain_table(cfg, sched)
+    table = GainTable(gains=simpson.gains[:, cfg.quad_n // 2:cfg.quad_n // 2 + 1],
+                      weights=sched.durations[simpson.segment][:, None],
+                      mask=simpson.mask, bandwidth=simpson.bandwidth)
+    problem = Problem(cfg, sched, data_floor(cfg, sched, table), table)
+    x = np.array([0.02])
+    lam, sigma = np.array([3.0, 0.0]), 1e-12
+    h = problem.residuals_scaled(x)
+    dd, dd2 = problem.table.data_derivatives(x)
+    g = problem.grad_phi(x, lam, sigma, h, dd)
+    d = problem.newton_direction(x, g, h, dd, dd2, lam, sigma)
+    c, t = lam[0] - 2.0 * sigma * h[0], problem.t_norm[0]
+    gain, weight = problem.table.gains[0, 0], problem.table.weights[0, 0]
+    root = c * problem.table.bandwidth / LN2 * weight / t - 1.0 / gain
+    assert root > 0.1
+    assert abs(x[0] + d[0] - root) <= 1e-9 * root
+
+
+def test_caps_binding_solves_within_their_work_budget():
+    # deterministic counts over the three cold caps-binding solves: 37
+    # cycles, 96 inner steps and 166 merit evaluations as measured; the
+    # bounds leave about 15% of headroom
+    cycles = steps = evals = 0
+    for rho, m in ((0.97, 4), (0.99, 4), (1.0, 2)):
+        cfg = reference_config(num_relays=m, rho=rho)
+        _, res = solve(cfg, segment_boundaries(cfg))
+        assert res.converged
+        cycles += res.cycles
+        steps += sum(c.inner_steps for c in res.history)
+        evals += sum(c.merit_evals for c in res.history)
+    assert cycles == 37
+    assert steps <= 110
+    assert evals <= 190
