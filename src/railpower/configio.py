@@ -1,11 +1,11 @@
 """Flat key=value scenario config files.
 
 One `key = value` pair per line, `#` starts a comment, blank lines are
-ignored.  Keys mirror the usual symbol names; speed is given as exactly
-one of v_kmh / v_mps and the budget as exactly one of pt_dbm / pt_w, with
-conversion to SI units happening here, once: :data:`KEYS` declares every
-key with the parser from its unit and the field it sets.  Unknown keys are
-rejected so typos fail loudly, and every error names the offending line.
+ignored.  Keys mirror the usual symbol names; speed is given in km/h
+(v_kmh) and the budget in dBm (pt_dbm), with conversion to SI units
+happening here, once: :data:`KEYS` declares every key with the parser
+from its unit and the field it sets.  Unknown keys are rejected so typos
+fail loudly, and every error names the offending line.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .scenario import KMH_TO_MPS, ScenarioConfig, dbm_to_watts
 
 SCHEMES = ("constant", "random", "average", "csi", "optimized")
 
-REQUIRED = ("m", "d_l")
+REQUIRED = ("m", "d_l", "v_kmh", "pt_dbm")
 
 # Where a key's parsed value goes: a ScenarioConfig field, a SolverOptions
 # field, or a HarnessOptions field (the scheme list).
@@ -43,9 +43,7 @@ KEYS = {
     "d_l": (float, (SCENARIO, "d_l")),
     "d_mr": (float, (SCENARIO, "d_mr")),
     "v_kmh": (lambda kmh: float(kmh) * KMH_TO_MPS, (SCENARIO, "v")),
-    "v_mps": (float, (SCENARIO, "v")),
     "pt_dbm": (lambda dbm: dbm_to_watts(float(dbm)), (SCENARIO, "p_t")),
-    "pt_w": (float, (SCENARIO, "p_t")),
     "bandwidth_hz": (float, (SCENARIO, "bandwidth")),
     "noise_figure_db": (float, (SCENARIO, "noise_figure")),
     "pathloss_exp": (float, (SCENARIO, "pathloss_exp")),
@@ -59,11 +57,8 @@ KEYS = {
     "quad_n": (int, (SCENARIO, "quad_n")),
     "csi_alpha": (float, (SCENARIO, "csi_alpha")),
     "fading": (_bool, (SCENARIO, "fading")),
-    "solver_sigma0": (float, (SOLVER, "sigma0")),
-    "solver_growth": (float, (SOLVER, "growth")),
     "solver_eps": (float, (SOLVER, "eps")),
     "solver_n_max": (int, (SOLVER, "n_max")),
-    "solver_inner_cap": (int, (SOLVER, "inner_cap")),
     "schemes": (_names, (HARNESS, "schemes")),
 }
 
@@ -125,9 +120,6 @@ def parse_config_text(text: str, path: str = "<config>") -> tuple[ScenarioConfig
     for key in REQUIRED:
         if key not in raw:
             raise ConfigError(f"missing required key {key!r}", path)
-    for what, keys in (("speed", ("v_kmh", "v_mps")), ("budget", ("pt_dbm", "pt_w"))):
-        if sum(k in raw for k in keys) != 1:
-            raise ConfigError(f"give the {what} as exactly one of {' or '.join(keys)}", path)
     if "rho" in raw and "d_min_bits" in raw:
         raise ConfigError("rho and d_min_bits are mutually exclusive", path)
 

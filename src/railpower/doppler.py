@@ -7,7 +7,7 @@ A lookup table stores the noiseless window at every sampled position
 together with the relative Doppler shift there; estimation finds the
 nearest stored window in Euclidean distance and rescales its relative
 shift by f_max = v / wavelength.  Relative shifts make the table valid
-at any speed, including an externally estimated one.
+at any configured speed.
 
 The nearest window to a query q is the first index of least computed
 distance ``np.linalg.norm(windows - q, axis=1)``, and a lookup returns
@@ -146,13 +146,18 @@ class DopplerTable:
 
     @classmethod
     def load(cls, path) -> "DopplerTable":
+        """Read a table written by :meth:`save`; a malformed header raises ValueError."""
         with open(path) as fh:
             first = fh.readline()
-        fields = dict(part.split("=") for part in first.lstrip("# ").split())
+        try:
+            fields = dict(part.split("=") for part in first.lstrip("# ").split())
+            x_s, half_width = float(fields["x_s"]), int(fields["L"])
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}: expected a '# x_s=... L=...' header line, "
+                             f"got {first.strip()!r}") from None
         data = np.atleast_2d(np.loadtxt(path))
         return cls(positions=data[:, 0].copy(), f_rel=data[:, 1].copy(),
-                   windows=data[:, 2:].copy(), x_s=float(fields["x_s"]),
-                   half_width=int(fields["L"]))
+                   windows=data[:, 2:].copy(), x_s=x_s, half_width=half_width)
 
 
 def build_table(cfg: ScenarioConfig, x_s: float = 1.0, L: int = 5) -> DopplerTable:
@@ -178,22 +183,17 @@ def build_table(cfg: ScenarioConfig, x_s: float = 1.0, L: int = 5) -> DopplerTab
                         x_s=x_s, half_width=L)
 
 
-def estimate_doppler(table: DopplerTable, window: RsrpWindow, cfg: ScenarioConfig,
-                     v: float | None = None) -> float:
+def estimate_doppler(table: DopplerTable, window: RsrpWindow, cfg: ScenarioConfig) -> float:
     """Nearest-window Doppler estimate [Hz].
 
     Finds the first table entry of least Euclidean distance between RSRP
     vectors, screened by one matrix-vector product and re-checked exactly
     (see the module docstring), and rescales its relative shift by
-    v / wavelength; ``v`` defaults to the configured speed but may be an
-    external estimate, finite and positive.
+    ``cfg.v / cfg.wavelength``.
     """
     n = table.windows.shape[1]
     if window.values.size != n:
         raise ValueError("window length does not match the table")
-    v = cfg.v if v is None else v
-    if not (math.isfinite(v) and v > 0.0):
-        raise ValueError("speed v must be finite and positive")
     q = window.values
     score = table.windows @ (-2.0 * q)     # a_k = s_k - 2 w_k.q
     score += table.sq_norms
@@ -202,4 +202,4 @@ def estimate_doppler(table: DopplerTable, window: RsrpWindow, cfg: ScenarioConfi
     # negated test: a NaN least score (overflow) keeps every row
     near = np.flatnonzero(~(score > score.min() + tau))
     k = int(near[np.argmin(np.linalg.norm(table.windows[near] - q, axis=1))])
-    return float(table.f_rel[k]) * v / cfg.wavelength
+    return float(table.f_rel[k]) * cfg.v / cfg.wavelength

@@ -421,8 +421,9 @@ FIGURES = {
 def emit_plot_data(csv_path, figure_id: str, out_dir) -> list[str]:
     """Reshape sweep CSV rows into per-figure series files plus a manifest.
 
-    The .dat file holds the x grid in the first column and one column per
-    scheme; any plotting tool can consume it.
+    Reads the ``mean`` rows, which every sweep and Monte Carlo CSV holds
+    for each swept value.  The .dat file holds the x grid in the first
+    column and one column per scheme; any plotting tool can consume it.
     """
     import os
 
@@ -432,8 +433,6 @@ def emit_plot_data(csv_path, figure_id: str, out_dir) -> list[str]:
     param, metric, x_label, y_label = FIGURES[figure_id]
     rows = read_csv_rows(csv_path)
     use = [r for r in rows if r["param"] == param and r["kind"] == "mean"]
-    if not use:
-        use = [r for r in rows if r["param"] == param and r["kind"] == "trial"]
     if not use:
         raise ValueError(f"no rows for parameter {param!r} in {csv_path}")
 

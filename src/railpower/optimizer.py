@@ -35,10 +35,13 @@ relays next to each other); column sums are one ``bincount`` over the
 entry-to-segment index, and no inactive entry is stored, computed or
 masked out.
 :class:`Problem` over a :class:`GainTable` is the one representation of
-the merit function, its derivatives and the residuals.  The five solver
-settings (initial penalty, growth factor, tolerance, cycle and step caps)
-live in one frozen :class:`SolverOptions`, which owns their defaults and
-validation; :class:`MultiplierState` holds only the multiplier iterate.
+the merit function, its derivatives and the residuals.  The two solver
+settings (tolerance and cycle cap) live in one frozen
+:class:`SolverOptions`, which owns their defaults and validation; the
+method's constants (initial penalty :data:`SIGMA0`, growth factor
+:data:`GROWTH`, per-cycle step guard :data:`INNER_CAP`) are fixed, like
+rule (b)'s ratio of 1/4.  :class:`MultiplierState` holds only the
+multiplier iterate.
 
 Budget handling: budget rows are one-sided caps, their residual clipped
 at zero below the budget.  The literal equality form would pin the
@@ -96,6 +99,10 @@ class InfeasibleDataFloor(ValueError):
 
 _log = logging.getLogger(__name__)
 
+SIGMA0 = 1.0       # initial penalty factor
+GROWTH = 4.0       # penalty growth factor of rules (a) and (c)
+INNER_CAP = 5000   # inner descent steps per cycle; a Newton solve takes tens in all
+
 
 def _linf(v) -> float:
     return float(np.max(np.abs(v)))
@@ -105,17 +112,12 @@ def _linf(v) -> float:
 class SolverOptions:
     """Solver settings: the one place their defaults are written."""
 
-    sigma0: float = 1.0      # initial penalty factor, > 0
-    growth: float = 4.0      # penalty growth factor, > 1
     eps: float = 1e-4        # tolerance on the scaled residual max norm
     n_max: int = 100         # outer cycle cap, >= 0
-    inner_cap: int = 5000    # inner descent steps per cycle, >= 1
 
     def __post_init__(self):
-        if self.sigma0 <= 0 or self.growth <= 1 or self.eps <= 0:
-            raise ValueError("require sigma0 > 0, growth > 1, eps > 0")
-        if self.n_max < 0 or self.inner_cap < 1:
-            raise ValueError("require n_max >= 0, inner_cap >= 1")
+        if self.eps <= 0 or self.n_max < 0:
+            raise ValueError("require eps > 0, n_max >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,9 +129,9 @@ class MultiplierState:
     sigma_grew: bool = False # bookkeeping for case (b); first cycle counts as flat
 
     @classmethod
-    def initial(cls, cfg: ScenarioConfig, options: SolverOptions) -> "MultiplierState":
+    def initial(cls, cfg: ScenarioConfig) -> "MultiplierState":
         lam = np.zeros(2 * cfg.num_relays + cfg.num_bins - 1)
-        return cls(lam=lam, sigma=options.sigma0)
+        return cls(lam=lam, sigma=SIGMA0)
 
 
 def data_floor(cfg: ScenarioConfig, sched: SegmentSchedule, table: GainTable) -> float:
@@ -261,14 +263,15 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
     decreases, and the accepted candidate's residuals are kept, so each
     merit evaluation is one data pass.  Stops once the projected gradient
     norm falls below ``options.eps``, on a backtracking stall, or at the
-    step cap; the last two flag the result rather than raising.
+    step cap :data:`INNER_CAP`; the last two flag the result rather than
+    raising.
     """
     phi = problem.phi(x, lam, sigma, h)
     phi_start, evals = phi, 1
     steps = 0
     reason, gnorm = "cap", math.inf
 
-    while steps < options.inner_cap:
+    while steps < INNER_CAP:
         dd, dd2 = problem.table.data_derivatives(x)
         g = problem.grad_phi(x, lam, sigma, h, dd)
         # projected gradient: no descent below zero at the bound
@@ -300,8 +303,7 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
     )
 
 
-def update_state(state: MultiplierState, h_now: np.ndarray, prev_inf: float,
-                 options: SolverOptions) -> MultiplierState:
+def update_state(state: MultiplierState, h_now: np.ndarray, prev_inf: float) -> MultiplierState:
     """Apply the between-cycle penalty/multiplier correction rules (a)-(c).
 
     ``prev_inf`` is the previous cycle's residual max norm, ``math.inf``
@@ -312,11 +314,11 @@ def update_state(state: MultiplierState, h_now: np.ndarray, prev_inf: float,
     """
     hinf = _linf(h_now)
     if hinf >= prev_inf:                                        # (a)
-        return replace(state, sigma=options.growth * state.sigma, sigma_grew=True)
+        return replace(state, sigma=GROWTH * state.sigma, sigma_grew=True)
     if state.sigma_grew or hinf <= 0.25 * prev_inf:             # (b)
         return replace(state, lam=state.lam - 2.0 * state.sigma * h_now,
                        sigma_grew=False)
-    return replace(state, sigma=options.growth * state.sigma, sigma_grew=True)  # (c)
+    return replace(state, sigma=GROWTH * state.sigma, sigma_grew=True)  # (c)
 
 
 @dataclass(frozen=True)
@@ -351,7 +353,7 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     """Run the full multiplier-penalty loop and return the best allocation.
 
     A cold solve starts from the average allocation with lam = 0 and
-    sigma = ``options.sigma0``.  ``warm`` is a previous solve's
+    sigma = :data:`SIGMA0`.  ``warm`` is a previous solve's
     ``(allocation, result)`` on the same relay layout, typically at a
     nearby floor; the loop then starts from that allocation, its
     ``lam_hat`` and its ``sigma``, with the case (b) flag cleared (the
@@ -378,7 +380,7 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
         table = build_gain_table(cfg, sched)
     if d_min is None:
         d_min = data_floor(cfg, sched, table)
-    state = MultiplierState.initial(cfg, options)
+    state = MultiplierState.initial(cfg)
 
     problem = Problem(cfg, sched, d_min, table)
     x = problem.to_scaled(average_alloc(cfg, sched))
@@ -414,7 +416,7 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
             best = (rec, x, state.lam - 2.0 * state.sigma * h)
         if rec.h_inf <= options.eps:
             break
-        state = update_state(state, h, prev_inf, options)
+        state = update_state(state, h, prev_inf)
         prev_inf = rec.h_inf
 
     rec, x, lam_hat = best

@@ -31,13 +31,13 @@ def test_run_command(tmp_path, capsys):
 
 
 def test_config_error_exit_code(tmp_path, capsys):
-    # a missing key, a negative cycle cap, an empty inner loop, a NaN cell,
+    # a missing key, a negative cycle cap, a zero tolerance, a NaN cell,
     # a negative or zero data floor, a zero CSI exponent, a beamwidth
     # outside (0, 180) degrees, a negative seed: each fails as the file
     # loads, naming it, so no study runs a point and no CSV is written
     for text, needle in (("m = 4\nv_kmh = 300\npt_dbm = 40\n", "d_l"),
                          (REF_CONFIG + "solver_n_max = -1\n", "n_max >= 0"),
-                         (REF_CONFIG + "solver_inner_cap = 0\n", "inner_cap >= 1"),
+                         (REF_CONFIG + "solver_eps = 0\n", "eps > 0"),
                          (REF_CONFIG.replace("d_l = 200", "d_l = nan"), "d_l must be finite"),
                          (REF_CONFIG + "d_min_bits = -5\n", "d_min_bits must be positive"),
                          (REF_CONFIG + "d_min_bits = 0\n", "d_min_bits must be positive"),

@@ -1,11 +1,12 @@
+import re
 from pathlib import Path
 
 import pytest
 from numpy.testing import assert_allclose
 
-from railpower import SolverOptions
-from railpower.configio import (SCHEMES, ConfigError, load_config, parse_config_text,
-                                scenario_hash)
+from railpower import ScenarioConfig, SolverOptions
+from railpower.configio import (KEYS, SCHEMES, ConfigError, HarnessOptions, load_config,
+                                parse_config_text, scenario_hash)
 
 MINIMAL = """
 # reference scenario
@@ -31,16 +32,14 @@ def test_parse_minimal_with_defaults():
     assert options.schemes == ("constant", "random", "average", "csi", "optimized")
 
 
-def test_parse_si_unit_alternates():
-    cfg, _ = parse_config_text("m=4\nd_l=200\nv_mps = 83.0\npt_w = 1.5\n")
-    assert cfg.v == 83.0 and cfg.p_t == 1.5
-
-
 def test_speed_given_twice_or_not_at_all():
-    with pytest.raises(ConfigError, match="exactly one of v_kmh"):
-        parse_config_text("m=4\nd_l=200\nv_kmh=300\nv_mps=83\npt_dbm=40\n")
-    with pytest.raises(ConfigError, match="exactly one of v_kmh"):
+    # speed and budget have one key each, and both are required
+    with pytest.raises(ConfigError, match=r":4: duplicate key 'v_kmh'"):
+        parse_config_text("m=4\nd_l=200\nv_kmh=300\nv_kmh=83\npt_dbm=40\n", path="x.cfg")
+    with pytest.raises(ConfigError, match="missing required key 'v_kmh'"):
         parse_config_text("m=4\nd_l=200\npt_dbm=40\n")
+    with pytest.raises(ConfigError, match="missing required key 'pt_dbm'"):
+        parse_config_text("m=4\nd_l=200\nv_kmh=300\n")
 
 
 def test_missing_required_key_is_named():
@@ -52,8 +51,11 @@ def test_unknown_key_reports_line_number():
     # solver_alpha included: the inner loop always backtracks, so a fixed
     # stepsize is not a setting; trials and sigma_v are study settings given
     # on the command line, not scenario keys; the rate integrand always
-    # carries the bandwidth, so bandwidth_factor is not a setting either
-    for key in ("bogus_key", "solver_alpha", "trials", "sigma_v", "bandwidth_factor"):
+    # carries the bandwidth, so bandwidth_factor is not a setting either;
+    # speed and budget take only km/h and dBm, and the initial penalty, its
+    # growth factor and the inner step cap are the method's constants
+    for key in ("bogus_key", "solver_alpha", "trials", "sigma_v", "bandwidth_factor",
+                "v_mps", "pt_w", "solver_sigma0", "solver_growth", "solver_inner_cap"):
         text = f"m=4\nd_l=200\nv_kmh=300\npt_dbm=40\n{key}=0.05\n"
         with pytest.raises(ConfigError, match=rf":5: unknown key '{key}'"):
             parse_config_text(text, path="scenario.cfg")
@@ -90,18 +92,15 @@ def test_invalid_geometry_surfaces_as_config_error():
 
 
 def test_solver_keys():
-    cfg, options = parse_config_text(
-        MINIMAL + "solver_eps = 1e-5\nsolver_n_max = 50\nsolver_sigma0 = 2\n")
-    # every solver_* key lands on its SolverOptions field, the rest keep defaults
-    assert options.solver == SolverOptions(eps=1e-5, n_max=50, sigma0=2.0)
-    _, options = parse_config_text(MINIMAL + "solver_growth = 3\nsolver_inner_cap = 700\n")
-    assert (options.solver.growth, options.solver.inner_cap) == (3.0, 700)
+    _, options = parse_config_text(MINIMAL + "solver_eps = 1e-5\nsolver_n_max = 50\n")
+    # every solver_* key lands on its SolverOptions field
+    assert options.solver == SolverOptions(eps=1e-5, n_max=50)
+    _, options = parse_config_text(MINIMAL + "solver_n_max = 7\n")
+    assert options.solver == SolverOptions(n_max=7)   # the other keeps its default
     assert parse_config_text(MINIMAL)[1].solver == SolverOptions()
     # SolverOptions validates, and a bad setting is a config error
-    with pytest.raises(ConfigError, match="growth"):
-        parse_config_text(MINIMAL + "solver_growth = 1\n")
-    for bad in ("solver_n_max = -1", "solver_inner_cap = 0", "solver_inner_cap = -5"):
-        with pytest.raises(ConfigError, match="n_max >= 0, inner_cap >= 1"):
+    for bad in ("solver_n_max = -1", "solver_eps = 0", "solver_eps = -1e-4"):
+        with pytest.raises(ConfigError, match="eps > 0, n_max >= 0"):
             parse_config_text(MINIMAL + bad + "\n")
 
 
@@ -137,3 +136,15 @@ def test_benchmark_scenarios_load():
     assert sorted(p.name for p in scenarios.glob("*.cfg")) == sorted(expected)
     for name, schemes in expected.items():
         assert load_config(scenarios / name)[1].schemes == schemes, name
+
+
+def test_readme_scenario_block_shows_every_key_at_its_default():
+    # the README's scenario block says "defaults shown": parsed, it is the
+    # default scenario and harness, and it names every key
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Scenario files", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg, options = parse_config_text(block, path="README.md")
+    assert cfg == ScenarioConfig()
+    assert options == HarnessOptions()
+    missing = [key for key in KEYS if not re.search(rf"\b{key}\b", block)]
+    assert missing == []

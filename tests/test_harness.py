@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from railpower import (KMH_TO_MPS, SolverOptions, allocators, build_table, harness,
-                       metrics, optimizer, reference_config, segment_boundaries, solve)
+from railpower import (KMH_TO_MPS, allocators, build_table, harness, metrics, optimizer,
+                       reference_config, segment_boundaries, solve)
 from railpower.configio import SCHEMES, HarnessOptions
 from railpower.harness import (RunRecord, SweepSpec, _mean_records, apply_sweep_value,
                                draw_speed_error, emit_plot_data, monte_carlo_velocity_error,
@@ -443,6 +443,11 @@ def test_emit_plot_data(tmp_path, ref_cfg, options):
         emit_plot_data(csv_path, "no-such-figure", tmp_path / "plots")
     with pytest.raises(ValueError):
         emit_plot_data(csv_path, "EE-vs-M", tmp_path / "plots")   # wrong parameter
+    # only mean rows are plotted: a CSV holding trial rows alone has none
+    trials_only = tmp_path / "trials.csv"
+    write_csv([r for r in rows if r.kind == "trial"], trials_only)
+    with pytest.raises(ValueError, match="no rows for parameter 'd_l'"):
+        emit_plot_data(trials_only, "E-vs-dl", tmp_path / "plots")
 
 
 def test_mean_rows_recompute_ratios_from_means():
@@ -472,7 +477,7 @@ def test_array_records_compare_by_identity():
         "DopplerTable": lambda: build_table(cfg, x_s=10.0),
         "PreparedPoint": lambda: prepare_point(cfg),
         "SolveResult": lambda: solve(cfg, sched)[1],
-        "MultiplierState": lambda: optimizer.MultiplierState.initial(cfg, SolverOptions()),
+        "MultiplierState": lambda: optimizer.MultiplierState.initial(cfg),
     }
     for name, build in builders.items():
         a, b = build(), build()

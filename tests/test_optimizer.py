@@ -146,25 +146,24 @@ def test_inner_descent_stationary_start(ref_cfg, ref_sched, ref_table):
 def test_inner_descent_monotone(ref_cfg, ref_sched, ref_table):
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
-    options = SolverOptions()
-    state = MultiplierState.initial(ref_cfg, options)
+    state = MultiplierState.initial(ref_cfg)
     x = problem.to_scaled(average_alloc(ref_cfg, ref_sched))
     out, h, info = inner_descent(problem, x, problem.residuals_scaled(x), state.lam,
-                                 state.sigma, options)
+                                 state.sigma, SolverOptions())
     assert info.phi_end <= info.phi_start
     # the returned residuals are those of the returned iterate
     assert np.array_equal(h, problem.residuals_scaled(out))
     assert info.phi_end == problem.phi(out, state.lam, state.sigma)
 
 
-def test_inner_descent_cap_flags_not_raises(ref_cfg, ref_sched, ref_table):
+def test_inner_descent_cap_flags_not_raises(monkeypatch, ref_cfg, ref_sched, ref_table):
+    monkeypatch.setattr(optimizer, "INNER_CAP", 3)
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
-    options = SolverOptions(inner_cap=3)
-    state = MultiplierState.initial(ref_cfg, options)
+    state = MultiplierState.initial(ref_cfg)
     x = problem.to_scaled(average_alloc(ref_cfg, ref_sched))
     _, _, info = inner_descent(problem, x, problem.residuals_scaled(x), state.lam,
-                               state.sigma, options)
+                               state.sigma, SolverOptions())
     assert info.reason == "cap" and info.steps == 3
 
 
@@ -222,10 +221,10 @@ def test_inner_descent_matches_grid_search(tiny):
     cfg, sched, table = tiny
     d_min = data_floor(cfg, sched, table)
     problem = Problem(cfg, sched, d_min, table)
-    options = SolverOptions()
-    lam = MultiplierState.initial(cfg, options).lam
+    lam = MultiplierState.initial(cfg).lam
     x = problem.to_scaled(average_alloc(cfg, sched))
-    out, _, info = inner_descent(problem, x, problem.residuals_scaled(x), lam, 1.0, options)
+    out, _, info = inner_descent(problem, x, problem.residuals_scaled(x), lam, 1.0,
+                                 SolverOptions())
     phi_inner = problem.phi(out, lam, 1.0)
     phi_grid = grid_min_phi(problem, table, cfg, lam0=0.0, sigma=1.0)
     # two-sided: a mis-modelled oracle that overstates the grid minimum
@@ -236,9 +235,6 @@ def test_inner_descent_matches_grid_search(tiny):
 
 # ------------------------------------------------------------- state updates
 
-OPTIONS = SolverOptions(growth=4.0, eps=1e-4)
-
-
 def _state(**kw):
     base = dict(lam=np.array([1.0, -0.5, 0.25]), sigma=2.0)
     base.update(kw)
@@ -246,13 +242,11 @@ def _state(**kw):
 
 
 def test_solver_options_validation():
-    assert SolverOptions() == SolverOptions(sigma0=1.0, growth=4.0, eps=1e-4,
-                                            n_max=100, inner_cap=5000)
-    for bad in ({"sigma0": 0.0}, {"growth": 1.0}, {"eps": 0.0}, {"n_max": -1},
-                {"inner_cap": 0}, {"inner_cap": -5}):
+    assert SolverOptions() == SolverOptions(eps=1e-4, n_max=100)
+    for bad in ({"eps": 0.0}, {"eps": -1e-4}, {"n_max": -1}):
         with pytest.raises(ValueError):
             SolverOptions(**bad)
-    assert MultiplierState.initial(reference_config(), SolverOptions(sigma0=3.0)).sigma == 3.0
+    assert MultiplierState.initial(reference_config()).sigma == optimizer.SIGMA0 == 1.0
 
 
 @pytest.mark.parametrize("rho, m", [(0.8, 4), (0.97, 4), (0.99, 4), (1.0, 2)])
@@ -277,8 +271,8 @@ def test_solve_stops_on_the_first_cycle_within_tolerance(monkeypatch, rho, m):
 def test_update_state_case_a_grows_sigma_on_equal_norms():
     st = _state()
     h = np.array([0.5, 0.0, 0.0])
-    out = update_state(st, h, 0.5, OPTIONS)
-    assert out.sigma == st.sigma * OPTIONS.growth
+    out = update_state(st, h, 0.5)
+    assert out.sigma == st.sigma * optimizer.GROWTH == st.sigma * 4.0
     assert np.array_equal(out.lam, st.lam)
     assert out.sigma_grew
 
@@ -286,7 +280,7 @@ def test_update_state_case_a_grows_sigma_on_equal_norms():
 def test_update_state_case_b_on_quarter_drop():
     st = _state()
     h_now = np.array([0.1, 0.0, 0.0])
-    out = update_state(st, h_now, 1.0, OPTIONS)
+    out = update_state(st, h_now, 1.0)
     assert out.sigma == st.sigma
     assert_allclose(out.lam, st.lam - 2.0 * st.sigma * h_now, rtol=1e-15)
     assert not out.sigma_grew
@@ -295,22 +289,22 @@ def test_update_state_case_b_on_quarter_drop():
 def test_update_state_case_b_after_sigma_growth():
     st = _state(sigma_grew=True)
     h_now = np.array([0.5, 0.0, 0.0])   # moderate progress, but sigma grew last cycle
-    out = update_state(st, h_now, 1.0, OPTIONS)
+    out = update_state(st, h_now, 1.0)
     assert out.sigma == st.sigma
     assert_allclose(out.lam, st.lam - 2.0 * st.sigma * h_now, rtol=1e-15)
 
 
 def test_update_state_case_c_grows_sigma_on_slow_progress():
     st = _state()
-    out = update_state(st, np.array([0.5, 0.0, 0.0]), 1.0, OPTIONS)
-    assert out.sigma == st.sigma * OPTIONS.growth
+    out = update_state(st, np.array([0.5, 0.0, 0.0]), 1.0)
+    assert out.sigma == st.sigma * optimizer.GROWTH
     assert np.array_equal(out.lam, st.lam)
 
 
 def test_update_state_first_cycle_corrects_multipliers():
     st = _state()
     h_now = np.array([0.3, 0.1, 0.0])
-    out = update_state(st, h_now, math.inf, OPTIONS)
+    out = update_state(st, h_now, math.inf)
     assert out.sigma == st.sigma
     assert_allclose(out.lam, st.lam - 2.0 * st.sigma * h_now, rtol=1e-15)
 
@@ -564,7 +558,7 @@ def plain_inner_descent(problem, x, h, lam, sigma, options):
     phi = problem.phi(x, lam, sigma, h)
     phi_start, steps, evals = phi, 0, 1
     reason, gnorm = "cap", math.inf
-    while steps < options.inner_cap:
+    while steps < optimizer.INNER_CAP:
         d = -problem.grad_phi(x, lam, sigma)
         d[(x <= 0.0) & (d < 0.0)] = 0.0
         gnorm = float(np.linalg.norm(d))
@@ -672,10 +666,11 @@ def test_solve_spends_at_most_the_budget_exactly(rho, m):
     assert res.energy_j == total_energy(alloc, sched)
 
 
-def test_inner_loop_stop_on_cap_is_logged(caplog):
+def test_inner_loop_stop_on_cap_is_logged(monkeypatch, caplog):
     cfg = reference_config()
-    with caplog.at_level("WARNING", logger="railpower.optimizer"):
-        _, res = solve(cfg, options=SolverOptions(inner_cap=1))
+    with caplog.at_level("WARNING", logger="railpower.optimizer"), monkeypatch.context() as m:
+        m.setattr(optimizer, "INNER_CAP", 1)
+        _, res = solve(cfg)
     assert any(c.inner_reason == "cap" for c in res.history)
     assert [r.name for r in caplog.records] == ["railpower.optimizer"]
     assert "stopped on cap" in caplog.records[0].getMessage()
