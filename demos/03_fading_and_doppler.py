@@ -1,8 +1,8 @@
 """Sample the Rician channel and estimate Doppler from RSRP windows.
 
 The fading envelope is the magnitude of a complex Gaussian with a
-line-of-sight mean; with a 10 dB K-factor and unit RMS it wobbles around
-0 dB.  Doppler estimation never touches the carrier: a window of eleven
+line-of-sight mean; with a 10 dB K-factor and unit RMS its power factor
+|r|^2 / E[r^2] wobbles around 1 (0 dB).  Doppler estimation never touches the carrier: a window of eleven
 RSRP samples pins down the track position, and the stored relative shift
 at the nearest stored window is rescaled by v / wavelength.
 """
@@ -10,7 +10,7 @@ at the nearest stored window is rescaled by v / wavelength.
 import numpy as np
 
 from railpower import (FadingModel, RsrpWindow, build_table, estimate_doppler,
-                       max_doppler, reference_config, rsrp_at, sample_fading_db,
+                       max_doppler, reference_config, rsrp_at, sample_fading_power,
                        sample_rician_envelope, true_doppler)
 
 rng = np.random.default_rng(1)
@@ -18,10 +18,12 @@ cfg = reference_config()
 
 model = FadingModel.from_k_db(cfg.rician_k)
 r = sample_rician_envelope(model, rng, size=200_000)
-gamma = sample_fading_db(model, rng, size=200_000)
+power = sample_fading_power(model, rng, size=200_000)
+gamma = -10.0 * np.log10(power)   # dB attenuation
 print("Rician envelope (K = 10 dB, unit RMS):")
 print(f"  mean envelope       : {r.mean():.4f}")
 print(f"  second moment       : {(r ** 2).mean():.4f} (expect {model.rms ** 2:.1f})")
+print(f"  mean power factor   : {power.mean():.4f} (expect 1.0)")
 print(f"  5th/95th pct of dB attenuation: "
       f"{np.percentile(gamma, 5):+.2f} / {np.percentile(gamma, 95):+.2f} dB")
 

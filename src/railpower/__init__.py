@@ -13,7 +13,7 @@ from .scenario import (KMH_TO_MPS, ScenarioConfig, SegmentSchedule, active_segme
                        mr_rrh_distance, mrs_in_cell, reference_config,
                        segment_boundaries, watts_to_dbm)
 from .radio import (FadingModel, LinkConstants, max_antenna_gain, noise_power_dbm,
-                    path_loss, sample_fading_db, sample_rician_envelope, snr_db,
+                    path_loss, sample_fading_power, sample_rician_envelope, snr_db,
                     snr_linear_per_watt)
 from .metrics import (AllocationMatrix, GainTable, MetricsRecord, build_gain_table,
                       compute_metrics, energy_efficiency, sample_fading_trace,

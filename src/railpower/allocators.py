@@ -58,7 +58,7 @@ def csi_alloc(cfg: ScenarioConfig, sched: SegmentSchedule, table: GainTable,
 
     Entry k's channel h_k is its factor in the deterministic gain ``table``
     at its segment's midpoint node Q/2 (``quad_n`` is even); pass an rng to
-    scale it by one Rician dB draw per (relay, segment).  Then
+    scale it by one Rician power factor per (relay, segment).  Then
     P_k = h_k^(-alpha) / sum over segment j's entries of h^(-alpha) * P_T,
     with alpha = ``cfg.csi_alpha``; the link constant in every factor
     cancels in that ratio.
@@ -66,8 +66,8 @@ def csi_alloc(cfg: ScenarioConfig, sched: SegmentSchedule, table: GainTable,
     h = table.gains[:, table.gains.shape[1] // 2]
     if rng is not None:
         model = radio.FadingModel.from_k_db(cfg.rician_k)
-        gamma = radio.sample_fading_db(model, rng, size=table.mask.shape)
-        h = h * 10.0 ** (-gamma.T[table.mask.T] / 10.0)
+        power = radio.sample_fading_power(model, rng, size=table.mask.shape)
+        h = h * power.T[table.mask.T]
     return _split_budget(cfg, table.mask, h ** (-cfg.csi_alpha))
 
 

@@ -45,6 +45,7 @@ screen, and the lookup costs up to one more full distance pass.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,7 +147,8 @@ class DopplerTable:
 
     @classmethod
     def load(cls, path) -> "DopplerTable":
-        """Read a table written by :meth:`save`; a malformed header raises ValueError."""
+        """Read a table written by :meth:`save`; a malformed header, or rows
+        that do not hold 2L+3 values, raise ValueError."""
         with open(path) as fh:
             first = fh.readline()
         try:
@@ -155,7 +157,14 @@ class DopplerTable:
         except (KeyError, ValueError):
             raise ValueError(f"{path}: expected a '# x_s=... L=...' header line, "
                              f"got {first.strip()!r}") from None
-        data = np.atleast_2d(np.loadtxt(path))
+        with warnings.catch_warnings():
+            # a file without rows is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, ndmin=2)
+        if data.size == 0 or data.shape[1] != 2 * half_width + 3:
+            found = f"{data.shape[1]} values" if data.size else "no rows"
+            raise ValueError(f"{path}: expected rows of 2L+3 = {2 * half_width + 3} values "
+                             f"(position, f_rel, 2L+1 RSRP), got {found}")
         return cls(positions=data[:, 0].copy(), f_rel=data[:, 1].copy(),
                    windows=data[:, 2:].copy(), x_s=x_s, half_width=half_width)
 

@@ -46,7 +46,6 @@ import csv
 import io
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,10 +244,13 @@ def run_point(point: ScenarioConfig | PreparedPoint, options: HarnessOptions,
             records.append(_record(columns, scheme, error=str(exc),
                                    wall_time_s=time.perf_counter() - start))
             continue
-        rec = metrics.compute_metrics(alloc, cfg, sched, eval_table)
+        if solution is not None and eval_table is det_table:
+            rec = diag   # its figures are compute_metrics of alloc on det_table
+        else:
+            rec = metrics.compute_metrics(alloc, cfg, sched, eval_table)
         records.append(_record(
             columns, scheme, energy_j=rec.energy_j, data_bits=rec.data_bits,
-            se=rec.se_bits_per_s_per_hz,
+            se=metrics.spectral_efficiency(rec.data_bits, cfg, sched),
             meets_floor=bool(rec.data_bits >= d_min_bits * (1.0 - options.solver.eps)),
             converged=converged, cycles=cycles, h_inf=h_inf,
             wall_time_s=time.perf_counter() - start, solution=solution))
@@ -327,6 +329,14 @@ def _sweep_task(args) -> list[RunRecord]:
     return [r for trial in range(spec.trials) for r in per_trial[trial]]
 
 
+def _process_pool(workers: int):
+    # imported on first use: the pool machinery loads multiprocessing, which
+    # a serial run never needs
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def sweep(cfg: ScenarioConfig, options: HarnessOptions, spec: SweepSpec,
           workers: int = 1) -> list[RunRecord]:
     """One-parameter sweep; failing points become error rows, not crashes.
@@ -347,7 +357,7 @@ def sweep(cfg: ScenarioConfig, options: HarnessOptions, spec: SweepSpec,
     workers = min(workers, len(tasks))
     if workers > 1:
         # the fork start method launches every worker at the first submit
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(workers) as pool:
             per_task = list(pool.map(_sweep_task, tasks))
     else:
         per_task = [_sweep_task(t) for t in tasks]

@@ -22,7 +22,10 @@ each segment's relays next to each other; per-segment sums are one
 ``bincount`` over the entry-to-segment index, which adds a column's
 entries in relay order exactly as a row-by-row sum of the dense matrix
 does.  :class:`AllocationMatrix` holds its powers in this layout too; its
-dense (M, S) matrix is a read-only view, built on demand.
+dense (M, S) matrix is a read-only view, built on demand.  So does a
+fading trace (:func:`sample_fading_trace`): one linear power factor per
+node of each active entry, which :meth:`GainTable.faded` multiplies into
+the gains.
 """
 
 from __future__ import annotations
@@ -140,16 +143,15 @@ class GainTable:
         scale = self.bandwidth / LN2
         return scale * np.add.reduce(wr, axis=1), -scale * np.add.reduce(wr * r, axis=1)
 
-    def faded(self, fading_db: np.ndarray) -> "GainTable":
-        """This table under a (M, S, Q+1) trace of dB attenuations.
+    def faded(self, power: np.ndarray) -> "GainTable":
+        """This table under a (K, Q+1) trace of linear fading power factors.
 
-        Only the active entries' factors are scaled; the geometry is not
-        recomputed.
+        Entry k's factor at node q multiplies its gain there; the geometry
+        is not recomputed.
         """
-        if fading_db.shape != self.mask.shape + self.gains.shape[1:]:
-            raise ValueError("fading trace shape must be (M, S, Q+1)")
-        attenuation = 10.0 ** (-fading_db.swapaxes(0, 1)[self.mask.T] / 10.0)
-        return replace(self, gains=self.gains * attenuation)
+        if power.shape != self.gains.shape:
+            raise ValueError("fading trace shape must be (K, Q+1)")
+        return replace(self, gains=self.gains * power)
 
 
 def build_gain_table(cfg: ScenarioConfig, sched: SegmentSchedule) -> GainTable:
@@ -178,15 +180,20 @@ def build_gain_table(cfg: ScenarioConfig, sched: SegmentSchedule) -> GainTable:
 
 def sample_fading_trace(cfg: ScenarioConfig, sched: SegmentSchedule,
                         rng: np.random.Generator) -> np.ndarray:
-    """Independent Rician dB attenuations at every quadrature node.
+    """Independent Rician power factors (K, Q+1) at the active entries' nodes.
 
     The coherence time (about 0.423 / f_max) is far shorter than the node
     spacing, so iid draws per node sample the ergodic average rate; the
     Monte Carlo spread of the faded data shrinks as ``quad_n`` grows.
+    Every node of every (relay, segment) pair is drawn, as
+    :func:`radio.sample_fading_power` of size (M, S, Q+1) draws them, and
+    the active entries are taken in the compact order before the factors
+    are formed.
     """
     model = radio.FadingModel.from_k_db(cfg.rician_k)
-    size = (cfg.num_relays, cfg.num_segments, cfg.quad_n + 1)
-    return radio.sample_fading_db(model, rng, size=size)
+    re, im = radio._standard_pairs(rng, (cfg.num_relays, cfg.num_segments, cfg.quad_n + 1))
+    active = activity_mask(cfg).T
+    return radio._rician_power(model, re.swapaxes(0, 1)[active], im.swapaxes(0, 1)[active])
 
 
 def total_energy(alloc: AllocationMatrix, sched: SegmentSchedule) -> float:

@@ -3,9 +3,10 @@
 The link budget works in dB/dBm end to end.  Both ends are beam aligned,
 so the link uses the boresight gain G0 at each end.
 
-Fading is expressed as a dB attenuation ``gamma_db`` normalised so that
-the deterministic channel (gamma_db = 0) coincides with the RMS-envelope
-channel: gamma_db = -20*log10(r / r_rms) for an envelope sample r.
+Fading is expressed as a linear power factor |r|^2 / E[r^2] for an
+envelope sample r: it has mean 1, and a factor of 1 reproduces the
+deterministic channel.  Its dB attenuation, the ``gamma_db`` that
+:func:`snr_db` takes, is -10*log10 of the factor.
 """
 
 from __future__ import annotations
@@ -76,14 +77,15 @@ def snr_db(p_tx_dbm, d, gamma_db, cfg: ScenarioConfig):
     return out if out.ndim else float(out)
 
 
-def snr_linear_per_watt(cfg: ScenarioConfig, d, gamma_db=0.0):
-    """Linear SNR per transmit watt at distance d [1/W].
+def snr_linear_per_watt(cfg: ScenarioConfig, d):
+    """Linear SNR per transmit watt at distance d [1/W], without fading.
 
     snr_linear = P[W] * snr_linear_per_watt, equivalent to 10^(SNR_dB/10)
     with P expressed in dBm.  This is the quantity the rate integrals and
-    their gradients are built from.
+    their gradients are built from; fading multiplies it by a power factor
+    (see :func:`sample_fading_power`).
     """
-    per_mw = snr_db(0.0, d, gamma_db, cfg)   # SNR in dB for 1 mW
+    per_mw = snr_db(0.0, d, 0.0, cfg)   # SNR in dB for 1 mW
     return 1000.0 * 10.0 ** (np.asarray(per_mw, dtype=float) / 10.0)
 
 
@@ -118,14 +120,42 @@ class FadingModel:
         return cls(a=math.sqrt(2.0 * k * sigma2), sigma=math.sqrt(sigma2))
 
 
+def _standard_pairs(rng: np.random.Generator, size) -> np.ndarray:
+    # one (2, *size) standard normal draw: z[0] and z[1] hold the values of
+    # two successive draws of size, and the stream ends where theirs would
+    shape = () if size is None else tuple(np.atleast_1d(size))
+    return rng.standard_normal((2,) + shape)
+
+
+def _rician_parts(model: FadingModel, re: np.ndarray, im: np.ndarray):
+    # standard normal draws turned, in place, into the real part a + sigma*re
+    # and the imaginary part sigma*im: the values rng.normal(a, sigma) and
+    # rng.normal(0, sigma) give on the same draws
+    re *= model.sigma
+    re += model.a
+    im *= model.sigma
+    return re, im
+
+
+def _rician_power(model: FadingModel, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    # |r|^2 / E[r^2] of the standard normal draws re, im, computed in re
+    re, im = _rician_parts(model, re, im)
+    re *= re
+    im *= im
+    re += im
+    re /= model.a ** 2 + 2.0 * model.sigma ** 2
+    return re
+
+
 def sample_rician_envelope(model: FadingModel, rng: np.random.Generator, size=None):
     """Draw envelope samples r >= 0 from the Rician distribution."""
-    re = rng.normal(model.a, model.sigma, size=size)
-    im = rng.normal(0.0, model.sigma, size=size)
-    return np.hypot(re, im)
+    return np.hypot(*_rician_parts(model, *_standard_pairs(rng, size)))
 
 
-def sample_fading_db(model: FadingModel, rng: np.random.Generator, size=None):
-    """Draw dB attenuations gamma = -20*log10(r / r_rms); mean-square 0 dB."""
-    r = sample_rician_envelope(model, rng, size=size)
-    return -20.0 * np.log10(r / model.rms)
+def sample_fading_power(model: FadingModel, rng: np.random.Generator, size=None):
+    """Draw linear power factors |r|^2 / E[r^2] (mean 1) of Rician envelopes.
+
+    The envelopes are those :func:`sample_rician_envelope` draws from the
+    same rng state; the dB attenuation of a factor is -10*log10 of it.
+    """
+    return _rician_power(model, *_standard_pairs(rng, size))

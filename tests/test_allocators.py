@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from railpower import (FadingModel, activity_mask, average_alloc, build_gain_table,
                        constant_alloc, csi_alloc, mr_rrh_distance, mrs_in_cell, path_loss,
-                       random_alloc, reference_config, sample_fading_db,
+                       random_alloc, reference_config, sample_fading_power,
                        segment_boundaries, validate_alloc)
 from railpower.metrics import AllocationMatrix, active_entries
 
@@ -203,10 +203,9 @@ def column_loop_csi(cfg, h2):
 
 
 def fading_attenuation(cfg, rng):
-    """One Rician dB draw per (relay, segment), as a linear factor."""
+    """One Rician power factor per (relay, segment)."""
     model = FadingModel.from_k_db(cfg.rician_k)
-    size = (cfg.num_relays, cfg.num_segments)
-    return 10.0 ** (-sample_fading_db(model, rng, size=size) / 10.0)
+    return sample_fading_power(model, rng, size=(cfg.num_relays, cfg.num_segments))
 
 
 def midpoint_snapshot(cfg, sched, rng=None):

@@ -164,6 +164,14 @@ def test_doppler_records_reject_malformed_input(table, tmp_path):
         with pytest.raises(ValueError, match="header") as info:
             DopplerTable.load(path)
         assert str(path) in str(info.value) and repr(header) in str(info.value)
+    # the header lines without rows, and rows a value short, fail naming the
+    # file and the 2L+3 values a row holds
+    short = [" ".join(line.split()[:-1]) for line in lines[2:]]
+    for kept, found in ((lines[:2], "no rows"), (lines[:2] + short, "12 values")):
+        path.write_text("".join(line + "\n" for line in kept))
+        with pytest.raises(ValueError, match="2L\\+3 = 13 values") as info:
+            DopplerTable.load(path)
+        assert str(path) in str(info.value) and found in str(info.value)
 
 
 def _nearest_index(table, values):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -279,7 +282,7 @@ def test_sweep_pool_no_larger_than_its_tasks(monkeypatch, ref_cfg, options):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness, "_process_pool", SerialPool)
     baselines = replace(options, schemes=("constant", "average"))
     one = SweepSpec(param="d_l", values=(200.0,), trials=3)
     serial = records_to_csv(sweep(ref_cfg, baselines, one, workers=64))
@@ -289,6 +292,44 @@ def test_sweep_pool_no_larger_than_its_tasks(monkeypatch, ref_cfg, options):
     pooled = records_to_csv(sweep(ref_cfg, baselines, two, workers=64))
     assert requested == [2]
     assert pooled == records_to_csv(sweep(ref_cfg, baselines, two, workers=1))
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool machinery is imported when a sweep first uses a pool
+    src = str(Path(harness.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, railpower; print(sorted(m for m in sys.modules "
+            "if m.startswith(('multiprocessing', 'concurrent.futures.process'))))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_deterministic_optimized_row_reuses_its_solve_figures(monkeypatch, ref_cfg, options):
+    # solve returns compute_metrics of its allocation on the point's table,
+    # so a deterministic point evaluates the optimized row once, in solve
+    calls = []
+    compute = metrics.compute_metrics
+
+    def counted(*args, **kwargs):
+        calls.append(args[-1] if args else kwargs["table"])
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "compute_metrics", counted)
+    monkeypatch.setattr(optimizer, "compute_metrics", counted)
+    point = prepare_point(ref_cfg)
+    rows = run_point(point, options, np.random.SeedSequence((ref_cfg.seed, 0, 0)))
+    assert len(calls) == 5 and all(table is point.table for table in calls)
+    row = next(r for r in rows if r.scheme == "optimized")
+    rec = compute(row.solution[0], ref_cfg, point.sched, point.table)
+    assert ((row.energy_j, row.data_bits, row.se_bits_per_s_per_hz)
+            == (rec.energy_j, rec.data_bits, rec.se_bits_per_s_per_hz))
+    # a fading point still evaluates the optimized row on its faded table
+    calls.clear()
+    faded = prepare_point(ref_cfg.with_(fading=True))
+    run_point(faded, options, np.random.SeedSequence((ref_cfg.seed, 0, 0)))
+    assert len(calls) == 6
+    assert sum(table is faded.table for table in calls) == 1   # the solve's own
 
 
 def _per_trial_study(cfg, options, sigmas, trials):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from railpower import (AllocationMatrix, GainTable, activity_mask, average_alloc, build_gain_table,
+from railpower import (AllocationMatrix, FadingModel, GainTable, activity_mask, average_alloc, build_gain_table,
                        compute_metrics, constant_alloc, csi_alloc, energy_efficiency,
                        mr_rrh_distance, random_alloc, sample_fading_trace, snr_linear_per_watt,
                        reference_config, solve, spectral_efficiency, total_energy)
@@ -224,27 +224,46 @@ def test_fading_trace_changes_data_deterministically(ref_cfg, ref_sched, ref_tab
     p = average_alloc(ref_cfg, ref_sched).values
     trace1 = sample_fading_trace(ref_cfg, ref_sched, np.random.default_rng(3))
     trace2 = sample_fading_trace(ref_cfg, ref_sched, np.random.default_rng(3))
+    assert trace1.shape == ref_table.gains.shape
     assert np.array_equal(trace1, trace2)
     table = ref_table.faded(trace1)
     d_fade = table.total_data(p)
     d_det = ref_table.total_data(p)
     assert d_fade != d_det
-    assert ref_table.faded(np.zeros_like(trace1)).total_data(p) == d_det
-    with pytest.raises(ValueError):
-        ref_table.faded(trace1[:, :-1])
+    assert ref_table.faded(np.ones(ref_table.gains.shape)).total_data(p) == d_det
+    for wrong in (trace1[:, :-1], trace1[:-1], trace1.T,
+                  np.ones(ref_table.mask.shape + ref_table.gains.shape[1:])):
+        with pytest.raises(ValueError, match="K, Q"):
+            ref_table.faded(wrong)
 
 
 def test_faded_table_scales_the_active_node_factors(ref_cfg, ref_sched, ref_table):
-    # the faded table is the deterministic one times 10^(-gamma/10) at each
-    # active entry's nodes, read from the (M, S, Q+1) trace
+    # the faded table is the deterministic one times the (K, Q+1) trace of
+    # power factors, entry by entry and node by node
     trace = sample_fading_trace(ref_cfg, ref_sched, np.random.default_rng(4))
     faded = ref_table.faded(trace)
     assert np.array_equal(faded.weights, ref_table.weights)
     assert faded.mask is ref_table.mask
-    relay, seg = active_entries(ref_table.mask)
-    for k in (0, 7, relay.size - 1):
-        expected = ref_table.gains[k] * 10.0 ** (-trace[relay[k], seg[k]] / 10.0)
-        assert np.array_equal(faded.gains[k], expected)
+    assert np.array_equal(faded.gains, ref_table.gains * trace)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fading_trace_matches_the_db_route(ref_cfg, ref_sched, seed):
+    # the route the trace replaces: dense (M, S, Q+1) dB attenuations from
+    # two rng.normal calls, gamma = -20 log10(r / r_rms), then 10^(-gamma/10)
+    # at the active entries in the compact order
+    model = FadingModel.from_k_db(ref_cfg.rician_k)
+    size = (ref_cfg.num_relays, ref_cfg.num_segments, ref_cfg.quad_n + 1)
+    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    r = np.hypot(ref.normal(model.a, model.sigma, size=size),
+                 ref.normal(0.0, model.sigma, size=size))
+    gamma = -20.0 * np.log10(r / model.rms)
+    mask = activity_mask(ref_cfg)
+    expected = 10.0 ** (-gamma.swapaxes(0, 1)[mask.T] / 10.0)
+    trace = sample_fading_trace(ref_cfg, ref_sched, rng)
+    assert trace.shape == expected.shape == (np.count_nonzero(mask), ref_cfg.quad_n + 1)
+    assert_allclose(trace, expected, rtol=2e-15)
+    assert ref.random() == rng.random()
 
 
 def test_compute_metrics_consistency(ref_cfg, ref_sched, ref_table):

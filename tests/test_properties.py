@@ -33,20 +33,24 @@ def scenarios(draw):
         seed=draw(st.integers(0, 2 ** 31 - 1)))
 
 
-def dense_reference(cfg, sched, p, fading_db):
+def dense_reference(cfg, sched, p, fading):
     """Total data and the (M, S) data derivatives, entry by entry, from the
-    link evaluated at each covered pair's Simpson nodes."""
+    link evaluated at each covered pair's Simpson nodes; ``fading`` is a
+    compact (K, Q+1) trace of power factors, or None."""
     n = cfg.quad_n
     simpson = np.ones(n + 1)
     simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
     scale = cfg.bandwidth / LN2
     mask = activity_mask(cfg)
+    # each covered pair's row of factors: the compact order is column-major
+    factors = np.ones(mask.shape + (n + 1,))
+    if fading is not None:
+        factors.swapaxes(0, 1)[mask.T] = fading
     total, dd, dd2 = 0.0, np.zeros(mask.shape), np.zeros(mask.shape)
     for i, j in zip(*np.nonzero(mask)):
         t0, t1 = sched.boundaries[j], sched.boundaries[j + 1]
         nodes = t0 + (t1 - t0) * np.arange(n + 1) / n
-        gamma = 0.0 if fading_db is None else fading_db[i, j]
-        g = snr_linear_per_watt(cfg, mr_rrh_distance(cfg, i + 1, nodes), gamma)
+        g = snr_linear_per_watt(cfg, mr_rrh_distance(cfg, i + 1, nodes)) * factors[i, j]
         w = simpson * (t1 - t0) / (3.0 * n)
         r = g / (1.0 + p[i, j] * g)
         total += scale * np.sum(w * np.log1p(p[i, j] * g))
@@ -61,17 +65,17 @@ def test_compact_data_passes_match_dense_reference(cfg, power_seed):
     sched = segment_boundaries(cfg)
     rng = np.random.default_rng(cfg.seed)
     table = build_gain_table(cfg, sched)
-    fading_db = None
+    fading = None
     if cfg.fading:
-        fading_db = sample_fading_trace(cfg, sched, rng)
-        table = table.faded(fading_db)
+        fading = sample_fading_trace(cfg, sched, rng)
+        table = table.faded(fading)
     mask = activity_mask(cfg)
     prng = np.random.default_rng(power_seed)
     p = np.where(mask, prng.uniform(0.0, cfg.p_t, mask.shape), 0.0)
     p[prng.random(mask.shape) < 0.2] = 0.0
     # the compact order is column-major: transpose before masking
     alloc = AllocationMatrix(p.T[mask.T], mask)
-    total, dd, dd2 = dense_reference(cfg, sched, p, fading_db)
+    total, dd, dd2 = dense_reference(cfg, sched, p, fading)
 
     assert_allclose(table.total_data(alloc.values), total, rtol=1e-12)
     got_dd, got_dd2 = table.data_derivatives(alloc.values)

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from railpower import (FadingModel, LinkConstants, dbm_to_watts, max_antenna_gain,
-                       noise_power_dbm, path_loss, sample_fading_db,
+                       noise_power_dbm, path_loss, sample_fading_power,
                        sample_rician_envelope, snr_db, snr_linear_per_watt)
 
 
@@ -144,11 +144,31 @@ def test_fading_determinism():
     assert np.array_equal(a, b)
 
 
-def test_fading_db_is_rms_normalised(rng):
+def test_fading_power_has_unit_mean(rng):
     model = FadingModel.from_k_db(10.0)
-    gamma = sample_fading_db(model, rng, size=200_000)
-    # gamma = -20 log10(r / r_rms) implies E[10^(-gamma/10)] = 1
-    assert_allclose(np.mean(10.0 ** (-gamma / 10.0)), 1.0, rtol=0.02)
+    power = sample_fading_power(model, rng, size=200_000)
+    # the factor |r|^2 / E[r^2] has mean 1 by construction
+    assert np.all(power >= 0)
+    assert_allclose(np.mean(power), 1.0, rtol=0.02)
+
+
+def test_fading_power_is_the_envelope_draw_squared():
+    # one standard normal draw gives the values, and leaves the stream
+    # where, two rng.normal calls (real part, then imaginary part) would
+    model = FadingModel.from_k_db(10.0)
+    for size in (None, 7, (3, 4, 5)):
+        ref, rng = np.random.default_rng(12), np.random.default_rng(12)
+        re = ref.normal(model.a, model.sigma, size=size)
+        im = ref.normal(0.0, model.sigma, size=size)
+        power = sample_fading_power(model, rng, size=size)
+        assert np.shape(power) == np.shape(re)
+        assert_allclose(power, np.hypot(re, im) ** 2 / model.rms ** 2, rtol=2e-15)
+        assert ref.random() == rng.random()
+        ref, rng = np.random.default_rng(12), np.random.default_rng(12)
+        r = sample_rician_envelope(model, rng, size=size)
+        assert_allclose(r, np.hypot(ref.normal(model.a, model.sigma, size=size),
+                                    ref.normal(0.0, model.sigma, size=size)), rtol=1e-15)
+        assert ref.random() == rng.random()
 
 
 def test_dbm_round_trip():
