@@ -35,8 +35,9 @@ def average_alloc(cfg: ScenarioConfig, sched: SegmentSchedule) -> AllocationMatr
 def _split_budget(cfg: ScenarioConfig, mask: np.ndarray, w: np.ndarray) -> AllocationMatrix:
     """P_T split over each segment's active entries in proportion to the
     compact weights w."""
-    share = AllocationMatrix(w, mask)
-    return AllocationMatrix(cfg.p_t * w / share.column_sums()[share.segment], mask)
+    segment = active_entries(mask)[1]
+    sums = np.bincount(segment, weights=w, minlength=mask.shape[1])
+    return AllocationMatrix(cfg.p_t * w / sums[segment], mask)
 
 
 def random_alloc(cfg: ScenarioConfig, sched: SegmentSchedule,

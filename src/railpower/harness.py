@@ -21,9 +21,14 @@ Data floor rule: :func:`run_point` takes the floor from the scenario's
 deterministic gain table, which also serves planning, and a fading
 trace scales that table's factors into the evaluation table without
 recomputing the geometry.  What the trials at one scenario share (the
-schedule, that table, the floor and the scenario digest) is a
+schedule, that table, the floor, the scenario digest and, without
+fading, the ``constant``, ``average`` and ``csi`` figures) is a
 :class:`PreparedPoint`, built once per sweep task, and a task is one
-swept value with all of its trials.
+swept value with all of its trials; a ``sigma_v`` study, whose values
+leave the scenario as it is, builds one point for all of its tasks.
+Without fading a trial therefore plans and evaluates only ``random`` and
+``optimized``; either way it builds a generator only for a stream it
+draws from.
 
 Chain rule: a task draws every trial's speed error first, then runs the
 trials in ascending (speed error, trial) order, so the planned floor
@@ -169,27 +174,58 @@ def _record(point: dict, scheme: str, energy_j: float = NAN, data_bits: float = 
                      wall_time_s=wall_time_s, solution=solution)
 
 
+# baselines whose allocation and evaluation table are the same in every
+# trial of a point when the channel does not fade
+_SHARED_SCHEMES = ("constant", "average", "csi")
+
+
 @dataclass(frozen=True, eq=False)
 class PreparedPoint:
     """What every trial at one scenario shares, built once by
     :func:`prepare_point`: the schedule, the deterministic gain table (the
-    floor, the plan and the CSI weights read it), the data floor and the
-    scenario digest."""
+    floor, the plan and the CSI weights read it), the data floor, the
+    scenario digest, and ``shared``, the figures of each requested scheme
+    that does not depend on the trial (or the message it failed with)."""
 
     cfg: ScenarioConfig
     sched: SegmentSchedule
     table: metrics.GainTable
     d_min_bits: float
     scenario: str
+    shared: dict = field(default_factory=dict)   # scheme -> MetricsRecord | error str
 
 
-def prepare_point(cfg: ScenarioConfig) -> PreparedPoint:
-    """Build the schedule, deterministic table and data floor of cfg once."""
+def _baseline_figures(scheme: str, cfg: ScenarioConfig, sched: SegmentSchedule,
+                      table: metrics.GainTable, eval_table: metrics.GainTable,
+                      rng: np.random.Generator | None) -> metrics.MetricsRecord:
+    """One baseline planned on ``table`` and evaluated on ``eval_table``;
+    ``rng`` feeds ``random``, and ``csi`` under fading."""
+    if scheme == "constant":
+        alloc = allocators.constant_alloc(cfg, sched)
+    elif scheme == "average":
+        alloc = allocators.average_alloc(cfg, sched)
+    elif scheme == "random":
+        alloc = allocators.random_alloc(cfg, sched, rng)
+    else:
+        alloc = allocators.csi_alloc(cfg, sched, table, rng)
+    return metrics.compute_metrics(alloc, cfg, sched, eval_table)
+
+
+def prepare_point(cfg: ScenarioConfig, schemes=()) -> PreparedPoint:
+    """Build the schedule, deterministic table and data floor of cfg once,
+    and the figures of those ``schemes`` that no trial changes: ``constant``,
+    ``average`` and ``csi`` when ``cfg.fading`` is off."""
     sched = segment_boundaries(cfg)
     table = metrics.build_gain_table(cfg, sched)
+    shared = {}
+    for scheme in [] if cfg.fading else [s for s in schemes if s in _SHARED_SCHEMES]:
+        try:
+            shared[scheme] = _baseline_figures(scheme, cfg, sched, table, table, None)
+        except ValueError as exc:
+            shared[scheme] = str(exc)
     return PreparedPoint(cfg=cfg, sched=sched, table=table,
                          d_min_bits=optimizer.data_floor(cfg, sched, table),
-                         scenario=scenario_hash(cfg))
+                         scenario=scenario_hash(cfg), shared=shared)
 
 
 def run_point(point: ScenarioConfig | PreparedPoint, options: HarnessOptions,
@@ -200,21 +236,26 @@ def run_point(point: ScenarioConfig | PreparedPoint, options: HarnessOptions,
     """Run the requested schemes once on a point; every row is evaluated there.
 
     ``point`` is a :class:`PreparedPoint`, or a config that is prepared on
-    entry.  ``speed_error`` [m/s] is the planner's error: the optimised
+    entry for ``options.schemes``.  A scheme in ``point.shared`` writes its
+    row from the stored figures; every other one is planned and evaluated
+    here.  ``speed_error`` [m/s] is the planner's error: the optimised
     scheme plans for the speed ``cfg.v + speed_error`` by chasing the floor
     scaled by that speed over ``cfg.v`` on the true-speed table (see the
     module docstring).  ``warm`` is passed to :func:`optimizer.solve`, and
     the ``optimized`` row carries its solve's (allocation, result) pair as
-    ``solution``.
+    ``solution``.  ``seed_seq`` spawns the fading, random and CSI streams;
+    a generator is built only for a stream that is drawn from.
     """
     if isinstance(point, ScenarioConfig):
-        point = prepare_point(point)
+        point = prepare_point(point, options.schemes)
     cfg, sched, det_table = point.cfg, point.sched, point.table
-    rng_fading, rng_random, rng_csi = [np.random.default_rng(s)
-                                       for s in seed_seq.spawn(3)]
+    seq_fading, seq_random, seq_csi = seed_seq.spawn(3)
+    # the stream each baseline draws from, if any
+    streams = {"random": seq_random, "csi": seq_csi if cfg.fading else None}
     eval_table = det_table
     if cfg.fading:
-        eval_table = det_table.faded(metrics.sample_fading_trace(cfg, sched, rng_fading))
+        eval_table = det_table.faded(metrics.sample_fading_trace(
+            cfg, sched, np.random.default_rng(seq_fading)))
 
     d_min_bits = point.d_min_bits
     columns = dict(kind=kind, param=param, value=value, trial=trial,
@@ -226,28 +267,27 @@ def run_point(point: ScenarioConfig | PreparedPoint, options: HarnessOptions,
         start = time.perf_counter()
         cycles, h_inf, converged, solution = None, None, True, None
         try:
-            if scheme == "constant":
-                alloc = allocators.constant_alloc(cfg, sched)
-            elif scheme == "average":
-                alloc = allocators.average_alloc(cfg, sched)
-            elif scheme == "random":
-                alloc = allocators.random_alloc(cfg, sched, rng_random)
-            elif scheme == "csi":
-                alloc = allocators.csi_alloc(cfg, sched, det_table,
-                                             rng_csi if cfg.fading else None)
-            else:   # "optimized": HarnessOptions admits no other name
+            if scheme in point.shared:
+                rec = point.shared[scheme]
+            elif scheme == "optimized":   # HarnessOptions admits no other name
                 solution = alloc, diag = optimizer.solve(
                     cfg, sched, warm, d_min=d_min_bits * ((cfg.v + speed_error) / cfg.v),
                     options=options.solver, table=det_table)
                 cycles, h_inf, converged = diag.cycles, diag.h_inf, diag.converged
+                # a deterministic row's figures are its solve's: compute_metrics
+                # of alloc on det_table
+                rec = (diag if eval_table is det_table
+                       else metrics.compute_metrics(alloc, cfg, sched, eval_table))
+            else:
+                seq = streams.get(scheme)
+                rec = _baseline_figures(scheme, cfg, sched, det_table, eval_table,
+                                        None if seq is None else np.random.default_rng(seq))
         except ValueError as exc:   # InfeasibleDataFloor included
-            records.append(_record(columns, scheme, error=str(exc),
+            rec = str(exc)
+        if isinstance(rec, str):    # a failed scheme's row carries only its error
+            records.append(_record(columns, scheme, error=rec,
                                    wall_time_s=time.perf_counter() - start))
             continue
-        if solution is not None and eval_table is det_table:
-            rec = diag   # its figures are compute_metrics of alloc on det_table
-        else:
-            rec = metrics.compute_metrics(alloc, cfg, sched, eval_table)
         records.append(_record(
             columns, scheme, energy_j=rec.energy_j, data_bits=rec.data_bits,
             se=metrics.spectral_efficiency(rec.data_bits, cfg, sched),
@@ -295,13 +335,14 @@ def _mean_records(rows: list[RunRecord]) -> list[RunRecord]:
 def _sweep_task(args) -> list[RunRecord]:
     """The trial rows of one swept value, all run on one :class:`PreparedPoint`.
 
-    Every trial's speed error is drawn first; the trials then run in
+    The point comes with the task when the swept parameter is ``sigma_v``,
+    which is not a scenario field, and is prepared here otherwise.  Every
+    trial's speed error is drawn first; the trials then run in
     ascending (speed error, trial) order, each ``optimized`` solve
     warm-started from the last converged one, and come back in trial order.
     """
-    cfg, options, spec, idx, value = args
-    point_cfg = cfg   # sigma_v is the planner's error, not a scenario field
-    if spec.param != "sigma_v":
+    cfg, options, spec, idx, value, point = args
+    if point is None:
         try:
             point_cfg = apply_sweep_value(cfg, spec.param, value)
         except ValueError as exc:
@@ -312,7 +353,7 @@ def _sweep_task(args) -> list[RunRecord]:
                                                 **_swept_field(spec.param, value)}))
             return [_record({**columns, "trial": trial}, s, error=str(exc))
                     for trial in range(spec.trials) for s in options.schemes]
-    point = prepare_point(point_cfg)
+        point = prepare_point(point_cfg, options.schemes)
     seed_seqs = [np.random.SeedSequence((cfg.seed, idx, trial))
                  for trial in range(spec.trials)]
     # drawn first; no draw at sigma 0 keeps the streams of a plain run
@@ -342,9 +383,11 @@ def sweep(cfg: ScenarioConfig, options: HarnessOptions, spec: SweepSpec,
     """One-parameter sweep; failing points become error rows, not crashes.
 
     Each swept value is one task: its trials share one
-    :class:`PreparedPoint` (schedule, gain table and floor), and their
-    ``optimized`` solves form one chain in ascending planned floor, each
-    warm-started from the last converged solve (see :func:`_sweep_task`).
+    :class:`PreparedPoint` (schedule, gain table, floor and the figures
+    no trial changes), which a ``sigma_v`` sweep prepares once for all of
+    its values.  A task's ``optimized`` solves form one chain in ascending
+    planned floor, each warm-started from the last converged solve (see
+    :func:`_sweep_task`).
     Tasks run in a process pool of at most ``workers`` processes when
     there is more than one task and ``workers > 1``, else in this process.
     Every trial keeps its own RNG streams and a chain never crosses tasks,
@@ -353,7 +396,9 @@ def sweep(cfg: ScenarioConfig, options: HarnessOptions, spec: SweepSpec,
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    tasks = [(cfg, options, spec, idx, value) for idx, value in enumerate(spec.values)]
+    # sigma_v is the planner's error, not a scenario field: one point serves every value
+    point = prepare_point(cfg, options.schemes) if spec.param == "sigma_v" else None
+    tasks = [(cfg, options, spec, idx, value, point) for idx, value in enumerate(spec.values)]
     workers = min(workers, len(tasks))
     if workers > 1:
         # the fork start method launches every worker at the first submit

@@ -119,26 +119,34 @@ class GainTable:
         """Per-segment sums (S,) of compact entry values (K,)."""
         return np.bincount(self.segment, weights=v, minlength=self.mask.shape[1])
 
-    def _log_rate(self, p: np.ndarray) -> np.ndarray:
-        # ln(1 + SNR) at every node of every entry: the one data kernel
-        return np.log1p(p[:, None] * self.gains)
+    def snr(self, p: np.ndarray) -> np.ndarray:
+        """Linear SNR (K, Q+1) at every node for compact entry powers p (W);
+        a data or derivative pass at p may be handed it instead of forming it."""
+        return p[:, None] * self.gains
 
-    def total_data(self, p: np.ndarray) -> float:
-        """Delivered data [bits] for compact entry powers p (W)."""
-        return float(self.bandwidth / LN2 * np.vdot(self.weights, self._log_rate(p)))
+    def _log_rate(self, p: np.ndarray, snr: np.ndarray | None = None) -> np.ndarray:
+        # ln(1 + SNR) at every node of every entry: the one data kernel
+        return np.log1p(self.snr(p) if snr is None else snr)
+
+    def total_data(self, p: np.ndarray, snr: np.ndarray | None = None) -> float:
+        """Delivered data [bits] for compact entry powers p (W); ``snr`` is
+        :meth:`snr` of p when the caller has it."""
+        return float(self.bandwidth / LN2 * np.vdot(self.weights, self._log_rate(p, snr)))
 
     def segment_data_matrix(self, p: np.ndarray) -> np.ndarray:
         """Per-entry data D_k [bits] (K,) for compact entry powers p (W)."""
         return self.bandwidth / LN2 * np.add.reduce(self.weights * self._log_rate(p), axis=1)
 
-    def data_derivatives(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def data_derivatives(self, p: np.ndarray,
+                         snr: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """dD_k/dP_k [bits/W] and d2D_k/dP_k2 [bits/W^2] in one pass.
 
         Each D_k depends on P_k alone, so its second derivative is the
         whole Hessian of the total data (a diagonal, negative: D is
-        concave).  Both sums share the ratio g / (1 + P g).
+        concave).  Both sums share the ratio g / (1 + P g); ``snr`` is
+        :meth:`snr` of p (the P g product) when the caller has it.
         """
-        r = self.gains / (1.0 + p[:, None] * self.gains)
+        r = self.gains / (1.0 + (self.snr(p) if snr is None else snr))
         wr = self.weights * r
         scale = self.bandwidth / LN2
         return scale * np.add.reduce(wr, axis=1), -scale * np.add.reduce(wr * r, axis=1)

@@ -21,9 +21,15 @@ penalty factor grown according to how fast the residual norm shrinks:
 Inside the solver, powers are scaled by P_T and data by D_min so the
 residual components are comparable under the max norm; :func:`solve`
 converts the iterate once at entry and once at return, and the cycles
-hand on the scaled iterate with its residuals.  The energy and data it
-returns are :func:`metrics.compute_metrics` of the returned allocation,
-the same figures a harness row writes for it.  A cycle's recorded energy
+hand on the scaled iterate with its residuals and its data derivative
+pair (D', D''), which the next cycle's first step would otherwise
+recompute at the same x.  Within a cycle, one merit evaluation takes the
+column sums once, for the residuals and the energy, and the accepted
+line-search candidate's SNR product (:meth:`GainTable.snr`) feeds its
+derivative pass, so a solve makes one derivative pass per inner step
+plus one.  The energy and data it returns are
+:func:`metrics.compute_metrics` of the returned allocation, the same
+figures a harness row writes for it.  A cycle's recorded energy
 is :meth:`Problem.energy_j`, the reduction of :func:`metrics.total_energy`
 applied to the cycle's powers, so only the returned iterate is built into
 an :class:`AllocationMatrix`.  :class:`Problem` holds
@@ -176,21 +182,26 @@ class Problem:
         bit for bit, without building the allocation."""
         return _energy(self.sched, self.table.column_sums(x * self.p_t))
 
-    def energy_scaled(self, x: np.ndarray) -> float:
-        return float(self.t_norm @ self.table.column_sums(x))
-
-    def residuals_scaled(self, x: np.ndarray) -> np.ndarray:
+    def residuals_scaled(self, x: np.ndarray, snr: np.ndarray | None = None,
+                         cols: np.ndarray | None = None) -> np.ndarray:
+        """Residuals at x; ``snr`` and ``cols`` pass in the table's
+        :meth:`GainTable.snr` and column sums at x."""
+        if cols is None:
+            cols = self.table.column_sums(x)
         h = np.empty(self.t_norm.size + 1)
-        h[0] = self.table.total_data(x) - 1.0
-        h[1:] = np.maximum(self.table.column_sums(x) - 1.0, 0.0)
+        h[0] = self.table.total_data(x, snr) - 1.0
+        h[1:] = np.maximum(cols - 1.0, 0.0)
         return h
 
     def phi(self, x: np.ndarray, lam: np.ndarray, sigma: float,
-            h: np.ndarray | None = None) -> float:
-        """Merit value; ``h`` passes in the residuals at x."""
+            h: np.ndarray | None = None, cols: np.ndarray | None = None) -> float:
+        """Merit value; ``h`` and ``cols`` pass in the residuals and column
+        sums at x, so one evaluation takes the column sums once."""
+        if cols is None:
+            cols = self.table.column_sums(x)
         if h is None:
-            h = self.residuals_scaled(x)
-        return self.energy_scaled(x) - float(lam @ h) + sigma * float(h @ h)
+            h = self.residuals_scaled(x, cols=cols)
+        return float(self.t_norm @ cols) - float(lam @ h) + sigma * float(h @ h)
 
     def grad_phi(self, x: np.ndarray, lam: np.ndarray, sigma: float,
                  h: np.ndarray | None = None, dd: np.ndarray | None = None) -> np.ndarray:
@@ -254,25 +265,34 @@ class InnerInfo:
 
 
 def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarray, sigma: float,
-                  options: SolverOptions) -> tuple[np.ndarray, np.ndarray, InnerInfo]:
+                  options: SolverOptions, derivs: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, tuple | None, InnerInfo]:
     """Minimise phi(., lam, sigma) by projected Newton descent from x.
 
-    Takes a scaled iterate x >= 0 with its residuals h and returns the
-    final pair.  Steps along :meth:`Problem.newton_direction`, clipping
-    negative entries to zero; the stepsize halves from 1 until phi
-    decreases, and the accepted candidate's residuals are kept, so each
-    merit evaluation is one data pass.  Stops once the projected gradient
-    norm falls below ``options.eps``, on a backtracking stall, or at the
-    step cap :data:`INNER_CAP`; the last two flag the result rather than
-    raising.
+    Takes a scaled iterate x >= 0 with its residuals h and, when known,
+    ``derivs``, the data derivative pair (D', D'') at x; returns the final
+    x, h and pair (``None`` when the loop ended on the step cap, which
+    leaves the last iterate's pair uncomputed).  Steps along
+    :meth:`Problem.newton_direction`, clipping negative entries to zero;
+    the stepsize halves from 1 until phi decreases.  The accepted
+    candidate's residuals are kept, so each merit evaluation is one data
+    pass, and so is its SNR product, which feeds the next derivative pass:
+    a loop makes one derivative pass per step, plus one unless ``derivs``
+    was passed in.  Stops once the projected gradient norm falls below
+    ``options.eps``, on a backtracking stall, or at the step cap
+    :data:`INNER_CAP`; the last two flag the result rather than raising.
     """
+    table = problem.table
     phi = problem.phi(x, lam, sigma, h)
     phi_start, evals = phi, 1
     steps = 0
     reason, gnorm = "cap", math.inf
+    snr = None    # the SNR product at x, once a line search has formed it
 
     while steps < INNER_CAP:
-        dd, dd2 = problem.table.data_derivatives(x)
+        if derivs is None:
+            derivs = table.data_derivatives(x, snr)
+        dd, dd2 = derivs
         g = problem.grad_phi(x, lam, sigma, h, dd)
         # projected gradient: no descent below zero at the bound
         pg = np.where((x <= 0.0) & (g > 0.0), 0.0, g)
@@ -284,8 +304,9 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
         x_new, alpha = None, 1.0
         for _ in range(60):
             x_try = np.maximum(x + alpha * d, 0.0)
-            h_try = problem.residuals_scaled(x_try)
-            phi_try = problem.phi(x_try, lam, sigma, h_try)
+            snr_try, cols = table.snr(x_try), table.column_sums(x_try)
+            h_try = problem.residuals_scaled(x_try, snr_try, cols)
+            phi_try = problem.phi(x_try, lam, sigma, h_try, cols)
             evals += 1
             if phi_try < phi:
                 x_new, h_new, phi_new = x_try, h_try, phi_try
@@ -294,10 +315,10 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
         if x_new is None:                  # cannot decrease: numerically stationary
             reason = "stall"
             break
-        x, h, phi = x_new, h_new, phi_new
+        x, h, phi, snr, derivs = x_new, h_new, phi_new, snr_try, None
         steps += 1
 
-    return x, h, InnerInfo(
+    return x, h, derivs, InnerInfo(
         steps=steps, reason=reason,
         phi_start=phi_start, phi_end=phi, grad_norm=gnorm, merit_evals=evals,
     )
@@ -404,8 +425,10 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     history: list[CycleRecord] = []
     best = None   # (cycle record, x, lam_hat)
     prev_inf = math.inf
+    derivs = None   # the data derivative pair at x; x does not move between cycles
     for cycle in range(options.n_max + 1):
-        x, h, info = inner_descent(problem, x, h, state.lam, state.sigma, options)
+        x, h, derivs, info = inner_descent(problem, x, h, state.lam, state.sigma, options,
+                                           derivs)
         rec = CycleRecord(cycle=cycle, h_inf=_linf(h), sigma=state.sigma, phi=info.phi_end,
                           energy_j=problem.energy_j(x), inner_steps=info.steps,
                           inner_reason=info.reason, merit_evals=info.merit_evals)

@@ -16,6 +16,7 @@ offset ``d0``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -209,10 +210,19 @@ def active_segments(cfg: ScenarioConfig, i: int) -> tuple[int, int]:
 
 
 def activity_mask(cfg: ScenarioConfig) -> np.ndarray:
-    """Boolean (M, 2M+N-2) mask, True where relay i transmits in segment j."""
-    m, s = cfg.num_relays, cfg.num_segments
-    mask = np.zeros((m, s), dtype=bool)
-    for i in range(1, m + 1):
-        lo, hi = active_segments(cfg, i)
-        mask[i - 1, lo - 1:hi] = True
+    """Boolean (M, 2M+N-2) mask, True where relay i transmits in segment j.
+
+    One read-only array is shared by every config with the same (M, N), so
+    the allocations and tables built on it keep it rather than copy it.
+    """
+    return _activity_mask(cfg.num_relays, cfg.num_bins)
+
+
+@functools.lru_cache(maxsize=64)
+def _activity_mask(m: int, n: int) -> np.ndarray:
+    # relay i (1-based) is in the cell in segments i..i+M+N-2 (active_segments)
+    mask = np.zeros((m, 2 * m + n - 2), dtype=bool)
+    for i in range(m):
+        mask[i, i:i + m + n - 1] = True
+    mask.setflags(write=False)
     return mask

@@ -372,9 +372,9 @@ def test_study_shares_one_point_per_task(monkeypatch, ref_cfg, options, fading):
 
     rows = monte_carlo_velocity_error(cfg, options, sigmas, trials=trials)
     assert records_to_csv(rows) == expected
-    # one table and floor per task (one task per sigma), and one solve per
-    # trial
-    assert calls == {"build_gain_table": 2, "data_floor": 2, "solve": 2 * trials}
+    # sigma_v is no scenario field, so every task (one per sigma) shares one
+    # table and floor; one solve per trial
+    assert calls == {"build_gain_table": 1, "data_floor": 1, "solve": 2 * trials}
 
 
 def test_chained_trials_stay_within_the_floor_tolerance_of_cold_solves(ref_cfg, ref_sched,
@@ -525,3 +525,77 @@ def test_array_records_compare_by_identity():
         assert type(a).__name__ == name
         assert (a == b) is False and (a != b) is True, name
         assert a == a, name
+
+
+def _row_values(rows):
+    """Every serialised field of each row, exactly (repr keeps NaN comparable)."""
+    return [repr(tuple(getattr(r, c) for c in harness.CSV_COLUMNS)) for r in rows]
+
+
+@pytest.mark.parametrize("fading", [False, True])
+def test_shared_rows_equal_rows_evaluated_in_every_trial(ref_cfg, options, fading):
+    cfg, values, trials = ref_cfg.with_(fading=fading), (180.0, 220.0), 3
+    shared = prepare_point(cfg, options.schemes).shared
+    assert set(shared) == (set() if fading else {"constant", "average", "csi"})
+    rows = sweep(cfg, options, SweepSpec(param="d_l", values=values, trials=trials))
+    # the same trials from a fresh point per trial that stores no rows, so
+    # every scheme is planned and evaluated in the trial, chained by hand
+    expected = []
+    for idx, value in enumerate(values):
+        point_cfg = apply_sweep_value(cfg, "d_l", value)
+        warm = None
+        for trial in range(trials):
+            trial_rows = run_point(prepare_point(point_cfg), options,
+                                   np.random.SeedSequence((cfg.seed, idx, trial)),
+                                   kind="trial", param="d_l", value=value, trial=trial,
+                                   warm=warm)
+            warm = next(r.solution for r in trial_rows if r.scheme == "optimized")
+            expected += trial_rows
+    assert _row_values(rows) == _row_values(expected + _mean_records(expected))
+
+
+def test_shared_scheme_failure_is_an_error_row_in_every_trial(monkeypatch, ref_cfg, options):
+    calls = []
+
+    def failing(cfg, sched):
+        calls.append(cfg)
+        raise ValueError("constant refused")
+
+    monkeypatch.setattr(allocators, "constant_alloc", failing)
+    rows = sweep(ref_cfg, options, SweepSpec(param="d_l", values=(180.0, 220.0), trials=3))
+    assert len(calls) == 2   # once per point, not once per trial
+    constant = [r for r in rows if r.scheme == "constant"]
+    assert len(constant) == 2 * 3 + 2
+    assert all(r.error == "constant refused" and np.isnan(r.energy_j) for r in constant)
+    assert all(not r.error for r in rows if r.scheme != "constant")
+
+
+@pytest.mark.parametrize("fading, schemes, generators", [
+    (False, ("constant", "average", "csi", "optimized"), 0),
+    (False, SCHEMES, 1),    # random draws
+    (True, ("constant", "average"), 1),    # the fading trace draws
+    (True, SCHEMES, 3),     # and so do random and the CSI weights
+])
+def test_run_point_builds_a_generator_only_for_a_drawn_stream(monkeypatch, ref_cfg, options,
+                                                              fading, schemes, generators):
+    point = prepare_point(ref_cfg.with_(fading=fading), schemes)
+    built = []
+    default_rng = np.random.default_rng
+
+    def counted(seed):
+        built.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    seq = np.random.SeedSequence((ref_cfg.seed, 0, 0))
+    run_point(point, replace(options, schemes=schemes), seq)
+    assert len(built) == generators
+    assert seq.n_children_spawned == 3   # the three streams are spawned as before
+
+
+def test_mc_velocity_csv_same_at_one_and_two_workers(ref_cfg, options):
+    # the one prepared point, its shared rows included, travels to each task
+    csv = [records_to_csv(monte_carlo_velocity_error(ref_cfg, options, sigmas=[0.0, 2.0, 4.0],
+                                                     trials=3, workers=w))
+           for w in (1, 2)]
+    assert csv[0] == csv[1]

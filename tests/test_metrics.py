@@ -297,7 +297,7 @@ def test_allocation_matrix_guards(ref_cfg):
 
 
 def test_allocation_matrix_leaves_caller_arrays_writable(ref_cfg):
-    mask = activity_mask(ref_cfg)
+    mask = activity_mask(ref_cfg).copy()   # the shared mask is read-only
     values = np.ones(mask.sum())
     alloc = AllocationMatrix(values, mask)
     assert values.flags.writeable and mask.flags.writeable

@@ -137,8 +137,8 @@ def test_inner_descent_stationary_start(ref_cfg, ref_sched, ref_table):
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
     zero = np.zeros(ref_table.segment.size)
     h = problem.residuals_scaled(zero)
-    out, h_out, info = inner_descent(problem, zero, h, np.zeros(ref_cfg.num_segments + 1),
-                                     0.0, SolverOptions())
+    out, h_out, _, info = inner_descent(problem, zero, h, np.zeros(ref_cfg.num_segments + 1),
+                                        0.0, SolverOptions())
     assert info.steps == 0 and info.reason == "gradient"
     assert np.all(out == 0.0) and np.array_equal(h_out, h)
 
@@ -148,11 +148,13 @@ def test_inner_descent_monotone(ref_cfg, ref_sched, ref_table):
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
     state = MultiplierState.initial(ref_cfg)
     x = problem.to_scaled(average_alloc(ref_cfg, ref_sched))
-    out, h, info = inner_descent(problem, x, problem.residuals_scaled(x), state.lam,
-                                 state.sigma, SolverOptions())
+    out, h, derivs, info = inner_descent(problem, x, problem.residuals_scaled(x), state.lam,
+                                         state.sigma, SolverOptions())
     assert info.phi_end <= info.phi_start
-    # the returned residuals are those of the returned iterate
+    # the returned residuals and derivative pair are those of the returned iterate
     assert np.array_equal(h, problem.residuals_scaled(out))
+    for carried, fresh in zip(derivs, problem.table.data_derivatives(out)):
+        assert np.array_equal(carried, fresh)
     assert info.phi_end == problem.phi(out, state.lam, state.sigma)
 
 
@@ -162,9 +164,10 @@ def test_inner_descent_cap_flags_not_raises(monkeypatch, ref_cfg, ref_sched, ref
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
     state = MultiplierState.initial(ref_cfg)
     x = problem.to_scaled(average_alloc(ref_cfg, ref_sched))
-    _, _, info = inner_descent(problem, x, problem.residuals_scaled(x), state.lam,
-                               state.sigma, SolverOptions())
+    _, _, derivs, info = inner_descent(problem, x, problem.residuals_scaled(x), state.lam,
+                                       state.sigma, SolverOptions())
     assert info.reason == "cap" and info.steps == 3
+    assert derivs is None   # the capped iterate's pair was never computed
 
 
 def grid_min_phi(problem, table, cfg, lam0, sigma, levels=50, bins=8000):
@@ -223,8 +226,8 @@ def test_inner_descent_matches_grid_search(tiny):
     problem = Problem(cfg, sched, d_min, table)
     lam = MultiplierState.initial(cfg).lam
     x = problem.to_scaled(average_alloc(cfg, sched))
-    out, _, info = inner_descent(problem, x, problem.residuals_scaled(x), lam, 1.0,
-                                 SolverOptions())
+    out, _, _, info = inner_descent(problem, x, problem.residuals_scaled(x), lam, 1.0,
+                                    SolverOptions())
     phi_inner = problem.phi(out, lam, 1.0)
     phi_grid = grid_min_phi(problem, table, cfg, lam0=0.0, sigma=1.0)
     # two-sided: a mis-modelled oracle that overstates the grid minimum
@@ -553,8 +556,9 @@ def test_kkt_residual_grows_under_perturbation(ref_cfg, ref_sched, ref_table,
 
 # ------------------------------------------------- projected-Newton step
 
-def plain_inner_descent(problem, x, h, lam, sigma, options):
-    """Tolerance oracle: projected gradient, halving from alpha = 1."""
+def plain_inner_descent(problem, x, h, lam, sigma, options, derivs=None):
+    """Tolerance oracle: projected gradient, halving from alpha = 1; it
+    ignores a passed-in derivative pair and hands none on."""
     phi = problem.phi(x, lam, sigma, h)
     phi_start, steps, evals = phi, 0, 1
     reason, gnorm = "cap", math.inf
@@ -580,7 +584,7 @@ def plain_inner_descent(problem, x, h, lam, sigma, options):
             break
         x, h, phi = x_new, h_new, phi_new
         steps += 1
-    return x, h, InnerInfo(
+    return x, h, None, InnerInfo(
         steps=steps, reason=reason, phi_start=phi_start,
         phi_end=phi, grad_norm=gnorm, merit_evals=evals)
 
@@ -825,3 +829,31 @@ def test_caps_binding_solves_within_their_work_budget():
     assert cycles == 37
     assert steps <= 110
     assert evals <= 190
+
+
+@pytest.mark.parametrize("rho, m", [(0.8, 4), (0.97, 4), (0.99, 4), (1.0, 2)])
+def test_solve_makes_one_derivative_pass_per_inner_step_plus_one(monkeypatch, rho, m):
+    # each cycle hands the pair at its final iterate to the next, and every
+    # accepted step's SNR product feeds the following pass
+    passes = []
+    derivatives = GainTable.data_derivatives
+
+    def counted(self, p, snr=None):
+        passes.append(snr is not None)
+        return derivatives(self, p, snr)
+
+    monkeypatch.setattr(GainTable, "data_derivatives", counted)
+
+    def counted_solve(*args, **kwargs):
+        passes.clear()
+        alloc, res = solve(*args, **kwargs)
+        steps = sum(c.inner_steps for c in res.history)
+        assert len(passes) == steps + 1
+        assert sum(passes) == steps    # only the first pass forms its own product
+        return alloc, res
+
+    cfg = reference_config(num_relays=m, rho=rho)
+    sched = segment_boundaries(cfg)
+    cold = counted_solve(cfg, sched)
+    assert len(cold[1].history) > 1
+    counted_solve(cfg.with_(rho=0.99 * rho), sched, warm=cold)

@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from railpower import (ScenarioConfig, SegmentSchedule, active_segments, activity_mask,
-                       head_position, mr_position, mr_rrh_distance, mrs_in_cell,
-                       reference_config, segment_boundaries)
+                       average_alloc, build_gain_table, head_position, mr_position,
+                       mr_rrh_distance, mrs_in_cell, reference_config, segment_boundaries)
 
 
 def kinematic_boundaries(cfg):
@@ -200,3 +200,15 @@ def test_config_rejects_non_finite_floats(field, value):
     # would only surface as all-NaN rows after a full solve
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         ScenarioConfig(**{field: value})
+
+
+def test_activity_mask_is_one_read_only_array_per_layout(ref_cfg):
+    mask = activity_mask(ref_cfg)
+    assert not mask.flags.writeable
+    # geometry and speed do not change the layout, only M and N do
+    assert activity_mask(ref_cfg.with_(d_l=240.0, v=80.0)) is mask
+    assert activity_mask(ref_cfg.with_(num_bins=5)) is not mask
+    # allocations and tables keep the shared mask instead of copying it
+    sched = segment_boundaries(ref_cfg)
+    assert average_alloc(ref_cfg, sched).mask is mask
+    assert build_gain_table(ref_cfg, sched).mask is mask
