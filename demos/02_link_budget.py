@@ -9,7 +9,7 @@ radio head.
 
 import numpy as np
 
-from railpower import (LinkConstants, max_antenna_gain, noise_power_dbm, path_loss,
+from railpower import (link_constant_db, max_antenna_gain, noise_power_dbm, path_loss,
                        reference_config, snr_db, watts_to_dbm)
 from railpower.scenario import position_rrh_distance
 
@@ -19,8 +19,8 @@ print(f"antenna model (half-power beamwidth {cfg.theta_3db:g} deg):")
 print(f"  boresight gain G0   : {max_antenna_gain(cfg.theta_3db):6.2f} dB at each end")
 
 print("\nlink budget at the cell edge vs abeam (transmit power 30 dBm):")
-consts = LinkConstants.from_config(cfg)
-print(f"  noise power         : {consts.p_noise_dbm:7.2f} dBm")
+print(f"  noise power         : {noise_power_dbm(cfg.bandwidth, cfg.noise_figure):7.2f} dBm")
+print(f"  link constant C     : {link_constant_db(cfg):7.2f} dB (2 G0 - shadowing - noise)")
 for label, d in (("abeam", cfg.d0), ("cell edge", position_rrh_distance(cfg, 0.0))):
     pl = path_loss(d, cfg.wavelength, cfg.pathloss_exp)
     snr = snr_db(30.0, d, 0.0, cfg)

@@ -11,8 +11,8 @@ the radio head gets the most power.
 import numpy as np
 
 from railpower import (average_alloc, build_gain_table, compute_metrics, constant_alloc,
-                       csi_alloc, random_alloc, reference_config, segment_boundaries,
-                       validate_alloc)
+                       csi_alloc, entry_layout, random_alloc, reference_config,
+                       segment_boundaries)
 
 cfg = reference_config()
 sched = segment_boundaries(cfg)
@@ -31,9 +31,12 @@ for name, alloc in schemes.items():
     print(f"\n{name}:")
     for row in alloc.p:
         print("  " + " ".join(f"{x:5.2f}" for x in row))
-    issues = validate_alloc(alloc, cfg, sched)
-    print(f"  column sums: {np.array_str(alloc.column_sums(), precision=2)}")
-    print(f"  validation : {'clean' if not issues else issues}")
+    sums = alloc.column_sums()
+    feasible = (alloc.layout is entry_layout(cfg) and np.all(alloc.values >= 0.0)
+                and np.all(sums <= cfg.p_t * (1.0 + 1e-9)))
+    print(f"  column sums: {np.array_str(sums, precision=2)}")
+    print(f"  feasible   : {'yes' if feasible else 'no'} (on the layout, nonnegative,"
+          " within P_T)")
 
 print("\nheadline metrics:")
 print(f"{'scheme':<10}{'E [J]':>8}{'D [Gbit]':>10}{'EE [Gbit/J]':>13}{'SE':>7}")
@@ -46,7 +49,7 @@ print("\nnote how the CSI split orders power against channel gain in a"
       " stage-two segment:")
 j = cfg.num_relays          # first stage-two segment (1-based)
 # the segment's entries run in relay order; node quad_n/2 is its midpoint
-gains = table.gains[table.segment == j - 1, cfg.quad_n // 2]
+gains = table.gains[table.layout.segment == j - 1, cfg.quad_n // 2]
 powers = schemes["csi"].p[:, j - 1]
 for i in range(cfg.num_relays):
     print(f"  relay {i + 1}: SNR per watt at mid-segment = {gains[i]:.3e} /W"

@@ -8,18 +8,16 @@ energy minimiser, an RSRP-window Doppler estimator, and a reproducible
 experiment harness with a small CLI.
 """
 
-from .scenario import (KMH_TO_MPS, ScenarioConfig, SegmentSchedule, active_segments,
-                       activity_mask, dbm_to_watts, head_position, mr_position,
-                       mr_rrh_distance, mrs_in_cell, reference_config,
-                       segment_boundaries, watts_to_dbm)
-from .radio import (FadingModel, LinkConstants, max_antenna_gain, noise_power_dbm,
+from .scenario import (KMH_TO_MPS, EntryLayout, ScenarioConfig, SegmentSchedule,
+                       dbm_to_watts, entry_layout, mr_position, mr_rrh_distance,
+                       mrs_in_cell, reference_config, segment_boundaries, watts_to_dbm)
+from .radio import (FadingModel, link_constant_db, max_antenna_gain, noise_power_dbm,
                     path_loss, sample_fading_power, sample_rician_envelope, snr_db,
                     snr_linear_per_watt)
 from .metrics import (AllocationMatrix, GainTable, MetricsRecord, build_gain_table,
                       compute_metrics, energy_efficiency, sample_fading_trace,
                       spectral_efficiency, total_energy)
-from .allocators import (average_alloc, constant_alloc, csi_alloc, random_alloc,
-                         validate_alloc)
+from .allocators import average_alloc, constant_alloc, csi_alloc, random_alloc
 from .optimizer import (InfeasibleDataFloor, SolveResult, SolverOptions, data_floor,
                         kkt_residual, solve)
 from .doppler import (DopplerTable, RsrpWindow, build_table, estimate_doppler,

@@ -1,43 +1,39 @@
-"""Baseline power-allocation schemes and the shared validation contract.
+"""Baseline power-allocation schemes.
 
 Four reference allocators: constant (P_T/M per covered relay), average
 (P_T split equally among covered relays), random (uniform point on the
 per-segment simplex summing to P_T), and CSI-based (inverse channel-gain
 weighting, with each entry's channel read from the scenario's gain table
-at its segment's midpoint node).  All build nonnegative compact powers on
-the activity mask, column sums within the budget; `validate_alloc` checks
-exactly that and returns violations as data rather than raising.
+at its segment's midpoint node).  Each builds nonnegative compact powers
+on the config's shared :class:`scenario.EntryLayout`, so no allocation can
+power a relay outside the cell, with every column sum within the budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import radio
-from .metrics import AllocationMatrix, GainTable, active_entries
-from .scenario import ScenarioConfig, SegmentSchedule, activity_mask
+from .metrics import AllocationMatrix, GainTable
+from .scenario import EntryLayout, ScenarioConfig, SegmentSchedule, entry_layout
 
 
 def constant_alloc(cfg: ScenarioConfig, sched: SegmentSchedule) -> AllocationMatrix:
     """P_T/M to every covered relay; column sums below P_T while entering/leaving."""
-    mask = activity_mask(cfg)
-    return AllocationMatrix(np.full(np.count_nonzero(mask), cfg.p_t / cfg.num_relays), mask)
+    layout = entry_layout(cfg)
+    return AllocationMatrix(np.full(layout.segment.size, cfg.p_t / cfg.num_relays), layout)
 
 
 def average_alloc(cfg: ScenarioConfig, sched: SegmentSchedule) -> AllocationMatrix:
     """P_T split equally among the relays covered in each segment."""
-    mask = activity_mask(cfg)
-    return _split_budget(cfg, mask, np.ones(np.count_nonzero(mask)))
+    layout = entry_layout(cfg)
+    return _split_budget(cfg, layout, np.ones(layout.segment.size))
 
 
-def _split_budget(cfg: ScenarioConfig, mask: np.ndarray, w: np.ndarray) -> AllocationMatrix:
+def _split_budget(cfg: ScenarioConfig, layout: EntryLayout, w: np.ndarray) -> AllocationMatrix:
     """P_T split over each segment's active entries in proportion to the
     compact weights w."""
-    segment = active_entries(mask)[1]
-    sums = np.bincount(segment, weights=w, minlength=mask.shape[1])
-    return AllocationMatrix(cfg.p_t * w / sums[segment], mask)
+    return AllocationMatrix(cfg.p_t * w / layout.column_sums(w)[layout.segment], layout)
 
 
 def random_alloc(cfg: ScenarioConfig, sched: SegmentSchedule,
@@ -47,10 +43,10 @@ def random_alloc(cfg: ScenarioConfig, sched: SegmentSchedule,
     Uses exponential spacings: iid Exp(1) draws normalised per column give
     a uniform point on the simplex, scaled so every column sums to P_T.
     """
-    mask = activity_mask(cfg)
+    layout = entry_layout(cfg)
     # one draw per entry in the compact order: column by column, as a
     # per-column loop would draw them
-    return _split_budget(cfg, mask, rng.exponential(1.0, size=np.count_nonzero(mask)))
+    return _split_budget(cfg, layout, rng.exponential(1.0, size=layout.segment.size))
 
 
 def csi_alloc(cfg: ScenarioConfig, sched: SegmentSchedule, table: GainTable,
@@ -64,42 +60,9 @@ def csi_alloc(cfg: ScenarioConfig, sched: SegmentSchedule, table: GainTable,
     with alpha = ``cfg.csi_alpha``; the link constant in every factor
     cancels in that ratio.
     """
+    layout = table.layout
     h = table.gains[:, table.gains.shape[1] // 2]
     if rng is not None:
         model = radio.FadingModel.from_k_db(cfg.rician_k)
-        power = radio.sample_fading_power(model, rng, size=table.mask.shape)
-        h = h * power.T[table.mask.T]
-    return _split_budget(cfg, table.mask, h ** (-cfg.csi_alpha))
-
-
-@dataclass(frozen=True)
-class AllocationViolation:
-    kind: str      # "mask" | "negative" | "budget"
-    i: int | None  # 1-based relay index, None for column-level violations
-    j: int         # 1-based segment index
-    value: float
-
-    def __str__(self):
-        if self.kind == "budget":
-            return f"column {self.j}: sum {self.value:.6g} W exceeds the budget"
-        return f"entry ({self.i},{self.j}): {self.kind} power {self.value:.6g} W"
-
-
-def validate_alloc(alloc: AllocationMatrix, cfg: ScenarioConfig,
-                   sched: SegmentSchedule, tol: float | None = None) -> list[AllocationViolation]:
-    """Check mask, nonnegativity, and per-segment budget; return violations."""
-    tol = 1e-9 * cfg.p_t if tol is None else tol
-    expected_mask = activity_mask(cfg)
-    if alloc.mask.shape != expected_mask.shape:
-        raise ValueError("allocation shape does not match the scenario")
-    relay, seg = active_entries(alloc.mask)
-    p = alloc.values
-    out = []
-    for kind, bad in (("mask", (np.abs(p) > 0.0) & ~expected_mask[relay, seg]),
-                      ("negative", p < 0.0)):
-        for k in np.flatnonzero(bad):
-            out.append(AllocationViolation(kind, relay[k] + 1, seg[k] + 1, float(p[k])))
-    sums = alloc.column_sums()
-    for j in np.flatnonzero(sums > cfg.p_t + tol):
-        out.append(AllocationViolation("budget", None, int(j) + 1, float(sums[j])))
-    return out
+        h = h * layout.compact(radio.sample_fading_power(model, rng, size=layout.mask.shape))
+    return _split_budget(cfg, layout, h ** (-cfg.csi_alpha))

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .radio import LinkConstants, path_loss
+from .radio import link_constant_db, noise_power_dbm, path_loss
 from .scenario import ScenarioConfig, _hold_read_only, position_rrh_distance, watts_to_dbm
 
 EPS = float(np.finfo(float).eps)
@@ -63,10 +63,11 @@ def rsrp_at(cfg: ScenarioConfig, x):
     P_T + Gtx + Grx - xi + 10*n*log10(lambda/(4*pi*d(x))), with both ends
     at boresight gain, on the deterministic channel.
     """
-    consts = LinkConstants.from_config(cfg)
     d = position_rrh_distance(cfg, x)
     pl = path_loss(d, cfg.wavelength, cfg.pathloss_exp)
-    out = watts_to_dbm(cfg.p_t) + consts.c_db + consts.p_noise_dbm - pl
+    # C nets out the noise power, which the received power keeps
+    out = (watts_to_dbm(cfg.p_t) + link_constant_db(cfg)
+           + noise_power_dbm(cfg.bandwidth, cfg.noise_figure) - pl)
     return out if np.ndim(out) else float(out)
 
 

@@ -17,64 +17,50 @@ returned figures read them from there.
 Compact layout: a relay transmits only while it is in the cell, so of the
 M x (2M+N-2) (relay, segment) pairs only the K = M(M+N-1) active entries
 carry power.  The table, the data passes and the solver hold those K
-entries as one vector in column-major order (see :func:`active_entries`),
-each segment's relays next to each other; per-segment sums are one
-``bincount`` over the entry-to-segment index, which adds a column's
-entries in relay order exactly as a row-by-row sum of the dense matrix
-does.  :class:`AllocationMatrix` holds its powers in this layout too; its
-dense (M, S) matrix is a read-only view, built on demand.  So does a
-fading trace (:func:`sample_fading_trace`): one linear power factor per
+entries as one vector in the column-major order of the config's shared
+:class:`scenario.EntryLayout`, each segment's relays next to each other;
+per-segment sums are the layout's :meth:`~scenario.EntryLayout.column_sums`.
+Both :class:`GainTable` and :class:`AllocationMatrix` hold the layout
+object itself, with no index of their own; an allocation's dense (M, S)
+matrix is a read-only view, built on demand.  A fading trace
+(:func:`sample_fading_trace`) is compact too: one linear power factor per
 node of each active entry, which :meth:`GainTable.faded` multiplies into
 the gains.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import radio
-from .scenario import (ScenarioConfig, SegmentSchedule, _hold_read_only, activity_mask,
-                       mr_rrh_distance)
+from .scenario import (EntryLayout, ScenarioConfig, SegmentSchedule, _frozen,
+                       _hold_read_only, entry_layout, mr_rrh_distance)
 
 LN2 = np.log(2.0)
 
 
-def active_entries(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(relay, segment) indices (0-based) of the active entries of an
-    activity mask, in the compact column-major order."""
-    seg, relay = np.nonzero(mask.T)
-    return relay, seg
-
-
 @dataclass(frozen=True, eq=False)
 class AllocationMatrix:
-    """Transmit powers [W] of the active entries of ``mask``, in the order of
-    :func:`active_entries`; :attr:`p` is the dense (M, S) matrix P."""
+    """Transmit powers [W] of the active entries of ``layout``, in its
+    compact order; :attr:`p` is the dense (M, S) matrix P."""
 
     values: np.ndarray     # (K,) [W]
-    mask: np.ndarray       # (M, S)
-    segment: np.ndarray = field(init=False, repr=False)   # (K,) entry -> segment
+    layout: EntryLayout
 
     def __post_init__(self):
-        _hold_read_only(self, ("values", "mask"))
-        segment = active_entries(self.mask)[1]
-        if self.values.shape != segment.shape:
-            raise ValueError("values must hold one power per active entry of the mask")
-        segment.setflags(write=False)
-        object.__setattr__(self, "segment", segment)
+        _hold_read_only(self, ("values",))
+        if self.values.shape != self.layout.segment.shape:
+            raise ValueError("values must hold one power per active entry of the layout")
 
     @property
     def p(self) -> np.ndarray:
         """Dense powers (M, S) [W], zero outside the mask; read-only."""
-        p = np.zeros(self.mask.shape)
-        p.T[self.mask.T] = self.values
-        p.setflags(write=False)
-        return p
+        return self.layout.dense(self.values)
 
     def column_sums(self) -> np.ndarray:
-        return np.bincount(self.segment, weights=self.values, minlength=self.mask.shape[1])
+        return self.layout.column_sums(self.values)
 
 
 def _simpson_weights(n: int) -> np.ndarray:
@@ -93,31 +79,23 @@ class GainTable:
     entry k (a relay in a segment where it is in the cell) at quadrature
     node q of that segment.  ``weights[k, q]`` are the segment's Simpson
     weights scaled by the node spacing, so a plain weighted sum is the
-    time integral.  Entries run in the compact column-major order of
-    :func:`active_entries` over ``mask``; ``segment[k]`` is entry k's
-    segment, derived from the mask.  Every power argument is a compact
-    vector p (K,) in watts; :class:`optimizer.Problem` holds a copy with
-    gains times P_T and weights over D_min, which takes p / P_T and returns
-    data over D_min.
+    time integral.  Entries run in the compact order of ``layout``.  Every
+    power argument is a compact vector p (K,) in watts;
+    :class:`optimizer.Problem` holds a copy on the same layout with gains
+    times P_T and weights over D_min, which takes p / P_T and returns data
+    over D_min.
     """
 
     gains: np.ndarray      # (K, Q+1) [1/W]
     weights: np.ndarray    # (K, Q+1) [s]
-    mask: np.ndarray       # (M, S)
+    layout: EntryLayout
     bandwidth: float
-    segment: np.ndarray = field(init=False, repr=False)   # (K,) entry -> segment
 
     def __post_init__(self):
-        _hold_read_only(self, ("gains", "weights", "mask"))
-        segment = active_entries(self.mask)[1]
-        if self.gains.shape[0] != segment.size or self.weights.shape != self.gains.shape:
+        _hold_read_only(self, ("gains", "weights"))
+        if (self.gains.shape[0] != self.layout.segment.size
+                or self.weights.shape != self.gains.shape):
             raise ValueError("gains and weights must be (K, Q+1) over the active entries")
-        segment.setflags(write=False)
-        object.__setattr__(self, "segment", segment)
-
-    def column_sums(self, v: np.ndarray) -> np.ndarray:
-        """Per-segment sums (S,) of compact entry values (K,)."""
-        return np.bincount(self.segment, weights=v, minlength=self.mask.shape[1])
 
     def snr(self, p: np.ndarray) -> np.ndarray:
         """Linear SNR (K, Q+1) at every node for compact entry powers p (W);
@@ -159,7 +137,7 @@ class GainTable:
         """
         if power.shape != self.gains.shape:
             raise ValueError("fading trace shape must be (K, Q+1)")
-        return replace(self, gains=self.gains * power)
+        return replace(self, gains=_frozen(self.gains * power))
 
 
 def build_gain_table(cfg: ScenarioConfig, sched: SegmentSchedule) -> GainTable:
@@ -179,11 +157,11 @@ def build_gain_table(cfg: ScenarioConfig, sched: SegmentSchedule) -> GainTable:
     h = sched.durations / n
     nodes = t0[:, None] + frac[None, :] * sched.durations[:, None]   # (S, Q+1)
 
-    mask = activity_mask(cfg)
-    relay, seg = active_entries(mask)
+    layout = entry_layout(cfg)
+    relay, seg = layout.relay, layout.segment
     gains = radio.snr_linear_per_watt(cfg, mr_rrh_distance(cfg, relay[:, None] + 1, nodes[seg]))
     weights = h[seg, None] * base_w[None, :]
-    return GainTable(gains=gains, weights=weights, mask=mask, bandwidth=cfg.bandwidth)
+    return GainTable(gains=gains, weights=weights, layout=layout, bandwidth=cfg.bandwidth)
 
 
 def sample_fading_trace(cfg: ScenarioConfig, sched: SegmentSchedule,
@@ -200,14 +178,14 @@ def sample_fading_trace(cfg: ScenarioConfig, sched: SegmentSchedule,
     """
     model = radio.FadingModel.from_k_db(cfg.rician_k)
     re, im = radio._standard_pairs(rng, (cfg.num_relays, cfg.num_segments, cfg.quad_n + 1))
-    active = activity_mask(cfg).T
-    return radio._rician_power(model, re.swapaxes(0, 1)[active], im.swapaxes(0, 1)[active])
+    layout = entry_layout(cfg)
+    return radio._rician_power(model, layout.compact(re), layout.compact(im))
 
 
 def total_energy(alloc: AllocationMatrix, sched: SegmentSchedule) -> float:
     """Traversal energy [J]: the sum over segments of duration times the
     segment's power column sum."""
-    if alloc.mask.shape[1] != sched.num_segments:
+    if alloc.layout.mask.shape[1] != sched.num_segments:
         raise ValueError("allocation width does not match the schedule")
     return _energy(sched, alloc.column_sums())
 
@@ -246,7 +224,7 @@ def compute_metrics(alloc: AllocationMatrix, cfg: ScenarioConfig,
     is bit-identical wherever it is reported.
     """
     e = total_energy(alloc, sched)
-    d = float(table.column_sums(table.segment_data_matrix(alloc.values)).sum())
+    d = float(table.layout.column_sums(table.segment_data_matrix(alloc.values)).sum())
     return MetricsRecord(
         energy_j=e,
         data_bits=d,

@@ -36,10 +36,10 @@ an :class:`AllocationMatrix`.  :class:`Problem` holds
 the gain table in the same units (gains times P_T, weights over D_min),
 built once, so no data or derivative pass converts units.  The iterate
 is the compact vector x (K,) of the K = M(M+N-1) entries where a relay is
-in the cell, in the column-major order of :mod:`metrics` (each segment's
-relays next to each other); column sums are one ``bincount`` over the
-entry-to-segment index, and no inactive entry is stored, computed or
-masked out.
+in the cell, in the compact order of the table's
+:class:`scenario.EntryLayout` (each segment's relays next to each other);
+column sums are the layout's one ``bincount``, and no inactive entry is
+stored, computed or masked out.
 :class:`Problem` over a :class:`GainTable` is the one representation of
 the merit function, its derivatives and the residuals.  The two solver
 settings (tolerance and cycle cap) live in one frozen
@@ -96,7 +96,7 @@ import numpy as np
 
 from .allocators import average_alloc
 from .metrics import AllocationMatrix, GainTable, _energy, build_gain_table, compute_metrics
-from .scenario import ScenarioConfig, SegmentSchedule, segment_boundaries
+from .scenario import ScenarioConfig, SegmentSchedule, _frozen, segment_boundaries
 
 
 class InfeasibleDataFloor(ValueError):
@@ -165,9 +165,10 @@ class Problem:
         self.d_min = d_min
         self.p_t = cfg.p_t
         self.sched = sched
-        self.table = replace(table, gains=table.gains * cfg.p_t,
-                             weights=table.weights / d_min)
-        self.segment = table.segment
+        self.table = replace(table, gains=_frozen(table.gains * cfg.p_t),
+                             weights=_frozen(table.weights / d_min))
+        self.layout = table.layout
+        self.segment = self.layout.segment
         self.t_norm = sched.durations / sched.total_time
         self._t_entry = self.t_norm[self.segment]
 
@@ -175,19 +176,19 @@ class Problem:
         return alloc.values / self.p_t
 
     def to_physical(self, x: np.ndarray) -> AllocationMatrix:
-        return AllocationMatrix(x * self.p_t, self.table.mask)
+        return AllocationMatrix(x * self.p_t, self.layout)
 
     def energy_j(self, x: np.ndarray) -> float:
         """Energy [J] of x: :func:`metrics.total_energy` of ``to_physical(x)``,
         bit for bit, without building the allocation."""
-        return _energy(self.sched, self.table.column_sums(x * self.p_t))
+        return _energy(self.sched, self.layout.column_sums(x * self.p_t))
 
     def residuals_scaled(self, x: np.ndarray, snr: np.ndarray | None = None,
                          cols: np.ndarray | None = None) -> np.ndarray:
         """Residuals at x; ``snr`` and ``cols`` pass in the table's
         :meth:`GainTable.snr` and column sums at x."""
         if cols is None:
-            cols = self.table.column_sums(x)
+            cols = self.layout.column_sums(x)
         h = np.empty(self.t_norm.size + 1)
         h[0] = self.table.total_data(x, snr) - 1.0
         h[1:] = np.maximum(cols - 1.0, 0.0)
@@ -198,7 +199,7 @@ class Problem:
         """Merit value; ``h`` and ``cols`` pass in the residuals and column
         sums at x, so one evaluation takes the column sums once."""
         if cols is None:
-            cols = self.table.column_sums(x)
+            cols = self.layout.column_sums(x)
         if h is None:
             h = self.residuals_scaled(x, cols=cols)
         return float(self.t_norm @ cols) - float(lam @ h) + sigma * float(h @ h)
@@ -242,7 +243,7 @@ class Problem:
         bg, bu = inv_a * g, inv_a * dd
         if any_capped:
             # Sherman-Morrison per capped column on g and on the data gradient
-            colsum = self.table.column_sums
+            colsum = self.layout.column_sums
             col = np.where(capped, two_s / (1.0 + two_s * colsum(inv_a)), 0.0)
             bg -= inv_a * (colsum(bg) * col)[seg]
             bu -= inv_a * (colsum(bu) * col)[seg]
@@ -304,7 +305,7 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
         x_new, alpha = None, 1.0
         for _ in range(60):
             x_try = np.maximum(x + alpha * d, 0.0)
-            snr_try, cols = table.snr(x_try), table.column_sums(x_try)
+            snr_try, cols = table.snr(x_try), problem.layout.column_sums(x_try)
             h_try = problem.residuals_scaled(x_try, snr_try, cols)
             phi_try = problem.phi(x_try, lam, sigma, h_try, cols)
             evals += 1
@@ -381,7 +382,7 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     method-of-multipliers continuation; Bertsekas, Constrained
     Optimization and Lagrange Multiplier Methods, 1982, sec. 2.2).  The
     average allocation's data pass is the feasibility test either way,
-    and it runs first.  A warm allocation whose mask differs from the
+    and it runs first.  A warm allocation on another relay layout than the
     table's, or a ``lam_hat`` without 2M+N-1 entries, raises
     ``ValueError``.  The start point is scaled and clipped to x >= 0
     once; the cycles carry x and its residuals, and the best x is
@@ -413,8 +414,8 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
         )
     if warm is not None:
         warm_alloc, warm_result = warm
-        if not np.array_equal(warm_alloc.mask, table.mask):
-            raise ValueError("the warm allocation's relay mask differs from the table's")
+        if warm_alloc.layout is not table.layout:
+            raise ValueError("the warm allocation's relay layout differs from the table's")
         if warm_result.lam_hat.shape != state.lam.shape:
             raise ValueError(f"the warm multipliers hold {warm_result.lam_hat.size} entries, "
                              f"not 2M+N-1 = {state.lam.size}")
@@ -455,7 +456,7 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     if np.any(sums > cfg.p_t):
         while np.any(sums > cfg.p_t):
             shrink = np.minimum(cfg.p_t / sums, 1.0 - 2.0 ** -52)
-            x = x * np.where(sums > cfg.p_t, shrink, 1.0)[table.segment]
+            x = x * np.where(sums > cfg.p_t, shrink, 1.0)[problem.segment]
             alloc = problem.to_physical(x)
             sums = alloc.column_sums()
         hinf = _linf(problem.residuals_scaled(x))
@@ -488,10 +489,11 @@ def kkt_residual(alloc: AllocationMatrix, lam: np.ndarray, cfg: ScenarioConfig,
     problem = Problem(cfg, sched, d_min, table)
     x = problem.to_scaled(alloc)
     h0 = problem.residuals_scaled(x)[0]
-    budget = table.column_sums(x) - 1.0
+    seg = problem.segment
+    budget = problem.layout.column_sums(x) - 1.0
 
     dd = problem.table.data_derivatives(x)[0]
-    stat = problem.t_norm[table.segment] - lam[0] * dd - lam[1:][table.segment]
+    stat = problem.t_norm[seg] - lam[0] * dd - lam[1:][seg]
     interior = x > 0.0
     at_bound = ~interior
     stat_res = 0.0

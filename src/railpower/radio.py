@@ -49,18 +49,10 @@ def noise_power_dbm(bandwidth: float, noise_figure: float) -> float:
     return THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(bandwidth) + noise_figure
 
 
-@dataclass(frozen=True)
-class LinkConstants:
+def link_constant_db(cfg: ScenarioConfig) -> float:
     """Aggregated link-budget constant C = Gtx + Grx - xi - P_noise [dB]."""
-
-    c_db: float
-    p_noise_dbm: float
-
-    @classmethod
-    def from_config(cls, cfg: ScenarioConfig) -> "LinkConstants":
-        g0 = max_antenna_gain(cfg.theta_3db)
-        p_noise = noise_power_dbm(cfg.bandwidth, cfg.noise_figure)
-        return cls(c_db=2.0 * g0 - cfg.shadowing - p_noise, p_noise_dbm=p_noise)
+    p_noise = noise_power_dbm(cfg.bandwidth, cfg.noise_figure)
+    return 2.0 * max_antenna_gain(cfg.theta_3db) - cfg.shadowing - p_noise
 
 
 def snr_db(p_tx_dbm, d, gamma_db, cfg: ScenarioConfig):
@@ -72,8 +64,8 @@ def snr_db(p_tx_dbm, d, gamma_db, cfg: ScenarioConfig):
     reproduces the deterministic channel.
     """
     pl = path_loss(d, cfg.wavelength, cfg.pathloss_exp)
-    c_db = LinkConstants.from_config(cfg).c_db
-    out = np.asarray(p_tx_dbm, dtype=float) - pl - np.asarray(gamma_db, dtype=float) + c_db
+    out = (np.asarray(p_tx_dbm, dtype=float) - pl - np.asarray(gamma_db, dtype=float)
+           + link_constant_db(cfg))
     return out if out.ndim else float(out)
 
 

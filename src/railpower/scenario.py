@@ -7,8 +7,16 @@ by one), N location bins while all relays are covered, and M-1 exit
 segments.  Everything downstream (power matrices, data integrals, the
 solver) is indexed by these segments.
 
-Relay indices ``i`` and segment indices ``j`` are 1-based throughout this
-module, matching the usual notation for this kind of system.  The track
+A relay transmits only while it is in the cell, so of the M x (2M+N-2)
+(relay, segment) pairs only K = M(M+N-1) are active.  :class:`EntryLayout`
+is the one place that decides which pairs those are and the compact
+column-major order every allocation, gain table, fading trace and solver
+step holds them in; :func:`entry_layout` gives every config with the same
+(M, N) the same read-only instance.
+
+Relay indices ``i`` and segment indices ``j`` taken by this module's
+functions are 1-based, matching the usual notation for this kind of
+system; the index arrays of an :class:`EntryLayout` are 0-based.  The track
 axis is x, the cell spans [0, d_l], and the head relay sits at x = 0 at
 t = 0.  The radio head is placed abeam the cell midpoint at lateral
 offset ``d0``.
@@ -42,6 +50,12 @@ def _hold_read_only(obj, names) -> None:
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(obj, name, arr)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Make a freshly computed array read-only in place, rather than copy it."""
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -167,17 +181,12 @@ def segment_boundaries(cfg: ScenarioConfig) -> SegmentSchedule:
     return SegmentSchedule(boundaries=t, durations=np.diff(t))
 
 
-def head_position(cfg: ScenarioConfig, t):
-    """Head-relay track coordinate x = v*t [m]; t may be an array."""
-    return cfg.v * np.asarray(t, dtype=float)
-
-
 def mr_position(cfg: ScenarioConfig, i: int | np.ndarray, t):
-    """Track coordinate of relay i (1..M, or an index array broadcast against
-    t); negative before cell entry."""
+    """Track coordinate v*t - (i-1)*d_mr of relay i (1..M, or an index array
+    broadcast against t); negative before cell entry."""
     if not 1 <= np.min(i) <= np.max(i) <= cfg.num_relays:
         raise IndexError(f"relay index {i} outside 1..{cfg.num_relays}")
-    return head_position(cfg, t) - (i - 1) * cfg.d_mr
+    return cfg.v * np.asarray(t, dtype=float) - (i - 1) * cfg.d_mr
 
 
 def mr_rrh_distance(cfg: ScenarioConfig, i: int | np.ndarray, t):
@@ -202,27 +211,54 @@ def mrs_in_cell(cfg: ScenarioConfig, j: int) -> int:
     return 2 * m + n - j - 1
 
 
-def active_segments(cfg: ScenarioConfig, i: int) -> tuple[int, int]:
-    """Inclusive 1-based segment range [i, i+M+N-2] in which relay i is in the cell."""
-    if not 1 <= i <= cfg.num_relays:
-        raise IndexError(f"relay index {i} outside 1..{cfg.num_relays}")
-    return i, i + cfg.num_relays + cfg.num_bins - 2
+@dataclass(frozen=True, eq=False)
+class EntryLayout:
+    """The compact entry order of one relay layout (M, N): its K = M(M+N-1)
+    active (relay, segment) entries, 0-based, in column-major order, each
+    segment's relays next to each other.
 
-
-def activity_mask(cfg: ScenarioConfig) -> np.ndarray:
-    """Boolean (M, 2M+N-2) mask, True where relay i transmits in segment j.
-
-    One read-only array is shared by every config with the same (M, N), so
-    the allocations and tables built on it keep it rather than copy it.
+    ``mask`` is the (M, 2M+N-2) activity mask, True where relay i is in the
+    cell in segment j, that is in segments i..i+M+N-2 (1-based).  Build it
+    with :func:`entry_layout`, which holds one instance per (M, N); every
+    allocation, gain table and solver step of that layout reads the same
+    read-only object, and so does one unpickled in another process.
     """
-    return _activity_mask(cfg.num_relays, cfg.num_bins)
+
+    mask: np.ndarray       # (M, S) bool
+    relay: np.ndarray      # (K,) entry -> relay
+    segment: np.ndarray    # (K,) entry -> segment
+
+    def __reduce__(self):
+        m, s = self.mask.shape
+        return _entry_layout, (m, s - 2 * m + 2)
+
+    def column_sums(self, v: np.ndarray) -> np.ndarray:
+        """Per-segment sums (S,) of compact entry values v (K,): a column's
+        entries are added in relay order, as a row-by-row sum of the dense
+        matrix adds them."""
+        return np.bincount(self.segment, weights=v, minlength=self.mask.shape[1])
+
+    def compact(self, a: np.ndarray) -> np.ndarray:
+        """The active entries (K, ...) of a dense (M, S, ...) array."""
+        return a[self.relay, self.segment]
+
+    def dense(self, v: np.ndarray) -> np.ndarray:
+        """Read-only dense (M, S) matrix of compact values v, zero outside
+        the mask."""
+        out = np.zeros(self.mask.shape)
+        out[self.relay, self.segment] = v
+        return _frozen(out)
 
 
-@functools.lru_cache(maxsize=64)
-def _activity_mask(m: int, n: int) -> np.ndarray:
-    # relay i (1-based) is in the cell in segments i..i+M+N-2 (active_segments)
+def entry_layout(cfg: ScenarioConfig) -> EntryLayout:
+    """The shared :class:`EntryLayout` of cfg's relay layout (M, N)."""
+    return _entry_layout(cfg.num_relays, cfg.num_bins)
+
+
+@functools.cache
+def _entry_layout(m: int, n: int) -> EntryLayout:
     mask = np.zeros((m, 2 * m + n - 2), dtype=bool)
     for i in range(m):
         mask[i, i:i + m + n - 1] = True
-    mask.setflags(write=False)
-    return mask
+    segment, relay = np.nonzero(mask.T)
+    return EntryLayout(_frozen(mask), _frozen(relay), _frozen(segment))

@@ -1,4 +1,5 @@
-"""Closed-form data oracle for the free-space link (test helper only).
+"""Test oracles: an allocation's feasibility, and the closed-form data of
+the free-space link (test helpers only).
 
 With path-loss exponent 2 and both antennas at boresight, the per-watt
 SNR of relay i at time t is A / (d0^2 + u^2), where
@@ -19,24 +20,32 @@ from __future__ import annotations
 
 import numpy as np
 
-from railpower import snr_linear_per_watt
-from railpower.metrics import active_entries
+from railpower import entry_layout, snr_linear_per_watt
 
 
-def _entry_offsets(cfg, sched, mask):
+def assert_feasible(alloc, cfg, tol=None):
+    """The allocation lies on cfg's layout, with nonnegative powers and
+    every column sum within P_T + tol (default 1e-9 P_T)."""
+    tol = 1e-9 * cfg.p_t if tol is None else tol
+    assert alloc.layout is entry_layout(cfg)
+    assert np.all(alloc.values >= 0.0)
+    assert np.all(alloc.column_sums() <= cfg.p_t + tol)
+
+
+def _entry_offsets(cfg, sched, layout):
     """(u at the start, u at the end) of every active entry, compact order."""
     if cfg.pathloss_exp != 2:
         raise ValueError("the closed form needs pathloss_exp == 2")
-    relay, seg = active_entries(mask)
+    relay, seg = layout.relay, layout.segment
     shift = relay * cfg.d_mr + cfg.d_l / 2.0
     return (cfg.v * sched.boundaries[seg] - shift,
             cfg.v * sched.boundaries[seg + 1] - shift)
 
 
-def closed_form_data(cfg, sched, mask, p):
+def closed_form_data(cfg, sched, layout, p):
     """Per-entry data D_k [bits] and its first two derivatives in P_k
     [bits/W, bits/W^2] for compact powers p [W], each (K,)."""
-    u0, u1 = _entry_offsets(cfg, sched, mask)
+    u0, u1 = _entry_offsets(cfg, sched, layout)
     a = float(snr_linear_per_watt(cfg, 1.0))
     d0 = cfg.d0
     b = np.sqrt(d0 ** 2 + np.asarray(p, dtype=float) * a)

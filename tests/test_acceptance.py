@@ -19,14 +19,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from railpower import (FadingModel, activity_mask, build_gain_table, build_table,
-                       constant_alloc, data_floor, estimate_doppler, kkt_residual,
+from railpower import (FadingModel, build_gain_table, build_table, constant_alloc,
+                       data_floor, entry_layout, estimate_doppler, kkt_residual,
                        max_doppler, reference_config, sample_rician_envelope,
                        segment_boundaries, solve, total_energy, true_doppler)
 from railpower.configio import SCHEMES, HarnessOptions
 from railpower.harness import (SweepSpec, monte_carlo_velocity_error, records_to_csv,
                                run_point, sweep)
-from railpower.metrics import active_entries
 from railpower.optimizer import Problem
 
 EPS = 1e-4   # solver tolerance on scaled residuals
@@ -169,7 +168,7 @@ def test_criterion_5_solver_correctness(cfg, rng):
     table = build_gain_table(cfg, sched)
     d_min = data_floor(cfg, sched, table)
     problem = Problem(cfg, sched, d_min, table)
-    k_all = activity_mask(cfg).sum()
+    k_all = entry_layout(cfg).segment.size
     per_relay = cfg.p_t / cfg.num_relays
     worst_grad = 0.0
     for trial in range(20):
@@ -214,7 +213,7 @@ def test_criterion_6_brute_force_oracle():
     t = sched.durations
     ln2 = np.log(2.0)
 
-    relay, seg = active_entries(table.mask)
+    relay, seg = table.layout.relay, table.layout.segment
 
     def entry_data(i, j, powers):
         k = np.flatnonzero((relay == i) & (seg == j))[0]

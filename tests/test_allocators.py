@@ -3,17 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import assert_feasible
 
-from railpower import (FadingModel, activity_mask, average_alloc, build_gain_table,
-                       constant_alloc, csi_alloc, mr_rrh_distance, mrs_in_cell, path_loss,
+from railpower import (FadingModel, average_alloc, build_gain_table, constant_alloc,
+                       csi_alloc, entry_layout, mr_rrh_distance, mrs_in_cell, path_loss,
                        random_alloc, reference_config, sample_fading_power,
-                       segment_boundaries, validate_alloc)
-from railpower.metrics import AllocationMatrix, active_entries
+                       segment_boundaries)
+from railpower.metrics import AllocationMatrix
 
 
 def test_constant_alloc(ref_cfg, ref_sched):
     alloc = constant_alloc(ref_cfg, ref_sched)
-    assert np.all(alloc.p[alloc.mask] == ref_cfg.p_t / ref_cfg.num_relays)
+    assert np.all(alloc.p[alloc.layout.mask] == ref_cfg.p_t / ref_cfg.num_relays)
     assert_allclose(alloc.column_sums()[0], 2.5, rtol=1e-12)   # one relay covered
     assert alloc.column_sums()[0] < ref_cfg.p_t
 
@@ -22,7 +23,7 @@ def test_constant_alloc_single_relay():
     cfg = reference_config(num_relays=1)
     sched = segment_boundaries(cfg)
     alloc = constant_alloc(cfg, sched)
-    assert np.all(alloc.p[alloc.mask] == cfg.p_t)
+    assert np.all(alloc.p[alloc.layout.mask] == cfg.p_t)
 
 
 def test_average_alloc(ref_cfg, ref_sched):
@@ -33,7 +34,7 @@ def test_average_alloc(ref_cfg, ref_sched):
     assert_allclose(alloc.column_sums(), ref_cfg.p_t, rtol=1e-12)
     for j in range(1, ref_cfg.num_segments + 1):
         covered = mrs_in_cell(ref_cfg, j)
-        assert_allclose(alloc.p[:, j - 1][alloc.mask[:, j - 1]],
+        assert_allclose(alloc.p[:, j - 1][alloc.layout.mask[:, j - 1]],
                         ref_cfg.p_t / covered, rtol=1e-12)
 
 
@@ -41,7 +42,7 @@ def test_random_alloc_columns_sum_to_budget(ref_cfg, ref_sched):
     alloc = random_alloc(ref_cfg, ref_sched, np.random.default_rng(1))
     assert_allclose(alloc.column_sums(), ref_cfg.p_t, rtol=1e-12)
     assert np.all(alloc.p >= 0.0)
-    assert not validate_alloc(alloc, ref_cfg, ref_sched)
+    assert_feasible(alloc, ref_cfg)
 
 
 def test_random_alloc_reproducible(ref_cfg, ref_sched):
@@ -69,7 +70,7 @@ def midpoint_factors(table):
 def test_csi_alloc_equal_gains_split_equally(ref_cfg, ref_sched, ref_table):
     table = replace(ref_table, gains=np.full_like(ref_table.gains, 1e-9))
     alloc = csi_alloc(ref_cfg, ref_sched, table)
-    mask = table.mask
+    mask = table.layout.mask
     for j in range(ref_cfg.num_segments):
         active = mask[:, j]
         assert_allclose(alloc.p[active, j], ref_cfg.p_t / active.sum(), rtol=1e-12)
@@ -79,7 +80,7 @@ def test_csi_alloc_inverse_weighting():
     cfg = reference_config(num_relays=2, num_bins=2, csi_alpha=0.5)
     sched = segment_boundaries(cfg)
     table = build_gain_table(cfg, sched)
-    relay, seg = active_entries(table.mask)
+    relay, seg = table.layout.relay, table.layout.segment
     gains = np.full_like(table.gains, 1.0e-9)
     gains[(relay == 0) & (seg == 1)] = 4.0e-9   # relay 1 four times stronger in column 2
     alloc = csi_alloc(cfg, sched, replace(table, gains=gains))
@@ -97,7 +98,7 @@ def test_csi_alloc_matches_average_for_tiny_alpha(ref_cfg, ref_sched, ref_table)
 def test_csi_alloc_gives_weak_channels_more_power(ref_cfg, ref_sched, ref_table):
     alloc = csi_alloc(ref_cfg, ref_sched, ref_table)
     j = ref_cfg.num_relays          # first stage-two column, all relays covered
-    gains = midpoint_factors(ref_table)[ref_table.segment == j - 1]   # in relay order
+    gains = midpoint_factors(ref_table)[ref_table.layout.segment == j - 1]   # in relay order
     powers = alloc.p[:, j - 1]
     order_g = np.argsort(gains)
     assert np.all(np.diff(powers[order_g]) <= 1e-15)   # weakest gain, largest power
@@ -111,8 +112,8 @@ def test_csi_alloc_reads_positive_factors_and_fading(ref_cfg, ref_sched, ref_tab
     assert np.array_equal(faded1.p, faded2.p)
     assert not np.array_equal(faded1.p, det.p)
     for alloc in (det, faded1):
-        assert np.all(alloc.p[alloc.mask] > 0.0)
-        assert np.all(alloc.p[~alloc.mask] == 0.0)
+        assert np.all(alloc.p[alloc.layout.mask] > 0.0)
+        assert np.all(alloc.p[~alloc.layout.mask] == 0.0)
 
 
 def test_all_allocators_validate(ref_cfg, ref_sched, ref_table):
@@ -121,7 +122,7 @@ def test_all_allocators_validate(ref_cfg, ref_sched, ref_table):
                   average_alloc(ref_cfg, ref_sched),
                   random_alloc(ref_cfg, ref_sched, rng),
                   csi_alloc(ref_cfg, ref_sched, ref_table)):
-        assert validate_alloc(alloc, ref_cfg, ref_sched, tol=1e-9 * ref_cfg.p_t) == []
+        assert_feasible(alloc, ref_cfg)
 
 
 def test_budget_equality_by_construction(ref_cfg, ref_sched, ref_table):
@@ -141,47 +142,9 @@ def test_budget_equality_by_construction(ref_cfg, ref_sched, ref_table):
     assert np.all(sums[outside] < ref_cfg.p_t)
 
 
-def compact(p, mask):
-    """The allocation holding the entries of the dense powers p (M, S) on mask."""
-    return AllocationMatrix(p.T[mask.T], mask)
-
-
-def test_validate_alloc_reports_violations(ref_cfg, ref_sched):
-    avg = average_alloc(ref_cfg, ref_sched)
-    assert validate_alloc(avg, ref_cfg, ref_sched) == []
-
-    over = avg.p.copy()
-    over[:, 5] *= 1.1
-    report = validate_alloc(compact(over, avg.mask), ref_cfg, ref_sched)
-    assert len(report) == 1
-    assert report[0].kind == "budget" and report[0].j == 6
-
-    # relay 4 is not yet in the cell during segment 1: an allocation whose
-    # mask covers that entry and powers it breaks the scenario's mask
-    off = avg.p.copy()
-    off[3, 0] = 1.0
-    mask = avg.mask.copy()
-    mask[3, 0] = True
-    report = validate_alloc(compact(off, mask), ref_cfg, ref_sched)
-    assert [(v.kind, v.i, v.j, v.value) for v in report] == [("mask", 4, 1, 1.0),
-                                                             ("budget", None, 1, 11.0)]
-    # covering it at zero power is no violation
-    off[3, 0] = 0.0
-    assert validate_alloc(compact(off, mask), ref_cfg, ref_sched) == []
-
-    neg = avg.p.copy()
-    neg[1, 4] = -0.5
-    report = validate_alloc(compact(neg, avg.mask), ref_cfg, ref_sched)
-    assert [(v.kind, v.i, v.j, v.value) for v in report] == [("negative", 2, 5, -0.5)]
-
-    other = ref_cfg.with_(num_bins=4)
-    with pytest.raises(ValueError, match="shape"):
-        validate_alloc(avg, other, segment_boundaries(other))
-
-
 def column_loop_random(cfg, rng):
     """Reference: one exponential draw per covered relay, column by column."""
-    mask = activity_mask(cfg)
+    mask = entry_layout(cfg).mask
     p = np.zeros(mask.shape)
     for j in range(cfg.num_segments):
         idx = np.flatnonzero(mask[:, j])
@@ -193,7 +156,7 @@ def column_loop_random(cfg, rng):
 def column_loop_csi(cfg, h2):
     """Reference: inverse-gain weights of a dense (M, S) channel, normalised
     column by column."""
-    mask = activity_mask(cfg)
+    mask = entry_layout(cfg).mask
     p = np.zeros(mask.shape)
     for j in range(cfg.num_segments):
         idx = np.flatnonzero(mask[:, j])
@@ -212,7 +175,7 @@ def midpoint_snapshot(cfg, sched, rng=None):
     """Reference channel (M, S): path loss and shadowing evaluated at each
     segment's temporal midpoint, times one fading draw per entry when an
     rng is given; zero off the mask."""
-    mask = activity_mask(cfg)
+    mask = entry_layout(cfg).mask
     mid = 0.5 * (sched.boundaries[:-1] + sched.boundaries[1:])
     h2 = np.zeros(mask.shape)
     for i in range(1, cfg.num_relays + 1):
@@ -233,7 +196,7 @@ def test_vectorised_allocators_match_column_loops(m):
     cfg = reference_config(num_relays=m, num_bins=3, d_mr=10.0)
     sched = segment_boundaries(cfg)
     table = build_gain_table(cfg, sched)
-    mid = AllocationMatrix(midpoint_factors(table), table.mask).p
+    mid = AllocationMatrix(midpoint_factors(table), table.layout).p
     for seed in range(5):
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         pairs = [(random_alloc(cfg, sched, rng_a).p, column_loop_random(cfg, rng_b))]

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -164,3 +167,28 @@ def test_sweep_rejects_overflowing_power(tmp_path, capsys, workers):
     assert code == EXIT_CONFIG
     assert "P_T value 4000" in capsys.readouterr().err
     assert not (tmp_path / "sweep_P_T.csv").exists()
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "bench" / "scenarios"
+
+# criterion 10: the sha256 prefix of each CLI CSV
+CSV_PINS = {
+    "reference run": (["run", "reference.cfg"], "781560999703"),
+    "M sweep": (["sweep", "reference.cfg", "--param", "M", "--values", "2,3,4,5,6"],
+                "03aff85c5cc1"),
+    "velocity-error study": (["mc-velocity", "reference.cfg", "--sigmas", "0,1,2,3,4,5",
+                              "--trials", "100"], "f1262c97472d"),
+    "fading run": (["run", "fading.cfg"], "9c39296db070"),
+    "fading d_l sweep": (["sweep", "fading.cfg", "--param", "d_l", "--values",
+                          "140,200,240", "--trials", "3"], "f6960dcf1979"),
+}
+
+
+@pytest.mark.parametrize("name", CSV_PINS)
+def test_cli_csv_bytes_are_pinned(name, tmp_path, capsys):
+    (command, config, *rest), pin = CSV_PINS[name]
+    assert main(["--outdir", str(tmp_path), command, str(SCENARIOS / config), *rest]) == 0
+    digest = hashlib.sha256(Path(capsys.readouterr().out.strip()).read_bytes()).hexdigest()
+    assert digest[:12] == pin, (
+        f"{name}: CSV sha256 {digest[:12]}, pinned {pin}. Update a pin only together "
+        "with an output change recorded in CHANGES.md, with the digests before and after")

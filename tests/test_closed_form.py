@@ -38,8 +38,8 @@ def test_table_passes_match_the_closed_form(name, quad_n):
     sched = segment_boundaries(cfg)
     table = build_gain_table(cfg, sched)
     rtol_data, rtol_first, rtol_second = RTOL[quad_n]
-    for label, p in powers(cfg, sched, table.segment.size).items():
-        data, first, second = closed_form_data(cfg, sched, table.mask, p)
+    for label, p in powers(cfg, sched, table.layout.segment.size).items():
+        data, first, second = closed_form_data(cfg, sched, table.layout, p)
         assert_allclose(table.segment_data_matrix(p), data, rtol=rtol_data, err_msg=label)
         assert_allclose(table.total_data(p), data.sum(), rtol=rtol_data, err_msg=label)
         d1, d2 = table.data_derivatives(p)
@@ -57,14 +57,14 @@ def test_passes_fed_a_line_search_product_match_the_closed_form(name):
     d_min = data_floor(cfg, sched, table)
     scaled = Problem(cfg, sched, d_min, table).table
     rtol_data, rtol_first, rtol_second = RTOL[cfg.quad_n]
-    for label, p in powers(cfg, sched, table.segment.size).items():
+    for label, p in powers(cfg, sched, table.layout.segment.size).items():
         x = np.maximum(p / cfg.p_t - 0.01, 0.0)      # a clipped candidate
         snr = scaled.snr(x)
         fed = scaled.data_derivatives(x, snr)
         for a, b in zip(fed, scaled.data_derivatives(x)):
             assert np.array_equal(a, b), label
         assert scaled.total_data(x, snr) == scaled.total_data(x), label
-        data, first, second = closed_form_data(cfg, sched, table.mask, x * cfg.p_t)
+        data, first, second = closed_form_data(cfg, sched, table.layout, x * cfg.p_t)
         assert_allclose(scaled.total_data(x, snr), data.sum() / d_min, rtol=rtol_data,
                         err_msg=label)
         assert_allclose(fed[0], first * cfg.p_t / d_min, rtol=rtol_first, err_msg=label)
@@ -77,4 +77,4 @@ def test_closed_form_needs_free_space_path_loss():
     sched = segment_boundaries(cfg)
     table = build_gain_table(cfg, sched)
     with pytest.raises(ValueError, match="pathloss_exp == 2"):
-        closed_form_data(cfg, sched, table.mask, np.zeros(table.segment.size))
+        closed_form_data(cfg, sched, table.layout, np.zeros(table.layout.segment.size))

@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from railpower import (AllocationMatrix, FadingModel, GainTable, activity_mask, average_alloc, build_gain_table,
+from railpower import (AllocationMatrix, FadingModel, GainTable, average_alloc, build_gain_table,
                        compute_metrics, constant_alloc, csi_alloc, energy_efficiency,
-                       mr_rrh_distance, random_alloc, sample_fading_trace, snr_linear_per_watt,
-                       reference_config, solve, spectral_efficiency, total_energy)
-from railpower.metrics import active_entries
+                       entry_layout, mr_rrh_distance, random_alloc, sample_fading_trace,
+                       snr_linear_per_watt, reference_config, solve, spectral_efficiency,
+                       total_energy)
 from railpower.scenario import segment_boundaries
 
 
-def entry(mask, i, j):
+def entry(layout, i, j):
     """Compact index of the 0-based (relay, segment) entry (i, j)."""
-    relay, seg = active_entries(mask)
-    return int(np.flatnonzero((relay == i) & (seg == j))[0])
+    return int(np.flatnonzero((layout.relay == i) & (layout.segment == j))[0])
 
 
 def test_constant_scheme_energy_hand_sum(ref_cfg, ref_sched):
@@ -26,12 +25,12 @@ def test_constant_scheme_energy_hand_sum(ref_cfg, ref_sched):
 
 
 def test_energy_zero_and_linearity(ref_cfg, ref_sched, rng):
-    mask = activity_mask(ref_cfg)
-    zero = AllocationMatrix(np.zeros(mask.sum()), mask)
+    layout = entry_layout(ref_cfg)
+    zero = AllocationMatrix(np.zeros(layout.segment.size), layout)
     assert total_energy(zero, ref_sched) == 0.0
-    p = rng.uniform(0.0, 2.0, mask.sum())
-    alloc = AllocationMatrix(p, mask)
-    scaled = AllocationMatrix(3.0 * p, mask)
+    p = rng.uniform(0.0, 2.0, layout.segment.size)
+    alloc = AllocationMatrix(p, layout)
+    scaled = AllocationMatrix(3.0 * p, layout)
     assert_allclose(total_energy(scaled, ref_sched),
                     3.0 * total_energy(alloc, ref_sched), rtol=1e-12)
 
@@ -54,16 +53,16 @@ def riemann_segment_data(cfg, sched, i, j, p_ij, n=100_000):
 
 def test_segment_data_against_riemann_oracle(ref_cfg, ref_sched, ref_table):
     # every entry of the reference table, at 2.5 W
-    p = np.full(ref_table.segment.size, 2.5)
+    p = np.full(ref_table.layout.segment.size, 2.5)
     val = ref_table.segment_data_matrix(p)
-    relay, seg = active_entries(ref_table.mask)
+    relay, seg = ref_table.layout.relay, ref_table.layout.segment
     for k in range(p.size):
         oracle = riemann_segment_data(ref_cfg, ref_sched, relay[k] + 1, seg[k] + 1, 2.5)
         assert abs(val[k] - oracle) <= 1e-6 * oracle, k
 
 
 def test_segment_data_basics(ref_table):
-    k_all = ref_table.segment.size
+    k_all = ref_table.layout.segment.size
     assert np.all(ref_table.segment_data_matrix(np.zeros(k_all)) == 0.0)
     d1, d2, d3 = (ref_table.segment_data_matrix(np.full(k_all, p)) for p in (0.5, 1.5, 2.5))
     assert np.all((0 < d1) & (d1 < d2) & (d2 < d3))   # increasing
@@ -75,14 +74,14 @@ def test_total_data_is_sum_of_segments(ref_cfg, ref_sched, ref_table):
     total = ref_table.total_data(alloc.values)
     per = ref_table.segment_data_matrix(alloc.values)
     assert_allclose(total, per.sum(), rtol=1e-12)
-    assert_allclose(ref_table.column_sums(per).sum(), total, rtol=1e-12)
+    assert_allclose(ref_table.layout.column_sums(per).sum(), total, rtol=1e-12)
 
 
 def test_total_data_trivial_cases(ref_cfg, ref_sched, ref_table):
-    zero = np.zeros(ref_table.segment.size)
+    zero = np.zeros(ref_table.layout.segment.size)
     assert ref_table.total_data(zero) == 0.0
     single = zero.copy()
-    k = entry(ref_table.mask, 0, 3)
+    k = entry(ref_table.layout, 0, 3)
     single[k] = 1.25
     per = ref_table.segment_data_matrix(single)
     assert np.flatnonzero(per).tolist() == [k]
@@ -90,13 +89,13 @@ def test_total_data_trivial_cases(ref_cfg, ref_sched, ref_table):
 
 
 def test_total_data_mirror_symmetry(ref_cfg, ref_sched, ref_table, rng):
-    mask = activity_mask(ref_cfg)
+    layout = entry_layout(ref_cfg)
     for _ in range(5):
-        p = rng.uniform(0.0, 2.5, mask.sum())
-        alloc = AllocationMatrix(p, mask)
+        p = rng.uniform(0.0, 2.5, layout.segment.size)
+        alloc = AllocationMatrix(p, layout)
         # the mask is symmetric under the mirror, which reverses the
         # column-major entry order
-        mirrored = AllocationMatrix(p[::-1].copy(), mask)
+        mirrored = AllocationMatrix(p[::-1].copy(), layout)
         assert np.array_equal(mirrored.p, alloc.p[::-1, ::-1])
         d1 = ref_table.total_data(alloc.values)
         d2 = ref_table.total_data(mirrored.values)
@@ -104,19 +103,19 @@ def test_total_data_mirror_symmetry(ref_cfg, ref_sched, ref_table, rng):
 
 
 def test_total_data_entrywise_monotone(ref_cfg, ref_sched, ref_table, rng):
-    mask = activity_mask(ref_cfg)
-    p = rng.uniform(0.1, 2.0, mask.sum())
+    layout = entry_layout(ref_cfg)
+    p = rng.uniform(0.1, 2.0, layout.segment.size)
     base = ref_table.total_data(p)
     for i, j in [(0, 0), (1, 4), (3, 11)]:
         bumped = p.copy()
-        bumped[entry(mask, i, j)] += 0.3
+        bumped[entry(layout, i, j)] += 0.3
         assert ref_table.total_data(bumped) > base
 
 
 def test_evaluation_is_bitwise_repeatable(ref_cfg, ref_sched, rng):
     # fixed quadrature and fixed reduction order: re-evaluation and
     # fresh-table evaluation agree to the last bit
-    p = rng.uniform(0.0, 2.5, activity_mask(ref_cfg).sum())
+    p = rng.uniform(0.0, 2.5, entry_layout(ref_cfg).segment.size)
     t1 = build_gain_table(ref_cfg, ref_sched)
     t2 = build_gain_table(ref_cfg, ref_sched)
     assert t1.total_data(p) == t1.total_data(p) == t2.total_data(p)
@@ -128,7 +127,7 @@ def test_evaluation_is_bitwise_repeatable(ref_cfg, ref_sched, rng):
         cfg = reference_config(num_relays=m, num_bins=n, quad_n=quad_n, d_l=400.0)
         sched = segment_boundaries(cfg)
         table = build_gain_table(cfg, sched)
-        relay, seg = active_entries(table.mask)
+        relay, seg = table.layout.relay, table.layout.segment
         frac = np.arange(quad_n + 1) / quad_n
         nodes = sched.boundaries[:-1, None] + frac * sched.durations[:, None]
         for i in range(m):
@@ -166,7 +165,7 @@ def test_spectral_efficiency(ref_cfg, ref_sched, ref_table):
 def test_grad_total_data_finite_differences(ref_cfg, ref_sched, ref_table, rng):
     # powers kept away from zero so the central-difference oracle itself
     # is accurate at the prescribed step
-    k_all = activity_mask(ref_cfg).sum()
+    k_all = entry_layout(ref_cfg).segment.size
     step = 1e-4 * ref_cfg.p_t
     per_relay = ref_cfg.p_t / ref_cfg.num_relays
     for trial in range(20):
@@ -185,7 +184,7 @@ def test_data_curvature_finite_differences(ref_cfg, ref_table, rng):
     # the curvature is the derivative of the gradient, entry by entry, and
     # moving one entry leaves every other entry's gradient unchanged (each
     # D_ij depends on P_ij alone, so the Hessian of the data is diagonal)
-    k_all = activity_mask(ref_cfg).sum()
+    k_all = entry_layout(ref_cfg).segment.size
     step = 1e-4 * ref_cfg.p_t
     per_relay = ref_cfg.p_t / ref_cfg.num_relays
     for trial in range(20):
@@ -210,13 +209,13 @@ def test_grad_larger_near_rrh(ref_cfg, ref_sched, ref_table):
     # equal power in the gain-sensitive regime: the abeam segment outpulls
     # the cell-edge segment (at tens of dB of SNR the log saturates and the
     # longer edge segment would win on duration alone)
-    mask = activity_mask(ref_cfg)
-    g = ref_table.data_derivatives(np.full(mask.sum(), 0.01))[0]
-    abeam, edge = entry(mask, 0, 4), entry(mask, 0, 0)
+    layout = ref_table.layout
+    g = ref_table.data_derivatives(np.full(layout.segment.size, 0.01))[0]
+    abeam, edge = entry(layout, 0, 4), entry(layout, 0, 0)
     # relay 1 passes abeam (x=100 m) during segment 5; its cell-edge segment is 1
     assert g[abeam] > g[edge]
     # per unit time the abeam segment wins at any power level
-    per_time = g / ref_sched.durations[ref_table.segment]
+    per_time = g / ref_sched.durations[layout.segment]
     assert per_time[abeam] > per_time[edge]
 
 
@@ -232,7 +231,7 @@ def test_fading_trace_changes_data_deterministically(ref_cfg, ref_sched, ref_tab
     assert d_fade != d_det
     assert ref_table.faded(np.ones(ref_table.gains.shape)).total_data(p) == d_det
     for wrong in (trace1[:, :-1], trace1[:-1], trace1.T,
-                  np.ones(ref_table.mask.shape + ref_table.gains.shape[1:])):
+                  np.ones(ref_table.layout.mask.shape + ref_table.gains.shape[1:])):
         with pytest.raises(ValueError, match="K, Q"):
             ref_table.faded(wrong)
 
@@ -243,7 +242,7 @@ def test_faded_table_scales_the_active_node_factors(ref_cfg, ref_sched, ref_tabl
     trace = sample_fading_trace(ref_cfg, ref_sched, np.random.default_rng(4))
     faded = ref_table.faded(trace)
     assert np.array_equal(faded.weights, ref_table.weights)
-    assert faded.mask is ref_table.mask
+    assert faded.layout is ref_table.layout
     assert np.array_equal(faded.gains, ref_table.gains * trace)
 
 
@@ -258,7 +257,7 @@ def test_fading_trace_matches_the_db_route(ref_cfg, ref_sched, seed):
     r = np.hypot(ref.normal(model.a, model.sigma, size=size),
                  ref.normal(0.0, model.sigma, size=size))
     gamma = -20.0 * np.log10(r / model.rms)
-    mask = activity_mask(ref_cfg)
+    mask = entry_layout(ref_cfg).mask
     expected = 10.0 ** (-gamma.swapaxes(0, 1)[mask.T] / 10.0)
     trace = sample_fading_trace(ref_cfg, ref_sched, rng)
     assert trace.shape == expected.shape == (np.count_nonzero(mask), ref_cfg.quad_n + 1)
@@ -285,41 +284,38 @@ def test_compute_metrics_consistency(ref_cfg, ref_sched, ref_table):
 
 
 def test_allocation_matrix_guards(ref_cfg):
-    mask = activity_mask(ref_cfg)
+    layout = entry_layout(ref_cfg)
+    mask = layout.mask
     for bad in (np.zeros(mask.shape), np.zeros(mask.sum() - 1)):
         with pytest.raises(ValueError, match="one power per active entry"):
-            AllocationMatrix(bad, mask)
-    alloc = AllocationMatrix(np.arange(1.0, mask.sum() + 1.0), mask)
+            AllocationMatrix(bad, layout)
+    alloc = AllocationMatrix(np.arange(1.0, mask.sum() + 1.0), layout)
     assert np.all(alloc.p[~mask] == 0.0)
-    # the dense view places the entries column by column
+    # the dense view places the entries column by column, and compact
+    # takes them back in the same order
     assert np.array_equal(alloc.p.T[mask.T], alloc.values)
-    assert np.array_equal(alloc.segment, active_entries(mask)[1])
+    assert np.array_equal(layout.compact(alloc.p), alloc.values)
 
 
 def test_allocation_matrix_leaves_caller_arrays_writable(ref_cfg):
-    mask = activity_mask(ref_cfg).copy()   # the shared mask is read-only
-    values = np.ones(mask.sum())
-    alloc = AllocationMatrix(values, mask)
-    assert values.flags.writeable and mask.flags.writeable
-    assert not alloc.values.flags.writeable and not alloc.mask.flags.writeable
-    assert not alloc.segment.flags.writeable and not alloc.p.flags.writeable
+    layout = entry_layout(ref_cfg)
+    values = np.ones(layout.segment.size)
+    alloc = AllocationMatrix(values, layout)
+    assert values.flags.writeable
+    assert not alloc.values.flags.writeable and not alloc.p.flags.writeable
     values[:] = 2.0
-    assert np.all(alloc.values == 1.0) and np.all(alloc.p[mask] == 1.0)
+    assert np.all(alloc.values == 1.0) and np.all(alloc.p[layout.mask] == 1.0)
     # arrays that are already read-only are held as they are
-    again = AllocationMatrix(alloc.values, alloc.mask)
-    assert again.values is alloc.values and again.mask is alloc.mask
+    again = AllocationMatrix(alloc.values, layout)
+    assert again.values is alloc.values
 
 
 def test_gain_table_leaves_caller_arrays_writable(ref_cfg, ref_sched, ref_table):
-    arrays = {name: getattr(ref_table, name).copy() for name in ("gains", "weights", "mask")}
-    table = GainTable(**arrays, bandwidth=ref_table.bandwidth)
+    arrays = {name: getattr(ref_table, name).copy() for name in ("gains", "weights")}
+    table = GainTable(**arrays, layout=ref_table.layout, bandwidth=ref_table.bandwidth)
     for name, arr in arrays.items():
         assert arr.flags.writeable, name
         held = getattr(table, name)
         assert not held.flags.writeable and held is not arr, name
-    assert not table.segment.flags.writeable
     arrays["gains"][:] = 0.0
-    assert table.total_data(np.ones(table.segment.size)) > 0.0
-    # a built table's mask is read-only, so allocations on it share it
-    alloc = AllocationMatrix(np.zeros(ref_table.segment.size), ref_table.mask)
-    assert alloc.mask is ref_table.mask
+    assert table.total_data(np.ones(table.layout.segment.size)) > 0.0

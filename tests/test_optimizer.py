@@ -5,23 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from oracles import assert_feasible
 
 from railpower import optimizer
-from railpower.metrics import GainTable, active_entries
+from railpower.metrics import GainTable
 from railpower.optimizer import (InnerInfo, MultiplierState, Problem, inner_descent,
                                 update_state)
-from railpower import (AllocationMatrix, InfeasibleDataFloor, SolverOptions, activity_mask,
-                       average_alloc, build_gain_table, compute_metrics, data_floor,
+from railpower import (AllocationMatrix, InfeasibleDataFloor, SolverOptions, average_alloc,
+                       build_gain_table, compute_metrics, data_floor, entry_layout,
                        kkt_residual, reference_config, segment_boundaries, solve,
-                       total_energy, validate_alloc)
+                       total_energy)
 
 LN2 = np.log(2.0)
 
 
-def entry(mask, i, j):
+def entry(layout, i, j):
     """Compact index of the 0-based (relay, segment) entry (i, j)."""
-    relay, seg = active_entries(mask)
-    return int(np.flatnonzero((relay == i) & (seg == j))[0])
+    return int(np.flatnonzero((layout.relay == i) & (layout.segment == j))[0])
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,7 @@ def test_constraint_residuals(ref_cfg, ref_sched, ref_table):
 
     # the zero allocation misses the floor by all of it; its budget rows
     # are clipped at the cap
-    h0 = problem.residuals_scaled(np.zeros(ref_table.segment.size))
+    h0 = problem.residuals_scaled(np.zeros(ref_table.layout.segment.size))
     assert h0[0] == -1.0
     assert np.all(h0[1:] == 0.0)
 
@@ -107,14 +107,14 @@ def test_grad_augmented_lagrangian_structure(ref_cfg, ref_sched, ref_table):
     g = problem.grad_phi(problem.to_scaled(avg), np.zeros(ref_cfg.num_segments + 1), 0.0)
     # with no multipliers and no penalty only the energy term remains: each
     # entry's segment duration over the traversal time
-    assert_allclose(g, problem.t_norm[ref_table.segment], rtol=1e-12)
+    assert_allclose(g, problem.t_norm[ref_table.layout.segment], rtol=1e-12)
 
 
 def test_scaled_problem_gradient_finite_differences(ref_cfg, ref_sched, ref_table, rng):
     # the solver's scaled merit function must match its analytic gradient too
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
-    k_all = activity_mask(ref_cfg).sum()
+    k_all = entry_layout(ref_cfg).segment.size
     step = 1e-6
     for trial in range(20):
         x = rng.uniform(0.02, 0.25, k_all)
@@ -135,7 +135,7 @@ def test_inner_descent_stationary_start(ref_cfg, ref_sched, ref_table):
     # at lam = 0, sigma = 0 the projected gradient vanishes at the origin
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
-    zero = np.zeros(ref_table.segment.size)
+    zero = np.zeros(ref_table.layout.segment.size)
     h = problem.residuals_scaled(zero)
     out, h_out, _, info = inner_descent(problem, zero, h, np.zeros(ref_cfg.num_segments + 1),
                                         0.0, SolverOptions())
@@ -180,7 +180,7 @@ def grid_min_phi(problem, table, cfg, lam0, sigma, levels=50, bins=8000):
     grid = np.linspace(0.0, cfg.p_t, levels)
 
     def entry_data(i, j, powers):
-        k = entry(table.mask, i, j)
+        k = entry(table.layout, i, j)
         g, w = table.gains[k], table.weights[k]
         return table.bandwidth / LN2 * (w * np.log1p(powers[:, None] * g)).sum(axis=1)
 
@@ -319,7 +319,7 @@ def test_solve_reference_contract(ref_cfg, ref_sched, ref_table, ref_solution):
     assert res.converged
     assert abs(res.data_bits - d_min) <= 1e-3 * d_min
     assert np.all(alloc.column_sums() <= ref_cfg.p_t * (1 + 1e-6))
-    assert validate_alloc(alloc, ref_cfg, ref_sched, tol=1e-6 * ref_cfg.p_t) == []
+    assert_feasible(alloc, ref_cfg, tol=1e-6 * ref_cfg.p_t)
     sigmas = [rec.sigma for rec in res.history]
     assert np.all(np.diff(sigmas) >= 0)
 
@@ -374,7 +374,7 @@ def test_solve_rejects_a_mismatched_warm_start(ref_cfg, ref_sched, ref_table, re
     d_min, alloc, res = ref_solution
     small = ref_cfg.with_(num_relays=2)
     small_alloc, small_res = solve(small, segment_boundaries(small))
-    with pytest.raises(ValueError, match="mask"):
+    with pytest.raises(ValueError, match="layout"):
         solve(ref_cfg, ref_sched, warm=(small_alloc, res), d_min=d_min, table=ref_table)
     with pytest.raises(ValueError, match="2M\\+N-1"):
         solve(ref_cfg, ref_sched, warm=(alloc, small_res), d_min=d_min, table=ref_table)
@@ -407,7 +407,7 @@ def test_solve_tiny_instance_not_worse_than_grid(tiny):
     t = sched.durations
 
     def entry_data(i, j, powers):
-        k = entry(table.mask, i, j)
+        k = entry(table.layout, i, j)
         g, w = table.gains[k], table.weights[k]
         return table.bandwidth / LN2 * (w * np.log1p(powers[:, None] * g)).sum(axis=1)
 
@@ -455,10 +455,10 @@ def test_scaled_problem_gradient_with_active_caps(ref_cfg, ref_sched, ref_table,
     # rows now contribute, and the analytic gradient must still match
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
-    k_all = activity_mask(ref_cfg).sum()
+    k_all = entry_layout(ref_cfg).segment.size
     for trial in range(20):
         x = rng.uniform(0.2, 0.45, k_all)
-        assert np.any(ref_table.column_sums(x) > 1.0)
+        assert np.any(ref_table.layout.column_sums(x) > 1.0)
         lam = rng.uniform(-1.0, 1.0, ref_cfg.num_segments + 1)
         sigma = 10.0 ** rng.uniform(-1.0, 1.0)
         g = problem.grad_phi(x, lam, sigma)
@@ -475,10 +475,10 @@ def test_solve_recovers_from_over_budget_init(ref_cfg, ref_sched, ref_table,
                                               ref_solution):
     d_min, _, res_ref = ref_solution
     hot = AllocationMatrix(1.5 * average_alloc(ref_cfg, ref_sched).values,
-                           activity_mask(ref_cfg))
+                           entry_layout(ref_cfg))
     alloc, res = solve(ref_cfg, ref_sched, warm=(hot, res_ref), d_min=d_min, table=ref_table)
     assert res.converged
-    assert validate_alloc(alloc, ref_cfg, ref_sched, tol=1e-6 * ref_cfg.p_t) == []
+    assert_feasible(alloc, ref_cfg, tol=1e-6 * ref_cfg.p_t)
     assert abs(res.energy_j - res_ref.energy_j) <= 0.02 * res_ref.energy_j
 
 
@@ -507,7 +507,7 @@ def test_solve_contracts_on_random_scenarios():
         alloc, res = solve(cfg, sched, d_min=d_min, table=table)
         assert res.converged
         assert abs(res.data_bits - d_min) <= 1e-3 * d_min
-        assert validate_alloc(alloc, cfg, sched, tol=1e-6 * cfg.p_t) == []
+        assert_feasible(alloc, cfg, tol=1e-6 * cfg.p_t)
         assert kkt_residual(alloc, res.lam_hat, cfg, sched, d_min, table) <= 1e-3
         rec = compute_metrics(alloc, cfg, sched, table)
         assert (res.energy_j, res.data_bits) == (rec.energy_j, rec.data_bits)
@@ -530,7 +530,7 @@ def test_kkt_residual_zero_at_constructed_optimum():
             hi = mid
         else:
             lo = mid
-    p_star = AllocationMatrix(np.array([hi]), activity_mask(cfg))
+    p_star = AllocationMatrix(np.array([hi]), entry_layout(cfg))
     problem = Problem(cfg, sched, d_min, table)
     dd = table.data_derivatives(p_star.values)[0][0] * cfg.p_t / d_min
     lam = np.array([problem.t_norm[0] / dd, 0.0])
@@ -549,7 +549,7 @@ def test_kkt_residual_grows_under_perturbation(ref_cfg, ref_sched, ref_table,
     base = kkt_residual(alloc, res.lam_hat, ref_cfg, ref_sched, d_min, ref_table)
     for _ in range(3):
         noise = rng.uniform(-1.0, 1.0, alloc.values.shape) * 0.01 * ref_cfg.p_t
-        probe = AllocationMatrix(np.maximum(alloc.values + noise, 0.0), alloc.mask)
+        probe = AllocationMatrix(np.maximum(alloc.values + noise, 0.0), alloc.layout)
         assert kkt_residual(probe, res.lam_hat, ref_cfg, ref_sched, d_min,
                             ref_table) > base
 
@@ -665,7 +665,7 @@ def test_solve_spends_at_most_the_budget_exactly(rho, m):
     cfg = reference_config(num_relays=m, rho=rho)
     sched = segment_boundaries(cfg)
     alloc, res = solve(cfg, sched)
-    assert validate_alloc(alloc, cfg, sched, tol=0.0) == []
+    assert_feasible(alloc, cfg, tol=0.0)
     assert np.all(alloc.column_sums() <= cfg.p_t)
     assert res.energy_j == total_energy(alloc, sched)
 
@@ -798,8 +798,8 @@ def test_newton_direction_is_exact_for_a_one_node_entry():
     sched = segment_boundaries(cfg)
     simpson = build_gain_table(cfg, sched)
     table = GainTable(gains=simpson.gains[:, cfg.quad_n // 2:cfg.quad_n // 2 + 1],
-                      weights=sched.durations[simpson.segment][:, None],
-                      mask=simpson.mask, bandwidth=simpson.bandwidth)
+                      weights=sched.durations[simpson.layout.segment][:, None],
+                      layout=simpson.layout, bandwidth=simpson.bandwidth)
     problem = Problem(cfg, sched, data_floor(cfg, sched, table), table)
     x = np.array([0.02])
     lam, sigma = np.array([3.0, 0.0]), 1e-12

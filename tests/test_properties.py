@@ -5,18 +5,20 @@ an even ``quad_n`` up to 64, a cell wider than the relay string
 (d_l > (M-1)*d_mr), and fading on or off.  The compact data passes are
 checked against a dense reference that evaluates the link at every
 Simpson node of every covered (relay, segment) pair on its own, and every
-allocator must pass ``validate_alloc``.
+allocator must be feasible: on the config's layout, nonnegative, and
+within the budget in every segment.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from oracles import assert_feasible
 
-from railpower import (AllocationMatrix, ScenarioConfig, activity_mask, average_alloc,
-                       build_gain_table, compute_metrics, constant_alloc, csi_alloc,
+from railpower import (AllocationMatrix, ScenarioConfig, average_alloc, build_gain_table,
+                       compute_metrics, constant_alloc, csi_alloc, entry_layout,
                        mr_rrh_distance, random_alloc, sample_fading_trace,
-                       segment_boundaries, snr_linear_per_watt, validate_alloc)
+                       segment_boundaries, snr_linear_per_watt)
 
 LN2 = np.log(2.0)
 
@@ -41,7 +43,7 @@ def dense_reference(cfg, sched, p, fading):
     simpson = np.ones(n + 1)
     simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
     scale = cfg.bandwidth / LN2
-    mask = activity_mask(cfg)
+    mask = entry_layout(cfg).mask
     # each covered pair's row of factors: the compact order is column-major
     factors = np.ones(mask.shape + (n + 1,))
     if fading is not None:
@@ -69,12 +71,13 @@ def test_compact_data_passes_match_dense_reference(cfg, power_seed):
     if cfg.fading:
         fading = sample_fading_trace(cfg, sched, rng)
         table = table.faded(fading)
-    mask = activity_mask(cfg)
+    layout = entry_layout(cfg)
+    mask = layout.mask
     prng = np.random.default_rng(power_seed)
     p = np.where(mask, prng.uniform(0.0, cfg.p_t, mask.shape), 0.0)
     p[prng.random(mask.shape) < 0.2] = 0.0
     # the compact order is column-major: transpose before masking
-    alloc = AllocationMatrix(p.T[mask.T], mask)
+    alloc = AllocationMatrix(p.T[mask.T], layout)
     total, dd, dd2 = dense_reference(cfg, sched, p, fading)
 
     assert_allclose(table.total_data(alloc.values), total, rtol=1e-12)
@@ -99,4 +102,4 @@ def test_allocators_are_valid(cfg):
     for alloc in (constant_alloc(cfg, sched), average_alloc(cfg, sched),
                   random_alloc(cfg, sched, rng), csi):
         assert alloc.p.shape == (cfg.num_relays, cfg.num_segments)
-        assert validate_alloc(alloc, cfg, sched) == []
+        assert_feasible(alloc, cfg)

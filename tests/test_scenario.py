@@ -1,10 +1,15 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from railpower import (ScenarioConfig, SegmentSchedule, active_segments, activity_mask,
-                       average_alloc, build_gain_table, head_position, mr_position,
-                       mr_rrh_distance, mrs_in_cell, reference_config, segment_boundaries)
+from railpower import (ScenarioConfig, SegmentSchedule, average_alloc, build_gain_table,
+                       constant_alloc, csi_alloc, entry_layout, mr_position,
+                       mr_rrh_distance, mrs_in_cell, random_alloc, reference_config,
+                       sample_fading_trace, segment_boundaries)
+from railpower.optimizer import Problem, data_floor
 
 
 def kinematic_boundaries(cfg):
@@ -57,17 +62,19 @@ def test_single_relay_collapses_entry_and_exit_stages():
 
 
 def test_head_position(ref_cfg):
-    assert head_position(ref_cfg, 0.0) == 0.0
-    assert_allclose(head_position(ref_cfg, 1.2), 100.0, rtol=1e-12)
+    # relay 1 is the head relay, at x = v*t
+    assert mr_position(ref_cfg, 1, 0.0) == 0.0
+    assert_allclose(mr_position(ref_cfg, 1, 1.2), 100.0, rtol=1e-12)
+    ts = np.linspace(0.0, ref_cfg.total_time, 7)
+    assert np.array_equal(mr_position(ref_cfg, 1, ts), ref_cfg.v * ts)
     # the head leaves the cell exactly at boundary M+N-1
     sched = segment_boundaries(ref_cfg)
     t_exit = sched.boundaries[ref_cfg.num_relays + ref_cfg.num_bins - 1]
-    assert_allclose(head_position(ref_cfg, t_exit), ref_cfg.d_l, rtol=1e-12)
+    assert_allclose(mr_position(ref_cfg, 1, t_exit), ref_cfg.d_l, rtol=1e-12)
 
 
 def test_mr_position(ref_cfg):
     ts = np.linspace(0.0, ref_cfg.total_time, 7)
-    assert_allclose(mr_position(ref_cfg, 1, ts), head_position(ref_cfg, ts), rtol=0)
     assert_allclose(mr_position(ref_cfg, 4, 0.9), 0.0, atol=1e-12)
     assert_allclose(mr_position(ref_cfg, 2, 0.0), -25.0, rtol=1e-12)
     with pytest.raises(IndexError):
@@ -136,13 +143,13 @@ def test_in_cell_count_matches_positions(ref_cfg):
 
 
 def test_active_segments(ref_cfg):
-    assert active_segments(ref_cfg, 1) == (1, 9)
-    assert active_segments(ref_cfg, 4) == (4, 12)
-    mask = activity_mask(ref_cfg)
+    mask = entry_layout(ref_cfg).mask
     m, n = ref_cfg.num_relays, ref_cfg.num_bins
+    assert mask.shape == (m, ref_cfg.num_segments)
+    # relay i (1-based) is active in segments i..i+M+N-2 and in no other
+    for i in range(1, m + 1):
+        assert np.array_equal(np.flatnonzero(mask[i - 1]) + 1, np.arange(i, i + m + n - 1))
     assert mask.sum() == m * (m + n - 1) == 36
-    # every relay is active in exactly M+N-1 segments
-    assert np.all(mask.sum(axis=1) == m + n - 1)
 
 
 def test_config_validation():
@@ -202,13 +209,25 @@ def test_config_rejects_non_finite_floats(field, value):
         ScenarioConfig(**{field: value})
 
 
-def test_activity_mask_is_one_read_only_array_per_layout(ref_cfg):
-    mask = activity_mask(ref_cfg)
-    assert not mask.flags.writeable
+def test_entry_layout_is_one_read_only_object_per_layout(ref_cfg):
+    layout = entry_layout(ref_cfg)
     # geometry and speed do not change the layout, only M and N do
-    assert activity_mask(ref_cfg.with_(d_l=240.0, v=80.0)) is mask
-    assert activity_mask(ref_cfg.with_(num_bins=5)) is not mask
-    # allocations and tables keep the shared mask instead of copying it
+    assert entry_layout(ref_cfg.with_(d_l=240.0, v=80.0)) is layout
+    assert entry_layout(ref_cfg.with_(num_bins=5)) is not layout
+    for arr in (layout.mask, layout.relay, layout.segment, layout.dense(layout.segment)):
+        assert not arr.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layout.mask = layout.mask.copy()
+    # every allocation, table and solver problem of the config reads it
     sched = segment_boundaries(ref_cfg)
-    assert average_alloc(ref_cfg, sched).mask is mask
-    assert build_gain_table(ref_cfg, sched).mask is mask
+    table = build_gain_table(ref_cfg, sched)
+    rng = np.random.default_rng(0)
+    allocs = (constant_alloc(ref_cfg, sched), average_alloc(ref_cfg, sched),
+              random_alloc(ref_cfg, sched, rng), csi_alloc(ref_cfg, sched, table, rng))
+    faded = table.faded(sample_fading_trace(ref_cfg, sched, rng))
+    problem = Problem(ref_cfg, sched, data_floor(ref_cfg, sched, table), table)
+    holders = allocs + (table, faded, problem.table, problem.to_physical(np.zeros(36)))
+    assert all(obj.layout is layout for obj in holders)
+    # and an unpickled layout is the process's shared one
+    assert pickle.loads(pickle.dumps(layout)) is layout
+    assert pickle.loads(pickle.dumps(table)).layout is layout
