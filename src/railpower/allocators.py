@@ -55,7 +55,8 @@ def csi_alloc(cfg: ScenarioConfig, sched: SegmentSchedule, table: GainTable,
 
     Entry k's channel h_k is its factor in the deterministic gain ``table``
     at its segment's midpoint node Q/2 (``quad_n`` is even); pass an rng to
-    scale it by one Rician power factor per (relay, segment).  Then
+    scale it by one Rician power factor per active entry, drawn as a (K,)
+    vector in the compact order.  Then
     P_k = h_k^(-alpha) / sum over segment j's entries of h^(-alpha) * P_T,
     with alpha = ``cfg.csi_alpha``; the link constant in every factor
     cancels in that ratio.
@@ -64,5 +65,5 @@ def csi_alloc(cfg: ScenarioConfig, sched: SegmentSchedule, table: GainTable,
     h = table.gains[:, table.gains.shape[1] // 2]
     if rng is not None:
         model = radio.FadingModel.from_k_db(cfg.rician_k)
-        h = h * layout.compact(radio.sample_fading_power(model, rng, size=layout.mask.shape))
+        h = h * radio.sample_fading_power(model, rng, size=layout.segment.size)
     return _split_budget(cfg, layout, h ** (-cfg.csi_alpha))

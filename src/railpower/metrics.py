@@ -161,7 +161,8 @@ def build_gain_table(cfg: ScenarioConfig, sched: SegmentSchedule) -> GainTable:
     relay, seg = layout.relay, layout.segment
     gains = radio.snr_linear_per_watt(cfg, mr_rrh_distance(cfg, relay[:, None] + 1, nodes[seg]))
     weights = h[seg, None] * base_w[None, :]
-    return GainTable(gains=gains, weights=weights, layout=layout, bandwidth=cfg.bandwidth)
+    return GainTable(gains=_frozen(gains), weights=_frozen(weights), layout=layout,
+                     bandwidth=cfg.bandwidth)
 
 
 def sample_fading_trace(cfg: ScenarioConfig, sched: SegmentSchedule,
@@ -171,15 +172,12 @@ def sample_fading_trace(cfg: ScenarioConfig, sched: SegmentSchedule,
     The coherence time (about 0.423 / f_max) is far shorter than the node
     spacing, so iid draws per node sample the ergodic average rate; the
     Monte Carlo spread of the faded data shrinks as ``quad_n`` grows.
-    Every node of every (relay, segment) pair is drawn, as
-    :func:`radio.sample_fading_power` of size (M, S, Q+1) draws them, and
-    the active entries are taken in the compact order before the factors
-    are formed.
+    Only the active entries are drawn: the trace is
+    :func:`radio.sample_fading_power` of size (K, Q+1), rows in the compact
+    order.
     """
     model = radio.FadingModel.from_k_db(cfg.rician_k)
-    re, im = radio._standard_pairs(rng, (cfg.num_relays, cfg.num_segments, cfg.quad_n + 1))
-    layout = entry_layout(cfg)
-    return radio._rician_power(model, layout.compact(re), layout.compact(im))
+    return radio.sample_fading_power(model, rng, (entry_layout(cfg).segment.size, cfg.quad_n + 1))
 
 
 def total_energy(alloc: AllocationMatrix, sched: SegmentSchedule) -> float:

@@ -81,7 +81,15 @@ delta = min(1e-3, ||x - max(x - g, 0)||), form the epsilon-active set
 and take the diagonally scaled step -g_i / H_ii toward the bound.  The
 free entries solve H_FF d = -g_F: Sherman-Morrison inverts each capped
 column's block (diagonal plus 2 sigma 1 1^T), and one Woodbury rank-one
-update adds the data term, all in O(K) with no dense solve.  The
+update adds the data term, all in O(K) with no dense solve.  When the
+data row's mass 2 sigma grad h0^T B grad h0 (B the inverse of the rest)
+is large, that update subtracts nearly all of its term and loses about
+mass * eps relative; above a mass of 1e6 the direction takes up to three
+steps of iterative refinement on the residual of H_FF, each of which
+multiplies that error by about mass * eps again.  A capped column's
+update can cancel the same way (mass 2 sigma times the column's sum of
+1/a_k), but only when the column is barely over its cap at a huge sigma,
+since a_k grows with 2 sigma h_j; that case alone is not refined.  The
 stepsize halves from 1 until phi decreases (Nocedal & Wright, sec. 3.1),
 and the loop stops on the projected gradient norm.
 """
@@ -108,6 +116,11 @@ _log = logging.getLogger(__name__)
 SIGMA0 = 1.0       # initial penalty factor
 GROWTH = 4.0       # penalty growth factor of rules (a) and (c)
 INNER_CAP = 5000   # inner descent steps per cycle; a Newton solve takes tens in all
+# the data row's rank-one mass above which the Newton direction is refined,
+# at most _REFINE_STEPS times (see the module docstring); below it the
+# update's cancellation costs under 1e-9 relative
+_REFINE_MASS = 1e6
+_REFINE_STEPS = 3
 
 
 def _linf(v) -> float:
@@ -248,11 +261,35 @@ class Problem:
             bg -= inv_a * (colsum(bg) * col)[seg]
             bu -= inv_a * (colsum(bu) * col)[seg]
         # Woodbury rank-one update for 2 sigma dd dd^T; bg, bu are zero on the active set
-        d_free = bg - two_s * float(dd @ bg) / (1.0 + two_s * float(dd @ bu)) * bu
+        data_mass = two_s * float(dd @ bu)
+        d_free = bg - two_s * float(dd @ bg) / (1.0 + data_mass) * bu
+        if data_mass > _REFINE_MASS:
+            d_free = self._refine(d_free, g, a, inv_a, dd, bu, data_mass, capped, two_s)
         if not active.any():
             return -d_free
         diag = a + two_s * (dd * dd + capped[seg])
         return -np.where(active, g / diag, d_free)
+
+    def _refine(self, d: np.ndarray, g: np.ndarray, a: np.ndarray, inv_a: np.ndarray,
+                dd: np.ndarray, bu: np.ndarray, data_mass: float, capped: np.ndarray,
+                two_s: float) -> np.ndarray:
+        # d solves H_FF d = g_F by the updates of newton_direction, whose
+        # Woodbury step subtracts nearly all of its term when the data mass
+        # dwarfs the diagonal, leaving an error of about data_mass * eps
+        # relative: refine d on the residual of H_FF, with the same updates,
+        # until the correction stops mattering
+        seg, colsum = self.segment, self.layout.column_sums
+        col = np.where(capped, two_s / (1.0 + two_s * colsum(inv_a)), 0.0)
+        for _ in range(_REFINE_STEPS):
+            r = (g - a * d - two_s * float(dd @ d) * dd
+                 - two_s * np.where(capped, colsum(d), 0.0)[seg])
+            br = inv_a * r
+            br -= inv_a * (colsum(br) * col)[seg]
+            br -= two_s * float(dd @ br) / (1.0 + data_mass) * bu
+            d = d + br
+            if np.abs(br).max() <= 1e-16 * np.abs(d).max():
+                break
+        return d
 
 
 @dataclass(frozen=True)

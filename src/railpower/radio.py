@@ -1,7 +1,10 @@
 """Physical-layer core: antenna gain, path loss, noise, SNR, Rician fading.
 
-The link budget works in dB/dBm end to end.  Both ends are beam aligned,
-so the link uses the boresight gain G0 at each end.
+The link budget is stated in dB/dBm (:func:`snr_db`); the linear SNR per
+transmit watt that the gain tables are built from
+(:func:`snr_linear_per_watt`) forms the same budget in linear units, with
+no dB round trip.  Both ends are beam aligned, so the link uses the
+boresight gain G0 at each end.
 
 Fading is expressed as a linear power factor |r|^2 / E[r^2] for an
 envelope sample r: it has mean 1, and a factor of 1 reproduces the
@@ -31,13 +34,19 @@ def max_antenna_gain(theta_3db: float) -> float:
     return 10.0 * math.log10((1.6162 / math.sin(math.radians(theta_3db) / 2.0)) ** 2)
 
 
-def path_loss(d, wavelength: float, n_pl: float):
-    """Log-distance path loss 10*n*log10(4*pi*d/lambda) [dB]."""
+def _link_distance(d, wavelength: float) -> np.ndarray:
+    # the distances as an array, once the link's geometry is checked
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0.0):
         raise ValueError("distance must be strictly positive")
     if wavelength <= 0.0:
         raise ValueError("wavelength must be strictly positive")
+    return d
+
+
+def path_loss(d, wavelength: float, n_pl: float):
+    """Log-distance path loss 10*n*log10(4*pi*d/lambda) [dB]."""
+    d = _link_distance(d, wavelength)
     out = 10.0 * n_pl * np.log10(4.0 * np.pi * d / wavelength)
     return out if out.ndim else float(out)
 
@@ -72,13 +81,16 @@ def snr_db(p_tx_dbm, d, gamma_db, cfg: ScenarioConfig):
 def snr_linear_per_watt(cfg: ScenarioConfig, d):
     """Linear SNR per transmit watt at distance d [1/W], without fading.
 
-    snr_linear = P[W] * snr_linear_per_watt, equivalent to 10^(SNR_dB/10)
-    with P expressed in dBm.  This is the quantity the rate integrals and
-    their gradients are built from; fading multiplies it by a power factor
-    (see :func:`sample_fading_power`).
+    1000 * 10^(C/10) * (lambda/(4*pi*d))^n, with C = :func:`link_constant_db`:
+    the budget of :func:`snr_db` at 1 mW, in linear units and per watt, so
+    snr_linear = P[W] * snr_linear_per_watt.  This is the quantity the rate
+    integrals and their gradients are built from; fading multiplies it by a
+    power factor (see :func:`sample_fading_power`).
     """
-    per_mw = snr_db(0.0, d, 0.0, cfg)   # SNR in dB for 1 mW
-    return 1000.0 * 10.0 ** (np.asarray(per_mw, dtype=float) / 10.0)
+    out = (cfg.wavelength / (4.0 * np.pi)) / _link_distance(d, cfg.wavelength)
+    out **= cfg.pathloss_exp
+    out *= 1000.0 * 10.0 ** (link_constant_db(cfg) / 10.0)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

@@ -238,10 +238,6 @@ class EntryLayout:
         matrix adds them."""
         return np.bincount(self.segment, weights=v, minlength=self.mask.shape[1])
 
-    def compact(self, a: np.ndarray) -> np.ndarray:
-        """The active entries (K, ...) of a dense (M, S, ...) array."""
-        return a[self.relay, self.segment]
-
     def dense(self, v: np.ndarray) -> np.ndarray:
         """Read-only dense (M, S) matrix of compact values v, zero outside
         the mask."""

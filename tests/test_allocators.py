@@ -153,28 +153,33 @@ def column_loop_random(cfg, rng):
     return p
 
 
-def column_loop_csi(cfg, h2):
+def column_loop_csi(cfg, h2, fading=None):
     """Reference: inverse-gain weights of a dense (M, S) channel, normalised
-    column by column."""
+    column by column; ``fading`` holds one power factor per active entry in
+    the compact order, column by column and down each column's relays."""
     mask = entry_layout(cfg).mask
     p = np.zeros(mask.shape)
+    k = 0
     for j in range(cfg.num_segments):
         idx = np.flatnonzero(mask[:, j])
-        w = h2[idx, j] ** (-cfg.csi_alpha)
+        h = h2[idx, j]
+        if fading is not None:
+            h = h * fading[k:k + idx.size]
+        k += idx.size
+        w = h ** (-cfg.csi_alpha)
         p[idx, j] = cfg.p_t * w / w.sum()
     return p
 
 
 def fading_attenuation(cfg, rng):
-    """One Rician power factor per (relay, segment)."""
+    """One Rician power factor per active entry, in the compact order."""
     model = FadingModel.from_k_db(cfg.rician_k)
-    return sample_fading_power(model, rng, size=(cfg.num_relays, cfg.num_segments))
+    return sample_fading_power(model, rng, size=entry_layout(cfg).segment.size)
 
 
-def midpoint_snapshot(cfg, sched, rng=None):
+def midpoint_snapshot(cfg, sched):
     """Reference channel (M, S): path loss and shadowing evaluated at each
-    segment's temporal midpoint, times one fading draw per entry when an
-    rng is given; zero off the mask."""
+    segment's temporal midpoint; zero off the mask."""
     mask = entry_layout(cfg).mask
     mid = 0.5 * (sched.boundaries[:-1] + sched.boundaries[1:])
     h2 = np.zeros(mask.shape)
@@ -182,8 +187,6 @@ def midpoint_snapshot(cfg, sched, rng=None):
         h_db = (-path_loss(mr_rrh_distance(cfg, i, mid), cfg.wavelength, cfg.pathloss_exp)
                 - cfg.shadowing)
         h2[i - 1] = 10.0 ** (h_db / 10.0)
-    if rng is not None:
-        h2 = h2 * fading_attenuation(cfg, rng)
     return np.where(mask, h2, 0.0)
 
 
@@ -202,9 +205,10 @@ def test_vectorised_allocators_match_column_loops(m):
         pairs = [(random_alloc(cfg, sched, rng_a).p, column_loop_random(cfg, rng_b))]
         # the draws come in the same order and leave the stream in the same place
         assert rng_a.random() == rng_b.random()
-        h2 = mid * fading_attenuation(cfg, np.random.default_rng(seed))
-        pairs.append((csi_alloc(cfg, sched, table, np.random.default_rng(seed)).p,
-                      column_loop_csi(cfg, h2)))
+        rng_c, rng_d = np.random.default_rng(seed), np.random.default_rng(seed)
+        pairs.append((csi_alloc(cfg, sched, table, rng_c).p,
+                      column_loop_csi(cfg, mid, fading_attenuation(cfg, rng_d))))
+        assert rng_c.random() == rng_d.random()
         for got, expected in pairs:
             if m <= 7:
                 assert np.array_equal(got, expected)
@@ -219,14 +223,14 @@ def test_csi_alloc_matches_midpoint_snapshot(m, quad_n, fading):
     # node quad_n/2 of the gain table is the segment's midpoint, and the
     # link constant between the table's factor and the bare path loss
     # cancels in the per-segment split; with fading both draw the same
-    # (M, S) trace from the same stream
+    # (K,) factors from the same stream
     cfg = reference_config(num_relays=m, num_bins=3, d_mr=10.0, quad_n=quad_n)
     sched = segment_boundaries(cfg)
     table = build_gain_table(cfg, sched)
     for seed in range(3):
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         got = csi_alloc(cfg, sched, table, rng_a if fading else None).p
-        expected = column_loop_csi(cfg, midpoint_snapshot(cfg, sched,
-                                                          rng_b if fading else None))
+        expected = column_loop_csi(cfg, midpoint_snapshot(cfg, sched),
+                                   fading_attenuation(cfg, rng_b) if fading else None)
         assert_allclose(got, expected, rtol=0.0, atol=1e-15 * cfg.p_t)
         assert rng_a.random() == rng_b.random()

@@ -175,12 +175,12 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "bench" / "scenarios"
 CSV_PINS = {
     "reference run": (["run", "reference.cfg"], "781560999703"),
     "M sweep": (["sweep", "reference.cfg", "--param", "M", "--values", "2,3,4,5,6"],
-                "03aff85c5cc1"),
+                "54cfedd3589b"),
     "velocity-error study": (["mc-velocity", "reference.cfg", "--sigmas", "0,1,2,3,4,5",
-                              "--trials", "100"], "f1262c97472d"),
-    "fading run": (["run", "fading.cfg"], "9c39296db070"),
+                              "--trials", "100"], "abe4ffbcf8c2"),
+    "fading run": (["run", "fading.cfg"], "7559a0d0c54b"),
     "fading d_l sweep": (["sweep", "fading.cfg", "--param", "d_l", "--values",
-                          "140,200,240", "--trials", "3"], "f6960dcf1979"),
+                          "140,200,240", "--trials", "3"], "eb8ec6ce06b7"),
 }
 
 

@@ -4,9 +4,9 @@ from numpy.testing import assert_allclose
 
 from railpower import (AllocationMatrix, FadingModel, GainTable, average_alloc, build_gain_table,
                        compute_metrics, constant_alloc, csi_alloc, energy_efficiency,
-                       entry_layout, mr_rrh_distance, random_alloc, sample_fading_trace,
-                       snr_linear_per_watt, reference_config, solve, spectral_efficiency,
-                       total_energy)
+                       entry_layout, mr_rrh_distance, random_alloc, sample_fading_power,
+                       sample_fading_trace, snr_linear_per_watt, reference_config, solve,
+                       spectral_efficiency, total_energy)
 from railpower.scenario import segment_boundaries
 
 
@@ -248,21 +248,25 @@ def test_faded_table_scales_the_active_node_factors(ref_cfg, ref_sched, ref_tabl
 
 @pytest.mark.parametrize("seed", range(5))
 def test_fading_trace_matches_the_db_route(ref_cfg, ref_sched, seed):
-    # the route the trace replaces: dense (M, S, Q+1) dB attenuations from
-    # two rng.normal calls, gamma = -20 log10(r / r_rms), then 10^(-gamma/10)
-    # at the active entries in the compact order
+    # the trace is one (K, Q+1) power draw in the compact order, nothing
+    # for the pairs outside the cell: bit for bit the factors
+    # sample_fading_power draws, and to rounding the dB route over the same
+    # draws (two rng.normal calls, gamma = -20 log10(r / r_rms), then
+    # 10^(-gamma/10)); it consumes exactly 2 K (Q+1) normals
     model = FadingModel.from_k_db(ref_cfg.rician_k)
-    size = (ref_cfg.num_relays, ref_cfg.num_segments, ref_cfg.quad_n + 1)
-    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    size = (entry_layout(ref_cfg).segment.size, ref_cfg.quad_n + 1)
+    rng = np.random.default_rng(seed)
+    trace = sample_fading_trace(ref_cfg, ref_sched, rng)
+    assert trace.shape == size
+    assert np.array_equal(trace, sample_fading_power(model, np.random.default_rng(seed), size))
+    ref = np.random.default_rng(seed)
     r = np.hypot(ref.normal(model.a, model.sigma, size=size),
                  ref.normal(0.0, model.sigma, size=size))
     gamma = -20.0 * np.log10(r / model.rms)
-    mask = entry_layout(ref_cfg).mask
-    expected = 10.0 ** (-gamma.swapaxes(0, 1)[mask.T] / 10.0)
-    trace = sample_fading_trace(ref_cfg, ref_sched, rng)
-    assert trace.shape == expected.shape == (np.count_nonzero(mask), ref_cfg.quad_n + 1)
-    assert_allclose(trace, expected, rtol=2e-15)
-    assert ref.random() == rng.random()
+    assert_allclose(trace, 10.0 ** (-gamma / 10.0), rtol=2e-15)
+    counted = np.random.default_rng(seed)
+    counted.standard_normal(2 * size[0] * size[1])
+    assert rng.random() == ref.random() == counted.random()
 
 
 def test_compute_metrics_consistency(ref_cfg, ref_sched, ref_table):
@@ -291,10 +295,8 @@ def test_allocation_matrix_guards(ref_cfg):
             AllocationMatrix(bad, layout)
     alloc = AllocationMatrix(np.arange(1.0, mask.sum() + 1.0), layout)
     assert np.all(alloc.p[~mask] == 0.0)
-    # the dense view places the entries column by column, and compact
-    # takes them back in the same order
+    # the dense view places the entries column by column
     assert np.array_equal(alloc.p.T[mask.T], alloc.values)
-    assert np.array_equal(layout.compact(alloc.p), alloc.values)
 
 
 def test_allocation_matrix_leaves_caller_arrays_writable(ref_cfg):

@@ -744,9 +744,8 @@ def test_newton_direction_matches_dense_solve(newton_problems, case, seed, log_s
     if set_curvature:
         # a small curvature factor c = lam_0 - 2 sigma h0 leaves zero entries
         # with a positive slope: the epsilon-active set.  These draws keep
-        # sigma <= 1e2: at sigma = 1e6 with M = N = 1 and x at zero the data
-        # row's rank-one term outweighs the diagonal 1e8-fold, and the
-        # Woodbury update's cancellation leaves a relative error of 1.6e-8
+        # sigma <= 1e2, where the dense LU oracle holds 1e-8: at sigma = 1e6
+        # an ill-conditioned model Hessian leaves it off by up to 2e-8
         sigma = min(sigma, 1e2)
         lam[0] = 2.0 * sigma * h[0] + 10.0 ** log_c
     dd, dd2 = problem.table.data_derivatives(x)
@@ -759,6 +758,27 @@ def test_newton_direction_matches_dense_solve(newton_problems, case, seed, log_s
     # model diagonal stays positive for them
     expected = dense_newton_direction(problem, x, g, h, dd, dd2, lam, sigma)
     assert np.linalg.norm(d - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("log_sigma", [7.0, 8.0, 10.0])
+def test_newton_direction_keeps_its_digits_under_a_dominant_rank_one_term(newton_problems,
+                                                                           log_sigma):
+    # one entry in one column: H = a + 2 sigma (D'^2 + capped) is a scalar,
+    # so the dense solve is exact, while the data row's Woodbury update
+    # subtracts all but 1/mass of its term; the refined direction keeps
+    # full precision
+    problem = newton_problems["M=1, N=1"]
+    sigma = 10.0 ** log_sigma
+    rng = np.random.default_rng(7)
+    for x0 in (0.0, 0.4, 1.1):
+        x = np.array([x0])
+        h = problem.residuals_scaled(x)
+        lam = rng.normal(size=problem.t_norm.size + 1)
+        dd, dd2 = problem.table.data_derivatives(x)
+        g = problem.grad_phi(x, lam, sigma, h, dd)
+        d = problem.newton_direction(x, g, h, dd, dd2, lam, sigma)
+        expected = dense_newton_direction(problem, x, g, h, dd, dd2, lam, sigma)
+        assert_allclose(d, expected, rtol=1e-14)
 
 
 def test_newton_direction_backward_stable_under_a_dominant_penalty(newton_problems):

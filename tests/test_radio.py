@@ -105,6 +105,22 @@ def test_snr_linear_per_watt_consistency(ref_cfg):
     assert_allclose(p_w * snr_linear_per_watt(ref_cfg, d), expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("n_pl", [1.6, 2.0, 2.7, 3.5])
+def test_snr_linear_per_watt_is_the_db_budget_in_linear_units(ref_cfg, n_pl):
+    # the linear gain 1000 * 10^(C/10) * (lambda / (4 pi d))^n is the dB
+    # budget of snr_db at 1 mW, taken per watt
+    cfg = ref_cfg.with_(pathloss_exp=n_pl)
+    d = np.logspace(0.0, 4.0, 201)
+    assert_allclose(snr_linear_per_watt(cfg, d),
+                    1000.0 * 10.0 ** (snr_db(0.0, d, 0.0, cfg) / 10.0), rtol=1e-13)
+    got = snr_linear_per_watt(cfg, 37.0)
+    assert type(got) is float
+    assert_allclose(got, 1000.0 * 10.0 ** (snr_db(0.0, 37.0, 0.0, cfg) / 10.0), rtol=1e-13)
+    for bad in (0.0, -2.0, np.array([5.0, 0.0])):
+        with pytest.raises(ValueError, match="distance"):
+            snr_linear_per_watt(cfg, bad)
+
+
 def test_fading_model_construction():
     model = FadingModel.from_k_db(10.0)
     assert_allclose(model.k_factor, 10.0, rtol=1e-12)
