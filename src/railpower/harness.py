@@ -13,9 +13,10 @@ e = |N(0, sigma_v^2)|, and evaluates under the true one.  Delivered data
 and energy both scale as 1/v and the gain table depends only on
 geometry, so planning at v + e is the true-speed problem with the floor
 raised by (v + e)/v.  Only the optimised row sees the error: the four
-baselines ignore speed.  A trial whose raised floor exceeds what the
-full budget delivers (rho*(v + e)/v > 1) is an ``optimized`` error row
-naming the floor, while the baselines still run.
+baselines ignore speed.  A trial whose raised floor exceeds the data
+the average allocation delivers at the full per-segment budget
+(rho*(v + e)/v > 1) is an ``optimized`` error row naming the floor,
+while the baselines still run.
 
 Data floor rule: :func:`run_point` takes the floor from the scenario's
 deterministic gain table, which also serves planning, and a fading

@@ -46,8 +46,9 @@ settings (tolerance and cycle cap) live in one frozen
 :class:`SolverOptions`, which owns their defaults and validation; the
 method's constants (initial penalty :data:`SIGMA0`, growth factor
 :data:`GROWTH`, per-cycle step guard :data:`INNER_CAP`) are fixed, like
-rule (b)'s ratio of 1/4.  :class:`MultiplierState` holds only the
-multiplier iterate.
+rule (b)'s ratio of 1/4.  The history of :class:`CycleRecord`, each with
+its scaled iterate and multiplier estimate, is the one record of a
+solve's cycles, and the returned iterate is the history's best cycle.
 
 Budget handling: budget rows are one-sided caps, their residual clipped
 at zero below the budget.  The literal equality form would pin the
@@ -108,7 +109,8 @@ from .scenario import ScenarioConfig, SegmentSchedule, _frozen, segment_boundari
 
 
 class InfeasibleDataFloor(ValueError):
-    """The requested data floor exceeds what the full budget can deliver."""
+    """The requested data floor exceeds the data the average allocation
+    delivers at the full per-segment budget."""
 
 
 _log = logging.getLogger(__name__)
@@ -137,20 +139,6 @@ class SolverOptions:
     def __post_init__(self):
         if self.eps <= 0 or self.n_max < 0:
             raise ValueError("require eps > 0, n_max >= 0")
-
-
-@dataclass(frozen=True, eq=False)
-class MultiplierState:
-    """The outer iterate: multipliers, penalty factor, and the case (b) flag."""
-
-    lam: np.ndarray          # (2M+N-1,): data row first, then budget rows
-    sigma: float             # penalty factor
-    sigma_grew: bool = False # bookkeeping for case (b); first cycle counts as flat
-
-    @classmethod
-    def initial(cls, cfg: ScenarioConfig) -> "MultiplierState":
-        lam = np.zeros(2 * cfg.num_relays + cfg.num_bins - 1)
-        return cls(lam=lam, sigma=SIGMA0)
 
 
 def data_floor(cfg: ScenarioConfig, sched: SegmentSchedule, table: GainTable) -> float:
@@ -253,43 +241,41 @@ class Problem:
             t = t + np.where(capped, np.maximum(two_s * h[1:] - lam[1:], 0.0), 0.0)[seg]
         a = -dd2 * t / dd
         inv_a = np.where(active, 0.0, 1.0 / a)
-        bg, bu = inv_a * g, inv_a * dd
+        col = None   # each capped column's Sherman-Morrison factor
         if any_capped:
-            # Sherman-Morrison per capped column on g and on the data gradient
-            colsum = self.layout.column_sums
-            col = np.where(capped, two_s / (1.0 + two_s * colsum(inv_a)), 0.0)
-            bg -= inv_a * (colsum(bg) * col)[seg]
-            bu -= inv_a * (colsum(bu) * col)[seg]
-        # Woodbury rank-one update for 2 sigma dd dd^T; bg, bu are zero on the active set
+            col = np.where(capped, two_s / (1.0 + two_s * self.layout.column_sums(inv_a)), 0.0)
+        bu = self._apply_inverse(dd, inv_a, col)
         data_mass = two_s * float(dd @ bu)
-        d_free = bg - two_s * float(dd @ bg) / (1.0 + data_mass) * bu
+        rank_one = (dd, bu, two_s, 1.0 + data_mass)
+        d_free = self._apply_inverse(g, inv_a, col, rank_one)
         if data_mass > _REFINE_MASS:
-            d_free = self._refine(d_free, g, a, inv_a, dd, bu, data_mass, capped, two_s)
+            # the Woodbury step cancels (module docstring): refine d_free on
+            # the residual of H_FF until the correction stops mattering
+            for _ in range(_REFINE_STEPS):
+                r = (g - a * d_free - two_s * float(dd @ d_free) * dd
+                     - two_s * np.where(capped, self.layout.column_sums(d_free), 0.0)[seg])
+                br = self._apply_inverse(r, inv_a, col, rank_one)
+                d_free = d_free + br
+                if np.abs(br).max() <= 1e-16 * np.abs(d_free).max():
+                    break
         if not active.any():
             return -d_free
         diag = a + two_s * (dd * dd + capped[seg])
         return -np.where(active, g / diag, d_free)
 
-    def _refine(self, d: np.ndarray, g: np.ndarray, a: np.ndarray, inv_a: np.ndarray,
-                dd: np.ndarray, bu: np.ndarray, data_mass: float, capped: np.ndarray,
-                two_s: float) -> np.ndarray:
-        # d solves H_FF d = g_F by the updates of newton_direction, whose
-        # Woodbury step subtracts nearly all of its term when the data mass
-        # dwarfs the diagonal, leaving an error of about data_mass * eps
-        # relative: refine d on the residual of H_FF, with the same updates,
-        # until the correction stops mattering
-        seg, colsum = self.segment, self.layout.column_sums
-        col = np.where(capped, two_s / (1.0 + two_s * colsum(inv_a)), 0.0)
-        for _ in range(_REFINE_STEPS):
-            r = (g - a * d - two_s * float(dd @ d) * dd
-                 - two_s * np.where(capped, colsum(d), 0.0)[seg])
-            br = inv_a * r
-            br -= inv_a * (colsum(br) * col)[seg]
-            br -= two_s * float(dd @ br) / (1.0 + data_mass) * bu
-            d = d + br
-            if np.abs(br).max() <= 1e-16 * np.abs(d).max():
-                break
-        return d
+    def _apply_inverse(self, r: np.ndarray, inv_a: np.ndarray, col: np.ndarray | None,
+                       rank_one: tuple | None = None) -> np.ndarray:
+        """B r, B the inverse of the model Hessian's free block (``inv_a`` is 1/a,
+        zero on the active set): Sherman-Morrison per capped column, factors
+        ``col`` (``None`` when none is capped), then, given ``rank_one`` =
+        (dd, bu, 2 sigma, 1 + data mass), the Woodbury update for the data row."""
+        b = inv_a * r
+        if col is not None:
+            b -= inv_a * (self.layout.column_sums(b) * col)[self.segment]
+        if rank_one is not None:
+            dd, bu, two_s, denom = rank_one
+            b -= two_s * float(dd @ b) / denom * bu
+        return b
 
 
 @dataclass(frozen=True)
@@ -362,8 +348,11 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
     )
 
 
-def update_state(state: MultiplierState, h_now: np.ndarray, prev_inf: float) -> MultiplierState:
-    """Apply the between-cycle penalty/multiplier correction rules (a)-(c).
+def update_state(lam: np.ndarray, sigma: float, sigma_grew: bool, h_now: np.ndarray,
+                 prev_inf: float) -> tuple[np.ndarray, float, bool]:
+    """Apply the between-cycle penalty/multiplier correction rules (a)-(c)
+    to the multipliers (data row first), the penalty factor and the case
+    (b) flag, returning their next values.
 
     ``prev_inf`` is the previous cycle's residual max norm, ``math.inf``
     on the first cycle, which then counts as a multiplier-correction
@@ -372,15 +361,12 @@ def update_state(state: MultiplierState, h_now: np.ndarray, prev_inf: float) -> 
     :func:`solve`'s, so ``h_now`` is never within tolerance here.
     """
     hinf = _linf(h_now)
-    if hinf >= prev_inf:                                        # (a)
-        return replace(state, sigma=GROWTH * state.sigma, sigma_grew=True)
-    if state.sigma_grew or hinf <= 0.25 * prev_inf:             # (b)
-        return replace(state, lam=state.lam - 2.0 * state.sigma * h_now,
-                       sigma_grew=False)
-    return replace(state, sigma=GROWTH * state.sigma, sigma_grew=True)  # (c)
+    if hinf < prev_inf and (sigma_grew or hinf <= 0.25 * prev_inf):   # (b)
+        return lam - 2.0 * sigma * h_now, sigma, False
+    return lam, GROWTH * sigma, True                                   # (a), (c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CycleRecord:
     cycle: int
     h_inf: float
@@ -390,6 +376,8 @@ class CycleRecord:
     inner_steps: int
     inner_reason: str
     merit_evals: int
+    x: np.ndarray = field(repr=False)         # the cycle's scaled iterate
+    lam_hat: np.ndarray = field(repr=False)   # lam - 2*sigma*h at x
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,14 +410,16 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     and it runs first.  A warm allocation on another relay layout than the
     table's, or a ``lam_hat`` without 2M+N-1 entries, raises
     ``ValueError``.  The start point is scaled and clipped to x >= 0
-    once; the cycles carry x and its residuals, and the best x is
-    converted to watts at return.  The result's ``energy_j`` and
+    once; the cycles carry x and its residuals, and the returned
+    iterate, the history's best cycle (lowest residual max norm, then
+    lowest energy, then earliest), is converted to watts at return.  The result's ``energy_j`` and
     ``data_bits`` are :func:`metrics.compute_metrics` of the returned
     allocation on ``table``, the figures a harness row reports for it.
     Raises ``ValueError`` for a floor that is not positive and
     :class:`InfeasibleDataFloor` when the floor exceeds the data the
-    full-budget average allocation can deliver.  A run that exhausts the
-    outer cycle budget returns its best iterate flagged as non-converged.
+    average allocation delivers at the full per-segment budget.  A run
+    that exhausts the outer cycle budget returns its best cycle's iterate
+    flagged as non-converged.
     When the inner loop that produced the returned iterate stopped on
     ``cap`` or ``stall``, a warning goes to the ``railpower.optimizer`` logger.
     """
@@ -439,7 +429,7 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
         table = build_gain_table(cfg, sched)
     if d_min is None:
         d_min = data_floor(cfg, sched, table)
-    state = MultiplierState.initial(cfg)
+    lam, sigma, sigma_grew = np.zeros(2 * cfg.num_relays + cfg.num_bins - 1), SIGMA0, False
 
     problem = Problem(cfg, sched, d_min, table)
     x = problem.to_scaled(average_alloc(cfg, sched))
@@ -447,41 +437,38 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     if h[0] < -1e-12:
         raise InfeasibleDataFloor(
             f"data floor {d_min:.6g} bits exceeds the {(h[0] + 1.0) * d_min:.6g} bits "
-            "deliverable at the full per-segment budget"
+            "the average allocation delivers at the full per-segment budget"
         )
     if warm is not None:
         warm_alloc, warm_result = warm
         if warm_alloc.layout is not table.layout:
             raise ValueError("the warm allocation's relay layout differs from the table's")
-        if warm_result.lam_hat.shape != state.lam.shape:
+        if warm_result.lam_hat.shape != lam.shape:
             raise ValueError(f"the warm multipliers hold {warm_result.lam_hat.size} entries, "
-                             f"not 2M+N-1 = {state.lam.size}")
-        state = MultiplierState(lam=warm_result.lam_hat, sigma=warm_result.sigma)
+                             f"not 2M+N-1 = {lam.size}")
+        lam, sigma = warm_result.lam_hat, warm_result.sigma
         x = np.maximum(problem.to_scaled(warm_alloc), 0.0)
         h = problem.residuals_scaled(x)
 
     history: list[CycleRecord] = []
-    best = None   # (cycle record, x, lam_hat)
     prev_inf = math.inf
     derivs = None   # the data derivative pair at x; x does not move between cycles
     for cycle in range(options.n_max + 1):
-        x, h, derivs, info = inner_descent(problem, x, h, state.lam, state.sigma, options,
-                                           derivs)
-        rec = CycleRecord(cycle=cycle, h_inf=_linf(h), sigma=state.sigma, phi=info.phi_end,
+        x, h, derivs, info = inner_descent(problem, x, h, lam, sigma, options, derivs)
+        rec = CycleRecord(cycle=cycle, h_inf=_linf(h), sigma=sigma, phi=info.phi_end,
                           energy_j=problem.energy_j(x), inner_steps=info.steps,
-                          inner_reason=info.reason, merit_evals=info.merit_evals)
+                          inner_reason=info.reason, merit_evals=info.merit_evals,
+                          x=x, lam_hat=lam - 2.0 * sigma * h)
         history.append(rec)
-        # the first iterate within eps ends the loop, so the lowest
-        # residual wins, energy breaking ties
-        if best is None or (rec.h_inf, rec.energy_j) < (best[0].h_inf, best[0].energy_j):
-            best = (rec, x, state.lam - 2.0 * state.sigma * h)
         if rec.h_inf <= options.eps:
             break
-        state = update_state(state, h, prev_inf)
+        lam, sigma, sigma_grew = update_state(lam, sigma, sigma_grew, h, prev_inf)
         prev_inf = rec.h_inf
 
-    rec, x, lam_hat = best
-    hinf = rec.h_inf
+    # the first iterate within eps ends the loop, so the lowest residual
+    # wins, energy breaking ties and the earliest cycle breaking those
+    rec = min(history, key=lambda c: (c.h_inf, c.energy_j))
+    x, hinf = rec.x, rec.h_inf
     if rec.inner_reason != "gradient":
         _log.warning("returned iterate's inner loop stopped on %s (cycle %d, %d steps, "
                      "h_inf %.3g)", rec.inner_reason, rec.cycle, rec.inner_steps, rec.h_inf)
@@ -506,7 +493,7 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
         energy_j=figures.energy_j,
         data_bits=figures.data_bits,
         h_inf=hinf,
-        lam_hat=lam_hat,
+        lam_hat=rec.lam_hat,
         sigma=rec.sigma,
         history=tuple(history),
     )

@@ -518,7 +518,7 @@ def test_array_records_compare_by_identity():
         "DopplerTable": lambda: build_table(cfg, x_s=10.0),
         "PreparedPoint": lambda: prepare_point(cfg),
         "SolveResult": lambda: solve(cfg, sched)[1],
-        "MultiplierState": lambda: optimizer.MultiplierState.initial(cfg),
+        "CycleRecord": lambda: solve(cfg, sched)[1].history[0],
     }
     for name, build in builders.items():
         a, b = build(), build()

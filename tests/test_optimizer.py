@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from oracles import assert_feasible
+from scipy.linalg import lu_factor, lu_solve
 
 from railpower import optimizer
 from railpower.metrics import GainTable
-from railpower.optimizer import (InnerInfo, MultiplierState, Problem, inner_descent,
-                                update_state)
+from railpower.optimizer import InnerInfo, Problem, inner_descent, update_state
 from railpower import (AllocationMatrix, InfeasibleDataFloor, SolverOptions, average_alloc,
                        build_gain_table, compute_metrics, data_floor, entry_layout,
                        kkt_residual, reference_config, segment_boundaries, solve,
@@ -146,26 +146,26 @@ def test_inner_descent_stationary_start(ref_cfg, ref_sched, ref_table):
 def test_inner_descent_monotone(ref_cfg, ref_sched, ref_table):
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
-    state = MultiplierState.initial(ref_cfg)
+    lam, sigma = np.zeros(ref_cfg.num_segments + 1), optimizer.SIGMA0
     x = problem.to_scaled(average_alloc(ref_cfg, ref_sched))
-    out, h, derivs, info = inner_descent(problem, x, problem.residuals_scaled(x), state.lam,
-                                         state.sigma, SolverOptions())
+    out, h, derivs, info = inner_descent(problem, x, problem.residuals_scaled(x), lam, sigma,
+                                         SolverOptions())
     assert info.phi_end <= info.phi_start
     # the returned residuals and derivative pair are those of the returned iterate
     assert np.array_equal(h, problem.residuals_scaled(out))
     for carried, fresh in zip(derivs, problem.table.data_derivatives(out)):
         assert np.array_equal(carried, fresh)
-    assert info.phi_end == problem.phi(out, state.lam, state.sigma)
+    assert info.phi_end == problem.phi(out, lam, sigma)
 
 
 def test_inner_descent_cap_flags_not_raises(monkeypatch, ref_cfg, ref_sched, ref_table):
     monkeypatch.setattr(optimizer, "INNER_CAP", 3)
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
-    state = MultiplierState.initial(ref_cfg)
     x = problem.to_scaled(average_alloc(ref_cfg, ref_sched))
-    _, _, derivs, info = inner_descent(problem, x, problem.residuals_scaled(x), state.lam,
-                                       state.sigma, SolverOptions())
+    _, _, derivs, info = inner_descent(problem, x, problem.residuals_scaled(x),
+                                       np.zeros(ref_cfg.num_segments + 1), optimizer.SIGMA0,
+                                       SolverOptions())
     assert info.reason == "cap" and info.steps == 3
     assert derivs is None   # the capped iterate's pair was never computed
 
@@ -224,7 +224,7 @@ def test_inner_descent_matches_grid_search(tiny):
     cfg, sched, table = tiny
     d_min = data_floor(cfg, sched, table)
     problem = Problem(cfg, sched, d_min, table)
-    lam = MultiplierState.initial(cfg).lam
+    lam = np.zeros(cfg.num_segments + 1)
     x = problem.to_scaled(average_alloc(cfg, sched))
     out, _, _, info = inner_descent(problem, x, problem.residuals_scaled(x), lam, 1.0,
                                     SolverOptions())
@@ -238,10 +238,7 @@ def test_inner_descent_matches_grid_search(tiny):
 
 # ------------------------------------------------------------- state updates
 
-def _state(**kw):
-    base = dict(lam=np.array([1.0, -0.5, 0.25]), sigma=2.0)
-    base.update(kw)
-    return MultiplierState(**base)
+LAM, SIGMA = np.array([1.0, -0.5, 0.25]), 2.0
 
 
 def test_solver_options_validation():
@@ -249,7 +246,8 @@ def test_solver_options_validation():
     for bad in ({"eps": 0.0}, {"eps": -1e-4}, {"n_max": -1}):
         with pytest.raises(ValueError):
             SolverOptions(**bad)
-    assert MultiplierState.initial(reference_config()).sigma == optimizer.SIGMA0 == 1.0
+    # a cold solve's first cycle runs at the initial penalty factor
+    assert solve(reference_config())[1].history[0].sigma == optimizer.SIGMA0 == 1.0
 
 
 @pytest.mark.parametrize("rho, m", [(0.8, 4), (0.97, 4), (0.99, 4), (1.0, 2)])
@@ -272,44 +270,39 @@ def test_solve_stops_on_the_first_cycle_within_tolerance(monkeypatch, rho, m):
 
 
 def test_update_state_case_a_grows_sigma_on_equal_norms():
-    st = _state()
     h = np.array([0.5, 0.0, 0.0])
-    out = update_state(st, h, 0.5)
-    assert out.sigma == st.sigma * optimizer.GROWTH == st.sigma * 4.0
-    assert np.array_equal(out.lam, st.lam)
-    assert out.sigma_grew
+    lam, sigma, sigma_grew = update_state(LAM, SIGMA, False, h, 0.5)
+    assert sigma == SIGMA * optimizer.GROWTH == SIGMA * 4.0
+    assert np.array_equal(lam, LAM)
+    assert sigma_grew
 
 
 def test_update_state_case_b_on_quarter_drop():
-    st = _state()
     h_now = np.array([0.1, 0.0, 0.0])
-    out = update_state(st, h_now, 1.0)
-    assert out.sigma == st.sigma
-    assert_allclose(out.lam, st.lam - 2.0 * st.sigma * h_now, rtol=1e-15)
-    assert not out.sigma_grew
+    lam, sigma, sigma_grew = update_state(LAM, SIGMA, False, h_now, 1.0)
+    assert sigma == SIGMA
+    assert_allclose(lam, LAM - 2.0 * SIGMA * h_now, rtol=1e-15)
+    assert not sigma_grew
 
 
 def test_update_state_case_b_after_sigma_growth():
-    st = _state(sigma_grew=True)
     h_now = np.array([0.5, 0.0, 0.0])   # moderate progress, but sigma grew last cycle
-    out = update_state(st, h_now, 1.0)
-    assert out.sigma == st.sigma
-    assert_allclose(out.lam, st.lam - 2.0 * st.sigma * h_now, rtol=1e-15)
+    lam, sigma, _ = update_state(LAM, SIGMA, True, h_now, 1.0)
+    assert sigma == SIGMA
+    assert_allclose(lam, LAM - 2.0 * SIGMA * h_now, rtol=1e-15)
 
 
 def test_update_state_case_c_grows_sigma_on_slow_progress():
-    st = _state()
-    out = update_state(st, np.array([0.5, 0.0, 0.0]), 1.0)
-    assert out.sigma == st.sigma * optimizer.GROWTH
-    assert np.array_equal(out.lam, st.lam)
+    lam, sigma, _ = update_state(LAM, SIGMA, False, np.array([0.5, 0.0, 0.0]), 1.0)
+    assert sigma == SIGMA * optimizer.GROWTH
+    assert np.array_equal(lam, LAM)
 
 
 def test_update_state_first_cycle_corrects_multipliers():
-    st = _state()
     h_now = np.array([0.3, 0.1, 0.0])
-    out = update_state(st, h_now, math.inf)
-    assert out.sigma == st.sigma
-    assert_allclose(out.lam, st.lam - 2.0 * st.sigma * h_now, rtol=1e-15)
+    lam, sigma, _ = update_state(LAM, SIGMA, False, h_now, math.inf)
+    assert sigma == SIGMA
+    assert_allclose(lam, LAM - 2.0 * SIGMA * h_now, rtol=1e-15)
 
 
 # -------------------------------------------------------------------- solve
@@ -593,9 +586,11 @@ def test_inner_descent_one_data_pass_per_merit_evaluation(monkeypatch):
     # solve computes the start point's residuals, and each inner loop hands
     # its iterate's residuals on to the next cycle, so a solve runs one data
     # pass per merit evaluation after each cycle's first, plus a fixed count:
-    # the start point (also the infeasibility test's pass) and the returned
-    # allocation's per-entry data (its metrics), and at rho = 0.97 the
-    # overspend guard's residual (the best iterate sits a hair over its caps)
+    # the average allocation (the infeasibility test's pass, and a cold
+    # solve's start point) and the returned allocation's per-entry data (its
+    # metrics); at rho = 0.97 the overspend guard's residual (the best
+    # iterate sits a hair over its caps), and in a warm solve the warm
+    # start's residuals
     counts = {"data": 0, "phi": 0}
     per_call = []
 
@@ -617,14 +612,18 @@ def test_inner_descent_one_data_pass_per_merit_evaluation(monkeypatch):
                         counted("data", GainTable.segment_data_matrix))
     monkeypatch.setattr(Problem, "phi", counted("phi", Problem.phi))
     monkeypatch.setattr(optimizer, "inner_descent", counted_inner)
-    for rho, fixed in ((0.8, 2), (0.97, 3)):
+    cold = None
+    for rho, warm_start, fixed in ((0.8, False, 2), (0.97, False, 3), (0.79, True, 3)):
         cfg = reference_config(rho=rho)
         sched = segment_boundaries(cfg)
         table = build_gain_table(cfg, sched)
         d_min = data_floor(cfg, sched, table)
         counts.update(data=0, phi=0)
         per_call.clear()
-        _, res = solve(cfg, sched, d_min=d_min, table=table)
+        alloc, res = solve(cfg, sched, warm=cold if warm_start else None, d_min=d_min,
+                           table=table)
+        if cold is None:
+            cold = alloc, res
         assert len(per_call) > 1
         for c in per_call:
             assert c["data"] == c["phi"] - 1 == c["merit_evals"] - 1 >= c["steps"], c
@@ -668,6 +667,30 @@ def test_solve_spends_at_most_the_budget_exactly(rho, m):
     assert_feasible(alloc, cfg, tol=0.0)
     assert np.all(alloc.column_sums() <= cfg.p_t)
     assert res.energy_j == total_energy(alloc, sched)
+
+
+def test_solve_out_of_cycles_returns_its_lowest_residual_cycle(monkeypatch):
+    # one inner step per cycle keeps the loop from converging within its 31
+    # cycles, and the residual climbs again after its lowest cycle
+    monkeypatch.setattr(optimizer, "INNER_CAP", 1)
+    cfg = reference_config(num_relays=3, rho=0.99)
+    alloc, res = solve(cfg, options=SolverOptions(n_max=30))
+    assert not res.converged and res.cycles == 31
+    lowest = min(c.h_inf for c in res.history)
+    best = next(c for c in res.history if c.h_inf == lowest)
+    assert best is not res.history[-1]
+    assert res.sigma == best.sigma and res.lam_hat is best.lam_hat
+    # the allocation is the best cycle's iterate in watts, scaled back only
+    # in the columns where that iterate overspends the budget
+    watts = best.x * cfg.p_t
+    over_cols = alloc.layout.column_sums(watts) > cfg.p_t
+    over = over_cols[alloc.layout.segment]
+    assert over.any() and not over.all()
+    assert np.array_equal(alloc.values[~over], watts[~over])
+    assert np.all(alloc.values[over] < watts[over])
+    sums = alloc.column_sums()
+    assert np.all(sums <= cfg.p_t)
+    assert_allclose(sums[over_cols], cfg.p_t, rtol=1e-12)
 
 
 def test_inner_loop_stop_on_cap_is_logged(monkeypatch, caplog):
@@ -718,12 +741,20 @@ def epsilon_active(x, g):
 
 def dense_newton_direction(problem, x, g, h, dd, dd2, lam, sigma):
     """The projected-Newton direction from the explicitly assembled model
-    Hessian, solved by LU on its free block."""
+    Hessian, solved by LU on its free block and refined three times: each
+    residual is taken in extended precision and its correction solved with
+    the same LU, so an ill-conditioned block keeps its digits."""
     hess = model_hessian(problem, h, dd, dd2, lam, sigma)
     active = epsilon_active(x, g)
     d = np.zeros(x.size)
     d[active] = -g[active] / np.diag(hess)[active]
-    d[~active] = np.linalg.solve(hess[np.ix_(~active, ~active)], -g[~active])
+    free = hess[np.ix_(~active, ~active)]
+    lu = lu_factor(free)
+    d_free = lu_solve(lu, -g[~active])
+    for _ in range(3):
+        r = -g[~active].astype(np.longdouble) - free.astype(np.longdouble) @ d_free
+        d_free = d_free + lu_solve(lu, r.astype(float))
+    d[~active] = d_free
     return d
 
 
@@ -743,10 +774,7 @@ def test_newton_direction_matches_dense_solve(newton_problems, case, seed, log_s
     lam = rng.normal(size=problem.t_norm.size + 1) * 10.0 ** rng.uniform(-2.0, 2.0)
     if set_curvature:
         # a small curvature factor c = lam_0 - 2 sigma h0 leaves zero entries
-        # with a positive slope: the epsilon-active set.  These draws keep
-        # sigma <= 1e2, where the dense LU oracle holds 1e-8: at sigma = 1e6
-        # an ill-conditioned model Hessian leaves it off by up to 2e-8
-        sigma = min(sigma, 1e2)
+        # with a positive slope: the epsilon-active set
         lam[0] = 2.0 * sigma * h[0] + 10.0 ** log_c
     dd, dd2 = problem.table.data_derivatives(x)
     g = problem.grad_phi(x, lam, sigma, h, dd)
