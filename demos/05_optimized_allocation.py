@@ -33,8 +33,8 @@ print(f"KKT residual          : "
 
 print("\nconvergence history:")
 print("cycle   ||h||_inf      sigma   energy [J]  inner steps")
-for rec in res.history:
-    print(f"{rec.cycle:5d}   {rec.h_inf:9.2e}  {rec.sigma:9.1f}"
+for cycle, rec in enumerate(res.history):
+    print(f"{cycle:5d}   {rec.h_inf:9.2e}  {rec.sigma:9.1f}"
           f"  {rec.energy_j:10.3f}  {rec.inner_steps:11d}")
 
 print("\noptimised power matrix [W]:")

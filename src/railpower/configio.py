@@ -83,9 +83,11 @@ class HarnessOptions:
     def __post_init__(self):
         if not self.schemes:
             raise ValueError("scheme list must not be empty")
-        for s in self.schemes:
+        for i, s in enumerate(self.schemes):
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}; pick from {', '.join(SCHEMES)}")
+            if s in self.schemes[:i]:
+                raise ValueError(f"scheme {s!r} is listed twice")
 
 
 def parse_config_text(text: str, path: str = "<config>") -> tuple[ScenarioConfig, HarnessOptions]:

@@ -121,9 +121,11 @@ class SweepSpec:
                              f"pick from {', '.join(SWEEP_PARAMS)}")
         if not self.values:
             raise ValueError("sweep needs a nonempty value list")
-        for v in self.values:
+        for i, v in enumerate(self.values):
             if not math.isfinite(v):
                 raise ValueError(f"{self.param} values must be finite, got {v!r}")
+            if v in self.values[:i]:
+                raise ValueError(f"{self.param} value {v!r} is listed twice")
             if self.param == "M" and (not float(v).is_integer() or v < 1):
                 raise ValueError(f"M values must be whole relay counts >= 1, got {v!r}")
             if self.param in _SWEEP_FIELDS:
@@ -256,7 +258,7 @@ def run_point(point: ScenarioConfig | PreparedPoint, options: HarnessOptions,
     eval_table = det_table
     if cfg.fading:
         eval_table = det_table.faded(metrics.sample_fading_trace(
-            cfg, sched, np.random.default_rng(seq_fading)))
+            cfg, np.random.default_rng(seq_fading)))
 
     d_min_bits = point.d_min_bits
     columns = dict(kind=kind, param=param, value=value, trial=trial,

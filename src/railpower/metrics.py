@@ -165,8 +165,7 @@ def build_gain_table(cfg: ScenarioConfig, sched: SegmentSchedule) -> GainTable:
                      bandwidth=cfg.bandwidth)
 
 
-def sample_fading_trace(cfg: ScenarioConfig, sched: SegmentSchedule,
-                        rng: np.random.Generator) -> np.ndarray:
+def sample_fading_trace(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
     """Independent Rician power factors (K, Q+1) at the active entries' nodes.
 
     The coherence time (about 0.423 / f_max) is far shorter than the node

@@ -20,14 +20,15 @@ penalty factor grown according to how fast the residual norm shrinks:
 
 Inside the solver, powers are scaled by P_T and data by D_min so the
 residual components are comparable under the max norm; :func:`solve`
-converts the iterate once at entry and once at return, and the cycles
-hand on the scaled iterate with its residuals and its data derivative
-pair (D', D''), which the next cycle's first step would otherwise
-recompute at the same x.  Within a cycle, one merit evaluation takes the
-column sums once, for the residuals and the energy, and the accepted
-line-search candidate's SNR product (:meth:`GainTable.snr`) feeds its
-derivative pass, so a solve makes one derivative pass per inner step
-plus one.  The energy and data it returns are
+converts the iterate once at entry and once at return.
+:func:`inner_descent` returns its cycle's :class:`CycleRecord`, which
+holds the scaled iterate and its residuals, with the iterate's data
+derivative pair (D', D''); the next cycle starts from all three, so its
+first step does not recompute them at the same x.  Within a cycle, one
+merit evaluation takes the column sums once, for the residuals and the
+energy, and the accepted line-search candidate's SNR product
+(:meth:`GainTable.snr`) feeds its derivative pass, so a solve makes one
+derivative pass per inner step plus one.  The energy and data it returns are
 :func:`metrics.compute_metrics` of the returned allocation, the same
 figures a harness row writes for it.  A cycle's recorded energy
 is :meth:`Problem.energy_j`, the reduction of :func:`metrics.total_energy`
@@ -47,8 +48,9 @@ settings (tolerance and cycle cap) live in one frozen
 method's constants (initial penalty :data:`SIGMA0`, growth factor
 :data:`GROWTH`, per-cycle step guard :data:`INNER_CAP`) are fixed, like
 rule (b)'s ratio of 1/4.  The history of :class:`CycleRecord`, each with
-its scaled iterate and multiplier estimate, is the one record of a
-solve's cycles, and the returned iterate is the history's best cycle.
+its scaled iterate, residuals and multiplier estimate, is the one record
+of a solve's cycles, a record's index in it is its cycle number, and the
+returned iterate is the history's best cycle.
 
 Budget handling: budget rows are one-sided caps, their residual clipped
 at zero below the budget.  The literal equality form would pin the
@@ -278,25 +280,34 @@ class Problem:
         return b
 
 
-@dataclass(frozen=True)
-class InnerInfo:
-    steps: int
-    reason: str            # "gradient" | "stall" | "cap"
-    phi_start: float
-    phi_end: float
-    grad_norm: float
-    merit_evals: int       # Problem.phi evaluations, the start point included
+@dataclass(frozen=True, eq=False)
+class CycleRecord:
+    """One outer cycle's outcome: its iterate at the end of the inner loop,
+    with the residuals, merit value and energy there and how the loop ended.
+    Its cycle number is its index in :attr:`SolveResult.history`."""
+
+    h_inf: float
+    sigma: float
+    phi: float
+    energy_j: float
+    inner_steps: int
+    inner_reason: str                         # "gradient" | "stall" | "cap"
+    merit_evals: int                          # Problem.phi evaluations, the start included
+    x: np.ndarray = field(repr=False)         # the cycle's scaled iterate
+    h: np.ndarray = field(repr=False)         # its residuals
+    lam_hat: np.ndarray = field(repr=False)   # lam - 2*sigma*h at x
 
 
 def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarray, sigma: float,
                   options: SolverOptions, derivs: tuple[np.ndarray, np.ndarray] | None = None
-                  ) -> tuple[np.ndarray, np.ndarray, tuple | None, InnerInfo]:
+                  ) -> tuple[CycleRecord, tuple | None]:
     """Minimise phi(., lam, sigma) by projected Newton descent from x.
 
     Takes a scaled iterate x >= 0 with its residuals h and, when known,
-    ``derivs``, the data derivative pair (D', D'') at x; returns the final
-    x, h and pair (``None`` when the loop ended on the step cap, which
-    leaves the last iterate's pair uncomputed).  Steps along
+    ``derivs``, the data derivative pair (D', D'') at x; returns the
+    cycle's :class:`CycleRecord` of the final iterate and that iterate's
+    pair (``None`` when the loop ended on the step cap, which leaves the
+    last iterate's pair uncomputed).  Steps along
     :meth:`Problem.newton_direction`, clipping negative entries to zero;
     the stepsize halves from 1 until phi decreases.  The accepted
     candidate's residuals are kept, so each merit evaluation is one data
@@ -304,13 +315,11 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
     a loop makes one derivative pass per step, plus one unless ``derivs``
     was passed in.  Stops once the projected gradient norm falls below
     ``options.eps``, on a backtracking stall, or at the step cap
-    :data:`INNER_CAP`; the last two flag the result rather than raising.
+    :data:`INNER_CAP`; the last two flag the record rather than raising.
     """
     table = problem.table
     phi = problem.phi(x, lam, sigma, h)
-    phi_start, evals = phi, 1
-    steps = 0
-    reason, gnorm = "cap", math.inf
+    evals, steps, reason = 1, 0, "cap"
     snr = None    # the SNR product at x, once a line search has formed it
 
     while steps < INNER_CAP:
@@ -342,10 +351,9 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
         x, h, phi, snr, derivs = x_new, h_new, phi_new, snr_try, None
         steps += 1
 
-    return x, h, derivs, InnerInfo(
-        steps=steps, reason=reason,
-        phi_start=phi_start, phi_end=phi, grad_norm=gnorm, merit_evals=evals,
-    )
+    return CycleRecord(h_inf=_linf(h), sigma=sigma, phi=phi, energy_j=problem.energy_j(x),
+                       inner_steps=steps, inner_reason=reason, merit_evals=evals,
+                       x=x, h=h, lam_hat=lam - 2.0 * sigma * h), derivs
 
 
 def update_state(lam: np.ndarray, sigma: float, sigma_grew: bool, h_now: np.ndarray,
@@ -364,20 +372,6 @@ def update_state(lam: np.ndarray, sigma: float, sigma_grew: bool, h_now: np.ndar
     if hinf < prev_inf and (sigma_grew or hinf <= 0.25 * prev_inf):   # (b)
         return lam - 2.0 * sigma * h_now, sigma, False
     return lam, GROWTH * sigma, True                                   # (a), (c)
-
-
-@dataclass(frozen=True, eq=False)
-class CycleRecord:
-    cycle: int
-    h_inf: float
-    sigma: float
-    phi: float
-    energy_j: float
-    inner_steps: int
-    inner_reason: str
-    merit_evals: int
-    x: np.ndarray = field(repr=False)         # the cycle's scaled iterate
-    lam_hat: np.ndarray = field(repr=False)   # lam - 2*sigma*h at x
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,9 +404,11 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     and it runs first.  A warm allocation on another relay layout than the
     table's, or a ``lam_hat`` without 2M+N-1 entries, raises
     ``ValueError``.  The start point is scaled and clipped to x >= 0
-    once; the cycles carry x and its residuals, and the returned
-    iterate, the history's best cycle (lowest residual max norm, then
-    lowest energy, then earliest), is converted to watts at return.  The result's ``energy_j`` and
+    once; each cycle starts from the last cycle's record (its x and
+    residuals), and the returned iterate, the history's best record
+    (lowest residual max norm, then lowest energy, then earliest), is
+    scaled back in any column over the budget and converted to watts
+    once, at return.  The result's ``energy_j`` and
     ``data_bits`` are :func:`metrics.compute_metrics` of the returned
     allocation on ``table``, the figures a harness row reports for it.
     Raises ``ValueError`` for a floor that is not positive and
@@ -451,19 +447,15 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
         h = problem.residuals_scaled(x)
 
     history: list[CycleRecord] = []
-    prev_inf = math.inf
     derivs = None   # the data derivative pair at x; x does not move between cycles
-    for cycle in range(options.n_max + 1):
-        x, h, derivs, info = inner_descent(problem, x, h, lam, sigma, options, derivs)
-        rec = CycleRecord(cycle=cycle, h_inf=_linf(h), sigma=sigma, phi=info.phi_end,
-                          energy_j=problem.energy_j(x), inner_steps=info.steps,
-                          inner_reason=info.reason, merit_evals=info.merit_evals,
-                          x=x, lam_hat=lam - 2.0 * sigma * h)
+    prev_inf = math.inf
+    for _ in range(options.n_max + 1):
+        rec, derivs = inner_descent(problem, x, h, lam, sigma, options, derivs)
         history.append(rec)
         if rec.h_inf <= options.eps:
             break
-        lam, sigma, sigma_grew = update_state(lam, sigma, sigma_grew, h, prev_inf)
-        prev_inf = rec.h_inf
+        lam, sigma, sigma_grew = update_state(lam, sigma, sigma_grew, rec.h, prev_inf)
+        x, h, prev_inf = rec.x, rec.h, rec.h_inf
 
     # the first iterate within eps ends the loop, so the lowest residual
     # wins, energy breaking ties and the earliest cycle breaking those
@@ -471,19 +463,19 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     x, hinf = rec.x, rec.h_inf
     if rec.inner_reason != "gradient":
         _log.warning("returned iterate's inner loop stopped on %s (cycle %d, %d steps, "
-                     "h_inf %.3g)", rec.inner_reason, rec.cycle, rec.inner_steps, rec.h_inf)
-    # guard against overspend: scale every column of the allocation whose sum
+                     "h_inf %.3g)", rec.inner_reason, history.index(rec), rec.inner_steps,
+                     rec.h_inf)
+    # guard against overspend: scale every column of the iterate whose sum
     # is above the budget back until none is; a factor of at most 1 - 2**-52
     # lowers each entry by at least one ulp, so the loop ends with the sums exact
-    alloc = problem.to_physical(x)
-    sums = alloc.column_sums()
+    sums = problem.layout.column_sums(x * cfg.p_t)
     if np.any(sums > cfg.p_t):
         while np.any(sums > cfg.p_t):
             shrink = np.minimum(cfg.p_t / sums, 1.0 - 2.0 ** -52)
             x = x * np.where(sums > cfg.p_t, shrink, 1.0)[problem.segment]
-            alloc = problem.to_physical(x)
-            sums = alloc.column_sums()
+            sums = problem.layout.column_sums(x * cfg.p_t)
         hinf = _linf(problem.residuals_scaled(x))
+    alloc = problem.to_physical(x)
     figures = compute_metrics(alloc, cfg, sched, table)
 
     result = SolveResult(

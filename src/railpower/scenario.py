@@ -119,16 +119,6 @@ class ScenarioConfig:
     def num_segments(self) -> int:
         return 2 * self.num_relays + self.num_bins - 2
 
-    @property
-    def total_time(self) -> float:
-        """Traversal duration from head entry to last-relay exit [s]."""
-        return (self.d_l + (self.num_relays - 1) * self.d_mr) / self.v
-
-    @property
-    def bin_length(self) -> float:
-        """Length of one stage-two location bin [m]."""
-        return (self.d_l - (self.num_relays - 1) * self.d_mr) / self.num_bins
-
     def with_(self, **kwargs) -> "ScenarioConfig":
         return replace(self, **kwargs)
 

@@ -145,6 +145,24 @@ def test_sweep_rejects_non_finite_values(tmp_path, capsys):
     assert not (tmp_path / "sweep_d_l.csv").exists()
 
 
+def test_repeated_inputs_exit_with_config_error(tmp_path, capsys):
+    # a repeated scheme, sweep value or speed-error std would write
+    # repeated rows and pool them into one mean; each is a usage error
+    cfg = write_cfg(tmp_path)
+    twice = write_cfg(tmp_path, REF_CONFIG + "schemes = constant, constant\n", "twice.cfg")
+    for command, needle in ((["run", twice], "scheme 'constant' is listed twice"),
+                            (["sweep", cfg, "--param", "M", "--values", "4,4.0"],
+                             "M value 4.0 is listed twice"),
+                            (["sweep", cfg, "--param", "d_l", "--values", "200,200",
+                              "--trials", "2"], "d_l value 200.0 is listed twice"),
+                            (["mc-velocity", cfg, "--sigmas", "0,1,0", "--trials", "1"],
+                             "sigma_v value 0.0 is listed twice")):
+        code = main(["--outdir", str(tmp_path)] + command)
+        assert code == EXIT_CONFIG, command
+        assert needle in capsys.readouterr().err, command
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 @pytest.mark.parametrize("workers", ["0", "-4"])
 def test_rejects_worker_counts_below_one(tmp_path, capsys, workers):
     # no silent serial fallback: a worker count below one is a usage error

@@ -84,6 +84,9 @@ def test_scheme_list_validation():
     # HarnessOptions rejects the name; the error still points at the line
     with pytest.raises(ConfigError, match=r"x.cfg:7: unknown scheme 'waterfill'"):
         parse_config_text(MINIMAL + "schemes = constant, waterfill\n", path="x.cfg")
+    # a repeated scheme would write two identical rows per point
+    with pytest.raises(ConfigError, match=r"x.cfg:7: scheme 'constant' is listed twice"):
+        parse_config_text(MINIMAL + "schemes = constant, csi, constant\n", path="x.cfg")
 
 
 def test_invalid_geometry_surfaces_as_config_error():

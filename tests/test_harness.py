@@ -113,6 +113,13 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError, match="P_T value 4000"):
         SweepSpec(param="P_T", values=(40.0, 4000.0))
     assert SweepSpec(param="P_T", values=(30.0, 45.0)).values == (30.0, 45.0)
+    # a repeated value would write its trials twice and pool them in one mean row
+    with pytest.raises(ValueError, match="d_l value 200 is listed twice"):
+        SweepSpec(param="d_l", values=(200, 200), trials=2)
+    with pytest.raises(ValueError, match="M value 4.0 is listed twice"):
+        SweepSpec(param="M", values=(4, 4.0))
+    with pytest.raises(ValueError, match="scheme 'constant' is listed twice"):
+        HarnessOptions(schemes=("constant", "constant"))
 
 
 def test_sweep_records_failed_points(options):

@@ -221,8 +221,8 @@ def test_grad_larger_near_rrh(ref_cfg, ref_sched, ref_table):
 
 def test_fading_trace_changes_data_deterministically(ref_cfg, ref_sched, ref_table):
     p = average_alloc(ref_cfg, ref_sched).values
-    trace1 = sample_fading_trace(ref_cfg, ref_sched, np.random.default_rng(3))
-    trace2 = sample_fading_trace(ref_cfg, ref_sched, np.random.default_rng(3))
+    trace1 = sample_fading_trace(ref_cfg, np.random.default_rng(3))
+    trace2 = sample_fading_trace(ref_cfg, np.random.default_rng(3))
     assert trace1.shape == ref_table.gains.shape
     assert np.array_equal(trace1, trace2)
     table = ref_table.faded(trace1)
@@ -236,10 +236,10 @@ def test_fading_trace_changes_data_deterministically(ref_cfg, ref_sched, ref_tab
             ref_table.faded(wrong)
 
 
-def test_faded_table_scales_the_active_node_factors(ref_cfg, ref_sched, ref_table):
+def test_faded_table_scales_the_active_node_factors(ref_cfg, ref_table):
     # the faded table is the deterministic one times the (K, Q+1) trace of
     # power factors, entry by entry and node by node
-    trace = sample_fading_trace(ref_cfg, ref_sched, np.random.default_rng(4))
+    trace = sample_fading_trace(ref_cfg, np.random.default_rng(4))
     faded = ref_table.faded(trace)
     assert np.array_equal(faded.weights, ref_table.weights)
     assert faded.layout is ref_table.layout
@@ -247,7 +247,7 @@ def test_faded_table_scales_the_active_node_factors(ref_cfg, ref_sched, ref_tabl
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_fading_trace_matches_the_db_route(ref_cfg, ref_sched, seed):
+def test_fading_trace_matches_the_db_route(ref_cfg, seed):
     # the trace is one (K, Q+1) power draw in the compact order, nothing
     # for the pairs outside the cell: bit for bit the factors
     # sample_fading_power draws, and to rounding the dB route over the same
@@ -256,7 +256,7 @@ def test_fading_trace_matches_the_db_route(ref_cfg, ref_sched, seed):
     model = FadingModel.from_k_db(ref_cfg.rician_k)
     size = (entry_layout(ref_cfg).segment.size, ref_cfg.quad_n + 1)
     rng = np.random.default_rng(seed)
-    trace = sample_fading_trace(ref_cfg, ref_sched, rng)
+    trace = sample_fading_trace(ref_cfg, rng)
     assert trace.shape == size
     assert np.array_equal(trace, sample_fading_power(model, np.random.default_rng(seed), size))
     ref = np.random.default_rng(seed)

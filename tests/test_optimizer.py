@@ -10,7 +10,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from railpower import optimizer
 from railpower.metrics import GainTable
-from railpower.optimizer import InnerInfo, Problem, inner_descent, update_state
+from railpower.optimizer import CycleRecord, Problem, inner_descent, update_state
 from railpower import (AllocationMatrix, InfeasibleDataFloor, SolverOptions, average_alloc,
                        build_gain_table, compute_metrics, data_floor, entry_layout,
                        kkt_residual, reference_config, segment_boundaries, solve,
@@ -137,10 +137,10 @@ def test_inner_descent_stationary_start(ref_cfg, ref_sched, ref_table):
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
     zero = np.zeros(ref_table.layout.segment.size)
     h = problem.residuals_scaled(zero)
-    out, h_out, _, info = inner_descent(problem, zero, h, np.zeros(ref_cfg.num_segments + 1),
-                                        0.0, SolverOptions())
-    assert info.steps == 0 and info.reason == "gradient"
-    assert np.all(out == 0.0) and np.array_equal(h_out, h)
+    rec, _ = inner_descent(problem, zero, h, np.zeros(ref_cfg.num_segments + 1), 0.0,
+                           SolverOptions())
+    assert rec.inner_steps == 0 and rec.inner_reason == "gradient"
+    assert np.all(rec.x == 0.0) and np.array_equal(rec.h, h)
 
 
 def test_inner_descent_monotone(ref_cfg, ref_sched, ref_table):
@@ -148,14 +148,14 @@ def test_inner_descent_monotone(ref_cfg, ref_sched, ref_table):
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
     lam, sigma = np.zeros(ref_cfg.num_segments + 1), optimizer.SIGMA0
     x = problem.to_scaled(average_alloc(ref_cfg, ref_sched))
-    out, h, derivs, info = inner_descent(problem, x, problem.residuals_scaled(x), lam, sigma,
-                                         SolverOptions())
-    assert info.phi_end <= info.phi_start
+    h0 = problem.residuals_scaled(x)
+    rec, derivs = inner_descent(problem, x, h0, lam, sigma, SolverOptions())
+    assert rec.phi <= problem.phi(x, lam, sigma, h0)
     # the returned residuals and derivative pair are those of the returned iterate
-    assert np.array_equal(h, problem.residuals_scaled(out))
-    for carried, fresh in zip(derivs, problem.table.data_derivatives(out)):
+    assert np.array_equal(rec.h, problem.residuals_scaled(rec.x))
+    for carried, fresh in zip(derivs, problem.table.data_derivatives(rec.x)):
         assert np.array_equal(carried, fresh)
-    assert info.phi_end == problem.phi(out, lam, sigma)
+    assert rec.phi == problem.phi(rec.x, lam, sigma)
 
 
 def test_inner_descent_cap_flags_not_raises(monkeypatch, ref_cfg, ref_sched, ref_table):
@@ -163,10 +163,10 @@ def test_inner_descent_cap_flags_not_raises(monkeypatch, ref_cfg, ref_sched, ref
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
     x = problem.to_scaled(average_alloc(ref_cfg, ref_sched))
-    _, _, derivs, info = inner_descent(problem, x, problem.residuals_scaled(x),
-                                       np.zeros(ref_cfg.num_segments + 1), optimizer.SIGMA0,
-                                       SolverOptions())
-    assert info.reason == "cap" and info.steps == 3
+    rec, derivs = inner_descent(problem, x, problem.residuals_scaled(x),
+                                np.zeros(ref_cfg.num_segments + 1), optimizer.SIGMA0,
+                                SolverOptions())
+    assert rec.inner_reason == "cap" and rec.inner_steps == 3
     assert derivs is None   # the capped iterate's pair was never computed
 
 
@@ -226,9 +226,8 @@ def test_inner_descent_matches_grid_search(tiny):
     problem = Problem(cfg, sched, d_min, table)
     lam = np.zeros(cfg.num_segments + 1)
     x = problem.to_scaled(average_alloc(cfg, sched))
-    out, _, _, info = inner_descent(problem, x, problem.residuals_scaled(x), lam, 1.0,
-                                    SolverOptions())
-    phi_inner = problem.phi(out, lam, 1.0)
+    rec, _ = inner_descent(problem, x, problem.residuals_scaled(x), lam, 1.0, SolverOptions())
+    phi_inner = problem.phi(rec.x, lam, 1.0)
     phi_grid = grid_min_phi(problem, table, cfg, lam0=0.0, sigma=1.0)
     # two-sided: a mis-modelled oracle that overstates the grid minimum
     # fails the second bound
@@ -553,8 +552,7 @@ def plain_inner_descent(problem, x, h, lam, sigma, options, derivs=None):
     """Tolerance oracle: projected gradient, halving from alpha = 1; it
     ignores a passed-in derivative pair and hands none on."""
     phi = problem.phi(x, lam, sigma, h)
-    phi_start, steps, evals = phi, 0, 1
-    reason, gnorm = "cap", math.inf
+    steps, evals, reason = 0, 1, "cap"
     while steps < optimizer.INNER_CAP:
         d = -problem.grad_phi(x, lam, sigma)
         d[(x <= 0.0) & (d < 0.0)] = 0.0
@@ -577,9 +575,9 @@ def plain_inner_descent(problem, x, h, lam, sigma, options, derivs=None):
             break
         x, h, phi = x_new, h_new, phi_new
         steps += 1
-    return x, h, None, InnerInfo(
-        steps=steps, reason=reason, phi_start=phi_start,
-        phi_end=phi, grad_norm=gnorm, merit_evals=evals)
+    return CycleRecord(h_inf=float(np.max(np.abs(h))), sigma=sigma, phi=phi,
+                       energy_j=problem.energy_j(x), inner_steps=steps, inner_reason=reason,
+                       merit_evals=evals, x=x, h=h, lam_hat=lam - 2.0 * sigma * h), None
 
 
 def test_inner_descent_one_data_pass_per_merit_evaluation(monkeypatch):
@@ -604,7 +602,7 @@ def test_inner_descent_one_data_pass_per_merit_evaluation(monkeypatch):
         before = dict(counts)
         out = inner_descent(*args)
         per_call.append({**{k: counts[k] - before[k] for k in counts},
-                         "steps": out[-1].steps, "merit_evals": out[-1].merit_evals})
+                         "steps": out[0].inner_steps, "merit_evals": out[0].merit_evals})
         return out
 
     monkeypatch.setattr(GainTable, "total_data", counted("data", GainTable.total_data))
@@ -691,6 +689,38 @@ def test_solve_out_of_cycles_returns_its_lowest_residual_cycle(monkeypatch):
     sums = alloc.column_sums()
     assert np.all(sums <= cfg.p_t)
     assert_allclose(sums[over_cols], cfg.p_t, rtol=1e-12)
+
+
+@pytest.mark.parametrize("rho, warm_rho", [(0.8, None), (0.79, 0.8), (0.99, None)])
+def test_cycle_records_hold_their_iterates_figures(rho, warm_rho):
+    # a cold, a warm and a caps-binding solve: each record's residuals,
+    # norm, energy, merit value and multiplier estimate are its own
+    # iterate's, bit for bit, under the multipliers and penalty its cycle
+    # ran with, replayed here through the update rules
+    cfg = reference_config(rho=rho)
+    sched = segment_boundaries(cfg)
+    table = build_gain_table(cfg, sched)
+    d_min = data_floor(cfg, sched, table)
+    lam, sigma = np.zeros(cfg.num_segments + 1), optimizer.SIGMA0
+    warm = None
+    if warm_rho is not None:
+        warm = solve(cfg.with_(rho=warm_rho), sched, table=table)
+        lam, sigma = warm[1].lam_hat, warm[1].sigma
+    _, res = solve(cfg, sched, warm=warm, d_min=d_min, table=table)
+    problem = Problem(cfg, sched, d_min, table)
+    grew, prev_inf = False, math.inf
+    assert len(res.history) > 1
+    for rec in res.history:
+        assert np.array_equal(rec.h, problem.residuals_scaled(rec.x))
+        assert rec.h_inf == float(np.max(np.abs(rec.h)))
+        assert rec.energy_j == total_energy(problem.to_physical(rec.x), sched)
+        assert rec.sigma == sigma
+        assert np.array_equal(rec.lam_hat, lam - 2.0 * sigma * rec.h)
+        assert rec.phi == problem.phi(rec.x, lam, sigma)
+        lam, sigma, grew = update_state(lam, sigma, grew, rec.h, prev_inf)
+        prev_inf = rec.h_inf
+    if rho == 0.99:
+        assert any(np.any(rec.h[1:] > 0.0) for rec in res.history)   # the caps bind
 
 
 def test_inner_loop_stop_on_cap_is_logged(monkeypatch, caplog):

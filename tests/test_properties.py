@@ -69,7 +69,7 @@ def test_compact_data_passes_match_dense_reference(cfg, power_seed):
     table = build_gain_table(cfg, sched)
     fading = None
     if cfg.fading:
-        fading = sample_fading_trace(cfg, sched, rng)
+        fading = sample_fading_trace(cfg, rng)
         table = table.faded(fading)
     layout = entry_layout(cfg)
     mask = layout.mask

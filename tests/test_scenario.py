@@ -44,7 +44,8 @@ def test_duration_structure(ref_cfg, ref_sched):
     assert len(d) == 2 * m + n - 2
     assert_allclose(d[: m - 1], ref_cfg.d_mr / ref_cfg.v, rtol=1e-12)
     assert_allclose(d[-(m - 1):], ref_cfg.d_mr / ref_cfg.v, rtol=1e-12)
-    assert_allclose(d[m - 1: m - 1 + n], ref_cfg.bin_length / ref_cfg.v, rtol=1e-12)
+    bin_length = (ref_cfg.d_l - (m - 1) * ref_cfg.d_mr) / n
+    assert_allclose(d[m - 1: m - 1 + n], bin_length / ref_cfg.v, rtol=1e-12)
 
 
 def test_total_duration_is_span_over_speed(ref_cfg, ref_sched):
@@ -61,11 +62,11 @@ def test_single_relay_collapses_entry_and_exit_stages():
     assert_allclose(sched.boundaries, expected, rtol=1e-12)
 
 
-def test_head_position(ref_cfg):
+def test_head_position(ref_cfg, ref_sched):
     # relay 1 is the head relay, at x = v*t
     assert mr_position(ref_cfg, 1, 0.0) == 0.0
     assert_allclose(mr_position(ref_cfg, 1, 1.2), 100.0, rtol=1e-12)
-    ts = np.linspace(0.0, ref_cfg.total_time, 7)
+    ts = np.linspace(0.0, ref_sched.total_time, 7)
     assert np.array_equal(mr_position(ref_cfg, 1, ts), ref_cfg.v * ts)
     # the head leaves the cell exactly at boundary M+N-1
     sched = segment_boundaries(ref_cfg)
@@ -73,8 +74,8 @@ def test_head_position(ref_cfg):
     assert_allclose(mr_position(ref_cfg, 1, t_exit), ref_cfg.d_l, rtol=1e-12)
 
 
-def test_mr_position(ref_cfg):
-    ts = np.linspace(0.0, ref_cfg.total_time, 7)
+def test_mr_position(ref_cfg, ref_sched):
+    ts = np.linspace(0.0, ref_sched.total_time, 7)
     assert_allclose(mr_position(ref_cfg, 4, 0.9), 0.0, atol=1e-12)
     assert_allclose(mr_position(ref_cfg, 2, 0.0), -25.0, rtol=1e-12)
     with pytest.raises(IndexError):
@@ -102,15 +103,15 @@ def test_mr_rrh_distance(ref_cfg):
         assert_allclose(left, right, rtol=1e-12)
 
 
-def test_distance_floor_is_d0(ref_cfg):
-    ts = np.linspace(0.0, ref_cfg.total_time, 500)
+def test_distance_floor_is_d0(ref_cfg, ref_sched):
+    ts = np.linspace(0.0, ref_sched.total_time, 500)
     for i in range(1, ref_cfg.num_relays + 1):
         d = mr_rrh_distance(ref_cfg, i, ts)
         assert np.all(d >= ref_cfg.d0 - 1e-12)
 
 
-def test_mirror_symmetry_of_distances(ref_cfg):
-    total = ref_cfg.total_time
+def test_mirror_symmetry_of_distances(ref_cfg, ref_sched):
+    total = ref_sched.total_time
     ts = np.linspace(0.0, total, 301)
     m = ref_cfg.num_relays
     for i in range(1, m + 1):
@@ -224,7 +225,7 @@ def test_entry_layout_is_one_read_only_object_per_layout(ref_cfg):
     rng = np.random.default_rng(0)
     allocs = (constant_alloc(ref_cfg, sched), average_alloc(ref_cfg, sched),
               random_alloc(ref_cfg, sched, rng), csi_alloc(ref_cfg, sched, table, rng))
-    faded = table.faded(sample_fading_trace(ref_cfg, sched, rng))
+    faded = table.faded(sample_fading_trace(ref_cfg, rng))
     problem = Problem(ref_cfg, sched, data_floor(ref_cfg, sched, table), table)
     holders = allocs + (table, faded, problem.table, problem.to_physical(np.zeros(36)))
     assert all(obj.layout is layout for obj in holders)
