@@ -59,11 +59,21 @@ def csi_alloc(cfg: ScenarioConfig, sched: SegmentSchedule, table: GainTable,
     vector in the compact order.  Then
     P_k = h_k^(-alpha) / sum over segment j's entries of h^(-alpha) * P_T,
     with alpha = ``cfg.csi_alpha``; the link constant in every factor
-    cancels in that ratio.
+    cancels in that ratio.  Raises ``ValueError`` naming ``csi_alpha`` when
+    h^(-alpha) over- or underflows so far that a segment's weight sum is 0
+    or not finite.
     """
     layout = table.layout
     h = table.gains[:, table.gains.shape[1] // 2]
     if rng is not None:
         model = radio.FadingModel.from_k_db(cfg.rician_k)
         h = h * radio.sample_fading_power(model, rng, size=layout.segment.size)
-    return _split_budget(cfg, layout, h ** (-cfg.csi_alpha))
+    with np.errstate(over="ignore", under="ignore"):
+        w = h ** (-cfg.csi_alpha)
+    sums = layout.column_sums(w)
+    bad = np.count_nonzero(~(np.isfinite(sums) & (sums > 0.0)))
+    if bad:
+        raise ValueError(f"csi_alpha = {cfg.csi_alpha:g} over- or underflows the CSI weights "
+                         f"h**-csi_alpha: {bad} of {sums.size} segments have a weight sum "
+                         "of 0 or infinity")
+    return _split_budget(cfg, layout, w)

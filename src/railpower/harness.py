@@ -169,7 +169,15 @@ def _record(point: dict, scheme: str, energy_j: float = NAN, data_bits: float = 
             wall_time_s: float = 0.0, solution: tuple | None = None) -> RunRecord:
     """Build one row: ``point`` maps the :data:`_POINT_COLUMNS`, and the
     defaults describe a failed scheme.  EE is :func:`metrics.energy_efficiency`
-    of the row's data and energy, so EE = D/E holds on every row."""
+    of the row's data and energy, so EE = D/E holds on every row.  A row
+    without error text whose energy or data is not finite becomes a failed
+    row whose error names that figure."""
+    if not error:
+        bad = [name for name, v in (("energy_j", energy_j), ("data_bits", data_bits))
+               if not math.isfinite(v)]
+        if bad:
+            return _record(point, scheme, error=f"non-finite {' and '.join(bad)}",
+                           wall_time_s=wall_time_s)
     return RunRecord(**point, scheme=scheme, energy_j=energy_j, data_bits=data_bits,
                      ee_bits_per_j=metrics.energy_efficiency(data_bits, energy_j),
                      se_bits_per_s_per_hz=se, meets_floor=meets_floor,

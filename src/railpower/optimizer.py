@@ -10,13 +10,26 @@ function is the augmented Lagrangian
 
 minimised by projected Newton descent in an inner loop.  Each cycle of
 :func:`solve` runs the inner descent, records the cycle, and stops once
-||h_now||_inf <= eps; otherwise the multipliers are corrected or the
-penalty factor grown according to how fast the residual norm shrinks:
+the record is feasible and stationary: ||h_now||_inf <= eps and the KKT
+residual (:meth:`Problem.kkt_residual`) at its iterate and multiplier
+estimate is at most 10 eps.  Otherwise the multipliers are corrected or
+the penalty factor grown according to how fast the residual norm
+shrinks:
 
   (a) ||h_now||_inf >= ||h_prev||_inf        -> grow sigma, keep lam
   (b) sigma grew last cycle, or the norm fell
-      below a quarter of the previous one    -> lam <- lam - 2*sigma*h
+      below a quarter of the previous one    -> lam <- lam_hat
   (c) otherwise                              -> grow sigma, keep lam
+
+with lam_hat the first-order multiplier estimate at the cycle's iterate:
+lam_0 - 2 sigma h_0 for the data row, and min(lam_j - 2 sigma (s_j - 1), 0)
+for budget column j with sum s_j, which is lam_j - 2 sigma h_j on a capped
+column and moves toward zero on a slack one (the method of multipliers'
+update for a one-sided constraint; Bertsekas, Constrained Optimization
+and Lagrange Multiplier Methods, 1982, sec. 3.1), so a cap that binds
+at a warm start but not at the new floor leaves no stale multiplier for
+the stop test to trip on.  The loop also ends, unconverged, once sigma
+passes :data:`SIGMA_MAX`.
 
 Inside the solver, powers are scaled by P_T and data by D_min so the
 residual components are comparable under the max norm; :func:`solve`
@@ -28,9 +41,15 @@ first step does not recompute them at the same x.  Within a cycle, one
 merit evaluation takes the column sums once, for the residuals and the
 energy, and the accepted line-search candidate's SNR product
 (:meth:`GainTable.snr`) feeds its derivative pass, so a solve makes one
-derivative pass per inner step plus one.  The energy and data it returns are
-:func:`metrics.compute_metrics` of the returned allocation, the same
-figures a harness row writes for it.  A cycle's recorded energy
+derivative pass per inner step plus one; the stop test reads the pair a
+cycle hands on, and makes its own pass only after a step-cap stop.  Each
+accepted iterate's per-iterate terms are formed once and shared by the
+merit gradient and the Newton direction: the capped-column mask and the
+capped multiplier term mu_j = 2 sigma h_j - lam_j
+(:meth:`Problem.cap_terms`), and the mask g > 0, which the projected
+gradient and the epsilon-active set both read.  The energy and data it
+returns are :func:`metrics.compute_metrics` of the returned allocation,
+the same figures a harness row writes for it.  A cycle's recorded energy
 is :meth:`Problem.energy_j`, the reduction of :func:`metrics.total_energy`
 applied to the cycle's powers, so only the returned iterate is built into
 an :class:`AllocationMatrix`.  :class:`Problem` holds
@@ -50,7 +69,8 @@ method's constants (initial penalty :data:`SIGMA0`, growth factor
 rule (b)'s ratio of 1/4.  The history of :class:`CycleRecord`, each with
 its scaled iterate, residuals and multiplier estimate, is the one record
 of a solve's cycles, a record's index in it is its cycle number, and the
-returned iterate is the history's best cycle.
+returned iterate is the record that passed the stop test, or, when none
+did, the history's best cycle.
 
 Budget handling: budget rows are one-sided caps, their residual clipped
 at zero below the budget.  The literal equality form would pin the
@@ -64,13 +84,14 @@ bound-constrained augmented Lagrangian, Nocedal & Wright, Numerical
 Optimization, 2006, sec. 17.4).  Each D_k depends on x_k alone, so with
 c = lam_0 - 2 sigma h0 the merit gradient is g_k = t_k - c D'_k, where
 t_k is entry k's normalised segment time plus, when its column j is
-capped, 2 sigma h_j - lam_j.  The model Hessian is
+capped, mu_j = 2 sigma h_j - lam_j.  The model Hessian is
 
     H = diag(a) + 2 sigma grad h0 grad h0^T
         + 2 sigma * sum over capped columns j of 1_j 1_j^T,
     a_k = |D''_k| t_k / D'_k,
 
-with the cap term in t_k clamped at zero, so a > 0 for every c.  a_k is
+with the cap term in t_k clamped at zero (max(mu_j, 0)), so a > 0 for
+every c.  a_k is
 the Newton diagonal of entry k's stationarity equation written as
 1/D'_k(x) = c / t_k: it equals the merit Hessian's c |D''_k| wherever
 t_k = c D'_k, so near a solution the step is Newton's and keeps its
@@ -120,6 +141,9 @@ _log = logging.getLogger(__name__)
 SIGMA0 = 1.0       # initial penalty factor
 GROWTH = 4.0       # penalty growth factor of rules (a) and (c)
 INNER_CAP = 5000   # inner descent steps per cycle; a Newton solve takes tens in all
+# penalty factor past which the loop ends: 2 sigma then outweighs the unit
+# energy slope by more than float64 resolves (converged solves stay below 1e8)
+SIGMA_MAX = 2.0 ** 52
 # the data row's rank-one mass above which the Newton direction is refined,
 # at most _REFINE_STEPS times (see the module docstring); below it the
 # update's cancellation costs under 1e-9 relative
@@ -128,7 +152,7 @@ _REFINE_STEPS = 3
 
 
 def _linf(v) -> float:
-    return float(np.max(np.abs(v)))
+    return float(np.maximum.reduce(np.abs(v)))
 
 
 @dataclass(frozen=True)
@@ -207,44 +231,60 @@ class Problem:
             h = self.residuals_scaled(x, cols=cols)
         return float(self.t_norm @ cols) - float(lam @ h) + sigma * float(h @ h)
 
+    def cap_terms(self, h: np.ndarray, lam: np.ndarray, sigma: float
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The budget caps' share of the merit derivatives at residuals h:
+        the capped-column mask and each column's multiplier term
+        mu_j = 2 sigma h_j - lam_j where capped, else 0 (``None`` when no
+        column is capped)."""
+        capped = h[1:] > 0.0
+        if not np.count_nonzero(capped):
+            return capped, None
+        return capped, np.where(capped, 2.0 * sigma * h[1:] - lam[1:], 0.0)
+
     def grad_phi(self, x: np.ndarray, lam: np.ndarray, sigma: float,
-                 h: np.ndarray | None = None, dd: np.ndarray | None = None) -> np.ndarray:
-        """Merit gradient; ``h`` and ``dd`` pass in residuals and data gradient at x."""
+                 h: np.ndarray | None = None, dd: np.ndarray | None = None,
+                 caps: tuple | None = None) -> np.ndarray:
+        """Merit gradient; ``h``, ``dd`` and ``caps`` pass in the residuals,
+        data gradient and :meth:`cap_terms` at x."""
         if h is None:
             h = self.residuals_scaled(x)
         if dd is None:
             dd = self.table.data_derivatives(x)[0]
+        if caps is None:
+            caps = self.cap_terms(h, lam, sigma)
         g = self._t_entry + (-lam[0] + 2.0 * sigma * h[0]) * dd
-        capped = h[1:] > 0.0
-        if capped.any():   # below the cap the clipped budget rows contribute nothing
-            g += np.where(capped, -lam[1:] + 2.0 * sigma * h[1:], 0.0)[self.segment]
+        mu = caps[1]
+        if mu is not None:   # below the cap the clipped budget rows contribute nothing
+            g += mu[self.segment]
         return g
 
-    def newton_direction(self, x: np.ndarray, g: np.ndarray, h: np.ndarray,
-                         dd: np.ndarray, dd2: np.ndarray, lam: np.ndarray,
-                         sigma: float) -> np.ndarray:
+    def newton_direction(self, x: np.ndarray, g: np.ndarray, pos: np.ndarray,
+                         dd: np.ndarray, dd2: np.ndarray, sigma: float,
+                         caps: tuple) -> np.ndarray:
         """Projected-Newton direction for the merit gradient ``g`` at x.
 
-        ``h``, ``dd`` and ``dd2`` are the residuals and the scaled data
-        derivatives at x.  The model Hessian, its diagonal and the
-        epsilon-active set are set out in the module docstring.
+        ``pos`` is ``g > 0``; ``dd`` and ``dd2`` are the scaled data
+        derivatives and ``caps`` the :meth:`cap_terms` at x.  The model
+        Hessian, its diagonal and the epsilon-active set are set out in the
+        module docstring.
         """
         # x - max(x - g, 0) = min(x, g)
         step = np.minimum(x, g)
         delta = min(1e-3, math.sqrt(float(step @ step)))
-        active = (x <= delta) & (g > 0.0)
+        active = (x <= delta) & pos
+        any_active = np.count_nonzero(active)
         two_s = 2.0 * sigma
-        capped = h[1:] > 0.0
+        capped, mu = caps
         seg = self.segment
-        any_capped = capped.any()
         t = self._t_entry
-        if any_capped:
+        if mu is not None:
             # a capped column's multiplier term, clamped so t stays positive
-            t = t + np.where(capped, np.maximum(two_s * h[1:] - lam[1:], 0.0), 0.0)[seg]
+            t = t + np.maximum(mu, 0.0)[seg]
         a = -dd2 * t / dd
-        inv_a = np.where(active, 0.0, 1.0 / a)
+        inv_a = np.where(active, 0.0, 1.0 / a) if any_active else 1.0 / a
         col = None   # each capped column's Sherman-Morrison factor
-        if any_capped:
+        if mu is not None:
             col = np.where(capped, two_s / (1.0 + two_s * self.layout.column_sums(inv_a)), 0.0)
         bu = self._apply_inverse(dd, inv_a, col)
         data_mass = two_s * float(dd @ bu)
@@ -260,10 +300,31 @@ class Problem:
                 d_free = d_free + br
                 if np.abs(br).max() <= 1e-16 * np.abs(d_free).max():
                     break
-        if not active.any():
+        if not any_active:
             return -d_free
         diag = a + two_s * (dd * dd + capped[seg])
         return -np.where(active, g / diag, d_free)
+
+    def kkt_residual(self, x: np.ndarray, lam: np.ndarray, h: np.ndarray,
+                     dd: np.ndarray) -> float:
+        """Inequality-form first-order optimality residual at x, given its
+        residuals ``h`` and scaled data gradient ``dd``.
+
+        ``lam`` follows the solver convention (data multiplier first,
+        budget rows negated caps).  The residual is the max of the projected
+        stationarity norm, complementary-slackness magnitudes, primal
+        violations (data floor, budget caps, nonnegativity), and any
+        wrong-signed multiplier excess.
+        """
+        budget = self.layout.column_sums(x) - 1.0
+        stat = self._t_entry - lam[0] * dd - lam[1:][self.segment]
+        # an interior entry's stationarity error is |stat|; at the bound
+        # only a negative slope counts
+        stat_res = float(np.maximum.reduce(np.where(x > 0.0, np.abs(stat), -stat)))
+        comp = max(abs(lam[0] * h[0]), _linf(lam[1:] * budget))
+        primal = max(-h[0], float(np.maximum.reduce(h[1:])), -float(np.minimum.reduce(x)))
+        dual = max(-lam[0], float(np.maximum.reduce(lam[1:])))
+        return float(max(stat_res, comp, primal, dual, 0.0))
 
     def _apply_inverse(self, r: np.ndarray, inv_a: np.ndarray, col: np.ndarray | None,
                        rank_one: tuple | None = None) -> np.ndarray:
@@ -295,7 +356,7 @@ class CycleRecord:
     merit_evals: int                          # Problem.phi evaluations, the start included
     x: np.ndarray = field(repr=False)         # the cycle's scaled iterate
     h: np.ndarray = field(repr=False)         # its residuals
-    lam_hat: np.ndarray = field(repr=False)   # lam - 2*sigma*h at x
+    lam_hat: np.ndarray = field(repr=False)   # the multiplier estimate at x (module docstring)
 
 
 def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarray, sigma: float,
@@ -319,27 +380,28 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
     """
     table = problem.table
     phi = problem.phi(x, lam, sigma, h)
+    caps = problem.cap_terms(h, lam, sigma)
     evals, steps, reason = 1, 0, "cap"
-    snr = None    # the SNR product at x, once a line search has formed it
+    snr = cols = None    # the SNR product and column sums at x, once a line search formed them
 
     while steps < INNER_CAP:
         if derivs is None:
             derivs = table.data_derivatives(x, snr)
         dd, dd2 = derivs
-        g = problem.grad_phi(x, lam, sigma, h, dd)
+        g = problem.grad_phi(x, lam, sigma, h, dd, caps)
+        pos = g > 0.0
         # projected gradient: no descent below zero at the bound
-        pg = np.where((x <= 0.0) & (g > 0.0), 0.0, g)
-        gnorm = math.sqrt(float(pg @ pg))
-        if gnorm <= options.eps:
+        pg = np.where((x <= 0.0) & pos, 0.0, g)
+        if math.sqrt(float(pg @ pg)) <= options.eps:
             reason = "gradient"
             break
-        d = problem.newton_direction(x, g, h, dd, dd2, lam, sigma)
+        d = problem.newton_direction(x, g, pos, dd, dd2, sigma, caps)
         x_new, alpha = None, 1.0
         for _ in range(60):
             x_try = np.maximum(x + alpha * d, 0.0)
-            snr_try, cols = table.snr(x_try), problem.layout.column_sums(x_try)
-            h_try = problem.residuals_scaled(x_try, snr_try, cols)
-            phi_try = problem.phi(x_try, lam, sigma, h_try, cols)
+            snr_try, cols_try = table.snr(x_try), problem.layout.column_sums(x_try)
+            h_try = problem.residuals_scaled(x_try, snr_try, cols_try)
+            phi_try = problem.phi(x_try, lam, sigma, h_try, cols_try)
             evals += 1
             if phi_try < phi:
                 x_new, h_new, phi_new = x_try, h_try, phi_try
@@ -348,30 +410,39 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
         if x_new is None:                  # cannot decrease: numerically stationary
             reason = "stall"
             break
-        x, h, phi, snr, derivs = x_new, h_new, phi_new, snr_try, None
+        x, h, phi, snr, cols, derivs = x_new, h_new, phi_new, snr_try, cols_try, None
+        caps = problem.cap_terms(h, lam, sigma)
         steps += 1
 
+    if cols is None:
+        cols = problem.layout.column_sums(x)
+    # the first-order multiplier estimates: lam_0 - 2 sigma h_0 for the data
+    # row, min(lam_j - 2 sigma (s_j - 1), 0) for a cap, which moves a slack
+    # column's multiplier toward zero instead of keeping a stale value
+    lam_hat = np.empty_like(lam)
+    lam_hat[0] = lam[0] - 2.0 * sigma * h[0]
+    lam_hat[1:] = np.minimum(lam[1:] - 2.0 * sigma * (cols - 1.0), 0.0)
     return CycleRecord(h_inf=_linf(h), sigma=sigma, phi=phi, energy_j=problem.energy_j(x),
                        inner_steps=steps, inner_reason=reason, merit_evals=evals,
-                       x=x, h=h, lam_hat=lam - 2.0 * sigma * h), derivs
+                       x=x, h=h, lam_hat=lam_hat), derivs
 
 
-def update_state(lam: np.ndarray, sigma: float, sigma_grew: bool, h_now: np.ndarray,
-                 prev_inf: float) -> tuple[np.ndarray, float, bool]:
+def update_state(lam: np.ndarray, sigma: float, sigma_grew: bool, h_inf: float,
+                 lam_hat: np.ndarray, prev_inf: float) -> tuple[np.ndarray, float, bool]:
     """Apply the between-cycle penalty/multiplier correction rules (a)-(c)
     to the multipliers (data row first), the penalty factor and the case
     (b) flag, returning their next values.
 
-    ``prev_inf`` is the previous cycle's residual max norm, ``math.inf``
-    on the first cycle, which then counts as a multiplier-correction
-    cycle (the penalty factor did not grow before it and any finite
-    residual beats an undefined predecessor).  The stop test is
-    :func:`solve`'s, so ``h_now`` is never within tolerance here.
+    ``h_inf`` and ``lam_hat`` are the cycle record's residual max norm and
+    multiplier estimate (see the module docstring), the multipliers rule
+    (b) moves to.  ``prev_inf`` is the previous cycle's residual max norm,
+    ``math.inf`` on the first cycle, which then counts as a
+    multiplier-correction cycle (the penalty factor did not grow before it
+    and any finite residual beats an undefined predecessor).
     """
-    hinf = _linf(h_now)
-    if hinf < prev_inf and (sigma_grew or hinf <= 0.25 * prev_inf):   # (b)
-        return lam - 2.0 * sigma * h_now, sigma, False
-    return lam, GROWTH * sigma, True                                   # (a), (c)
+    if h_inf < prev_inf and (sigma_grew or h_inf <= 0.25 * prev_inf):   # (b)
+        return lam_hat, sigma, False
+    return lam, GROWTH * sigma, True                                     # (a), (c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,7 +453,7 @@ class SolveResult:
     energy_j: float
     data_bits: float
     h_inf: float                   # scaled residual max norm at the solution
-    lam_hat: np.ndarray            # first-order multiplier estimate lam - 2*sigma*h
+    lam_hat: np.ndarray            # first-order multiplier estimate (module docstring)
     sigma: float
     history: tuple[CycleRecord, ...] = field(repr=False, default=())
 
@@ -405,17 +476,23 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     table's, or a ``lam_hat`` without 2M+N-1 entries, raises
     ``ValueError``.  The start point is scaled and clipped to x >= 0
     once; each cycle starts from the last cycle's record (its x and
-    residuals), and the returned iterate, the history's best record
-    (lowest residual max norm, then lowest energy, then earliest), is
-    scaled back in any column over the budget and converted to watts
-    once, at return.  The result's ``energy_j`` and
-    ``data_bits`` are :func:`metrics.compute_metrics` of the returned
-    allocation on ``table``, the figures a harness row reports for it.
+    residuals).  The returned iterate is the record that passed the stop
+    test (within eps of the floor and KKT-stationary, see the module
+    docstring), or, when none did, the history's best record (lowest
+    residual max norm, then lowest energy, then earliest); it is scaled
+    back in any column over the budget and converted to watts once, at
+    return, and the result is ``converged`` when a record passed the stop
+    test and the residual after that scaling is still within eps.  The
+    result's ``energy_j`` and ``data_bits`` are
+    :func:`metrics.compute_metrics` of the returned allocation on
+    ``table``, the figures a harness row reports for it.
     Raises ``ValueError`` for a floor that is not positive and
     :class:`InfeasibleDataFloor` when the floor exceeds the data the
     average allocation delivers at the full per-segment budget.  A run
-    that exhausts the outer cycle budget returns its best cycle's iterate
-    flagged as non-converged.
+    that exhausts the outer cycle budget, or whose penalty factor passes
+    :data:`SIGMA_MAX`, returns its best cycle's iterate flagged as
+    non-converged, also when that iterate is within eps of the floor but
+    not stationary.
     When the inner loop that produced the returned iterate stopped on
     ``cap`` or ``stall``, a warning goes to the ``railpower.optimizer`` logger.
     """
@@ -449,17 +526,25 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     history: list[CycleRecord] = []
     derivs = None   # the data derivative pair at x; x does not move between cycles
     prev_inf = math.inf
+    stopped = None  # the record that passed the stop test
     for _ in range(options.n_max + 1):
         rec, derivs = inner_descent(problem, x, h, lam, sigma, options, derivs)
         history.append(rec)
         if rec.h_inf <= options.eps:
+            if derivs is None:   # a step-cap stop leaves the pair uncomputed
+                derivs = problem.table.data_derivatives(rec.x)
+            if problem.kkt_residual(rec.x, rec.lam_hat, rec.h, derivs[0]) <= 10.0 * options.eps:
+                stopped = rec
+                break
+        lam, sigma, sigma_grew = update_state(lam, sigma, sigma_grew, rec.h_inf, rec.lam_hat,
+                                              prev_inf)
+        if sigma > SIGMA_MAX:
             break
-        lam, sigma, sigma_grew = update_state(lam, sigma, sigma_grew, rec.h, prev_inf)
         x, h, prev_inf = rec.x, rec.h, rec.h_inf
 
-    # the first iterate within eps ends the loop, so the lowest residual
-    # wins, energy breaking ties and the earliest cycle breaking those
-    rec = min(history, key=lambda c: (c.h_inf, c.energy_j))
+    # without a stationary feasible record, the lowest residual wins,
+    # energy breaking ties and the earliest cycle breaking those
+    rec = stopped if stopped is not None else min(history, key=lambda c: (c.h_inf, c.energy_j))
     x, hinf = rec.x, rec.h_inf
     if rec.inner_reason != "gradient":
         _log.warning("returned iterate's inner loop stopped on %s (cycle %d, %d steps, "
@@ -469,17 +554,19 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     # is above the budget back until none is; a factor of at most 1 - 2**-52
     # lowers each entry by at least one ulp, so the loop ends with the sums exact
     sums = problem.layout.column_sums(x * cfg.p_t)
-    if np.any(sums > cfg.p_t):
-        while np.any(sums > cfg.p_t):
+    over = sums > cfg.p_t
+    if np.count_nonzero(over):
+        while np.count_nonzero(over):
             shrink = np.minimum(cfg.p_t / sums, 1.0 - 2.0 ** -52)
-            x = x * np.where(sums > cfg.p_t, shrink, 1.0)[problem.segment]
+            x = x * np.where(over, shrink, 1.0)[problem.segment]
             sums = problem.layout.column_sums(x * cfg.p_t)
+            over = sums > cfg.p_t
         hinf = _linf(problem.residuals_scaled(x))
     alloc = problem.to_physical(x)
     figures = compute_metrics(alloc, cfg, sched, table)
 
     result = SolveResult(
-        converged=bool(hinf <= options.eps),
+        converged=stopped is not None and bool(hinf <= options.eps),
         cycles=len(history),
         d_min=d_min,
         energy_j=figures.energy_j,
@@ -494,33 +581,8 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
 
 def kkt_residual(alloc: AllocationMatrix, lam: np.ndarray, cfg: ScenarioConfig,
                  sched: SegmentSchedule, d_min: float, table: GainTable) -> float:
-    """Inequality-form first-order optimality residual, in scaled units.
-
-    ``lam`` follows the solver convention (data multiplier first, budget
-    rows negated caps).  The residual is the max of the projected
-    stationarity norm, complementary-slackness magnitudes, primal
-    violations (data floor, budget caps, nonnegativity), and any
-    wrong-signed multiplier excess.
-    """
+    """:meth:`Problem.kkt_residual` of an allocation in watts, in scaled units."""
     problem = Problem(cfg, sched, d_min, table)
     x = problem.to_scaled(alloc)
-    h0 = problem.residuals_scaled(x)[0]
-    seg = problem.segment
-    budget = problem.layout.column_sums(x) - 1.0
-
-    dd = problem.table.data_derivatives(x)[0]
-    stat = problem.t_norm[seg] - lam[0] * dd - lam[1:][seg]
-    interior = x > 0.0
-    at_bound = ~interior
-    stat_res = 0.0
-    if np.any(interior):
-        stat_res = float(np.max(np.abs(stat[interior])))
-    if np.any(at_bound):
-        stat_res = max(stat_res, float(np.max(np.maximum(-stat[at_bound], 0.0))))
-
-    mu = -lam[1:]   # budget multipliers in the standard nonnegative sign
-    comp = max(abs(lam[0] * h0), _linf(mu * budget))
-    primal = max(max(-h0, 0.0), float(np.max(np.maximum(budget, 0.0), initial=0.0)),
-                 float(np.max(np.maximum(-x, 0.0), initial=0.0)))
-    dual = max(max(-lam[0], 0.0), float(np.max(np.maximum(-mu, 0.0), initial=0.0)))
-    return max(stat_res, comp, primal, dual)
+    return problem.kkt_residual(x, lam, problem.residuals_scaled(x),
+                                problem.table.data_derivatives(x)[0])

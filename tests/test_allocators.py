@@ -95,6 +95,20 @@ def test_csi_alloc_matches_average_for_tiny_alpha(ref_cfg, ref_sched, ref_table)
     assert np.max(np.abs(alloc.p - avg.p)) <= 1e-4 * ref_cfg.p_t
 
 
+@pytest.mark.parametrize("alpha", [200.0, 1000.0])
+def test_csi_alloc_rejects_an_exponent_whose_weights_overflow(ref_cfg, ref_sched, ref_table,
+                                                              alpha):
+    # the reference gains make h**-alpha underflow to 0 in every entry, so
+    # each segment's weight sum is 0; the error names the exponent instead
+    # of leaving a NaN allocation (and a numpy warning) behind
+    with pytest.raises(ValueError, match="csi_alpha = %g" % alpha):
+        csi_alloc(ref_cfg.with_(csi_alpha=alpha), ref_sched, ref_table)
+    # a strong-enough exponent on tiny gains overflows instead
+    tiny = replace(ref_table, gains=np.full_like(ref_table.gains, 1e-9))
+    with pytest.raises(ValueError, match="csi_alpha"):
+        csi_alloc(ref_cfg.with_(csi_alpha=alpha), ref_sched, tiny)
+
+
 def test_csi_alloc_gives_weak_channels_more_power(ref_cfg, ref_sched, ref_table):
     alloc = csi_alloc(ref_cfg, ref_sched, ref_table)
     j = ref_cfg.num_relays          # first stage-two column, all relays covered

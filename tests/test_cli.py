@@ -72,6 +72,15 @@ def test_unconverged_solver_exit_code(tmp_path, capsys):
     assert "converge" in capsys.readouterr().err
 
 
+def test_overflowing_csi_exponent_exits_with_a_warning(tmp_path, capsys):
+    # the csi row becomes an error row, which the exit status counts
+    cfg = write_cfg(tmp_path, REF_CONFIG + "csi_alpha = 1000\n")
+    code = main(["--outdir", str(tmp_path), "run", cfg])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "warning: csi at run" in err and "csi_alpha = 1000" in err
+
+
 def test_sweep_and_plot_data_commands(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path)
     monkeypatch.setenv("RAILPOWER_OUTDIR", str(tmp_path / "results"))

@@ -498,6 +498,26 @@ def test_emit_plot_data(tmp_path, ref_cfg, options):
         emit_plot_data(trials_only, "E-vs-dl", tmp_path / "plots")
 
 
+def test_run_point_reports_an_overflowing_csi_exponent(options):
+    # the csi row carries the allocator's message; the other rows run
+    for fading in (False, True):
+        recs = run_point(reference_config(csi_alpha=200.0, fading=fading), options,
+                         np.random.SeedSequence(0))
+        csi = next(r for r in recs if r.scheme == "csi")
+        assert "csi_alpha = 200" in csi.error and not np.isfinite(csi.energy_j)
+        assert all(not r.error and np.isfinite(r.energy_j) for r in recs if r.scheme != "csi")
+
+
+def test_rows_with_non_finite_figures_become_error_rows(ref_records):
+    point = {c: getattr(ref_records[0], c) for c in harness._POINT_COLUMNS}
+    row = harness._record(point, "csi", energy_j=float("nan"), data_bits=1.0, converged=True)
+    assert row.error == "non-finite energy_j" and not row.converged
+    row = harness._record(point, "csi", energy_j=float("inf"), data_bits=float("nan"))
+    assert row.error == "non-finite energy_j and data_bits"
+    # a failed row keeps its own message
+    assert harness._record(point, "csi", error="boom").error == "boom"
+
+
 def test_mean_rows_recompute_ratios_from_means():
     rows = [
         RunRecord(kind="trial", param="d_l", value=200.0, trial=t, scheme="random",

@@ -240,6 +240,13 @@ def test_inner_descent_matches_grid_search(tiny):
 LAM, SIGMA = np.array([1.0, -0.5, 0.25]), 2.0
 
 
+def update_from(h_now, sigma_grew, prev_inf):
+    """update_state for a cycle that ended at residuals h_now under LAM and
+    SIGMA, handed the record's residual norm and multiplier estimate."""
+    return update_state(LAM, SIGMA, sigma_grew, float(np.max(np.abs(h_now))),
+                        LAM - 2.0 * SIGMA * h_now, prev_inf)
+
+
 def test_solver_options_validation():
     assert SolverOptions() == SolverOptions(eps=1e-4, n_max=100)
     for bad in ({"eps": 0.0}, {"eps": -1e-4}, {"n_max": -1}):
@@ -251,8 +258,9 @@ def test_solver_options_validation():
 
 @pytest.mark.parametrize("rho, m", [(0.8, 4), (0.97, 4), (0.99, 4), (1.0, 2)])
 def test_solve_stops_on_the_first_cycle_within_tolerance(monkeypatch, rho, m):
-    # the stop test is the loop's: every cycle before the last is outside
-    # eps and corrects the state, and the last one, within eps, does not
+    # the stop test is the loop's: at these points every cycle before the
+    # last is outside eps and corrects the state, and the last one, within
+    # eps and stationary, does not
     calls = []
 
     def counted(*args):
@@ -268,9 +276,63 @@ def test_solve_stops_on_the_first_cycle_within_tolerance(monkeypatch, rho, m):
     assert len(calls) == res.cycles - 1
 
 
+def test_converged_means_feasible_and_stationary():
+    # at rho = 1.0, M = 4 the first cycle within eps of the floor is not yet
+    # KKT-stationary: the loop runs one more cycle, and converged holds only
+    # for the stationary record, which the solve returns
+    cfg = reference_config(num_relays=4, rho=1.0)
+    sched = segment_boundaries(cfg)
+    table = build_gain_table(cfg, sched)
+    d_min = data_floor(cfg, sched, table)
+    eps = SolverOptions().eps
+    alloc, res = solve(cfg, sched, d_min=d_min, table=table)
+    assert res.converged
+    assert kkt_residual(alloc, res.lam_hat, cfg, sched, d_min, table) <= 10 * eps
+    assert res.lam_hat is res.history[-1].lam_hat
+    assert sum(c.h_inf <= eps for c in res.history) == 2
+    # stopped one cycle early, the solve ends within eps but not stationary
+    _, short = solve(cfg, sched, d_min=d_min, table=table,
+                     options=SolverOptions(n_max=res.cycles - 2))
+    assert short.h_inf <= eps and not short.converged
+
+
+def test_warm_solve_below_a_caps_binding_floor_drops_slack_multipliers():
+    # the caps bind at rho = 0.97; at 0.99 of that floor six stage-two
+    # columns are slack, their warm-start multipliers fall to zero, and the
+    # warm solve ends stationary
+    cfg = reference_config(num_relays=4, rho=0.97)
+    sched = segment_boundaries(cfg)
+    cold = solve(cfg, sched)
+    low = cfg.with_(rho=0.99 * 0.97)
+    table = build_gain_table(low, sched)
+    d_min = data_floor(low, sched, table)
+    alloc, res = solve(low, sched, warm=cold, d_min=d_min, table=table)
+    assert res.converged
+    assert kkt_residual(alloc, res.lam_hat, low, sched, d_min, table) <= 10 * SolverOptions().eps
+    slack = alloc.column_sums() < low.p_t * (1.0 - 1e-3)
+    warm_caps = cold[1].lam_hat[1:]
+    assert np.any(warm_caps[slack] < 0.0)
+    assert np.all(res.lam_hat[1:][slack] == 0.0)
+
+
+def test_stalled_solve_ends_at_the_penalty_ceiling():
+    # below a rho = 1.0 solve the warm iterate stalls at its caps in every
+    # cycle, so the residual never shrinks and the penalty grows fourfold
+    # per cycle: the loop ends, unconverged, once it passes SIGMA_MAX,
+    # with every figure finite (pytest turns an overflow warning into an error)
+    cfg = reference_config(num_relays=4, rho=1.0)
+    sched = segment_boundaries(cfg)
+    _, res = solve(cfg.with_(rho=0.99), sched, warm=solve(cfg, sched))
+    assert not res.converged and res.cycles < SolverOptions().n_max + 1
+    last = res.history[-1].sigma
+    assert last <= optimizer.SIGMA_MAX < optimizer.GROWTH * last
+    assert all(c.inner_reason == "stall" for c in res.history)
+    assert np.all(np.isfinite(res.lam_hat)) and np.isfinite(res.energy_j)
+
+
 def test_update_state_case_a_grows_sigma_on_equal_norms():
     h = np.array([0.5, 0.0, 0.0])
-    lam, sigma, sigma_grew = update_state(LAM, SIGMA, False, h, 0.5)
+    lam, sigma, sigma_grew = update_from(h, False, 0.5)
     assert sigma == SIGMA * optimizer.GROWTH == SIGMA * 4.0
     assert np.array_equal(lam, LAM)
     assert sigma_grew
@@ -278,7 +340,7 @@ def test_update_state_case_a_grows_sigma_on_equal_norms():
 
 def test_update_state_case_b_on_quarter_drop():
     h_now = np.array([0.1, 0.0, 0.0])
-    lam, sigma, sigma_grew = update_state(LAM, SIGMA, False, h_now, 1.0)
+    lam, sigma, sigma_grew = update_from(h_now, False, 1.0)
     assert sigma == SIGMA
     assert_allclose(lam, LAM - 2.0 * SIGMA * h_now, rtol=1e-15)
     assert not sigma_grew
@@ -286,20 +348,20 @@ def test_update_state_case_b_on_quarter_drop():
 
 def test_update_state_case_b_after_sigma_growth():
     h_now = np.array([0.5, 0.0, 0.0])   # moderate progress, but sigma grew last cycle
-    lam, sigma, _ = update_state(LAM, SIGMA, True, h_now, 1.0)
+    lam, sigma, _ = update_from(h_now, True, 1.0)
     assert sigma == SIGMA
     assert_allclose(lam, LAM - 2.0 * SIGMA * h_now, rtol=1e-15)
 
 
 def test_update_state_case_c_grows_sigma_on_slow_progress():
-    lam, sigma, _ = update_state(LAM, SIGMA, False, np.array([0.5, 0.0, 0.0]), 1.0)
+    lam, sigma, _ = update_from(np.array([0.5, 0.0, 0.0]), False, 1.0)
     assert sigma == SIGMA * optimizer.GROWTH
     assert np.array_equal(lam, LAM)
 
 
 def test_update_state_first_cycle_corrects_multipliers():
     h_now = np.array([0.3, 0.1, 0.0])
-    lam, sigma, _ = update_state(LAM, SIGMA, False, h_now, math.inf)
+    lam, sigma, _ = update_from(h_now, False, math.inf)
     assert sigma == SIGMA
     assert_allclose(lam, LAM - 2.0 * SIGMA * h_now, rtol=1e-15)
 
@@ -548,6 +610,13 @@ def test_kkt_residual_grows_under_perturbation(ref_cfg, ref_sched, ref_table,
 
 # ------------------------------------------------- projected-Newton step
 
+def multiplier_estimate(problem, x, h, lam, sigma):
+    """lam_0 - 2 sigma h_0 for the data row; min(lam_j - 2 sigma (s_j - 1), 0)
+    for budget column j with sum s_j."""
+    caps = np.minimum(lam[1:] - 2.0 * sigma * (problem.layout.column_sums(x) - 1.0), 0.0)
+    return np.concatenate(([lam[0] - 2.0 * sigma * h[0]], caps))
+
+
 def plain_inner_descent(problem, x, h, lam, sigma, options, derivs=None):
     """Tolerance oracle: projected gradient, halving from alpha = 1; it
     ignores a passed-in derivative pair and hands none on."""
@@ -577,7 +646,8 @@ def plain_inner_descent(problem, x, h, lam, sigma, options, derivs=None):
         steps += 1
     return CycleRecord(h_inf=float(np.max(np.abs(h))), sigma=sigma, phi=phi,
                        energy_j=problem.energy_j(x), inner_steps=steps, inner_reason=reason,
-                       merit_evals=evals, x=x, h=h, lam_hat=lam - 2.0 * sigma * h), None
+                       merit_evals=evals, x=x, h=h,
+                       lam_hat=multiplier_estimate(problem, x, h, lam, sigma)), None
 
 
 def test_inner_descent_one_data_pass_per_merit_evaluation(monkeypatch):
@@ -671,7 +741,7 @@ def test_solve_out_of_cycles_returns_its_lowest_residual_cycle(monkeypatch):
     # one inner step per cycle keeps the loop from converging within its 31
     # cycles, and the residual climbs again after its lowest cycle
     monkeypatch.setattr(optimizer, "INNER_CAP", 1)
-    cfg = reference_config(num_relays=3, rho=0.99)
+    cfg = reference_config(num_relays=4, rho=0.99)
     alloc, res = solve(cfg, options=SolverOptions(n_max=30))
     assert not res.converged and res.cycles == 31
     lowest = min(c.h_inf for c in res.history)
@@ -696,29 +766,38 @@ def test_cycle_records_hold_their_iterates_figures(rho, warm_rho):
     # a cold, a warm and a caps-binding solve: each record's residuals,
     # norm, energy, merit value and multiplier estimate are its own
     # iterate's, bit for bit, under the multipliers and penalty its cycle
-    # ran with, replayed here through the update rules
+    # ran with, replayed here through the update rules; and every field
+    # equals the reference inner loop's, run from the cycle's start
     cfg = reference_config(rho=rho)
     sched = segment_boundaries(cfg)
     table = build_gain_table(cfg, sched)
     d_min = data_floor(cfg, sched, table)
+    problem = Problem(cfg, sched, d_min, table)
     lam, sigma = np.zeros(cfg.num_segments + 1), optimizer.SIGMA0
+    x = problem.to_scaled(average_alloc(cfg, sched))
     warm = None
     if warm_rho is not None:
         warm = solve(cfg.with_(rho=warm_rho), sched, table=table)
         lam, sigma = warm[1].lam_hat, warm[1].sigma
+        x = np.maximum(problem.to_scaled(warm[0]), 0.0)
     _, res = solve(cfg, sched, warm=warm, d_min=d_min, table=table)
-    problem = Problem(cfg, sched, d_min, table)
-    grew, prev_inf = False, math.inf
+    h, grew, prev_inf = problem.residuals_scaled(x), False, math.inf
     assert len(res.history) > 1
     for rec in res.history:
         assert np.array_equal(rec.h, problem.residuals_scaled(rec.x))
         assert rec.h_inf == float(np.max(np.abs(rec.h)))
         assert rec.energy_j == total_energy(problem.to_physical(rec.x), sched)
         assert rec.sigma == sigma
-        assert np.array_equal(rec.lam_hat, lam - 2.0 * sigma * rec.h)
+        assert np.array_equal(rec.lam_hat, multiplier_estimate(problem, rec.x, rec.h, lam, sigma))
         assert rec.phi == problem.phi(rec.x, lam, sigma)
-        lam, sigma, grew = update_state(lam, sigma, grew, rec.h, prev_inf)
-        prev_inf = rec.h_inf
+        ref = reference_inner_descent(problem, x, h, lam, sigma, SolverOptions())
+        for name in ("h_inf", "sigma", "phi", "energy_j", "inner_steps", "inner_reason",
+                     "merit_evals"):
+            assert getattr(rec, name) == getattr(ref, name), name
+        for name in ("x", "h", "lam_hat"):
+            assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
+        lam, sigma, grew = update_state(lam, sigma, grew, rec.h_inf, rec.lam_hat, prev_inf)
+        x, h, prev_inf = rec.x, rec.h, rec.h_inf
     if rho == 0.99:
         assert any(np.any(rec.h[1:] > 0.0) for rec in res.history)   # the caps bind
 
@@ -788,6 +867,98 @@ def dense_newton_direction(problem, x, g, h, dd, dd2, lam, sigma):
     return d
 
 
+def reference_newton_direction(problem, x, g, h, dd, dd2, lam, sigma):
+    """Bit-exact reference: the projected-Newton direction with each
+    per-iterate term formed where it is used, the arithmetic
+    :meth:`Problem.newton_direction` must reproduce bit for bit."""
+    layout, seg = problem.layout, problem.segment
+
+    def apply_inverse(r, inv_a, col, rank_one=None):
+        b = inv_a * r
+        if col is not None:
+            b -= inv_a * (layout.column_sums(b) * col)[seg]
+        if rank_one is not None:
+            dd_, bu_, two_s_, denom = rank_one
+            b -= two_s_ * float(dd_ @ b) / denom * bu_
+        return b
+
+    step = np.minimum(x, g)
+    delta = min(1e-3, math.sqrt(float(step @ step)))
+    active = (x <= delta) & (g > 0.0)
+    two_s = 2.0 * sigma
+    capped = h[1:] > 0.0
+    any_capped = capped.any()
+    t = problem._t_entry
+    if any_capped:
+        t = t + np.where(capped, np.maximum(two_s * h[1:] - lam[1:], 0.0), 0.0)[seg]
+    a = -dd2 * t / dd
+    inv_a = np.where(active, 0.0, 1.0 / a)
+    col = None
+    if any_capped:
+        col = np.where(capped, two_s / (1.0 + two_s * layout.column_sums(inv_a)), 0.0)
+    bu = apply_inverse(dd, inv_a, col)
+    data_mass = two_s * float(dd @ bu)
+    rank_one = (dd, bu, two_s, 1.0 + data_mass)
+    d_free = apply_inverse(g, inv_a, col, rank_one)
+    if data_mass > optimizer._REFINE_MASS:
+        for _ in range(optimizer._REFINE_STEPS):
+            r = (g - a * d_free - two_s * float(dd @ d_free) * dd
+                 - two_s * np.where(capped, layout.column_sums(d_free), 0.0)[seg])
+            br = apply_inverse(r, inv_a, col, rank_one)
+            d_free = d_free + br
+            if np.abs(br).max() <= 1e-16 * np.abs(d_free).max():
+                break
+    if not active.any():
+        return -d_free
+    diag = a + two_s * (dd * dd + capped[seg])
+    return -np.where(active, g / diag, d_free)
+
+
+def reference_inner_descent(problem, x, h, lam, sigma, options):
+    """Bit-exact reference for :func:`inner_descent`: the same loop with the
+    merit gradient, the projected gradient and the direction each forming
+    the iterate's masks and multiplier terms itself."""
+    table = problem.table
+    phi = problem.phi(x, lam, sigma, h)
+    evals, steps, reason = 1, 0, "cap"
+    while steps < optimizer.INNER_CAP:
+        dd, dd2 = table.data_derivatives(x)
+        g = problem._t_entry + (-lam[0] + 2.0 * sigma * h[0]) * dd
+        capped = h[1:] > 0.0
+        if capped.any():
+            g += np.where(capped, -lam[1:] + 2.0 * sigma * h[1:], 0.0)[problem.segment]
+        pg = np.where((x <= 0.0) & (g > 0.0), 0.0, g)
+        if math.sqrt(float(pg @ pg)) <= options.eps:
+            reason = "gradient"
+            break
+        d = reference_newton_direction(problem, x, g, h, dd, dd2, lam, sigma)
+        x_new, alpha = None, 1.0
+        for _ in range(60):
+            x_try = np.maximum(x + alpha * d, 0.0)
+            h_try = problem.residuals_scaled(x_try)
+            phi_try = problem.phi(x_try, lam, sigma, h_try)
+            evals += 1
+            if phi_try < phi:
+                x_new, h_new, phi_new = x_try, h_try, phi_try
+                break
+            alpha *= 0.5
+        if x_new is None:
+            reason = "stall"
+            break
+        x, h, phi = x_new, h_new, phi_new
+        steps += 1
+    return CycleRecord(h_inf=float(np.max(np.abs(h))), sigma=sigma, phi=phi,
+                       energy_j=problem.energy_j(x), inner_steps=steps, inner_reason=reason,
+                       merit_evals=evals, x=x, h=h,
+                       lam_hat=multiplier_estimate(problem, x, h, lam, sigma))
+
+
+def newton_step(problem, x, g, h, dd, dd2, lam, sigma):
+    """Problem.newton_direction at x with its per-iterate terms formed here."""
+    return problem.newton_direction(x, g, g > 0.0, dd, dd2, sigma,
+                                    problem.cap_terms(h, lam, sigma))
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(case=st.sampled_from(list(NEWTON_CASES)), seed=st.integers(0, 2 ** 32 - 1),
        log_sigma=st.floats(-1.0, 6.0), set_curvature=st.booleans(), log_c=st.floats(-3.0, 2.0))
@@ -808,7 +979,9 @@ def test_newton_direction_matches_dense_solve(newton_problems, case, seed, log_s
         lam[0] = 2.0 * sigma * h[0] + 10.0 ** log_c
     dd, dd2 = problem.table.data_derivatives(x)
     g = problem.grad_phi(x, lam, sigma, h, dd)
-    d = problem.newton_direction(x, g, h, dd, dd2, lam, sigma)
+    d = newton_step(problem, x, g, h, dd, dd2, lam, sigma)
+    # the same bits as the direction with every term formed where it is used
+    assert np.array_equal(d, reference_newton_direction(problem, x, g, h, dd, dd2, lam, sigma))
     projected = np.where((x <= 0.0) & (g > 0.0), 0.0, g)
     if np.any(projected != 0.0):
         assert float(g @ d) < 0.0
@@ -834,7 +1007,9 @@ def test_newton_direction_keeps_its_digits_under_a_dominant_rank_one_term(newton
         lam = rng.normal(size=problem.t_norm.size + 1)
         dd, dd2 = problem.table.data_derivatives(x)
         g = problem.grad_phi(x, lam, sigma, h, dd)
-        d = problem.newton_direction(x, g, h, dd, dd2, lam, sigma)
+        d = newton_step(problem, x, g, h, dd, dd2, lam, sigma)
+        assert np.array_equal(d, reference_newton_direction(problem, x, g, h, dd, dd2, lam,
+                                                            sigma))
         expected = dense_newton_direction(problem, x, g, h, dd, dd2, lam, sigma)
         assert_allclose(d, expected, rtol=1e-14)
 
@@ -858,7 +1033,7 @@ def test_newton_direction_backward_stable_under_a_dominant_penalty(newton_proble
         lam[0] = 2.0 * sigma * h[0] + 10.0 ** rng.uniform(-3.0, -2.0)
         dd, dd2 = problem.table.data_derivatives(x)
         g = problem.grad_phi(x, lam, sigma, h, dd)
-        d = problem.newton_direction(x, g, h, dd, dd2, lam, sigma)
+        d = newton_step(problem, x, g, h, dd, dd2, lam, sigma)
         hess = model_hessian(problem, h, dd, dd2, lam, sigma)
         active = epsilon_active(x, g)
         reduced = np.where(active[:, None] | active[None, :], 0.0, hess)
@@ -884,7 +1059,7 @@ def test_newton_direction_is_exact_for_a_one_node_entry():
     h = problem.residuals_scaled(x)
     dd, dd2 = problem.table.data_derivatives(x)
     g = problem.grad_phi(x, lam, sigma, h, dd)
-    d = problem.newton_direction(x, g, h, dd, dd2, lam, sigma)
+    d = newton_step(problem, x, g, h, dd, dd2, lam, sigma)
     c, t = lam[0] - 2.0 * sigma * h[0], problem.t_norm[0]
     gain, weight = problem.table.gains[0, 0], problem.table.weights[0, 0]
     root = c * problem.table.bandwidth / LN2 * weight / t - 1.0 / gain
@@ -909,25 +1084,43 @@ def test_caps_binding_solves_within_their_work_budget():
     assert evals <= 190
 
 
-@pytest.mark.parametrize("rho, m", [(0.8, 4), (0.97, 4), (0.99, 4), (1.0, 2)])
+@pytest.mark.parametrize("rho, m", [(0.8, 4), (0.97, 4), (0.99, 4), (1.0, 2), (1.0, 4)])
 def test_solve_makes_one_derivative_pass_per_inner_step_plus_one(monkeypatch, rho, m):
     # each cycle hands the pair at its final iterate to the next, and every
-    # accepted step's SNR product feeds the following pass
-    passes = []
+    # accepted step's SNR product feeds the following pass; the stop test
+    # reads the pair its cycle handed on.  Each inner step forms one merit
+    # gradient and one direction, and each cycle one more gradient, at the
+    # iterate where it stops
+    passes, calls = [], {"grad_phi": 0, "newton_direction": 0}
     derivatives = GainTable.data_derivatives
 
     def counted(self, p, snr=None):
         passes.append(snr is not None)
         return derivatives(self, p, snr)
 
+    def counted_method(name):
+        method = getattr(Problem, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
     monkeypatch.setattr(GainTable, "data_derivatives", counted)
+    for name in calls:
+        monkeypatch.setattr(Problem, name, counted_method(name))
 
     def counted_solve(*args, **kwargs):
         passes.clear()
+        calls.update(grad_phi=0, newton_direction=0)
         alloc, res = solve(*args, **kwargs)
         steps = sum(c.inner_steps for c in res.history)
         assert len(passes) == steps + 1
         assert sum(passes) == steps    # only the first pass forms its own product
+        # no step cap here; a cycle that stalls formed a direction it never took
+        reasons = [c.inner_reason for c in res.history]
+        assert calls == {"grad_phi": steps + res.cycles,
+                         "newton_direction": steps + reasons.count("stall")}
         return alloc, res
 
     cfg = reference_config(num_relays=m, rho=rho)
