@@ -8,28 +8,28 @@ function is the augmented Lagrangian
 
     phi(P, lam, sigma) = E(P) - lam . h(P) + sigma * h(P) . h(P)
 
-minimised by projected Newton descent in an inner loop.  Each cycle of
-:func:`solve` runs the inner descent, records the cycle, and stops once
-the record is feasible and stationary: ||h_now||_inf <= eps and the KKT
+with h_0 = D / D_min - 1 and, for budget column j with scaled sum s_j,
+the shifted one-sided residual h_j = max(s_j - 1, lam_j / 2 sigma)
+(Bertsekas, Constrained Optimization and Lagrange Multiplier Methods,
+1982, sec. 3.1), minimised by projected Newton descent in an inner loop.
+Each cycle of :func:`solve` runs the inner descent, records the cycle,
+and stops once the record is feasible and stationary: its constraint
+violation max(|h_0|, max_j h_j) is at most eps and the KKT
 residual (:meth:`Problem.kkt_residual`) at its iterate and multiplier
 estimate is at most 10 eps.  Otherwise the multipliers are corrected or
-the penalty factor grown according to how fast the residual norm
-shrinks:
+the penalty factor grown according to how fast the violation v shrinks:
 
-  (a) ||h_now||_inf >= ||h_prev||_inf        -> grow sigma, keep lam
-  (b) sigma grew last cycle, or the norm fell
+  (a) v_now >= v_prev                        -> grow sigma, keep lam
+  (b) sigma grew last cycle, or v fell
       below a quarter of the previous one    -> lam <- lam_hat
   (c) otherwise                              -> grow sigma, keep lam
 
-with lam_hat the first-order multiplier estimate at the cycle's iterate:
-lam_0 - 2 sigma h_0 for the data row, and min(lam_j - 2 sigma (s_j - 1), 0)
-for budget column j with sum s_j, which is lam_j - 2 sigma h_j on a capped
-column and moves toward zero on a slack one (the method of multipliers'
-update for a one-sided constraint; Bertsekas, Constrained Optimization
-and Lagrange Multiplier Methods, 1982, sec. 3.1), so a cap that binds
-at a warm start but not at the new floor leaves no stale multiplier for
-the stop test to trip on.  The loop also ends, unconverged, once sigma
-passes :data:`SIGMA_MAX`.
+with lam_hat = lam - 2 sigma h the first-order multiplier estimate at the
+cycle's iterate.  On a cap row it is min(lam_j - 2 sigma (s_j - 1), 0),
+exactly 0 on a slack column (s_j - 1 <= lam_j / 2 sigma; sigma is a power
+of two, so the shift is exact), so a cap that binds at a warm start but
+not at the new floor leaves no stale multiplier for the stop test to trip
+on.  The loop also ends, unconverged, once sigma passes :data:`SIGMA_MAX`.
 
 Inside the solver, powers are scaled by P_T and data by D_min so the
 residual components are comparable under the max norm; :func:`solve`
@@ -37,17 +37,17 @@ converts the iterate once at entry and once at return.
 :func:`inner_descent` returns its cycle's :class:`CycleRecord`, which
 holds the scaled iterate and its residuals, with the iterate's data
 derivative pair (D', D''); the next cycle starts from all three, so its
-first step does not recompute them at the same x.  Within a cycle, one
+first step makes no data pass at the same x, and re-forms only the cap
+rows of the residuals, under its own shift.  Within a cycle, one
 merit evaluation takes the column sums once, for the residuals and the
 energy, and the accepted line-search candidate's SNR product
 (:meth:`GainTable.snr`) feeds its derivative pass, so a solve makes one
 derivative pass per inner step plus one; the stop test reads the pair a
 cycle hands on, and makes its own pass only after a step-cap stop.  Each
-accepted iterate's per-iterate terms are formed once and shared by the
-merit gradient and the Newton direction: the capped-column mask and the
-capped multiplier term mu_j = 2 sigma h_j - lam_j
-(:meth:`Problem.cap_terms`), and the mask g > 0, which the projected
-gradient and the epsilon-active set both read.  The energy and data it
+accepted iterate's multiplier estimate lam_hat is formed once: the merit
+gradient, the Newton direction and the cycle's record all read it, and
+the mask g > 0 is shared by the projected gradient and the
+epsilon-active set.  The energy and data it
 returns are :func:`metrics.compute_metrics` of the returned allocation,
 the same figures a harness row writes for it.  A cycle's recorded energy
 is :meth:`Problem.energy_j`, the reduction of :func:`metrics.total_energy`
@@ -72,26 +72,28 @@ of a solve's cycles, a record's index in it is its cycle number, and the
 returned iterate is the record that passed the stop test, or, when none
 did, the history's best cycle.
 
-Budget handling: budget rows are one-sided caps, their residual clipped
-at zero below the budget.  The literal equality form would pin the
-energy at P_T times the traversal time and erase the optimisation gain.
-The KKT residual refers to the same inequality-form optimality system.
+Budget handling: budget rows are one-sided caps.  A row's merit term is
+flat in s_j up to s_j - 1 = lam_j / 2 sigma, and its slope
+2 sigma h_j - lam_j rises from 0 there, so the merit has no kink at a cap.
+The literal equality form would pin the energy at P_T times the
+traversal time and erase the optimisation gain.  The KKT residual refers
+to the same inequality-form optimality system.
 
 Inner step: projected Newton on a model of the merit Hessian (Bertsekas,
 "Projected Newton methods for optimization problems with simple
 constraints", SIAM J. Control Optim. 20(2), 1982; for the
 bound-constrained augmented Lagrangian, Nocedal & Wright, Numerical
-Optimization, 2006, sec. 17.4).  Each D_k depends on x_k alone, so with
-c = lam_0 - 2 sigma h0 the merit gradient is g_k = t_k - c D'_k, where
-t_k is entry k's normalised segment time plus, when its column j is
-capped, mu_j = 2 sigma h_j - lam_j.  The model Hessian is
+Optimization, 2006, sec. 17.4).  Each D_k depends on x_k alone, and the
+merit gradient is the Lagrangian's gradient at lam_hat: with c = lam_hat_0,
+g_k = t_k - c D'_k, where t_k is entry k's normalised segment time plus
+-lam_hat_j >= 0 for its column j (0 unless the column is capped).  The
+model Hessian is
 
     H = diag(a) + 2 sigma grad h0 grad h0^T
         + 2 sigma * sum over capped columns j of 1_j 1_j^T,
     a_k = |D''_k| t_k / D'_k,
 
-with the cap term in t_k clamped at zero (max(mu_j, 0)), so a > 0 for
-every c.  a_k is
+so a > 0 for every c.  a_k is
 the Newton diagonal of entry k's stationarity equation written as
 1/D'_k(x) = c / t_k: it equals the merit Hessian's c |D''_k| wherever
 t_k = c D'_k, so near a solution the step is Newton's and keeps its
@@ -151,15 +153,24 @@ _REFINE_MASS = 1e6
 _REFINE_STEPS = 3
 
 
-def _linf(v) -> float:
-    return float(np.maximum.reduce(np.abs(v)))
+def cap_shift(lam: np.ndarray, sigma: float) -> np.ndarray:
+    """The budget rows' shift lam_j / 2 sigma, the floor of their shifted
+    residuals; at sigma = 0 its limit, -inf where lam_j < 0 and else 0."""
+    if sigma == 0.0:
+        return np.where(lam[1:] < 0.0, -np.inf, 0.0)
+    return lam[1:] / (2.0 * sigma)
+
+
+def _violation(h: np.ndarray) -> float:
+    """Constraint violation of shifted residuals h: max(|h_0|, max_j h_j)."""
+    return max(abs(float(h[0])), float(np.maximum.reduce(h[1:])))
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     """Solver settings: the one place their defaults are written."""
 
-    eps: float = 1e-4        # tolerance on the scaled residual max norm
+    eps: float = 1e-4        # tolerance on the scaled constraint violation
     n_max: int = 100         # outer cycle cap, >= 0
 
     def __post_init__(self):
@@ -210,81 +221,68 @@ class Problem:
         bit for bit, without building the allocation."""
         return _energy(self.sched, self.layout.column_sums(x * self.p_t))
 
-    def residuals_scaled(self, x: np.ndarray, snr: np.ndarray | None = None,
+    def residuals_scaled(self, x: np.ndarray, shift: np.ndarray | float = 0.0,
+                         snr: np.ndarray | None = None,
                          cols: np.ndarray | None = None) -> np.ndarray:
-        """Residuals at x; ``snr`` and ``cols`` pass in the table's
-        :meth:`GainTable.snr` and column sums at x."""
+        """Residuals at x, the cap rows floored at :func:`cap_shift`'s
+        ``shift`` (0 clips them at the budget); ``snr`` and ``cols`` pass in
+        the table's :meth:`GainTable.snr` and column sums at x."""
         if cols is None:
             cols = self.layout.column_sums(x)
         h = np.empty(self.t_norm.size + 1)
         h[0] = self.table.total_data(x, snr) - 1.0
-        h[1:] = np.maximum(cols - 1.0, 0.0)
+        h[1:] = np.maximum(cols - 1.0, shift)
         return h
 
     def phi(self, x: np.ndarray, lam: np.ndarray, sigma: float,
             h: np.ndarray | None = None, cols: np.ndarray | None = None) -> float:
-        """Merit value; ``h`` and ``cols`` pass in the residuals and column
-        sums at x, so one evaluation takes the column sums once."""
+        """Merit value; ``h`` and ``cols`` pass in the shifted residuals and
+        column sums at x, so one evaluation takes the column sums once."""
         if cols is None:
             cols = self.layout.column_sums(x)
         if h is None:
-            h = self.residuals_scaled(x, cols=cols)
+            h = self.residuals_scaled(x, cap_shift(lam, sigma), cols=cols)
         return float(self.t_norm @ cols) - float(lam @ h) + sigma * float(h @ h)
 
-    def cap_terms(self, h: np.ndarray, lam: np.ndarray, sigma: float
-                  ) -> tuple[np.ndarray, np.ndarray | None]:
-        """The budget caps' share of the merit derivatives at residuals h:
-        the capped-column mask and each column's multiplier term
-        mu_j = 2 sigma h_j - lam_j where capped, else 0 (``None`` when no
-        column is capped)."""
-        capped = h[1:] > 0.0
-        if not np.count_nonzero(capped):
-            return capped, None
-        return capped, np.where(capped, 2.0 * sigma * h[1:] - lam[1:], 0.0)
-
-    def grad_phi(self, x: np.ndarray, lam: np.ndarray, sigma: float,
-                 h: np.ndarray | None = None, dd: np.ndarray | None = None,
-                 caps: tuple | None = None) -> np.ndarray:
-        """Merit gradient; ``h``, ``dd`` and ``caps`` pass in the residuals,
-        data gradient and :meth:`cap_terms` at x."""
-        if h is None:
-            h = self.residuals_scaled(x)
+    def grad_phi(self, x: np.ndarray, lam_hat: np.ndarray,
+                 dd: np.ndarray | None = None) -> np.ndarray:
+        """Merit gradient at x: the Lagrangian's gradient at x's multiplier
+        estimate ``lam_hat``; ``dd`` passes in the scaled data gradient at x."""
         if dd is None:
             dd = self.table.data_derivatives(x)[0]
-        if caps is None:
-            caps = self.cap_terms(h, lam, sigma)
-        g = self._t_entry + (-lam[0] + 2.0 * sigma * h[0]) * dd
-        mu = caps[1]
-        if mu is not None:   # below the cap the clipped budget rows contribute nothing
-            g += mu[self.segment]
-        return g
+        return self._lagrangian_gradient(lam_hat, dd)
+
+    def _lagrangian_gradient(self, lam: np.ndarray, dd: np.ndarray) -> np.ndarray:
+        """t_k - lam_0 D'_k - lam_j(k), with ``dd`` the scaled data gradient."""
+        return self._t_entry - lam[0] * dd - lam[1:][self.segment]
 
     def newton_direction(self, x: np.ndarray, g: np.ndarray, pos: np.ndarray,
                          dd: np.ndarray, dd2: np.ndarray, sigma: float,
-                         caps: tuple) -> np.ndarray:
+                         lam_hat: np.ndarray, capped: np.ndarray) -> np.ndarray:
         """Projected-Newton direction for the merit gradient ``g`` at x.
 
         ``pos`` is ``g > 0``; ``dd`` and ``dd2`` are the scaled data
-        derivatives and ``caps`` the :meth:`cap_terms` at x.  The model
-        Hessian, its diagonal and the epsilon-active set are set out in the
-        module docstring.
+        derivatives, ``lam_hat`` the multiplier estimate and ``capped`` the
+        capped-column mask (h_j > lam_j / 2 sigma) at x.  The model Hessian,
+        its diagonal and the epsilon-active set are set out in the module
+        docstring.
         """
         # x - max(x - g, 0) = min(x, g)
         step = np.minimum(x, g)
         delta = min(1e-3, math.sqrt(float(step @ step)))
         active = (x <= delta) & pos
         any_active = np.count_nonzero(active)
+        any_capped = np.count_nonzero(capped)
         two_s = 2.0 * sigma
-        capped, mu = caps
         seg = self.segment
         t = self._t_entry
-        if mu is not None:
-            # a capped column's multiplier term, clamped so t stays positive
-            t = t + np.maximum(mu, 0.0)[seg]
+        if any_capped:
+            # a capped column's multiplier term 2 sigma h_j - lam_j > 0
+            t = t - np.where(capped, lam_hat[1:], 0.0)[seg]
         a = -dd2 * t / dd
         inv_a = np.where(active, 0.0, 1.0 / a) if any_active else 1.0 / a
         col = None   # each capped column's Sherman-Morrison factor
-        if mu is not None:
+        if any_capped:
             col = np.where(capped, two_s / (1.0 + two_s * self.layout.column_sums(inv_a)), 0.0)
         bu = self._apply_inverse(dd, inv_a, col)
         data_mass = two_s * float(dd @ bu)
@@ -308,7 +306,8 @@ class Problem:
     def kkt_residual(self, x: np.ndarray, lam: np.ndarray, h: np.ndarray,
                      dd: np.ndarray) -> float:
         """Inequality-form first-order optimality residual at x, given its
-        residuals ``h`` and scaled data gradient ``dd``.
+        residuals ``h`` (only the data row is read) and scaled data gradient
+        ``dd``.
 
         ``lam`` follows the solver convention (data multiplier first,
         budget rows negated caps).  The residual is the max of the projected
@@ -317,12 +316,12 @@ class Problem:
         wrong-signed multiplier excess.
         """
         budget = self.layout.column_sums(x) - 1.0
-        stat = self._t_entry - lam[0] * dd - lam[1:][self.segment]
+        stat = self._lagrangian_gradient(lam, dd)
         # an interior entry's stationarity error is |stat|; at the bound
         # only a negative slope counts
         stat_res = float(np.maximum.reduce(np.where(x > 0.0, np.abs(stat), -stat)))
-        comp = max(abs(lam[0] * h[0]), _linf(lam[1:] * budget))
-        primal = max(-h[0], float(np.maximum.reduce(h[1:])), -float(np.minimum.reduce(x)))
+        comp = max(abs(lam[0] * h[0]), float(np.maximum.reduce(np.abs(lam[1:] * budget))))
+        primal = max(-h[0], float(np.maximum.reduce(budget)), -float(np.minimum.reduce(x)))
         dual = max(-lam[0], float(np.maximum.reduce(lam[1:])))
         return float(max(stat_res, comp, primal, dual, 0.0))
 
@@ -347,7 +346,7 @@ class CycleRecord:
     with the residuals, merit value and energy there and how the loop ended.
     Its cycle number is its index in :attr:`SolveResult.history`."""
 
-    h_inf: float
+    h_inf: float                              # the constraint violation at x
     sigma: float
     phi: float
     energy_j: float
@@ -355,7 +354,7 @@ class CycleRecord:
     inner_reason: str                         # "gradient" | "stall" | "cap"
     merit_evals: int                          # Problem.phi evaluations, the start included
     x: np.ndarray = field(repr=False)         # the cycle's scaled iterate
-    h: np.ndarray = field(repr=False)         # its residuals
+    h: np.ndarray = field(repr=False)         # its shifted residuals
     lam_hat: np.ndarray = field(repr=False)   # the multiplier estimate at x (module docstring)
 
 
@@ -364,7 +363,8 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
                   ) -> tuple[CycleRecord, tuple | None]:
     """Minimise phi(., lam, sigma) by projected Newton descent from x.
 
-    Takes a scaled iterate x >= 0 with its residuals h and, when known,
+    Takes a scaled iterate x >= 0 with its residuals h (their cap rows
+    re-formed under this cycle's shift) and, when known,
     ``derivs``, the data derivative pair (D', D'') at x; returns the
     cycle's :class:`CycleRecord` of the final iterate and that iterate's
     pair (``None`` when the loop ended on the step cap, which leaves the
@@ -379,28 +379,31 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
     :data:`INNER_CAP`; the last two flag the record rather than raising.
     """
     table = problem.table
-    phi = problem.phi(x, lam, sigma, h)
-    caps = problem.cap_terms(h, lam, sigma)
+    shift = cap_shift(lam, sigma)
+    cols = problem.layout.column_sums(x)
+    h = np.concatenate((h[:1], np.maximum(cols - 1.0, shift)))
+    phi = problem.phi(x, lam, sigma, h, cols)
+    lam_hat = lam - 2.0 * sigma * h
     evals, steps, reason = 1, 0, "cap"
-    snr = cols = None    # the SNR product and column sums at x, once a line search formed them
+    snr = None    # the SNR product at x, once a line search formed it
 
     while steps < INNER_CAP:
         if derivs is None:
             derivs = table.data_derivatives(x, snr)
         dd, dd2 = derivs
-        g = problem.grad_phi(x, lam, sigma, h, dd, caps)
+        g = problem.grad_phi(x, lam_hat, dd)
         pos = g > 0.0
         # projected gradient: no descent below zero at the bound
         pg = np.where((x <= 0.0) & pos, 0.0, g)
         if math.sqrt(float(pg @ pg)) <= options.eps:
             reason = "gradient"
             break
-        d = problem.newton_direction(x, g, pos, dd, dd2, sigma, caps)
+        d = problem.newton_direction(x, g, pos, dd, dd2, sigma, lam_hat, h[1:] > shift)
         x_new, alpha = None, 1.0
         for _ in range(60):
             x_try = np.maximum(x + alpha * d, 0.0)
             snr_try, cols_try = table.snr(x_try), problem.layout.column_sums(x_try)
-            h_try = problem.residuals_scaled(x_try, snr_try, cols_try)
+            h_try = problem.residuals_scaled(x_try, shift, snr_try, cols_try)
             phi_try = problem.phi(x_try, lam, sigma, h_try, cols_try)
             evals += 1
             if phi_try < phi:
@@ -410,19 +413,11 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
         if x_new is None:                  # cannot decrease: numerically stationary
             reason = "stall"
             break
-        x, h, phi, snr, cols, derivs = x_new, h_new, phi_new, snr_try, cols_try, None
-        caps = problem.cap_terms(h, lam, sigma)
+        x, h, phi, snr, derivs = x_new, h_new, phi_new, snr_try, None
+        lam_hat = lam - 2.0 * sigma * h
         steps += 1
 
-    if cols is None:
-        cols = problem.layout.column_sums(x)
-    # the first-order multiplier estimates: lam_0 - 2 sigma h_0 for the data
-    # row, min(lam_j - 2 sigma (s_j - 1), 0) for a cap, which moves a slack
-    # column's multiplier toward zero instead of keeping a stale value
-    lam_hat = np.empty_like(lam)
-    lam_hat[0] = lam[0] - 2.0 * sigma * h[0]
-    lam_hat[1:] = np.minimum(lam[1:] - 2.0 * sigma * (cols - 1.0), 0.0)
-    return CycleRecord(h_inf=_linf(h), sigma=sigma, phi=phi, energy_j=problem.energy_j(x),
+    return CycleRecord(h_inf=_violation(h), sigma=sigma, phi=phi, energy_j=problem.energy_j(x),
                        inner_steps=steps, inner_reason=reason, merit_evals=evals,
                        x=x, h=h, lam_hat=lam_hat), derivs
 
@@ -433,9 +428,9 @@ def update_state(lam: np.ndarray, sigma: float, sigma_grew: bool, h_inf: float,
     to the multipliers (data row first), the penalty factor and the case
     (b) flag, returning their next values.
 
-    ``h_inf`` and ``lam_hat`` are the cycle record's residual max norm and
-    multiplier estimate (see the module docstring), the multipliers rule
-    (b) moves to.  ``prev_inf`` is the previous cycle's residual max norm,
+    ``h_inf`` and ``lam_hat`` are the cycle record's constraint violation
+    and multiplier estimate (see the module docstring), the multipliers rule
+    (b) moves to.  ``prev_inf`` is the previous cycle's violation,
     ``math.inf`` on the first cycle, which then counts as a
     multiplier-correction cycle (the penalty factor did not grow before it
     and any finite residual beats an undefined predecessor).
@@ -452,7 +447,7 @@ class SolveResult:
     d_min: float
     energy_j: float
     data_bits: float
-    h_inf: float                   # scaled residual max norm at the solution
+    h_inf: float                   # scaled constraint violation at the solution
     lam_hat: np.ndarray            # first-order multiplier estimate (module docstring)
     sigma: float
     history: tuple[CycleRecord, ...] = field(repr=False, default=())
@@ -479,10 +474,10 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     residuals).  The returned iterate is the record that passed the stop
     test (within eps of the floor and KKT-stationary, see the module
     docstring), or, when none did, the history's best record (lowest
-    residual max norm, then lowest energy, then earliest); it is scaled
+    constraint violation, then lowest energy, then earliest); it is scaled
     back in any column over the budget and converted to watts once, at
     return, and the result is ``converged`` when a record passed the stop
-    test and the residual after that scaling is still within eps.  The
+    test and the violation after that scaling is still within eps.  The
     result's ``energy_j`` and ``data_bits`` are
     :func:`metrics.compute_metrics` of the returned allocation on
     ``table``, the figures a harness row reports for it.
@@ -542,7 +537,7 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
             break
         x, h, prev_inf = rec.x, rec.h, rec.h_inf
 
-    # without a stationary feasible record, the lowest residual wins,
+    # without a stationary feasible record, the lowest violation wins,
     # energy breaking ties and the earliest cycle breaking those
     rec = stopped if stopped is not None else min(history, key=lambda c: (c.h_inf, c.energy_j))
     x, hinf = rec.x, rec.h_inf
@@ -561,7 +556,7 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
             x = x * np.where(over, shrink, 1.0)[problem.segment]
             sums = problem.layout.column_sums(x * cfg.p_t)
             over = sums > cfg.p_t
-        hinf = _linf(problem.residuals_scaled(x))
+        hinf = _violation(problem.residuals_scaled(x))
     alloc = problem.to_physical(x)
     figures = compute_metrics(alloc, cfg, sched, table)
 

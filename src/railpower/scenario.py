@@ -190,15 +190,11 @@ def position_rrh_distance(cfg: ScenarioConfig, x):
 
 
 def mrs_in_cell(cfg: ScenarioConfig, j: int) -> int:
-    """Number of relays covered by the cell during segment j (1-based)."""
-    m, n = cfg.num_relays, cfg.num_bins
+    """Number of relays covered by the cell during segment j (1-based): the
+    active entries of column j of :func:`entry_layout`'s mask."""
     if not 1 <= j <= cfg.num_segments:
         raise IndexError(f"segment index {j} outside 1..{cfg.num_segments}")
-    if j <= m - 1:
-        return j
-    if j <= m + n - 1:
-        return m
-    return 2 * m + n - j - 1
+    return int(np.count_nonzero(entry_layout(cfg).mask[:, j - 1]))
 
 
 @dataclass(frozen=True, eq=False)

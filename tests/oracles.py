@@ -1,5 +1,6 @@
-"""Test oracles: an allocation's feasibility, and the closed-form data of
-the free-space link (test helpers only).
+"""Test oracles: an allocation's feasibility, the closed-form data of the
+free-space link, and the merit gradient at given multipliers (test
+helpers only).
 
 With path-loss exponent 2 and both antennas at boresight, the per-watt
 SNR of relay i at time t is A / (d0^2 + u^2), where
@@ -21,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from railpower import entry_layout, snr_linear_per_watt
+from railpower.optimizer import cap_shift
 
 
 def assert_feasible(alloc, cfg, tol=None):
@@ -60,3 +62,11 @@ def closed_form_data(cfg, sched, layout, p):
     second = scale * a * a / (2.0 * b) * between(
         lambda u: -u / (b * (u * u + b * b)) - np.arctan(u / b) / (b * b))
     return data, first, second
+
+
+def merit_gradient(problem, x, lam, sigma):
+    """``Problem.grad_phi`` at x under multipliers lam and penalty sigma: the
+    Lagrangian gradient at x's multiplier estimate lam - 2 sigma h, with h
+    the residuals shifted by ``cap_shift(lam, sigma)``."""
+    h = problem.residuals_scaled(x, cap_shift(lam, sigma))
+    return problem.grad_phi(x, lam - 2.0 * sigma * h)

@@ -401,6 +401,18 @@ def test_chained_trials_stay_within_the_floor_tolerance_of_cold_solves(ref_cfg, 
         assert abs(r.energy_j - cold.energy_j) <= 5 * options.solver.eps * cold.energy_j
 
 
+def test_chained_trial_below_a_caps_binding_floor_converges(options):
+    # at rho = 0.97, M = 4 the caps bind; the sigma_v = 5 chain's trial 4
+    # warm-starts below its predecessor's floor with capped columns that go
+    # slack, where a merit kink at the cap once stalled every cycle
+    cfg = reference_config(num_relays=4, rho=0.97)
+    rows = monte_carlo_velocity_error(cfg, replace(options, schemes=("optimized",)),
+                                      sigmas=[0.0, 1.0, 3.0, 5.0], trials=30)
+    row = next(r for r in rows if r.kind == "trial" and r.value == 5.0 and r.trial == 4)
+    assert row.scheme == "optimized" and not row.error
+    assert row.converged
+
+
 def test_fading_run_is_deterministic(options):
     cfg = reference_config(fading=True)
     seq = lambda: np.random.SeedSequence((cfg.seed, 0, 0))

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from oracles import assert_feasible
+from oracles import assert_feasible, merit_gradient
 from scipy.linalg import lu_factor, lu_solve
 
 from railpower import optimizer
 from railpower.metrics import GainTable
-from railpower.optimizer import CycleRecord, Problem, inner_descent, update_state
+from railpower.optimizer import CycleRecord, Problem, cap_shift, inner_descent, update_state
 from railpower import (AllocationMatrix, InfeasibleDataFloor, SolverOptions, average_alloc,
                        build_gain_table, compute_metrics, data_floor, entry_layout,
                        kkt_residual, reference_config, segment_boundaries, solve,
@@ -81,7 +81,10 @@ def test_augmented_lagrangian_reductions(ref_cfg, ref_sched, ref_table):
     d_avg = ref_table.total_data(average_alloc(ref_cfg, ref_sched).values)
     avg = average_alloc(ref_cfg, ref_sched)
     zeros = np.zeros(ref_cfg.num_segments + 1)
+    # a data multiplier of either sign; cap multipliers <= 0, the one-sided
+    # form's domain and the only sign the solver produces
     lam = np.linspace(-2.0, 2.0, len(zeros))
+    lam[1:] = -np.abs(lam[1:])
     energy = total_energy(avg, ref_sched) / (ref_sched.total_time * ref_cfg.p_t)
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
     x = problem.to_scaled(avg)
@@ -96,7 +99,7 @@ def test_augmented_lagrangian_reductions(ref_cfg, ref_sched, ref_table):
     assert problem.phi(half, zeros, 2.0) > problem.phi(half, zeros, 1.0)
 
     # passed-in residuals give the same value, bit for bit
-    h = problem.residuals_scaled(half)
+    h = problem.residuals_scaled(half, cap_shift(lam, 3.0))
     assert problem.phi(half, lam, 3.0, h) == problem.phi(half, lam, 3.0)
 
 
@@ -104,8 +107,8 @@ def test_grad_augmented_lagrangian_structure(ref_cfg, ref_sched, ref_table):
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     avg = average_alloc(ref_cfg, ref_sched)
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
-    g = problem.grad_phi(problem.to_scaled(avg), np.zeros(ref_cfg.num_segments + 1), 0.0)
-    # with no multipliers and no penalty only the energy term remains: each
+    g = problem.grad_phi(problem.to_scaled(avg), np.zeros(ref_cfg.num_segments + 1))
+    # with a zero multiplier estimate only the energy term remains: each
     # entry's segment duration over the traversal time
     assert_allclose(g, problem.t_norm[ref_table.layout.segment], rtol=1e-12)
 
@@ -120,7 +123,7 @@ def test_scaled_problem_gradient_finite_differences(ref_cfg, ref_sched, ref_tabl
         x = rng.uniform(0.02, 0.25, k_all)
         lam = rng.uniform(-1.0, 1.0, ref_cfg.num_segments + 1)
         sigma = 10.0 ** rng.uniform(-1.0, 1.5)
-        g = problem.grad_phi(x, lam, sigma)
+        g = merit_gradient(problem, x, lam, sigma)
         idx = trial % k_all
         plus, minus = x.copy(), x.copy()
         plus[idx] += step
@@ -296,33 +299,40 @@ def test_converged_means_feasible_and_stationary():
     assert short.h_inf <= eps and not short.converged
 
 
-def test_warm_solve_below_a_caps_binding_floor_drops_slack_multipliers():
-    # the caps bind at rho = 0.97; at 0.99 of that floor six stage-two
-    # columns are slack, their warm-start multipliers fall to zero, and the
-    # warm solve ends stationary
-    cfg = reference_config(num_relays=4, rho=0.97)
+@pytest.mark.parametrize("rho, m, frac, drops", [
+    (0.97, 4, 0.99, True),
+    (0.99, 4, 0.99, True), (0.99, 4, 0.999, False),
+    (1.0, 4, 0.99, True), (1.0, 4, 0.999, False),
+    (1.0, 2, 0.99, False), (1.0, 2, 0.999, False),
+])
+def test_warm_solve_below_a_caps_binding_floor_drops_slack_multipliers(rho, m, frac, drops):
+    # the caps bind at these floors.  Warm-started just below one, the solve
+    # ends stationary within a few cycles, since the merit has no kink at a
+    # cap for the iterate to stall on; a column that the warm start capped
+    # and that is slack now (``drops``) has its multiplier fall to zero
+    cfg = reference_config(num_relays=m, rho=rho)
     sched = segment_boundaries(cfg)
     cold = solve(cfg, sched)
-    low = cfg.with_(rho=0.99 * 0.97)
+    low = cfg.with_(rho=frac * rho)
     table = build_gain_table(low, sched)
     d_min = data_floor(low, sched, table)
     alloc, res = solve(low, sched, warm=cold, d_min=d_min, table=table)
     assert res.converged
+    assert res.cycles <= 3
     assert kkt_residual(alloc, res.lam_hat, low, sched, d_min, table) <= 10 * SolverOptions().eps
     slack = alloc.column_sums() < low.p_t * (1.0 - 1e-3)
     warm_caps = cold[1].lam_hat[1:]
-    assert np.any(warm_caps[slack] < 0.0)
+    assert np.any(warm_caps[slack] < 0.0) == drops
     assert np.all(res.lam_hat[1:][slack] == 0.0)
 
 
 def test_stalled_solve_ends_at_the_penalty_ceiling():
-    # below a rho = 1.0 solve the warm iterate stalls at its caps in every
-    # cycle, so the residual never shrinks and the penalty grows fourfold
-    # per cycle: the loop ends, unconverged, once it passes SIGMA_MAX,
-    # with every figure finite (pytest turns an overflow warning into an error)
-    cfg = reference_config(num_relays=4, rho=1.0)
-    sched = segment_boundaries(cfg)
-    _, res = solve(cfg.with_(rho=0.99), sched, warm=solve(cfg, sched))
+    # at a path-loss exponent of 8 (peak SNR at P_T of about 1e-24) every
+    # inner loop stalls, so the residual never shrinks and the penalty grows
+    # fourfold per cycle: the loop ends, unconverged, once it passes
+    # SIGMA_MAX, with every figure finite (pytest turns an overflow warning
+    # into an error)
+    _, res = solve(reference_config(pathloss_exp=8.0))
     assert not res.converged and res.cycles < SolverOptions().n_max + 1
     last = res.history[-1].sigma
     assert last <= optimizer.SIGMA_MAX < optimizer.GROWTH * last
@@ -515,7 +525,7 @@ def test_scaled_problem_gradient_with_active_caps(ref_cfg, ref_sched, ref_table,
         assert np.any(ref_table.layout.column_sums(x) > 1.0)
         lam = rng.uniform(-1.0, 1.0, ref_cfg.num_segments + 1)
         sigma = 10.0 ** rng.uniform(-1.0, 1.0)
-        g = problem.grad_phi(x, lam, sigma)
+        g = merit_gradient(problem, x, lam, sigma)
         k = trial % k_all
         h = 1e-6
         xp, xm = x.copy(), x.copy()
@@ -617,13 +627,20 @@ def multiplier_estimate(problem, x, h, lam, sigma):
     return np.concatenate(([lam[0] - 2.0 * sigma * h[0]], caps))
 
 
+def violation(h):
+    """max(|h_0|, max_j h_j) of shifted residuals h."""
+    return max(abs(float(h[0])), float(h[1:].max()))
+
+
 def plain_inner_descent(problem, x, h, lam, sigma, options, derivs=None):
     """Tolerance oracle: projected gradient, halving from alpha = 1; it
-    ignores a passed-in derivative pair and hands none on."""
+    ignores the passed-in residuals and derivative pair and hands no pair on."""
+    shift = cap_shift(lam, sigma)
+    h = problem.residuals_scaled(x, shift)
     phi = problem.phi(x, lam, sigma, h)
     steps, evals, reason = 0, 1, "cap"
     while steps < optimizer.INNER_CAP:
-        d = -problem.grad_phi(x, lam, sigma)
+        d = -merit_gradient(problem, x, lam, sigma)
         d[(x <= 0.0) & (d < 0.0)] = 0.0
         gnorm = float(np.linalg.norm(d))
         if gnorm <= options.eps:
@@ -632,7 +649,7 @@ def plain_inner_descent(problem, x, h, lam, sigma, options, derivs=None):
         alpha, phi_new, x_new = 1.0, None, None
         for _ in range(60):
             x_try = np.maximum(x + alpha * d, 0.0)
-            h_try = problem.residuals_scaled(x_try)
+            h_try = problem.residuals_scaled(x_try, shift)
             phi_try = problem.phi(x_try, lam, sigma, h_try)
             evals += 1
             if phi_try < phi:
@@ -644,7 +661,7 @@ def plain_inner_descent(problem, x, h, lam, sigma, options, derivs=None):
             break
         x, h, phi = x_new, h_new, phi_new
         steps += 1
-    return CycleRecord(h_inf=float(np.max(np.abs(h))), sigma=sigma, phi=phi,
+    return CycleRecord(h_inf=violation(h), sigma=sigma, phi=phi,
                        energy_j=problem.energy_j(x), inner_steps=steps, inner_reason=reason,
                        merit_evals=evals, x=x, h=h,
                        lam_hat=multiplier_estimate(problem, x, h, lam, sigma)), None
@@ -784,8 +801,8 @@ def test_cycle_records_hold_their_iterates_figures(rho, warm_rho):
     h, grew, prev_inf = problem.residuals_scaled(x), False, math.inf
     assert len(res.history) > 1
     for rec in res.history:
-        assert np.array_equal(rec.h, problem.residuals_scaled(rec.x))
-        assert rec.h_inf == float(np.max(np.abs(rec.h)))
+        assert np.array_equal(rec.h, problem.residuals_scaled(rec.x, cap_shift(lam, sigma)))
+        assert rec.h_inf == violation(rec.h)
         assert rec.energy_j == total_energy(problem.to_physical(rec.x), sched)
         assert rec.sigma == sigma
         assert np.array_equal(rec.lam_hat, multiplier_estimate(problem, rec.x, rec.h, lam, sigma))
@@ -833,9 +850,10 @@ def newton_problems():
 def model_hessian(problem, h, dd, dd2, lam, sigma):
     """The merit Hessian model, assembled: diag(|D''| t / D') plus the data
     row's and the capped columns' rank-one terms, where t is the time weight
-    plus a capped column's multiplier term, clamped at zero."""
+    plus a capped column's multiplier term, clamped at zero; h are the
+    residuals shifted by ``cap_shift(lam, sigma)``."""
     cols = problem.segment
-    capped = h[1:] > 0.0
+    capped = h[1:] > cap_shift(lam, sigma)
     t = problem.t_norm[cols] + np.where(
         capped, np.maximum(2.0 * sigma * h[1:] - lam[1:], 0.0), 0.0)[cols]
     capped = capped[cols]
@@ -870,7 +888,8 @@ def dense_newton_direction(problem, x, g, h, dd, dd2, lam, sigma):
 def reference_newton_direction(problem, x, g, h, dd, dd2, lam, sigma):
     """Bit-exact reference: the projected-Newton direction with each
     per-iterate term formed where it is used, the arithmetic
-    :meth:`Problem.newton_direction` must reproduce bit for bit."""
+    :meth:`Problem.newton_direction` must reproduce bit for bit; h are the
+    residuals shifted by ``cap_shift(lam, sigma)``."""
     layout, seg = problem.layout, problem.segment
 
     def apply_inverse(r, inv_a, col, rank_one=None):
@@ -886,7 +905,7 @@ def reference_newton_direction(problem, x, g, h, dd, dd2, lam, sigma):
     delta = min(1e-3, math.sqrt(float(step @ step)))
     active = (x <= delta) & (g > 0.0)
     two_s = 2.0 * sigma
-    capped = h[1:] > 0.0
+    capped = h[1:] > cap_shift(lam, sigma)
     any_capped = capped.any()
     t = problem._t_entry
     if any_capped:
@@ -917,14 +936,17 @@ def reference_newton_direction(problem, x, g, h, dd, dd2, lam, sigma):
 def reference_inner_descent(problem, x, h, lam, sigma, options):
     """Bit-exact reference for :func:`inner_descent`: the same loop with the
     merit gradient, the projected gradient and the direction each forming
-    the iterate's masks and multiplier terms itself."""
+    the iterate's masks and multiplier terms itself; the passed-in
+    residuals' cap rows are re-formed under this cycle's shift."""
     table = problem.table
+    shift = cap_shift(lam, sigma)
+    h = np.concatenate(([h[0]], np.maximum(problem.layout.column_sums(x) - 1.0, shift)))
     phi = problem.phi(x, lam, sigma, h)
     evals, steps, reason = 1, 0, "cap"
     while steps < optimizer.INNER_CAP:
         dd, dd2 = table.data_derivatives(x)
         g = problem._t_entry + (-lam[0] + 2.0 * sigma * h[0]) * dd
-        capped = h[1:] > 0.0
+        capped = h[1:] > shift
         if capped.any():
             g += np.where(capped, -lam[1:] + 2.0 * sigma * h[1:], 0.0)[problem.segment]
         pg = np.where((x <= 0.0) & (g > 0.0), 0.0, g)
@@ -935,7 +957,7 @@ def reference_inner_descent(problem, x, h, lam, sigma, options):
         x_new, alpha = None, 1.0
         for _ in range(60):
             x_try = np.maximum(x + alpha * d, 0.0)
-            h_try = problem.residuals_scaled(x_try)
+            h_try = problem.residuals_scaled(x_try, shift)
             phi_try = problem.phi(x_try, lam, sigma, h_try)
             evals += 1
             if phi_try < phi:
@@ -947,16 +969,17 @@ def reference_inner_descent(problem, x, h, lam, sigma, options):
             break
         x, h, phi = x_new, h_new, phi_new
         steps += 1
-    return CycleRecord(h_inf=float(np.max(np.abs(h))), sigma=sigma, phi=phi,
+    return CycleRecord(h_inf=violation(h), sigma=sigma, phi=phi,
                        energy_j=problem.energy_j(x), inner_steps=steps, inner_reason=reason,
                        merit_evals=evals, x=x, h=h,
                        lam_hat=multiplier_estimate(problem, x, h, lam, sigma))
 
 
 def newton_step(problem, x, g, h, dd, dd2, lam, sigma):
-    """Problem.newton_direction at x with its per-iterate terms formed here."""
-    return problem.newton_direction(x, g, g > 0.0, dd, dd2, sigma,
-                                    problem.cap_terms(h, lam, sigma))
+    """Problem.newton_direction at x with its per-iterate terms formed here;
+    h are the residuals shifted by ``cap_shift(lam, sigma)``."""
+    return problem.newton_direction(x, g, g > 0.0, dd, dd2, sigma, lam - 2.0 * sigma * h,
+                                    h[1:] > cap_shift(lam, sigma))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -970,15 +993,15 @@ def test_newton_direction_matches_dense_solve(newton_problems, case, seed, log_s
     # some entries at or within 1e-3 of zero, some columns over the cap
     x = rng.uniform(0.0, 1.2, k_all)
     x *= rng.choice([0.0, 1e-3, 1.0], size=k_all, p=[0.15, 0.15, 0.7])
-    h = problem.residuals_scaled(x)
     sigma = 10.0 ** log_sigma
     lam = rng.normal(size=problem.t_norm.size + 1) * 10.0 ** rng.uniform(-2.0, 2.0)
+    h = problem.residuals_scaled(x, cap_shift(lam, sigma))
     if set_curvature:
         # a small curvature factor c = lam_0 - 2 sigma h0 leaves zero entries
         # with a positive slope: the epsilon-active set
         lam[0] = 2.0 * sigma * h[0] + 10.0 ** log_c
     dd, dd2 = problem.table.data_derivatives(x)
-    g = problem.grad_phi(x, lam, sigma, h, dd)
+    g = problem.grad_phi(x, lam - 2.0 * sigma * h, dd)
     d = newton_step(problem, x, g, h, dd, dd2, lam, sigma)
     # the same bits as the direction with every term formed where it is used
     assert np.array_equal(d, reference_newton_direction(problem, x, g, h, dd, dd2, lam, sigma))
@@ -1003,10 +1026,10 @@ def test_newton_direction_keeps_its_digits_under_a_dominant_rank_one_term(newton
     rng = np.random.default_rng(7)
     for x0 in (0.0, 0.4, 1.1):
         x = np.array([x0])
-        h = problem.residuals_scaled(x)
         lam = rng.normal(size=problem.t_norm.size + 1)
+        h = problem.residuals_scaled(x, cap_shift(lam, sigma))
         dd, dd2 = problem.table.data_derivatives(x)
-        g = problem.grad_phi(x, lam, sigma, h, dd)
+        g = problem.grad_phi(x, lam - 2.0 * sigma * h, dd)
         d = newton_step(problem, x, g, h, dd, dd2, lam, sigma)
         assert np.array_equal(d, reference_newton_direction(problem, x, g, h, dd, dd2, lam,
                                                             sigma))
@@ -1026,13 +1049,13 @@ def test_newton_direction_backward_stable_under_a_dominant_penalty(newton_proble
     for _ in range(3000):
         x = rng.uniform(0.0, 1.2, k_all)
         x *= rng.choice([0.0, 1e-3, 1.0], size=k_all, p=[0.15, 0.15, 0.7])
-        h = problem.residuals_scaled(x)
         sigma = 10.0 ** rng.uniform(5.0, 6.0)
         lam = np.empty(n_cols + 1)
         lam[1:] = -np.abs(rng.normal(size=n_cols)) * 10.0 ** rng.uniform(-2.0, 2.0)
+        h = problem.residuals_scaled(x, cap_shift(lam, sigma))
         lam[0] = 2.0 * sigma * h[0] + 10.0 ** rng.uniform(-3.0, -2.0)
         dd, dd2 = problem.table.data_derivatives(x)
-        g = problem.grad_phi(x, lam, sigma, h, dd)
+        g = problem.grad_phi(x, lam - 2.0 * sigma * h, dd)
         d = newton_step(problem, x, g, h, dd, dd2, lam, sigma)
         hess = model_hessian(problem, h, dd, dd2, lam, sigma)
         active = epsilon_active(x, g)
@@ -1056,9 +1079,9 @@ def test_newton_direction_is_exact_for_a_one_node_entry():
     problem = Problem(cfg, sched, data_floor(cfg, sched, table), table)
     x = np.array([0.02])
     lam, sigma = np.array([3.0, 0.0]), 1e-12
-    h = problem.residuals_scaled(x)
+    h = problem.residuals_scaled(x, cap_shift(lam, sigma))
     dd, dd2 = problem.table.data_derivatives(x)
-    g = problem.grad_phi(x, lam, sigma, h, dd)
+    g = problem.grad_phi(x, lam - 2.0 * sigma * h, dd)
     d = newton_step(problem, x, g, h, dd, dd2, lam, sigma)
     c, t = lam[0] - 2.0 * sigma * h[0], problem.t_norm[0]
     gain, weight = problem.table.gains[0, 0], problem.table.weights[0, 0]
