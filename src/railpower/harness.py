@@ -315,36 +315,33 @@ def run_scenario(config_path) -> list[RunRecord]:
     return run_point(cfg, options, seed_seq)
 
 
-def _mean_records(rows: list[RunRecord]) -> list[RunRecord]:
-    """Aggregate trial rows per (param, value, scheme); ratios from means."""
-    groups: dict[tuple, list[RunRecord]] = {}
-    for r in rows:
-        groups.setdefault((r.param, r.value, r.scheme), []).append(r)
+def _mean_records(rows: list[RunRecord], point: PreparedPoint | None) -> list[RunRecord]:
+    """One mean row per scheme over the trial rows of one swept value, run
+    on ``point`` (None when every row failed); ratios from the means."""
     out = []
-    for scheme_rows in groups.values():
+    for scheme in dict.fromkeys(r.scheme for r in rows):
+        scheme_rows = [r for r in rows if r.scheme == scheme]
         ok = [r for r in scheme_rows if not r.error and np.isfinite(r.energy_j)]
         proto = ok[0] if ok else scheme_rows[0]
-        point = {**{c: getattr(proto, c) for c in _POINT_COLUMNS}, "kind": "mean", "trial": -1}
+        mean = {**{c: getattr(proto, c) for c in _POINT_COLUMNS}, "kind": "mean", "trial": -1}
         if not ok:
             # every trial failed, and a failed row carries only its error
-            out.append(_record(point, proto.scheme, error=proto.error))
+            out.append(_record(mean, scheme, error=proto.error))
             continue
         e = float(np.mean([r.energy_j for r in ok]))
         d = float(np.mean([r.data_bits for r in ok]))
-        # bandwidth * traversal time, recovered from any finite trial row
-        bt = (proto.data_bits / proto.se_bits_per_s_per_hz
-              if proto.se_bits_per_s_per_hz > 0 else NAN)
         failed = len(scheme_rows) - len(ok)
         out.append(_record(
-            point, proto.scheme, energy_j=e, data_bits=d, se=d / bt,
+            mean, scheme, energy_j=e, data_bits=d,
+            se=metrics.spectral_efficiency(d, point.cfg, point.sched),
             meets_floor=all(r.meets_floor for r in ok),
             converged=all(r.converged for r in ok),
             error=f"{failed} failed trials" if failed else ""))
     return out
 
 
-def _sweep_task(args) -> list[RunRecord]:
-    """The trial rows of one swept value, all run on one :class:`PreparedPoint`.
+def _sweep_task(args) -> tuple[list[RunRecord], list[RunRecord]]:
+    """Trial and mean rows of one swept value, all run on one :class:`PreparedPoint`.
 
     The point comes with the task when the swept parameter is ``sigma_v``,
     which is not a scenario field, and is prepared here otherwise.  Every
@@ -362,8 +359,9 @@ def _sweep_task(args) -> list[RunRecord]:
                            scenario="", d_min_bits=NAN,
                            **_scenario_columns({**vars(cfg),
                                                 **_swept_field(spec.param, value)}))
-            return [_record({**columns, "trial": trial}, s, error=str(exc))
+            rows = [_record({**columns, "trial": trial}, s, error=str(exc))
                     for trial in range(spec.trials) for s in options.schemes]
+            return rows, _mean_records(rows, None)
         point = prepare_point(point_cfg, options.schemes)
     seed_seqs = [np.random.SeedSequence((cfg.seed, idx, trial))
                  for trial in range(spec.trials)]
@@ -378,7 +376,8 @@ def _sweep_task(args) -> list[RunRecord]:
             value=float(value), trial=trial, speed_error=errors[trial], warm=warm)
         warm = next((r.solution for r in rows
                      if r.solution is not None and r.converged), warm)
-    return [r for trial in range(spec.trials) for r in per_trial[trial]]
+    rows = [r for trial in range(spec.trials) for r in per_trial[trial]]
+    return rows, _mean_records(rows, point)
 
 
 def _process_pool(workers: int):
@@ -417,8 +416,8 @@ def sweep(cfg: ScenarioConfig, options: HarnessOptions, spec: SweepSpec,
             per_task = list(pool.map(_sweep_task, tasks))
     else:
         per_task = [_sweep_task(t) for t in tasks]
-    rows = [r for task_rows in per_task for r in task_rows]
-    return rows + _mean_records(rows)
+    return ([r for rows, _ in per_task for r in rows]
+            + [r for _, means in per_task for r in means])
 
 
 def draw_speed_error(rng: np.random.Generator, sigma_v: float) -> float:

@@ -102,9 +102,11 @@ quadrature node.  Newton on D'_k itself creeps where a step has clipped
 entries to zero: the log-rate curvature there lets each later step only
 about double them, and at c <= 0 (at rho = 1 the first cycle starts at
 lam = 0 on the floor, h0 = 0) it has no positive curvature at all.
-Entries with x <= delta and a positive merit slope,
-delta = min(1e-3, ||x - max(x - g, 0)||), form the epsilon-active set
-and take the diagonally scaled step -g_i / H_ii toward the bound.  The
+Entries with x <= delta = 1e-3 min(1, max x) and a positive merit slope
+form the epsilon-active set and take the diagonally scaled step
+-g_i / H_ii toward the bound.  delta is relative because at small
+floors every entry sits far below an absolute 1e-3; holding all of them
+back turns the projected Newton step into a creeping gradient step.  The
 free entries solve H_FF d = -g_F: Sherman-Morrison inverts each capped
 column's block (diagonal plus 2 sigma 1 1^T), and one Woodbury rank-one
 update adds the data term, all in O(K) with no dense solve.  When the
@@ -267,10 +269,7 @@ class Problem:
         its diagonal and the epsilon-active set are set out in the module
         docstring.
         """
-        # x - max(x - g, 0) = min(x, g)
-        step = np.minimum(x, g)
-        delta = min(1e-3, math.sqrt(float(step @ step)))
-        active = (x <= delta) & pos
+        active = (x <= 1e-3 * min(1.0, float(np.maximum.reduce(x)))) & pos
         any_active = np.count_nonzero(active)
         any_capped = np.count_nonzero(capped)
         two_s = 2.0 * sigma

@@ -343,7 +343,7 @@ def _per_trial_study(cfg, options, sigmas, trials):
     """The velocity-error study as one plain run_point(cfg, ...) per trial,
     chained by hand: in (floor, trial) order, each warm-started from the
     last converged solve at the same sigma."""
-    rows = []
+    rows, means = [], []
     for idx, sigma in enumerate(sigmas):
         seqs = [np.random.SeedSequence((cfg.seed, idx, trial)) for trial in range(trials)]
         errors = [draw_speed_error(np.random.default_rng(seq.spawn(1)[0]), sigma)
@@ -360,8 +360,10 @@ def _per_trial_study(cfg, options, sigmas, trials):
             opt = next(r for r in by_trial[trial] if r.scheme == "optimized")
             if opt.converged:
                 warm = opt.solution
-        rows += [r for trial in range(trials) for r in by_trial[trial]]
-    return rows + _mean_records(rows)
+        trial_rows = [r for trial in range(trials) for r in by_trial[trial]]
+        rows += trial_rows
+        means += _mean_records(trial_rows, prepare_point(cfg))
+    return rows + means
 
 
 @pytest.mark.parametrize("fading", [False, True])
@@ -530,7 +532,7 @@ def test_rows_with_non_finite_figures_become_error_rows(ref_records):
     assert harness._record(point, "csi", error="boom").error == "boom"
 
 
-def test_mean_rows_recompute_ratios_from_means():
+def test_mean_rows_recompute_ratios_from_means(ref_cfg):
     rows = [
         RunRecord(kind="trial", param="d_l", value=200.0, trial=t, scheme="random",
                   scenario="x", m=4, n=6, d_l=200.0, v_mps=83.0, pt_w=10.0,
@@ -539,9 +541,20 @@ def test_mean_rows_recompute_ratios_from_means():
                   cycles=None, h_inf=None)
         for t, (e, d) in enumerate([(2.0, 10.0), (4.0, 30.0)])
     ]
-    mean = _mean_records(rows)[0]
+    mean = _mean_records(rows, prepare_point(ref_cfg))[0]
     assert mean.energy_j == 3.0 and mean.data_bits == 20.0
     assert_allclose(mean.ee_bits_per_j, 20.0 / 3.0, rtol=1e-12)
+
+
+def test_mean_row_spectral_efficiency_of_zero_data_is_zero(options):
+    # every optimized trial at pathloss_exp 8 ends with zero data; its mean
+    # row's SE is that of the mean data on the point, not 0 / 0
+    cfg = reference_config(pathloss_exp=8)
+    rows = sweep(cfg, replace(options, schemes=("average", "optimized")),
+                 SweepSpec(param="d_l", values=(200.0,), trials=2))
+    opt = [r for r in rows if r.scheme == "optimized"]
+    assert [(r.kind, r.data_bits, r.se_bits_per_s_per_hz) for r in opt] == [
+        ("trial", 0.0, 0.0), ("trial", 0.0, 0.0), ("mean", 0.0, 0.0)]
 
 
 def test_array_records_compare_by_identity():
@@ -579,18 +592,20 @@ def test_shared_rows_equal_rows_evaluated_in_every_trial(ref_cfg, options, fadin
     rows = sweep(cfg, options, SweepSpec(param="d_l", values=values, trials=trials))
     # the same trials from a fresh point per trial that stores no rows, so
     # every scheme is planned and evaluated in the trial, chained by hand
-    expected = []
+    expected, means = [], []
     for idx, value in enumerate(values):
         point_cfg = apply_sweep_value(cfg, "d_l", value)
-        warm = None
+        warm, value_rows = None, []
         for trial in range(trials):
             trial_rows = run_point(prepare_point(point_cfg), options,
                                    np.random.SeedSequence((cfg.seed, idx, trial)),
                                    kind="trial", param="d_l", value=value, trial=trial,
                                    warm=warm)
             warm = next(r.solution for r in trial_rows if r.scheme == "optimized")
-            expected += trial_rows
-    assert _row_values(rows) == _row_values(expected + _mean_records(expected))
+            value_rows += trial_rows
+        expected += value_rows
+        means += _mean_records(value_rows, prepare_point(point_cfg))
+    assert _row_values(rows) == _row_values(expected + means)
 
 
 def test_shared_scheme_failure_is_an_error_row_in_every_trial(monkeypatch, ref_cfg, options):
