@@ -31,6 +31,20 @@ of two, so the shift is exact), so a cap that binds at a warm start but
 not at the new floor leaves no stale multiplier for the stop test to trip
 on.  The loop also ends, unconverged, once sigma passes :data:`SIGMA_MAX`.
 
+A cold solve starts at lam = 0 from the average allocation, with the
+penalty factor its own data curvature there asks for.  Each multiplier
+update shrinks the floor violation by about 1 / (1 + 2 sigma kappa),
+kappa the data row's dual curvature (Bertsekas 1982, ch. 2).  At the start
+point no column is capped and no entry is epsilon-active, so kappa0 =
+sum_k D'_k^2 / a_k (a_k the Newton diagonal below) and 2 sigma kappa0 is
+the data row's mass in the first Newton direction.  sigma0 is the largest
+power of two with 2 sigma0 kappa0 <= :data:`MASS0`, and never below
+:data:`SIGMA0`.  The rule is relative because kappa0 grows as the floor
+shrinks: a caps-binding solve starts near sigma = 1024 instead of growing
+there from 1 over ten-odd cycles, while at small floors kappa0 is so large
+that sigma0 = SIGMA0, where a fixed larger start leaves solves unconverged.
+A warm solve keeps its warm result's sigma.
+
 Inside the solver, powers are scaled by P_T and data by D_min so the
 residual components are comparable under the max norm; :func:`solve`
 converts the iterate once at entry and once at return.
@@ -41,8 +55,9 @@ first step makes no data pass at the same x, and re-forms only the cap
 rows of the residuals, under its own shift.  Within a cycle, one
 merit evaluation takes the column sums once, for the residuals and the
 energy, and the accepted line-search candidate's SNR product
-(:meth:`GainTable.snr`) feeds its derivative pass, so a solve makes one
-derivative pass per inner step plus one; the stop test reads the pair a
+(:meth:`GainTable.snr`) feeds its derivative pass, as the start point's
+feeds the first, so a solve makes one derivative pass per inner step plus
+one; the stop test reads the pair a
 cycle hands on, and makes its own pass only after a step-cap stop.  Each
 accepted iterate's multiplier estimate lam_hat is formed once: the merit
 gradient, the Newton direction and the cycle's record all read it, and
@@ -64,10 +79,11 @@ stored, computed or masked out.
 the merit function, its derivatives and the residuals.  The two solver
 settings (tolerance and cycle cap) live in one frozen
 :class:`SolverOptions`, which owns their defaults and validation; the
-method's constants (initial penalty :data:`SIGMA0`, growth factor
-:data:`GROWTH`, per-cycle step guard :data:`INNER_CAP`) are fixed, like
-rule (b)'s ratio of 1/4.  The history of :class:`CycleRecord`, each with
-its scaled iterate, residuals and multiplier estimate, is the one record
+method's constants (least initial penalty :data:`SIGMA0`, initial data
+mass :data:`MASS0`, growth factor :data:`GROWTH`, per-cycle step guard
+:data:`INNER_CAP`) are fixed, like rule (b)'s ratio of 1/4.  The history
+of :class:`CycleRecord`, each with its scaled iterate, residuals and
+multiplier estimate, is the one record
 of a solve's cycles, a record's index in it is its cycle number, and the
 returned iterate is the record that passed the stop test, or, when none
 did, the history's best cycle.
@@ -142,7 +158,8 @@ class InfeasibleDataFloor(ValueError):
 
 _log = logging.getLogger(__name__)
 
-SIGMA0 = 1.0       # initial penalty factor
+SIGMA0 = 1.0       # least initial penalty factor
+MASS0 = 64.0       # a cold solve's initial data-row mass 2 sigma kappa0 (module docstring)
 GROWTH = 4.0       # penalty growth factor of rules (a) and (c)
 INNER_CAP = 5000   # inner descent steps per cycle; a Newton solve takes tens in all
 # penalty factor past which the loop ends: 2 sigma then outweighs the unit
@@ -163,6 +180,12 @@ def cap_shift(lam: np.ndarray, sigma: float) -> np.ndarray:
     return lam[1:] / (2.0 * sigma)
 
 
+def newton_diagonal(dd: np.ndarray, dd2: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The model Hessian's diagonal a_k = |D''_k| t_k / D'_k, from the scaled
+    data derivatives and each entry's time plus its capped column's term."""
+    return -dd2 * t / dd
+
+
 def _violation(h: np.ndarray) -> float:
     """Constraint violation of shifted residuals h: max(|h_0|, max_j h_j)."""
     return max(abs(float(h[0])), float(np.maximum.reduce(h[1:])))
@@ -172,12 +195,14 @@ def _violation(h: np.ndarray) -> float:
 class SolverOptions:
     """Solver settings: the one place their defaults are written."""
 
-    eps: float = 1e-4        # tolerance on the scaled constraint violation
+    eps: float = 1e-4        # tolerance on the scaled constraint violation, in (0, 1)
     n_max: int = 100         # outer cycle cap, >= 0
 
     def __post_init__(self):
-        if self.eps <= 0 or self.n_max < 0:
-            raise ValueError("require eps > 0, n_max >= 0")
+        # NaN fails the comparison; at eps >= 1 a harness row's floor test
+        # d >= d_min (1 - eps) passes any allocation, one of no data included
+        if not 0.0 < self.eps < 1.0 or self.n_max < 0:
+            raise ValueError("require eps > 0, n_max >= 0 and a finite eps < 1")
 
 
 def data_floor(cfg: ScenarioConfig, sched: SegmentSchedule, table: GainTable) -> float:
@@ -278,7 +303,7 @@ class Problem:
         if any_capped:
             # a capped column's multiplier term 2 sigma h_j - lam_j > 0
             t = t - np.where(capped, lam_hat[1:], 0.0)[seg]
-        a = -dd2 * t / dd
+        a = newton_diagonal(dd, dd2, t)
         inv_a = np.where(active, 0.0, 1.0 / a) if any_active else 1.0 / a
         col = None   # each capped column's Sherman-Morrison factor
         if any_capped:
@@ -459,15 +484,19 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     """Run the full multiplier-penalty loop and return the best allocation.
 
     A cold solve starts from the average allocation with lam = 0 and
-    sigma = :data:`SIGMA0`.  ``warm`` is a previous solve's
+    the largest power of two sigma with 2 sigma kappa0 <= :data:`MASS0`,
+    but at least :data:`SIGMA0` (kappa0 the data row's curvature there, see
+    the module docstring).  ``warm`` is a previous solve's
     ``(allocation, result)`` on the same relay layout, typically at a
     nearby floor; the loop then starts from that allocation, its
     ``lam_hat`` and its ``sigma``, with the case (b) flag cleared (the
     method-of-multipliers continuation; Bertsekas, Constrained
     Optimization and Lagrange Multiplier Methods, 1982, sec. 2.2).  The
     average allocation's data pass is the feasibility test either way,
-    and it runs first.  A warm allocation on another relay layout than the
-    table's, or a ``lam_hat`` without 2M+N-1 entries, raises
+    and it runs first; the start point's SNR product feeds both its
+    residuals and the derivative pair the first cycle starts from.  A
+    warm allocation on another relay layout than the table's, or a
+    ``lam_hat`` without 2M+N-1 entries, raises
     ``ValueError``.  The start point is scaled and clipped to x >= 0
     once; each cycle starts from the last cycle's record (its x and
     residuals).  The returned iterate is the record that passed the stop
@@ -500,7 +529,8 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
 
     problem = Problem(cfg, sched, d_min, table)
     x = problem.to_scaled(average_alloc(cfg, sched))
-    h = problem.residuals_scaled(x)
+    snr = problem.table.snr(x)
+    h = problem.residuals_scaled(x, snr=snr)
     if h[0] < -1e-12:
         raise InfeasibleDataFloor(
             f"data floor {d_min:.6g} bits exceeds the {(h[0] + 1.0) * d_min:.6g} bits "
@@ -515,10 +545,19 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
                              f"not 2M+N-1 = {lam.size}")
         lam, sigma = warm_result.lam_hat, warm_result.sigma
         x = np.maximum(problem.to_scaled(warm_alloc), 0.0)
-        h = problem.residuals_scaled(x)
+        snr = problem.table.snr(x)
+        h = problem.residuals_scaled(x, snr=snr)
+    # the data derivative pair at x; x does not move between cycles
+    derivs = problem.table.data_derivatives(x, snr)
+    if warm is None:
+        # kappa0, the data row's mass per unit 2 sigma at the average
+        # allocation, where no column is capped and no entry epsilon-active
+        dd, dd2 = derivs
+        target = MASS0 / (2.0 * float(dd @ (dd / newton_diagonal(dd, dd2, problem._t_entry))))
+        if SIGMA0 < target:
+            sigma = math.ldexp(0.5, math.frexp(target)[1])   # the largest power of two <= target
 
     history: list[CycleRecord] = []
-    derivs = None   # the data derivative pair at x; x does not move between cycles
     prev_inf = math.inf
     stopped = None  # the record that passed the stop test
     for _ in range(options.n_max + 1):

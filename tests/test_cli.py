@@ -34,13 +34,17 @@ def test_run_command(tmp_path, capsys):
 
 
 def test_config_error_exit_code(tmp_path, capsys):
-    # a missing key, a negative cycle cap, a zero tolerance, a NaN cell,
-    # a negative or zero data floor, a zero CSI exponent, a beamwidth
-    # outside (0, 180) degrees, a negative seed: each fails as the file
-    # loads, naming it, so no study runs a point and no CSV is written
+    # a missing key, a negative cycle cap, a zero, infinite, NaN or unit
+    # tolerance, a NaN cell, a negative or zero data floor, a zero CSI
+    # exponent, a beamwidth outside (0, 180) degrees, a negative seed: each
+    # fails as the file loads, naming it, so no study runs a point and no
+    # CSV is written
     for text, needle in (("m = 4\nv_kmh = 300\npt_dbm = 40\n", "d_l"),
                          (REF_CONFIG + "solver_n_max = -1\n", "n_max >= 0"),
                          (REF_CONFIG + "solver_eps = 0\n", "eps > 0"),
+                         (REF_CONFIG + "solver_eps = inf\n", "eps > 0"),
+                         (REF_CONFIG + "solver_eps = nan\n", "eps > 0"),
+                         (REF_CONFIG + "solver_eps = 1\n", "eps > 0"),
                          (REF_CONFIG.replace("d_l = 200", "d_l = nan"), "d_l must be finite"),
                          (REF_CONFIG + "d_min_bits = -5\n", "d_min_bits must be positive"),
                          (REF_CONFIG + "d_min_bits = 0\n", "d_min_bits must be positive"),
@@ -200,11 +204,11 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "bench" / "scenarios"
 
 # criterion 10: the sha256 prefix of each CLI CSV
 CSV_PINS = {
-    "reference run": (["run", "reference.cfg"], "781560999703"),
+    "reference run": (["run", "reference.cfg"], "e61ccd2445b8"),
     "M sweep": (["sweep", "reference.cfg", "--param", "M", "--values", "2,3,4,5,6"],
-                "54cfedd3589b"),
+                "fc8e5f1676c6"),
     "velocity-error study": (["mc-velocity", "reference.cfg", "--sigmas", "0,1,2,3,4,5",
-                              "--trials", "100"], "abe4ffbcf8c2"),
+                              "--trials", "100"], "897d2cb89c82"),
     "fading run": (["run", "fading.cfg"], "7559a0d0c54b"),
     "fading d_l sweep": (["sweep", "fading.cfg", "--param", "d_l", "--values",
                           "140,200,240", "--trials", "3"], "eb8ec6ce06b7"),

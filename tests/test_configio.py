@@ -102,7 +102,8 @@ def test_solver_keys():
     assert options.solver == SolverOptions(n_max=7)   # the other keeps its default
     assert parse_config_text(MINIMAL)[1].solver == SolverOptions()
     # SolverOptions validates, and a bad setting is a config error
-    for bad in ("solver_n_max = -1", "solver_eps = 0", "solver_eps = -1e-4"):
+    for bad in ("solver_n_max = -1", "solver_eps = 0", "solver_eps = -1e-4", "solver_eps = inf",
+                "solver_eps = nan", "solver_eps = 1"):
         with pytest.raises(ConfigError, match="eps > 0, n_max >= 0"):
             parse_config_text(MINIMAL + bad + "\n")
 

@@ -250,12 +250,15 @@ def update_from(h_now, sigma_grew, prev_inf):
                         LAM - 2.0 * SIGMA * h_now, prev_inf)
 
 
-def test_solver_options_validation():
+def test_solver_options_validation(monkeypatch):
     assert SolverOptions() == SolverOptions(eps=1e-4, n_max=100)
-    for bad in ({"eps": 0.0}, {"eps": -1e-4}, {"n_max": -1}):
+    for bad in ({"eps": 0.0}, {"eps": -1e-4}, {"n_max": -1}, {"eps": math.inf},
+                {"eps": math.nan}, {"eps": 1.0}):
         with pytest.raises(ValueError):
             SolverOptions(**bad)
-    # a cold solve's first cycle runs at the initial penalty factor
+    # without the start rule a cold solve's first cycle runs at the
+    # initial penalty factor
+    monkeypatch.setattr(optimizer, "MASS0", 0.0)
     assert solve(reference_config())[1].history[0].sigma == optimizer.SIGMA0 == 1.0
 
 
@@ -271,6 +274,7 @@ def test_solve_stops_on_the_first_cycle_within_tolerance(monkeypatch, rho, m):
         return update_state(*args)
 
     monkeypatch.setattr(optimizer, "update_state", counted)
+    monkeypatch.setattr(optimizer, "MASS0", 0.0)
     _, res = solve(reference_config(num_relays=m, rho=rho))
     eps = SolverOptions().eps
     assert res.converged
@@ -279,10 +283,11 @@ def test_solve_stops_on_the_first_cycle_within_tolerance(monkeypatch, rho, m):
     assert len(calls) == res.cycles - 1
 
 
-def test_converged_means_feasible_and_stationary():
+def test_converged_means_feasible_and_stationary(monkeypatch):
     # at rho = 1.0, M = 4 the first cycle within eps of the floor is not yet
     # KKT-stationary: the loop runs one more cycle, and converged holds only
     # for the stationary record, which the solve returns
+    monkeypatch.setattr(optimizer, "MASS0", 0.0)
     cfg = reference_config(num_relays=4, rho=1.0)
     sched = segment_boundaries(cfg)
     table = build_gain_table(cfg, sched)
@@ -341,6 +346,49 @@ def test_small_floor_solve_converges_in_few_steps(rho, m):
     assert res.converged
     assert kkt_residual(alloc, res.lam_hat, cfg, sched, d_min, table) <= 10 * SolverOptions().eps
     assert sum(c.inner_steps for c in res.history) <= 1000
+
+
+def start_penalty(cfg):
+    """A cold solve's first penalty factor at cfg, with kappa0 formed here:
+    the data row's sum of D'_k^2 / a_k at the average allocation, a_k the
+    uncapped Newton diagonal |D''_k| t_k / D'_k."""
+    sched = segment_boundaries(cfg)
+    table = build_gain_table(cfg, sched)
+    problem = Problem(cfg, sched, data_floor(cfg, sched, table), table)
+    dd, dd2 = problem.table.data_derivatives(problem.to_scaled(average_alloc(cfg, sched)))
+    kappa0 = float(np.sum(dd * dd / (-dd2 * problem.t_norm[problem.segment] / dd)))
+    _, res = solve(cfg, sched, table=table, options=SolverOptions(n_max=0))
+    return res.history[0].sigma, kappa0
+
+
+@pytest.mark.parametrize("rho, m", [(0.5, 4), (0.8, 4), (0.97, 4), (1.0, 6)])
+def test_cold_solve_starts_at_the_penalty_its_data_curvature_asks_for(rho, m):
+    # sigma0 is the largest power of two with 2 sigma0 kappa0 <= MASS0
+    sigma0, kappa0 = start_penalty(reference_config(num_relays=m, rho=rho))
+    assert sigma0 > optimizer.SIGMA0 and math.frexp(sigma0)[0] == 0.5
+    assert optimizer.MASS0 / 2 < 2.0 * sigma0 * kappa0 <= optimizer.MASS0
+
+
+@pytest.mark.parametrize("key, value", [("rho", 1e-2), ("rho", 1e-5), ("pathloss_exp", 8.0),
+                                        ("d_min_bits", 1.0)])
+def test_small_floor_cold_solve_starts_at_sigma0(key, value):
+    # kappa0 grows as the floor shrinks: here it asks for less than SIGMA0
+    assert start_penalty(reference_config(**{key: value}))[0] == optimizer.SIGMA0
+
+
+def test_every_cycle_penalty_is_a_power_of_two():
+    # the start rule and the growth rules keep sigma a power of two, so the
+    # cap shift lam / 2 sigma and 2 sigma h stay exact, cold and warm
+    for m in (1, 2, 4, 8):
+        for n in (1, 4):
+            for rho in (0.5, 0.9, 1.0):
+                cfg = reference_config(num_relays=m, num_bins=n, rho=rho)
+                sched = segment_boundaries(cfg)
+                table = build_gain_table(cfg, sched)
+                cold = solve(cfg, sched, table=table)
+                warm = solve(cfg.with_(rho=0.99 * rho), sched, warm=cold, table=table)
+                for res in (cold[1], warm[1]):
+                    assert all(math.frexp(rec.sigma)[0] == 0.5 for rec in res.history)
 
 
 def test_stalled_solve_ends_at_the_penalty_ceiling():
@@ -724,6 +772,7 @@ def test_inner_descent_one_data_pass_per_merit_evaluation(monkeypatch):
                         counted("data", GainTable.segment_data_matrix))
     monkeypatch.setattr(Problem, "phi", counted("phi", Problem.phi))
     monkeypatch.setattr(optimizer, "inner_descent", counted_inner)
+    monkeypatch.setattr(optimizer, "MASS0", 0.0)
     cold = None
     for rho, warm_start, fixed in ((0.8, False, 2), (0.97, False, 3), (0.79, True, 3)):
         cfg = reference_config(rho=rho)
@@ -806,12 +855,13 @@ def test_solve_out_of_cycles_returns_its_lowest_residual_cycle(monkeypatch):
 
 
 @pytest.mark.parametrize("rho, warm_rho", [(0.8, None), (0.79, 0.8), (0.99, None)])
-def test_cycle_records_hold_their_iterates_figures(rho, warm_rho):
+def test_cycle_records_hold_their_iterates_figures(monkeypatch, rho, warm_rho):
     # a cold, a warm and a caps-binding solve: each record's residuals,
     # norm, energy, merit value and multiplier estimate are its own
     # iterate's, bit for bit, under the multipliers and penalty its cycle
     # ran with, replayed here through the update rules; and every field
     # equals the reference inner loop's, run from the cycle's start
+    monkeypatch.setattr(optimizer, "MASS0", 0.0)
     cfg = reference_config(rho=rho)
     sched = segment_boundaries(cfg)
     table = build_gain_table(cfg, sched)
@@ -1116,10 +1166,9 @@ def test_newton_direction_is_exact_for_a_one_node_entry():
     assert abs(x[0] + d[0] - root) <= 1e-9 * root
 
 
-def test_caps_binding_solves_within_their_work_budget():
-    # deterministic counts over the three cold caps-binding solves: 37
-    # cycles, 96 inner steps and 166 merit evaluations as measured; the
-    # bounds leave about 15% of headroom
+def caps_binding_work():
+    """Cycles, inner steps and merit evaluations over the three cold
+    caps-binding solves, each of which converges."""
     cycles = steps = evals = 0
     for rho, m in ((0.97, 4), (0.99, 4), (1.0, 2)):
         cfg = reference_config(num_relays=m, rho=rho)
@@ -1128,18 +1177,37 @@ def test_caps_binding_solves_within_their_work_budget():
         cycles += res.cycles
         steps += sum(c.inner_steps for c in res.history)
         evals += sum(c.merit_evals for c in res.history)
+    return cycles, steps, evals
+
+
+def test_caps_binding_solves_within_their_work_budget(monkeypatch):
+    # deterministic counts from sigma = SIGMA0 (MASS0 = 0, no start rule):
+    # 37 cycles, 96 inner steps and 166 merit evaluations as measured; the
+    # bounds leave about 15% of headroom
+    monkeypatch.setattr(optimizer, "MASS0", 0.0)
+    cycles, steps, evals = caps_binding_work()
     assert cycles == 37
     assert steps <= 110
     assert evals <= 190
 
 
+def test_caps_binding_solves_within_their_start_rule_work_budget():
+    # under the start rule: 10 cycles, 32 inner steps and 77 merit
+    # evaluations as measured, with the same headroom
+    cycles, steps, evals = caps_binding_work()
+    assert cycles == 10
+    assert steps <= 37
+    assert evals <= 88
+
+
 @pytest.mark.parametrize("rho, m", [(0.8, 4), (0.97, 4), (0.99, 4), (1.0, 2), (1.0, 4)])
 def test_solve_makes_one_derivative_pass_per_inner_step_plus_one(monkeypatch, rho, m):
     # each cycle hands the pair at its final iterate to the next, and every
-    # accepted step's SNR product feeds the following pass; the stop test
-    # reads the pair its cycle handed on.  Each inner step forms one merit
-    # gradient and one direction, and each cycle one more gradient, at the
-    # iterate where it stops
+    # accepted step's SNR product feeds the following pass, as the start
+    # point's feeds the first; the stop test reads the pair its cycle
+    # handed on.  Each inner step forms one merit gradient and one
+    # direction, and each cycle one more gradient, at the iterate where it
+    # stops
     passes, calls = [], {"grad_phi": 0, "newton_direction": 0}
     derivatives = GainTable.data_derivatives
 
@@ -1165,7 +1233,7 @@ def test_solve_makes_one_derivative_pass_per_inner_step_plus_one(monkeypatch, rh
         alloc, res = solve(*args, **kwargs)
         steps = sum(c.inner_steps for c in res.history)
         assert len(passes) == steps + 1
-        assert sum(passes) == steps    # only the first pass forms its own product
+        assert all(passes)    # every pass reads a product a data pass formed
         # no step cap here; a cycle that stalls formed a direction it never took
         reasons = [c.inner_reason for c in res.history]
         assert calls == {"grad_phi": steps + res.cycles,
