@@ -69,7 +69,7 @@ class ConfigError(ValueError):
     def __init__(self, message, path=None, line=None):
         loc = ""
         if path is not None:
-            loc = f"{path}:" if line is None else f"{path}:{line}: "
+            loc = f"{path}: " if line is None else f"{path}:{line}: "
         super().__init__(f"{loc}{message}")
 
 

@@ -38,12 +38,11 @@ kappa the data row's dual curvature (Bertsekas 1982, ch. 2).  At the start
 point no column is capped and no entry is epsilon-active, so kappa0 =
 sum_k D'_k^2 / a_k (a_k the Newton diagonal below) and 2 sigma kappa0 is
 the data row's mass in the first Newton direction.  sigma0 is the largest
-power of two with 2 sigma0 kappa0 <= :data:`MASS0`, and never below
-:data:`SIGMA0`.  The rule is relative because kappa0 grows as the floor
-shrinks: a caps-binding solve starts near sigma = 1024 instead of growing
-there from 1 over ten-odd cycles, while at small floors kappa0 is so large
-that sigma0 = SIGMA0, where a fixed larger start leaves solves unconverged.
-A warm solve keeps its warm result's sigma.
+power of two with 2 sigma0 kappa0 <= :data:`MASS0`, with no lower bound:
+kappa0 grows as the floor shrinks, so a caps-binding solve starts near
+sigma = 1024 and a small floor far below 1, where sigma = 1 would give the
+Woodbury update below a data mass of up to 1e14 and no digits.  A warm
+solve keeps its warm result's sigma.
 
 Inside the solver, powers are scaled by P_T and data by D_min so the
 residual components are comparable under the max norm; :func:`solve`
@@ -79,9 +78,9 @@ stored, computed or masked out.
 the merit function, its derivatives and the residuals.  The two solver
 settings (tolerance and cycle cap) live in one frozen
 :class:`SolverOptions`, which owns their defaults and validation; the
-method's constants (least initial penalty :data:`SIGMA0`, initial data
-mass :data:`MASS0`, growth factor :data:`GROWTH`, per-cycle step guard
-:data:`INNER_CAP`) are fixed, like rule (b)'s ratio of 1/4.  The history
+method's constants (initial data mass :data:`MASS0`, growth factor
+:data:`GROWTH`, per-cycle step guard :data:`INNER_CAP`) are fixed, like
+rule (b)'s ratio of 1/4.  The history
 of :class:`CycleRecord`, each with its scaled iterate, residuals and
 multiplier estimate, is the one record
 of a solve's cycles, a record's index in it is its cycle number, and the
@@ -158,7 +157,6 @@ class InfeasibleDataFloor(ValueError):
 
 _log = logging.getLogger(__name__)
 
-SIGMA0 = 1.0       # least initial penalty factor
 MASS0 = 64.0       # a cold solve's initial data-row mass 2 sigma kappa0 (module docstring)
 GROWTH = 4.0       # penalty growth factor of rules (a) and (c)
 INNER_CAP = 5000   # inner descent steps per cycle; a Newton solve takes tens in all
@@ -173,10 +171,8 @@ _REFINE_STEPS = 3
 
 
 def cap_shift(lam: np.ndarray, sigma: float) -> np.ndarray:
-    """The budget rows' shift lam_j / 2 sigma, the floor of their shifted
-    residuals; at sigma = 0 its limit, -inf where lam_j < 0 and else 0."""
-    if sigma == 0.0:
-        return np.where(lam[1:] < 0.0, -np.inf, 0.0)
+    """The budget rows' shift lam_j / 2 sigma (sigma > 0), the floor of their
+    shifted residuals."""
     return lam[1:] / (2.0 * sigma)
 
 
@@ -483,39 +479,36 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
           table: GainTable | None = None) -> tuple[AllocationMatrix, SolveResult]:
     """Run the full multiplier-penalty loop and return the best allocation.
 
-    A cold solve starts from the average allocation with lam = 0 and
-    the largest power of two sigma with 2 sigma kappa0 <= :data:`MASS0`,
-    but at least :data:`SIGMA0` (kappa0 the data row's curvature there, see
-    the module docstring).  ``warm`` is a previous solve's
-    ``(allocation, result)`` on the same relay layout, typically at a
-    nearby floor; the loop then starts from that allocation, its
+    A cold solve starts from the average allocation with lam = 0 and the
+    largest power of two sigma with 2 sigma kappa0 <= :data:`MASS0` (kappa0 the
+    data row's curvature there, see the module docstring).  ``warm`` is a
+    previous solve's ``(allocation, result)`` on the same relay layout,
+    typically at a nearby floor; the loop then starts from that allocation, its
     ``lam_hat`` and its ``sigma``, with the case (b) flag cleared (the
-    method-of-multipliers continuation; Bertsekas, Constrained
-    Optimization and Lagrange Multiplier Methods, 1982, sec. 2.2).  The
-    average allocation's data pass is the feasibility test either way,
-    and it runs first; the start point's SNR product feeds both its
-    residuals and the derivative pair the first cycle starts from.  A
-    warm allocation on another relay layout than the table's, or a
-    ``lam_hat`` without 2M+N-1 entries, raises
-    ``ValueError``.  The start point is scaled and clipped to x >= 0
-    once; each cycle starts from the last cycle's record (its x and
-    residuals).  The returned iterate is the record that passed the stop
-    test (within eps of the floor and KKT-stationary, see the module
-    docstring), or, when none did, the history's best record (lowest
-    constraint violation, then lowest energy, then earliest); it is scaled
-    back in any column over the budget and converted to watts once, at
-    return, and the result is ``converged`` when a record passed the stop
-    test and the violation after that scaling is still within eps.  The
-    result's ``energy_j`` and ``data_bits`` are
-    :func:`metrics.compute_metrics` of the returned allocation on
-    ``table``, the figures a harness row reports for it.
-    Raises ``ValueError`` for a floor that is not positive and
-    :class:`InfeasibleDataFloor` when the floor exceeds the data the
-    average allocation delivers at the full per-segment budget.  A run
+    method-of-multipliers continuation; Bertsekas, Constrained Optimization and
+    Lagrange Multiplier Methods, 1982, sec. 2.2).  The average allocation's
+    data pass is the feasibility test either way, and it runs first; the start
+    point's SNR product feeds both its residuals and the derivative pair the
+    first cycle starts from.  A warm allocation on another relay layout than
+    the table's, or a ``lam_hat`` without 2M+N-1 entries, raises
+    ``ValueError``.  The start point is scaled and clipped to x >= 0 once; each
+    cycle starts from the last cycle's record (its x and residuals).  The
+    returned iterate is the record that passed the stop test (within eps of the
+    floor and KKT-stationary, see the module docstring), or, when none did, the
+    history's best record (lowest constraint violation, then lowest energy,
+    then earliest); it is scaled back in any column over the budget and
+    converted to watts once, at return, and the result is ``converged`` when a
+    record passed the stop test and the violation after that scaling is still
+    within eps.  The result's ``energy_j`` and ``data_bits`` are
+    :func:`metrics.compute_metrics` of the returned allocation on ``table``,
+    the figures a harness row reports for it.  Raises ``ValueError`` for a
+    floor that is not positive, or, on a cold solve, so small that kappa0 is
+    not finite, and :class:`InfeasibleDataFloor` when the floor exceeds the
+    data the average allocation delivers at the full per-segment budget.  A run
     that exhausts the outer cycle budget, or whose penalty factor passes
     :data:`SIGMA_MAX`, returns its best cycle's iterate flagged as
-    non-converged, also when that iterate is within eps of the floor but
-    not stationary.
+    non-converged, also when that iterate is within eps of the floor but not
+    stationary.
     When the inner loop that produced the returned iterate stopped on
     ``cap`` or ``stall``, a warning goes to the ``railpower.optimizer`` logger.
     """
@@ -525,17 +518,31 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
         table = build_gain_table(cfg, sched)
     if d_min is None:
         d_min = data_floor(cfg, sched, table)
-    lam, sigma, sigma_grew = np.zeros(2 * cfg.num_relays + cfg.num_bins - 1), SIGMA0, False
+    lam, sigma_grew = np.zeros(2 * cfg.num_relays + cfg.num_bins - 1), False
 
     problem = Problem(cfg, sched, d_min, table)
     x = problem.to_scaled(average_alloc(cfg, sched))
     snr = problem.table.snr(x)
-    h = problem.residuals_scaled(x, snr=snr)
-    if h[0] < -1e-12:
-        raise InfeasibleDataFloor(
-            f"data floor {d_min:.6g} bits exceeds the {(h[0] + 1.0) * d_min:.6g} bits "
-            "the average allocation delivers at the full per-segment budget"
-        )
+    # a floor so small that the scaled data overflows leaves kappa0 below
+    # not finite, which a cold solve raises on
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = problem.residuals_scaled(x, snr=snr)
+        if h[0] < -1e-12:
+            raise InfeasibleDataFloor(
+                f"data floor {d_min:.6g} bits exceeds the {(h[0] + 1.0) * d_min:.6g} bits "
+                "the average allocation delivers at the full per-segment budget"
+            )
+        if warm is None:
+            # the data derivative pair at x, and kappa0, the data row's mass
+            # per unit 2 sigma there: no column is capped, no entry epsilon-active
+            derivs = problem.table.data_derivatives(x, snr)
+            dd, dd2 = derivs
+            kappa0 = float(dd @ (dd / newton_diagonal(dd, dd2, problem._t_entry)))
+            if not 0.0 < kappa0 < math.inf:
+                raise ValueError(f"data floor {d_min:.6g} bits is out of the solver's range: "
+                                 f"the data curvature at the average allocation is {kappa0:.3g}")
+            # the largest power of two sigma with 2 sigma kappa0 <= MASS0
+            sigma = math.ldexp(0.5, math.frexp(0.5 * MASS0 / kappa0)[1])
     if warm is not None:
         warm_alloc, warm_result = warm
         if warm_alloc.layout is not table.layout:
@@ -547,15 +554,7 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
         x = np.maximum(problem.to_scaled(warm_alloc), 0.0)
         snr = problem.table.snr(x)
         h = problem.residuals_scaled(x, snr=snr)
-    # the data derivative pair at x; x does not move between cycles
-    derivs = problem.table.data_derivatives(x, snr)
-    if warm is None:
-        # kappa0, the data row's mass per unit 2 sigma at the average
-        # allocation, where no column is capped and no entry epsilon-active
-        dd, dd2 = derivs
-        target = MASS0 / (2.0 * float(dd @ (dd / newton_diagonal(dd, dd2, problem._t_entry))))
-        if SIGMA0 < target:
-            sigma = math.ldexp(0.5, math.frexp(target)[1])   # the largest power of two <= target
+        derivs = problem.table.data_derivatives(x, snr)   # x does not move between cycles
 
     history: list[CycleRecord] = []
     prev_inf = math.inf
@@ -587,13 +586,12 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     # is above the budget back until none is; a factor of at most 1 - 2**-52
     # lowers each entry by at least one ulp, so the loop ends with the sums exact
     sums = problem.layout.column_sums(x * cfg.p_t)
-    over = sums > cfg.p_t
-    if np.count_nonzero(over):
-        while np.count_nonzero(over):
-            shrink = np.minimum(cfg.p_t / sums, 1.0 - 2.0 ** -52)
-            x = x * np.where(over, shrink, 1.0)[problem.segment]
+    if np.count_nonzero(sums > cfg.p_t):
+        while np.count_nonzero(over := sums > cfg.p_t):
+            shrink = np.ones_like(sums)   # divide only these sums: an empty column's is 0
+            shrink[over] = np.minimum(cfg.p_t / sums[over], 1.0 - 2.0 ** -52)
+            x = x * shrink[problem.segment]
             sums = problem.layout.column_sums(x * cfg.p_t)
-            over = sums > cfg.p_t
         hinf = _violation(problem.residuals_scaled(x))
     alloc = problem.to_physical(x)
     figures = compute_metrics(alloc, cfg, sched, table)

@@ -45,6 +45,10 @@ def test_speed_given_twice_or_not_at_all():
 def test_missing_required_key_is_named():
     with pytest.raises(ConfigError, match="'m'"):
         parse_config_text("d_l=200\nv_kmh=300\npt_dbm=40\n")
+    # an error without a line number separates the path from the message
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("d_l=200\nv_kmh=300\npt_dbm=40\n", path="nom.cfg")
+    assert str(err.value) == "nom.cfg: missing required key 'm'"
 
 
 def test_unknown_key_reports_line_number():
