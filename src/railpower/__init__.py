@@ -18,8 +18,7 @@ from .metrics import (AllocationMatrix, GainTable, MetricsRecord, build_gain_tab
                       compute_metrics, energy_efficiency, sample_fading_trace,
                       spectral_efficiency, total_energy)
 from .allocators import average_alloc, constant_alloc, csi_alloc, random_alloc
-from .optimizer import (InfeasibleDataFloor, SolveResult, SolverOptions, data_floor,
-                        kkt_residual, solve)
+from .optimizer import InfeasibleDataFloor, SolveResult, data_floor, kkt_residual, solve
 from .doppler import (DopplerTable, RsrpWindow, build_table, estimate_doppler,
                       max_doppler, rsrp_at, true_doppler)
 from .configio import ConfigError, HarnessOptions, SCHEMES, load_config, scenario_hash

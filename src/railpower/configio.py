@@ -13,16 +13,15 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .optimizer import SolverOptions
 from .scenario import KMH_TO_MPS, ScenarioConfig, dbm_to_watts
 
 SCHEMES = ("constant", "random", "average", "csi", "optimized")
 
 REQUIRED = ("m", "d_l", "v_kmh", "pt_dbm")
 
-# Where a key's parsed value goes: a ScenarioConfig field, a SolverOptions
-# field, or a HarnessOptions field (the scheme list).
-SCENARIO, SOLVER, HARNESS = "scenario", "solver", "harness"
+# Where a key's parsed value goes: a ScenarioConfig field or a HarnessOptions
+# field (the scheme list).
+SCENARIO, HARNESS = "scenario", "harness"
 
 
 def _bool(text: str) -> bool:
@@ -57,8 +56,6 @@ KEYS = {
     "quad_n": (int, (SCENARIO, "quad_n")),
     "csi_alpha": (float, (SCENARIO, "csi_alpha")),
     "fading": (_bool, (SCENARIO, "fading")),
-    "solver_eps": (float, (SOLVER, "eps")),
-    "solver_n_max": (int, (SOLVER, "n_max")),
     "schemes": (_names, (HARNESS, "schemes")),
 }
 
@@ -78,7 +75,6 @@ class HarnessOptions:
     """Harness-level knobs parsed alongside the physical scenario."""
 
     schemes: tuple[str, ...] = SCHEMES
-    solver: SolverOptions = SolverOptions()
 
     def __post_init__(self):
         if not self.schemes:
@@ -110,7 +106,7 @@ def parse_config_text(text: str, path: str = "<config>") -> tuple[ScenarioConfig
         raw[key] = value
         lines[key] = lineno
 
-    kwargs: dict[str, dict] = {SCENARIO: {}, SOLVER: {}, HARNESS: {}}
+    kwargs: dict[str, dict] = {SCENARIO: {}, HARNESS: {}}
     for key, value in raw.items():
         parse, (kind, name) = KEYS[key]
         try:
@@ -127,11 +123,10 @@ def parse_config_text(text: str, path: str = "<config>") -> tuple[ScenarioConfig
 
     try:
         cfg = ScenarioConfig(**kwargs[SCENARIO])
-        solver = SolverOptions(**kwargs[SOLVER])
     except ValueError as exc:
         raise ConfigError(str(exc), path) from exc
     try:
-        options = HarnessOptions(solver=solver, **kwargs[HARNESS])
+        options = HarnessOptions(**kwargs[HARNESS])
     except ValueError as exc:
         raise ConfigError(str(exc), path, lines["schemes"]) from exc
     return cfg, options

@@ -42,8 +42,8 @@ sequence, and a chain never crosses tasks, so the CSV does not depend on
 the trials of a fading sweep value) are therefore no longer bit-identical
 to each other: each is a converged solve within the solver tolerance of
 the floor.  A value with one trial solves cold, as a plain run does.
-Solver settings reach :func:`optimizer.solve` as the one
-:class:`optimizer.SolverOptions` held by :class:`HarnessOptions`.
+A row meets the floor within the solver's own tolerance,
+:data:`optimizer.EPS`.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ import numpy as np
 
 from . import allocators, metrics, optimizer
 from .configio import KEYS, SCHEMES, HarnessOptions, load_config, scenario_hash
-from .scenario import ScenarioConfig, SegmentSchedule, segment_boundaries
+from .scenario import ScenarioConfig, SegmentSchedule, _require_count, segment_boundaries
 
 CSV_VERSION = "railpower csv v1"
 CSV_COLUMNS = (
@@ -135,6 +135,7 @@ class SweepSpec:
                     raise ValueError(f"{self.param} value {v!r} is out of range") from None
         if self.param == "sigma_v" and min(self.values) < 0:
             raise ValueError(f"sigma_v values must be >= 0, got {min(self.values)!r}")
+        _require_count("trials", self.trials)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -283,7 +284,7 @@ def run_point(point: ScenarioConfig | PreparedPoint, options: HarnessOptions,
             elif scheme == "optimized":   # HarnessOptions admits no other name
                 solution = alloc, diag = optimizer.solve(
                     cfg, sched, warm, d_min=d_min_bits * ((cfg.v + speed_error) / cfg.v),
-                    options=options.solver, table=det_table)
+                    table=det_table)
                 cycles, h_inf, converged = diag.cycles, diag.h_inf, diag.converged
                 # a deterministic row's figures are its solve's: compute_metrics
                 # of alloc on det_table
@@ -302,7 +303,7 @@ def run_point(point: ScenarioConfig | PreparedPoint, options: HarnessOptions,
         records.append(_record(
             columns, scheme, energy_j=rec.energy_j, data_bits=rec.data_bits,
             se=metrics.spectral_efficiency(rec.data_bits, cfg, sched),
-            meets_floor=bool(rec.data_bits >= d_min_bits * (1.0 - options.solver.eps)),
+            meets_floor=bool(rec.data_bits >= d_min_bits * (1.0 - optimizer.EPS)),
             converged=converged, cycles=cycles, h_inf=h_inf,
             wall_time_s=time.perf_counter() - start, solution=solution))
     return records

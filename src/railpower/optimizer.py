@@ -14,9 +14,9 @@ the shifted one-sided residual h_j = max(s_j - 1, lam_j / 2 sigma)
 1982, sec. 3.1), minimised by projected Newton descent in an inner loop.
 Each cycle of :func:`solve` runs the inner descent, records the cycle,
 and stops once the record is feasible and stationary: its constraint
-violation max(|h_0|, max_j h_j) is at most eps and the KKT
+violation max(|h_0|, max_j h_j) is at most :data:`EPS` and the KKT
 residual (:meth:`Problem.kkt_residual`) at its iterate and multiplier
-estimate is at most 10 eps.  Otherwise the multipliers are corrected or
+estimate is at most 10 EPS.  Otherwise the multipliers are corrected or
 the penalty factor grown according to how fast the violation v shrinks:
 
   (a) v_now >= v_prev                        -> grow sigma, keep lam
@@ -75,12 +75,11 @@ in the cell, in the compact order of the table's
 column sums are the layout's one ``bincount``, and no inactive entry is
 stored, computed or masked out.
 :class:`Problem` over a :class:`GainTable` is the one representation of
-the merit function, its derivatives and the residuals.  The two solver
-settings (tolerance and cycle cap) live in one frozen
-:class:`SolverOptions`, which owns their defaults and validation; the
-method's constants (initial data mass :data:`MASS0`, growth factor
-:data:`GROWTH`, per-cycle step guard :data:`INNER_CAP`) are fixed, like
-rule (b)'s ratio of 1/4.  The history
+the merit function, its derivatives and the residuals.  The method's
+settings are module constants, fixed like rule (b)'s ratio of 1/4: the
+tolerance :data:`EPS`, the outer cycle cap :data:`N_MAX`, the initial data
+mass :data:`MASS0`, the growth factor :data:`GROWTH` and the per-cycle step
+guard :data:`INNER_CAP`.  The history
 of :class:`CycleRecord`, each with its scaled iterate, residuals and
 multiplier estimate, is the one record
 of a solve's cycles, a record's index in it is its cycle number, and the
@@ -157,6 +156,8 @@ class InfeasibleDataFloor(ValueError):
 
 _log = logging.getLogger(__name__)
 
+EPS = 1e-4         # tolerance on the scaled constraint violation and the gradient norm
+N_MAX = 100        # outer cycle cap: a solve runs at most N_MAX + 1 cycles
 MASS0 = 64.0       # a cold solve's initial data-row mass 2 sigma kappa0 (module docstring)
 GROWTH = 4.0       # penalty growth factor of rules (a) and (c)
 INNER_CAP = 5000   # inner descent steps per cycle; a Newton solve takes tens in all
@@ -185,20 +186,6 @@ def newton_diagonal(dd: np.ndarray, dd2: np.ndarray, t: np.ndarray) -> np.ndarra
 def _violation(h: np.ndarray) -> float:
     """Constraint violation of shifted residuals h: max(|h_0|, max_j h_j)."""
     return max(abs(float(h[0])), float(np.maximum.reduce(h[1:])))
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Solver settings: the one place their defaults are written."""
-
-    eps: float = 1e-4        # tolerance on the scaled constraint violation, in (0, 1)
-    n_max: int = 100         # outer cycle cap, >= 0
-
-    def __post_init__(self):
-        # NaN fails the comparison; at eps >= 1 a harness row's floor test
-        # d >= d_min (1 - eps) passes any allocation, one of no data included
-        if not 0.0 < self.eps < 1.0 or self.n_max < 0:
-            raise ValueError("require eps > 0, n_max >= 0 and a finite eps < 1")
 
 
 def data_floor(cfg: ScenarioConfig, sched: SegmentSchedule, table: GainTable) -> float:
@@ -379,7 +366,7 @@ class CycleRecord:
 
 
 def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarray, sigma: float,
-                  options: SolverOptions, derivs: tuple[np.ndarray, np.ndarray] | None = None
+                  derivs: tuple[np.ndarray, np.ndarray] | None = None
                   ) -> tuple[CycleRecord, tuple | None]:
     """Minimise phi(., lam, sigma) by projected Newton descent from x.
 
@@ -395,7 +382,7 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
     pass, and so is its SNR product, which feeds the next derivative pass:
     a loop makes one derivative pass per step, plus one unless ``derivs``
     was passed in.  Stops once the projected gradient norm falls below
-    ``options.eps``, on a backtracking stall, or at the step cap
+    :data:`EPS`, on a backtracking stall, or at the step cap
     :data:`INNER_CAP`; the last two flag the record rather than raising.
     """
     table = problem.table
@@ -415,7 +402,7 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
         pos = g > 0.0
         # projected gradient: no descent below zero at the bound
         pg = np.where((x <= 0.0) & pos, 0.0, g)
-        if math.sqrt(float(pg @ pg)) <= options.eps:
+        if math.sqrt(float(pg @ pg)) <= EPS:
             reason = "gradient"
             break
         d = problem.newton_direction(x, g, pos, dd, dd2, sigma, lam_hat, h[1:] > shift)
@@ -475,7 +462,7 @@ class SolveResult:
 
 def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
           warm: tuple[AllocationMatrix, SolveResult] | None = None,
-          d_min: float | None = None, options: SolverOptions = SolverOptions(),
+          d_min: float | None = None,
           table: GainTable | None = None) -> tuple[AllocationMatrix, SolveResult]:
     """Run the full multiplier-penalty loop and return the best allocation.
 
@@ -493,21 +480,21 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     the table's, or a ``lam_hat`` without 2M+N-1 entries, raises
     ``ValueError``.  The start point is scaled and clipped to x >= 0 once; each
     cycle starts from the last cycle's record (its x and residuals).  The
-    returned iterate is the record that passed the stop test (within eps of the
+    returned iterate is the record that passed the stop test (within EPS of the
     floor and KKT-stationary, see the module docstring), or, when none did, the
     history's best record (lowest constraint violation, then lowest energy,
     then earliest); it is scaled back in any column over the budget and
     converted to watts once, at return, and the result is ``converged`` when a
     record passed the stop test and the violation after that scaling is still
-    within eps.  The result's ``energy_j`` and ``data_bits`` are
+    within EPS.  The result's ``energy_j`` and ``data_bits`` are
     :func:`metrics.compute_metrics` of the returned allocation on ``table``,
     the figures a harness row reports for it.  Raises ``ValueError`` for a
     floor that is not positive, or, on a cold solve, so small that kappa0 is
     not finite, and :class:`InfeasibleDataFloor` when the floor exceeds the
     data the average allocation delivers at the full per-segment budget.  A run
-    that exhausts the outer cycle budget, or whose penalty factor passes
+    that exhausts its :data:`N_MAX` + 1 cycles, or whose penalty factor passes
     :data:`SIGMA_MAX`, returns its best cycle's iterate flagged as
-    non-converged, also when that iterate is within eps of the floor but not
+    non-converged, also when that iterate is within EPS of the floor but not
     stationary.
     When the inner loop that produced the returned iterate stopped on
     ``cap`` or ``stall``, a warning goes to the ``railpower.optimizer`` logger.
@@ -559,13 +546,13 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     history: list[CycleRecord] = []
     prev_inf = math.inf
     stopped = None  # the record that passed the stop test
-    for _ in range(options.n_max + 1):
-        rec, derivs = inner_descent(problem, x, h, lam, sigma, options, derivs)
+    for _ in range(N_MAX + 1):
+        rec, derivs = inner_descent(problem, x, h, lam, sigma, derivs)
         history.append(rec)
-        if rec.h_inf <= options.eps:
+        if rec.h_inf <= EPS:
             if derivs is None:   # a step-cap stop leaves the pair uncomputed
                 derivs = problem.table.data_derivatives(rec.x)
-            if problem.kkt_residual(rec.x, rec.lam_hat, rec.h, derivs[0]) <= 10.0 * options.eps:
+            if problem.kkt_residual(rec.x, rec.lam_hat, rec.h, derivs[0]) <= 10.0 * EPS:
                 stopped = rec
                 break
         lam, sigma, sigma_grew = update_state(lam, sigma, sigma_grew, rec.h_inf, rec.lam_hat,
@@ -597,7 +584,7 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     figures = compute_metrics(alloc, cfg, sched, table)
 
     result = SolveResult(
-        converged=stopped is not None and bool(hinf <= options.eps),
+        converged=stopped is not None and bool(hinf <= EPS),
         cycles=len(history),
         d_min=d_min,
         energy_j=figures.energy_j,

@@ -124,36 +124,22 @@ class FadingModel:
         return cls(a=math.sqrt(2.0 * k * sigma2), sigma=math.sqrt(sigma2))
 
 
-def _standard_pairs(rng: np.random.Generator, size) -> np.ndarray:
-    # one (2, *size) standard normal draw: z[0] and z[1] hold the values of
-    # two successive draws of size, and the stream ends where theirs would
+def _rician_parts(model: FadingModel, rng: np.random.Generator, size):
+    # one (2, *size) standard normal draw turned, in place, into the real
+    # part a + sigma*z[0] and the imaginary part sigma*z[1]: the values
+    # rng.normal(a, sigma) and rng.normal(0, sigma) give on two successive
+    # draws of size, with the stream ending where theirs would
     shape = () if size is None else tuple(np.atleast_1d(size))
-    return rng.standard_normal((2,) + shape)
-
-
-def _rician_parts(model: FadingModel, re: np.ndarray, im: np.ndarray):
-    # standard normal draws turned, in place, into the real part a + sigma*re
-    # and the imaginary part sigma*im: the values rng.normal(a, sigma) and
-    # rng.normal(0, sigma) give on the same draws
+    re, im = rng.standard_normal((2,) + shape)
     re *= model.sigma
     re += model.a
     im *= model.sigma
     return re, im
 
 
-def _rician_power(model: FadingModel, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    # |r|^2 / E[r^2] of the standard normal draws re, im, computed in re
-    re, im = _rician_parts(model, re, im)
-    re *= re
-    im *= im
-    re += im
-    re /= model.a ** 2 + 2.0 * model.sigma ** 2
-    return re
-
-
 def sample_rician_envelope(model: FadingModel, rng: np.random.Generator, size=None):
     """Draw envelope samples r >= 0 from the Rician distribution."""
-    return np.hypot(*_rician_parts(model, *_standard_pairs(rng, size)))
+    return np.hypot(*_rician_parts(model, rng, size))
 
 
 def sample_fading_power(model: FadingModel, rng: np.random.Generator, size=None):
@@ -162,4 +148,9 @@ def sample_fading_power(model: FadingModel, rng: np.random.Generator, size=None)
     The envelopes are those :func:`sample_rician_envelope` draws from the
     same rng state; the dB attenuation of a factor is -10*log10 of it.
     """
-    return _rician_power(model, *_standard_pairs(rng, size))
+    re, im = _rician_parts(model, rng, size)
+    re *= re
+    im *= im
+    re += im
+    re /= model.a ** 2 + 2.0 * model.sigma ** 2
+    return re

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,6 +40,13 @@ def dbm_to_watts(p_dbm: float) -> float:
 
 def watts_to_dbm(p_w):
     return 10.0 * np.log10(np.asarray(p_w) * 1000.0)
+
+
+def _require_count(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer;
+    a bool, or a float such as 2.0, would reach numpy as a shape or a seed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _hold_read_only(obj, names) -> None:
@@ -93,6 +101,8 @@ class ScenarioConfig:
         for name, value in vars(self).items():
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ("num_relays", "num_bins", "quad_n", "seed"):
+            _require_count(name, getattr(self, name))
         if self.num_relays < 1 or self.num_bins < 1:
             raise ValueError("num_relays and num_bins must be >= 1")
         for name in ("d0", "d_l", "d_mr", "v", "p_t", "bandwidth", "wavelength",

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from railpower import optimizer
 from railpower.cli import EXIT_CONFIG, main
 from railpower.harness import read_csv_rows
 
@@ -34,17 +35,14 @@ def test_run_command(tmp_path, capsys):
 
 
 def test_config_error_exit_code(tmp_path, capsys):
-    # a missing key, a negative cycle cap, a zero, infinite, NaN or unit
-    # tolerance, a NaN cell, a negative or zero data floor, a zero CSI
-    # exponent, a beamwidth outside (0, 180) degrees, a negative seed: each
-    # fails as the file loads, naming it, so no study runs a point and no
-    # CSV is written
+    # a missing key, a solver setting (the tolerance and the cycle cap are
+    # the method's constants), a NaN cell, a negative or zero data floor, a
+    # zero CSI exponent, a beamwidth outside (0, 180) degrees, a negative
+    # seed: each fails as the file loads, naming it, so no study runs a
+    # point and no CSV is written
     for text, needle in (("m = 4\nv_kmh = 300\npt_dbm = 40\n", "d_l"),
-                         (REF_CONFIG + "solver_n_max = -1\n", "n_max >= 0"),
-                         (REF_CONFIG + "solver_eps = 0\n", "eps > 0"),
-                         (REF_CONFIG + "solver_eps = inf\n", "eps > 0"),
-                         (REF_CONFIG + "solver_eps = nan\n", "eps > 0"),
-                         (REF_CONFIG + "solver_eps = 1\n", "eps > 0"),
+                         (REF_CONFIG + "solver_n_max = 100\n", ":7: unknown key 'solver_n_max'"),
+                         (REF_CONFIG + "solver_eps = 1e-4\n", ":7: unknown key 'solver_eps'"),
                          (REF_CONFIG.replace("d_l = 200", "d_l = nan"), "d_l must be finite"),
                          (REF_CONFIG + "d_min_bits = -5\n", "d_min_bits must be positive"),
                          (REF_CONFIG + "d_min_bits = 0\n", "d_min_bits must be positive"),
@@ -68,9 +66,10 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert code == 2
 
 
-def test_unconverged_solver_exit_code(tmp_path, capsys):
+def test_unconverged_solver_exit_code(tmp_path, capsys, monkeypatch):
     # a single outer cycle cannot reach the floor tolerance
-    cfg = write_cfg(tmp_path, REF_CONFIG + "solver_n_max = 0\n")
+    monkeypatch.setattr(optimizer, "N_MAX", 0)
+    cfg = write_cfg(tmp_path)
     code = main(["--outdir", str(tmp_path), "run", cfg])
     assert code == 3
     assert "converge" in capsys.readouterr().err

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from numpy.testing import assert_allclose
 
-from railpower import ScenarioConfig, SolverOptions
+from railpower import ScenarioConfig
 from railpower.configio import (KEYS, SCHEMES, ConfigError, HarnessOptions, load_config,
                                 parse_config_text, scenario_hash)
 
@@ -56,10 +56,12 @@ def test_unknown_key_reports_line_number():
     # stepsize is not a setting; trials and sigma_v are study settings given
     # on the command line, not scenario keys; the rate integrand always
     # carries the bandwidth, so bandwidth_factor is not a setting either;
-    # speed and budget take only km/h and dBm, and the initial penalty, its
-    # growth factor and the inner step cap are the method's constants
+    # speed and budget take only km/h and dBm, and the tolerance, the cycle
+    # cap, the initial penalty, its growth factor and the inner step cap are
+    # the method's constants
     for key in ("bogus_key", "solver_alpha", "trials", "sigma_v", "bandwidth_factor",
-                "v_mps", "pt_w", "solver_sigma0", "solver_growth", "solver_inner_cap"):
+                "v_mps", "pt_w", "solver_eps", "solver_n_max", "solver_sigma0",
+                "solver_growth", "solver_inner_cap"):
         text = f"m=4\nd_l=200\nv_kmh=300\npt_dbm=40\n{key}=0.05\n"
         with pytest.raises(ConfigError, match=rf":5: unknown key '{key}'"):
             parse_config_text(text, path="scenario.cfg")
@@ -96,20 +98,6 @@ def test_scheme_list_validation():
 def test_invalid_geometry_surfaces_as_config_error():
     with pytest.raises(ConfigError, match="d_l"):
         parse_config_text("m=6\nd_l=100\nv_kmh=300\npt_dbm=40\n")   # 125 > 100
-
-
-def test_solver_keys():
-    _, options = parse_config_text(MINIMAL + "solver_eps = 1e-5\nsolver_n_max = 50\n")
-    # every solver_* key lands on its SolverOptions field
-    assert options.solver == SolverOptions(eps=1e-5, n_max=50)
-    _, options = parse_config_text(MINIMAL + "solver_n_max = 7\n")
-    assert options.solver == SolverOptions(n_max=7)   # the other keeps its default
-    assert parse_config_text(MINIMAL)[1].solver == SolverOptions()
-    # SolverOptions validates, and a bad setting is a config error
-    for bad in ("solver_n_max = -1", "solver_eps = 0", "solver_eps = -1e-4", "solver_eps = inf",
-                "solver_eps = nan", "solver_eps = 1"):
-        with pytest.raises(ConfigError, match="eps > 0, n_max >= 0"):
-            parse_config_text(MINIMAL + bad + "\n")
 
 
 def test_load_config_missing_file(tmp_path):

@@ -8,7 +8,7 @@ overflow or a division by zero on the way fails its case too.
 import numpy as np
 import pytest
 
-from railpower import (SolverOptions, build_gain_table, kkt_residual, reference_config,
+from railpower import (build_gain_table, kkt_residual, optimizer, reference_config,
                        segment_boundaries, solve)
 from railpower.cli import main
 from railpower.configio import HarnessOptions
@@ -50,7 +50,7 @@ def test_edge_scenario(key, value, expected):
         sched = segment_boundaries(cfg)
         table = build_gain_table(cfg, sched)
         assert kkt_residual(alloc, res.lam_hat, cfg, sched, res.d_min, table) \
-            <= 10 * SolverOptions().eps
+            <= 10 * optimizer.EPS
     else:
         assert not opt.converged and opt.data_bits >= res.d_min
 

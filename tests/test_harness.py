@@ -101,6 +101,9 @@ def test_sweep_spec_validation():
         SweepSpec(param="bogus", values=(1,))
     with pytest.raises(ValueError):
         SweepSpec(param="d_l", values=(200,), trials=0)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match=f"trials must be an integer, got {bad!r}"):
+            SweepSpec(param="d_l", values=(200,), trials=bad)
     with pytest.raises(ValueError, match="2.5"):
         SweepSpec(param="M", values=(2.0, 2.5))
     for count in (0, -1):
@@ -190,16 +193,20 @@ def test_gain_table_builds_per_run_point(monkeypatch, ref_cfg, options):
     assert count(run_point, ref_cfg.with_(fading=True), options, seq)[0] == 1
 
 
-def test_meets_floor_uses_the_solver_tolerance(ref_cfg, ref_table, options):
+def test_meets_floor_uses_the_solver_tolerance(monkeypatch, ref_cfg, ref_table, options):
     # a floor 5e-4 above what the average scheme delivers is missed by more
-    # than the solver's eps (1e-4), so the row must not claim the floor
+    # than the solver's tolerance optimizer.EPS (1e-4), so the row must not
+    # claim the floor; under a tolerance of 1e-3 the same row meets it
     d_avg = ref_table.total_data(allocators.average_alloc(
         ref_cfg, segment_boundaries(ref_cfg)).values)
     cfg = ref_cfg.with_(d_min_bits=d_avg * (1.0 + 5e-4))
-    recs = run_point(cfg, replace(options, schemes=("average",)), np.random.SeedSequence(0))
+    average = replace(options, schemes=("average",))
+    recs = run_point(cfg, average, np.random.SeedSequence(0))
     assert [r.scheme for r in recs] == ["average"]
     assert_allclose(recs[0].data_bits, d_avg, rtol=1e-12)
     assert not recs[0].meets_floor
+    monkeypatch.setattr(optimizer, "EPS", 1e-3)
+    assert run_point(cfg, average, np.random.SeedSequence(0))[0].meets_floor
 
 
 @pytest.mark.parametrize("param, values", [
@@ -398,9 +405,8 @@ def test_chained_trials_stay_within_the_floor_tolerance_of_cold_solves(ref_cfg, 
     for r in chained:
         assert r.converged
         _, warm = r.solution
-        _, cold = solve(ref_cfg, ref_sched, d_min=warm.d_min, options=options.solver,
-                        table=ref_table)
-        assert abs(r.energy_j - cold.energy_j) <= 5 * options.solver.eps * cold.energy_j
+        _, cold = solve(ref_cfg, ref_sched, d_min=warm.d_min, table=ref_table)
+        assert abs(r.energy_j - cold.energy_j) <= 5 * optimizer.EPS * cold.energy_j
 
 
 def test_chained_trial_below_a_caps_binding_floor_converges(options):
@@ -550,7 +556,7 @@ def test_mean_row_spectral_efficiency_of_zero_data_is_zero(monkeypatch, options)
     # every optimized trial ends with zero data, from a solve that returns
     # the zero allocation; its mean row's SE is that of the mean data on the
     # point, not 0 / 0
-    def zero_data_solve(cfg, sched, warm=None, *, d_min, options, table):
+    def zero_data_solve(cfg, sched, warm=None, *, d_min, table):
         alloc = metrics.AllocationMatrix(np.zeros(table.layout.segment.size), table.layout)
         figures = metrics.compute_metrics(alloc, cfg, sched, table)
         return alloc, optimizer.SolveResult(

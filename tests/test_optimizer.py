@@ -13,7 +13,7 @@ from scipy.linalg import lu_factor, lu_solve
 from railpower import optimizer
 from railpower.metrics import GainTable
 from railpower.optimizer import CycleRecord, Problem, cap_shift, inner_descent, update_state
-from railpower import (AllocationMatrix, InfeasibleDataFloor, SolverOptions, average_alloc,
+from railpower import (AllocationMatrix, InfeasibleDataFloor, average_alloc,
                        build_gain_table, compute_metrics, data_floor, entry_layout,
                        kkt_residual, reference_config, segment_boundaries, solve,
                        total_energy)
@@ -149,8 +149,7 @@ def test_inner_descent_stationary_start(ref_cfg, ref_sched, ref_table):
     assert np.all(2.0 * sigma * problem.table.data_derivatives(zero)[0]
                   < problem.t_norm[problem.segment])
     h = problem.residuals_scaled(zero)
-    rec, _ = inner_descent(problem, zero, h, np.zeros(ref_cfg.num_segments + 1), sigma,
-                           SolverOptions())
+    rec, _ = inner_descent(problem, zero, h, np.zeros(ref_cfg.num_segments + 1), sigma)
     assert rec.inner_steps == 0 and rec.inner_reason == "gradient"
     assert np.all(rec.x == 0.0) and np.array_equal(rec.h, h)
 
@@ -161,7 +160,7 @@ def test_inner_descent_monotone(ref_cfg, ref_sched, ref_table):
     lam, sigma = np.zeros(ref_cfg.num_segments + 1), 1.0
     x = problem.to_scaled(average_alloc(ref_cfg, ref_sched))
     h0 = problem.residuals_scaled(x)
-    rec, derivs = inner_descent(problem, x, h0, lam, sigma, SolverOptions())
+    rec, derivs = inner_descent(problem, x, h0, lam, sigma)
     assert rec.phi <= problem.phi(x, lam, sigma, h0)
     # the returned residuals and derivative pair are those of the returned iterate
     assert np.array_equal(rec.h, problem.residuals_scaled(rec.x))
@@ -176,7 +175,7 @@ def test_inner_descent_cap_flags_not_raises(monkeypatch, ref_cfg, ref_sched, ref
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
     x = problem.to_scaled(average_alloc(ref_cfg, ref_sched))
     rec, derivs = inner_descent(problem, x, problem.residuals_scaled(x),
-                                np.zeros(ref_cfg.num_segments + 1), 1.0, SolverOptions())
+                                np.zeros(ref_cfg.num_segments + 1), 1.0)
     assert rec.inner_reason == "cap" and rec.inner_steps == 3
     assert derivs is None   # the capped iterate's pair was never computed
 
@@ -237,7 +236,7 @@ def test_inner_descent_matches_grid_search(tiny):
     problem = Problem(cfg, sched, d_min, table)
     lam = np.zeros(cfg.num_segments + 1)
     x = problem.to_scaled(average_alloc(cfg, sched))
-    rec, _ = inner_descent(problem, x, problem.residuals_scaled(x), lam, 1.0, SolverOptions())
+    rec, _ = inner_descent(problem, x, problem.residuals_scaled(x), lam, 1.0)
     phi_inner = problem.phi(rec.x, lam, 1.0)
     phi_grid = grid_min_phi(problem, table, cfg, lam0=0.0, sigma=1.0)
     # two-sided: a mis-modelled oracle that overstates the grid minimum
@@ -258,14 +257,6 @@ def update_from(h_now, sigma_grew, prev_inf):
                         LAM - 2.0 * SIGMA * h_now, prev_inf)
 
 
-def test_solver_options_validation():
-    assert SolverOptions() == SolverOptions(eps=1e-4, n_max=100)
-    for bad in ({"eps": 0.0}, {"eps": -1e-4}, {"n_max": -1}, {"eps": math.inf},
-                {"eps": math.nan}, {"eps": 1.0}):
-        with pytest.raises(ValueError):
-            SolverOptions(**bad)
-
-
 @pytest.mark.parametrize("rho, m", [(0.8, 4), (0.97, 4), (0.99, 4), (1.0, 4)])
 def test_solve_stops_on_the_first_cycle_within_tolerance(monkeypatch, rho, m):
     # the stop test is the loop's: at these points every cycle before the
@@ -279,14 +270,14 @@ def test_solve_stops_on_the_first_cycle_within_tolerance(monkeypatch, rho, m):
 
     monkeypatch.setattr(optimizer, "update_state", counted)
     _, res = solve(reference_config(num_relays=m, rho=rho))
-    eps = SolverOptions().eps
+    eps = optimizer.EPS
     assert res.converged
     assert all(rec.h_inf > eps for rec in res.history[:-1])
     assert res.history[-1].h_inf <= eps
     assert len(calls) == res.cycles - 1
 
 
-def test_converged_means_feasible_and_stationary():
+def test_converged_means_feasible_and_stationary(monkeypatch):
     # at rho = 1.0, M = 2 the first cycle within eps of the floor is not yet
     # KKT-stationary: the loop runs one more cycle, and converged holds only
     # for the stationary record, which the solve returns
@@ -294,15 +285,15 @@ def test_converged_means_feasible_and_stationary():
     sched = segment_boundaries(cfg)
     table = build_gain_table(cfg, sched)
     d_min = data_floor(cfg, sched, table)
-    eps = SolverOptions().eps
+    eps = optimizer.EPS
     alloc, res = solve(cfg, sched, d_min=d_min, table=table)
     assert res.converged
     assert kkt_residual(alloc, res.lam_hat, cfg, sched, d_min, table) <= 10 * eps
     assert res.lam_hat is res.history[-1].lam_hat
     assert sum(c.h_inf <= eps for c in res.history) == 2
     # stopped one cycle early, the solve ends within eps but not stationary
-    _, short = solve(cfg, sched, d_min=d_min, table=table,
-                     options=SolverOptions(n_max=res.cycles - 2))
+    monkeypatch.setattr(optimizer, "N_MAX", res.cycles - 2)
+    _, short = solve(cfg, sched, d_min=d_min, table=table)
     assert short.h_inf <= eps and not short.converged
 
 
@@ -326,7 +317,7 @@ def test_warm_solve_below_a_caps_binding_floor_drops_slack_multipliers(rho, m, f
     alloc, res = solve(low, sched, warm=cold, d_min=d_min, table=table)
     assert res.converged
     assert res.cycles <= 3
-    assert kkt_residual(alloc, res.lam_hat, low, sched, d_min, table) <= 10 * SolverOptions().eps
+    assert kkt_residual(alloc, res.lam_hat, low, sched, d_min, table) <= 10 * optimizer.EPS
     slack = alloc.column_sums() < low.p_t * (1.0 - 1e-3)
     warm_caps = cold[1].lam_hat[1:]
     assert np.any(warm_caps[slack] < 0.0) == drops
@@ -346,7 +337,7 @@ def test_small_floor_solve_converges_in_few_steps(rho, m):
     d_min = data_floor(cfg, sched, table)
     alloc, res = solve(cfg, sched, d_min=d_min, table=table)
     assert res.converged
-    assert kkt_residual(alloc, res.lam_hat, cfg, sched, d_min, table) <= 10 * SolverOptions().eps
+    assert kkt_residual(alloc, res.lam_hat, cfg, sched, d_min, table) <= 10 * optimizer.EPS
     assert sum(c.inner_steps for c in res.history) <= 1000
 
 
@@ -357,14 +348,15 @@ def start_curvature(problem, x):
     return float(np.sum(dd * dd / (-dd2 * problem.t_norm[problem.segment] / dd)))
 
 
-def start_penalty(cfg):
+def start_penalty(monkeypatch, cfg):
     """A cold solve's first penalty factor at cfg, with kappa0 at the
     average allocation."""
     sched = segment_boundaries(cfg)
     table = build_gain_table(cfg, sched)
     problem = Problem(cfg, sched, data_floor(cfg, sched, table), table)
     kappa0 = start_curvature(problem, problem.to_scaled(average_alloc(cfg, sched)))
-    _, res = solve(cfg, sched, table=table, options=SolverOptions(n_max=0))
+    monkeypatch.setattr(optimizer, "N_MAX", 0)
+    _, res = solve(cfg, sched, table=table)
     return res.history[0].sigma, kappa0
 
 
@@ -378,10 +370,10 @@ START_CASES = {
 
 
 @pytest.mark.parametrize("overrides", START_CASES.values(), ids=START_CASES.keys())
-def test_cold_solve_starts_at_the_penalty_its_data_curvature_asks_for(overrides):
+def test_cold_solve_starts_at_the_penalty_its_data_curvature_asks_for(monkeypatch, overrides):
     # sigma0 is the largest power of two with 2 sigma0 kappa0 <= MASS0, at
     # every floor
-    sigma0, kappa0 = start_penalty(reference_config(**overrides))
+    sigma0, kappa0 = start_penalty(monkeypatch, reference_config(**overrides))
     assert math.frexp(sigma0)[0] == 0.5
     assert optimizer.MASS0 / 2 < 2.0 * sigma0 * kappa0 <= optimizer.MASS0
 
@@ -410,7 +402,7 @@ def test_stalled_solve_ends_at_the_penalty_ceiling():
     cfg = reference_config(pathloss_exp=8.0)
     sched = segment_boundaries(cfg)
     alloc, res = solve(cfg, sched)
-    assert not res.converged and res.cycles < SolverOptions().n_max + 1
+    assert not res.converged and res.cycles < optimizer.N_MAX + 1
     last = res.history[-1].sigma
     assert last <= optimizer.SIGMA_MAX < optimizer.GROWTH * last
     assert_allclose(alloc.values, average_alloc(cfg, sched).values, rtol=1e-15, atol=0.0)
@@ -508,7 +500,7 @@ def test_solve_warm_started_from_its_own_result(ref_cfg, ref_sched, ref_table, r
     d_min, alloc, res = ref_solution
     _, warm = solve(ref_cfg, ref_sched, warm=(alloc, res), d_min=d_min, table=ref_table)
     assert warm.cycles == 1
-    assert warm.converged and warm.h_inf <= SolverOptions().eps
+    assert warm.converged and warm.h_inf <= optimizer.EPS
 
 
 def test_solve_rejects_a_mismatched_warm_start(ref_cfg, ref_sched, ref_table, ref_solution):
@@ -632,8 +624,7 @@ def test_solve_contracts_on_random_scenarios():
     # projection onto the floor, so rho = 1 is left out here.  Twenty more
     # draws from a generator of their own take rho log-uniform on
     # [1e-5, 0.5]: the small floors, where every entry sits far below an
-    # absolute 1e-3, are verified down to rho = 1e-5.  rho = 1e-6 at the
-    # reference scenario still ends unconverged (ROADMAP item 13)
+    # absolute 1e-3, are verified down to rho = 1e-5
     rng = np.random.default_rng(8)
     from railpower import ScenarioConfig
 
@@ -719,7 +710,7 @@ def violation(h):
     return max(abs(float(h[0])), float(h[1:].max()))
 
 
-def plain_inner_descent(problem, x, h, lam, sigma, options, derivs=None):
+def plain_inner_descent(problem, x, h, lam, sigma, derivs=None):
     """Tolerance oracle: projected gradient, halving from alpha = 1; it
     ignores the passed-in residuals and derivative pair and hands no pair on."""
     shift = cap_shift(lam, sigma)
@@ -730,7 +721,7 @@ def plain_inner_descent(problem, x, h, lam, sigma, options, derivs=None):
         d = -merit_gradient(problem, x, lam, sigma)
         d[(x <= 0.0) & (d < 0.0)] = 0.0
         gnorm = float(np.linalg.norm(d))
-        if gnorm <= options.eps:
+        if gnorm <= optimizer.EPS:
             reason = "gradient"
             break
         alpha, phi_new, x_new = 1.0, None, None
@@ -845,8 +836,9 @@ def test_solve_out_of_cycles_returns_its_lowest_residual_cycle(monkeypatch):
     # one inner step per cycle keeps the loop from converging within its 31
     # cycles, and the residual climbs again after its lowest cycle
     monkeypatch.setattr(optimizer, "INNER_CAP", 1)
+    monkeypatch.setattr(optimizer, "N_MAX", 30)
     cfg = reference_config(num_relays=4, rho=0.99)
-    alloc, res = solve(cfg, options=SolverOptions(n_max=30))
+    alloc, res = solve(cfg)
     assert not res.converged and res.cycles == 31
     lowest = min(c.h_inf for c in res.history)
     best = next(c for c in res.history if c.h_inf == lowest)
@@ -897,7 +889,7 @@ def test_cycle_records_hold_their_iterates_figures(rho, warm_rho):
         assert rec.sigma == sigma
         assert np.array_equal(rec.lam_hat, multiplier_estimate(problem, rec.x, rec.h, lam, sigma))
         assert rec.phi == problem.phi(rec.x, lam, sigma)
-        ref = reference_inner_descent(problem, x, h, lam, sigma, SolverOptions())
+        ref = reference_inner_descent(problem, x, h, lam, sigma)
         for name in ("h_inf", "sigma", "phi", "energy_j", "inner_steps", "inner_reason",
                      "merit_evals"):
             assert getattr(rec, name) == getattr(ref, name), name
@@ -1022,7 +1014,7 @@ def reference_newton_direction(problem, x, g, h, dd, dd2, lam, sigma):
     return -np.where(active, g / diag, d_free)
 
 
-def reference_inner_descent(problem, x, h, lam, sigma, options):
+def reference_inner_descent(problem, x, h, lam, sigma):
     """Bit-exact reference for :func:`inner_descent`: the same loop with the
     merit gradient, the projected gradient and the direction each forming
     the iterate's masks and multiplier terms itself; the passed-in
@@ -1039,7 +1031,7 @@ def reference_inner_descent(problem, x, h, lam, sigma, options):
         if capped.any():
             g += np.where(capped, -lam[1:] + 2.0 * sigma * h[1:], 0.0)[problem.segment]
         pg = np.where((x <= 0.0) & (g > 0.0), 0.0, g)
-        if math.sqrt(float(pg @ pg)) <= options.eps:
+        if math.sqrt(float(pg @ pg)) <= optimizer.EPS:
             reason = "gradient"
             break
         d = reference_newton_direction(problem, x, g, h, dd, dd2, lam, sigma)
@@ -1269,6 +1261,6 @@ def test_readme_states_the_solver_constants_the_module_holds():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     text = "\n".join(p for p in readme.split("\n\n") if "`railpower.optimizer`" in p)
     stated = re.findall(r"\b([A-Z][A-Z0-9_]*) = ([0-9][0-9.e+-]*)\b", text)
-    assert {name for name, _ in stated} >= {"MASS0", "GROWTH", "INNER_CAP"}
+    assert {name for name, _ in stated} >= {"EPS", "N_MAX", "MASS0", "GROWTH", "INNER_CAP"}
     for name, value in stated:
         assert getattr(optimizer, name, None) == float(value), name

@@ -181,6 +181,13 @@ def test_config_validation():
     with pytest.raises(ValueError, match="seed must be >= 0"):
         ScenarioConfig(seed=-3)
     assert ScenarioConfig(theta_3db=179.0, seed=0).theta_3db == 179.0
+    # the counts are array shapes and a generator seed: a float or a bool
+    # fails here, naming the field, not later inside numpy
+    for name, bad in (("num_relays", 2.5), ("num_relays", True), ("num_bins", 3.0),
+                      ("quad_n", 32.0), ("seed", 1.5), ("seed", False)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
+            ScenarioConfig(**{name: bad})
+    assert ScenarioConfig(num_relays=np.int64(3)).num_segments == 10
 
 
 def test_segment_schedule_leaves_caller_arrays_writable(ref_sched):
