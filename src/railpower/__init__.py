@@ -11,9 +11,8 @@ experiment harness with a small CLI.
 from .scenario import (KMH_TO_MPS, EntryLayout, ScenarioConfig, SegmentSchedule,
                        dbm_to_watts, entry_layout, mr_position, mr_rrh_distance,
                        mrs_in_cell, reference_config, segment_boundaries, watts_to_dbm)
-from .radio import (FadingModel, link_constant_db, max_antenna_gain, noise_power_dbm,
-                    path_loss, sample_fading_power, sample_rician_envelope, snr_db,
-                    snr_linear_per_watt)
+from .radio import (link_constant_db, max_antenna_gain, noise_power_dbm, path_loss,
+                    sample_fading_power, sample_rician_envelope, snr_db, snr_linear_per_watt)
 from .metrics import (AllocationMatrix, GainTable, MetricsRecord, build_gain_table,
                       compute_metrics, energy_efficiency, sample_fading_trace,
                       spectral_efficiency, total_energy)

@@ -66,8 +66,7 @@ def csi_alloc(cfg: ScenarioConfig, sched: SegmentSchedule, table: GainTable,
     layout = table.layout
     h = table.gains[:, table.gains.shape[1] // 2]
     if rng is not None:
-        model = radio.FadingModel.from_k_db(cfg.rician_k)
-        h = h * radio.sample_fading_power(model, rng, size=layout.segment.size)
+        h = h * radio.sample_fading_power(cfg.rician_k, rng, size=layout.segment.size)
     with np.errstate(over="ignore", under="ignore"):
         w = h ** (-cfg.csi_alpha)
     sums = layout.column_sums(w)

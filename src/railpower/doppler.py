@@ -7,7 +7,9 @@ A lookup table stores the noiseless window at every sampled position
 together with the relative Doppler shift there; estimation finds the
 nearest stored window in Euclidean distance and rescales its relative
 shift by f_max = v / wavelength.  Relative shifts make the table valid
-at any configured speed.
+at any configured speed.  A table is its rows (position, relative shift,
+window) and nothing else: the window width gives L, and a saved table is
+those rows as plain text.
 
 The nearest window to a query q is the first index of least computed
 distance ``np.linalg.norm(windows - q, axis=1)``, and a lookup returns
@@ -51,7 +53,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .radio import link_constant_db, noise_power_dbm, path_loss
-from .scenario import ScenarioConfig, _hold_read_only, position_rrh_distance, watts_to_dbm
+from .scenario import (ScenarioConfig, _hold_read_only, _require_count, position_rrh_distance,
+                       watts_to_dbm)
 
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
@@ -112,15 +115,13 @@ class DopplerTable:
     positions: np.ndarray   # (K,) window centres [m]
     windows: np.ndarray     # (K, 2L+1) RSRP [dBm]
     f_rel: np.ndarray       # (K,) relative Doppler in [-1, 1]
-    x_s: float              # sample spacing [m]
-    half_width: int         # L
     sq_norms: np.ndarray = field(init=False, repr=False)   # (K,) |w_k|^2
     max_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         _hold_read_only(self, ("positions", "windows", "f_rel"))
         windows = self.windows
-        if self.half_width < 1 or windows.ndim != 2 or windows.shape[1] != 2 * self.half_width + 1:
+        if windows.ndim != 2 or windows.shape[1] < 3 or windows.shape[1] % 2 == 0:
             raise ValueError("windows must be (K, 2L+1) with L >= 1")
         if windows.shape[0] == 0:
             raise ValueError("empty lookup table")
@@ -142,32 +143,23 @@ class DopplerTable:
     def save(self, path):
         """Plain text rows: position, f_rel, then the 2L+1 RSRP values."""
         data = np.column_stack([self.positions, self.f_rel, self.windows])
-        header = (f"x_s={self.x_s!r} L={self.half_width}\n"
-                  "position_m f_rel rsrp_dbm[2L+1]")
-        np.savetxt(path, data, header=header)
+        np.savetxt(path, data, header="position_m f_rel rsrp_dbm[2L+1]")
 
     @classmethod
     def load(cls, path) -> "DopplerTable":
-        """Read a table written by :meth:`save`; a malformed header, or rows
-        that do not hold 2L+3 values, raise ValueError."""
-        with open(path) as fh:
-            first = fh.readline()
-        try:
-            fields = dict(part.split("=") for part in first.lstrip("# ").split())
-            x_s, half_width = float(fields["x_s"]), int(fields["L"])
-        except (KeyError, ValueError):
-            raise ValueError(f"{path}: expected a '# x_s=... L=...' header line, "
-                             f"got {first.strip()!r}") from None
+        """Read the rows :meth:`save` writes; ``#`` comment lines are skipped.
+        A file without rows, or rows that do not hold 2L+3 values with
+        L >= 1, raise ValueError."""
         with warnings.catch_warnings():
             # a file without rows is reported below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             data = np.loadtxt(path, ndmin=2)
-        if data.size == 0 or data.shape[1] != 2 * half_width + 3:
+        if data.size == 0 or data.shape[1] < 5 or data.shape[1] % 2 == 0:
             found = f"{data.shape[1]} values" if data.size else "no rows"
-            raise ValueError(f"{path}: expected rows of 2L+3 = {2 * half_width + 3} values "
+            raise ValueError(f"{path}: expected rows of 2L+3 values with L >= 1 "
                              f"(position, f_rel, 2L+1 RSRP), got {found}")
         return cls(positions=data[:, 0].copy(), f_rel=data[:, 1].copy(),
-                   windows=data[:, 2:].copy(), x_s=x_s, half_width=half_width)
+                   windows=data[:, 2:].copy())
 
 
 def build_table(cfg: ScenarioConfig, x_s: float = 1.0, L: int = 5) -> DopplerTable:
@@ -175,12 +167,14 @@ def build_table(cfg: ScenarioConfig, x_s: float = 1.0, L: int = 5) -> DopplerTab
 
     Centres sit on the grid k*x_s (k an integer, k >= 0) and are kept only
     when the whole window fits inside the cell, so 2L grid points are lost
-    at the boundaries.
+    at the boundaries.  Raises ``ValueError`` naming the argument unless
+    x_s is finite and positive and L is an integer of at least 1.
     """
-    if x_s <= 0.0:
-        raise ValueError("x_s must be positive")
+    if not (math.isfinite(x_s) and x_s > 0.0):
+        raise ValueError(f"x_s must be finite and positive, got {x_s!r}")
+    _require_count("L", L)
     if L < 1:
-        raise ValueError("L must be at least 1")
+        raise ValueError(f"L must be at least 1, got {L!r}")
     k_max = int(np.floor(cfg.d_l / x_s + 1e-12))
     ks = np.arange(L, k_max - L + 1)
     if ks.size == 0:
@@ -189,8 +183,7 @@ def build_table(cfg: ScenarioConfig, x_s: float = 1.0, L: int = 5) -> DopplerTab
     offsets = np.arange(-L, L + 1) * x_s
     windows = rsrp_at(cfg, centers[:, None] + offsets[None, :])
     f_rel = true_doppler(cfg, centers) / max_doppler(cfg)
-    return DopplerTable(positions=centers, windows=windows, f_rel=f_rel,
-                        x_s=x_s, half_width=L)
+    return DopplerTable(positions=centers, windows=windows, f_rel=f_rel)
 
 
 def estimate_doppler(table: DopplerTable, window: RsrpWindow, cfg: ScenarioConfig) -> float:

@@ -175,8 +175,8 @@ def sample_fading_trace(cfg: ScenarioConfig, rng: np.random.Generator) -> np.nda
     :func:`radio.sample_fading_power` of size (K, Q+1), rows in the compact
     order.
     """
-    model = radio.FadingModel.from_k_db(cfg.rician_k)
-    return radio.sample_fading_power(model, rng, (entry_layout(cfg).segment.size, cfg.quad_n + 1))
+    return radio.sample_fading_power(cfg.rician_k, rng,
+                                     (entry_layout(cfg).segment.size, cfg.quad_n + 1))
 
 
 def total_energy(alloc: AllocationMatrix, sched: SegmentSchedule) -> float:

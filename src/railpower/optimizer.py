@@ -84,7 +84,8 @@ of :class:`CycleRecord`, each with its scaled iterate, residuals and
 multiplier estimate, is the one record
 of a solve's cycles, a record's index in it is its cycle number, and the
 returned iterate is the record that passed the stop test, or, when none
-did, the history's best cycle.
+did, the history's best cycle, or the start point when every cycle
+undershoots the floor that it meets.
 
 Budget handling: budget rows are one-sided caps.  A row's merit term is
 flat in s_j up to s_j - 1 = lam_j / 2 sigma, and its slope
@@ -483,19 +484,21 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     returned iterate is the record that passed the stop test (within EPS of the
     floor and KKT-stationary, see the module docstring), or, when none did, the
     history's best record (lowest constraint violation, then lowest energy,
-    then earliest); it is scaled back in any column over the budget and
-    converted to watts once, at return, and the result is ``converged`` when a
-    record passed the stop test and the violation after that scaling is still
-    within EPS.  The result's ``energy_j`` and ``data_bits`` are
-    :func:`metrics.compute_metrics` of the returned allocation on ``table``,
-    the figures a harness row reports for it.  Raises ``ValueError`` for a
+    then earliest), or the start point when every record undershoots the
+    floor by more than EPS and the start point does not; it is scaled back in
+    any column over the budget and converted to watts once, at return, and
+    the result is ``converged`` when a record passed the stop test and the
+    violation after that scaling is still within EPS.  The result's
+    ``energy_j`` and ``data_bits`` are :func:`metrics.compute_metrics` of the
+    returned allocation on ``table``, the figures a harness row reports for
+    it.  Raises ``ValueError`` for a
     floor that is not positive, or, on a cold solve, so small that kappa0 is
     not finite, and :class:`InfeasibleDataFloor` when the floor exceeds the
     data the average allocation delivers at the full per-segment budget.  A run
     that exhausts its :data:`N_MAX` + 1 cycles, or whose penalty factor passes
-    :data:`SIGMA_MAX`, returns its best cycle's iterate flagged as
-    non-converged, also when that iterate is within EPS of the floor but not
-    stationary.
+    :data:`SIGMA_MAX`, returns its best cycle's iterate (or the start point)
+    flagged as non-converged, also when that iterate is within EPS of the
+    floor but not stationary.
     When the inner loop that produced the returned iterate stopped on
     ``cap`` or ``stall``, a warning goes to the ``railpower.optimizer`` logger.
     """
@@ -543,6 +546,7 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
         h = problem.residuals_scaled(x, snr=snr)
         derivs = problem.table.data_derivatives(x, snr)   # x does not move between cycles
 
+    x0, h0 = x, h
     history: list[CycleRecord] = []
     prev_inf = math.inf
     stopped = None  # the record that passed the stop test
@@ -565,7 +569,11 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     # energy breaking ties and the earliest cycle breaking those
     rec = stopped if stopped is not None else min(history, key=lambda c: (c.h_inf, c.energy_j))
     x, hinf = rec.x, rec.h_inf
-    if rec.inner_reason != "gradient":
+    if stopped is None and h0[0] >= -EPS and all(c.h[0] < -EPS for c in history):
+        # every cycle undershot the floor the start point meets: the start
+        # point is returned instead (a cold solve's is the average allocation)
+        x, hinf = x0, _violation(h0)
+    elif rec.inner_reason != "gradient":
         _log.warning("returned iterate's inner loop stopped on %s (cycle %d, %d steps, "
                      "h_inf %.3g)", rec.inner_reason, history.index(rec), rec.inner_steps,
                      rec.h_inf)

@@ -6,8 +6,9 @@ transmit watt that the gain tables are built from
 no dB round trip.  Both ends are beam aligned, so the link uses the
 boresight gain G0 at each end.
 
-Fading is expressed as a linear power factor |r|^2 / E[r^2] for an
-envelope sample r: it has mean 1, and a factor of 1 reproduces the
+Rician fading is given by its K-factor in dB alone, at unit RMS envelope
+(E[r^2] = 1).  It is expressed as a linear power factor |r|^2 / E[r^2]
+for an envelope sample r: it has mean 1, and a factor of 1 reproduces the
 deterministic channel.  Its dB attenuation, the ``gamma_db`` that
 :func:`snr_db` takes, is -10*log10 of the factor.
 """
@@ -15,7 +16,6 @@ deterministic channel.  Its dB attenuation, the ``gamma_db`` that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,64 +93,41 @@ def snr_linear_per_watt(cfg: ScenarioConfig, d):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class FadingModel:
-    """Rician envelope: magnitude of a complex Gaussian with LOS mean A.
-
-    The pdf is f(r) = r/sigma^2 * exp(-(r^2+A^2)/(2 sigma^2)) * I0(r A/sigma^2)
-    with K = A^2 / (2 sigma^2) and second moment E[r^2] = A^2 + 2 sigma^2.
-    """
-
-    a: float       # line-of-sight amplitude (linear)
-    sigma: float   # per-component scatter std (linear)
-
-    def __post_init__(self):
-        if self.a < 0.0 or self.sigma <= 0.0:
-            raise ValueError("require a >= 0 and sigma > 0")
-
-    @property
-    def k_factor(self) -> float:
-        return self.a ** 2 / (2.0 * self.sigma ** 2)
-
-    @property
-    def rms(self) -> float:
-        return math.sqrt(self.a ** 2 + 2.0 * self.sigma ** 2)
-
-    @classmethod
-    def from_k_db(cls, k_db: float) -> "FadingModel":
-        """Build from a K-factor in dB at unit RMS envelope (E[r^2] = 1)."""
-        k = 10.0 ** (k_db / 10.0)
-        sigma2 = 1.0 / (2.0 * (k + 1.0))
-        return cls(a=math.sqrt(2.0 * k * sigma2), sigma=math.sqrt(sigma2))
-
-
-def _rician_parts(model: FadingModel, rng: np.random.Generator, size):
-    # one (2, *size) standard normal draw turned, in place, into the real
+def _rician_parts(k_db: float, rng: np.random.Generator, size):
+    # the Rician envelope is the magnitude of a complex Gaussian with
+    # line-of-sight mean a and per-component scatter std sigma, with
+    # K = a^2 / (2 sigma^2) and a^2 + 2 sigma^2 = E[r^2] = 1 (unit RMS).
+    # One (2, *size) standard normal draw is turned, in place, into the real
     # part a + sigma*z[0] and the imaginary part sigma*z[1]: the values
     # rng.normal(a, sigma) and rng.normal(0, sigma) give on two successive
     # draws of size, with the stream ending where theirs would
+    k = 10.0 ** (k_db / 10.0)
+    sigma2 = 1.0 / (2.0 * (k + 1.0))
+    a, sigma = math.sqrt(2.0 * k * sigma2), math.sqrt(sigma2)
     shape = () if size is None else tuple(np.atleast_1d(size))
     re, im = rng.standard_normal((2,) + shape)
-    re *= model.sigma
-    re += model.a
-    im *= model.sigma
-    return re, im
+    re *= sigma
+    re += a
+    im *= sigma
+    return re, im, a ** 2 + 2.0 * sigma ** 2
 
 
-def sample_rician_envelope(model: FadingModel, rng: np.random.Generator, size=None):
-    """Draw envelope samples r >= 0 from the Rician distribution."""
-    return np.hypot(*_rician_parts(model, rng, size))
+def sample_rician_envelope(k_db: float, rng: np.random.Generator, size=None):
+    """Draw envelope samples r >= 0 of unit RMS (E[r^2] = 1) from the
+    Rician distribution of K-factor ``k_db`` [dB]; -inf is Rayleigh."""
+    re, im, _ = _rician_parts(k_db, rng, size)
+    return np.hypot(re, im)
 
 
-def sample_fading_power(model: FadingModel, rng: np.random.Generator, size=None):
+def sample_fading_power(k_db: float, rng: np.random.Generator, size=None):
     """Draw linear power factors |r|^2 / E[r^2] (mean 1) of Rician envelopes.
 
     The envelopes are those :func:`sample_rician_envelope` draws from the
     same rng state; the dB attenuation of a factor is -10*log10 of it.
     """
-    re, im = _rician_parts(model, rng, size)
+    re, im, mean_square = _rician_parts(k_db, rng, size)
     re *= re
     im *= im
     re += im
-    re /= model.a ** 2 + 2.0 * model.sigma ** 2
+    re /= mean_square
     return re

@@ -1,6 +1,6 @@
 """Test oracles: an allocation's feasibility, the closed-form data of the
-free-space link, and the merit gradient at given multipliers (test
-helpers only).
+free-space link, the merit gradient at given multipliers, and the
+Rician envelope's parameters at a K-factor (test helpers only).
 
 With path-loss exponent 2 and both antennas at boresight, the per-watt
 SNR of relay i at time t is A / (d0^2 + u^2), where
@@ -23,6 +23,15 @@ import numpy as np
 
 from railpower import entry_layout, snr_linear_per_watt
 from railpower.optimizer import cap_shift
+
+
+def rician_parameters(k_db):
+    """LOS amplitude a and per-component scatter std sigma of the unit-RMS
+    Rician envelope of K-factor k_db [dB]: K = a^2 / (2 sigma^2) and
+    E[r^2] = a^2 + 2 sigma^2 = 1."""
+    k = 10.0 ** (k_db / 10.0)
+    sigma2 = 1.0 / (2.0 * (k + 1.0))
+    return np.sqrt(2.0 * k * sigma2), np.sqrt(sigma2)
 
 
 def assert_feasible(alloc, cfg, tol=None):

@@ -17,11 +17,11 @@ import time
 
 import numpy as np
 import pytest
-from oracles import merit_gradient
+from oracles import merit_gradient, rician_parameters
 from scipy import stats
 
-from railpower import (FadingModel, build_gain_table, build_table, constant_alloc,
-                       data_floor, entry_layout, estimate_doppler, kkt_residual,
+from railpower import (build_gain_table, build_table, constant_alloc, data_floor,
+                       entry_layout, estimate_doppler, kkt_residual,
                        max_doppler, reference_config, sample_rician_envelope,
                        segment_boundaries, solve, total_energy, true_doppler)
 from railpower.configio import SCHEMES, HarnessOptions
@@ -258,11 +258,11 @@ def test_criterion_6_brute_force_oracle():
 
 
 def test_criterion_7_fading_statistics():
-    model = FadingModel.from_k_db(10.0)
-    r = sample_rician_envelope(model, np.random.default_rng(2024), size=100_000)
-    ks = stats.kstest(r, stats.rice(b=model.a / model.sigma, scale=model.sigma).cdf)
+    a, sigma = rician_parameters(10.0)
+    r = sample_rician_envelope(10.0, np.random.default_rng(2024), size=100_000)
+    ks = stats.kstest(r, stats.rice(b=a / sigma, scale=sigma).cdf)
     m2 = float(np.mean(r ** 2))
-    target = model.a ** 2 + 2 * model.sigma ** 2
+    target = a ** 2 + 2 * sigma ** 2
     ok = ks.pvalue > 0.01 and abs(m2 - target) <= 0.02 * target
     report(7, ok, f"KS p-value {ks.pvalue:.3f} (> 0.01), second moment {m2:.4f} "
                   f"vs {target:.4f} (within 2%)")

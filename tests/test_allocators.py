@@ -5,10 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 from oracles import assert_feasible
 
-from railpower import (FadingModel, average_alloc, build_gain_table, constant_alloc,
-                       csi_alloc, entry_layout, mr_rrh_distance, mrs_in_cell, path_loss,
-                       random_alloc, reference_config, sample_fading_power,
-                       segment_boundaries)
+from railpower import (average_alloc, build_gain_table, constant_alloc, csi_alloc,
+                       entry_layout, mr_rrh_distance, mrs_in_cell, path_loss, random_alloc,
+                       reference_config, sample_fading_power, segment_boundaries)
 from railpower.metrics import AllocationMatrix
 
 
@@ -187,8 +186,7 @@ def column_loop_csi(cfg, h2, fading=None):
 
 def fading_attenuation(cfg, rng):
     """One Rician power factor per active entry, in the compact order."""
-    model = FadingModel.from_k_db(cfg.rician_k)
-    return sample_fading_power(model, rng, size=entry_layout(cfg).segment.size)
+    return sample_fading_power(cfg.rician_k, rng, size=entry_layout(cfg).segment.size)
 
 
 def midpoint_snapshot(cfg, sched):

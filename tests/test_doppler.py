@@ -64,6 +64,21 @@ def test_table_rejects_oversized_window():
         build_table(cfg, x_s=0.0)
 
 
+def test_build_table_validates_its_arguments(ref_cfg):
+    # L is a count of samples: a float would widen the window by a
+    # fraction, a bool would pass for 1
+    for L in (2.5, True, 5.0):
+        with pytest.raises(ValueError, match="L must be an integer"):
+            build_table(ref_cfg, x_s=1.0, L=L)
+    for L in (0, -3):
+        with pytest.raises(ValueError, match="L must be at least 1"):
+            build_table(ref_cfg, x_s=1.0, L=L)
+    for x_s in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="x_s must be finite and positive"):
+            build_table(ref_cfg, x_s=x_s, L=5)
+    assert len(build_table(ref_cfg, x_s=1.0, L=np.int64(5))) == 191
+
+
 def test_noiseless_lookup_is_exact(ref_cfg, table):
     f_max = max_doppler(ref_cfg)
     for k in range(0, len(table), 7):
@@ -102,7 +117,8 @@ def test_noisy_estimation_error_bound(ref_cfg, table):
     # with the slope maximal abeam where it equals 1/d0
     rng = np.random.default_rng(99)
     f_max = max_doppler(ref_cfg)
-    bound = f_max * table.x_s * (1.0 / ref_cfg.d0)
+    x_s = table.positions[1] - table.positions[0]
+    bound = f_max * x_s * (1.0 / ref_cfg.d0)
     errors = []
     for _ in range(1000):
         k = int(rng.integers(0, len(table)))
@@ -138,12 +154,13 @@ def test_doppler_records_reject_malformed_input(table, tmp_path):
     nan_windows[4, 2] = np.nan
     for change in ({"windows": nan_windows},
                    {"windows": parts["windows"][0]},
-                   {"windows": parts["windows"][:, :9]},
+                   {"windows": parts["windows"][:, :10]},
+                   {"windows": parts["windows"][:, :1]},
                    {"positions": parts["positions"][:-1]},
                    {"f_rel": parts["f_rel"][:, None]},
                    {name: arr[:0] for name, arr in parts.items()}):
         with pytest.raises(ValueError):
-            DopplerTable(**{**parts, **change}, x_s=table.x_s, half_width=table.half_width)
+            DopplerTable(**{**parts, **change})
     # a hand-edited table file fails when it is loaded, not when it is used
     path = tmp_path / "edited.txt"
     table.save(path)
@@ -154,22 +171,18 @@ def test_doppler_records_reject_malformed_input(table, tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="finite"):
         DopplerTable.load(path)
-    # a header without L=, an empty file and a file without its header line
-    # fail naming the file and the header they found
+    # an empty file, the comment line without rows, rows a value short (an
+    # even count) and rows of three values (L = 0) fail naming the file, the
+    # 2L+3 values a row holds and what they found
     table.save(path)
     lines = path.read_text().splitlines()
-    no_l = lines[0].replace(" L=5", "")
-    for kept, header in (([no_l] + lines[1:], no_l), ([], ""), (lines[2:], lines[2])):
+    assert lines[0] == "# position_m f_rel rsrp_dbm[2L+1]"
+    short = [" ".join(line.split()[:-1]) for line in lines[1:]]
+    narrow = [" ".join(line.split()[:3]) for line in lines[1:]]
+    for kept, found in (([], "no rows"), (lines[:1], "no rows"),
+                        (lines[:1] + short, "12 values"), (lines[:1] + narrow, "3 values")):
         path.write_text("".join(line + "\n" for line in kept))
-        with pytest.raises(ValueError, match="header") as info:
-            DopplerTable.load(path)
-        assert str(path) in str(info.value) and repr(header) in str(info.value)
-    # the header lines without rows, and rows a value short, fail naming the
-    # file and the 2L+3 values a row holds
-    short = [" ".join(line.split()[:-1]) for line in lines[2:]]
-    for kept, found in ((lines[:2], "no rows"), (lines[:2] + short, "12 values")):
-        path.write_text("".join(line + "\n" for line in kept))
-        with pytest.raises(ValueError, match="2L\\+3 = 13 values") as info:
+        with pytest.raises(ValueError, match="2L\\+3 values with L >= 1") as info:
             DopplerTable.load(path)
         assert str(path) in str(info.value) and found in str(info.value)
 
@@ -202,7 +215,7 @@ def lookup_cases(draw):
     noise = spread * 10.0 ** rng.uniform(-12.0, -1.0, size=(8, 1)) * rng.standard_normal((8, n))
     queries = np.concatenate([windows[i], windows[i] + noise, 0.5 * (windows[i] + windows[j])])
     table = DopplerTable(positions=np.arange(k, dtype=float), windows=windows,
-                         f_rel=np.linspace(-1.0, 1.0, k), x_s=1.0, half_width=n // 2)
+                         f_rel=np.linspace(-1.0, 1.0, k))
     return table, queries
 
 
@@ -224,7 +237,7 @@ def test_lookup_exact_at_overflow_and_underflow(offset, spread):
     cfg = reference_config()
     windows = offset + spread * rng.standard_normal((40, 11))
     table = DopplerTable(positions=np.arange(40.0), windows=windows,
-                         f_rel=np.linspace(-1.0, 1.0, 40), x_s=1.0, half_width=5)
+                         f_rel=np.linspace(-1.0, 1.0, 40))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for k in range(0, 40, 3):
             values = windows[k] + 0.1 * spread * rng.standard_normal(11)
@@ -250,7 +263,7 @@ def test_doppler_records_leave_caller_arrays_writable(ref_cfg, table):
     assert values.flags.writeable
     assert not window.values.flags.writeable and window.values is not values
     arrays = {name: getattr(table, name).copy() for name in ("positions", "windows", "f_rel")}
-    held = DopplerTable(**arrays, x_s=table.x_s, half_width=table.half_width)
+    held = DopplerTable(**arrays)
     for name, arr in arrays.items():
         assert arr.flags.writeable, name
         kept = getattr(held, name)
@@ -263,17 +276,24 @@ def test_doppler_records_leave_caller_arrays_writable(ref_cfg, table):
 
 
 def test_table_save_load_round_trip(ref_cfg, table, tmp_path):
+    # the saved file, its rows without the comment line, and the rows under
+    # the older two-line header that also gave the spacing and L all load
+    # as the table that wrote them
     path = tmp_path / "doppler_table.txt"
     table.save(path)
-    loaded = DopplerTable.load(path)
-    assert loaded.x_s == table.x_s and loaded.half_width == table.half_width
-    assert_allclose(loaded.positions, table.positions, rtol=0)
-    assert_allclose(loaded.f_rel, table.f_rel, rtol=0)
-    assert_allclose(loaded.windows, table.windows, rtol=0)
-    assert loaded.sq_norms.tobytes() == table.sq_norms.tobytes()
-    assert loaded.max_norm == table.max_norm
+    saved = path.read_text()
+    rows = saved.split("\n", 1)[1]
     rng = np.random.default_rng(8)
     queries = np.concatenate([table.windows, table.windows + rng.normal(0.0, 2.0, table.windows.shape)])
-    for values in queries:
-        window = RsrpWindow(center=0.0, values=values)
-        assert estimate_doppler(loaded, window, ref_cfg) == estimate_doppler(table, window, ref_cfg)
+    for text in (saved, rows, "# x_s=1.0 L=5\n# position_m f_rel rsrp_dbm[2L+1]\n" + rows):
+        path.write_text(text)
+        loaded = DopplerTable.load(path)
+        assert_allclose(loaded.positions, table.positions, rtol=0)
+        assert_allclose(loaded.f_rel, table.f_rel, rtol=0)
+        assert_allclose(loaded.windows, table.windows, rtol=0)
+        assert loaded.sq_norms.tobytes() == table.sq_norms.tobytes()
+        assert loaded.max_norm == table.max_norm
+        for values in queries:
+            window = RsrpWindow(center=0.0, values=values)
+            assert (estimate_doppler(loaded, window, ref_cfg)
+                    == estimate_doppler(table, window, ref_cfg))

@@ -16,8 +16,9 @@ from railpower.harness import run_point
 
 # every baseline row is finite.  converges: ``optimized`` converged and
 # KKT-stationary; raises: a ValueError naming the floor, and an error row;
-# unconverged: the linear limit (peak SNR at P_T below 1e-15), flagged,
-# with data at or above the floor
+# unconverged: flagged, with data at or above the floor, in the linear
+# limit (peak SNR at P_T below 1e-15) or at a floor so small that every
+# cycle undershoots it and the start point is returned
 EDGES = [
     ("rho", 1e-6, "converges"),
     ("rho", 1e-8, "converges"),
@@ -27,6 +28,7 @@ EDGES = [
     ("d_min_bits", 1e-300, "raises"),
     ("pathloss_exp", 8.0, "unconverged"),
     ("noise_figure", 300.0, "unconverged"),
+    ("rho", 1e-30, "unconverged"),
 ]
 
 

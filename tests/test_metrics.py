@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import rician_parameters
 
-from railpower import (AllocationMatrix, FadingModel, GainTable, average_alloc, build_gain_table,
+from railpower import (AllocationMatrix, GainTable, average_alloc, build_gain_table,
                        compute_metrics, constant_alloc, csi_alloc, energy_efficiency,
                        entry_layout, mr_rrh_distance, random_alloc, sample_fading_power,
                        sample_fading_trace, snr_linear_per_watt, reference_config, solve,
@@ -253,16 +254,16 @@ def test_fading_trace_matches_the_db_route(ref_cfg, seed):
     # sample_fading_power draws, and to rounding the dB route over the same
     # draws (two rng.normal calls, gamma = -20 log10(r / r_rms), then
     # 10^(-gamma/10)); it consumes exactly 2 K (Q+1) normals
-    model = FadingModel.from_k_db(ref_cfg.rician_k)
+    a, sigma = rician_parameters(ref_cfg.rician_k)
     size = (entry_layout(ref_cfg).segment.size, ref_cfg.quad_n + 1)
     rng = np.random.default_rng(seed)
     trace = sample_fading_trace(ref_cfg, rng)
     assert trace.shape == size
-    assert np.array_equal(trace, sample_fading_power(model, np.random.default_rng(seed), size))
+    drawn = sample_fading_power(ref_cfg.rician_k, np.random.default_rng(seed), size)
+    assert np.array_equal(trace, drawn)
     ref = np.random.default_rng(seed)
-    r = np.hypot(ref.normal(model.a, model.sigma, size=size),
-                 ref.normal(0.0, model.sigma, size=size))
-    gamma = -20.0 * np.log10(r / model.rms)
+    r = np.hypot(ref.normal(a, sigma, size=size), ref.normal(0.0, sigma, size=size))
+    gamma = -20.0 * np.log10(r / np.sqrt(a ** 2 + 2 * sigma ** 2))
     assert_allclose(trace, 10.0 ** (-gamma / 10.0), rtol=2e-15)
     counted = np.random.default_rng(seed)
     counted.standard_normal(2 * size[0] * size[1])

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import rician_parameters
 from scipy import stats
 
-from railpower import (FadingModel, dbm_to_watts, link_constant_db, max_antenna_gain,
-                       noise_power_dbm, path_loss, sample_fading_power,
-                       sample_rician_envelope, snr_db, snr_linear_per_watt)
+from railpower import (dbm_to_watts, link_constant_db, max_antenna_gain, noise_power_dbm,
+                       path_loss, sample_fading_power, sample_rician_envelope, snr_db,
+                       snr_linear_per_watt)
 
 
 def g0_oracle(theta_3db):
@@ -121,46 +122,36 @@ def test_snr_linear_per_watt_is_the_db_budget_in_linear_units(ref_cfg, n_pl):
             snr_linear_per_watt(cfg, bad)
 
 
-def test_fading_model_construction():
-    model = FadingModel.from_k_db(10.0)
-    assert_allclose(model.k_factor, 10.0, rtol=1e-12)
-    assert_allclose(model.rms, 1.0, rtol=1e-12)
-    with pytest.raises(ValueError):
-        FadingModel(a=-1.0, sigma=1.0)
-    with pytest.raises(ValueError):
-        FadingModel(a=1.0, sigma=0.0)
-
-
 def test_rician_second_moment(rng):
-    model = FadingModel.from_k_db(10.0)
-    r = sample_rician_envelope(model, rng, size=1_000_000)
+    r = sample_rician_envelope(10.0, rng, size=1_000_000)
     assert np.all(r >= 0)
-    assert_allclose((r ** 2).mean(), model.a ** 2 + 2 * model.sigma ** 2, rtol=0.02)
+    assert_allclose((r ** 2).mean(), 1.0, rtol=0.02)
 
 
 def test_rayleigh_degenerate_case(rng):
-    model = FadingModel(a=0.0, sigma=0.7)
-    r = sample_rician_envelope(model, rng, size=1_000_000)
-    assert_allclose((r ** 2).mean(), 2 * model.sigma ** 2, rtol=0.02)
+    # K = 0 (-inf dB): no line-of-sight part, still unit RMS
+    r = sample_rician_envelope(-np.inf, rng, size=1_000_000)
+    assert_allclose((r ** 2).mean(), 1.0, rtol=0.02)
+    res = stats.kstest(r, stats.rayleigh(scale=np.sqrt(0.5)).cdf)
+    assert res.pvalue > 0.01
 
 
 def test_rician_ks_test():
-    model = FadingModel.from_k_db(10.0)
-    r = sample_rician_envelope(model, np.random.default_rng(11), size=100_000)
-    res = stats.kstest(r, stats.rice(b=model.a / model.sigma, scale=model.sigma).cdf)
+    a, sigma = rician_parameters(10.0)
+    assert_allclose(a ** 2 / (2 * sigma ** 2), 10.0, rtol=1e-12)
+    r = sample_rician_envelope(10.0, np.random.default_rng(11), size=100_000)
+    res = stats.kstest(r, stats.rice(b=a / sigma, scale=sigma).cdf)
     assert res.pvalue > 0.01
 
 
 def test_fading_determinism():
-    model = FadingModel.from_k_db(10.0)
-    a = sample_rician_envelope(model, np.random.default_rng(42), size=1000)
-    b = sample_rician_envelope(model, np.random.default_rng(42), size=1000)
+    a = sample_rician_envelope(10.0, np.random.default_rng(42), size=1000)
+    b = sample_rician_envelope(10.0, np.random.default_rng(42), size=1000)
     assert np.array_equal(a, b)
 
 
 def test_fading_power_has_unit_mean(rng):
-    model = FadingModel.from_k_db(10.0)
-    power = sample_fading_power(model, rng, size=200_000)
+    power = sample_fading_power(10.0, rng, size=200_000)
     # the factor |r|^2 / E[r^2] has mean 1 by construction
     assert np.all(power >= 0)
     assert_allclose(np.mean(power), 1.0, rtol=0.02)
@@ -169,19 +160,19 @@ def test_fading_power_has_unit_mean(rng):
 def test_fading_power_is_the_envelope_draw_squared():
     # one standard normal draw gives the values, and leaves the stream
     # where, two rng.normal calls (real part, then imaginary part) would
-    model = FadingModel.from_k_db(10.0)
+    a, sigma = rician_parameters(10.0)
     for size in (None, 7, (3, 4, 5)):
         ref, rng = np.random.default_rng(12), np.random.default_rng(12)
-        re = ref.normal(model.a, model.sigma, size=size)
-        im = ref.normal(0.0, model.sigma, size=size)
-        power = sample_fading_power(model, rng, size=size)
+        re = ref.normal(a, sigma, size=size)
+        im = ref.normal(0.0, sigma, size=size)
+        power = sample_fading_power(10.0, rng, size=size)
         assert np.shape(power) == np.shape(re)
-        assert_allclose(power, np.hypot(re, im) ** 2 / model.rms ** 2, rtol=2e-15)
+        assert_allclose(power, np.hypot(re, im) ** 2 / (a ** 2 + 2 * sigma ** 2), rtol=2e-15)
         assert ref.random() == rng.random()
         ref, rng = np.random.default_rng(12), np.random.default_rng(12)
-        r = sample_rician_envelope(model, rng, size=size)
-        assert_allclose(r, np.hypot(ref.normal(model.a, model.sigma, size=size),
-                                    ref.normal(0.0, model.sigma, size=size)), rtol=1e-15)
+        r = sample_rician_envelope(10.0, rng, size=size)
+        assert_allclose(r, np.hypot(ref.normal(a, sigma, size=size),
+                                    ref.normal(0.0, sigma, size=size)), rtol=1e-15)
         assert ref.random() == rng.random()
 
 
