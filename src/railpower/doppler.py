@@ -168,9 +168,10 @@ def build_table(cfg: ScenarioConfig, x_s: float = 1.0, L: int = 5) -> DopplerTab
     Centres sit on the grid k*x_s (k an integer, k >= 0) and are kept only
     when the whole window fits inside the cell, so 2L grid points are lost
     at the boundaries.  Raises ``ValueError`` naming the argument unless
-    x_s is finite and positive and L is an integer of at least 1.
+    x_s is finite, positive and not a bool, and L is an integer of at
+    least 1.
     """
-    if not (math.isfinite(x_s) and x_s > 0.0):
+    if isinstance(x_s, (bool, np.bool_)) or not (math.isfinite(x_s) and x_s > 0.0):
         raise ValueError(f"x_s must be finite and positive, got {x_s!r}")
     _require_count("L", L)
     if L < 1:

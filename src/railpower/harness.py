@@ -223,7 +223,7 @@ def _baseline_figures(scheme: str, cfg: ScenarioConfig, sched: SegmentSchedule,
     return metrics.compute_metrics(alloc, cfg, sched, eval_table)
 
 
-def prepare_point(cfg: ScenarioConfig, schemes=()) -> PreparedPoint:
+def prepare_point(cfg: ScenarioConfig, schemes) -> PreparedPoint:
     """Build the schedule, deterministic table and data floor of cfg once,
     and the figures of those ``schemes`` that no trial changes: ``constant``,
     ``average`` and ``csi`` when ``cfg.fading`` is off."""

@@ -8,11 +8,15 @@ per scenario into a :class:`GainTable` and all power-dependent
 evaluations (data, gradient) become cheap vectorised passes over that
 table.  This is what makes the solver's inner loop fast.
 
-Each reported figure has one formula: :func:`total_energy` for energy,
-:meth:`GainTable.segment_data_matrix` summed per segment and then over
-segments for data, and :func:`energy_efficiency` for EE.
+Each reported figure of an allocation has one formula: :func:`total_energy`
+for energy, :meth:`GainTable.segment_data_matrix` summed per segment and
+then over segments for data, and :func:`energy_efficiency` for EE.
 :func:`compute_metrics` combines them; the harness rows and the solver's
-returned figures read them from there.
+returned figures read them from there.  The data floor is not one of them:
+:func:`optimizer.data_floor` is rho times :meth:`GainTable.total_data` of
+the average allocation, which sums the same terms in another order, so at
+rho = 1 the ``average`` row's data can sit an ulp below its own floor
+(M = 4 and 6 on the reference scenario).
 
 Compact layout: a relay transmits only while it is in the cell, so of the
 M x (2M+N-2) (relay, segment) pairs only the K = M(M+N-1) active entries

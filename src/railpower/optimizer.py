@@ -53,11 +53,10 @@ derivative pair (D', D''); the next cycle starts from all three, so its
 first step makes no data pass at the same x, and re-forms only the cap
 rows of the residuals, under its own shift.  Within a cycle, one
 merit evaluation takes the column sums once, for the residuals and the
-energy, and the accepted line-search candidate's SNR product
-(:meth:`GainTable.snr`) feeds its derivative pass, as the start point's
-feeds the first, so a solve makes one derivative pass per inner step plus
-one; the stop test reads the pair a
-cycle hands on, and makes its own pass only after a step-cap stop.  Each
+energy, and an accepted step forms its iterate's pair from the SNR product
+(:meth:`GainTable.snr`) its line search computed, as the start point's
+product feeds the first pass, so a solve makes one derivative pass per
+inner step plus one; the stop test reads the pair a cycle hands on.  Each
 accepted iterate's multiplier estimate lam_hat is formed once: the merit
 gradient, the Newton direction and the cycle's record all read it, and
 the mask g > 0 is shared by the projected gradient and the
@@ -245,27 +244,16 @@ class Problem:
         h[1:] = np.maximum(cols - 1.0, shift)
         return h
 
-    def phi(self, x: np.ndarray, lam: np.ndarray, sigma: float,
-            h: np.ndarray | None = None, cols: np.ndarray | None = None) -> float:
-        """Merit value; ``h`` and ``cols`` pass in the shifted residuals and
-        column sums at x, so one evaluation takes the column sums once."""
-        if cols is None:
-            cols = self.layout.column_sums(x)
-        if h is None:
-            h = self.residuals_scaled(x, cap_shift(lam, sigma), cols=cols)
+    def phi(self, lam: np.ndarray, sigma: float, h: np.ndarray, cols: np.ndarray) -> float:
+        """Merit value at an iterate, from its residuals ``h`` shifted by
+        :func:`cap_shift` and its column sums ``cols``."""
         return float(self.t_norm @ cols) - float(lam @ h) + sigma * float(h @ h)
 
-    def grad_phi(self, x: np.ndarray, lam_hat: np.ndarray,
-                 dd: np.ndarray | None = None) -> np.ndarray:
-        """Merit gradient at x: the Lagrangian's gradient at x's multiplier
-        estimate ``lam_hat``; ``dd`` passes in the scaled data gradient at x."""
-        if dd is None:
-            dd = self.table.data_derivatives(x)[0]
-        return self._lagrangian_gradient(lam_hat, dd)
-
-    def _lagrangian_gradient(self, lam: np.ndarray, dd: np.ndarray) -> np.ndarray:
-        """t_k - lam_0 D'_k - lam_j(k), with ``dd`` the scaled data gradient."""
-        return self._t_entry - lam[0] * dd - lam[1:][self.segment]
+    def grad_phi(self, lam_hat: np.ndarray, dd: np.ndarray) -> np.ndarray:
+        """Merit gradient at an iterate: the Lagrangian's gradient
+        t_k - lam_0 D'_k - lam_j(k) at its multiplier estimate ``lam_hat``,
+        with ``dd`` its scaled data gradient."""
+        return self._t_entry - lam_hat[0] * dd - lam_hat[1:][self.segment]
 
     def newton_direction(self, x: np.ndarray, g: np.ndarray, pos: np.ndarray,
                          dd: np.ndarray, dd2: np.ndarray, sigma: float,
@@ -324,7 +312,7 @@ class Problem:
         wrong-signed multiplier excess.
         """
         budget = self.layout.column_sums(x) - 1.0
-        stat = self._lagrangian_gradient(lam, dd)
+        stat = self.grad_phi(lam, dd)
         # an interior entry's stationarity error is |stat|; at the bound
         # only a negative slope counts
         stat_res = float(np.maximum.reduce(np.where(x > 0.0, np.abs(stat), -stat)))
@@ -367,39 +355,34 @@ class CycleRecord:
 
 
 def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarray, sigma: float,
-                  derivs: tuple[np.ndarray, np.ndarray] | None = None
-                  ) -> tuple[CycleRecord, tuple | None]:
+                  derivs: tuple[np.ndarray, np.ndarray]
+                  ) -> tuple[CycleRecord, tuple[np.ndarray, np.ndarray]]:
     """Minimise phi(., lam, sigma) by projected Newton descent from x.
 
     Takes a scaled iterate x >= 0 with its residuals h (their cap rows
-    re-formed under this cycle's shift) and, when known,
-    ``derivs``, the data derivative pair (D', D'') at x; returns the
-    cycle's :class:`CycleRecord` of the final iterate and that iterate's
-    pair (``None`` when the loop ended on the step cap, which leaves the
-    last iterate's pair uncomputed).  Steps along
+    re-formed under this cycle's shift) and ``derivs``, the data derivative
+    pair (D', D'') at x; returns the cycle's :class:`CycleRecord` of the
+    final iterate and that iterate's pair.  Steps along
     :meth:`Problem.newton_direction`, clipping negative entries to zero;
     the stepsize halves from 1 until phi decreases.  The accepted
     candidate's residuals are kept, so each merit evaluation is one data
-    pass, and so is its SNR product, which feeds the next derivative pass:
-    a loop makes one derivative pass per step, plus one unless ``derivs``
-    was passed in.  Stops once the projected gradient norm falls below
-    :data:`EPS`, on a backtracking stall, or at the step cap
-    :data:`INNER_CAP`; the last two flag the record rather than raising.
+    pass, and so is its SNR product, from which the step forms the new
+    iterate's pair: a loop makes one derivative pass per step.  Stops once
+    the projected gradient norm falls below :data:`EPS`, on a backtracking
+    stall, or at the step cap :data:`INNER_CAP`; the last two flag the
+    record rather than raising.
     """
     table = problem.table
     shift = cap_shift(lam, sigma)
     cols = problem.layout.column_sums(x)
     h = np.concatenate((h[:1], np.maximum(cols - 1.0, shift)))
-    phi = problem.phi(x, lam, sigma, h, cols)
+    phi = problem.phi(lam, sigma, h, cols)
     lam_hat = lam - 2.0 * sigma * h
     evals, steps, reason = 1, 0, "cap"
-    snr = None    # the SNR product at x, once a line search formed it
 
     while steps < INNER_CAP:
-        if derivs is None:
-            derivs = table.data_derivatives(x, snr)
         dd, dd2 = derivs
-        g = problem.grad_phi(x, lam_hat, dd)
+        g = problem.grad_phi(lam_hat, dd)
         pos = g > 0.0
         # projected gradient: no descent below zero at the bound
         pg = np.where((x <= 0.0) & pos, 0.0, g)
@@ -412,7 +395,7 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
             x_try = np.maximum(x + alpha * d, 0.0)
             snr_try, cols_try = table.snr(x_try), problem.layout.column_sums(x_try)
             h_try = problem.residuals_scaled(x_try, shift, snr_try, cols_try)
-            phi_try = problem.phi(x_try, lam, sigma, h_try, cols_try)
+            phi_try = problem.phi(lam, sigma, h_try, cols_try)
             evals += 1
             if phi_try < phi:
                 x_new, h_new, phi_new = x_try, h_try, phi_try
@@ -421,7 +404,7 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
         if x_new is None:                  # cannot decrease: numerically stationary
             reason = "stall"
             break
-        x, h, phi, snr, derivs = x_new, h_new, phi_new, snr_try, None
+        x, h, phi, derivs = x_new, h_new, phi_new, table.data_derivatives(x_new, snr_try)
         lam_hat = lam - 2.0 * sigma * h
         steps += 1
 
@@ -553,12 +536,10 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     for _ in range(N_MAX + 1):
         rec, derivs = inner_descent(problem, x, h, lam, sigma, derivs)
         history.append(rec)
-        if rec.h_inf <= EPS:
-            if derivs is None:   # a step-cap stop leaves the pair uncomputed
-                derivs = problem.table.data_derivatives(rec.x)
-            if problem.kkt_residual(rec.x, rec.lam_hat, rec.h, derivs[0]) <= 10.0 * EPS:
-                stopped = rec
-                break
+        if (rec.h_inf <= EPS
+                and problem.kkt_residual(rec.x, rec.lam_hat, rec.h, derivs[0]) <= 10.0 * EPS):
+            stopped = rec
+            break
         lam, sigma, sigma_grew = update_state(lam, sigma, sigma_grew, rec.h_inf, rec.lam_hat,
                                               prev_inf)
         if sigma > SIGMA_MAX:

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, _rician_k_linear
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
@@ -100,10 +100,11 @@ def _rician_parts(k_db: float, rng: np.random.Generator, size):
     # One (2, *size) standard normal draw is turned, in place, into the real
     # part a + sigma*z[0] and the imaginary part sigma*z[1]: the values
     # rng.normal(a, sigma) and rng.normal(0, sigma) give on two successive
-    # draws of size, with the stream ending where theirs would
-    k = 10.0 ** (k_db / 10.0)
-    sigma2 = 1.0 / (2.0 * (k + 1.0))
-    a, sigma = math.sqrt(2.0 * k * sigma2), math.sqrt(sigma2)
+    # draws of size, with the stream ending where theirs would.  The
+    # factors of 2 are applied last, so that no finite K overflows.
+    k = _rician_k_linear(k_db, "k_db")
+    sigma2 = 0.5 / (k + 1.0)
+    a, sigma = math.sqrt(k * sigma2 * 2.0), math.sqrt(sigma2)
     shape = () if size is None else tuple(np.atleast_1d(size))
     re, im = rng.standard_normal((2,) + shape)
     re *= sigma
@@ -114,7 +115,9 @@ def _rician_parts(k_db: float, rng: np.random.Generator, size):
 
 def sample_rician_envelope(k_db: float, rng: np.random.Generator, size=None):
     """Draw envelope samples r >= 0 of unit RMS (E[r^2] = 1) from the
-    Rician distribution of K-factor ``k_db`` [dB]; -inf is Rayleigh."""
+    Rician distribution of K-factor ``k_db`` [dB]; -inf is Rayleigh.  NaN,
+    +inf and a K above about 3082 dB, whose linear value is not finite,
+    raise ``ValueError`` naming ``k_db``."""
     re, im, _ = _rician_parts(k_db, rng, size)
     return np.hypot(re, im)
 

@@ -49,6 +49,20 @@ def _require_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _rician_k_linear(k_db: float, name: str) -> float:
+    """The linear Rician K-factor of ``k_db`` [dB], 0 at -inf (Rayleigh).
+    Raises ``ValueError`` naming ``name`` for NaN, +inf, or a K-factor whose
+    linear value is not finite (above about 3082 dB)."""
+    try:
+        k = 10.0 ** (float(k_db) / 10.0)
+    except OverflowError:
+        k = math.inf
+    if not k < math.inf:
+        raise ValueError(f"{name} must be a K-factor [dB] with a finite linear value "
+                         f"(at most about 3082 dB), got {k_db!r}")
+    return k
+
+
 def _hold_read_only(obj, names) -> None:
     """Make a frozen dataclass hold read-only arrays: a writable input is
     copied, never frozen in place, and a read-only one is kept as is."""
@@ -103,6 +117,7 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("num_relays", "num_bins", "quad_n", "seed"):
             _require_count(name, getattr(self, name))
+        _rician_k_linear(self.rician_k, "rician_k")
         if self.num_relays < 1 or self.num_bins < 1:
             raise ValueError("num_relays and num_bins must be >= 1")
         for name in ("d0", "d_l", "d_mr", "v", "p_t", "bandwidth", "wavelength",

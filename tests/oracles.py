@@ -1,6 +1,6 @@
 """Test oracles: an allocation's feasibility, the closed-form data of the
-free-space link, the merit gradient at given multipliers, and the
-Rician envelope's parameters at a K-factor (test helpers only).
+free-space link, the merit value and gradient at given multipliers, and
+the Rician envelope's parameters at a K-factor (test helpers only).
 
 With path-loss exponent 2 and both antennas at boresight, the per-watt
 SNR of relay i at time t is A / (d0^2 + u^2), where
@@ -73,9 +73,21 @@ def closed_form_data(cfg, sched, layout, p):
     return data, first, second
 
 
+def merit(problem, x, lam, sigma):
+    """The augmented Lagrangian phi(x, lam, sigma) of ``problem``, formed
+    from x alone: the energy t . s over x's column sums s, minus lam . h,
+    plus sigma h . h, with h the floor residual D(x) - 1 and the budget
+    rows max(s_j - 1, ``cap_shift(lam, sigma)``)."""
+    cols = problem.layout.column_sums(x)
+    h = np.concatenate(([problem.table.total_data(x) - 1.0],
+                        np.maximum(cols - 1.0, cap_shift(lam, sigma))))
+    return float(problem.t_norm @ cols) - float(lam @ h) + sigma * float(h @ h)
+
+
 def merit_gradient(problem, x, lam, sigma):
     """``Problem.grad_phi`` at x under multipliers lam and penalty sigma: the
     Lagrangian gradient at x's multiplier estimate lam - 2 sigma h, with h
-    the residuals shifted by ``cap_shift(lam, sigma)``."""
+    the residuals shifted by ``cap_shift(lam, sigma)``, and x's scaled data
+    gradient."""
     h = problem.residuals_scaled(x, cap_shift(lam, sigma))
-    return problem.grad_phi(x, lam - 2.0 * sigma * h)
+    return problem.grad_phi(lam - 2.0 * sigma * h, problem.table.data_derivatives(x)[0])

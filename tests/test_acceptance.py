@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import merit_gradient, rician_parameters
+from oracles import merit, merit_gradient, rician_parameters
 from scipy import stats
 
 from railpower import (build_gain_table, build_table, constant_alloc, data_floor,
@@ -191,7 +191,7 @@ def test_criterion_5_solver_correctness(cfg, rng):
         xp, xm = x.copy(), x.copy()
         xp[k] += h
         xm[k] -= h
-        fd_phi = (problem.phi(xp, lam, sigma) - problem.phi(xm, lam, sigma)) / (2 * h)
+        fd_phi = (merit(problem, xp, lam, sigma) - merit(problem, xm, lam, sigma)) / (2 * h)
         worst_grad = max(worst_grad, abs(fd_phi - gp[k]) / max(abs(fd_phi), 1e-8))
 
     ok = worst_data <= 1e-3 and worst_over <= 1e-3 and worst_kkt <= 10 * EPS \

@@ -61,6 +61,19 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert list(tmp_path.glob("*.csv")) == []
 
 
+def test_rician_k_without_a_finite_linear_value_exits_with_a_config_error(tmp_path, capsys):
+    # at the parent a fading run on this file ended in an OverflowError
+    # traceback; now the file fails as it loads, naming it, before any CSV
+    bad = write_cfg(tmp_path, REF_CONFIG + "fading = true\nrician_k_db = 4000\n")
+    for argv in (["run", bad],
+                 ["sweep", bad, "--param", "d_l", "--values", "180,200"],
+                 ["mc-velocity", bad, "--sigmas", "0,1", "--trials", "1"]):
+        assert main(["--outdir", str(tmp_path)] + argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert bad in err and "rician_k must be a K-factor" in err, err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     code = main(["--outdir", str(tmp_path), "run", str(tmp_path / "absent.cfg")])
     assert code == 2

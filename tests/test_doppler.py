@@ -73,7 +73,8 @@ def test_build_table_validates_its_arguments(ref_cfg):
     for L in (0, -3):
         with pytest.raises(ValueError, match="L must be at least 1"):
             build_table(ref_cfg, x_s=1.0, L=L)
-    for x_s in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+    # a bool x_s would pass for 1 m and build integer positions
+    for x_s in (np.nan, np.inf, -np.inf, 0.0, -1.0, True, np.True_):
         with pytest.raises(ValueError, match="x_s must be finite and positive"):
             build_table(ref_cfg, x_s=x_s, L=5)
     assert len(build_table(ref_cfg, x_s=1.0, L=np.int64(5))) == 191

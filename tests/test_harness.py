@@ -331,7 +331,7 @@ def test_deterministic_optimized_row_reuses_its_solve_figures(monkeypatch, ref_c
 
     monkeypatch.setattr(metrics, "compute_metrics", counted)
     monkeypatch.setattr(optimizer, "compute_metrics", counted)
-    point = prepare_point(ref_cfg)
+    point = prepare_point(ref_cfg, ())
     rows = run_point(point, options, np.random.SeedSequence((ref_cfg.seed, 0, 0)))
     assert len(calls) == 5 and all(table is point.table for table in calls)
     row = next(r for r in rows if r.scheme == "optimized")
@@ -340,7 +340,7 @@ def test_deterministic_optimized_row_reuses_its_solve_figures(monkeypatch, ref_c
             == (rec.energy_j, rec.data_bits, rec.se_bits_per_s_per_hz))
     # a fading point still evaluates the optimized row on its faded table
     calls.clear()
-    faded = prepare_point(ref_cfg.with_(fading=True))
+    faded = prepare_point(ref_cfg.with_(fading=True), ())
     run_point(faded, options, np.random.SeedSequence((ref_cfg.seed, 0, 0)))
     assert len(calls) == 6
     assert sum(table is faded.table for table in calls) == 1   # the solve's own
@@ -369,7 +369,7 @@ def _per_trial_study(cfg, options, sigmas, trials):
                 warm = opt.solution
         trial_rows = [r for trial in range(trials) for r in by_trial[trial]]
         rows += trial_rows
-        means += _mean_records(trial_rows, prepare_point(cfg))
+        means += _mean_records(trial_rows, prepare_point(cfg, ()))
     return rows + means
 
 
@@ -548,7 +548,7 @@ def test_mean_rows_recompute_ratios_from_means(ref_cfg):
                   cycles=None, h_inf=None)
         for t, (e, d) in enumerate([(2.0, 10.0), (4.0, 30.0)])
     ]
-    mean = _mean_records(rows, prepare_point(ref_cfg))[0]
+    mean = _mean_records(rows, prepare_point(ref_cfg, ()))[0]
     assert mean.energy_j == 3.0 and mean.data_bits == 20.0
     assert_allclose(mean.ee_bits_per_j, 20.0 / 3.0, rtol=1e-12)
 
@@ -584,7 +584,7 @@ def test_array_records_compare_by_identity():
         "AllocationMatrix": lambda: allocators.average_alloc(cfg, sched),
         "RsrpWindow": lambda: build_table(cfg, x_s=10.0).window_at(3),
         "DopplerTable": lambda: build_table(cfg, x_s=10.0),
-        "PreparedPoint": lambda: prepare_point(cfg),
+        "PreparedPoint": lambda: prepare_point(cfg, ()),
         "SolveResult": lambda: solve(cfg, sched)[1],
         "CycleRecord": lambda: solve(cfg, sched)[1].history[0],
     }
@@ -613,14 +613,14 @@ def test_shared_rows_equal_rows_evaluated_in_every_trial(ref_cfg, options, fadin
         point_cfg = apply_sweep_value(cfg, "d_l", value)
         warm, value_rows = None, []
         for trial in range(trials):
-            trial_rows = run_point(prepare_point(point_cfg), options,
+            trial_rows = run_point(prepare_point(point_cfg, ()), options,
                                    np.random.SeedSequence((cfg.seed, idx, trial)),
                                    kind="trial", param="d_l", value=value, trial=trial,
                                    warm=warm)
             warm = next(r.solution for r in trial_rows if r.scheme == "optimized")
             value_rows += trial_rows
         expected += value_rows
-        means += _mean_records(value_rows, prepare_point(point_cfg))
+        means += _mean_records(value_rows, prepare_point(point_cfg, ()))
     assert _row_values(rows) == _row_values(expected + means)
 
 

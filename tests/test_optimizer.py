@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from oracles import assert_feasible, merit_gradient
+from oracles import assert_feasible, merit, merit_gradient
 from scipy.linalg import lu_factor, lu_solve
 
 from railpower import optimizer
@@ -78,7 +78,7 @@ def test_converged_run_meets_scaled_tolerance(ref_solution):
 # ------------------------------------------------------- merit function + grad
 
 def test_augmented_lagrangian_reductions(ref_cfg, ref_sched, ref_table):
-    # Problem.phi is the augmented Lagrangian in scaled units
+    # the merit function is the augmented Lagrangian in scaled units
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     d_avg = ref_table.total_data(average_alloc(ref_cfg, ref_sched).values)
     avg = average_alloc(ref_cfg, ref_sched)
@@ -92,26 +92,29 @@ def test_augmented_lagrangian_reductions(ref_cfg, ref_sched, ref_table):
     x = problem.to_scaled(avg)
     # at zero multipliers: the energy plus the penalty on the floor row,
     # h_0 = D_avg / (0.8 D_avg) - 1 = 0.25, the caps spent exactly
-    assert_allclose(problem.phi(x, zeros, 2.0), energy + 2.0 * 0.25 ** 2, rtol=1e-12)
+    assert_allclose(merit(problem, x, zeros, 2.0), energy + 2.0 * 0.25 ** 2, rtol=1e-12)
 
     # a feasible point keeps phi equal to the energy for any multipliers
     at_avg = Problem(ref_cfg, ref_sched, d_avg, ref_table)
-    assert_allclose(at_avg.phi(x, lam, 3.0), energy, rtol=1e-9)
+    assert_allclose(merit(at_avg, x, lam, 3.0), energy, rtol=1e-9)
 
     # growing the penalty at a fixed infeasible point raises phi
     half = 0.5 * x
-    assert problem.phi(half, zeros, 2.0) > problem.phi(half, zeros, 1.0)
+    assert merit(problem, half, zeros, 2.0) > merit(problem, half, zeros, 1.0)
 
-    # passed-in residuals give the same value, bit for bit
-    h = problem.residuals_scaled(half, cap_shift(lam, 3.0))
-    assert problem.phi(half, lam, 3.0, h) == problem.phi(half, lam, 3.0)
+    # Problem.phi at the iterate's shifted residuals and column sums gives
+    # the same value, bit for bit
+    cols = problem.layout.column_sums(half)
+    h = problem.residuals_scaled(half, cap_shift(lam, 3.0), cols=cols)
+    assert problem.phi(lam, 3.0, h, cols) == merit(problem, half, lam, 3.0)
 
 
 def test_grad_augmented_lagrangian_structure(ref_cfg, ref_sched, ref_table):
     d_min = data_floor(ref_cfg, ref_sched, ref_table)
     avg = average_alloc(ref_cfg, ref_sched)
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
-    g = problem.grad_phi(problem.to_scaled(avg), np.zeros(ref_cfg.num_segments + 1))
+    dd = problem.table.data_derivatives(problem.to_scaled(avg))[0]
+    g = problem.grad_phi(np.zeros(ref_cfg.num_segments + 1), dd)
     # with a zero multiplier estimate only the energy term remains: each
     # entry's segment duration over the traversal time
     assert_allclose(g, problem.t_norm[ref_table.layout.segment], rtol=1e-12)
@@ -132,7 +135,7 @@ def test_scaled_problem_gradient_finite_differences(ref_cfg, ref_sched, ref_tabl
         plus, minus = x.copy(), x.copy()
         plus[idx] += step
         minus[idx] -= step
-        fd = (problem.phi(plus, lam, sigma) - problem.phi(minus, lam, sigma)) / (2 * step)
+        fd = (merit(problem, plus, lam, sigma) - merit(problem, minus, lam, sigma)) / (2 * step)
         assert abs(fd - g[idx]) <= 1e-4 * max(abs(fd), 1e-8)
 
 
@@ -149,7 +152,8 @@ def test_inner_descent_stationary_start(ref_cfg, ref_sched, ref_table):
     assert np.all(2.0 * sigma * problem.table.data_derivatives(zero)[0]
                   < problem.t_norm[problem.segment])
     h = problem.residuals_scaled(zero)
-    rec, _ = inner_descent(problem, zero, h, np.zeros(ref_cfg.num_segments + 1), sigma)
+    rec, _ = inner_descent(problem, zero, h, np.zeros(ref_cfg.num_segments + 1), sigma,
+                           problem.table.data_derivatives(zero))
     assert rec.inner_steps == 0 and rec.inner_reason == "gradient"
     assert np.all(rec.x == 0.0) and np.array_equal(rec.h, h)
 
@@ -160,13 +164,13 @@ def test_inner_descent_monotone(ref_cfg, ref_sched, ref_table):
     lam, sigma = np.zeros(ref_cfg.num_segments + 1), 1.0
     x = problem.to_scaled(average_alloc(ref_cfg, ref_sched))
     h0 = problem.residuals_scaled(x)
-    rec, derivs = inner_descent(problem, x, h0, lam, sigma)
-    assert rec.phi <= problem.phi(x, lam, sigma, h0)
+    rec, derivs = inner_descent(problem, x, h0, lam, sigma, problem.table.data_derivatives(x))
+    assert rec.phi <= merit(problem, x, lam, sigma)
     # the returned residuals and derivative pair are those of the returned iterate
     assert np.array_equal(rec.h, problem.residuals_scaled(rec.x))
     for carried, fresh in zip(derivs, problem.table.data_derivatives(rec.x)):
         assert np.array_equal(carried, fresh)
-    assert rec.phi == problem.phi(rec.x, lam, sigma)
+    assert rec.phi == merit(problem, rec.x, lam, sigma)
 
 
 def test_inner_descent_cap_flags_not_raises(monkeypatch, ref_cfg, ref_sched, ref_table):
@@ -175,9 +179,39 @@ def test_inner_descent_cap_flags_not_raises(monkeypatch, ref_cfg, ref_sched, ref
     problem = Problem(ref_cfg, ref_sched, d_min, ref_table)
     x = problem.to_scaled(average_alloc(ref_cfg, ref_sched))
     rec, derivs = inner_descent(problem, x, problem.residuals_scaled(x),
-                                np.zeros(ref_cfg.num_segments + 1), 1.0)
+                                np.zeros(ref_cfg.num_segments + 1), 1.0,
+                                problem.table.data_derivatives(x))
     assert rec.inner_reason == "cap" and rec.inner_steps == 3
-    assert derivs is None   # the capped iterate's pair was never computed
+    # the capped iterate's pair is handed on like any other
+    for carried, fresh in zip(derivs, problem.table.data_derivatives(rec.x)):
+        assert np.array_equal(carried, fresh)
+
+
+@pytest.mark.parametrize("reason, overrides, inner_cap", [
+    ("gradient", {}, None),
+    ("stall", {"noise_figure": 200.0}, None),   # its last cycle stalls after 4 steps
+    ("cap", {}, 3),
+])
+def test_inner_descent_hands_on_its_final_iterates_pair(monkeypatch, reason, overrides,
+                                                         inner_cap):
+    # however the loop stops, the pair it returns is a fresh derivative
+    # pass at its final iterate, bit for bit
+    if inner_cap is not None:
+        monkeypatch.setattr(optimizer, "INNER_CAP", inner_cap)
+    returned = []
+
+    def recorded(problem, *args):
+        out = inner_descent(problem, *args)
+        returned.append((problem, *out))
+        return out
+
+    monkeypatch.setattr(optimizer, "inner_descent", recorded)
+    solve(reference_config(**overrides))
+    stops = [(p, rec, derivs) for p, rec, derivs in returned if rec.inner_reason == reason]
+    assert any(rec.inner_steps > 0 for _, rec, _ in stops)
+    for problem, rec, derivs in stops:
+        for carried, fresh in zip(derivs, problem.table.data_derivatives(rec.x), strict=True):
+            assert np.array_equal(carried, fresh)
 
 
 def grid_min_phi(problem, table, cfg, lam0, sigma, levels=50, bins=8000):
@@ -236,8 +270,9 @@ def test_inner_descent_matches_grid_search(tiny):
     problem = Problem(cfg, sched, d_min, table)
     lam = np.zeros(cfg.num_segments + 1)
     x = problem.to_scaled(average_alloc(cfg, sched))
-    rec, _ = inner_descent(problem, x, problem.residuals_scaled(x), lam, 1.0)
-    phi_inner = problem.phi(rec.x, lam, 1.0)
+    rec, _ = inner_descent(problem, x, problem.residuals_scaled(x), lam, 1.0,
+                           problem.table.data_derivatives(x))
+    phi_inner = merit(problem, rec.x, lam, 1.0)
     phi_grid = grid_min_phi(problem, table, cfg, lam0=0.0, sigma=1.0)
     # two-sided: a mis-modelled oracle that overstates the grid minimum
     # fails the second bound
@@ -600,7 +635,7 @@ def test_scaled_problem_gradient_with_active_caps(ref_cfg, ref_sched, ref_table,
         xp, xm = x.copy(), x.copy()
         xp[k] += h
         xm[k] -= h
-        fd = (problem.phi(xp, lam, sigma) - problem.phi(xm, lam, sigma)) / (2 * h)
+        fd = (merit(problem, xp, lam, sigma) - merit(problem, xm, lam, sigma)) / (2 * h)
         assert abs(fd - g[k]) <= 1e-4 * max(abs(fd), 1e-8)
 
 
@@ -710,12 +745,13 @@ def violation(h):
     return max(abs(float(h[0])), float(h[1:].max()))
 
 
-def plain_inner_descent(problem, x, h, lam, sigma, derivs=None):
+def plain_inner_descent(problem, x, h, lam, sigma, derivs):
     """Tolerance oracle: projected gradient, halving from alpha = 1; it
-    ignores the passed-in residuals and derivative pair and hands no pair on."""
+    ignores the passed-in residuals and derivative pair and hands on a
+    fresh pair at its final iterate."""
     shift = cap_shift(lam, sigma)
     h = problem.residuals_scaled(x, shift)
-    phi = problem.phi(x, lam, sigma, h)
+    phi = merit(problem, x, lam, sigma)
     steps, evals, reason = 0, 1, "cap"
     while steps < optimizer.INNER_CAP:
         d = -merit_gradient(problem, x, lam, sigma)
@@ -728,7 +764,7 @@ def plain_inner_descent(problem, x, h, lam, sigma, derivs=None):
         for _ in range(60):
             x_try = np.maximum(x + alpha * d, 0.0)
             h_try = problem.residuals_scaled(x_try, shift)
-            phi_try = problem.phi(x_try, lam, sigma, h_try)
+            phi_try = merit(problem, x_try, lam, sigma)
             evals += 1
             if phi_try < phi:
                 x_new, h_new, phi_new = x_try, h_try, phi_try
@@ -739,10 +775,11 @@ def plain_inner_descent(problem, x, h, lam, sigma, derivs=None):
             break
         x, h, phi = x_new, h_new, phi_new
         steps += 1
-    return CycleRecord(h_inf=violation(h), sigma=sigma, phi=phi,
-                       energy_j=problem.energy_j(x), inner_steps=steps, inner_reason=reason,
-                       merit_evals=evals, x=x, h=h,
-                       lam_hat=multiplier_estimate(problem, x, h, lam, sigma)), None
+    rec = CycleRecord(h_inf=violation(h), sigma=sigma, phi=phi,
+                      energy_j=problem.energy_j(x), inner_steps=steps, inner_reason=reason,
+                      merit_evals=evals, x=x, h=h,
+                      lam_hat=multiplier_estimate(problem, x, h, lam, sigma))
+    return rec, problem.table.data_derivatives(x)
 
 
 def test_inner_descent_one_data_pass_per_merit_evaluation(monkeypatch):
@@ -888,7 +925,7 @@ def test_cycle_records_hold_their_iterates_figures(rho, warm_rho):
         assert rec.energy_j == total_energy(problem.to_physical(rec.x), sched)
         assert rec.sigma == sigma
         assert np.array_equal(rec.lam_hat, multiplier_estimate(problem, rec.x, rec.h, lam, sigma))
-        assert rec.phi == problem.phi(rec.x, lam, sigma)
+        assert rec.phi == merit(problem, rec.x, lam, sigma)
         ref = reference_inner_descent(problem, x, h, lam, sigma)
         for name in ("h_inf", "sigma", "phi", "energy_j", "inner_steps", "inner_reason",
                      "merit_evals"):
@@ -1022,7 +1059,7 @@ def reference_inner_descent(problem, x, h, lam, sigma):
     table = problem.table
     shift = cap_shift(lam, sigma)
     h = np.concatenate(([h[0]], np.maximum(problem.layout.column_sums(x) - 1.0, shift)))
-    phi = problem.phi(x, lam, sigma, h)
+    phi = problem.phi(lam, sigma, h, problem.layout.column_sums(x))
     evals, steps, reason = 1, 0, "cap"
     while steps < optimizer.INNER_CAP:
         dd, dd2 = table.data_derivatives(x)
@@ -1039,7 +1076,7 @@ def reference_inner_descent(problem, x, h, lam, sigma):
         for _ in range(60):
             x_try = np.maximum(x + alpha * d, 0.0)
             h_try = problem.residuals_scaled(x_try, shift)
-            phi_try = problem.phi(x_try, lam, sigma, h_try)
+            phi_try = problem.phi(lam, sigma, h_try, problem.layout.column_sums(x_try))
             evals += 1
             if phi_try < phi:
                 x_new, h_new, phi_new = x_try, h_try, phi_try
@@ -1082,7 +1119,7 @@ def test_newton_direction_matches_dense_solve(newton_problems, case, seed, log_s
         # with a positive slope: the epsilon-active set
         lam[0] = 2.0 * sigma * h[0] + 10.0 ** log_c
     dd, dd2 = problem.table.data_derivatives(x)
-    g = problem.grad_phi(x, lam - 2.0 * sigma * h, dd)
+    g = problem.grad_phi(lam - 2.0 * sigma * h, dd)
     d = newton_step(problem, x, g, h, dd, dd2, lam, sigma)
     # the same bits as the direction with every term formed where it is used
     assert np.array_equal(d, reference_newton_direction(problem, x, g, h, dd, dd2, lam, sigma))
@@ -1110,7 +1147,7 @@ def test_newton_direction_keeps_its_digits_under_a_dominant_rank_one_term(newton
         lam = rng.normal(size=problem.t_norm.size + 1)
         h = problem.residuals_scaled(x, cap_shift(lam, sigma))
         dd, dd2 = problem.table.data_derivatives(x)
-        g = problem.grad_phi(x, lam - 2.0 * sigma * h, dd)
+        g = problem.grad_phi(lam - 2.0 * sigma * h, dd)
         d = newton_step(problem, x, g, h, dd, dd2, lam, sigma)
         assert np.array_equal(d, reference_newton_direction(problem, x, g, h, dd, dd2, lam,
                                                             sigma))
@@ -1136,7 +1173,7 @@ def test_newton_direction_backward_stable_under_a_dominant_penalty(newton_proble
         h = problem.residuals_scaled(x, cap_shift(lam, sigma))
         lam[0] = 2.0 * sigma * h[0] + 10.0 ** rng.uniform(-3.0, -2.0)
         dd, dd2 = problem.table.data_derivatives(x)
-        g = problem.grad_phi(x, lam - 2.0 * sigma * h, dd)
+        g = problem.grad_phi(lam - 2.0 * sigma * h, dd)
         d = newton_step(problem, x, g, h, dd, dd2, lam, sigma)
         hess = model_hessian(problem, h, dd, dd2, lam, sigma)
         active = epsilon_active(x, g)
@@ -1162,7 +1199,7 @@ def test_newton_direction_is_exact_for_a_one_node_entry():
     lam, sigma = np.array([3.0, 0.0]), 1e-12
     h = problem.residuals_scaled(x, cap_shift(lam, sigma))
     dd, dd2 = problem.table.data_derivatives(x)
-    g = problem.grad_phi(x, lam - 2.0 * sigma * h, dd)
+    g = problem.grad_phi(lam - 2.0 * sigma * h, dd)
     d = newton_step(problem, x, g, h, dd, dd2, lam, sigma)
     c, t = lam[0] - 2.0 * sigma * h[0], problem.t_norm[0]
     gain, weight = problem.table.gains[0, 0], problem.table.weights[0, 0]
@@ -1197,11 +1234,11 @@ def test_caps_binding_solves_within_their_start_rule_work_budget():
 @pytest.mark.parametrize("rho, m", [(0.8, 4), (0.97, 4), (0.99, 4), (1.0, 2), (1.0, 4)])
 def test_solve_makes_one_derivative_pass_per_inner_step_plus_one(monkeypatch, rho, m):
     # each cycle hands the pair at its final iterate to the next, and every
-    # accepted step's SNR product feeds the following pass, as the start
-    # point's feeds the first; the stop test reads the pair its cycle
-    # handed on.  Each inner step forms one merit gradient and one
-    # direction, and each cycle one more gradient, at the iterate where it
-    # stops
+    # accepted step forms its pair from its SNR product, as the start
+    # point's product feeds the first pass; the stop test reads the pair
+    # its cycle handed on.  Each inner step forms one merit gradient and
+    # one direction, each cycle one more gradient, at the iterate where it
+    # stops, and each stop test one more, its KKT stationarity term
     passes, calls = [], {"grad_phi": 0, "newton_direction": 0}
     derivatives = GainTable.data_derivatives
 
@@ -1230,7 +1267,8 @@ def test_solve_makes_one_derivative_pass_per_inner_step_plus_one(monkeypatch, rh
         assert all(passes)    # every pass reads a product a data pass formed
         # no step cap here; a cycle that stalls formed a direction it never took
         reasons = [c.inner_reason for c in res.history]
-        assert calls == {"grad_phi": steps + res.cycles,
+        stop_tests = sum(c.h_inf <= optimizer.EPS for c in res.history)
+        assert calls == {"grad_phi": steps + res.cycles + stop_tests,
                          "newton_direction": steps + reasons.count("stall")}
         return alloc, res
 

@@ -176,6 +176,29 @@ def test_fading_power_is_the_envelope_draw_squared():
         assert ref.random() == rng.random()
 
 
+def test_fading_draws_are_the_unit_rms_envelope_arithmetic_bit_for_bit():
+    # the parameters are rician_parameters', the factors of 2 applied
+    # in another order, up to the largest K whose linear value is finite
+    for k_db in (-np.inf, -10.0, 0.0, 10.0, 30.0, 3000.0):
+        a, sigma = rician_parameters(k_db)
+        z = np.random.default_rng(5).standard_normal((2, 4, 3))
+        re, im = z[0] * sigma + a, z[1] * sigma
+        power = sample_fading_power(k_db, np.random.default_rng(5), (4, 3))
+        assert np.array_equal(power, (re * re + im * im) / (a ** 2 + 2.0 * sigma ** 2))
+        r = sample_rician_envelope(k_db, np.random.default_rng(5), (4, 3))
+        assert np.array_equal(r, np.hypot(re, im))
+    for k_db in (3080.0, 3082.5):
+        assert np.all(np.isfinite(sample_fading_power(k_db, np.random.default_rng(5), 3)))
+
+
+@pytest.mark.parametrize("k_db", [np.nan, np.inf, 3083.0, 4000.0, np.float64(4000.0)])
+def test_fading_rejects_a_k_factor_without_a_finite_linear_value(k_db):
+    # at the parent 4000 dB raised OverflowError, and NaN or +inf drew NaN
+    for sample in (sample_fading_power, sample_rician_envelope):
+        with pytest.raises(ValueError, match="k_db must be a K-factor"):
+            sample(k_db, np.random.default_rng(0), 3)
+
+
 def test_dbm_round_trip():
     assert_allclose(dbm_to_watts(40.0), 10.0, rtol=1e-12)
     assert_allclose(dbm_to_watts(30.0), 1.0, rtol=1e-12)

@@ -188,6 +188,11 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
             ScenarioConfig(**{name: bad})
     assert ScenarioConfig(num_relays=np.int64(3)).num_segments == 10
+    # a K-factor whose linear value overflows would fail only in a fading draw
+    for bad in (3083.0, 4000.0):
+        with pytest.raises(ValueError, match="rician_k must be a K-factor"):
+            ScenarioConfig(rician_k=bad)
+    assert ScenarioConfig(rician_k=3082.5).rician_k == 3082.5
 
 
 def test_segment_schedule_leaves_caller_arrays_writable(ref_sched):
