@@ -131,9 +131,27 @@ steps of iterative refinement on the residual of H_FF, each of which
 multiplies that error by about mass * eps again.  A capped column's
 update can cancel the same way (mass 2 sigma times the column's sum of
 1/a_k), but only when the column is barely over its cap at a huge sigma,
-since a_k grows with 2 sigma h_j; that case alone is not refined.  The
-stepsize halves from 1 until phi decreases (Nocedal & Wright, sec. 3.1),
-and the loop stops on the projected gradient norm.
+since a_k grows with 2 sigma h_j; that case alone is not refined.
+
+Line search: the stepsize halves from 1 until phi decreases (Nocedal &
+Wright, sec. 3.1), with one retry.  A full step can push columns over
+caps that the model holds slack; the halved step then stops just short
+of the kink, the column never enters the model, and the next steps creep
+toward the cap.  A cap row's merit term at h_j above the shift exceeds
+its value at the shift by sigma (h_j - lam_j / 2 sigma)^2.  When those
+excesses over the newly capped columns outweigh the full step's rise in
+phi, the step would pass but for them, and it is retried once before
+the halving: along the Newton direction whose model caps those columns
+too, at the merit gradient whose multiplier estimate on them is
+extended past the kink to lam_j - 2 sigma (s_j - 1) >= 0 at x.  The
+diagonal's t_k still reads lam_hat, which is 0 on those columns, so
+a > 0.  This is the semismooth Newton step with the active set predicted
+at the trial point (Hintermueller, Ito & Kunisch, "The primal-dual
+active set strategy as a semismooth Newton method", SIAM J. Optim.
+13(3), 2003).  If the retried step does not decrease phi either, the
+first direction halves on from 1/2.  A step the other terms reject, as
+at a low SNR where the full step overshoots, is not retried.  The loop
+stops on the projected gradient norm.
 """
 
 from __future__ import annotations
@@ -364,7 +382,10 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
     pair (D', D'') at x; returns the cycle's :class:`CycleRecord` of the
     final iterate and that iterate's pair.  Steps along
     :meth:`Problem.newton_direction`, clipping negative entries to zero;
-    the stepsize halves from 1 until phi decreases.  The accepted
+    the stepsize halves from 1 until phi decreases, except that a full
+    step rejected only for the caps it pushes columns over, caps the model
+    held slack, is first retried once along the direction with those
+    columns capped (module docstring).  The accepted
     candidate's residuals are kept, so each merit evaluation is one data
     pass, and so is its SNR product, from which the step forms the new
     iterate's pair: a loop makes one derivative pass per step.  Stops once
@@ -372,13 +393,19 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
     stall, or at the step cap :data:`INNER_CAP`; the last two flag the
     record rather than raising.
     """
-    table = problem.table
+    table, layout = problem.table, problem.layout
     shift = cap_shift(lam, sigma)
-    cols = problem.layout.column_sums(x)
+    cols = layout.column_sums(x)
     h = np.concatenate((h[:1], np.maximum(cols - 1.0, shift)))
     phi = problem.phi(lam, sigma, h, cols)
     lam_hat = lam - 2.0 * sigma * h
     evals, steps, reason = 1, 0, "cap"
+
+    def trial(x_try):
+        """x_try's SNR product, column sums, residuals and merit value."""
+        snr_try, cols_try = table.snr(x_try), layout.column_sums(x_try)
+        h_try = problem.residuals_scaled(x_try, shift, snr_try, cols_try)
+        return snr_try, cols_try, h_try, problem.phi(lam, sigma, h_try, cols_try)
 
     while steps < INNER_CAP:
         dd, dd2 = derivs
@@ -389,22 +416,39 @@ def inner_descent(problem: Problem, x: np.ndarray, h: np.ndarray, lam: np.ndarra
         if math.sqrt(float(pg @ pg)) <= EPS:
             reason = "gradient"
             break
-        d = problem.newton_direction(x, g, pos, dd, dd2, sigma, lam_hat, h[1:] > shift)
-        x_new, alpha = None, 1.0
+        capped = h[1:] > shift
+        d = problem.newton_direction(x, g, pos, dd, dd2, sigma, lam_hat, capped)
+        alpha = 1.0
         for _ in range(60):
             x_try = np.maximum(x + alpha * d, 0.0)
-            snr_try, cols_try = table.snr(x_try), problem.layout.column_sums(x_try)
-            h_try = problem.residuals_scaled(x_try, shift, snr_try, cols_try)
-            phi_try = problem.phi(lam, sigma, h_try, cols_try)
+            snr_try, cols_try, h_try, phi_try = trial(x_try)
             evals += 1
             if phi_try < phi:
-                x_new, h_new, phi_new = x_try, h_try, phi_try
                 break
+            if alpha == 1.0:
+                # the caps the full step crossed while the model held them
+                # slack, and their share sigma (h_j - lam_j / 2 sigma)^2 of phi_try
+                over = np.where(capped, 0.0, h_try[1:] - shift)
+                if sigma * float(over @ over) > phi_try - phi:
+                    # they alone rejected it: retry once with them capped, their
+                    # multipliers extended past the kink
+                    new = over > 0.0
+                    lam_ext = lam_hat.copy()
+                    lam_ext[1:][new] = lam[1:][new] - 2.0 * sigma * (cols[new] - 1.0)
+                    g_ext = problem.grad_phi(lam_ext, dd)
+                    d_ext = problem.newton_direction(x, g_ext, g_ext > 0.0, dd, dd2, sigma,
+                                                     lam_hat, capped | new)
+                    x_try = np.maximum(x + d_ext, 0.0)
+                    snr_try, cols_try, h_try, phi_try = trial(x_try)
+                    evals += 1
+                    if phi_try < phi:
+                        break
             alpha *= 0.5
-        if x_new is None:                  # cannot decrease: numerically stationary
+        else:                              # cannot decrease: numerically stationary
             reason = "stall"
             break
-        x, h, phi, derivs = x_new, h_new, phi_new, table.data_derivatives(x_new, snr_try)
+        x, h, phi, cols = x_try, h_try, phi_try, cols_try
+        derivs = table.data_derivatives(x, snr_try)
         lam_hat = lam - 2.0 * sigma * h
         steps += 1
 
