@@ -39,11 +39,10 @@ converged solve of the task (its allocation, ``lam_hat`` and ``sigma``).
 Every trial still makes its own solve and draws from its own seed
 sequence, and a chain never crosses tasks, so the CSV does not depend on
 ``workers``.  Trials at an equal floor (every trial at sigma_v = 0, or
-the trials of a fading sweep value) are therefore no longer bit-identical
-to each other: each is a converged solve within the solver tolerance of
-the floor.  A value with one trial solves cold, as a plain run does.
-A row meets the floor within the solver's own tolerance,
-:data:`optimizer.EPS`.
+the trials of a fading sweep value) are not bit-identical to each other:
+each is a converged solve within the solver tolerance of the floor.  A
+value with one trial solves cold, as a plain run does.  A row meets the
+floor within the solver's own tolerance, :data:`optimizer.EPS`.
 """
 
 from __future__ import annotations

@@ -9,14 +9,11 @@ evaluations (data, gradient) become cheap vectorised passes over that
 table.  This is what makes the solver's inner loop fast.
 
 Each reported figure of an allocation has one formula: :func:`total_energy`
-for energy, :meth:`GainTable.segment_data_matrix` summed per segment and
-then over segments for data, and :func:`energy_efficiency` for EE.
-:func:`compute_metrics` combines them; the harness rows and the solver's
-returned figures read them from there.  The data floor is not one of them:
-:func:`optimizer.data_floor` is rho times :meth:`GainTable.total_data` of
-the average allocation, which sums the same terms in another order, so at
-rho = 1 the ``average`` row's data can sit an ulp below its own floor
-(M = 4 and 6 on the reference scenario).
+for energy, :meth:`GainTable.total_data` for data, and
+:func:`energy_efficiency` for EE.  :func:`compute_metrics` combines them;
+the harness rows and the solver's returned figures read them from there,
+and :func:`optimizer.data_floor` is rho times the same data reduction of
+the average allocation.
 
 Compact layout: a relay transmits only while it is in the cell, so of the
 M x (2M+N-2) (relay, segment) pairs only the K = M(M+N-1) active entries
@@ -116,7 +113,8 @@ class GainTable:
         return float(self.bandwidth / LN2 * np.vdot(self.weights, self._log_rate(p, snr)))
 
     def segment_data_matrix(self, p: np.ndarray) -> np.ndarray:
-        """Per-entry data D_k [bits] (K,) for compact entry powers p (W)."""
+        """Per-entry data D_k [bits] (K,) for compact entry powers p (W); a
+        total is :meth:`total_data`, not the sum of these."""
         return self.bandwidth / LN2 * np.add.reduce(self.weights * self._log_rate(p), axis=1)
 
     def data_derivatives(self, p: np.ndarray,
@@ -221,11 +219,12 @@ def compute_metrics(alloc: AllocationMatrix, cfg: ScenarioConfig,
                     sched: SegmentSchedule, table: GainTable) -> MetricsRecord:
     """Energy, data, EE and SE of ``alloc`` on ``table``.
 
-    Data is summed per entry, then per segment, then over segments, so it
-    is bit-identical wherever it is reported.
+    Data is :meth:`GainTable.total_data`, one ``vdot`` over every node:
+    the reduction the data floor and the solver read, so every figure of
+    it agrees to the bit.
     """
     e = total_energy(alloc, sched)
-    d = float(table.layout.column_sums(table.segment_data_matrix(alloc.values)).sum())
+    d = table.total_data(alloc.values)
     return MetricsRecord(
         energy_j=e,
         data_bits=d,

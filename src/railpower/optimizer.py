@@ -62,7 +62,8 @@ gradient, the Newton direction and the cycle's record all read it, and
 the mask g > 0 is shared by the projected gradient and the
 epsilon-active set.  The energy and data it
 returns are :func:`metrics.compute_metrics` of the returned allocation,
-the same figures a harness row writes for it.  A cycle's recorded energy
+the same figures a harness row writes for it; the data is
+:meth:`GainTable.total_data`, the floor's reduction.  A cycle's recorded energy
 is :meth:`Problem.energy_j`, the reduction of :func:`metrics.total_energy`
 applied to the cycle's powers, so only the returned iterate is built into
 an :class:`AllocationMatrix`.  :class:`Problem` holds

@@ -203,10 +203,20 @@ def test_meets_floor_uses_the_solver_tolerance(monkeypatch, ref_cfg, ref_table, 
     average = replace(options, schemes=("average",))
     recs = run_point(cfg, average, np.random.SeedSequence(0))
     assert [r.scheme for r in recs] == ["average"]
-    assert_allclose(recs[0].data_bits, d_avg, rtol=1e-12)
+    assert recs[0].data_bits == d_avg
     assert not recs[0].meets_floor
     monkeypatch.setattr(optimizer, "EPS", 1e-3)
     assert run_point(cfg, average, np.random.SeedSequence(0))[0].meets_floor
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_average_row_meets_a_full_floor_exactly(ref_cfg, options, m):
+    # at rho = 1 the floor is the average scheme's own data, from the same
+    # reduction as the row's, so the row meets it with no tolerance
+    cfg = ref_cfg.with_(num_relays=m, rho=1.0)
+    average = replace(options, schemes=("average",))
+    (rec,) = run_point(cfg, average, np.random.SeedSequence(0))
+    assert rec.data_bits == rec.d_min_bits, (rec.data_bits.hex(), rec.d_min_bits.hex())
 
 
 @pytest.mark.parametrize("param, values", [

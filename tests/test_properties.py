@@ -86,6 +86,11 @@ def test_compact_data_passes_match_dense_reference(cfg, power_seed):
     assert_allclose(got_dd2, dd2.T[mask.T], rtol=1e-12)
     rec = compute_metrics(alloc, cfg, sched, table)
     assert_allclose(rec.data_bits, total, rtol=1e-12)
+    # a row's data is the table's one data reduction, the floor's too; the
+    # per-entry figures add up to it to rounding
+    assert rec.data_bits == table.total_data(alloc.values)
+    assert_allclose(table.segment_data_matrix(alloc.values).sum(), rec.data_bits,
+                    rtol=1e-12)
     # the dense view gives back the dense powers, and the compact column
     # sums add each column in relay order as the dense row-by-row sum does
     assert np.array_equal(alloc.p, p)
