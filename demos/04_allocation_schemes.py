@@ -11,8 +11,8 @@ the radio head gets the most power.
 import numpy as np
 
 from railpower import (average_alloc, build_gain_table, compute_metrics, constant_alloc,
-                       csi_alloc, entry_layout, random_alloc, reference_config,
-                       segment_boundaries)
+                       csi_alloc, energy_efficiency, entry_layout, random_alloc,
+                       reference_config, segment_boundaries, spectral_efficiency)
 
 cfg = reference_config()
 sched = segment_boundaries(cfg)
@@ -41,9 +41,10 @@ for name, alloc in schemes.items():
 print("\nheadline metrics:")
 print(f"{'scheme':<10}{'E [J]':>8}{'D [Gbit]':>10}{'EE [Gbit/J]':>13}{'SE':>7}")
 for name, alloc in schemes.items():
-    m = compute_metrics(alloc, cfg, sched, table)
-    print(f"{name:<10}{m.energy_j:8.2f}{m.data_bits / 1e9:10.1f}"
-          f"{m.ee_bits_per_j / 1e9:13.2f}{m.se_bits_per_s_per_hz:7.2f}")
+    m = compute_metrics(alloc, sched, table)
+    ee = energy_efficiency(m.data_bits, m.energy_j)
+    se = spectral_efficiency(m.data_bits, cfg, sched)
+    print(f"{name:<10}{m.energy_j:8.2f}{m.data_bits / 1e9:10.1f}{ee / 1e9:13.2f}{se:7.2f}")
 
 print("\nnote how the CSI split orders power against channel gain in a"
       " stage-two segment:")

@@ -79,15 +79,21 @@ def max_doppler(cfg: ScenarioConfig) -> float:
     return cfg.v / cfg.wavelength
 
 
+def _relative_shift(cfg: ScenarioConfig, x):
+    # the relative shift a table row stores and true_doppler rescales
+    return (cfg.d_l / 2.0 - np.asarray(x, dtype=float)) / position_rrh_distance(cfg, x)
+
+
 def true_doppler(cfg: ScenarioConfig, x):
     """Kinematic Doppler shift [Hz] at track position x [m].
 
-    f_max scaled by the radial-velocity fraction (d_l/2 - x) / d(x), the
-    cosine of the angle between the velocity and the line of sight;
-    positive while approaching the radio head.
+    The relative shift (d_l/2 - x) / d(x), the cosine of the angle between
+    the velocity and the line of sight, times ``cfg.v / cfg.wavelength``:
+    the same product a lookup forms from a table row's ``f_rel``, so a
+    noiseless lookup at a table position returns this value exactly.
+    Positive while approaching the radio head.
     """
-    d = position_rrh_distance(cfg, x)
-    out = max_doppler(cfg) * (cfg.d_l / 2.0 - np.asarray(x, dtype=float)) / d
+    out = _relative_shift(cfg, x) * cfg.v / cfg.wavelength
     return out if np.ndim(out) else float(out)
 
 
@@ -183,8 +189,7 @@ def build_table(cfg: ScenarioConfig, x_s: float = 1.0, L: int = 5) -> DopplerTab
     centers = ks * x_s
     offsets = np.arange(-L, L + 1) * x_s
     windows = rsrp_at(cfg, centers[:, None] + offsets[None, :])
-    f_rel = true_doppler(cfg, centers) / max_doppler(cfg)
-    return DopplerTable(positions=centers, windows=windows, f_rel=f_rel)
+    return DopplerTable(positions=centers, windows=windows, f_rel=_relative_shift(cfg, centers))
 
 
 def estimate_doppler(table: DopplerTable, window: RsrpWindow, cfg: ScenarioConfig) -> float:

@@ -219,7 +219,7 @@ def _baseline_figures(scheme: str, cfg: ScenarioConfig, sched: SegmentSchedule,
         alloc = allocators.random_alloc(cfg, sched, rng)
     else:
         alloc = allocators.csi_alloc(cfg, sched, table, rng)
-    return metrics.compute_metrics(alloc, cfg, sched, eval_table)
+    return metrics.compute_metrics(alloc, sched, eval_table)
 
 
 def prepare_point(cfg: ScenarioConfig, schemes) -> PreparedPoint:
@@ -288,7 +288,7 @@ def run_point(point: ScenarioConfig | PreparedPoint, options: HarnessOptions,
                 # a deterministic row's figures are its solve's: compute_metrics
                 # of alloc on det_table
                 rec = (diag if eval_table is det_table
-                       else metrics.compute_metrics(alloc, cfg, sched, eval_table))
+                       else metrics.compute_metrics(alloc, sched, eval_table))
             else:
                 seq = streams.get(scheme)
                 rec = _baseline_figures(scheme, cfg, sched, det_table, eval_table,

@@ -9,11 +9,12 @@ evaluations (data, gradient) become cheap vectorised passes over that
 table.  This is what makes the solver's inner loop fast.
 
 Each reported figure of an allocation has one formula: :func:`total_energy`
-for energy, :meth:`GainTable.total_data` for data, and
-:func:`energy_efficiency` for EE.  :func:`compute_metrics` combines them;
-the harness rows and the solver's returned figures read them from there,
-and :func:`optimizer.data_floor` is rho times the same data reduction of
-the average allocation.
+for energy, :meth:`GainTable.total_data` for data, :func:`energy_efficiency`
+for EE and :func:`spectral_efficiency` for SE.  :func:`compute_metrics`
+returns the energy and the data, which the harness rows and the solver's
+returned figures read; a harness row forms its EE and SE from them, and
+:func:`optimizer.data_floor` is rho times the same data reduction of the
+average allocation.
 
 Compact layout: a relay transmits only while it is in the cell, so of the
 M x (2M+N-2) (relay, segment) pairs only the K = M(M+N-1) active entries
@@ -207,27 +208,19 @@ def spectral_efficiency(data_bits: float, cfg: ScenarioConfig,
 
 @dataclass(frozen=True)
 class MetricsRecord:
-    """Headline metrics for one allocation on one scenario."""
+    """Energy and delivered data of one allocation on one scenario."""
 
     energy_j: float
     data_bits: float
-    ee_bits_per_j: float
-    se_bits_per_s_per_hz: float
 
 
-def compute_metrics(alloc: AllocationMatrix, cfg: ScenarioConfig,
-                    sched: SegmentSchedule, table: GainTable) -> MetricsRecord:
-    """Energy, data, EE and SE of ``alloc`` on ``table``.
+def compute_metrics(alloc: AllocationMatrix, sched: SegmentSchedule,
+                    table: GainTable) -> MetricsRecord:
+    """Energy and data of ``alloc`` on ``table``.
 
     Data is :meth:`GainTable.total_data`, one ``vdot`` over every node:
     the reduction the data floor and the solver read, so every figure of
     it agrees to the bit.
     """
-    e = total_energy(alloc, sched)
-    d = table.total_data(alloc.values)
-    return MetricsRecord(
-        energy_j=e,
-        data_bits=d,
-        ee_bits_per_j=energy_efficiency(d, e),
-        se_bits_per_s_per_hz=spectral_efficiency(d, cfg, sched),
-    )
+    return MetricsRecord(energy_j=total_energy(alloc, sched),
+                         data_bits=table.total_data(alloc.values))

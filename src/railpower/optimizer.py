@@ -615,7 +615,7 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
             sums = problem.layout.column_sums(x * cfg.p_t)
         hinf = _violation(problem.residuals_scaled(x))
     alloc = problem.to_physical(x)
-    figures = compute_metrics(alloc, cfg, sched, table)
+    figures = compute_metrics(alloc, sched, table)
 
     result = SolveResult(
         converged=stopped is not None and bool(hinf <= EPS),

@@ -89,6 +89,20 @@ def test_noiseless_lookup_is_exact(ref_cfg, table):
         assert abs(est) <= f_max
 
 
+@pytest.mark.parametrize("cfg, x_s, rows", [
+    (reference_config(), 1.0, 191),
+    (reference_config(d_l=400.0), 0.1, 3991),
+])
+def test_noiseless_lookup_equals_true_doppler_at_every_row(cfg, x_s, rows):
+    # a row's f_rel and true_doppler share one relative shift, and a lookup
+    # rescales it as true_doppler does, so they agree bit for bit
+    fine = build_table(cfg, x_s=x_s, L=5)
+    assert len(fine) == rows
+    for k in range(len(fine)):
+        assert (estimate_doppler(fine, fine.window_at(k), cfg)
+                == true_doppler(cfg, float(fine.positions[k]))), k
+
+
 def test_windows_are_pairwise_distinct(table):
     # the multi-sample window disambiguates positions, including mirror
     # pairs (their windows are reversed, not equal)

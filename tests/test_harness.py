@@ -78,6 +78,27 @@ def test_csv_round_trip_and_ee_consistency(tmp_path, ref_records):
     assert "wall_time_s" not in rows[0]
 
 
+def test_rows_form_ee_and_se_from_their_energy_and_data(ref_cfg, options, ref_records):
+    # a row's EE and SE are the one formula each, applied to the row's own
+    # energy and data on the row's point: bit for bit on every error-free
+    # trial and mean row
+    fading = ref_cfg.with_(fading=True)
+    runs = [(ref_cfg, ref_records),
+            (fading, run_point(fading, options, np.random.SeedSequence((fading.seed, 0, 0))))]
+    spec = SweepSpec(param="d_l", values=(140.0, 200.0, 240.0), trials=3)
+    swept = sweep(ref_cfg, options, spec)
+    runs += [(apply_sweep_value(ref_cfg, "d_l", v), [r for r in swept if r.value == v])
+             for v in spec.values]
+    checked = 0
+    for cfg, rows in runs:
+        sched = segment_boundaries(cfg)
+        for r in (r for r in rows if not r.error):
+            assert r.ee_bits_per_j == metrics.energy_efficiency(r.data_bits, r.energy_j)
+            assert r.se_bits_per_s_per_hz == metrics.spectral_efficiency(r.data_bits, cfg, sched)
+            checked += 1
+    assert checked == 2 * 5 + 3 * (3 + 1) * 5
+
+
 def test_sweep_row_counts(ref_cfg, options):
     spec = SweepSpec(param="d_l", values=(140, 160, 180, 200, 220, 240))
     rows = sweep(ref_cfg, options, spec)
@@ -345,9 +366,10 @@ def test_deterministic_optimized_row_reuses_its_solve_figures(monkeypatch, ref_c
     rows = run_point(point, options, np.random.SeedSequence((ref_cfg.seed, 0, 0)))
     assert len(calls) == 5 and all(table is point.table for table in calls)
     row = next(r for r in rows if r.scheme == "optimized")
-    rec = compute(row.solution[0], ref_cfg, point.sched, point.table)
+    rec = compute(row.solution[0], point.sched, point.table)
     assert ((row.energy_j, row.data_bits, row.se_bits_per_s_per_hz)
-            == (rec.energy_j, rec.data_bits, rec.se_bits_per_s_per_hz))
+            == (rec.energy_j, rec.data_bits,
+                metrics.spectral_efficiency(rec.data_bits, ref_cfg, point.sched)))
     # a fading point still evaluates the optimized row on its faded table
     calls.clear()
     faded = prepare_point(ref_cfg.with_(fading=True), ())
@@ -569,7 +591,7 @@ def test_mean_row_spectral_efficiency_of_zero_data_is_zero(monkeypatch, options)
     # point, not 0 / 0
     def zero_data_solve(cfg, sched, warm=None, *, d_min, table):
         alloc = metrics.AllocationMatrix(np.zeros(table.layout.segment.size), table.layout)
-        figures = metrics.compute_metrics(alloc, cfg, sched, table)
+        figures = metrics.compute_metrics(alloc, sched, table)
         return alloc, optimizer.SolveResult(
             converged=False, cycles=1, d_min=d_min, energy_j=figures.energy_j,
             data_bits=figures.data_bits, h_inf=1.0,

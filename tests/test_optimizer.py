@@ -46,8 +46,7 @@ def ref_solution(ref_cfg, ref_sched, ref_table):
 
 def test_data_floor_policy(ref_cfg, ref_sched, ref_table):
     # the floor and a row's data are one reduction, so they agree to the bit
-    d_avg = compute_metrics(average_alloc(ref_cfg, ref_sched), ref_cfg, ref_sched,
-                            ref_table).data_bits
+    d_avg = compute_metrics(average_alloc(ref_cfg, ref_sched), ref_sched, ref_table).data_bits
     assert data_floor(ref_cfg.with_(rho=1.0), ref_sched, ref_table) == d_avg
     assert data_floor(ref_cfg, ref_sched, ref_table) == ref_cfg.rho * d_avg
     assert data_floor(ref_cfg.with_(d_min_bits=1e9), ref_sched, ref_table) == 1e9
@@ -688,7 +687,7 @@ def test_solve_contracts_on_random_scenarios():
         assert abs(res.data_bits - d_min) <= 1e-3 * d_min
         assert_feasible(alloc, cfg, tol=1e-6 * cfg.p_t)
         assert kkt_residual(alloc, res.lam_hat, cfg, sched, d_min, table) <= 1e-3
-        rec = compute_metrics(alloc, cfg, sched, table)
+        rec = compute_metrics(alloc, sched, table)
         assert (res.energy_j, res.data_bits) == (rec.energy_j, rec.data_bits)
 
 

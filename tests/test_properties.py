@@ -84,7 +84,7 @@ def test_compact_data_passes_match_dense_reference(cfg, power_seed):
     got_dd, got_dd2 = table.data_derivatives(alloc.values)
     assert_allclose(got_dd, dd.T[mask.T], rtol=1e-12)
     assert_allclose(got_dd2, dd2.T[mask.T], rtol=1e-12)
-    rec = compute_metrics(alloc, cfg, sched, table)
+    rec = compute_metrics(alloc, sched, table)
     assert_allclose(rec.data_bits, total, rtol=1e-12)
     # a row's data is the table's one data reduction, the floor's too; the
     # per-entry figures add up to it to rounding
