@@ -22,10 +22,10 @@ computed score is within
     tau = 8 n eps (R^2 + tiny),   R = max_k |w_k| + |q|,
 
 of the least one (n = 2L+1, eps the machine epsilon, tiny the smallest
-normal number) and takes the exact distances of those rows only, with
-the same expression, which rounds each row's distance alike in a subset
-and in the whole table.  The kept rows come in increasing index order,
-so the first-index tie rule holds.
+normal number).  Unless it keeps one row only, it takes the exact
+distances of the kept rows, with the same expression, which rounds each
+row's distance alike in a subset and in the whole table.  The kept rows
+come in increasing index order, so the first-index tie rule holds.
 
 The screen never drops the winner.  With u = eps/2, a computed score is
 within about (n+1) u (R^2 + tiny) of the exact one: s_k and w_k.q are
@@ -35,13 +35,22 @@ distances, so its exact squared distance exceeds the least one by at
 most about 2(n+5) u (R^2 + tiny).  Its score is therefore within
 (2n+6) eps (R^2 + tiny) of the least score, and tau is at least twice
 that for n >= 3.  Overflow anywhere in the screen makes tau infinite or
-the least score NaN, and then every row is kept.
+the least score NaN (the first NaN score is the one compared against),
+and then every row is kept.
 
-Cost: a lookup is one gemv over the (K, n) table plus the exact
-distances of the candidates, usually one.  The worst case is a table
-whose rows share a common offset far above their spread, so that
-eps R^2 reaches the gaps between squared distances: many rows pass the
-screen, and the lookup costs up to one more full distance pass.
+Cost: a lookup is one gemv plus, when more than one row passes the
+screen, the exact distances of those rows.  The gemv reads a C-ordered
+(n, K) copy of the windows, ``DopplerTable.columns``, so that it is n
+long axpy passes over the K contiguous scores rather than K dot products
+of length n; at K = 3,991 and n = 11 the copy holds 351 KB.  The windows
+themselves stay C-ordered rows, which the exact pass reduces along.  The
+screen's bound holds for any summation order, so the copy keeps the
+winner among the candidates.  When the screen keeps a lone row, the
+lookup returns it without the exact pass: the screen never drops the
+winner, so that row is the winner.  The worst case is a table whose
+rows share a common offset far above their spread, so that eps R^2
+reaches the gaps between squared distances: many rows pass the screen,
+and the lookup costs up to one more full distance pass.
 """
 
 from __future__ import annotations
@@ -52,9 +61,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .radio import link_constant_db, noise_power_dbm, path_loss
-from .scenario import (ScenarioConfig, _hold_read_only, _require_count, position_rrh_distance,
-                       watts_to_dbm)
+from .radio import path_loss, received_gain_db
+from .scenario import (ScenarioConfig, _frozen, _hold_read_only, _require_count,
+                       position_rrh_distance, watts_to_dbm)
 
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
@@ -68,9 +77,7 @@ def rsrp_at(cfg: ScenarioConfig, x):
     """
     d = position_rrh_distance(cfg, x)
     pl = path_loss(d, cfg.wavelength, cfg.pathloss_exp)
-    # C nets out the noise power, which the received power keeps
-    out = (watts_to_dbm(cfg.p_t) + link_constant_db(cfg)
-           + noise_power_dbm(cfg.bandwidth, cfg.noise_figure) - pl)
+    out = watts_to_dbm(cfg.p_t) + received_gain_db(cfg) - pl
     return out if np.ndim(out) else float(out)
 
 
@@ -114,18 +121,26 @@ class RsrpWindow:
 class DopplerTable:
     """Sampled positions with their noiseless windows and relative shifts.
 
-    ``sq_norms`` (s_k = |w_k|^2) and ``max_norm`` (max_k |w_k|) are derived
-    from the windows for the lookup's screen (see the module docstring).
+    ``windows`` is held C-ordered, copied only when given in another
+    layout, so that its rows reduce as the exact pass and the brute-force
+    definition reduce them.  ``columns`` (a C-ordered copy of windows.T,
+    351 KB at K = 3,991 and L = 5, which the screen's gemv reads as long
+    axpy passes), ``sq_norms`` (s_k = |w_k|^2) and ``max_norm``
+    (max_k |w_k|) are derived from the windows for the lookup's screen
+    (see the module docstring); they are read-only and never saved.
     """
 
     positions: np.ndarray   # (K,) window centres [m]
     windows: np.ndarray     # (K, 2L+1) RSRP [dBm]
     f_rel: np.ndarray       # (K,) relative Doppler in [-1, 1]
+    columns: np.ndarray = field(init=False, repr=False)    # (2L+1, K) windows.T
     sq_norms: np.ndarray = field(init=False, repr=False)   # (K,) |w_k|^2
     max_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         _hold_read_only(self, ("positions", "windows", "f_rel"))
+        if not self.windows.flags.c_contiguous:
+            object.__setattr__(self, "windows", _frozen(np.ascontiguousarray(self.windows)))
         windows = self.windows
         if windows.ndim != 2 or windows.shape[1] < 3 or windows.shape[1] % 2 == 0:
             raise ValueError("windows must be (K, 2L+1) with L >= 1")
@@ -135,8 +150,8 @@ class DopplerTable:
             raise ValueError("positions and f_rel must hold one value per window")
         if not np.all(np.isfinite(windows)):
             raise ValueError("windows must be finite")
-        sq_norms = np.einsum("ij,ij->i", windows, windows)
-        sq_norms.setflags(write=False)
+        object.__setattr__(self, "columns", _frozen(np.ascontiguousarray(windows.T)))
+        sq_norms = _frozen(np.einsum("ij,ij->i", windows, windows))
         object.__setattr__(self, "sq_norms", sq_norms)
         object.__setattr__(self, "max_norm", float(np.sqrt(sq_norms.max())))
 
@@ -196,19 +211,22 @@ def estimate_doppler(table: DopplerTable, window: RsrpWindow, cfg: ScenarioConfi
     """Nearest-window Doppler estimate [Hz].
 
     Finds the first table entry of least Euclidean distance between RSRP
-    vectors, screened by one matrix-vector product and re-checked exactly
-    (see the module docstring), and rescales its relative shift by
+    vectors, screened by one matrix-vector product and, when more than
+    one row passes the screen, re-checked exactly (see the module
+    docstring), and rescales its relative shift by
     ``cfg.v / cfg.wavelength``.
     """
     n = table.windows.shape[1]
     if window.values.size != n:
         raise ValueError("window length does not match the table")
     q = window.values
-    score = table.windows @ (-2.0 * q)     # a_k = s_k - 2 w_k.q
+    score = (-2.0 * q) @ table.columns     # a_k = s_k - 2 w_k.q
     score += table.sq_norms
     r = table.max_norm + math.sqrt(q @ q)
     tau = 8.0 * n * EPS * (r * r + TINY)
-    # negated test: a NaN least score (overflow) keeps every row
-    near = np.flatnonzero(~(score > score.min() + tau))
-    k = int(near[np.argmin(np.linalg.norm(table.windows[near] - q, axis=1))])
+    k = int(np.argmin(score))
+    # negated test: a NaN score (overflow), which argmin picks, keeps every row
+    near = np.flatnonzero(~(score > score[k] + tau))
+    if near.size > 1:     # a lone kept row is the winner: the screen never drops it
+        k = int(near[np.argmin(np.linalg.norm(table.windows[near] - q, axis=1))])
     return float(table.f_rel[k]) * cfg.v / cfg.wavelength

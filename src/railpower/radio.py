@@ -58,10 +58,16 @@ def noise_power_dbm(bandwidth: float, noise_figure: float) -> float:
     return THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(bandwidth) + noise_figure
 
 
+def received_gain_db(cfg: ScenarioConfig) -> float:
+    """Received-power gain Gtx + Grx - xi [dB]: both boresight gains less
+    the shadowing, the link budget before the noise power."""
+    return 2.0 * max_antenna_gain(cfg.theta_3db) - cfg.shadowing
+
+
 def link_constant_db(cfg: ScenarioConfig) -> float:
     """Aggregated link-budget constant C = Gtx + Grx - xi - P_noise [dB]."""
     p_noise = noise_power_dbm(cfg.bandwidth, cfg.noise_figure)
-    return 2.0 * max_antenna_gain(cfg.theta_3db) - cfg.shadowing - p_noise
+    return received_gain_db(cfg) - p_noise
 
 
 def snr_db(p_tx_dbm, d, gamma_db, cfg: ScenarioConfig):

@@ -259,17 +259,39 @@ def test_lookup_exact_at_overflow_and_underflow(offset, spread):
             assert _lookup_matches_oracle(table, values, cfg)
 
 
-def test_noisy_lookups_match_brute_force_bit_for_bit(ref_cfg):
-    # the benchmark's shape: x_s = 0.1 m, 2 dB noise, 2,000 windows
-    fine = build_table(ref_cfg, x_s=0.1, L=5)
+def _noisy_lookups(cfg):
+    """The benchmark's shape: x_s = 0.1 m, 2 dB noise, 2,000 windows."""
+    fine = build_table(cfg, x_s=0.1, L=5)
     rng = np.random.default_rng(1)
     ks = rng.integers(0, len(fine), size=2000)
-    noisy = fine.windows[ks] + rng.normal(0.0, 2.0, size=(2000, 11))
+    return fine, fine.windows[ks] + rng.normal(0.0, 2.0, size=(2000, 11))
+
+
+def test_noisy_lookups_match_brute_force_bit_for_bit(ref_cfg):
+    fine, noisy = _noisy_lookups(ref_cfg)
     est = np.array([estimate_doppler(fine, RsrpWindow(center=0.0, values=w), ref_cfg)
                     for w in noisy])
     brute = np.array([fine.f_rel[_nearest_index(fine, w)] * ref_cfg.v / ref_cfg.wavelength
                       for w in noisy])
     assert est.tobytes() == brute.tobytes()
+
+
+def test_noisy_lookups_skip_the_exact_pass(ref_cfg, monkeypatch):
+    # the screen keeps a lone row, which it returns without the exact
+    # distance pass, on all 2,000 lookups as measured
+    fine, noisy = _noisy_lookups(ref_cfg)
+    exact_passes = 0
+    norm = np.linalg.norm
+
+    def counted(*args, **kwargs):
+        nonlocal exact_passes
+        exact_passes += 1
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    for w in noisy:
+        estimate_doppler(fine, RsrpWindow(center=0.0, values=w), ref_cfg)
+    assert exact_passes == 0
 
 
 def test_doppler_records_leave_caller_arrays_writable(ref_cfg, table):
@@ -283,6 +305,9 @@ def test_doppler_records_leave_caller_arrays_writable(ref_cfg, table):
         assert arr.flags.writeable, name
         kept = getattr(held, name)
         assert not kept.flags.writeable and kept is not arr, name
+    # the screen's column-major copy is derived, read-only and C-ordered
+    assert not held.columns.flags.writeable and held.columns.flags.c_contiguous
+    assert held.columns.tobytes() == np.ascontiguousarray(held.windows.T).tobytes()
     arrays["f_rel"][:] = 0.0
     probe = table.window_at(3)
     assert estimate_doppler(held, probe, ref_cfg) == estimate_doppler(table, probe, ref_cfg) != 0
@@ -298,6 +323,8 @@ def test_table_save_load_round_trip(ref_cfg, table, tmp_path):
     table.save(path)
     saved = path.read_text()
     rows = saved.split("\n", 1)[1]
+    # save writes the rows alone: position, f_rel and the 2L+1 values
+    assert [len(line.split()) for line in rows.splitlines()] == [13] * len(table)
     rng = np.random.default_rng(8)
     queries = np.concatenate([table.windows, table.windows + rng.normal(0.0, 2.0, table.windows.shape)])
     for text in (saved, rows, "# x_s=1.0 L=5\n# position_m f_rel rsrp_dbm[2L+1]\n" + rows):
@@ -307,8 +334,34 @@ def test_table_save_load_round_trip(ref_cfg, table, tmp_path):
         assert_allclose(loaded.f_rel, table.f_rel, rtol=0)
         assert_allclose(loaded.windows, table.windows, rtol=0)
         assert loaded.sq_norms.tobytes() == table.sq_norms.tobytes()
+        assert loaded.columns.tobytes() == table.columns.tobytes()
+        assert not loaded.columns.flags.writeable
         assert loaded.max_norm == table.max_norm
         for values in queries:
             window = RsrpWindow(center=0.0, values=values)
             assert (estimate_doppler(loaded, window, ref_cfg)
                     == estimate_doppler(table, window, ref_cfg))
+
+
+def test_table_holds_windows_as_c_ordered_rows():
+    # a read-only Fortran-ordered or strided input is copied into C order,
+    # so the table's own rows reduce as the lookup's exact pass reduces
+    # them, and midpoint ties between two rows resolve alike in both
+    rng = np.random.default_rng(21)
+    cfg = reference_config()
+    for trial in range(1000):
+        rows = rng.standard_normal((2, 9))
+        given = (np.asfortranarray(rows) if trial % 2 else
+                 np.repeat(np.repeat(rows, 2, axis=0), 2, axis=1)[::2, ::2])
+        given.setflags(write=False)
+        assert not given.flags.c_contiguous
+        table = DopplerTable(positions=np.arange(2.0), windows=given,
+                             f_rel=np.array([-1.0, 1.0]))
+        assert table.windows.flags.c_contiguous and not table.windows.flags.writeable
+        assert table.windows.tobytes() == rows.tobytes()
+        assert _lookup_matches_oracle(table, 0.5 * (rows[0] + rows[1]), cfg), trial
+    # C-ordered read-only rows are held as given, without a copy
+    rows = rng.standard_normal((2, 9))
+    rows.setflags(write=False)
+    held = DopplerTable(positions=np.arange(2.0), windows=rows, f_rel=np.array([-1.0, 1.0]))
+    assert held.windows is rows

@@ -7,8 +7,8 @@ from oracles import rician_parameters
 from scipy import stats
 
 from railpower import (dbm_to_watts, link_constant_db, max_antenna_gain, noise_power_dbm,
-                       path_loss, sample_fading_power, sample_rician_envelope, snr_db,
-                       snr_linear_per_watt)
+                       path_loss, received_gain_db, sample_fading_power,
+                       sample_rician_envelope, snr_db, snr_linear_per_watt)
 
 
 def g0_oracle(theta_3db):
@@ -66,6 +66,11 @@ def test_link_constants_recomputable(ref_cfg):
     g0 = max_antenna_gain(ref_cfg.theta_3db)
     assert_allclose(link_constant_db(ref_cfg), 2 * g0 - ref_cfg.shadowing - p_noise,
                     rtol=1e-15)
+    # RSRP reads the received gain; C nets the noise power out of it with
+    # the arithmetic of 2 G0 - xi - P_noise, so every gain table keeps its bits
+    assert received_gain_db(ref_cfg) == 2.0 * g0 - ref_cfg.shadowing
+    assert link_constant_db(ref_cfg) == received_gain_db(ref_cfg) - p_noise
+    assert link_constant_db(ref_cfg) == 2.0 * g0 - ref_cfg.shadowing - p_noise
 
 
 def test_snr_link_budget_decomposition(ref_cfg):
