@@ -121,13 +121,11 @@ class RsrpWindow:
 class DopplerTable:
     """Sampled positions with their noiseless windows and relative shifts.
 
-    ``windows`` is held C-ordered, copied only when given in another
-    layout, so that its rows reduce as the exact pass and the brute-force
-    definition reduce them.  ``columns`` (a C-ordered copy of windows.T,
-    351 KB at K = 3,991 and L = 5, which the screen's gemv reads as long
-    axpy passes), ``sq_norms`` (s_k = |w_k|^2) and ``max_norm``
-    (max_k |w_k|) are derived from the windows for the lookup's screen
-    (see the module docstring); they are read-only and never saved.
+    ``columns`` (a C-ordered copy of windows.T, 351 KB at K = 3,991 and
+    L = 5, which the screen's gemv reads as long axpy passes),
+    ``sq_norms`` (s_k = |w_k|^2) and ``max_norm`` (max_k |w_k|) are
+    derived from the windows for the lookup's screen (see the module
+    docstring); they are read-only and never saved.
     """
 
     positions: np.ndarray   # (K,) window centres [m]
@@ -139,8 +137,6 @@ class DopplerTable:
 
     def __post_init__(self):
         _hold_read_only(self, ("positions", "windows", "f_rel"))
-        if not self.windows.flags.c_contiguous:
-            object.__setattr__(self, "windows", _frozen(np.ascontiguousarray(self.windows)))
         windows = self.windows
         if windows.ndim != 2 or windows.shape[1] < 3 or windows.shape[1] % 2 == 0:
             raise ValueError("windows must be (K, 2L+1) with L >= 1")
@@ -148,8 +144,9 @@ class DopplerTable:
             raise ValueError("empty lookup table")
         if self.positions.shape != (len(windows),) or self.f_rel.shape != (len(windows),):
             raise ValueError("positions and f_rel must hold one value per window")
-        if not np.all(np.isfinite(windows)):
-            raise ValueError("windows must be finite")
+        for name in ("positions", "windows", "f_rel"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         object.__setattr__(self, "columns", _frozen(np.ascontiguousarray(windows.T)))
         sq_norms = _frozen(np.einsum("ij,ij->i", windows, windows))
         object.__setattr__(self, "sq_norms", sq_norms)
@@ -179,8 +176,7 @@ class DopplerTable:
             found = f"{data.shape[1]} values" if data.size else "no rows"
             raise ValueError(f"{path}: expected rows of 2L+3 values with L >= 1 "
                              f"(position, f_rel, 2L+1 RSRP), got {found}")
-        return cls(positions=data[:, 0].copy(), f_rel=data[:, 1].copy(),
-                   windows=data[:, 2:].copy())
+        return cls(positions=data[:, 0], f_rel=data[:, 1], windows=data[:, 2:])
 
 
 def build_table(cfg: ScenarioConfig, x_s: float = 1.0, L: int = 5) -> DopplerTable:

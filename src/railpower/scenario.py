@@ -64,14 +64,15 @@ def _rician_k_linear(k_db: float, name: str) -> float:
 
 
 def _hold_read_only(obj, names) -> None:
-    """Make a frozen dataclass hold read-only arrays: a writable input is
-    copied, never frozen in place, and a read-only one is kept as is."""
+    """Make a frozen dataclass hold each named field as a read-only,
+    C-ordered ndarray, so its reductions round alike whatever the caller's
+    layout: such an array is kept as is, and any other input (writable, in
+    another layout, not an ndarray) is held as a copy, never frozen in place."""
     for name in names:
         arr = getattr(obj, name)
-        if arr.flags.writeable:
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(obj, name, arr)
+        if not (isinstance(arr, np.ndarray) and arr.flags.c_contiguous
+                and not arr.flags.writeable):
+            object.__setattr__(obj, name, _frozen(np.array(arr, order="C")))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -113,7 +114,11 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if value is not None and not math.isfinite(value):
+            try:
+                finite = value is None or math.isfinite(value)
+            except OverflowError:   # an integer beyond float range
+                raise ValueError(f"{name} must lie within float range, got {value!r}") from None
+            if not finite:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("num_relays", "num_bins", "quad_n", "seed"):
             _require_count(name, getattr(self, name))

@@ -38,8 +38,9 @@ def test_config_error_exit_code(tmp_path, capsys):
     # a missing key, a solver setting (the tolerance and the cycle cap are
     # the method's constants), a NaN cell, a negative or zero data floor, a
     # zero CSI exponent, a beamwidth outside (0, 180) degrees, a negative
-    # seed: each fails as the file loads, naming it, so no study runs a
-    # point and no CSV is written
+    # seed, a count or seed too large for a float: each fails as the file
+    # loads, naming it, so no study runs a point and no CSV is written
+    huge = "1" + "0" * 400
     for text, needle in (("m = 4\nv_kmh = 300\npt_dbm = 40\n", "d_l"),
                          (REF_CONFIG + "solver_n_max = 100\n", ":7: unknown key 'solver_n_max'"),
                          (REF_CONFIG + "solver_eps = 1e-4\n", ":7: unknown key 'solver_eps'"),
@@ -49,7 +50,13 @@ def test_config_error_exit_code(tmp_path, capsys):
                          (REF_CONFIG + "csi_alpha = 0\n", "csi_alpha must be strictly positive"),
                          (REF_CONFIG + "theta_3db_deg = 200\n", "theta_3db must lie in (0, 180)"),
                          (REF_CONFIG + "theta_3db_deg = 0\n", "theta_3db must lie in (0, 180)"),
-                         (REF_CONFIG.replace("seed = 3", "seed = -3"), "seed must be >= 0")):
+                         (REF_CONFIG.replace("seed = 3", "seed = -3"), "seed must be >= 0"),
+                         (REF_CONFIG.replace("m = 4", f"m = {huge}"),
+                          "num_relays must lie within float range"),
+                         (REF_CONFIG + f"n = {huge}\n", "num_bins must lie within float range"),
+                         (REF_CONFIG + f"quad_n = {huge}\n", "quad_n must lie within float range"),
+                         (REF_CONFIG.replace("seed = 3", f"seed = {huge}"),
+                          "seed must lie within float range")):
         bad = write_cfg(tmp_path, text)
         for argv in (["run", bad],
                      ["sweep", bad, "--param", "d_l", "--values", "180,200"],

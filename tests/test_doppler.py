@@ -176,16 +176,27 @@ def test_doppler_records_reject_malformed_input(table, tmp_path):
                    {name: arr[:0] for name, arr in parts.items()}):
         with pytest.raises(ValueError):
             DopplerTable(**{**parts, **change})
-    # a hand-edited table file fails when it is loaded, not when it is used
+    # a non-finite position or shift would return NaN from every lookup
+    # that lands on its row: it fails naming the field
+    for name, k, value in (("positions", 4, np.nan), ("f_rel", 4, np.nan),
+                           ("f_rel", 9, np.inf), ("f_rel", 9, -np.inf)):
+        bad = parts[name].copy()
+        bad[k] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            DopplerTable(**{**parts, name: bad})
+    # a hand-edited table file fails when it is loaded, not when it is used:
+    # a value of its window, its position or its shift
     path = tmp_path / "edited.txt"
-    table.save(path)
-    lines = path.read_text().splitlines()
-    fields = lines[5].split()
-    fields[4] = "nan"
-    lines[5] = " ".join(fields)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="finite"):
-        DopplerTable.load(path)
+    for column, value, name in ((4, "nan", "windows"), (0, "nan", "positions"),
+                                (1, "nan", "f_rel"), (1, "inf", "f_rel")):
+        table.save(path)
+        lines = path.read_text().splitlines()
+        fields = lines[5].split()
+        fields[column] = value
+        lines[5] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            DopplerTable.load(path)
     # an empty file, the comment line without rows, rows a value short (an
     # even count) and rows of three values (L = 0) fail naming the file, the
     # 2L+3 values a row holds and what they found
@@ -333,6 +344,12 @@ def test_table_save_load_round_trip(ref_cfg, table, tmp_path):
         assert_allclose(loaded.positions, table.positions, rtol=0)
         assert_allclose(loaded.f_rel, table.f_rel, rtol=0)
         assert_allclose(loaded.windows, table.windows, rtol=0)
+        # the loaded positions, windows and shifts are held read-only and
+        # C-ordered, equal to the saved ones to the byte
+        for name in ("positions", "windows", "f_rel"):
+            held = getattr(loaded, name)
+            assert not held.flags.writeable and held.flags.c_contiguous, name
+            assert held.tobytes() == getattr(table, name).tobytes(), name
         assert loaded.sq_norms.tobytes() == table.sq_norms.tobytes()
         assert loaded.columns.tobytes() == table.columns.tobytes()
         assert not loaded.columns.flags.writeable

@@ -323,3 +323,25 @@ def test_gain_table_leaves_caller_arrays_writable(ref_cfg, ref_sched, ref_table)
         assert not held.flags.writeable and held is not arr, name
     arrays["gains"][:] = 0.0
     assert table.total_data(np.ones(table.layout.segment.size)) > 0.0
+
+
+def test_gain_table_numbers_do_not_depend_on_the_callers_layout(ref_cfg, ref_sched, ref_table):
+    # a table built from read-only Fortran-ordered copies is held C-ordered,
+    # so its reductions, and every solve over it, round as the C-ordered
+    # table's do, to the bit
+    def read_only_fortran(arr):
+        out = np.asfortranarray(arr)
+        out.setflags(write=False)
+        return out
+
+    table = GainTable(gains=read_only_fortran(ref_table.gains),
+                      weights=read_only_fortran(ref_table.weights),
+                      layout=ref_table.layout, bandwidth=ref_table.bandwidth)
+    p = average_alloc(ref_cfg, ref_sched).values
+    for got, want in zip(table.data_derivatives(p), ref_table.data_derivatives(p)):
+        assert got.tobytes() == want.tobytes()
+    alloc, res = solve(ref_cfg, ref_sched, table=table)
+    want_alloc, want = solve(ref_cfg, ref_sched, table=ref_table)
+    assert alloc.values.tobytes() == want_alloc.values.tobytes()
+    assert (res.energy_j, res.data_bits, res.cycles, res.h_inf) == (
+        want.energy_j, want.data_bits, want.cycles, want.h_inf)

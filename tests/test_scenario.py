@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from railpower import (ScenarioConfig, SegmentSchedule, average_alloc, build_gain_table,
-                       constant_alloc, csi_alloc, entry_layout, mr_position,
+                       build_table, constant_alloc, csi_alloc, entry_layout, mr_position,
                        mr_rrh_distance, mrs_in_cell, random_alloc, reference_config,
                        sample_fading_trace, segment_boundaries)
 from railpower.optimizer import Problem, data_floor
@@ -193,6 +193,12 @@ def test_config_validation():
         with pytest.raises(ValueError, match="rician_k must be a K-factor"):
             ScenarioConfig(rician_k=bad)
     assert ScenarioConfig(rician_k=3082.5).rician_k == 3082.5
+    # an integer beyond float range fails naming its field, not with an
+    # OverflowError from the finiteness check or from (M-1)*d_mr
+    for name in ("num_relays", "num_bins", "quad_n", "seed"):
+        with pytest.raises(ValueError, match=f"{name} must lie within float range"):
+            ScenarioConfig(**{name: 10 ** 400})
+    assert ScenarioConfig(seed=2 ** 1000).seed == 2 ** 1000
 
 
 def test_segment_schedule_leaves_caller_arrays_writable(ref_sched):
@@ -208,6 +214,51 @@ def test_segment_schedule_leaves_caller_arrays_writable(ref_sched):
     # arrays that are already read-only are held as they are
     again = SegmentSchedule(boundaries=sched.boundaries, durations=sched.durations)
     assert again.boundaries is sched.boundaries and again.durations is sched.durations
+
+
+@pytest.fixture(scope="module")
+def frozen_records(ref_cfg, ref_sched, ref_table):
+    """One built instance of every record that holds arrays, by class name."""
+    doppler = build_table(ref_cfg, x_s=1.0, L=5)
+    records = (ref_sched, average_alloc(ref_cfg, ref_sched), ref_table,
+               doppler.window_at(3), doppler)
+    return {type(record).__name__: record for record in records}
+
+
+@pytest.mark.parametrize("record, name", [
+    ("SegmentSchedule", "boundaries"), ("SegmentSchedule", "durations"),
+    ("AllocationMatrix", "values"), ("GainTable", "gains"), ("GainTable", "weights"),
+    ("RsrpWindow", "values"), ("DopplerTable", "positions"),
+    ("DopplerTable", "windows"), ("DopplerTable", "f_rel")])
+def test_records_hold_arrays_read_only_and_c_ordered(frozen_records, record, name):
+    # every frozen record holds its arrays by one rule: a read-only
+    # C-ordered ndarray as given, anything else as a read-only C-ordered
+    # copy, so a record's reductions do not depend on the caller's layout
+    base = frozen_records[record]
+    parts = {f.name: getattr(base, f.name) for f in dataclasses.fields(base) if f.init}
+    arr = parts[name]
+    assert not arr.flags.writeable and arr.flags.c_contiguous
+
+    def held(given):
+        return getattr(type(base)(**{**parts, name: given}), name)
+
+    # a read-only Fortran-ordered (2-D) or strided (1-D) input is copied into C order
+    given = np.asfortranarray(arr) if arr.ndim == 2 else np.repeat(arr, 2)[::2]
+    given.setflags(write=False)
+    assert not given.flags.c_contiguous
+    kept = held(given)
+    assert not kept.flags.writeable and kept.flags.c_contiguous
+    assert kept.tobytes() == arr.tobytes()
+    # a writable input is copied, and the caller's array stays writable
+    given = arr.copy()
+    kept = held(given)
+    assert kept is not given and given.flags.writeable and not kept.flags.writeable
+    # a read-only C-ordered input is held as it is
+    assert held(arr) is arr
+    # a list is held as a read-only ndarray
+    kept = held(arr.tolist())
+    assert isinstance(kept, np.ndarray) and not kept.flags.writeable
+    assert kept.flags.c_contiguous and kept.tobytes() == arr.tobytes()
 
 
 @pytest.mark.parametrize("field", ["d0", "d_l", "d_mr", "v", "p_t", "bandwidth",
