@@ -22,8 +22,10 @@ Data floor rule: :func:`run_point` takes the floor from the scenario's
 deterministic gain table, which also serves planning, and a fading
 trace scales that table's factors into the evaluation table without
 recomputing the geometry.  What the trials at one scenario share (the
-schedule, that table, the floor, the scenario digest and, without
-fading, the ``constant``, ``average`` and ``csi`` figures) is a
+schedule, that table, the floor, the scenario digest, without fading the
+``constant``, ``average`` and ``csi`` figures, and with ``optimized`` the
+floor-independent half of the scaled problem, so that each solve forms
+only its floor's weights) is a
 :class:`PreparedPoint`, built once per sweep task, and a task is one
 swept value with all of its trials; a ``sigma_v`` study, whose values
 leave the scenario as it is, builds one point for all of its tasks.
@@ -50,6 +52,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -195,8 +198,13 @@ class PreparedPoint:
     """What every trial at one scenario shares, built once by
     :func:`prepare_point`: the schedule, the deterministic gain table (the
     floor, the plan and the CSI weights read it), the data floor, the
-    scenario digest, and ``shared``, the figures of each requested scheme
-    that does not depend on the trial (or the message it failed with)."""
+    scenario digest, ``shared``, the figures of each requested scheme that
+    does not depend on the trial (or the message it failed with), and,
+    when ``optimized`` is requested, ``scaled``, the floor-independent half
+    of the scaled problem (:class:`optimizer.ScaledPoint`: the gains times
+    P_T, the normalised times and the average allocation's scaled start
+    with its SNR product, log-rate and column sums), so each solve forms
+    only its floor's weights."""
 
     cfg: ScenarioConfig
     sched: SegmentSchedule
@@ -204,6 +212,7 @@ class PreparedPoint:
     d_min_bits: float
     scenario: str
     shared: dict = field(default_factory=dict)   # scheme -> MetricsRecord | error str
+    scaled: optimizer.ScaledPoint | None = None
 
 
 def _baseline_figures(scheme: str, cfg: ScenarioConfig, sched: SegmentSchedule,
@@ -224,8 +233,9 @@ def _baseline_figures(scheme: str, cfg: ScenarioConfig, sched: SegmentSchedule,
 
 def prepare_point(cfg: ScenarioConfig, schemes) -> PreparedPoint:
     """Build the schedule, deterministic table and data floor of cfg once,
-    and the figures of those ``schemes`` that no trial changes: ``constant``,
-    ``average`` and ``csi`` when ``cfg.fading`` is off."""
+    the figures of those ``schemes`` that no trial changes (``constant``,
+    ``average`` and ``csi`` when ``cfg.fading`` is off), and the scaled
+    problem's floor-independent half when ``optimized`` is among them."""
     sched = segment_boundaries(cfg)
     table = metrics.build_gain_table(cfg, sched)
     shared = {}
@@ -236,7 +246,9 @@ def prepare_point(cfg: ScenarioConfig, schemes) -> PreparedPoint:
             shared[scheme] = str(exc)
     return PreparedPoint(cfg=cfg, sched=sched, table=table,
                          d_min_bits=optimizer.data_floor(cfg, sched, table),
-                         scenario=scenario_hash(cfg), shared=shared)
+                         scenario=scenario_hash(cfg), shared=shared,
+                         scaled=(optimizer.scaled_point(cfg, sched, table)
+                                 if "optimized" in schemes else None))
 
 
 def run_point(point: ScenarioConfig | PreparedPoint, options: HarnessOptions,
@@ -283,7 +295,7 @@ def run_point(point: ScenarioConfig | PreparedPoint, options: HarnessOptions,
             elif scheme == "optimized":   # HarnessOptions admits no other name
                 solution = alloc, diag = optimizer.solve(
                     cfg, sched, warm, d_min=d_min_bits * ((cfg.v + speed_error) / cfg.v),
-                    table=det_table)
+                    table=det_table, scaled=point.scaled)
                 cycles, h_inf, converged = diag.cycles, diag.h_inf, diag.converged
                 # a deterministic row's figures are its solve's: compute_metrics
                 # of alloc on det_table
@@ -448,8 +460,10 @@ def records_to_csv(records: list[RunRecord]) -> str:
     buf.write(f"# {CSV_VERSION}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow([_format_value(getattr(r, col)) for col in CSV_COLUMNS])
+    fields = operator.attrgetter(*CSV_COLUMNS)
+    # a plain float, most fields, skips _format_value's type chain
+    writer.writerows([format(x, ".12g") if type(x) is float else _format_value(x)
+                      for x in fields(r)] for r in records)
     return buf.getvalue()
 
 

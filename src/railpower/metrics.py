@@ -111,7 +111,7 @@ class GainTable:
     def total_data(self, p: np.ndarray, snr: np.ndarray | None = None) -> float:
         """Delivered data [bits] for compact entry powers p (W); ``snr`` is
         :meth:`snr` of p when the caller has it."""
-        return float(self.bandwidth / LN2 * np.vdot(self.weights, self._log_rate(p, snr)))
+        return _data(self, self._log_rate(p, snr))
 
     def segment_data_matrix(self, p: np.ndarray) -> np.ndarray:
         """Per-entry data D_k [bits] (K,) for compact entry powers p (W); a
@@ -141,6 +141,12 @@ class GainTable:
         if power.shape != self.gains.shape:
             raise ValueError("fading trace shape must be (K, Q+1)")
         return replace(self, gains=_frozen(self.gains * power))
+
+
+def _data(table: GainTable, log_rate: np.ndarray) -> float:
+    # the one data reduction, shared with the solver's feasibility test on a
+    # stored log-rate
+    return float(table.bandwidth / LN2 * np.vdot(table.weights, log_rate))
 
 
 def build_gain_table(cfg: ScenarioConfig, sched: SegmentSchedule) -> GainTable:

@@ -46,7 +46,15 @@ solve keeps its warm result's sigma.
 
 Inside the solver, powers are scaled by P_T and data by D_min so the
 residual components are comparable under the max norm; :func:`solve`
-converts the iterate once at entry and once at return.
+converts the iterate once at entry and once at return.  Of the scaled
+problem only the weights over D_min depend on the floor.  The rest is a
+point's :class:`ScaledPoint`, built once per point by :func:`scaled_point`
+(a study's solves at many floors share it): the gains times P_T, the
+normalised times and the average allocation's scaled start with its SNR
+product, log-rate and column sums.  So the feasibility test, which is a
+cold start's data residual too, is one reduction of the stored log-rate
+under the floor's weights, with no data pass, and a cold start's
+derivative pair is formed from the stored SNR product.
 :func:`inner_descent` returns its cycle's :class:`CycleRecord`, which
 holds the scaled iterate and its residuals, with the iterate's data
 derivative pair (D', D''); the next cycle starts from all three, so its
@@ -67,8 +75,9 @@ the same figures a harness row writes for it; the data is
 is :meth:`Problem.energy_j`, the reduction of :func:`metrics.total_energy`
 applied to the cycle's powers, so only the returned iterate is built into
 an :class:`AllocationMatrix`.  :class:`Problem` holds
-the gain table in the same units (gains times P_T, weights over D_min),
-built once, so no data or derivative pass converts units.  The iterate
+the gain table in the same units (the point's gains times P_T, weights
+over D_min), built once per floor, so no data or derivative pass converts
+units.  The iterate
 is the compact vector x (K,) of the K = M(M+N-1) entries where a relay is
 in the cell, in the compact order of the table's
 :class:`scenario.EntryLayout` (each segment's relays next to each other);
@@ -164,8 +173,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .allocators import average_alloc
-from .metrics import AllocationMatrix, GainTable, _energy, build_gain_table, compute_metrics
-from .scenario import ScenarioConfig, SegmentSchedule, _frozen, segment_boundaries
+from .metrics import (AllocationMatrix, GainTable, _data, _energy, build_gain_table,
+                      compute_metrics)
+from .scenario import (ScenarioConfig, SegmentSchedule, _frozen, _hold_read_only,
+                       segment_boundaries)
 
 
 class InfeasibleDataFloor(ValueError):
@@ -214,30 +225,77 @@ def data_floor(cfg: ScenarioConfig, sched: SegmentSchedule, table: GainTable) ->
     return cfg.rho * table.total_data(average_alloc(cfg, sched).values)
 
 
+@dataclass(frozen=True, eq=False)
+class ScaledPoint:
+    """The half of the scaled problem that one point fixes, whatever the floor.
+
+    ``table`` is the point's gain table in physical units (the returned
+    figures are read on it), ``gains`` its gains times P_T, ``t_norm`` the
+    normalised segment times and ``t_entry`` each entry's.  ``x`` is the
+    average allocation over P_T, the cold start, with its SNR product
+    ``snr`` (:meth:`GainTable.snr` on ``gains``), its log-rate
+    ``log_rate`` = log1p(``snr``) and its column sums ``cols``; a floor's
+    scaled data there is one reduction of ``log_rate`` under that floor's
+    weights.  Build it with :func:`scaled_point`; arrays are held read-only
+    and C-ordered.
+    """
+
+    table: GainTable
+    p_t: float
+    sched: SegmentSchedule
+    gains: np.ndarray      # (K, Q+1) table.gains * P_T
+    t_norm: np.ndarray     # (S,) segment durations over the total time
+    t_entry: np.ndarray    # (K,) t_norm of each entry's segment
+    x: np.ndarray          # (K,) the average allocation over P_T
+    snr: np.ndarray        # (K, Q+1) x times gains at every node
+    log_rate: np.ndarray   # (K, Q+1) log1p(snr)
+    cols: np.ndarray       # (S,) column sums of x
+
+    def __post_init__(self):
+        _hold_read_only(self, ("gains", "t_norm", "t_entry", "x", "snr", "log_rate", "cols"))
+
+
+def scaled_point(cfg: ScenarioConfig, sched: SegmentSchedule, table: GainTable) -> ScaledPoint:
+    """The floor-independent half of cfg's scaled problem on ``table``."""
+    layout = table.layout
+    gains = _frozen(table.gains * cfg.p_t)
+    t_norm = _frozen(sched.durations / sched.total_time)
+    x = _frozen(average_alloc(cfg, sched).values / cfg.p_t)
+    snr = _frozen(x[:, None] * gains)
+    return ScaledPoint(table=table, p_t=cfg.p_t, sched=sched, gains=gains, t_norm=t_norm,
+                       t_entry=_frozen(t_norm[layout.segment]), x=x, snr=snr,
+                       log_rate=_frozen(np.log1p(snr)), cols=_frozen(layout.column_sums(x)))
+
+
 class Problem:
-    """Scaled view of one scenario's optimisation problem.
+    """Scaled view of one scenario's optimisation problem at one floor.
 
     Powers are handled as x = P / P_T over the compact entries (K,) and
     data as D / D_min.  ``table`` is the gain table in those units (gains
-    times P_T, weights over D_min), built once, so its data and derivative
-    passes take x and return D / D_min and its derivatives in x.  The merit
-    function value, gradient, and residuals are all expressed in these
-    scaled units so a single tolerance applies across constraint rows.
+    times P_T, weights over D_min), so its data and derivative passes take
+    x and return D / D_min and its derivatives in x.  The merit function
+    value, gradient, and residuals are all expressed in these scaled units
+    so a single tolerance applies across constraint rows.  ``scaled`` is
+    the point's :class:`ScaledPoint`, built from ``table`` when not given;
+    only the weights over D_min are formed here.
     """
 
     def __init__(self, cfg: ScenarioConfig, sched: SegmentSchedule, d_min: float,
-                 table: GainTable):
+                 table: GainTable | None = None, scaled: ScaledPoint | None = None):
         if d_min <= 0.0:
             raise ValueError("the data floor must be positive")
+        if scaled is None:
+            scaled = scaled_point(cfg, sched, table)
+        self.scaled = scaled
         self.d_min = d_min
-        self.p_t = cfg.p_t
-        self.sched = sched
-        self.table = replace(table, gains=_frozen(table.gains * cfg.p_t),
-                             weights=_frozen(table.weights / d_min))
-        self.layout = table.layout
+        self.p_t = scaled.p_t
+        self.sched = scaled.sched
+        self.table = replace(scaled.table, gains=scaled.gains,
+                             weights=_frozen(scaled.table.weights / d_min))
+        self.layout = scaled.table.layout
         self.segment = self.layout.segment
-        self.t_norm = sched.durations / sched.total_time
-        self._t_entry = self.t_norm[self.segment]
+        self.t_norm = scaled.t_norm
+        self._t_entry = scaled.t_entry
 
     def to_scaled(self, alloc: AllocationMatrix) -> np.ndarray:
         return alloc.values / self.p_t
@@ -251,15 +309,16 @@ class Problem:
         return _energy(self.sched, self.layout.column_sums(x * self.p_t))
 
     def residuals_scaled(self, x: np.ndarray, shift: np.ndarray | float = 0.0,
-                         snr: np.ndarray | None = None,
-                         cols: np.ndarray | None = None) -> np.ndarray:
+                         snr: np.ndarray | None = None, cols: np.ndarray | None = None,
+                         data: float | None = None) -> np.ndarray:
         """Residuals at x, the cap rows floored at :func:`cap_shift`'s
-        ``shift`` (0 clips them at the budget); ``snr`` and ``cols`` pass in
-        the table's :meth:`GainTable.snr` and column sums at x."""
+        ``shift`` (0 clips them at the budget); ``snr``, ``cols`` and
+        ``data`` pass in the table's :meth:`GainTable.snr`, the column sums
+        and the scaled data at x."""
         if cols is None:
             cols = self.layout.column_sums(x)
         h = np.empty(self.t_norm.size + 1)
-        h[0] = self.table.total_data(x, snr) - 1.0
+        h[0] = (self.table.total_data(x, snr) if data is None else data) - 1.0
         h[1:] = np.maximum(cols - 1.0, shift)
         return h
 
@@ -492,20 +551,26 @@ class SolveResult:
 def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
           warm: tuple[AllocationMatrix, SolveResult] | None = None,
           d_min: float | None = None,
-          table: GainTable | None = None) -> tuple[AllocationMatrix, SolveResult]:
+          table: GainTable | None = None,
+          scaled: ScaledPoint | None = None) -> tuple[AllocationMatrix, SolveResult]:
     """Run the full multiplier-penalty loop and return the best allocation.
 
-    A cold solve starts from the average allocation with lam = 0 and the
+    ``scaled`` is the point's :class:`ScaledPoint`, whose schedule and table
+    are read in place of ``sched`` and ``table``; without it one is built,
+    so a study that solves at many floors on one point passes it to pay only
+    for each floor's weights.  A cold solve starts from the average
+    allocation with lam = 0 and the
     largest power of two sigma with 2 sigma kappa0 <= :data:`MASS0` (kappa0 the
     data row's curvature there, see the module docstring).  ``warm`` is a
     previous solve's ``(allocation, result)`` on the same relay layout,
     typically at a nearby floor; the loop then starts from that allocation, its
     ``lam_hat`` and its ``sigma``, with the case (b) flag cleared (the
     method-of-multipliers continuation; Bertsekas, Constrained Optimization and
-    Lagrange Multiplier Methods, 1982, sec. 2.2).  The average allocation's
-    data pass is the feasibility test either way, and it runs first; the start
-    point's SNR product feeds both its residuals and the derivative pair the
-    first cycle starts from.  A warm allocation on another relay layout than
+    Lagrange Multiplier Methods, 1982, sec. 2.2).  The feasibility test comes
+    first either way: the average allocation's scaled data, one reduction of
+    the point's stored log-rate under this floor's weights, with no data pass;
+    a cold start's derivative pair is formed from the point's stored SNR
+    product.  A warm allocation on another relay layout than
     the table's, or a ``lam_hat`` without 2M+N-1 entries, raises
     ``ValueError``.  The start point is scaled and clipped to x >= 0 once; each
     cycle starts from the last cycle's record (its x and residuals).  The
@@ -530,6 +595,8 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
     When the inner loop that produced the returned iterate stopped on
     ``cap`` or ``stall``, a warning goes to the ``railpower.optimizer`` logger.
     """
+    if scaled is not None:
+        sched, table = scaled.sched, scaled.table
     if sched is None:
         sched = segment_boundaries(cfg)
     if table is None:
@@ -538,13 +605,14 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
         d_min = data_floor(cfg, sched, table)
     lam, sigma_grew = np.zeros(2 * cfg.num_relays + cfg.num_bins - 1), False
 
-    problem = Problem(cfg, sched, d_min, table)
-    x = problem.to_scaled(average_alloc(cfg, sched))
-    snr = problem.table.snr(x)
+    problem = Problem(cfg, sched, d_min, table, scaled)
+    start = problem.scaled
     # a floor so small that the scaled data overflows leaves kappa0 below
     # not finite, which a cold solve raises on
+    x = start.x
     with np.errstate(over="ignore", invalid="ignore"):
-        h = problem.residuals_scaled(x, snr=snr)
+        h = problem.residuals_scaled(x, cols=start.cols,
+                                     data=_data(problem.table, start.log_rate))
         if h[0] < -1e-12:
             raise InfeasibleDataFloor(
                 f"data floor {d_min:.6g} bits exceeds the {(h[0] + 1.0) * d_min:.6g} bits "
@@ -553,7 +621,7 @@ def solve(cfg: ScenarioConfig, sched: SegmentSchedule | None = None,
         if warm is None:
             # the data derivative pair at x, and kappa0, the data row's mass
             # per unit 2 sigma there: no column is capped, no entry epsilon-active
-            derivs = problem.table.data_derivatives(x, snr)
+            derivs = problem.table.data_derivatives(x, start.snr)
             dd, dd2 = derivs
             kappa0 = float(dd @ (dd / newton_diagonal(dd, dd2, problem._t_entry)))
             if not 0.0 < kappa0 < math.inf:

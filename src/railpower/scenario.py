@@ -144,6 +144,18 @@ class ScenarioConfig:
             raise ValueError(f"d_min_bits must be positive, got {self.d_min_bits!r}")
         if self.quad_n < 2 or self.quad_n % 2:
             raise ValueError("quad_n must be a positive even integer")
+        # the largest arrays a point builds, checked before any is: the
+        # (M, 2M+N-2) activity mask and the (K, quad_n+1) gain table
+        # (Python integers, so a numpy count cannot wrap around)
+        m, n, limit = int(self.num_relays), int(self.num_bins), int(np.iinfo(np.intp).max)
+        if m * (2 * m + n - 2) > limit:
+            raise ValueError(f"num_relays = {m} and num_bins = {n} need an activity mask of "
+                             f"{m} x {2 * m + n - 2} entries, more than an array can hold "
+                             f"({limit})")
+        if m * (m + n - 1) * (int(self.quad_n) + 1) > limit:
+            raise ValueError(f"quad_n = {self.quad_n} needs a gain table of "
+                             f"{m * (m + n - 1)} x {self.quad_n + 1} nodes, more than an "
+                             f"array can hold ({limit})")
 
     @property
     def num_segments(self) -> int:

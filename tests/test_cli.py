@@ -38,8 +38,9 @@ def test_config_error_exit_code(tmp_path, capsys):
     # a missing key, a solver setting (the tolerance and the cycle cap are
     # the method's constants), a NaN cell, a negative or zero data floor, a
     # zero CSI exponent, a beamwidth outside (0, 180) degrees, a negative
-    # seed, a count or seed too large for a float: each fails as the file
-    # loads, naming it, so no study runs a point and no CSV is written
+    # seed, a count or seed too large for a float, a count whose arrays
+    # numpy cannot index: each fails as the file loads, naming it, so no
+    # study runs a point and no CSV is written
     huge = "1" + "0" * 400
     for text, needle in (("m = 4\nv_kmh = 300\npt_dbm = 40\n", "d_l"),
                          (REF_CONFIG + "solver_n_max = 100\n", ":7: unknown key 'solver_n_max'"),
@@ -56,7 +57,9 @@ def test_config_error_exit_code(tmp_path, capsys):
                          (REF_CONFIG + f"n = {huge}\n", "num_bins must lie within float range"),
                          (REF_CONFIG + f"quad_n = {huge}\n", "quad_n must lie within float range"),
                          (REF_CONFIG.replace("seed = 3", f"seed = {huge}"),
-                          "seed must lie within float range")):
+                          "seed must lie within float range"),
+                         (REF_CONFIG + "n = 100000000000000000000\n",
+                          "num_bins = 100000000000000000000 need an activity mask")):
         bad = write_cfg(tmp_path, text)
         for argv in (["run", bad],
                      ["sweep", bad, "--param", "d_l", "--values", "180,200"],

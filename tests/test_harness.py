@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -63,6 +65,26 @@ def test_csv_is_versioned_and_deterministic(tmp_path):
     csv2 = records_to_csv(run_scenario(path))
     assert csv1 == csv2
     assert csv1.splitlines()[0] == "# railpower csv v1"
+
+
+def test_csv_cells_render_as_the_per_field_formatter_does():
+    # the writer's direct path for plain floats renders every cell as
+    # _format_value does field by field: -0.0, NaN, a numpy float, None,
+    # bools, integers and text that needs quoting
+    row = RunRecord(kind="trial", param="sigma_v", value=-0.0, trial=3, scheme="optimized",
+                    scenario="ab12", m=np.int64(4), n=6, d_l=np.float64(200.0),
+                    v_mps=1.0 / 3.0, pt_w=10.0, d_min_bits=float("inf"),
+                    energy_j=float("nan"), data_bits=1e300, ee_bits_per_j=float("-inf"),
+                    se_bits_per_s_per_hz=5e-324, meets_floor=True, converged=False,
+                    cycles=None, h_inf=None, error='floor, "raised"')
+    rows = [row, replace(row, value=0.0, cycles=7, h_inf=-1.5e-17, meets_floor=False,
+                         converged=True, error="")]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for r in rows:
+        writer.writerow([harness._format_value(getattr(r, col)) for col in harness.CSV_COLUMNS])
+    assert records_to_csv(rows).split("\n", 2)[2] == buf.getvalue()
+    assert buf.getvalue().startswith("trial,sigma_v,-0,3,optimized,ab12,4,6,200,")
 
 
 def test_csv_round_trip_and_ee_consistency(tmp_path, ref_records):
@@ -410,9 +432,9 @@ def test_study_shares_one_point_per_task(monkeypatch, ref_cfg, options, fading):
     cfg, sigmas, trials = ref_cfg.with_(fading=fading), (0.0, 3.0), 4
     expected = records_to_csv(_per_trial_study(cfg, options, sigmas, trials))
 
-    calls = {"build_gain_table": 0, "data_floor": 0, "solve": 0}
+    calls = {"build_gain_table": 0, "data_floor": 0, "scaled_point": 0, "solve": 0}
     for module, name in ((metrics, "build_gain_table"), (optimizer, "data_floor"),
-                         (optimizer, "solve")):
+                         (optimizer, "scaled_point"), (optimizer, "solve")):
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -421,8 +443,29 @@ def test_study_shares_one_point_per_task(monkeypatch, ref_cfg, options, fading):
     rows = monte_carlo_velocity_error(cfg, options, sigmas, trials=trials)
     assert records_to_csv(rows) == expected
     # sigma_v is no scenario field, so every task (one per sigma) shares one
-    # table and floor; one solve per trial
-    assert calls == {"build_gain_table": 1, "data_floor": 1, "solve": 2 * trials}
+    # table, floor and scaled half; one solve per trial
+    assert calls == {"build_gain_table": 1, "data_floor": 1, "scaled_point": 1,
+                     "solve": 2 * trials}
+
+
+@pytest.mark.parametrize("fading", [False, True])
+def test_prepare_point_builds_the_scaled_half_only_for_optimized(monkeypatch, ref_cfg, fading):
+    # a study without the optimized scheme (the fading evaluation's four
+    # baselines) builds no scaled half; with it, one per point, on the
+    # point's own table
+    calls = []
+    build = optimizer.scaled_point
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(optimizer, "scaled_point", counted)
+    cfg = ref_cfg.with_(fading=fading)
+    baselines = tuple(s for s in SCHEMES if s != "optimized")
+    assert prepare_point(cfg, baselines).scaled is None and calls == []
+    point = prepare_point(cfg, SCHEMES)
+    assert len(calls) == 1 and point.scaled.table is point.table
 
 
 def test_chained_trials_stay_within_the_floor_tolerance_of_cold_solves(ref_cfg, ref_sched,
@@ -589,7 +632,7 @@ def test_mean_row_spectral_efficiency_of_zero_data_is_zero(monkeypatch, options)
     # every optimized trial ends with zero data, from a solve that returns
     # the zero allocation; its mean row's SE is that of the mean data on the
     # point, not 0 / 0
-    def zero_data_solve(cfg, sched, warm=None, *, d_min, table):
+    def zero_data_solve(cfg, sched, warm=None, *, d_min, table, scaled):
         alloc = metrics.AllocationMatrix(np.zeros(table.layout.segment.size), table.layout)
         figures = metrics.compute_metrics(alloc, sched, table)
         return alloc, optimizer.SolveResult(

@@ -549,6 +549,75 @@ def test_solve_rejects_a_mismatched_warm_start(ref_cfg, ref_sched, ref_table, re
         solve(ref_cfg, ref_sched, warm=(alloc, small_res), d_min=d_min, table=ref_table)
 
 
+def _solve_bytes(alloc, res):
+    """Every figure of a solve and of each of its cycle records, as bytes."""
+    def floats(*xs):
+        return np.array(xs, dtype=float).tobytes()
+    return (alloc.values.tobytes(), res.converged, res.cycles, res.lam_hat.tobytes(),
+            floats(res.d_min, res.energy_j, res.data_bits, res.h_inf, res.sigma),
+            [(c.x.tobytes(), c.h.tobytes(), c.lam_hat.tobytes(), c.inner_steps,
+              c.inner_reason, c.merit_evals, floats(c.h_inf, c.sigma, c.phi, c.energy_j))
+             for c in res.history])
+
+
+@pytest.mark.parametrize("rho, m", [(0.8, 4), (0.97, 4), (1.0, 2)])
+def test_solve_on_a_scaled_point_matches_the_bare_table(rho, m):
+    # the floor-independent half built once and handed in is the half a
+    # bare solve builds for itself: cold and warm solves agree to the bit
+    cfg = reference_config(rho=rho, num_relays=m)
+    sched = segment_boundaries(cfg)
+    table = build_gain_table(cfg, sched)
+    scaled = optimizer.scaled_point(cfg, sched, table)
+    d_min = data_floor(cfg, sched, table)
+    cold = solve(cfg, sched, d_min=d_min, table=table)
+    assert _solve_bytes(*solve(cfg, sched, d_min=d_min, scaled=scaled)) == _solve_bytes(*cold)
+    floor = d_min * min(1.01, 1.0 / rho)
+    warm = solve(cfg, sched, cold, d_min=floor, table=table)
+    assert (_solve_bytes(*solve(cfg, sched, cold, d_min=floor, scaled=scaled))
+            == _solve_bytes(*warm))
+    # an unreachable floor fails alike, with the same figures in its message
+    messages = []
+    for source in ({"table": table}, {"scaled": scaled}):
+        with pytest.raises(InfeasibleDataFloor) as exc:
+            solve(cfg, sched, d_min=1.5 * d_min / rho, **source)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def test_warm_solve_on_a_scaled_point_pays_only_for_its_floor(monkeypatch, ref_cfg, ref_sched,
+                                                               ref_table, ref_solution):
+    # a solve handed the point's scaled half builds no average allocation
+    # and makes no data pass at it: the feasibility test reduces the stored
+    # log-rate under the floor's weights.  A warm solve's data passes are
+    # then its warm start's residuals, one per merit evaluation after each
+    # cycle's first and the returned allocation's metrics, one fewer than
+    # when the test was the average allocation's data pass; a bare solve
+    # builds the same half per solve, average allocation included
+    d_min, alloc, res = ref_solution
+    scaled = optimizer.scaled_point(ref_cfg, ref_sched, ref_table)
+    counts = {"average_alloc": 0, "scaled_point": 0, "total_data": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((optimizer, "average_alloc"), (optimizer, "scaled_point"),
+                        (GainTable, "total_data")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    per_source = {}
+    for label, source in (("bare", {"table": ref_table}), ("scaled", {"scaled": scaled})):
+        counts.update(average_alloc=0, scaled_point=0, total_data=0)
+        _, warm = solve(ref_cfg, ref_sched, (alloc, res), d_min=1.01 * d_min, **source)
+        assert warm.converged
+        assert counts["total_data"] == 1 + sum(c.merit_evals - 1 for c in warm.history) + 1
+        per_source[label] = dict(counts)
+    assert per_source["bare"] == {**per_source["scaled"], "average_alloc": 1,
+                                  "scaled_point": 1}
+    assert per_source["scaled"]["average_alloc"] == per_source["scaled"]["scaled_point"] == 0
+
+
 def test_solve_rejects_nonpositive_floor(ref_cfg, ref_sched, ref_table):
     # a scenario's floor is always positive; a direct call with none to
     # deliver is an error, as it is for Problem
@@ -787,11 +856,12 @@ def test_inner_descent_one_data_pass_per_merit_evaluation(monkeypatch):
     # solve computes the start point's residuals, and each inner loop hands
     # its iterate's residuals on to the next cycle, so a solve runs one data
     # pass per merit evaluation after each cycle's first, plus a fixed count:
-    # the average allocation (the infeasibility test's pass, and a cold
-    # solve's start point) and the returned allocation's data (its
-    # metrics); at rho = 0.97 the overspend guard's residual (the best
-    # iterate sits a hair over its caps), and in a warm solve the warm
-    # start's residuals
+    # the returned allocation's data (its metrics); at rho = 0.97 the
+    # overspend guard's residual (the best iterate sits a hair over its
+    # caps), and in a warm solve the warm start's residuals.  The average
+    # allocation (the infeasibility test, and a cold solve's start point)
+    # takes no data pass: its data is a reduction of the scaled point's
+    # stored log-rate
     counts = {"data": 0, "phi": 0}
     per_call = []
 
@@ -814,7 +884,7 @@ def test_inner_descent_one_data_pass_per_merit_evaluation(monkeypatch):
     monkeypatch.setattr(Problem, "phi", counted("phi", Problem.phi))
     monkeypatch.setattr(optimizer, "inner_descent", counted_inner)
     cold = None
-    for rho, warm_start, fixed in ((0.8, False, 2), (0.97, False, 3), (0.75, True, 3)):
+    for rho, warm_start, fixed in ((0.8, False, 1), (0.97, False, 2), (0.75, True, 2)):
         cfg = reference_config(rho=rho)
         sched = segment_boundaries(cfg)
         table = build_gain_table(cfg, sched)

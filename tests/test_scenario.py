@@ -9,7 +9,7 @@ from railpower import (ScenarioConfig, SegmentSchedule, average_alloc, build_gai
                        build_table, constant_alloc, csi_alloc, entry_layout, mr_position,
                        mr_rrh_distance, mrs_in_cell, random_alloc, reference_config,
                        sample_fading_trace, segment_boundaries)
-from railpower.optimizer import Problem, data_floor
+from railpower.optimizer import Problem, data_floor, scaled_point
 
 
 def kinematic_boundaries(cfg):
@@ -199,6 +199,13 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"{name} must lie within float range"):
             ScenarioConfig(**{name: 10 ** 400})
     assert ScenarioConfig(seed=2 ** 1000).seed == 2 ** 1000
+    # a count within float range whose mask or gain table has more entries
+    # than an array can index fails naming the count, before any array is built
+    for fields, name in (({"num_bins": 10 ** 20}, "num_bins"),
+                         ({"num_relays": 10 ** 10, "d_mr": 1e-30}, "num_relays"),
+                         ({"quad_n": 10 ** 18}, "quad_n")):
+        with pytest.raises(ValueError, match=f"{name} = {fields[name]} .*more than an array"):
+            ScenarioConfig(**fields)
 
 
 def test_segment_schedule_leaves_caller_arrays_writable(ref_sched):
@@ -221,7 +228,8 @@ def frozen_records(ref_cfg, ref_sched, ref_table):
     """One built instance of every record that holds arrays, by class name."""
     doppler = build_table(ref_cfg, x_s=1.0, L=5)
     records = (ref_sched, average_alloc(ref_cfg, ref_sched), ref_table,
-               doppler.window_at(3), doppler)
+               doppler.window_at(3), doppler,
+               scaled_point(ref_cfg, ref_sched, ref_table))
     return {type(record).__name__: record for record in records}
 
 
@@ -229,7 +237,9 @@ def frozen_records(ref_cfg, ref_sched, ref_table):
     ("SegmentSchedule", "boundaries"), ("SegmentSchedule", "durations"),
     ("AllocationMatrix", "values"), ("GainTable", "gains"), ("GainTable", "weights"),
     ("RsrpWindow", "values"), ("DopplerTable", "positions"),
-    ("DopplerTable", "windows"), ("DopplerTable", "f_rel")])
+    ("DopplerTable", "windows"), ("DopplerTable", "f_rel"),
+    *(("ScaledPoint", name) for name in ("gains", "t_norm", "t_entry", "x", "snr",
+                                         "log_rate", "cols"))])
 def test_records_hold_arrays_read_only_and_c_ordered(frozen_records, record, name):
     # every frozen record holds its arrays by one rule: a read-only
     # C-ordered ndarray as given, anything else as a read-only C-ordered
